@@ -20,13 +20,85 @@ The window must be comfortably larger than the longest legitimate gap
 between progress events — with retransmit channels that is the capped
 backoff interval — and far smaller than the drive's ``max_steps`` so a
 stalling run still completes within budget.
+
+The judgement itself — has any signal moved within the window, is the
+window wide enough for the attached channels, what does the diagnosis
+say — is :class:`StallWindow`, which takes ``now`` from its caller and
+so serves this monitor on virtual steps and
+:class:`repro.net.WallClockProgressMonitor` on wall-clock seconds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, StallDetected
+
+_UNSAMPLED = object()
+
+
+class StallWindow:
+    """Has any progress signal moved within the last ``window``?
+
+    Args:
+        signals: Zero-argument callable returning a comparable tuple of
+            progress counters; any change resets the window.
+        window: Time without a signal change that counts as a stall, in
+            the unit of the ``now`` values passed to :meth:`expired`.
+        unit: That unit as the messages print it (``" steps"``, ``"s"``).
+        channels: Retransmit channel layers the monitored run sends
+            through. The window must exceed every one's ``max_backoff``:
+            at or below the cap, a legitimate retransmit gap would read
+            as a stall, so that configuration is rejected loudly.
+        describe_pending: Optional callable returning a one-line summary
+            of the operations still pending.
+        describe_suppression: Optional callable explaining what a fault
+            plan is cutting.
+    """
+
+    def __init__(
+        self,
+        signals: Callable[[], Tuple],
+        window: float,
+        unit: str,
+        channels: Iterable[Any] = (),
+        describe_pending: Optional[Callable[[], str]] = None,
+        describe_suppression: Optional[Callable[[], str]] = None,
+    ):
+        if window <= 0:
+            raise ConfigurationError(f"stall window must be > 0, got {window}")
+        for channel in channels:
+            if window <= channel.max_backoff:
+                raise ConfigurationError(
+                    f"stall window {window}{unit} must exceed the retransmit "
+                    f"layer's capped backoff ({channel.max_backoff}{unit}): a "
+                    f"legitimate retransmit gap would read as a stall"
+                )
+        self.window = window
+        self._signals = signals
+        self._describe_pending = describe_pending
+        self._describe_suppression = describe_suppression
+        self._last: Any = _UNSAMPLED
+        self._last_change: float = 0
+
+    def expired(self, now: float) -> bool:
+        """Sample the signals at ``now``; true once a full window has
+        passed since they last changed (the first sample is a change)."""
+        current = self._signals()
+        if current != self._last:
+            self._last = current
+            self._last_change = now
+            return False
+        return now - self._last_change >= self.window
+
+    def diagnose(self, header: str) -> str:
+        """``header`` plus the pending and suppression summaries."""
+        parts = [header]
+        if self._describe_pending is not None:
+            parts.append(f"pending: {self._describe_pending()}")
+        if self._describe_suppression is not None:
+            parts.append(self._describe_suppression())
+        return "; ".join(parts)
 
 
 class ProgressMonitor:
@@ -46,10 +118,8 @@ class ProgressMonitor:
             explains what a fault plan is cutting (a
             :class:`repro.faults.FaultyNetwork`).
         channels: Optional :class:`repro.faults.RetransmitChannels` the
-            monitored system sends through. Attaching it arms the
-            footgun check: a stall window at or below the channels'
-            capped backoff reads every legitimate retransmit gap as a
-            stall, so that configuration is rejected loudly.
+            monitored system sends through; the window must exceed its
+            capped backoff (see :class:`StallWindow`).
     """
 
     def __init__(
@@ -61,21 +131,19 @@ class ProgressMonitor:
         network: Optional[Any] = None,
         channels: Optional[Any] = None,
     ):
-        if window < 1:
-            raise ConfigurationError(f"stall window must be >= 1, got {window}")
-        if channels is not None and window <= channels.max_backoff:
-            raise ConfigurationError(
-                f"stall window {window} steps must exceed the retransmit "
-                f"layer's capped backoff ({channels.max_backoff} steps): a "
-                f"legitimate retransmit gap would read as a stall"
-            )
+        describe = getattr(network, "describe_suppression", None)
         self.system = system
         self.window = window
-        self._signals = signals
-        self._describe_pending = describe_pending
-        self._network = network
-        self._last: Optional[Tuple] = None
-        self._last_change = system.clock
+        self._stall = StallWindow(
+            signals,
+            window,
+            " steps",
+            channels=() if channels is None else (channels,),
+            describe_pending=describe_pending,
+            describe_suppression=(
+                None if describe is None else lambda: describe(system.clock)
+            ),
+        )
         #: Set to the diagnosis once a stall has been raised.
         self.stalled: Optional[str] = None
 
@@ -86,23 +154,8 @@ class ProgressMonitor:
         runs before every step); cost is one tuple compare per step.
         """
         now = self.system.clock
-        current = self._signals()
-        if current != self._last:
-            self._last = current
-            self._last_change = now
-            return
-        if now - self._last_change >= self.window:
-            self.stalled = self._diagnose(now)
+        if self._stall.expired(now):
+            self.stalled = self._stall.diagnose(
+                f"STALLED: no progress for {self.window} steps (clock={now})"
+            )
             raise StallDetected(self.stalled)
-
-    def _diagnose(self, now: int) -> str:
-        parts = [
-            f"STALLED: no progress for {self.window} steps (clock={now})"
-        ]
-        if self._describe_pending is not None:
-            parts.append(f"pending: {self._describe_pending()}")
-        if self._network is not None:
-            describe = getattr(self._network, "describe_suppression", None)
-            if describe is not None:
-                parts.append(describe(now))
-        return "; ".join(parts)

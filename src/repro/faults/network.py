@@ -189,16 +189,4 @@ class FaultyNetwork:
 
     def describe_suppression(self, now: int) -> str:
         """One-line summary of what the plan is currently cutting."""
-        parts = [f"plan[{self.plan.describe()}]"]
-        crashed = self.plan.crashed_pids(now)
-        if crashed:
-            parts.append("down=" + ",".join(f"p{pid}" for pid in crashed))
-        if self.suppressed_links:
-            top = sorted(
-                self.suppressed_links.items(), key=lambda item: -item[1]
-            )[:4]
-            parts.append(
-                "cut="
-                + ",".join(f"{src}->{dst}:{count}" for (src, dst), count in top)
-            )
-        return " ".join(parts)
+        return self.plan.describe_suppression(now, self.suppressed_links)

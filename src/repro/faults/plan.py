@@ -248,3 +248,21 @@ class FaultPlan:
         parts.extend(partition.describe() for partition in self.partitions)
         parts.extend(crash.describe() for crash in self.crashes)
         return " ".join(parts) if parts else "no-faults"
+
+    def describe_suppression(
+        self, now: int, suppressed_links: Dict[Tuple[int, int], int]
+    ) -> str:
+        """One-line summary of what the plan is cutting at clock ``now``:
+        ``plan[...] down=... cut=src->dst:count`` (the four most
+        suppressed links) — the suppression half of a STALLED diagnosis,
+        for the simulator's network and the live chaos proxies alike."""
+        parts = [f"plan[{self.describe()}]"]
+        crashed = self.crashed_pids(now)
+        if crashed:
+            parts.append("down=" + ",".join(f"p{pid}" for pid in crashed))
+        if suppressed_links:
+            top = sorted(suppressed_links.items(), key=lambda item: -item[1])[:4]
+            parts.append(
+                "cut=" + ",".join(f"{src}->{dst}:{count}" for (src, dst), count in top)
+            )
+        return " ".join(parts)

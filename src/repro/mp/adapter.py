@@ -11,14 +11,18 @@ quorum protocols, leaving every other effect untouched.
 So experiment E9 executes Algorithm 1's *exact code* — the same
 generators, line for line — over messages.
 
-Caveats (documented in DESIGN.md's substitution notes):
+Caveats (each a substitution for an assumption of the paper's model):
 
 * The emulation does not enforce SWSR read restrictions (any process may
   query any emulated register); Algorithms 1–3 never read registers they
   should not, so this is unobservable for correct code.
 * The emulation provides regular (not fully atomic) semantics under
-  read/write concurrency; E9's schedules keep low-level writes
-  non-overlapping, where the two coincide.
+  read/write concurrency: two non-overlapping reads that both overlap
+  one write may see the new value and then the old one (the reader
+  write-back round that closes this is opt-in,
+  ``RegisterEmulation.read(write_back=True)``, and the translation does
+  not use it). E9's schedules keep low-level writes non-overlapping,
+  where regular and atomic coincide.
 * The translation inherits the emulation's *channel* assumption: over
   the default reliable network nothing extra is needed, while over a
   fair-lossy :class:`repro.faults.FaultyNetwork` the emulation must be

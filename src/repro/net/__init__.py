@@ -1,9 +1,14 @@
 """Live-network runtime: asyncio socket clusters with chaos injection.
 
-``repro.net`` deploys the [11]-style SWMR quorum emulation (the same
-protocol :mod:`repro.mp.swmr_emulation` model-checks in virtual time) as
-an n-process cluster on localhost TCP sockets, and rebuilds the whole
-PR 8 robustness story over wall clocks:
+``repro.net`` deploys the [11]-style SWMR quorum emulation as an
+n-process cluster on localhost TCP sockets. It is the second *driver*
+of the protocol, not a second implementation: the replica state
+machine (:class:`repro.mp.swmr_emulation.ReplicaCore`), the retransmit
+channel (:class:`repro.faults.channels.ChannelCore`) and the stall
+judgement (:class:`repro.faults.monitor.StallWindow`) are the objects
+the simulator drives in virtual time; here they run on sockets and
+``time.monotonic()``. What this package adds is everything a real
+deployment needs around those cores:
 
 * :mod:`repro.net.wire` — length-prefixed JSON framing shared by nodes,
   chaos proxies, and remote clients.
@@ -11,18 +16,16 @@ PR 8 robustness story over wall clocks:
   the unchanged :class:`repro.faults.FaultPlan` vocabulary (drop / dup /
   delay rules, timed group partitions, crash-stop with optional
   restart-and-recover) with seeded determinism per rule.
-* :mod:`repro.net.channels` — the wall-clock port of
-  :class:`repro.faults.RetransmitChannels`: ACK + seqno dedup,
-  exponential backoff with seeded jitter, bounded retries surfaced as
-  metrics.
-* :mod:`repro.net.monitor` — the wall-clock
-  :class:`repro.faults.ProgressMonitor`: a hung cluster becomes a
+* :mod:`repro.net.channels` — :class:`WallClockChannels`, the channel
+  core on ``float`` seconds with seeded downward jitter.
+* :mod:`repro.net.monitor` — :class:`WallClockProgressMonitor`, an
+  asyncio task sampling the stall window: a hung cluster becomes a
   first-class ``STALLED`` verdict with a waiting-on/suppression
   diagnosis instead of a hang.
-* :mod:`repro.net.node` — one cluster process: replica protocol
-  (WRITE/ECHO/ACK/READ/VALUE/PULL), client operations (read / write /
-  transfer / balance), crash-restart recovery, and a TCP server that
-  also speaks the remote-client request protocol.
+* :mod:`repro.net.node` — one cluster process: a TCP server that feeds
+  peer frames to its replica core and puts the core's replies on the
+  wire, paced client operations (read / write / transfer / balance),
+  crash-restart recovery, and the remote-client request protocol.
 * :mod:`repro.net.loadgen` — hundreds of concurrent clients driving
   read/write/transfer mixes in barrier-separated rounds, with latency
   and throughput percentiles.

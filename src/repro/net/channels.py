@@ -1,66 +1,38 @@
-"""Wall-clock retransmission channels: the PR 8 layer over real sockets.
+"""The retransmission channel core on wall-clock seconds.
 
-The virtual-time :class:`repro.faults.RetransmitChannels` rebuilds the
-reliable-channel assumption over a fair-lossy network; this is its
-wall-clock port for the live runtime, with the same framing and the
-same metric vocabulary:
+A live node rebuilds the reliable-channel assumption over its sockets
+with the same state machine the simulator explores —
+:class:`repro.faults.channels.ChannelCore`: ``("CH", seq, payload)``
+framing, always-ack, seqno dedup, capped exponential backoff, bounded
+retries surfaced in ``exhausted``. :class:`WallClockChannels` is that
+core with times in ``float`` seconds and seeded *downward* jitter
+switched on (so ``max_backoff`` stays a true bound on every retransmit
+gap, which :class:`repro.net.monitor.WallClockProgressMonitor`'s window
+validation relies on).
 
-* every protocol payload travels as ``("CH", seq, payload)`` with a
-  per-destination sequence number;
-* the receiver **always** acknowledges (``("CH-ACK", seq)``) and
-  delivers at most once (seqno dedup absorbs chaos-proxy duplication
-  and retransmit races);
-* unacknowledged frames are retransmitted on a timeout that backs off
-  exponentially up to ``max_backoff`` seconds, with seeded *downward*
-  jitter (the cap stays a true bound, which is what the progress
-  monitor's window validation relies on — see
-  :class:`repro.net.monitor.WallClockProgressMonitor`);
-* after ``max_retries`` attempts a frame is abandoned and counted in
-  ``exhausted`` — a metric, not an exception: over a fair-lossy link it
-  means the retry budget was too small, over a quorum-starving
-  partition it is the expected prelude to a ``STALLED`` verdict.
-
-Unlike the simulator's one-instance-per-system class, each
-:class:`NetNode` owns one :class:`WallClockChannels` (a real process
-owns only its own channel state); the metric keys match so live reports
-and virtual-time reports read the same.
+Where the simulator keeps one :class:`repro.faults.RetransmitChannels`
+per system, each :class:`repro.net.NetNode` owns one
+:class:`WallClockChannels` (a real process owns only its own channel
+state) and passes it ``time.monotonic()``; live reports and
+virtual-time reports carry the same metric keys.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict, List, Optional, Set, Tuple
-
-from repro.errors import ConfigurationError
+from repro.faults.channels import ChannelCore
 
 
-class _PendingFrame:
-    """Sender-side bookkeeping for one unacknowledged frame."""
-
-    __slots__ = ("dest", "seq", "payload", "due", "attempts")
-
-    def __init__(self, dest: int, seq: int, payload: Any, due: float):
-        self.dest = dest
-        self.seq = seq
-        self.payload = payload
-        self.due = due
-        self.attempts = 0
-
-
-class WallClockChannels:
+class WallClockChannels(ChannelCore):
     """Reliable per-destination channels for one live node.
 
     Args:
         pid: The owning node's pid (jitter seeding and diagnostics).
         base_timeout: Seconds before the first retransmit of a frame.
         max_backoff: Cap, in seconds, on the doubling retransmit
-            interval. Jitter is applied downward, so no retransmit gap
-            ever exceeds this cap.
+            interval (a true bound: jitter only shortens a gap).
         max_retries: Retransmit attempts before a frame is abandoned
             (counted in :attr:`exhausted`).
-        jitter: Fraction of each backoff randomly shaved off, from a
-            ``random.Random`` seeded with ``(seed, pid)`` — retransmit
-            storms from n nodes desynchronize deterministically.
+        jitter: Fraction of each backoff randomly shaved off.
         seed: Jitter seed.
     """
 
@@ -73,111 +45,4 @@ class WallClockChannels:
         jitter: float = 0.25,
         seed: int = 0,
     ):
-        if base_timeout <= 0 or max_backoff < base_timeout or max_retries < 0:
-            raise ConfigurationError(
-                f"bad channel timing: base_timeout={base_timeout}, "
-                f"max_backoff={max_backoff}, max_retries={max_retries}"
-            )
-        if not 0.0 <= jitter < 1.0:
-            raise ConfigurationError(f"jitter must be in [0, 1), got {jitter}")
-        self.pid = pid
-        self.base_timeout = base_timeout
-        self.max_backoff = max_backoff
-        self.max_retries = max_retries
-        self.jitter = jitter
-        self._rng = random.Random(f"net-channels:{seed}:{pid}")
-        #: Next sequence number per destination.
-        self._next_seq: Dict[int, int] = {}
-        #: Unacked frames: (dst, seq) -> _PendingFrame.
-        self._pending: Dict[Tuple[int, int], _PendingFrame] = {}
-        #: Receiver-side dedup: sender -> delivered seqs.
-        self._seen: Dict[int, Set[int]] = {}
-        # Metrics (same keys as the virtual-time layer).
-        self.sent = 0
-        self.retransmitted = 0
-        self.acked = 0
-        self.duplicates_dropped = 0
-        self.exhausted = 0
-
-    # ------------------------------------------------------------------
-    # Sender side
-    # ------------------------------------------------------------------
-    def frame(self, dst: int, payload: Any, now: float) -> Any:
-        """Frame ``payload`` for ``dst``; registers it for retransmission."""
-        seq = self._next_seq.get(dst, 0) + 1
-        self._next_seq[dst] = seq
-        self._pending[(dst, seq)] = _PendingFrame(
-            dst, seq, payload, now + self._interval(0)
-        )
-        self.sent += 1
-        return ("CH", seq, payload)
-
-    def due_retransmits(self, now: float) -> List[Tuple[int, Any]]:
-        """``(dst, wire_payload)`` for every overdue frame; abandons at cap."""
-        out: List[Tuple[int, Any]] = []
-        abandoned: List[Tuple[int, int]] = []
-        for key, pending in self._pending.items():
-            if pending.due > now:
-                continue
-            pending.attempts += 1
-            if pending.attempts > self.max_retries:
-                abandoned.append(key)
-                continue
-            self.retransmitted += 1
-            pending.due = now + self._interval(pending.attempts)
-            out.append((pending.dest, ("CH", pending.seq, pending.payload)))
-        for key in abandoned:
-            del self._pending[key]
-            self.exhausted += 1
-        return out
-
-    def _interval(self, attempts: int) -> float:
-        backoff = min(self.base_timeout * (2 ** attempts), self.max_backoff)
-        return backoff * (1.0 - self.jitter * self._rng.random())
-
-    # ------------------------------------------------------------------
-    # Receiver side
-    # ------------------------------------------------------------------
-    def on_receive(
-        self, sender: int, payload: Any
-    ) -> Tuple[Optional[Any], List[Any]]:
-        """Unframe one inbound payload.
-
-        Returns ``(inner, acks)``: ``inner`` is the deliverable protocol
-        payload (``None`` for duplicates and pure acks), ``acks`` the
-        raw payloads to send back to ``sender`` *outside* the channel
-        layer. Non-channel payloads pass through untouched.
-        """
-        if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "CH":
-            _k, seq, inner = payload
-            if not isinstance(seq, int) or isinstance(seq, bool):
-                return None, []
-            acks: List[Any] = [("CH-ACK", seq)]
-            seen = self._seen.setdefault(sender, set())
-            if seq in seen:
-                self.duplicates_dropped += 1
-                return None, acks
-            seen.add(seq)
-            return inner, acks
-        if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "CH-ACK":
-            _k, seq = payload
-            if self._pending.pop((sender, seq), None) is not None:
-                self.acked += 1
-            return None, []
-        return payload, []
-
-    # ------------------------------------------------------------------
-    def pending_count(self) -> int:
-        """Frames sent but not yet acknowledged or abandoned."""
-        return len(self._pending)
-
-    def metrics(self) -> Dict[str, int]:
-        """Plain-dict counters, key-compatible with the virtual-time layer."""
-        return {
-            "sent": self.sent,
-            "retransmitted": self.retransmitted,
-            "acked": self.acked,
-            "duplicates_dropped": self.duplicates_dropped,
-            "exhausted": self.exhausted,
-            "pending": self.pending_count(),
-        }
+        super().__init__(pid, base_timeout, max_backoff, max_retries, jitter, seed)

@@ -87,19 +87,29 @@ class ChaosProxy:
         #: (src, dst) -> suppression count, for the STALLED diagnosis.
         self.suppressed_links: Dict[Tuple[int, int], int] = {}
         self._delay_tasks: set = set()
+        self._connections: set = set()
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(self._serve, self.host, 0)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop listening and drop every connection.
+
+        Accepted connections are closed *before* awaiting
+        ``wait_closed()``: since Python 3.12.1 that call waits for them.
+        """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for task in list(self._delay_tasks):
             task.cancel()
         self._delay_tasks.clear()
+        for writer in list(self._connections):
+            writer.close()
+        self._connections.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     # ------------------------------------------------------------------
     async def _serve(
@@ -108,6 +118,7 @@ class ChaosProxy:
         """One inbound peer connection: handshake, then fault every frame."""
         backend_writer: Optional[asyncio.StreamWriter] = None
         write_lock = asyncio.Lock()
+        self._connections.add(writer)
         try:
             hello = await wire.read_doc(reader)
             if hello is None or hello.get("t") != "hello":
@@ -129,6 +140,7 @@ class ChaosProxy:
             # connection handlers as callback errors.
             return
         finally:
+            self._connections.discard(writer)
             for stream in (writer, backend_writer):
                 if stream is not None:
                     stream.close()
@@ -232,22 +244,12 @@ def describe_suppression(
 ) -> str:
     """One-line cluster-wide suppression summary (the STALLED diagnosis).
 
-    Same shape as :meth:`repro.faults.FaultyNetwork.describe_suppression`
-    — ``plan[...] down=... cut=src->dst:count`` — aggregated over every
-    proxy so the diagnosis names the starved links regardless of which
-    destination they starve.
+    :meth:`repro.faults.FaultPlan.describe_suppression` over the links
+    of every proxy, so the diagnosis names the starved links regardless
+    of which destination they starve.
     """
-    parts = [f"plan[{plan.describe()}]"]
-    crashed = plan.crashed_pids(now)
-    if crashed:
-        parts.append("down=" + ",".join(f"p{pid}" for pid in crashed))
     links: Dict[Tuple[int, int], int] = {}
     for proxy in proxies.values():
         for key, count in proxy.suppressed_links.items():
             links[key] = links.get(key, 0) + count
-    if links:
-        top = sorted(links.items(), key=lambda item: -item[1])[:4]
-        parts.append(
-            "cut=" + ",".join(f"{src}->{dst}:{count}" for (src, dst), count in top)
-        )
-    return " ".join(parts)
+    return plan.describe_suppression(now, links)

@@ -1,17 +1,15 @@
-"""Wall-clock stall-to-verdict monitoring for live clusters.
+"""Stall-to-verdict monitoring for live clusters.
 
-The virtual-time :class:`repro.faults.ProgressMonitor` samples progress
-signals from inside a drive loop's goal predicate; a live cluster has
-no such loop, so this port runs as an asyncio task that samples on a
-poll interval and flips an :class:`asyncio.Event` instead of raising —
-the orchestrator races the load against that event and converts it into
-the same first-class ``STALLED`` verdict, with the same diagnosis shape
-(pending operations plus what the fault plan is suppressing).
-
-The window-vs-backoff footgun is validated here exactly as in the
-virtual-time layer: a window that does not exceed every attached
-retransmit channel's capped backoff would report phantom stalls during
-legitimate retransmit gaps, so construction rejects it loudly.
+The stall judgement is :class:`repro.faults.monitor.StallWindow` — the
+same signal compare, the same window-vs-capped-backoff rejection and
+the same diagnosis shape (pending operations plus what the fault plan
+is suppressing) the simulator's :class:`repro.faults.ProgressMonitor`
+uses. That monitor samples from inside a drive loop's goal predicate
+and raises; a live cluster has no such loop, so this driver runs as an
+asyncio task that samples ``time.monotonic()`` on a poll interval and
+flips an :class:`asyncio.Event` — the orchestrator races the load
+against that event and converts it into the first-class ``STALLED``
+verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import asyncio
 import time
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.faults.monitor import StallWindow
 
 
 class WallClockProgressMonitor:
@@ -53,20 +51,16 @@ class WallClockProgressMonitor:
         describe_suppression: Optional[Callable[[], str]] = None,
         channels: Sequence[Any] = (),
     ):
-        if window <= 0:
-            raise ConfigurationError(f"stall window must be > 0, got {window}")
-        for channel in channels:
-            if window <= channel.max_backoff:
-                raise ConfigurationError(
-                    f"stall window {window}s must exceed the retransmit "
-                    f"layer's capped backoff ({channel.max_backoff}s): a "
-                    f"legitimate retransmit gap would read as a stall"
-                )
         self.window = window
         self.poll = max(window / 20.0, 0.01) if poll is None else poll
-        self._signals = signals
-        self._describe_pending = describe_pending
-        self._describe_suppression = describe_suppression
+        self._stall = StallWindow(
+            signals,
+            window,
+            "s",
+            channels=channels,
+            describe_pending=describe_pending,
+            describe_suppression=describe_suppression,
+        )
         self._task: Optional[asyncio.Task] = None
         #: Set once the stall verdict fires; the diagnosis is in
         #: :attr:`stalled`.
@@ -89,25 +83,9 @@ class WallClockProgressMonitor:
             self._task = None
 
     async def _run(self) -> None:
-        last = self._signals()
-        last_change = time.monotonic()
-        while True:
+        while not self._stall.expired(time.monotonic()):
             await asyncio.sleep(self.poll)
-            now = time.monotonic()
-            current = self._signals()
-            if current != last:
-                last = current
-                last_change = now
-                continue
-            if now - last_change >= self.window:
-                self.stalled = self._diagnose()
-                self.stalled_event.set()
-                return
-
-    def _diagnose(self) -> str:
-        parts = [f"STALLED: no progress for {self.window:g}s (wall clock)"]
-        if self._describe_pending is not None:
-            parts.append(f"pending: {self._describe_pending()}")
-        if self._describe_suppression is not None:
-            parts.append(self._describe_suppression())
-        return "; ".join(parts)
+        self.stalled = self._stall.diagnose(
+            f"STALLED: no progress for {self.window:g}s (wall clock)"
+        )
+        self.stalled_event.set()

@@ -1,24 +1,29 @@
 """One live cluster process: replica, client API, and TCP server.
 
-This is the wall-clock port of :class:`repro.mp.RegisterEmulation` — the
-same echo-amplified quorum protocol ([11]-style), the same message
-grammar (``WRITE`` / ``ECHO`` / ``ACK`` / ``READ`` / ``VALUE`` /
-``PULL`` / ``PULL-ACK``), running over real sockets instead of the
-cooperative scheduler:
+:class:`NetNode` is the socket driver of the quorum protocol. The
+protocol itself — replica state, the ``WRITE`` / ``ECHO`` / ``ACK`` /
+``READ`` / ``VALUE`` / ``PULL`` / ``PULL-ACK`` handler, the ``f + 1``
+confirmation rule, the bookkeeping that opens a write, a read or a
+write-back — is :class:`repro.mp.swmr_emulation.ReplicaCore`, the same
+object :class:`repro.mp.RegisterEmulation` drives under the cooperative
+scheduler, so what the simulator explores is what runs here. This
+module adds what a real process needs around it:
 
-* Every node is a replica for every emulated register, holding the
-  highest accepted ``(seq, value)`` pair; adoption requires the
-  register's true writer or ``f + 1`` matching echoes.
-* ``write``: bump the sequence number, self-adopt, broadcast ``WRITE``,
-  wait for ``n - f`` ``ACK``\\ s.
-* ``read``: broadcast ``READ``, wait for a pair confirmed by ``f + 1``
-  identical ``VALUE`` reports, then — by default, unlike the
-  virtual-time scenarios — run the [11] write-back round (``PULL`` until
-  ``n - f`` replicas hold at least the selected sequence number). The
-  live load generator runs hundreds of genuinely concurrent clients, so
-  the new/old-inversion window regular semantics leave open *will* be
-  hit; write-back closes it, and the online oracle checks full
-  linearizability.
+* **Transport.** The core returns ``(destination, payload)`` pairs; the
+  node puts them on per-peer TCP connections (through its
+  :class:`WallClockChannels` when retransmission is on), and feeds every
+  inbound peer frame back into the core.
+* **Waiting.** A client operation opens in the core, then waits on a
+  condition variable for the core to report its quorum. Waits are
+  paced: the query is re-broadcast on an exponentially growing interval
+  (capped at 16x), so an unsatisfiable wait backs off instead of
+  flooding — the progress monitor, not a flood, is what turns it into a
+  verdict.
+* **Write-back on by default.** ``read`` runs the [11] write-back round
+  unless told otherwise. The live load generator runs hundreds of
+  genuinely concurrent clients, so the new/old-inversion window regular
+  semantics leave open *will* be hit; write-back closes it, and the
+  online oracle checks full linearizability.
 * ``transfer`` / ``balance``: the asset-transfer object derived from
   one append-only ledger register per account (``led:P``, written only
   by its owner): ``balance(a) = initial + credits(a) - debits(a)`` over
@@ -27,21 +32,17 @@ cooperative scheduler:
   regular+write-back semantics make the derived object linearizable —
   which is exactly what the sampled-window oracle verifies live.
 
-Blocking waits are paced: a waiting operation re-broadcasts its query
-on an exponentially growing interval (capped at 16x), so an
-unsatisfiable wait backs off instead of flooding — the progress monitor,
-not a flood, is what turns it into a verdict.
-
-Crash faults: :meth:`stop` closes the server and drops all connection
-state (frames in flight are genuinely lost); :meth:`restart` models a
-*lose-state* restart — protocol state is reset and rebuilt by a
-recovery round that collects ``VALUE`` reports from ``n - f - 1``
+Crash faults: :meth:`stop` drops all connection state and closes the
+server (frames in flight are genuinely lost); :meth:`restart` models a
+*lose-state* restart — the core is replaced by a fresh one and rebuilt
+by a recovery round that collects ``VALUE`` reports from ``n - f - 1``
 *other* replicas per register and adopts the newest (with no Byzantine
 processes in the live runtime, ``n - f - 1 > f`` reporters always
 include one that saw every completed write). Until recovery finishes
-the node answers no ``READ``\\ s — silence is indistinguishable from
-slowness, so rejoining is safe; channel sequence counters survive the
-restart so the retransmit layer's dedup stays sound.
+the core is flagged ``recovering`` and answers no ``READ``\\ s —
+silence is indistinguishable from slowness, so rejoining is safe;
+channel sequence counters survive the restart so the retransmit layer's
+dedup stays sound.
 
 Processes trust the connection handshake to identify the sender — the
 authenticated-channels assumption, discharged on localhost. The live
@@ -52,9 +53,10 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
+from repro.mp.swmr_emulation import ALL, EmulatedRegisterSpec, Outgoing, ReplicaCore
 from repro.net import wire
 from repro.net.channels import WallClockChannels
 
@@ -110,6 +112,10 @@ class NetNode:
         self.n = n
         self.f = f
         self.registers = dict(registers)
+        self._specs = {
+            name: EmulatedRegisterSpec(name, writer, wire.freeze(initial))
+            for name, (writer, initial) in registers.items()
+        }
         self.history = history
         self.channels = channels
         self.accounts = tuple(accounts) if accounts else ()
@@ -125,31 +131,21 @@ class NetNode:
         self._connections: Set[asyncio.StreamWriter] = set()
         self._cond = asyncio.Condition()
         self._notify_pending = False
-        self._recovered = asyncio.Event()
-        self._recovered.set()
         self._write_locks = {name: asyncio.Lock() for name in registers}
         self._transfer_lock = asyncio.Lock()
         #: Protocol frames delivered to this node (post-dedup traffic
         #: included; duplicates are dropped before this counts).
         self.delivered = 0
-        self._reset_protocol_state()
+        #: The protocol state machine. A lose-state restart replaces it
+        #: wholesale, so waits look it up on every check (never capture
+        #: it): the paced re-send then repopulates the *new* core.
+        self.replica = ReplicaCore(pid, n, f, self._specs)
 
-    def _reset_protocol_state(self) -> None:
-        self.accepted: Dict[str, Tuple[int, Any]] = {
-            name: (0, wire.freeze(initial))
-            for name, (_writer, initial) in self.registers.items()
-        }
-        self.echo_votes: Dict[Tuple[str, int, Any], Set[int]] = {}
-        self.echoed: Set[Tuple[str, int, Any]] = set()
-        self.acks: Dict[Tuple[str, int], Set[int]] = {}
-        self.value_reports: Dict[Tuple[str, int], Dict[int, Tuple[int, Any]]] = {}
-        self._write_seq: Dict[str, int] = {name: 0 for name in self.registers}
-        self._read_id = 0
-        #: Monotone count of protocol-state changes (adoptions, fresh
-        #: votes/acks, changed reports) — the progress signal the
-        #: wall-clock monitor watches. Retransmissions and duplicates
-        #: do not move it.
-        self.version = 0
+    @property
+    def version(self) -> int:
+        """The core's monotone count of protocol-state changes — the
+        progress signal the wall-clock monitor watches."""
+        return self.replica.version
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -169,24 +165,26 @@ class NetNode:
         self._routes = dict(routes)
 
     async def stop(self) -> None:
-        """Crash-stop: close the server, drop every connection and queue."""
+        """Crash-stop: drop every connection and queue, close the server.
+
+        Frames in flight are lost. Accepted connections are closed
+        *before* awaiting ``wait_closed()``: since Python 3.12.1 that
+        call waits for them, so the other order never returns.
+        """
         self._serving = False
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for task in self._tasks:
             task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
         for writer in list(self._connections):
             writer.close()
         self._connections.clear()
         self._out.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     async def restart(self) -> None:
         """Lose-state restart: reset, rejoin, recover before serving reads.
@@ -195,42 +193,32 @@ class NetNode:
         state stays consistent), but its pending frames do not — they
         were volatile.
         """
-        self._reset_protocol_state()
+        self.replica = ReplicaCore(self.pid, self.n, self.f, self._specs)
+        self.replica.recovering = True
         if self.channels is not None:
-            self.channels._pending.clear()
-        self._recovered.clear()
+            self.channels.drop_pending()
         await self.start()
         await self._recover()
-        self._recovered.set()
+        self.replica.recovering = False
         self._notify()
 
     async def _recover(self) -> None:
         """Adopt, per register, the newest pair among n-f-1 other replicas."""
         for name in self.registers:
-            self._read_id += 1
-            rid = self._read_id
-            reports = self.value_reports.setdefault((name, rid), {})
-            query = ("READ", name, rid)
-            self._broadcast(query)
-
-            def others() -> List[Tuple[int, Any]]:
-                return [pair for sender, pair in reports.items() if sender != self.pid]
-
-            await self._paced_wait(
-                lambda: len(others()) >= self.n - self.f - 1,
-                lambda: self._broadcast(query),
-            )
-            best = max(others(), key=lambda pair: pair[0])
-            if best[0] > self.accepted[name][0]:
-                self.accepted[name] = best
-                self.version += 1
-            writer, _initial = self.registers[name]
-            if writer == self.pid:
-                self._write_seq[name] = max(self._write_seq[name], best[0])
+            rid, query = self.replica.begin_read(name)
+            await self._paced_wait(lambda: self.replica.recover_from(name, rid), query)
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _emit(self, outgoing: List[Outgoing]) -> None:
+        """Put the core's outgoing pairs on the wire, in order."""
+        for dst, payload in outgoing:
+            if dst is ALL:
+                self._broadcast(payload)
+            else:
+                self._send(dst, payload)
+
     def _send(self, dst: int, payload: Any) -> None:
         if dst == self.pid:
             self._deliver(self.pid, payload, framed=False)
@@ -338,7 +326,7 @@ class NetNode:
                 return
             payload = inner
         self.delivered += 1
-        self._handle(sender, payload)
+        self._emit(self.replica.handle(sender, payload))
         self._notify()
 
     async def _client_session(
@@ -405,96 +393,6 @@ class NetNode:
             pass
 
     # ------------------------------------------------------------------
-    # Replica protocol (the virtual-time _handle, ported verbatim)
-    # ------------------------------------------------------------------
-    def _handle(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, tuple) or not payload:
-            return
-        kind = payload[0]
-        if kind == "WRITE" and len(payload) == 4:
-            _k, name, seq, value = payload
-            entry = self.registers.get(name)
-            if (
-                entry is not None
-                and sender == entry[0]
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and seq > 0
-            ):
-                self._maybe_adopt(name, seq, value)
-                key = (name, seq, value)
-                if key not in self.echoed:
-                    self.echoed.add(key)
-                    self._broadcast(("ECHO", name, seq, value))
-                self._send(entry[0], ("ACK", name, seq))
-        elif kind == "ECHO" and len(payload) == 4:
-            _k, name, seq, value = payload
-            if (
-                name in self.registers
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and seq > 0
-            ):
-                key = (name, seq, value)
-                votes = self.echo_votes.setdefault(key, set())
-                if sender not in votes:
-                    votes.add(sender)
-                    self.version += 1
-                if len(votes) >= self.f + 1:
-                    self._maybe_adopt(name, seq, value)
-                    if key not in self.echoed:
-                        self.echoed.add(key)
-                        self._broadcast(("ECHO", name, seq, value))
-        elif kind == "READ" and len(payload) == 3:
-            _k, name, rid = payload
-            # A recovering replica stays silent: its reset state could
-            # otherwise confirm a stale pair for some reader.
-            if name in self.registers and self._recovered.is_set():
-                seq, value = self.accepted[name]
-                self._send(sender, ("VALUE", name, rid, seq, value))
-        elif kind == "PULL" and len(payload) == 5:
-            _k, name, seq, value, wb_id = payload
-            if (
-                name in self.registers
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-                and isinstance(wb_id, int)
-            ):
-                if self.accepted[name][0] >= seq:
-                    self._send(sender, ("PULL-ACK", name, wb_id))
-        elif kind == "PULL-ACK" and len(payload) == 3:
-            _k, name, wb_id = payload
-            if name in self.registers and isinstance(wb_id, int):
-                acks = self.acks.setdefault((name, -wb_id), set())
-                if sender not in acks:
-                    acks.add(sender)
-                    self.version += 1
-        elif kind == "ACK" and len(payload) == 3:
-            _k, name, seq = payload
-            if name in self.registers and isinstance(seq, int):
-                acks = self.acks.setdefault((name, seq), set())
-                if sender not in acks:
-                    acks.add(sender)
-                    self.version += 1
-        elif kind == "VALUE" and len(payload) == 5:
-            _k, name, rid, seq, value = payload
-            if (
-                name in self.registers
-                and isinstance(rid, int)
-                and isinstance(seq, int)
-                and not isinstance(seq, bool)
-            ):
-                reports = self.value_reports.setdefault((name, rid), {})
-                if reports.get(sender) != (seq, value):
-                    reports[sender] = (seq, value)
-                    self.version += 1
-
-    def _maybe_adopt(self, name: str, seq: int, value: Any) -> None:
-        if seq > self.accepted[name][0]:
-            self.accepted[name] = (seq, value)
-            self.version += 1
-
-    # ------------------------------------------------------------------
     # Waiting
     # ------------------------------------------------------------------
     def _notify(self) -> None:
@@ -508,14 +406,19 @@ class NetNode:
         async with self._cond:
             self._cond.notify_all()
 
-    async def _paced_wait(self, predicate, rebroadcast) -> None:
-        """Wait for ``predicate``; re-issue the query on a backoff pacing."""
+    async def _paced_wait(self, ready: Callable[[], Any], message: Outgoing) -> Any:
+        """Send ``message``, wait until ``ready()`` is truthy (and return
+        that); re-send on a backoff pacing."""
+        self._emit([message])
         interval = self.requery
         deadline = time.monotonic() + interval
-        while not predicate():
+        while True:
+            result = ready()
+            if result:
+                return result
             timeout = deadline - time.monotonic()
             if timeout <= 0:
-                rebroadcast()
+                self._emit([message])
                 interval = min(interval * 2, self.requery * 16)
                 deadline = time.monotonic() + interval
                 continue
@@ -539,93 +442,39 @@ class NetNode:
 
     async def write(self, name: str, value: Any, record: bool = True) -> str:
         """Emulated ``write``; returns once ``n - f`` replicas acked."""
-        entry = self.registers.get(name)
-        if entry is None:
-            raise ConfigurationError(f"unknown emulated register {name!r}")
-        if entry[0] != self.pid:
-            raise ConfigurationError(
-                f"p{self.pid} is not the writer of emulated register {name!r}"
-            )
+        self.replica.check_register(name, writing=True)
         async with self._write_locks[name]:
             op_id = self._invoke(name, "write", (value,)) if record else None
-            self._write_seq[name] += 1
-            seq = self._write_seq[name]
-            value = wire.freeze(value)
-            self._maybe_adopt(name, seq, value)
-            self.acks.setdefault((name, seq), set()).add(self.pid)
-            message = ("WRITE", name, seq, value)
-            self._broadcast(message)
-            # The ack set is looked up on every check (never captured):
-            # a crash-restart mid-wait resets the protocol dicts, and the
-            # paced rebroadcast then repopulates the *new* ones.
-            await self._paced_wait(
-                lambda: len(self.acks.get((name, seq), ())) >= self.n - self.f,
-                lambda: self._broadcast(message),
-            )
-            # A restart mid-wait may have recovered a lower write
-            # counter than this in-flight sequence number; completing
-            # below it would let the next write collide.
-            self._write_seq[name] = max(self._write_seq[name], seq)
+            seq, message = self.replica.begin_write(name, wire.freeze(value))
+            await self._paced_wait(lambda: self.replica.acked(name, seq), message)
+            self.replica.finish_write(name, seq)
             self._respond(op_id, "done")
         return "done"
 
     async def read(
         self, name: str, record: bool = True, write_back: bool = True
     ) -> Any:
-        """Emulated ``read``; a pair confirmed by ``f + 1``, written back."""
-        if name not in self.registers:
-            raise ConfigurationError(f"unknown emulated register {name!r}")
+        """Emulated ``read``; a pair confirmed by ``f + 1``, written back.
+
+        Write-back defaults **on** here and **off** in
+        :meth:`repro.mp.RegisterEmulation.read`: live clients are
+        genuinely concurrent and do hit the new/old-inversion window
+        that regular semantics leave open, while the virtual-time
+        scenarios pin step counts an extra round would move. Aligning
+        the two defaults is left to the follow-up on the seed-246 /
+        79203 new/old-inversion finding.
+        """
+        self.replica.check_register(name)
         op_id = self._invoke(name, "read", ()) if record else None
-        value = await self._read_inner(name, write_back=write_back)
+        rid, query = self.replica.begin_read(name)
+        seq, value = await self._paced_wait(
+            lambda: self.replica.confirmed_read(name, rid), query
+        )
+        if write_back and seq > 0:
+            key, pull = self.replica.begin_write_back(name, seq, value)
+            await self._paced_wait(lambda: self.replica.acked(name, key), pull)
         self._respond(op_id, value)
         return value
-
-    async def _read_inner(self, name: str, write_back: bool = True) -> Any:
-        self._read_id += 1
-        rid = self._read_id
-        self.value_reports.setdefault((name, rid), {})[self.pid] = self.accepted[name]
-        query = ("READ", name, rid)
-        self._broadcast(query)
-        confirmed: Optional[Tuple[int, Any]] = None
-
-        def check() -> bool:
-            nonlocal confirmed
-            # Re-looked-up (not captured) so the wait survives a
-            # crash-restart resetting the protocol dicts mid-flight.
-            reports = self.value_reports.setdefault((name, rid), {})
-            own = reports.get(self.pid, (0, None))
-            if self.accepted[name][0] > own[0]:
-                reports[self.pid] = self.accepted[name]
-            confirmed = self._best_confirmed(reports)
-            return confirmed is not None
-
-        await self._paced_wait(check, lambda: self._broadcast(query))
-        seq, value = confirmed
-        if write_back and seq > 0:
-            await self._write_back(name, seq, value)
-        return value
-
-    async def _write_back(self, name: str, seq: int, value: Any) -> None:
-        self._read_id += 1
-        wb_id = self._read_id
-        self.acks.setdefault((name, -wb_id), set()).add(self.pid)
-        pull = ("PULL", name, seq, value, wb_id)
-        self._broadcast(pull)
-        await self._paced_wait(
-            lambda: len(self.acks.get((name, -wb_id), ())) >= self.n - self.f,
-            lambda: self._broadcast(pull),
-        )
-
-    def _best_confirmed(
-        self, reports: Dict[int, Tuple[int, Any]]
-    ) -> Optional[Tuple[int, Any]]:
-        tally: Dict[Tuple[int, Any], int] = {}
-        for pair in reports.values():
-            tally[pair] = tally.get(pair, 0) + 1
-        confirmed = [pair for pair, count in tally.items() if count >= self.f + 1]
-        if not confirmed:
-            return None
-        return max(confirmed, key=lambda pair: pair[0])
 
     # ------------------------------------------------------------------
     # Asset transfer over ledger registers
@@ -643,7 +492,7 @@ class NetNode:
     async def _ledgers(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
         values = await asyncio.gather(
             *[
-                self._read_inner(self._ledger(account), write_back=True)
+                self.read(self._ledger(account), record=False)
                 for account in self.accounts
             ]
         )

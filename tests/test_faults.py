@@ -23,6 +23,7 @@ from repro.faults import (
 )
 from repro.mp import RandomDelayNetwork
 from repro.sim import RandomScheduler, Send
+from tests.channel_cases import ChannelFacadeCases, ClockedSystem, VirtualEndpoint
 
 
 LOSSY = (("drop", 0, 0, 0.25), ("dup", 0, 0, 0.1), ("delay", 0, 0, 0.15, 9))
@@ -227,93 +228,34 @@ class TestFaultyNetwork:
         assert "plan[" in text and "down=p4" in text and "cut=1->2:1" in text
 
 
-class _ClockedSystem:
-    """The slice of System the channel/monitor layers consume."""
+class TestRetransmitChannels(ChannelFacadeCases):
+    """The shared channel cases, plus what only this façade has."""
 
-    def __init__(self, n=3):
-        self.n = n
-        self.clock = 0
-
-
-class TestRetransmitChannels:
-    def test_framing_and_sequence_numbers(self):
-        ch = RetransmitChannels(_ClockedSystem())
-        assert ch.send_effects(1, 2, "a") == [Send(2, ("CH", 1, "a"))]
-        assert ch.send_effects(1, 2, "b") == [Send(2, ("CH", 2, "b"))]
-        assert ch.send_effects(1, 3, "c") == [Send(3, ("CH", 1, "c"))]
-        assert ch.pending_count(1) == 3 and ch.sent == 3
+    endpoint = VirtualEndpoint
 
     def test_broadcast_is_one_channel_send_per_destination(self):
-        ch = RetransmitChannels(_ClockedSystem(n=3))
+        ch = RetransmitChannels(ClockedSystem(n=3))
         effects = ch.broadcast_effects(2, "hello")
         assert [effect.to for effect in effects] == [1, 2, 3]
         assert all(effect.payload == ("CH", 1, "hello") for effect in effects)
 
-    def test_receiver_acks_and_dedups(self):
-        ch = RetransmitChannels(_ClockedSystem())
-        inner, effects = ch.on_receive(2, 1, ("CH", 1, "x"))
-        assert inner == "x" and effects == [Send(1, ("CH-ACK", 1))]
-        inner, effects = ch.on_receive(2, 1, ("CH", 1, "x"))
-        assert inner is None  # duplicate absorbed...
-        assert effects == [Send(1, ("CH-ACK", 1))]  # ...but re-acked
-        assert ch.duplicates_dropped == 1
-
-    def test_ack_clears_pending(self):
-        ch = RetransmitChannels(_ClockedSystem())
-        ch.send_effects(1, 2, "x")
-        inner, effects = ch.on_receive(1, 2, ("CH-ACK", 1))
-        assert inner is None and effects == []
-        assert ch.pending_count(1) == 0 and ch.acked == 1
-        # A stray ack for nothing pending is harmless.
-        ch.on_receive(1, 2, ("CH-ACK", 99))
-        assert ch.acked == 1
-
-    def test_retransmit_backoff_doubles_and_caps(self):
-        system = _ClockedSystem()
-        ch = RetransmitChannels(system, base_timeout=4, max_backoff=16, max_retries=10)
-        ch.send_effects(1, 2, "x")
-        assert ch.due_retransmits(1, now=3) == []
-        resend = ch.due_retransmits(1, now=4)
-        assert resend == [Send(2, ("CH", 1, "x"))]
-        frame = ch._pending[1][(2, 1)]
-        assert frame.due == 4 + 8  # base * 2^1
-        ch.due_retransmits(1, now=12)
-        assert frame.due == 12 + 16  # capped at max_backoff
-        ch.due_retransmits(1, now=28)
-        assert frame.due == 28 + 16  # stays at the cap
-        assert ch.retransmitted == 3
-
-    def test_exhaustion_abandons_the_frame(self):
-        ch = RetransmitChannels(
-            _ClockedSystem(), base_timeout=1, max_backoff=1, max_retries=2
-        )
-        ch.send_effects(1, 2, "x")
-        now = 0
-        for _ in range(3):
-            now += 10
-            ch.due_retransmits(1, now)
-        assert ch.exhausted == 1 and ch.pending_count(1) == 0
-        assert ch.due_retransmits(1, now + 10) == []
-
-    def test_unframed_payloads_pass_through(self):
-        ch = RetransmitChannels(_ClockedSystem())
-        assert ch.on_receive(2, 1, ("READ", "r", 7)) == (("READ", "r", 7), [])
-        assert ch.on_receive(2, 1, "bare") == ("bare", [])
-        # A malformed frame (non-int seq) is discarded, not crashed on.
-        assert ch.on_receive(2, 1, ("CH", "seq", "x")) == (None, [])
-
-    def test_rejects_bad_timing(self):
-        with pytest.raises(ConfigurationError):
-            RetransmitChannels(_ClockedSystem(), base_timeout=0)
-        with pytest.raises(ConfigurationError):
-            RetransmitChannels(_ClockedSystem(), base_timeout=10, max_backoff=5)
-        with pytest.raises(ConfigurationError):
-            RetransmitChannels(_ClockedSystem(), max_retries=-1)
+    def test_one_instance_keeps_every_process_apart(self):
+        ch = RetransmitChannels(ClockedSystem())
+        assert ch.send_effects(1, 3, "a") == [Send(3, ("CH", 1, "a"))]
+        assert ch.send_effects(2, 3, "b") == [Send(3, ("CH", 1, "b"))]
+        assert (ch.pending_count(1), ch.pending_count(2)) == (1, 1)
+        assert ch.pending_count() == 2 and ch.sent == 2
+        # p3 dedups per sender; the ack clears only that sender's frame.
+        assert ch.on_receive(3, 1, ("CH", 1, "a"))[0] == "a"
+        assert ch.on_receive(3, 2, ("CH", 1, "b"))[0] == "b"
+        ch.on_receive(1, 3, ("CH-ACK", 1))
+        assert (ch.pending_count(1), ch.pending_count(2)) == (0, 1)
+        assert ch.metrics()["acked"] == 1
 
 
 class TestProgressMonitor:
     def test_progress_resets_the_window(self):
-        system = _ClockedSystem()
+        system = ClockedSystem()
         counter = [0]
         monitor = ProgressMonitor(system, signals=lambda: (counter[0],), window=10)
         for clock in range(0, 100, 5):
@@ -323,7 +265,7 @@ class TestProgressMonitor:
         assert monitor.stalled is None
 
     def test_stall_raises_with_diagnosis(self):
-        system = _ClockedSystem()
+        system = ClockedSystem()
 
         class _Net:
             @staticmethod
@@ -349,12 +291,12 @@ class TestProgressMonitor:
 
     def test_rejects_bad_window(self):
         with pytest.raises(ConfigurationError):
-            ProgressMonitor(_ClockedSystem(), signals=lambda: (), window=0)
+            ProgressMonitor(ClockedSystem(), signals=lambda: (), window=0)
 
     def test_rejects_window_within_channel_backoff(self):
         # The footgun: a stall window at or below the channels' capped
         # backoff reads every legitimate retransmit gap as a stall.
-        system = _ClockedSystem()
+        system = ClockedSystem()
         ch = RetransmitChannels(system, base_timeout=4, max_backoff=64)
         with pytest.raises(ConfigurationError) as info:
             ProgressMonitor(system, signals=lambda: (), window=64, channels=ch)
@@ -368,7 +310,7 @@ class TestProgressMonitor:
         # retransmitted up to max_retries, then abandoned: the exhaustion
         # is a counter, and the *monitor* converts the resulting silence
         # into the STALLED verdict — abandonment itself never raises.
-        system = _ClockedSystem()
+        system = ClockedSystem()
         ch = RetransmitChannels(
             system, base_timeout=2, max_backoff=4, max_retries=3
         )
