@@ -30,7 +30,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.test_or_set import SET_FLAG, QuorumTestOrSet
 from repro.sim.effects import Pause, WriteRegister
-from repro.sim.process import FunctionClient, OpCall, Program, ScriptClient
+from repro.sim.process import (
+    FunctionClient,
+    OpCall,
+    Program,
+    ScriptClient,
+    all_done,
+)
 from repro.sim.system import System
 from repro.spec.byzantine import ByzantineVerdict, check_test_or_set
 from repro.spec.properties import PropertyReport, check_test_or_set_properties
@@ -168,9 +174,7 @@ def run_h2(
         )
         resetters.append(client)
         system.spawn(pid, "reset", client.program())
-    system.run_until(
-        lambda: all(r.done for r in resetters), max_steps, label="reset by s∪Q1"
-    )
+    system.run_until(all_done(resetters), max_steps, label="reset by s∪Q1")
 
     # --- t6: pb and Q3 wake up; pb runs Test'. ---
     for pid in [roles.pb, *roles.q3]:

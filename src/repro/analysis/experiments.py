@@ -62,7 +62,7 @@ from repro.sim import (
     System,
     WriteRegister,
 )
-from repro.sim.process import pause_steps
+from repro.sim.process import all_done, pause_steps
 from repro.spec import (
     check_test_or_set,
     check_test_or_set_properties,
@@ -276,9 +276,7 @@ def test_or_set_table(
                     )
                     testers.append(client)
                     system.spawn(pid, "client", client.program())
-                system.run_until(
-                    lambda: all(t.done for t in testers), 2_000_000
-                )
+                system.run_until(all_done(testers), 2_000_000)
                 report = check_test_or_set_properties(
                     system.history, system.correct, "tos", setter=1
                 )
@@ -345,7 +343,7 @@ def broadcast_table(n: int = 4, seeds: Sequence[int] = (0, 1)) -> Tuple[Headers,
             )
             receivers.append(client)
             system.spawn(pid, "client", client.program())
-        system.run_until(lambda: all(r.done for r in receivers), 2_000_000)
+        system.run_until(all_done(receivers), 2_000_000)
         from repro.sim.values import is_bottom
 
         delivered = {
@@ -398,7 +396,7 @@ def broadcast_table(n: int = 4, seeds: Sequence[int] = (0, 1)) -> Tuple[Headers,
             )
             receivers2.append(client)
             system2.spawn(pid, "client", client.program())
-        system2.run_until(lambda: all(r.done for r in receivers2), 2_000_000)
+        system2.run_until(all_done(receivers2), 2_000_000)
         delivered2 = {
             result
             for client in receivers2
@@ -476,7 +474,7 @@ def snapshot_table(n: int = 4, seeds: Sequence[int] = (0, 1)) -> Tuple[Headers, 
                 client = ScriptClient(calls, pause_between=13)
                 clients.append(client)
                 system.spawn(pid, "client", client.program())
-            system.run_until(lambda: all(c.done for c in clients), 4_000_000)
+            system.run_until(all_done(clients), 4_000_000)
 
             scans = [
                 result

@@ -39,7 +39,7 @@ from repro.sim import (
     ScriptClient,
     System,
 )
-from repro.sim.process import pause_steps
+from repro.sim.process import all_done, pause_steps
 from repro.sim.scheduler import Scheduler
 from repro.spec import (
     ByzantineVerdict,
@@ -468,17 +468,8 @@ def prepare_register_scenario(
 
     # The completion watcher for each client is its stagger wrapper when
     # one exists; resolving that once keeps the per-step done-predicate
-    # (checked by System.run_until before every step) off the getattr
-    # chain — it is part of the campaign replay hot path. Watchers are
-    # consumed from the back as they finish (done flags are sticky), so
-    # the steady-state predicate touches one flag, not all of them.
-    watchers = [getattr(c, "_wrapper", c) for c in clients]
-    remaining = list(watchers)
-
-    def all_scripts_done() -> bool:
-        while remaining and remaining[-1].done:
-            remaining.pop()
-        return not remaining
+    # off the getattr chain.
+    all_scripts_done = all_done([getattr(c, "_wrapper", c) for c in clients])
 
     monitor: Optional[EarlyPropertyMonitor] = None
     if early_exit:

@@ -49,6 +49,7 @@ from repro.sim import (
     ScriptClient,
     System,
     WriteRegister,
+    all_done,
 )
 from repro.sim.effects import PAUSE
 from repro.sim.scheduler import Scheduler
@@ -204,19 +205,8 @@ def _build_theorem29(
         erasers.append(eraser)
         system.spawn(pid, "adv", eraser.program())
 
-    halted = False
-
-    def byzantine_halted() -> bool:
-        # Monotonic (erasers finish and stay finished; nothing despawns
-        # here), so the all() scan runs only until the first True — the
-        # waiting wrappers below poll this every pause step.
-        nonlocal halted
-        if halted:
-            return True
-        if all(eraser.done for eraser in erasers):
-            halted = True
-            return True
-        return False
+    # The waiting wrappers below poll this every pause step.
+    byzantine_halted = all_done(erasers)
 
     def late_help(pid: int):
         while not byzantine_halted():

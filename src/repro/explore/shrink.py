@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import SchedulerError
 from repro.sim.scheduler import CoroutineId
 from repro.spec.context import CheckContext
-from repro.explore.explorer import execute_trace
+from repro.explore.explorer import RunRecord, execute_trace
 from repro.explore.scenarios import Scenario, Violation
 
 
@@ -94,8 +94,8 @@ def _reproduces(
     prefix: Sequence[int],
     fingerprint: str,
     ctx: Optional[CheckContext] = None,
-) -> Optional[Violation]:
-    """Replay ``prefix``; return its violation if it matches the class."""
+) -> Optional[RunRecord]:
+    """Replay ``prefix``; return the run if its violation matches the class."""
     try:
         record = execute_trace(
             scenario, prefix, schedule_label="shrink", ctx=ctx
@@ -104,7 +104,7 @@ def _reproduces(
         return None
     violation = record.violation
     if violation is not None and violation.fingerprint() == fingerprint:
-        return violation
+        return record
     return None
 
 
@@ -128,13 +128,26 @@ def shrink(
     if ctx is None:
         ctx = CheckContext()
 
-    def attempt(prefix: Sequence[int]) -> Optional[Violation]:
-        nonlocal replays
+    # ``current`` only ever changes to the prefix of the latest
+    # reproducing attempt (phase 1 included: ``high`` is the last
+    # ``mid`` that reproduced), so what that attempt's run showed is
+    # what ``current`` shows and nothing needs replaying at the end.
+    # Only the two fields the result needs are kept: a whole RunRecord
+    # held across the next replay is a second full trace in memory.
+    reason = ""
+    chosen: Tuple[CoroutineId, ...] = ()
+
+    def attempt(prefix: Sequence[int]) -> bool:
+        nonlocal replays, reason, chosen
         replays += 1
-        return _reproduces(scenario, prefix, fingerprint, ctx=ctx)
+        record = _reproduces(scenario, prefix, fingerprint, ctx=ctx)
+        if record is None:
+            return False
+        reason, chosen = record.violation.reason, record.chosen
+        return True
 
     current = list(violation.trace)
-    if attempt(current) is None:
+    if not attempt(current):
         raise ValueError(
             "violation does not reproduce from its own trace; "
             "is the scenario deterministic?"
@@ -150,7 +163,7 @@ def shrink(
         low, high = 0, len(current)
         while low < high and replays < max_replays:
             mid = (low + high) // 2
-            if attempt(current[:mid]) is not None:
+            if attempt(current[:mid]):
                 high = mid
             else:
                 low = mid + 1
@@ -164,7 +177,7 @@ def shrink(
             start = 0
             while start < len(current) and replays < max_replays:
                 candidate = current[:start] + current[start + chunk:]
-                if candidate != current and attempt(candidate) is not None:
+                if candidate != current and attempt(candidate):
                     current = candidate
                     removed_any = True
                 else:
@@ -181,21 +194,17 @@ def shrink(
             for lower in range(current[position]):
                 candidate = list(current)
                 candidate[position] = lower
-                if attempt(candidate) is not None:
+                if attempt(candidate):
                     current = candidate
                     break
 
         if current == before:
             break
 
-    final = attempt(current)
-    if final is None:  # pragma: no cover - attempt() above already passed
-        raise ValueError("shrinking lost the violation; this is a bug")
-    record = execute_trace(scenario, current, schedule_label="shrunk", ctx=ctx)
     return ShrunkViolation(
         original=violation,
         trace=tuple(current),
-        reason=final.reason,
-        script=tuple(record.chosen[: len(current)]),
+        reason=reason,
+        script=tuple(chosen[: len(current)]),
         replays=replays,
     )

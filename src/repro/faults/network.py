@@ -79,6 +79,9 @@ class FaultyNetwork:
         self._held: List[_QueuedMessage] = []
         self._tiebreak = itertools.count()
         self._held_fold = 0
+        #: The delay buffer's fold is digested only once somebody has
+        #: asked for it (see ``RandomDelayNetwork._fp_eager``).
+        self._fp_eager = False
         # Metrics — suppressions are *not* counted in the inner
         # network's counters (it never sees a suppressed submit).
         self.submitted = 0
@@ -144,7 +147,8 @@ class FaultyNetwork:
                     payload=payload,
                 )
                 heapq.heappush(self._held, entry)
-                self._held_fold ^= _queued_digest(entry)
+                if self._fp_eager:
+                    self._held_fold ^= _queued_digest(entry)
             else:
                 self.inner.submit(sender, dest, payload, now)
 
@@ -153,7 +157,8 @@ class FaultyNetwork:
         held = self._held
         while held and held[0].due <= now:
             entry = heapq.heappop(held)
-            self._held_fold ^= _queued_digest(entry)
+            if self._fp_eager:
+                self._held_fold ^= _queued_digest(entry)
             self.inner.submit(entry.sender, entry.dest, entry.payload, now)
         self.inner.tick(now, _DeliverySieve(system, self, now))
 
@@ -163,11 +168,19 @@ class FaultyNetwork:
 
     # ------------------------------------------------------------------
     def fingerprint_fold(self, full: bool = False) -> int:
-        """XOR fold of the in-flight state (inner queue + delay buffer)."""
-        if full:
+        """XOR fold of the in-flight state (inner queue + delay buffer).
+
+        The first call rebuilds the delay buffer's fold and turns on
+        its incremental maintenance (the inner network gates its own);
+        ``full=True`` recomputes both from scratch and flips neither.
+        """
+        if full or not self._fp_eager:
             fold = 0
             for entry in self._held:
                 fold ^= _queued_digest(entry)
+            if not full:
+                self._held_fold = fold
+                self._fp_eager = True
         else:
             fold = self._held_fold
         inner_fold = getattr(self.inner, "fingerprint_fold", None)

@@ -103,6 +103,11 @@ class RandomDelayNetwork:
         self._heap: List[_QueuedMessage] = []
         self._tiebreak = itertools.count()
         self._fold = 0
+        #: Eager two-XOR maintenance of the in-flight fold only starts
+        #: once someone has asked for it (the explorer does, every step;
+        #: fuzzing and campaign runs never do) — until then submit/tick
+        #: digest nothing. Same gate as ``History._fp_eager``.
+        self._fp_eager = False
         #: Total messages ever submitted (metrics).
         self.submitted = 0
         #: Total messages delivered into mailboxes (metrics).
@@ -119,14 +124,16 @@ class RandomDelayNetwork:
             payload=payload,
         )
         heapq.heappush(self._heap, message)
-        self._fold ^= _queued_digest(message)
+        if self._fp_eager:
+            self._fold ^= _queued_digest(message)
         self.submitted += 1
 
     def tick(self, now: int, system: Any) -> None:
         """Deliver every message whose due time has arrived (kernel hook)."""
         while self._heap and self._heap[0].due <= now:
             message = heapq.heappop(self._heap)
-            self._fold ^= _queued_digest(message)
+            if self._fp_eager:
+                self._fold ^= _queued_digest(message)
             system.deliver(message.sender, message.dest, message.payload)
             self.delivered += 1
 
@@ -137,18 +144,20 @@ class RandomDelayNetwork:
     def fingerprint_fold(self, full: bool = False) -> int:
         """XOR fold of the in-flight queue (see ``System.fingerprint``).
 
-        Maintained incrementally — two XORs per submit/deliver, the
-        PR-3 dirty-tracking scheme with a trivially empty dirty set
-        (every mutation updates the fold in place). ``full=True``
-        recomputes from the heap, the oracle the incremental path is
-        pinned against.
+        The first call rebuilds the fold from the heap and switches to
+        incremental maintenance — two XORs per submit/deliver from then
+        on. ``full=True`` recomputes from the heap without touching the
+        gate, the oracle the incremental path is pinned against.
         """
-        if not full:
-            return self._fold
-        fold = 0
-        for message in self._heap:
-            fold ^= _queued_digest(message)
-        return fold
+        if full:
+            fold = 0
+            for message in self._heap:
+                fold ^= _queued_digest(message)
+            return fold
+        if not self._fp_eager:
+            self._fold = self.fingerprint_fold(full=True)
+            self._fp_eager = True
+        return self._fold
 
 
 class ScriptedNetwork:
@@ -167,6 +176,9 @@ class ScriptedNetwork:
         self._next_id = itertools.count()
         self._held_fold = 0
         self._queue_fold = 0
+        #: Nothing is digested until the first ``fingerprint_fold()``
+        #: (see ``RandomDelayNetwork._fp_eager``).
+        self._fp_eager = False
         self.submitted = 0
         self.delivered = 0
 
@@ -182,15 +194,20 @@ class ScriptedNetwork:
         # the position must distinguish otherwise-equal queues.
         return digest64(f"scripted-queue\x00{index}\x00{entry!r}")
 
-    def _enqueue_release(self, entry: Tuple[int, int, Any]) -> None:
-        self._queue_fold ^= self._queue_digest(len(self._release_queue), entry)
+    def _enqueue_release(self, held: Tuple[int, int, int, Any]) -> None:
+        """Move one entry (already removed from ``_held``) to the queue."""
+        entry = held[1:]
+        if self._fp_eager:
+            self._held_fold ^= self._held_digest(held)
+            self._queue_fold ^= self._queue_digest(len(self._release_queue), entry)
         self._release_queue.append(entry)
 
     def submit(self, sender: int, dest: int, payload: Any, now: int) -> None:
         """Hold the message until the test releases it."""
         entry = (next(self._next_id), sender, dest, payload)
         self._held.append(entry)
-        self._held_fold ^= self._held_digest(entry)
+        if self._fp_eager:
+            self._held_fold ^= self._held_digest(entry)
         self.submitted += 1
 
     def tick(self, now: int, system: Any) -> None:
@@ -208,12 +225,10 @@ class ScriptedNetwork:
 
     def release(self, message_id: int) -> None:
         """Release one held message by id."""
-        for index, (mid, sender, dest, payload) in enumerate(self._held):
-            if mid == message_id:
-                entry = self._held[index]
+        for index, entry in enumerate(self._held):
+            if entry[0] == message_id:
                 del self._held[index]
-                self._held_fold ^= self._held_digest(entry)
-                self._enqueue_release((sender, dest, payload))
+                self._enqueue_release(entry)
                 return
         raise NetworkError(f"no held message with id {message_id}")
 
@@ -227,13 +242,12 @@ class ScriptedNetwork:
         released = 0
         remaining: List[Tuple[int, int, int, Any]] = []
         for entry in self._held:
-            mid, msg_sender, msg_dest, payload = entry
+            _mid, msg_sender, msg_dest, _payload = entry
             matches = (sender is None or msg_sender == sender) and (
                 dest is None or msg_dest == dest
             )
             if matches and (limit is None or released < limit):
-                self._held_fold ^= self._held_digest(entry)
-                self._enqueue_release((msg_sender, msg_dest, payload))
+                self._enqueue_release(entry)
                 released += 1
             else:
                 remaining.append(entry)
@@ -249,12 +263,24 @@ class ScriptedNetwork:
         return len(self._held) + len(self._release_queue)
 
     def fingerprint_fold(self, full: bool = False) -> int:
-        """XOR fold of held + released-undelivered messages."""
-        if not full:
-            return self._held_fold ^ self._queue_fold
-        fold = 0
+        """XOR fold of held + released-undelivered messages.
+
+        Rebuilt on the first call, incremental afterwards; ``full=True``
+        is the from-scratch oracle and leaves the gate alone.
+        """
+        if full:
+            held_fold, queue_fold = self._folds()
+            return held_fold ^ queue_fold
+        if not self._fp_eager:
+            self._held_fold, self._queue_fold = self._folds()
+            self._fp_eager = True
+        return self._held_fold ^ self._queue_fold
+
+    def _folds(self) -> Tuple[int, int]:
+        """From-scratch ``(held, release queue)`` folds."""
+        held_fold = queue_fold = 0
         for entry in self._held:
-            fold ^= self._held_digest(entry)
+            held_fold ^= self._held_digest(entry)
         for index, entry in enumerate(self._release_queue):
-            fold ^= self._queue_digest(index, entry)
-        return fold
+            queue_fold ^= self._queue_digest(index, entry)
+        return held_fold, queue_fold

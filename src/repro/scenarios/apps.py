@@ -69,7 +69,7 @@ from repro.errors import ConfigurationError
 from repro.sim import OpCall, ScriptClient, System
 from repro.sim.effects import ReadRegister, WriteRegister
 from repro.sim.history import OperationRecord
-from repro.sim.process import pause_steps
+from repro.sim.process import all_done, pause_steps
 from repro.sim.values import BOTTOM, freeze, is_bottom
 from repro.spec.context import CheckContext
 from repro.spec.linearizability import find_linearization
@@ -475,7 +475,7 @@ def build_snapshot(
 
     def drive() -> None:
         system.run_until(
-            lambda: all(client.done for client in clients),
+            all_done(clients),
             max_steps,
             label="snapshot clients",
         )
@@ -602,7 +602,7 @@ def build_asset_transfer(
 
     def drive() -> None:
         system.run_until(
-            lambda: all(client.done for client in clients),
+            all_done(clients),
             max_steps,
             label="asset-transfer clients",
         )
@@ -750,7 +750,7 @@ def _build_broadcast_scenario(
 
     def drive() -> None:
         system.run_until(
-            lambda: all(client.done for client in clients),
+            all_done(clients),
             max_steps,
             label=f"{obj} clients",
         )

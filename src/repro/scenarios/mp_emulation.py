@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.faults import FaultPlan, FaultyNetwork, ProgressMonitor, RetransmitChannels
 from repro.errors import StallDetected
 from repro.mp import RandomDelayNetwork, RegisterEmulation
-from repro.sim import OpCall, ScriptClient, System
+from repro.sim import OpCall, ScriptClient, System, all_done
 from repro.spec.context import CheckContext
 from repro.spec.linearizability import find_linearization
 from repro.spec.sequential import RegularRegisterSpec
@@ -168,8 +168,10 @@ def build_mp_register(
     )
     stall: Dict[str, str] = {}
 
+    clients_done = all_done([client for _pid, client, _calls in client_rows])
+
     def goal() -> bool:
-        if all(client.done for _pid, client, _calls in client_rows):
+        if clients_done():
             return True
         monitor.observe()
         return False

@@ -130,9 +130,18 @@ class FunctionClient:
 
 
 def all_done(clients: Sequence[Any]) -> Callable[[], bool]:
-    """Predicate: every client in ``clients`` has finished its script."""
+    """Predicate: every client in ``clients`` has finished its script.
+
+    ``System.run_until`` asks before every step, so the predicate
+    consumes: finished clients are popped from the back of a private
+    copy (``done`` flags are sticky) and the steady-state call reads one
+    flag, whatever the client count and whatever order they finish in.
+    """
+    remaining = list(clients)
 
     def predicate() -> bool:
-        return all(client.done for client in clients)
+        while remaining and remaining[-1].done:
+            remaining.pop()
+        return not remaining
 
     return predicate

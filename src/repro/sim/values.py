@@ -136,7 +136,38 @@ def freeze(value: Any) -> Any:
     immutable (arbitrary objects without a conversion rule) so that
     aliasing bugs surface at the write site rather than as corrupted
     histories much later.
+
+    A value that is already frozen is returned *itself*, without a walk:
+    every register write passes through here, and the values the
+    algorithms write are frozensets of tuples they built from earlier
+    reads. A plain ``tuple`` that hashes holds only hashable items all
+    the way down, which is what the walk below would establish, so a
+    C-speed ``hash()`` probe stands in for it; anything the probe
+    rejects (a list, set or dict nested at any depth) takes the walk.
+
+    One consequence: a ``tuple`` / ``frozenset`` *subclass* (a
+    ``namedtuple``, say), or a hashable subclass of ``list`` / ``set`` /
+    ``dict``, nested inside a plain hashable tuple or frozenset is kept
+    as it is rather than normalised to a plain tuple — the walk's rule
+    for user-defined hashable objects, applied to containers: by being
+    hashable they promise immutability. Nothing under ``src/`` writes
+    such a value. At top level a subclass still goes through the walk.
     """
+    kind = type(value)
+    if kind is frozenset or kind is int or kind is str:
+        return value
+    if kind is tuple:
+        try:
+            hash(value)
+        except TypeError:
+            pass
+        else:
+            return value
+    return _freeze_walk(value)
+
+
+def _freeze_walk(value: Any) -> Any:
+    """Rebuild ``value`` bottom-up out of immutable containers."""
     if isinstance(value, _BottomType):
         return value
     if isinstance(value, _SCALARS):
@@ -144,9 +175,9 @@ def freeze(value: Any) -> Any:
     if isinstance(value, FrozenDict):
         return value
     if isinstance(value, (set, frozenset)):
-        return frozenset(freeze(item) for item in value)
+        return frozenset(_freeze_walk(item) for item in value)
     if isinstance(value, (list, tuple)):
-        return tuple(freeze(item) for item in value)
+        return tuple(_freeze_walk(item) for item in value)
     if isinstance(value, dict):
         return FrozenDict(value)
     if isinstance(value, Hashable):

@@ -27,6 +27,7 @@ from repro.campaign import (
     oracle_for,
     replay_entry,
     run_campaign,
+    run_cell,
     save_entry,
 )
 from repro.spec import (
@@ -220,6 +221,46 @@ class TestRunCampaign:
         assert len(report.outcomes) == 2
         assert all(outcome.runs >= 1 for outcome in report.outcomes)
         assert report.runs == sum(o.runs for o in report.outcomes)
+
+
+class TestPinnedStepCounts:
+    """The simulated work behind the `campaign-apps` / `campaign-mp`
+    benchmark workloads, as counts: a hot-path change to values, done
+    predicates or network folds must leave every run step-identical."""
+
+    @staticmethod
+    def totals(cells):
+        outcomes = [run_cell(cell) for cell in cells]
+        assert all(outcome.ok and not outcome.incomplete for outcome in outcomes)
+        return (
+            sum(outcome.steps for outcome in outcomes),
+            sum(outcome.runs for outcome in outcomes),
+        )
+
+    def test_clean_app_cells_at_the_resilience_bound(self):
+        def at_bound(cell):
+            params = dict(cell.scenario.params)
+            return params["n"] == 3 * params["f"] + 1
+
+        cells = [
+            cell
+            for cell in default_matrix(smoke=True, seed0=0, swarm_budget=4)
+            if cell.engine == "swarm"
+            and not cell.expect_violation
+            and cell.implementation
+            in ("snapshot", "asset_transfer", "broadcast", "reliable_broadcast")
+            and at_bound(cell)
+        ]
+        assert len(cells) == 5
+        assert self.totals(cells) == (390_308, 20)
+
+    def test_clean_mp_emulation_cells(self):
+        cells = [
+            cell
+            for cell in default_matrix(smoke=True, seed0=0, swarm_budget=100)
+            if cell.implementation == "mp_emulation" and not cell.expect_violation
+        ]
+        assert self.totals(cells) == (191_749, 300)
 
 
 class TestCorpus:

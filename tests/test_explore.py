@@ -399,6 +399,32 @@ class TestShrinker:
         reason = built.check()
         assert reason is not None and "relay" in reason
 
+    @pytest.mark.parametrize("max_replays", [2, 5, 9, 600])
+    def test_result_is_the_last_reproducing_run_with_no_closing_replay(
+        self, found, max_replays, monkeypatch
+    ):
+        # The shrinker reports the run of its final trace without
+        # re-executing it: every simulated run is a counted replay, and
+        # what it reports is what a fresh replay of that trace gives —
+        # also when the budget ends a phase half-way.
+        import sys
+
+        # (``repro.explore.shrink`` the attribute is the function.)
+        shrink_module = sys.modules["repro.explore.shrink"]
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args[1])
+            return execute_trace(*args, **kwargs)
+
+        monkeypatch.setattr(shrink_module, "execute_trace", counting)
+        scenario, violation = found
+        shrunk = shrink(scenario, violation, max_replays=max_replays)
+        assert shrunk.replays == len(runs)
+        record = execute_trace(scenario, shrunk.trace)
+        assert record.violation.reason == shrunk.reason
+        assert tuple(record.chosen[: len(shrunk.trace)]) == shrunk.script
+
     def test_rejects_non_reproducing_trace(self):
         scenario = make_scenario("theorem29", f=1)
         bogus = Violation(

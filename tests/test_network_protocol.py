@@ -7,7 +7,8 @@ suite drives :class:`RandomDelayNetwork`, :class:`ScriptedNetwork` and
 kernel-level driver, pins the :meth:`ScriptedNetwork.release_matching`
 edge cases, and checks the incremental network fingerprint folds against
 their from-scratch oracles — both standalone and folded through
-``System.fingerprint``.
+``System.fingerprint``, and both when read from the first event and when
+first read mid-run (the folds are maintained only once somebody asks).
 """
 
 from __future__ import annotations
@@ -113,6 +114,93 @@ class TestNetworkConformance:
         network.tick(2_000, _Sink())
         assert network.pending() == 0
         assert len(delivered) == 3
+
+
+class TestFoldsArePaidOnFirstUse:
+    """No implementation digests a message before somebody asks for the
+    fold; the first ask rebuilds it from the queue and every later event
+    maintains it — for all five, standalone and through ``System``."""
+
+    class _Sink:
+        @staticmethod
+        def deliver(sender, dest, payload):
+            pass
+
+    def drive(self, network, pump, indexes):
+        for index in indexes:
+            network.submit(1 + index % 2, 2 + index % 3, ("m", index), index)
+            if pump is not None and index % 4 == 3:
+                pump(network)
+            if index % 7 == 0:
+                network.tick(index, self._Sink())
+            yield index
+
+    @pytest.mark.parametrize("name", sorted(IMPLEMENTATIONS))
+    def test_first_fold_mid_run_equals_the_oracle_and_stays_equal(self, name):
+        factory, pump = IMPLEMENTATIONS[name]
+        network = factory()
+        for _ in self.drive(network, pump, range(14)):
+            pass
+        # The oracle may be consulted any number of times before the
+        # first incremental read without starting the maintenance (a
+        # gate flipped here would leave the fold short of these 14).
+        early = network.fingerprint_fold(full=True)
+        assert early != 0
+        for _ in self.drive(network, pump, range(14, 27)):
+            pass
+        assert network.pending() > 0
+        first = network.fingerprint_fold()
+        assert first == network.fingerprint_fold(full=True) != early
+        for _ in self.drive(network, pump, range(27, 70)):
+            assert network.fingerprint_fold() == network.fingerprint_fold(full=True)
+        if pump is not None:
+            pump(network)
+        network.tick(1_000, self._Sink())
+        network.tick(2_000, self._Sink())
+        assert network.pending() == 0
+        assert network.fingerprint_fold() == network.fingerprint_fold(full=True) == 0
+
+    @pytest.mark.parametrize("name", sorted(IMPLEMENTATIONS))
+    def test_late_system_fingerprint_equals_an_always_observed_twin(self, name):
+        factory, pump = IMPLEMENTATIONS[name]
+
+        def build():
+            system = System(n=3)
+            system.network = factory()
+
+            def sender():
+                for index in range(12):
+                    yield Send(2 + index % 2, ("m", index))
+
+            def receiver():
+                while True:
+                    yield ReceiveAll()
+                    yield Pause()
+
+            system.spawn(1, "s", sender())
+            system.spawn(2, "r", receiver())
+            system.spawn(3, "r", receiver())
+            return system
+
+        def step(system, index):
+            system.run(1)
+            if pump is not None and index % 5 == 4:
+                pump(system.network)
+
+        late, observed = build(), build()
+        for index in range(17):
+            step(late, index)
+            step(observed, index)
+            observed.fingerprint()
+        assert late.network.pending() > 0
+        assert late.fingerprint(full=True) == observed.fingerprint()
+        assert late.fingerprint() == late.fingerprint(full=True)
+        for index in range(17, 90):
+            step(late, index)
+            step(observed, index)
+            assert late.fingerprint() == late.fingerprint(full=True)
+            assert late.fingerprint() == observed.fingerprint()
+        assert late.network.pending() == 0
 
 
 class TestReleaseMatching:

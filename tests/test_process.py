@@ -155,6 +155,38 @@ class TestFunctionClient:
         system.run(20)
         assert predicate()
 
+    def test_all_done_with_out_of_order_completion(self):
+        # The predicate consumes finished clients from the back; whatever
+        # order they finish in, it holds exactly when the last one has,
+        # and stays true once true.
+        for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0), (1, 0, 2)):
+            clients = [FunctionClient(lambda: iter(())) for _ in range(3)]
+            predicate = all_done(clients)
+            for index in order:
+                assert not predicate()
+                clients[index].done = True
+            assert predicate() and predicate()
+
+    def test_all_done_of_no_clients_holds_at_once(self):
+        assert all_done([])()
+
+    def test_all_done_built_before_any_client_finished(self):
+        # Built first, asked only after everything completed — and the
+        # caller's list is neither consumed nor tracked afterwards.
+        system = System(n=2)
+
+        def fn():
+            yield Pause()
+
+        clients = [FunctionClient(fn), FunctionClient(fn)]
+        predicate = all_done(clients)
+        for pid, client in enumerate(clients, start=1):
+            system.spawn(pid, "c", client.program())
+        assert system.run_until(predicate, 50) > 0
+        assert predicate() and len(clients) == 2
+        clients.append(FunctionClient(fn))
+        assert predicate()
+
 
 class TestUtilities:
     def test_pause_steps_counts(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Hashable
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +92,62 @@ class TestFreeze:
         once = freeze({1, (2, 3)})
         assert freeze(once) == once
 
+    def test_already_frozen_value_is_returned_itself(self):
+        for value in (
+            (1, frozenset({(2, "x")}), (None, BOTTOM)),
+            frozenset({(1, (2, 3))}),
+            FrozenDict(a=(1, 2)),
+            (FrozenDict(a=1), 2.5, b"b"),
+        ):
+            assert freeze(value) is value
+
+    def test_list_at_depth_is_still_converted(self):
+        # Frozenset elements are hashable by construction, so a list can
+        # only hide in a tuple *beside* them; the hash probe must see it.
+        value = (frozenset({(1, 2)}), (3, (4, [5, {6}])), {"k": [7]})
+        frozen = freeze(value)
+        assert frozen == (
+            frozenset({(1, 2)}),
+            (3, (4, (5, frozenset({6})))),
+            FrozenDict(k=(7,)),
+        )
+        assert type(frozen[1][1][1]) is tuple
+        hash(frozen)
+
+    def test_unfreezable_at_depth_still_raises(self):
+        class Mutable:
+            __hash__ = None
+
+        for value in ((1, (2, Mutable())), (1, (2, [Mutable()])), [(Mutable(),)]):
+            with pytest.raises(FrozenValueError):
+                freeze(value)
+
+    def test_hashable_container_subclass_nested_in_plain_tuple_is_kept(self):
+        # The one semantic edge of the fast path (see the docstring):
+        # hashable promises immutability, for containers as for objects.
+        class Point(namedtuple("Point", "x y")):
+            pass
+
+        class Tagged(frozenset):
+            pass
+
+        class Sealed(list):
+            def __hash__(self):
+                return hash(tuple(self))
+
+        point, tagged, sealed = Point(1, 2), Tagged({3}), Sealed([4])
+        frozen = freeze((point, (tagged, sealed)))
+        assert frozen[0] is point
+        assert frozen[1][0] is tagged and frozen[1][1] is sealed
+        assert freeze(frozenset({point})) == frozenset({point})
+        assert type(next(iter(freeze(frozenset({point}))))) is Point
+        # At top level — or anywhere the walk runs — subclasses are
+        # normalised as before.
+        assert type(freeze(point)) is tuple
+        assert type(freeze(tagged)) is frozenset
+        assert type(freeze(sealed)) is tuple
+        assert type(freeze([point])[0]) is tuple
+
 
 class TestFrozenDict:
     def test_mapping_protocol(self):
@@ -172,3 +231,94 @@ def test_stable_key_sorts_any_mix(values):
     frozen = [freeze(v) for v in values]
     ordered = sorted(frozen, key=stable_key)
     assert sorted(ordered, key=stable_key) == ordered
+
+
+# ----------------------------------------------------------------------
+# Differential: freeze against the deep walk it short-cuts
+# ----------------------------------------------------------------------
+def reference_freeze(value):
+    """The walk ``freeze`` was before it learned to return frozen values
+    as they are: rebuild every container, bottom-up, unconditionally."""
+    if value is BOTTOM or isinstance(
+        value, (int, float, str, bytes, bool, type(None))
+    ):
+        return value
+    if isinstance(value, (FrozenDict, dict)):
+        return FrozenDict(
+            {reference_freeze(k): reference_freeze(v) for k, v in value.items()}
+        )
+    if isinstance(value, (set, frozenset)):
+        return frozenset(reference_freeze(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return tuple(reference_freeze(item) for item in value)
+    if isinstance(value, Hashable):
+        return value
+    raise FrozenValueError(type(value).__name__)
+
+
+def typed(value):
+    """``value`` with every node tagged by its exact type.
+
+    ``==`` alone cannot tell ``True`` from ``1`` or a subclass from its
+    base; ``repr`` can, but a frozenset's depends on its insertion
+    history. This is ``repr`` up to set order.
+    """
+    if type(value) is tuple:
+        return (tuple, tuple(typed(item) for item in value))
+    if type(value) is frozenset:
+        return (frozenset, frozenset(typed(item) for item in value))
+    if type(value) is FrozenDict:
+        return (FrozenDict, frozenset((typed(k), typed(v)) for k, v in value.items()))
+    return (type(value), value)
+
+
+def nestings(order_stable: bool):
+    """Nestings of int/str/None/⊥ in tuple/list/set/frozenset/dict/FrozenDict.
+
+    With ``order_stable`` every set holds only ints in 0..7: each sits in
+    its home slot of any hash table, so the set iterates — and prints —
+    in one order however it was built, and ``stable_key`` (a ``repr``)
+    is comparable between a set and its rebuilt copy.
+    """
+    leaves = st.one_of(
+        st.integers(-3, 50), st.text(max_size=4), st.none(), st.just(BOTTOM)
+    )
+    small = st.integers(0, 7)
+
+    def frozen_layer(children):
+        return st.one_of(
+            st.lists(children, max_size=3).map(tuple),
+            st.frozensets(small if order_stable else children, max_size=3),
+            st.dictionaries(leaves, children, max_size=2).map(FrozenDict),
+        )
+
+    hashables = st.recursive(leaves, frozen_layer, max_leaves=8)
+
+    def any_layer(children):
+        members = small if order_stable else hashables
+        return st.one_of(
+            st.lists(children, max_size=3),
+            st.lists(children, max_size=3).map(tuple),
+            st.sets(members, max_size=3),
+            st.frozensets(members, max_size=3),
+            st.dictionaries(leaves, children, max_size=2),
+        )
+
+    return st.recursive(hashables, any_layer, max_leaves=12)
+
+
+@given(nestings(order_stable=False))
+@settings(max_examples=400)
+def test_freeze_equals_the_reference_walk(value):
+    frozen, expected = freeze(value), reference_freeze(value)
+    assert frozen == expected
+    assert typed(frozen) == typed(expected)
+    assert freeze(frozen) is frozen
+
+
+@given(nestings(order_stable=True))
+@settings(max_examples=300)
+def test_freeze_and_the_reference_walk_share_a_stable_key(value):
+    frozen, expected = freeze(value), reference_freeze(value)
+    assert frozen == expected
+    assert stable_key(frozen) == stable_key(expected)
