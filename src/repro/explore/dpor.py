@@ -3,7 +3,8 @@
 The systematic explorer (:mod:`repro.explore.explorer`) is stateless:
 every node of its search tree is a decision prefix, and every executed
 run is a *complete* schedule whose per-step effect signatures the
-instrumentation records. That executed trace is exactly the input
+instrumentation records (up to the barrier below, past which nothing
+the scan can act on happens). That executed trace is exactly the input
 classical DPOR (Flanagan–Godefroid 2005) needs: independence between
 two concrete steps is computable from their signatures (the same
 ``commutes`` algebra the sleep-set pruning uses), so the happens-before
@@ -66,6 +67,35 @@ violation classes no in-window race predicts. Parity with the baseline
 is re-verified per shipped cell by ``tests/test_dpor_differential.py``;
 every shipped campaign cell sits at ``depth_bound >= 6``, inside the
 verified regime.
+
+**The barrier lemma.** Let ``s`` be the first index ``>= limit`` whose
+signature is ``sync``. Then for every cut ``c > s``,
+``analyze_run(chosen[:c], effects[:c], limit) == analyze_run(chosen,
+effects, limit)`` — which is why the explorer's recorder
+(:class:`repro.explore.explorer.InstrumentedRun`) detaches after ``s``
+and the scan reads a window instead of the whole run. Proof:
+
+1. A ``sync`` step conflicts with everything: its candidates are every
+   other coroutine's last step, and once each is merged (or found
+   already ordered) its clock dominates every step before it. Step
+   ``s``, like every later ``sync`` step, is a full happens-before
+   barrier.
+2. Every step ``j > s`` has a candidate at or after ``s`` carrying such
+   a clock — ``last_sync`` for the non-``sync`` heads, the last step of
+   the coroutine that took step ``s`` for a ``sync`` head (when that
+   step is ``j``'s own coroutine's, ``j`` starts from its clock by
+   program order). Candidates are merged latest-first, so by the time a
+   candidate ``i < limit <= s`` is examined ``j``'s clock already covers
+   it: no race ``(i, j)`` with ``i < limit`` has ``j > s``.
+3. Only races with ``i < limit`` are counted or turned into requests,
+   and the winner of a race ``(i, j)`` is read off steps
+   ``i + 1 .. j <= s``; the cut keeps all of them.
+
+The bound is tight — a race may end *at* ``s`` or anywhere before it
+(``tests/test_dpor_window.py`` has the counterexample) — and it says
+nothing new about races with both steps past the horizon: those never
+produced a request, with or without the cut, so the tail-race boundary
+above is neither widened nor narrowed.
 """
 
 from __future__ import annotations
@@ -89,8 +119,10 @@ def analyze_run(
 ) -> Tuple[int, List[Tuple[int, CoroutineId]]]:
     """Detect races in one executed run; derive backtrack requests.
 
-    ``chosen`` / ``effects`` are the run's full per-step records
-    (coroutine and effect signature of every executed step, in order);
+    ``chosen`` / ``effects`` are the run's per-step records (coroutine
+    and effect signature of every executed step, in order — the whole
+    run, or any prefix of it reaching past the first ``sync`` step at
+    an index ``>= limit``: the module doc's barrier lemma);
     ``limit`` is the deviation horizon — races whose *earlier* step
     lies at or past it cannot be reversed by the bounded search, so
     they produce no request (the happens-before edge is still applied).

@@ -223,6 +223,10 @@ class ExploreReport:
     budget: int
     runs: int = 0
     steps: int = 0
+    #: Steps the per-step recorder observed before its window closed
+    #: (sum of ``len(record.effects)`` over executed runs); the rest of
+    #: ``steps`` ran uninstrumented.
+    recorded_steps: int = 0
     states: int = 0
     unique_states: int = 0
     incomplete: int = 0
@@ -239,6 +243,9 @@ class ExploreReport:
     pruned_symmetry: int = 0
     #: Happens-before-adjacent conflicting pairs found in executed runs.
     races_detected: int = 0
+    #: Times a backtrack's coroutine was not runnable at its node and
+    #: the search fell back to requesting every enabled sibling there.
+    blocked_fallbacks: int = 0
     exhausted: bool = False
     elapsed: float = 0.0
     violations: List[Violation] = field(default_factory=list)
@@ -285,7 +292,9 @@ class ExploreReport:
             pruning = (
                 f"{self.races_detected} races detected, pruned "
                 f"{self.pruned_dpor} by dpor / {self.pruned_symmetry} "
-                f"by symmetry / {self.pruned_preemption} by preemption bound"
+                f"by symmetry / {self.pruned_preemption} by preemption bound, "
+                f"{self.blocked_fallbacks} blocked-coroutine fallbacks, "
+                f"{self.recorded_steps} of {self.steps} steps recorded"
             )
         return (
             f"{self.scenario}: {verdict} in {self.runs} runs "
@@ -307,22 +316,21 @@ def execute_trace(
     schedule_label: str = "",
     ctx: Optional[CheckContext] = None,
     early_exit: bool = False,
-    record_full: bool = False,
 ) -> RunRecord:
     """Replay ``prefix`` against a fresh build of ``scenario``.
 
     The run completes under a fair round-robin fallback; the first
     ``depth_bound`` steps additionally record runnable sets, effect
-    signatures and (optionally) state fingerprints for the search loop.
+    signatures and (optionally) state fingerprints for the search loop
+    (the effect record runs a little further — see
+    :class:`InstrumentedRun` for where its window closes).
     Raises :class:`SchedulerError` when the prefix is not realizable.
     ``ctx`` shares oracle caches across replays; ``early_exit`` arms the
-    scenario's incremental violation monitor. ``record_full`` keeps the
-    per-step recorder attached for the whole run instead of closing the
-    window past the horizon (the dpor race scan needs the full trace).
+    scenario's incremental violation monitor.
     """
     return InstrumentedRun(
         scenario, prefix, depth_bound, fingerprints, schedule_label,
-        ctx=ctx, early_exit=early_exit, record_full=record_full,
+        ctx=ctx, early_exit=early_exit,
     ).finish()
 
 
@@ -337,16 +345,29 @@ class InstrumentedRun:
     finish.
 
     Recording is *windowed*: per-step observations stop — and the
-    ``on_step`` hook detaches, so the completion tail runs at full
-    kernel speed — once nothing the search loop can still ask about
-    remains open. The sleep-set test (:func:`_next_effect_at`) queries a
-    coroutine's first step at or after a depth below ``depth_bound``;
-    under the round-robin fallback every live coroutine steps within one
-    rotation past the horizon, so the window closes as soon as each
-    coroutine seen runnable inside the horizon has stepped beyond it (or
-    retired). ``chosen``/``effects`` additionally always cover the full
-    forced prefix (the shrinker converts prefix decisions into scripts).
-    The windowed record answers every search-loop query identically to a
+    ``on_step`` hook detaches, so the completion tail runs on
+    ``run_until``'s inlined fast path — once nothing the search loop can
+    still ask about remains open. The window is
+    ``max(depth_bound, len(prefix))`` steps (``chosen``/``effects``
+    always cover the full forced prefix: the shrinker converts prefix
+    decisions into scripts), and it closes, the same way under every
+    reduction, at the first step past it by which both
+
+    (a) every coroutine seen runnable inside the horizon has stepped
+        beyond the window or retired — the sleep-set test
+        (:func:`_next_effect_at`, which dpor's inherited sleep sets read
+        too) asks for a coroutine's first step at or after a depth below
+        ``depth_bound``, and under the round-robin fallback every live
+        coroutine steps within one rotation past the horizon; and
+    (b) a ``sync`` step at an index at or past the window has been
+        recorded — the happens-before barrier after which no race the
+        bounded search can reverse can end (the barrier lemma of
+        :mod:`repro.explore.dpor`), so the race scan reads the same
+        races and requests off the window as off the whole run.
+
+    A run with no such step (it hit the step limit, or an
+    ``EarlyExitInterrupt`` ended it) records to its last step. The
+    windowed record answers every search-loop query identically to a
     full-length record.
     """
 
@@ -359,13 +380,11 @@ class InstrumentedRun:
         schedule_label: str = "",
         ctx: Optional[CheckContext] = None,
         early_exit: bool = False,
-        record_full: bool = False,
     ):
         self.scenario = scenario
         self.depth_bound = depth_bound
         self.fingerprints = fingerprints
         self.schedule_label = schedule_label
-        self.record_full = record_full
         self.scheduler = TraceScheduler(
             prefix=prefix, fallback=RoundRobinScheduler(), horizon=depth_bound
         )
@@ -384,6 +403,8 @@ class InstrumentedRun:
         #: None until the recording window may close; then the cids whose
         #: post-horizon next effect is still unknown.
         self._pending: Optional[set] = None
+        #: Whether a ``sync`` step at an index >= the window was recorded.
+        self._barrier = False
         self._window = max(depth_bound, len(prefix))
         self.system.on_step = self._on_step
 
@@ -417,7 +438,7 @@ class InstrumentedRun:
         self.chosen.append(cid)
         if self.fingerprints and len(self.prints) < self.depth_bound:
             self.prints.append(self.system.fingerprint())
-        if not self.record_full and len(signatures) > self._window:
+        if len(signatures) > self._window:
             pending = self._pending
             if pending is None:
                 pending = set()
@@ -426,7 +447,9 @@ class InstrumentedRun:
                 pending -= self._finished
                 self._pending = pending
             pending.discard(cid)
-            if not pending:
+            if sig is _SYNC_SIG:
+                self._barrier = True
+            if self._barrier and not pending:
                 # Window closed: nothing left to observe, run the tail
                 # of the schedule without per-step instrumentation.
                 self.system.on_step = None
@@ -614,15 +637,10 @@ def _resolve_prefix_sharing(prefix_sharing: str) -> bool:
         return False
     # auto: fork pays off only when forked siblings can overlap on
     # spare cores AND the per-sibling fork + pickle + pipe tax is
-    # amortized. Measured on the shipped Theorem 29 workloads (depth
-    # bound 14, 1-core host, 2026-08, after the singleton-group
-    # fallback stopped forking one-child groups): replay ~1.3ms/run,
-    # fork ~2.9ms/run — a ~1.6ms fixed fork tax, so the break-even
-    # model (tax / run cost) + 1 now lands near 2–3 hardware threads
-    # of sibling overlap. The threshold stays at >= 4 until a
-    # multi-core `explore.dfs.3f.fork` bench point confirms the
-    # serial-host arithmetic; the old >= 2 threshold predated the
-    # faster replay path.
+    # amortized over the run it saves (singleton groups already fall
+    # back to replay). The break-even is not re-measured for windowed
+    # dpor records; the threshold stays at >= 4 CPUs until a multi-core
+    # `explore.dfs.3f.fork` bench point says otherwise.
     return fork_available() and (os.cpu_count() or 1) >= 4
 
 
@@ -661,7 +679,8 @@ def explore(
     sibling group's prefix through the POSIX fork branch executor
     (:mod:`repro.explore.forkexec`), ``"replay"`` re-executes every node
     from the root, and ``"auto"`` (default) picks fork exactly when the
-    platform supports it and more than one CPU is available. Both
+    platform supports it and ``os.cpu_count()`` reports at least four
+    CPUs (replay otherwise). Both
     engines produce identical reports; ``report.engine`` records the
     choice and ``replayed_steps`` / ``shared_steps`` quantify the
     prefix work saved.
@@ -709,7 +728,7 @@ def explore(
     executor = (
         BranchExecutor(
             scenario, depth_bound, schedule_label=label, fingerprints=memoize,
-            ctx=ctx, early_exit=early_exit, record_full=use_dpor,
+            ctx=ctx, early_exit=early_exit,
         )
         if use_fork
         else None
@@ -738,7 +757,6 @@ def explore(
                             schedule_label=label,
                             ctx=ctx,
                             early_exit=early_exit,
-                            record_full=use_dpor,
                         )
                         report.replayed_steps += len(prefix)
                     except SchedulerError:
@@ -748,6 +766,7 @@ def explore(
                         continue
                 report.runs += 1
                 report.steps += record.steps
+                report.recorded_steps += len(record.effects)
                 report.states += len(record.fingerprints)
                 if not record.completed:
                     report.incomplete += 1
@@ -895,6 +914,7 @@ def explore(
                             # request every enabled coroutine here, the
                             # classic disabled-process fallback of
                             # dynamic partial-order reduction.
+                            report.blocked_fallbacks += 1
                             for index in range(len(runnable)):
                                 if index in node.done:
                                     continue

@@ -31,8 +31,9 @@ Children exit through ``os._exit`` (no atexit/buffer replay) and are
 reaped on fetch; :meth:`BranchExecutor.close` kills and reaps whatever
 speculative work the budget cut off. On platforms without ``fork`` the
 explorer falls back to plain re-execution; ``explore(...,
-prefix_sharing="auto")`` also prefers re-execution on single-CPU hosts,
-where the fork/IPC tax outweighs sharing (children cannot overlap).
+prefix_sharing="auto")`` also prefers re-execution on hosts with fewer
+than four CPUs, where the fork/IPC tax outweighs sharing (children have
+too few cores to overlap on).
 """
 
 from __future__ import annotations
@@ -85,15 +86,11 @@ class BranchExecutor:
         fingerprints: bool = True,
         ctx=None,
         early_exit: bool = False,
-        record_full: bool = False,
     ):
         self._scenario = scenario
         self._depth_bound = depth_bound
         self._schedule_label = schedule_label
         self._fingerprints = fingerprints
-        #: Keep children's per-step recorders attached for the whole run
-        #: (the dpor race scan reads the full trace).
-        self._record_full = record_full
         #: Oracle caches / early-exit flag forwarded to every run. The
         #: ctx lives in the parent; forked children mutate a copy-on-write
         #: snapshot that dies with them (correctness is unaffected, only
@@ -168,7 +165,6 @@ class BranchExecutor:
                 schedule_label=self._schedule_label,
                 ctx=self._ctx,
                 early_exit=self._early_exit,
-                record_full=self._record_full,
             )
             realizable = run.run_prefix_steps(len(parent_trace))
         except SchedulerError:

@@ -33,6 +33,7 @@ from repro.explore import (
     make_scenario,
     run_one_fuzz,
     shrink,
+    theorem29_symmetry,
 )
 from repro.explore.forkexec import fork_available
 from repro.explore.fuzzer import SwarmScheduler, fuzz_scheduler
@@ -172,6 +173,11 @@ def _report_facts(report):
         "pruned_fingerprint": report.pruned_fingerprint,
         "pruned_sleep": report.pruned_sleep,
         "pruned_preemption": report.pruned_preemption,
+        "pruned_dpor": report.pruned_dpor,
+        "pruned_symmetry": report.pruned_symmetry,
+        "races_detected": report.races_detected,
+        "blocked_fallbacks": report.blocked_fallbacks,
+        "recorded_steps": report.recorded_steps,
         "exhausted": report.exhausted,
         "violations": sorted(v.fingerprint() for v in report.violations),
         "violation_traces": sorted(str(v.trace) for v in report.violations),
@@ -197,6 +203,21 @@ class TestForkPrefixSharing:
         forked = explore(
             scenario, budget=60, mode="bfs", prefix_sharing="fork", **BOUNDS
         )
+        assert _report_facts(replay) == _report_facts(forked)
+
+    @pytest.mark.parametrize("reduction", ["dpor", "dpor+symmetry"])
+    def test_fork_engine_matches_replay_under_dpor(self, reduction):
+        # Forked children ship the same windowed records the replay
+        # engine builds, so the race scan drives the same search.
+        scenario = make_scenario("theorem29", f=2, extra_correct=True)
+        kwargs = dict(
+            budget=80, depth_bound=6, preemption_bound=2, reduction=reduction,
+            symmetry=theorem29_symmetry(f=2, extra_correct=True),
+        )
+        replay = explore(scenario, prefix_sharing="replay", **kwargs)
+        forked = explore(scenario, prefix_sharing="fork", **kwargs)
+        assert replay.engine == "replay" and forked.engine == "fork"
+        assert forked.shared_steps > 0 and forked.races_detected > 0
         assert _report_facts(replay) == _report_facts(forked)
 
     def test_sharing_counters_move(self):
