@@ -33,6 +33,7 @@ import random
 import time
 from typing import Any, Dict, Optional, Tuple
 
+from repro.errors import NetworkError
 from repro.faults.plan import FaultPlan
 from repro.net import wire
 
@@ -84,6 +85,8 @@ class ChaosProxy:
         self.delayed = 0
         self.partitioned = 0
         self.suppressed_crash = 0
+        #: Inbound connections closed for a malformed frame.
+        self.bad_frames = 0
         #: (src, dst) -> suppression count, for the STALLED diagnosis.
         self.suppressed_links: Dict[Tuple[int, int], int] = {}
         self._delay_tasks: set = set()
@@ -119,20 +122,24 @@ class ChaosProxy:
         backend_writer: Optional[asyncio.StreamWriter] = None
         write_lock = asyncio.Lock()
         self._connections.add(writer)
+        splitter = wire.Splitter()
         try:
-            hello = await wire.read_doc(reader)
-            if hello is None or hello.get("t") != "hello":
+            opening = await wire.read_hello(reader, splitter)
+            if opening is None:
                 return
-            sender = int(hello.get("pid", 0))
+            hello, docs = opening
+            sender = hello.get("pid", 0)
             backend_writer = await self._dial(hello)
-            while True:
-                doc = await wire.read_doc(reader)
-                if doc is None:
-                    return
-                if doc.get("t") != "msg":
-                    await self._forward(backend_writer, write_lock, doc)
-                    continue
-                await self._apply(sender, doc, backend_writer, write_lock)
+            while docs is not None:
+                for doc in docs:
+                    if doc["t"] != "msg":
+                        await self._forward(backend_writer, write_lock, doc)
+                    else:
+                        await self._apply(sender, doc, backend_writer, write_lock)
+                docs = await wire.read_docs(reader, splitter)
+        except NetworkError:
+            # A malformed frame: close the connection, keep the count.
+            self.bad_frames += 1
         except (ConnectionError, OSError):
             return
         except asyncio.CancelledError:
@@ -236,6 +243,7 @@ class ChaosProxy:
             "delayed": self.delayed,
             "partitioned": self.partitioned,
             "suppressed_crash": self.suppressed_crash,
+            "bad_frames": self.bad_frames,
         }
 
 

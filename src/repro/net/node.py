@@ -10,15 +10,27 @@ scheduler, so what the simulator explores is what runs here. This
 module adds what a real process needs around it:
 
 * **Transport.** The core returns ``(destination, payload)`` pairs; the
-  node puts them on per-peer TCP connections (through its
-  :class:`WallClockChannels` when retransmission is on), and feeds every
-  inbound peer frame back into the core.
-* **Waiting.** A client operation opens in the core, then waits on a
-  condition variable for the core to report its quorum. Waits are
-  paced: the query is re-broadcast on an exponentially growing interval
-  (capped at 16x), so an unsatisfiable wait backs off instead of
-  flooding — the progress monitor, not a flood, is what turns it into a
-  verdict.
+  node encodes each (through its :class:`WallClockChannels` when
+  retransmission is on) into a per-peer link buffer, and one flush per
+  peer per event-loop tick hands the tick's frames to the peer's TCP
+  transport in a single ``write`` — same bytes, same order, one frame
+  per payload, fewer syscalls. A link is lossy the way a crashed peer
+  is: frames offered while it is down (no route, a dial that just
+  failed, a closing transport) are dropped, never hoarded; frames
+  offered *during* a dial are sent, in order, when it succeeds. The
+  channel layer's retransmission is what rebuilds reliability on top.
+  Back-pressure is the transport's own unbounded write buffer. Inbound,
+  every connection is read by the chunk through the one frame splitter
+  in :mod:`repro.net.wire`, and every peer frame is fed back into the
+  core; a malformed frame closes its connection and is counted in
+  ``bad_frames``.
+* **Waiting.** A client operation opens in the core, then parks on a
+  plain future in the node's waiter list; every delivered frame
+  resolves and clears that list, and each woken operation asks the core
+  again for its own quorum. Waits are paced by a timer: the query is
+  re-broadcast on an exponentially growing interval (capped at 16x), so
+  an unsatisfiable wait backs off instead of flooding — the progress
+  monitor, not a flood, is what turns it into a verdict.
 * **Write-back on by default.** ``read`` runs the [11] write-back round
   unless told otherwise. The live load generator runs hundreds of
   genuinely concurrent clients, so the new/old-inversion window regular
@@ -55,13 +67,29 @@ import asyncio
 import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
 from repro.mp.swmr_emulation import ALL, EmulatedRegisterSpec, Outgoing, ReplicaCore
 from repro.net import wire
 from repro.net.channels import WallClockChannels
 
-#: How long a peer-writer backs off after a failed dial/send.
+#: How long a link stays down (dropping frames) after a failed dial.
 _RECONNECT_PAUSE = 0.02
+
+
+class _Link:
+    """Outbound state for one peer: the tick's frames and where they go."""
+
+    __slots__ = ("dst", "frames", "transport", "dial", "retry_at")
+
+    def __init__(self, dst: int):
+        self.dst = dst
+        #: Encoded frames not yet handed to a transport. Non-empty only
+        #: while a flush is scheduled or a dial is in progress.
+        self.frames: List[bytes] = []
+        self.transport: Optional[asyncio.WriteTransport] = None
+        self.dial: Optional[asyncio.Task] = None
+        #: ``time.monotonic()`` before which a failed dial is not retried.
+        self.retry_at = 0.0
 
 
 class NetNode:
@@ -127,15 +155,17 @@ class NetNode:
         self._server: Optional[asyncio.base_events.Server] = None
         self._serving = False
         self._tasks: List[asyncio.Task] = []
-        self._out: Dict[int, asyncio.Queue] = {}
+        self._links: Dict[int, _Link] = {}
         self._connections: Set[asyncio.StreamWriter] = set()
-        self._cond = asyncio.Condition()
-        self._notify_pending = False
+        #: Futures of the operations parked in :meth:`_paced_wait`.
+        self._waiters: List[asyncio.Future] = []
         self._write_locks = {name: asyncio.Lock() for name in registers}
         self._transfer_lock = asyncio.Lock()
         #: Protocol frames delivered to this node (post-dedup traffic
         #: included; duplicates are dropped before this counts).
         self.delivered = 0
+        #: Inbound connections closed for a malformed frame.
+        self.bad_frames = 0
         #: The protocol state machine. A lose-state restart replaces it
         #: wholesale, so waits look it up on every check (never capture
         #: it): the paced re-send then repopulates the *new* core.
@@ -165,7 +195,7 @@ class NetNode:
         self._routes = dict(routes)
 
     async def stop(self) -> None:
-        """Crash-stop: drop every connection and queue, close the server.
+        """Crash-stop: drop every connection and link, close the server.
 
         Frames in flight are lost. Accepted connections are closed
         *before* awaiting ``wait_closed()``: since Python 3.12.1 that
@@ -174,14 +204,20 @@ class NetNode:
         self._serving = False
         if self._server is not None:
             self._server.close()
-        for task in self._tasks:
+        tasks, self._tasks = self._tasks, []
+        for link in self._links.values():
+            link.frames.clear()
+            if link.dial is not None:
+                tasks.append(link.dial)
+            if link.transport is not None:
+                link.transport.close()
+        self._links.clear()
+        for task in tasks:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
+        await asyncio.gather(*tasks, return_exceptions=True)
         for writer in list(self._connections):
             writer.close()
         self._connections.clear()
-        self._out.clear()
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -240,40 +276,64 @@ class NetNode:
     def _enqueue(self, dst: int, payload: Any) -> None:
         if not self._serving:
             return
-        queue = self._out.get(dst)
-        if queue is None:
-            queue = self._out[dst] = asyncio.Queue()
-            self._tasks.append(asyncio.ensure_future(self._peer_writer(dst, queue)))
-        queue.put_nowait(wire.msg(payload))
+        link = self._links.get(dst)
+        if link is None:
+            link = self._links[dst] = _Link(dst)
+        if not link.frames and link.dial is None:
+            asyncio.get_running_loop().call_soon(self._flush, link)
+        link.frames.append(wire.encode(wire.msg(payload)))
 
-    async def _peer_writer(self, dst: int, queue: asyncio.Queue) -> None:
-        """Drain one peer's outbound queue; drop frames while the link is down.
+    def _flush(self, link: _Link) -> None:
+        """Hand the frames buffered this tick to the peer, in one write.
 
-        Dropping (instead of blocking on reconnection) gives bare TCP
-        the lossy-link semantics a crashed peer implies; the channel
-        layer's retransmission is what rebuilds reliability on top.
+        Two rules decide what happens to a frame that finds no open
+        transport. Frames offered while the link is *down* — no route,
+        inside the ``_RECONNECT_PAUSE`` after a failed dial, or on a
+        transport that is closing — are dropped and the buffer cleared:
+        that gives bare TCP the lossy-link semantics a crashed peer
+        implies and keeps a dead peer's buffer empty. Frames offered
+        while a dial is *in progress* stay buffered; :meth:`_dial` sends
+        them when it succeeds. Back-pressure is the transport's write
+        buffer, unbounded as the queue it replaces was.
         """
-        writer: Optional[asyncio.StreamWriter] = None
+        frames = link.frames
+        if not frames:  # the link was stopped under this callback
+            return
+        transport = link.transport
+        if transport is not None:
+            if not transport.is_closing():
+                transport.write(b"".join(frames))
+            else:
+                link.transport = None
+            frames.clear()
+            return
+        route = self._routes.get(link.dst)
+        if route is None or time.monotonic() < link.retry_at:
+            frames.clear()
+            return
+        link.dial = asyncio.ensure_future(self._dial(link, route))
+
+    async def _dial(self, link: _Link, route: Tuple[str, int]) -> None:
+        """Connect, then send ``hello`` and whatever buffered meanwhile.
+
+        The frames offered during the dial go out in order behind the
+        handshake, in the same write. A failed dial drops them and takes
+        the link down for ``_RECONNECT_PAUSE``.
+        """
         try:
-            while True:
-                doc = await queue.get()
-                try:
-                    if writer is None:
-                        route = self._routes.get(dst)
-                        if route is None:
-                            continue
-                        _reader, writer = await asyncio.open_connection(*route)
-                        writer.write(wire.encode(wire.hello(self.pid)))
-                    writer.write(wire.encode(doc))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    if writer is not None:
-                        writer.close()
-                        writer = None
-                    await asyncio.sleep(_RECONNECT_PAUSE)
+            transport, _protocol = await asyncio.get_running_loop().create_connection(
+                asyncio.Protocol, *route
+            )
+        except (ConnectionError, OSError):
+            link.retry_at = time.monotonic() + _RECONNECT_PAUSE
+        else:
+            transport.write(
+                wire.encode(wire.hello(self.pid)) + b"".join(link.frames)
+            )
+            link.transport = transport
         finally:
-            if writer is not None:
-                writer.close()
+            link.frames.clear()
+            link.dial = None
 
     async def _retransmit_pump(self) -> None:
         assert self.channels is not None
@@ -289,15 +349,21 @@ class NetNode:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections.add(writer)
+        splitter = wire.Splitter()
         try:
-            hello = await wire.read_doc(reader)
-            if hello is None or hello.get("t") != "hello":
+            opening = await wire.read_hello(reader, splitter)
+            if opening is None:
                 return
-            sender = int(hello.get("pid", 0))
+            hello, docs = opening
+            sender = hello.get("pid", 0)
             if sender >= 1:
-                await self._peer_session(sender, reader)
+                await self._peer_session(sender, reader, splitter, docs)
             else:
-                await self._client_session(reader, writer)
+                await self._client_session(reader, writer, splitter, docs)
+        except NetworkError:
+            # A malformed frame: the stream cannot be trusted past it.
+            # Closing is the whole response; the count keeps it visible.
+            self.bad_frames += 1
         except (ConnectionError, OSError):
             pass
         except asyncio.CancelledError:
@@ -309,13 +375,21 @@ class NetNode:
             self._connections.discard(writer)
             writer.close()
 
-    async def _peer_session(self, sender: int, reader: asyncio.StreamReader) -> None:
-        while True:
-            doc = await wire.read_doc(reader)
-            if doc is None:
-                return
-            if doc.get("t") == "msg":
-                self._deliver(sender, wire.freeze(doc["m"]), framed=True)
+    async def _peer_session(
+        self,
+        sender: int,
+        reader: asyncio.StreamReader,
+        splitter: wire.Splitter,
+        docs: Optional[List[Dict[str, Any]]],
+    ) -> None:
+        """Deliver ``docs``, then every later chunk's, until EOF."""
+        while docs is not None:
+            for doc in docs:
+                if doc["t"] == "msg":
+                    if "m" not in doc:
+                        raise NetworkError(f"msg frame without a payload: {doc!r}")
+                    self._deliver(sender, wire.freeze(doc["m"]), framed=True)
+            docs = await wire.read_docs(reader, splitter)
 
     def _deliver(self, sender: int, payload: Any, framed: bool) -> None:
         if framed and self.channels is not None:
@@ -330,22 +404,25 @@ class NetNode:
         self._notify()
 
     async def _client_session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        splitter: wire.Splitter,
+        docs: Optional[List[Dict[str, Any]]],
     ) -> None:
         write_lock = asyncio.Lock()
         pending: Set[asyncio.Task] = set()
         try:
-            while True:
-                doc = await wire.read_doc(reader)
-                if doc is None:
-                    return
-                if doc.get("t") != "req":
-                    continue
-                task = asyncio.ensure_future(
-                    self._serve_request(writer, write_lock, doc)
-                )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
+            while docs is not None:
+                for doc in docs:
+                    if doc["t"] != "req":
+                        continue
+                    task = asyncio.ensure_future(
+                        self._serve_request(writer, write_lock, doc)
+                    )
+                    pending.add(task)
+                    task.add_done_callback(pending.discard)
+                docs = await wire.read_docs(reader, splitter)
         finally:
             for task in pending:
                 task.cancel()
@@ -396,37 +473,50 @@ class NetNode:
     # Waiting
     # ------------------------------------------------------------------
     def _notify(self) -> None:
-        if self._notify_pending:
-            return
-        self._notify_pending = True
-        asyncio.ensure_future(self._do_notify())
+        """Wake every parked operation; each re-checks its own predicate."""
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.set_result(None)
 
-    async def _do_notify(self) -> None:
-        self._notify_pending = False
-        async with self._cond:
-            self._cond.notify_all()
+    def _unpark(self, waiter: asyncio.Future) -> None:
+        """Take ``waiter`` off the list (its timer fired, or its
+        operation was cancelled) unless a delivery already did."""
+        try:
+            self._waiters.remove(waiter)
+        except ValueError:
+            pass
+        if not waiter.done():
+            waiter.set_result(None)
 
     async def _paced_wait(self, ready: Callable[[], Any], message: Outgoing) -> Any:
         """Send ``message``, wait until ``ready()`` is truthy (and return
         that); re-send on a backoff pacing."""
         self._emit([message])
+        loop = asyncio.get_running_loop()
         interval = self.requery
-        deadline = time.monotonic() + interval
+        deadline = loop.time() + interval
         while True:
             result = ready()
             if result:
                 return result
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
+            if loop.time() >= deadline:
                 self._emit([message])
                 interval = min(interval * 2, self.requery * 16)
-                deadline = time.monotonic() + interval
+                deadline = loop.time() + interval
                 continue
-            async with self._cond:
-                try:
-                    await asyncio.wait_for(self._cond.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
+            waiter = loop.create_future()
+            self._waiters.append(waiter)
+            timer = loop.call_at(deadline, self._unpark, waiter)
+            try:
+                await waiter
+            except asyncio.CancelledError:
+                self._unpark(waiter)
+                raise
+            finally:
+                timer.cancel()
 
     # ------------------------------------------------------------------
     # Client operations
@@ -550,6 +640,7 @@ class NetNode:
         out: Dict[str, Any] = {
             "pid": self.pid,
             "delivered": self.delivered,
+            "bad_frames": self.bad_frames,
             "version": self.version,
         }
         if self.channels is not None:

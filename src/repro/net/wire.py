@@ -22,13 +22,22 @@ Document kinds:
   ``{"t": "res", "id": I, "ok": B, "value": V}`` — the remote-client
   request protocol (``read`` / ``write`` / ``transfer`` / ``balance``
   / ``info``).
+
+Decoding has one path. :class:`Splitter` takes the bytes a socket read
+returned — however many frames, cut wherever — and returns every
+document they complete, each through the same validation step; the
+node's peer and client sessions and the chaos proxy read by the chunk
+through it (:func:`read_docs`), and :func:`read_doc`, the one-frame call
+for a caller that owns no splitter, checks its frame with the same two
+helpers. Whatever is not a length-prefixed JSON object with a ``"t"``
+raises :class:`repro.errors.NetworkError`, and nothing else.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 
@@ -37,39 +46,131 @@ MAX_FRAME = 1 << 20
 
 _LEN_BYTES = 4
 
+#: Bytes asked of the socket per read; a chunk holds whatever the
+#: sender's flushes put in it, usually many frames.
+_CHUNK = 1 << 16
+
+_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
 
 def freeze(value: Any) -> Any:
     """Recursively turn JSON arrays back into tuples (hashable payloads)."""
     if isinstance(value, list):
-        return tuple(freeze(item) for item in value)
+        return tuple(
+            [freeze(item) if isinstance(item, list) else item for item in value]
+        )
     return value
 
 
 def encode(doc: Dict[str, Any]) -> bytes:
     """One wire frame for ``doc`` (length prefix + compact JSON)."""
-    body = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+    body = _dumps(doc).encode()
     if len(body) > MAX_FRAME:
         raise NetworkError(f"frame too large: {len(body)} bytes")
     return len(body).to_bytes(_LEN_BYTES, "big") + body
 
 
-async def read_doc(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """The next frame's document, or ``None`` on a clean EOF."""
-    try:
-        header = await reader.readexactly(_LEN_BYTES)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
+def _body_length(header: bytes) -> int:
     length = int.from_bytes(header, "big")
     if length > MAX_FRAME:
         raise NetworkError(f"frame too large: {length} bytes")
+    return length
+
+
+def _document(body: bytes) -> Dict[str, Any]:
+    """Decode and validate one frame body — the only decode path.
+
+    Raises:
+        NetworkError: the body is not UTF-8, not JSON, not an object,
+            has no ``"t"``, or is a ``hello`` whose ``pid`` is not an
+            integer.
+    """
     try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    doc = json.loads(body.decode())
+        doc = json.loads(body.decode())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise NetworkError(f"undecodable frame: {exc}") from None
     if not isinstance(doc, dict) or "t" not in doc:
         raise NetworkError(f"malformed frame: {doc!r}")
+    if doc["t"] == "hello" and not isinstance(doc.get("pid", 0), int):
+        raise NetworkError(f"hello frame with a non-integer pid: {doc!r}")
     return doc
+
+
+class Splitter:
+    """Incremental frame decoder: bytes in, complete documents out.
+
+    :meth:`feed` takes whatever a socket read returned — any number of
+    frames, cut anywhere, the length prefix included — and returns every
+    document the bytes so far complete, validated; the incomplete tail
+    is kept for the next call.
+    """
+
+    __slots__ = ("_tail",)
+
+    def __init__(self) -> None:
+        self._tail = b""
+
+    def feed(self, data: bytes) -> List[Dict[str, Any]]:
+        """Every document completed by ``data``, in order.
+
+        Raises:
+            NetworkError: a frame is oversized or fails validation; the
+                stream cannot be resynchronised after that.
+        """
+        buf = self._tail + data if self._tail else data
+        docs = []
+        pos, end = 0, len(buf)
+        while end - pos >= _LEN_BYTES:
+            start = pos + _LEN_BYTES
+            stop = start + _body_length(buf[pos:start])
+            if stop > end:
+                break
+            docs.append(_document(buf[start:stop]))
+            pos = stop
+        self._tail = buf[pos:]
+        return docs
+
+
+async def read_docs(
+    reader: asyncio.StreamReader, splitter: Splitter
+) -> Optional[List[Dict[str, Any]]]:
+    """The documents the connection's next chunk completes (possibly
+    none), or ``None`` on EOF."""
+    data = await reader.read(_CHUNK)
+    if not data:
+        return None
+    return splitter.feed(data)
+
+
+async def read_hello(
+    reader: asyncio.StreamReader, splitter: Splitter
+) -> Optional[Tuple[Dict[str, Any], List[Dict[str, Any]]]]:
+    """A new connection's handshake and the documents that arrived in
+    its chunk, or ``None`` if it closed first or opened with anything
+    but a ``hello``."""
+    docs: Optional[List[Dict[str, Any]]] = []
+    while not docs:
+        docs = await read_docs(reader, splitter)
+        if docs is None:
+            return None
+    if docs[0]["t"] != "hello":
+        return None
+    return docs[0], docs[1:]
+
+
+async def read_doc(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
+    """The next frame's document, or ``None`` on a clean EOF.
+
+    Reads exactly one frame, so a caller holding no :class:`Splitter`
+    can interleave it with its own reads; sessions that own the
+    connection read by the chunk through :func:`read_docs` instead.
+    """
+    try:
+        header = await reader.readexactly(_LEN_BYTES)
+        body = await reader.readexactly(_body_length(header))
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None
+    return _document(body)
 
 
 def hello(pid: int) -> Dict[str, Any]:
