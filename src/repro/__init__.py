@@ -17,15 +17,22 @@ processes"* (PODC 2025; arXiv:2504.09805). The library provides:
   broadcast, atomic snapshot (``repro.apps``),
 * a message-passing substrate with an ``n > 3f`` SWMR-register emulation
   (``repro.mp``),
-* the experiment harness behind ``EXPERIMENTS.md`` (``repro.analysis``),
-* a schedule-space exploration engine — bounded systematic search, swarm
-  fuzzing, counterexample shrinking (``repro.explore``),
+* fault injection and a live asyncio cluster serving the emulated
+  registers over real sockets (``repro.faults``, ``repro.net``),
 * a unified scenario registry — declarative records (topology, family,
   adversary, workload, oracle binding, expected verdict) that the
-  campaign, explorer, bench and corpus all derive their scenarios from
-  (``repro.scenarios``), and
+  explorer, campaign and corpus all derive their scenarios from
+  (``repro.scenarios``),
+* a schedule-space exploration engine — bounded systematic search, swarm
+  fuzzing, counterexample shrinking (``repro.explore``),
 * a differential conformance campaign layer with a persistent,
-  replayable violation corpus (``repro.campaign``).
+  replayable violation corpus, and its queue-backed service
+  (``repro.campaign``, ``repro.service``), and
+* the experiment tables E1–E12 and the CLI (``repro.analysis``).
+
+This module exports only what the quickstart below needs; everything
+else is imported from its own subpackage, so ``import repro`` stays
+cheap.
 
 Quickstart::
 
@@ -39,46 +46,8 @@ Quickstart::
 See ``examples/quickstart.py`` for a complete runnable scenario.
 """
 
-from repro.campaign import (
-    CampaignCell,
-    CampaignReport,
-    CorpusEntry,
-    default_matrix,
-    load_corpus,
-    replay_entry,
-    run_campaign,
-)
-from repro.core import (
-    AuthenticatedRegister,
-    NaiveVerifiableRegister,
-    QuorumTestOrSet,
-    SignatureOracle,
-    SignedVerifiableRegister,
-    StickyRegister,
-    TestOrSetFromAuthenticated,
-    TestOrSetFromSticky,
-    TestOrSetFromVerifiable,
-    VerifiableRegister,
-)
-from repro.errors import (
-    ConfigurationError,
-    LinearizabilityViolation,
-    OwnershipError,
-    ReproError,
-    StepLimitExceeded,
-)
-from repro.sim import (
-    BOTTOM,
-    History,
-    OperationRecord,
-    PriorityScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    ScriptClient,
-    ScriptedScheduler,
-    System,
-    TraceScheduler,
-)
+from repro.core import VerifiableRegister
+from repro.sim import System
 
 __version__ = "1.0.0"
 
@@ -105,38 +74,8 @@ def build_shared_memory_system(
 
 
 __all__ = [
-    "AuthenticatedRegister",
-    "BOTTOM",
-    "CampaignCell",
-    "CampaignReport",
-    "ConfigurationError",
-    "CorpusEntry",
-    "History",
-    "LinearizabilityViolation",
-    "NaiveVerifiableRegister",
-    "OperationRecord",
-    "OwnershipError",
-    "PriorityScheduler",
-    "QuorumTestOrSet",
-    "RandomScheduler",
-    "ReproError",
-    "RoundRobinScheduler",
-    "ScriptClient",
-    "ScriptedScheduler",
-    "SignatureOracle",
-    "SignedVerifiableRegister",
-    "StepLimitExceeded",
-    "StickyRegister",
     "System",
-    "TestOrSetFromAuthenticated",
-    "TestOrSetFromSticky",
-    "TestOrSetFromVerifiable",
-    "TraceScheduler",
     "VerifiableRegister",
     "build_shared_memory_system",
-    "default_matrix",
-    "load_corpus",
-    "replay_entry",
-    "run_campaign",
     "__version__",
 ]

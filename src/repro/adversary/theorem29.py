@@ -102,7 +102,7 @@ class Figure1Outcome:
     violated: str = ""
 
     def describe(self) -> str:
-        """One-line summary used by the E5 bench table."""
+        """One-line summary of the three histories' outcomes."""
         return (
             f"n={self.n} f={self.f} τ={self.accept_threshold}: "
             f"H1→{self.h1_test_result} H2→{self.h2_test_result} "

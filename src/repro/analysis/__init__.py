@@ -1,66 +1,27 @@
-"""Experiment harness: workloads, scenarios, metrics, tables, drivers."""
+"""Experiment harness: the experiment table, metrics, text tables, CLI.
 
-from repro.analysis.experiments import (
-    ablation_naive_quorum,
-    ablation_set0_reset,
-    ablation_sticky_write_wait,
-    broadcast_table,
-    correctness_sweep,
-    impossibility_table,
-    message_passing_table,
-    snapshot_table,
-    step_complexity_table,
-    test_or_set_table,
-)
+The top of the package order: everything here imports downward
+(``repro.scenarios`` for workloads and registry records, the engines,
+the campaign and service layers), and nothing below imports it.
+:data:`EXPERIMENTS` is the interface to the paper-facing tables (the
+drivers behind it live in :mod:`repro.analysis.experiments`);
+``python -m repro.analysis`` is the CLI over all of it.
+"""
+
+from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.metrics import (
     LatencyStats,
-    latency_table,
     merge_latency_samples,
     operation_latencies,
     register_access_totals,
 )
-from repro.analysis.reporting import print_table, render_table
-from repro.analysis.workloads import (
-    READER_ADVERSARIES,
-    REGISTER_KINDS,
-    WRITER_ADVERSARIES,
-    PreparedRegisterScenario,
-    ScenarioOutcome,
-    Workload,
-    checker_for,
-    make_register,
-    prepare_register_scenario,
-    random_register_workload,
-    run_register_scenario,
-)
+from repro.analysis.reporting import render_table
 
 __all__ = [
+    "EXPERIMENTS",
     "LatencyStats",
-    "PreparedRegisterScenario",
-    "READER_ADVERSARIES",
-    "REGISTER_KINDS",
-    "ScenarioOutcome",
-    "WRITER_ADVERSARIES",
-    "Workload",
-    "ablation_naive_quorum",
-    "ablation_set0_reset",
-    "ablation_sticky_write_wait",
-    "broadcast_table",
-    "checker_for",
-    "correctness_sweep",
-    "impossibility_table",
-    "latency_table",
-    "make_register",
     "merge_latency_samples",
-    "message_passing_table",
     "operation_latencies",
-    "prepare_register_scenario",
-    "print_table",
-    "random_register_workload",
     "register_access_totals",
     "render_table",
-    "run_register_scenario",
-    "snapshot_table",
-    "step_complexity_table",
-    "test_or_set_table",
 ]

@@ -11,16 +11,15 @@ Usage::
     python -m repro.analysis campaign --submit --smoke   # enqueue a run...
     python -m repro.analysis campaign --worker           # ...lease + execute it
     python -m repro.analysis campaign --status           # ...verdicts + drift
-    python -m repro.analysis bench --smoke      # perf-regression matrix
     python -m repro.analysis scenarios --list   # unified scenario registry
     python -m repro.analysis net --clients 50   # live socket cluster + load
     python -m repro.analysis net --cell <label> # a pinned live smoke cell
     python -m repro.analysis net --check ev.json  # offline evidence re-check
 
-This is the no-pytest path to EXPERIMENTS.md's tables — useful for
-quick inspection or for environments without pytest-benchmark. Each
-experiment prints its table and a PASS/FAIL verdict on the qualitative
-expectation it reproduces.
+Each experiment of ``repro.analysis.experiments.EXPERIMENTS`` prints its
+table and a PASS/FAIL verdict on the qualitative expectation it
+reproduces (the table entry's ``holds``; ``tests/test_experiments.py``
+asserts the same predicate).
 
 The ``explore`` subcommand drives ``repro.explore`` end to end: bounded
 systematic search plus a swarm fuzzing campaign over the Theorem 29
@@ -41,10 +40,8 @@ recorded in the results database); ``--submit`` / ``--worker`` /
 long campaign survives worker crashes and can be drained by workers on
 any host sharing the database.
 
-The ``bench`` subcommand runs the fixed perf-regression matrix
-(``repro.analysis.bench``) and writes ``BENCH_kernel.json``; with
-``--compare`` it warns — without failing — when a cell regressed
-against a committed baseline.
+Performance is not measured here: the benchmark of record is
+``benchmarks/e2e`` (``BENCHMARK.json``).
 
 The ``net`` subcommand drives ``repro.net``, the live-network runtime:
 an n-process cluster on localhost TCP sockets with socket-layer chaos
@@ -59,132 +56,23 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from repro.analysis.experiments import (
-    ablation_naive_quorum,
-    ablation_set0_reset,
-    ablation_sticky_write_wait,
-    broadcast_table,
-    correctness_sweep,
-    impossibility_table,
-    message_passing_table,
-    snapshot_table,
-    step_complexity_table,
-    test_or_set_table,
-)
+from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.reporting import render_table
 
+if TYPE_CHECKING:  # subcommands import their layer when they run
+    from repro.service import RunStatus
 
-def _all_correct(headers, rows) -> bool:
-    column = list(headers).index("correct")
-    return all(row[column] for row in rows)
-
-
-def _runner(exp_id: str):
-    """(title, driver, verdict) for one experiment id."""
-    registry: Dict[str, Tuple[str, Callable, Callable]] = {
-        "E1": (
-            "E1 — verifiable register (Theorem 14)",
-            lambda: correctness_sweep("verifiable", ns=(4, 7), seeds=(0, 1)),
-            _all_correct,
-        ),
-        "E2": (
-            "E2 — authenticated register (Theorem 20)",
-            lambda: correctness_sweep("authenticated", ns=(4, 7), seeds=(0, 1)),
-            _all_correct,
-        ),
-        "E3": (
-            "E3 — sticky register (Theorem 25)",
-            lambda: correctness_sweep("sticky", ns=(4, 7), seeds=(0, 1)),
-            _all_correct,
-        ),
-        "E5": (
-            "E5 — Theorem 29 / Figure 1",
-            lambda: impossibility_table(fs=(1, 2)),
-            lambda headers, rows: all(
-                (row[list(headers).index("violated")] != "nothing")
-                == (row[0] == 3 * row[1])
-                for row in rows
-            ),
-        ),
-        "E6": (
-            "E6 — test-or-set (Observation 30)",
-            lambda: test_or_set_table(n=4, seeds=(0, 1)),
-            _all_correct,
-        ),
-        "E7": (
-            "E7 — Byzantine atomic snapshot",
-            lambda: snapshot_table(n=4, seeds=(0,)),
-            lambda headers, rows: all(row[3] and row[4] for row in rows),
-        ),
-        "E8": (
-            "E8 — broadcast uniqueness",
-            lambda: broadcast_table(n=4, seeds=(0,)),
-            lambda headers, rows: all(
-                row[4] for row in rows if "sticky" in row[0]
-            ),
-        ),
-        "E9": (
-            "E9 — Algorithm 1 over message passing",
-            lambda: message_passing_table(seeds=(0,)),
-            _all_correct,
-        ),
-        "E10": (
-            "E10 — step complexity",
-            lambda: step_complexity_table(ns=(4, 7), seeds=(0,)),
-            lambda headers, rows: bool(rows),
-        ),
-        "E11": (
-            "E11 — §5.1 mechanism ablations",
-            _run_e11,
-            lambda headers, rows: all(row[-1] for row in rows),
-        ),
-        "E12": (
-            "E12 — sticky Write witness-wait ablation",
-            ablation_sticky_write_wait,
-            lambda headers, rows: (
-                rows[0][2] is True and rows[1][2] is False
-            ),
-        ),
-    }
-    return registry.get(exp_id)
-
-
-def _run_e11():
-    headers_a, rows_a = ablation_naive_quorum()
-    headers_b, rows_b = ablation_set0_reset()
-    merged_rows = [
-        (
-            f"relay: {row[0]}",
-            f"A={row[1]} B={row[2]}",
-            # The paper's Verify must preserve relay; the naive one must
-            # demonstrably break it.
-            row[3] if row[0] == "verifiable" else not row[3],
-        )
-        for row in rows_a
-    ] + [
-        (
-            f"liveness: {row[0]}",
-            f"terminates={row[1]}",
-            row[1] if "paper" in row[0] else not row[1],
-        )
-        for row in rows_b
-    ]
-    return ("ablation", "observation", "as expected"), merged_rows
-
-
-ALL_IDS = ("E1", "E2", "E3", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12")
+ALL_IDS = tuple(EXPERIMENTS)
 
 
 def _list_experiments() -> int:
     """Print every experiment id with its title; exit code 0."""
-    for exp_id in ALL_IDS:
-        title, _driver, _verdict = _runner(exp_id)
-        print(f"{exp_id:4} {title}")
+    for exp_id, experiment in EXPERIMENTS.items():
+        print(f"{exp_id:4} {experiment.title}")
     print("explore  schedule-space exploration (see `explore --help`)")
     print("campaign differential conformance campaign (see `campaign --help`)")
-    print("bench    perf-regression benchmark matrix (see `bench --help`)")
     print("scenarios unified scenario registry listing (see `scenarios --help`)")
     return 0
 
@@ -201,7 +89,7 @@ def _scenarios_main(argv: Sequence[str]) -> int:
             "List the unified scenario registry: every record's "
             "coordinates (family, n, f, engine, adversary/workload "
             "params), its pinned differential expectation, and which "
-            "consumers (campaign / explore / bench / smoke) include it."
+            "consumers (campaign / explore / smoke / net) include it."
         ),
     )
     parser.add_argument(
@@ -305,8 +193,8 @@ def _scenarios_main(argv: Sequence[str]) -> int:
 
 def _explore_main(argv: Sequence[str]) -> int:
     """The ``explore`` subcommand: systematic search + swarm + shrink."""
-    from repro.analysis.reporting import render_table
     from repro.explore import adversary_grid, explore, fuzz, make_scenario, shrink
+    from repro.scenarios import REDUCTIONS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis explore",
@@ -337,7 +225,7 @@ def _explore_main(argv: Sequence[str]) -> int:
     parser.add_argument("--mode", choices=("dfs", "bfs"), default="dfs")
     parser.add_argument(
         "--reduction",
-        choices=("sleep", "dpor", "dpor+symmetry"),
+        choices=REDUCTIONS,
         default=None,
         help="systematic pruning strategy: sleep-set baseline, source-set "
         "dynamic partial-order reduction, or dpor plus interchangeable-"
@@ -548,6 +436,47 @@ def _explore_main(argv: Sequence[str]) -> int:
     return 0 if ok else 1
 
 
+def _render_status(result: RunStatus) -> str:
+    """Full status rendering: verdict table + summary + drift lines."""
+    headers = (
+        "cell",
+        "label",
+        "runs",
+        "runs/s",
+        "violations",
+        "expected",
+        "ok",
+        "worker",
+    )
+    rows = [
+        (
+            verdict.cell_index,
+            verdict.label,
+            verdict.runs,
+            round(verdict.runs / verdict.elapsed) if verdict.elapsed else 0,
+            len(verdict.class_fingerprints),
+            verdict.expected,
+            verdict.ok,
+            verdict.worker,
+        )
+        for verdict in result.verdicts
+    ]
+    parts = [
+        render_table(
+            headers,
+            rows,
+            title=(
+                f"Campaign service run {result.run_id} — "
+                f"{len(result.verdicts)}/{result.cells} cell verdicts"
+            ),
+        ),
+        "",
+        result.summary(),
+    ]
+    parts.extend(f"  {entry.describe()}" for entry in result.drift)
+    return "\n".join(parts)
+
+
 def _campaign_main(argv: Sequence[str]) -> int:
     """The ``campaign`` subcommand: differential matrix + corpus + service."""
     import json
@@ -564,7 +493,6 @@ def _campaign_main(argv: Sequence[str]) -> int:
         DEFAULT_LEASE_TTL,
         ResultsStore,
         default_db_path,
-        render_status,
         run_service_campaign,
         verdicts_payload,
     )
@@ -815,7 +743,7 @@ def _campaign_main(argv: Sequence[str]) -> int:
         except ConfigurationError as exc:
             parser.error(str(exc))
         store.close()
-        print(render_status(result))
+        print(_render_status(result))
         if args.verdicts:
             Path(args.verdicts).write_text(
                 json.dumps(verdicts_payload(result), indent=2, sort_keys=True)
@@ -924,10 +852,6 @@ def main(argv: Sequence[str]) -> int:
         return _campaign_main(list(argv[1:]))
     if argv and argv[0].lower() == "scenarios":
         return _scenarios_main(list(argv[1:]))
-    if argv and argv[0].lower() == "bench":
-        from repro.analysis.bench import main as bench_main
-
-        return bench_main(list(argv[1:]))
     if argv and argv[0].lower() == "net":
         from repro.analysis.net import main as net_main
 
@@ -935,17 +859,16 @@ def main(argv: Sequence[str]) -> int:
     wanted = [arg.upper() for arg in argv] or list(ALL_IDS)
     failures: List[str] = []
     for exp_id in wanted:
-        entry = _runner(exp_id)
-        if entry is None:
+        if exp_id not in EXPERIMENTS:
             print(f"unknown experiment id {exp_id!r}; known: {', '.join(ALL_IDS)}")
             return 2
-        title, driver, verdict = entry
+        title, driver, holds = EXPERIMENTS[exp_id]
         started = time.time()
         headers, rows = driver()
         elapsed = time.time() - started
         print()
         print(render_table(headers, rows, title=title))
-        ok = verdict(headers, rows)
+        ok = holds(headers, rows)
         print(f"[{exp_id}] {'PASS' if ok else 'FAIL'}  ({elapsed:.1f}s)")
         if not ok:
             failures.append(exp_id)

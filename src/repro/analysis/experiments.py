@@ -1,42 +1,36 @@
-"""Experiment drivers E1–E11 (see DESIGN.md §2 and EXPERIMENTS.md).
+"""Experiment drivers E1–E12 and the one table that judges them.
 
-Each ``exp_*`` function runs one experiment of the reproduction plan and
-returns ``(headers, rows)`` ready for ``reporting.render_table``. The
-benchmark files under ``benchmarks/`` wrap these drivers with
-pytest-benchmark so the same code both *validates* (assertions inside)
-and *measures* (wall-clock of the simulation harness).
+Each driver runs one experiment of the reproduction plan and returns
+``(headers, rows)`` ready for ``reporting.render_table``.
+:data:`EXPERIMENTS` maps every experiment id to its title, its driver
+at the sizes ``python -m repro.analysis`` runs, and ``holds`` — the
+qualitative shape the paper predicts for the table. The CLI iterates it
+and ``tests/test_experiments.py`` executes every entry, so there is one
+statement of what each table must show.
 
 The drivers are deliberately deterministic: seeds are fixed parameters,
-so the tables in EXPERIMENTS.md regenerate bit-identically.
+so the tables regenerate bit-identically.
 """
 
 from __future__ import annotations
 
 import statistics
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.adversary import behaviors, run_figure1
 from repro.analysis.metrics import (
     LatencyStats,
-    latency_table,
     merge_latency_samples,
     operation_latencies,
 )
-from repro.analysis.workloads import (
-    REGISTER_KINDS,
-    ScenarioOutcome,
-    run_register_scenario,
-)
 from repro.apps import (
     AtomicSnapshot,
-    NonEquivocatingBroadcast,
     ReliableBroadcast,
     SignedReliableBroadcast,
 )
 from repro.core import (
     AuthenticatedRegister,
     NaiveQuorumVerifiableRegister,
-    QuorumTestOrSet,
     StickyRegister,
     TestOrSetFromAuthenticated,
     TestOrSetFromSticky,
@@ -52,7 +46,8 @@ from repro.mp import (
     translate,
     translated_help,
 )
-from repro.scenarios.sweeps import SWEEP_ADVERSARIES
+from repro.scenarios.registers import ScenarioOutcome, run_register_scenario
+from repro.scenarios.sweeps import SWEEP_ADVERSARIES, feasible_mixes
 from repro.sim import (
     FunctionClient,
     OpCall,
@@ -75,10 +70,10 @@ Rows = List[Sequence[Any]]
 # ----------------------------------------------------------------------
 # E1–E3: correctness sweeps for Algorithms 1–3 (Theorems 14, 20, 25)
 # ----------------------------------------------------------------------
-# The adversary mixes each sweep cycles through are owned by the unified
-# scenario registry — one source for these sweeps, the explorer's
-# adversary_grid and the campaign's register cells — and imported above
-# under the historical name (see repro.scenarios.sweeps).
+# The adversary mixes each sweep cycles through, and the filter that fits
+# them to a topology, are owned by the unified scenario registry — one
+# source for these sweeps, adversary_grid and the campaign's register
+# cells (see repro.scenarios.sweeps).
 
 
 def correctness_sweep(
@@ -96,14 +91,7 @@ def correctness_sweep(
     rows: Rows = []
     for n in ns:
         f = (n - 1) // 3
-        for adv_writer, adv_readers in SWEEP_ADVERSARIES[kind]:
-            # Byzantine reader pids must exist and the total must fit f.
-            readers = {
-                pid: name for pid, name in adv_readers.items() if pid <= n
-            }
-            byz_count = len(readers) + (1 if adv_writer != "none" else 0)
-            if byz_count > f:
-                continue
+        for adv_writer, readers in feasible_mixes(SWEEP_ADVERSARIES[kind], n):
             results: List[ScenarioOutcome] = []
             for seed in seeds:
                 outcome = run_register_scenario(
@@ -601,11 +589,11 @@ def step_complexity_table(
 ) -> Tuple[Headers, Rows]:
     """Mean operation latency (steps) by register kind and n.
 
-    The shape to expect (and that EXPERIMENTS.md records): the signature
-    baseline's Verify is O(n) reads with no waiting; Algorithm 1's
-    Verify pays the witness round machinery, growing faster with n —
-    that gap is the *price of removing signatures*, and the fault bound
-    (n > 3f vs n > f) is what the price buys.
+    The shape to expect: the signature baseline's Verify is O(n) reads
+    with no waiting; Algorithm 1's Verify pays the witness round
+    machinery, growing faster with n — that gap is the *price of
+    removing signatures*, and the fault bound (n > 3f vs n > f) is what
+    the price buys.
     """
     rows: Rows = []
     for kind in ("verifiable", "signed", "authenticated", "sticky"):
@@ -849,3 +837,166 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
         )
     headers = ("variant", "read after write", "validity (Obs 22) holds")
     return headers, rows
+
+
+def mechanism_ablations() -> Tuple[Headers, Rows]:
+    """E11: both §5.1 ablations as one "did it go as the paper says" table."""
+    _headers, relay_rows = ablation_naive_quorum()
+    _headers, liveness_rows = ablation_set0_reset()
+    rows: Rows = [
+        (
+            f"relay: {row[0]}",
+            f"A={row[1]} B={row[2]}",
+            # The paper's Verify must preserve relay; the naive one must
+            # demonstrably break it.
+            row[3] if row[0] == "verifiable" else not row[3],
+        )
+        for row in relay_rows
+    ] + [
+        (
+            f"liveness: {row[0]}",
+            f"terminates={row[1]}",
+            row[1] if "paper" in row[0] else not row[1],
+        )
+        for row in liveness_rows
+    ]
+    return ("ablation", "observation", "as expected"), rows
+
+
+# ----------------------------------------------------------------------
+# The experiment table: id -> title, driver at the CLI's sizes, shape
+# ----------------------------------------------------------------------
+class Experiment(NamedTuple):
+    """One paper-facing table and the shape it must reproduce."""
+
+    title: str
+    driver: Callable[[], Tuple[Headers, Rows]]
+    #: ``holds(headers, rows)``: whether the table shows what the paper
+    #: proves (the PASS/FAIL verdict of the CLI and of the tier-1 test).
+    holds: Callable[[Headers, Rows], bool]
+
+
+def _columns(headers: Headers, rows: Rows, *names: str) -> List[Tuple[Any, ...]]:
+    """Each row cut down to the named columns, in the order given."""
+    indexes = [list(headers).index(name) for name in names]
+    return [tuple(row[index] for index in indexes) for row in rows]
+
+
+def _all_correct(headers: Headers, rows: Rows) -> bool:
+    return all(correct for (correct,) in _columns(headers, rows, "correct"))
+
+
+def _sweep_holds(headers: Headers, rows: Rows) -> bool:
+    """E1–E3: some configuration ran, and every one was correct."""
+    return bool(rows) and _all_correct(headers, rows)
+
+
+def _boundary_holds(headers: Headers, rows: Rows) -> bool:
+    """E5: a Lemma 28 property breaks exactly when ``n = 3f``."""
+    return all(
+        (violated != "nothing") == (n == 3 * f)
+        for n, f, violated in _columns(headers, rows, "n", "f", "violated")
+    )
+
+
+def _snapshot_holds(headers: Headers, rows: Rows) -> bool:
+    """E7: every run's scans are totally ordered and component-valid."""
+    return all(
+        ordered and valid
+        for ordered, valid in _columns(
+            headers, rows, "scans ordered", "components valid"
+        )
+    )
+
+
+def _broadcast_holds(headers: Headers, rows: Rows) -> bool:
+    """E8: sticky never equivocates; the signed comparator demonstrably does."""
+    verdicts = _columns(headers, rows, "implementation", "unique")
+    return all(unique for name, unique in verdicts if "sticky" in name) and any(
+        not unique for name, unique in verdicts if "signed" in name
+    )
+
+
+def _step_complexity_holds(headers: Headers, rows: Rows) -> bool:
+    """E10: the price of removing signatures, and that it grows with n.
+
+    Signature-free Verify costs more mean steps than the signed one at
+    every measured ``n``, and Algorithm 1's Verify mean strictly
+    increases with ``n``.
+    """
+    verify = {
+        (kind, n): mean
+        for kind, n, operation, mean in _columns(
+            headers, rows, "kind", "n", "operation", "mean steps"
+        )
+        if operation == "verify"
+    }
+    ns = sorted(n for kind, n in verify if kind == "verifiable")
+    free = [verify["verifiable", n] for n in ns]
+    return (
+        bool(ns)
+        and all(verify["verifiable", n] > verify["signed", n] for n in ns)
+        and all(small < large for small, large in zip(free, free[1:]))
+    )
+
+
+#: Every experiment ``python -m repro.analysis`` runs, in CLI order. E4
+#: (property-checker throughput) and E13 (explorer throughput) are
+#: timing measurements, reported by ``benchmarks/e2e`` instead.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "E1": Experiment(
+        "E1 — verifiable register (Theorem 14)",
+        lambda: correctness_sweep("verifiable", ns=(4, 7), seeds=(0, 1)),
+        _sweep_holds,
+    ),
+    "E2": Experiment(
+        "E2 — authenticated register (Theorem 20)",
+        lambda: correctness_sweep("authenticated", ns=(4, 7), seeds=(0, 1)),
+        _sweep_holds,
+    ),
+    "E3": Experiment(
+        "E3 — sticky register (Theorem 25)",
+        lambda: correctness_sweep("sticky", ns=(4, 7), seeds=(0, 1)),
+        _sweep_holds,
+    ),
+    "E5": Experiment(
+        "E5 — Theorem 29 / Figure 1",
+        lambda: impossibility_table(fs=(1, 2)),
+        _boundary_holds,
+    ),
+    "E6": Experiment(
+        "E6 — test-or-set (Observation 30)",
+        lambda: test_or_set_table(n=4, seeds=(0, 1)),
+        _all_correct,
+    ),
+    "E7": Experiment(
+        "E7 — Byzantine atomic snapshot",
+        lambda: snapshot_table(n=4, seeds=(0,)),
+        _snapshot_holds,
+    ),
+    "E8": Experiment(
+        "E8 — broadcast uniqueness",
+        lambda: broadcast_table(n=4, seeds=(0,)),
+        _broadcast_holds,
+    ),
+    "E9": Experiment(
+        "E9 — Algorithm 1 over message passing",
+        lambda: message_passing_table(seeds=(0,)),
+        _all_correct,
+    ),
+    "E10": Experiment(
+        "E10 — step complexity",
+        lambda: step_complexity_table(ns=(4, 7), seeds=(0,)),
+        _step_complexity_holds,
+    ),
+    "E11": Experiment(
+        "E11 — §5.1 mechanism ablations",
+        mechanism_ablations,
+        lambda headers, rows: all(row[-1] for row in rows),
+    ),
+    "E12": Experiment(
+        "E12 — sticky Write witness-wait ablation",
+        ablation_sticky_write_wait,
+        lambda headers, rows: rows[0][2] is True and rows[1][2] is False,
+    ),
+}

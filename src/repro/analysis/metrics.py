@@ -86,19 +86,6 @@ def operation_latencies(
     return samples
 
 
-def latency_table(
-    history: History,
-    obj: Optional[str] = None,
-    pids: Optional[Iterable[int]] = None,
-) -> Dict[str, LatencyStats]:
-    """Per-operation :class:`LatencyStats` for a finished history."""
-    return {
-        op: LatencyStats.from_samples(samples)
-        for op, samples in sorted(operation_latencies(history, obj, pids).items())
-        if samples
-    }
-
-
 def register_access_totals(system: System, prefix: str) -> Dict[str, int]:
     """Total reads+writes per register under ``prefix``, plus a grand total."""
     totals: Dict[str, int] = {}

@@ -1,19 +1,13 @@
-"""Plain-text and JSON table rendering for experiment reports.
+"""Plain-text table rendering for experiment reports.
 
-The benchmark harness prints each experiment's results as an aligned
-monospace table — the library's stand-in for the tables a systems paper
-would typeset. Keeping this dependency-free (no tabulate) matches the
-offline environment. :func:`emit_table` is the shared emitter every
-bench uses: one call renders, prints, and persists a result as both
-the human text table (``<name>.txt``) and machine-readable rows
-(``<name>.json``) so the perf harness and CI can diff results without
-re-parsing aligned text.
+The CLI prints each experiment's results as an aligned monospace table
+— the library's stand-in for the tables a systems paper would typeset.
+Keeping this dependency-free (no tabulate) matches the offline
+environment.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Iterable, List, Optional, Sequence
 
 
@@ -56,70 +50,3 @@ def _cell(value: Any) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     return str(value)
-
-
-def print_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    title: Optional[str] = None,
-) -> str:
-    """Render and print; returns the rendered string for capture."""
-    rendered = render_table(headers, rows, title=title)
-    print()
-    print(rendered)
-    return rendered
-
-
-def _jsonable(value: Any) -> Any:
-    """A JSON-safe stand-in for one table cell."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def table_payload(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    title: Optional[str] = None,
-) -> dict:
-    """The machine-readable form of one results table."""
-    return {
-        "title": title,
-        "headers": list(headers),
-        "rows": [[_jsonable(value) for value in row] for row in rows],
-    }
-
-
-def emit_table(
-    name: str,
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    title: Optional[str] = None,
-    results_dir: Optional[Path] = None,
-    echo: bool = True,
-) -> str:
-    """Render one results table; print it and persist both formats.
-
-    Writes ``<results_dir>/<name>.txt`` (the aligned text table) and
-    ``<results_dir>/<name>.json`` (:func:`table_payload`). This is the
-    single emitter behind ``benchmarks/conftest.emit`` and the
-    ``repro.analysis bench`` harness, so every benchmark's output is
-    both human-readable and diffable by tooling.
-    """
-    materialized = [list(row) for row in rows]
-    rendered = render_table(headers, materialized, title=title)
-    if echo:
-        print()
-        print(rendered)
-    if results_dir is not None:
-        results_dir = Path(results_dir)
-        results_dir.mkdir(parents=True, exist_ok=True)
-        (results_dir / f"{name}.txt").write_text(
-            rendered + "\n", encoding="utf-8"
-        )
-        payload = table_payload(headers, materialized, title=title)
-        (results_dir / f"{name}.json").write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return rendered

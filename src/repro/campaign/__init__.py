@@ -38,16 +38,20 @@ from repro.campaign.corpus import (
     save_entry,
 )
 from repro.campaign.matrix import (
-    ENGINES,
     CampaignCell,
     CampaignReport,
     CellOutcome,
     canonicalize_violation,
     default_matrix,
-    oracle_for,
     run_campaign,
     run_cell,
 )
+
+# Registry-owned, re-exported under their campaign names: the engines a
+# cell may run, and the sequential specification a family's runs are
+# judged against (the one family→oracle table).
+from repro.scenarios.bindings import oracle_for
+from repro.scenarios.registry import ENGINES
 
 
 def __getattr__(name: str):

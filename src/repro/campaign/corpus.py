@@ -33,9 +33,13 @@ from typing import Any, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, SchedulerError
 from repro.explore.explorer import execute_trace
-from repro.explore.scenarios import Scenario, Violation
 from repro.explore.shrink import ShrunkViolation, render_script_source
-from repro.scenarios.registry import known_scenarios, resolve_spec
+from repro.scenarios.registry import (
+    Scenario,
+    Violation,
+    known_scenarios,
+    resolve_spec,
+)
 
 #: Corpus on-disk format version; bump on incompatible layout changes.
 #: The loader rejects entries from other versions loudly instead of

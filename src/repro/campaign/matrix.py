@@ -39,16 +39,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ConfigurationError, SchedulerError
 from repro.explore.explorer import explore
 from repro.explore.fuzzer import default_shards, fuzz, pool_context
-from repro.explore.scenarios import Scenario, Violation
 from repro.explore.shrink import ShrunkViolation, shrink
-from repro.scenarios import bindings as _bindings
 from repro.scenarios import registry as _registry
-from repro.spec.sequential import SequentialSpec
+from repro.scenarios.registry import Scenario, Violation
 from repro.campaign.corpus import entry_from_shrunk, save_entry
-
-# Engines a cell may run: seeded swarm fuzzing or bounded systematic
-# search (see ``repro.explore``); owned by the registry.
-from repro.scenarios.registry import ENGINES  # noqa: F401  (re-export)
 
 
 def __getattr__(name: str):
@@ -66,21 +60,6 @@ def __getattr__(name: str):
     if name == "IMPLEMENTATIONS":
         return _registry.registered_families(consumer="campaign")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def oracle_for(implementation: str, initial: int = 0) -> SequentialSpec:
-    """The sequential specification a cell's runs are judged against.
-
-    A thin view over the registry's one family→oracle table
-    (:mod:`repro.scenarios.bindings`) — the same binding the runtime
-    checkers and the early-exit monitors derive from, so the two can
-    never drift apart. The differential shape lives there: the naive
-    strawman and the signature baseline are checked against the *same*
-    :class:`repro.spec.VerifiableRegisterSpec` as Algorithm 1 — they
-    implement the same object, so any observable divergence is a
-    conformance violation of that implementation, not a different spec.
-    """
-    return _bindings.oracle_for(implementation, initial=initial)
 
 
 @dataclass(frozen=True)
@@ -290,10 +269,10 @@ def default_matrix(
 def run_cell(cell: CampaignCell) -> CellOutcome:
     """Worker entry point: execute one matrix cell to completion.
 
-    This is *the* cell-execution path: the one-shot pool workers, the
-    bench harness and the ``repro.service`` leasing workers all call
-    it, which is what makes a cell's verdict a pure function of its
-    spec — byte-identical however and wherever it is executed.
+    This is *the* cell-execution path: the one-shot pool workers and
+    the ``repro.service`` leasing workers both call it, which is what
+    makes a cell's verdict a pure function of its spec — byte-identical
+    however and wherever it is executed.
 
     Swarm cells run a single-shard :func:`repro.explore.fuzzer.fuzz`
     campaign — pool parallelism is across cells, so a cell's findings
@@ -351,10 +330,6 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
         violations=list(report.violations),
         note=f"{sum(report.violation_counts.values())} violating run(s)",
     )
-
-
-#: Historical alias; the public name is :func:`run_cell`.
-_run_cell = run_cell
 
 
 def _run_indexed_cell(

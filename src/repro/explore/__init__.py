@@ -4,9 +4,6 @@ This subpackage turns the deterministic simulator into a *checker over
 interleavings*. The paper's theorems are quantified over all adversarial
 schedules; ``repro.explore`` actually searches that space:
 
-* :mod:`repro.explore.scenarios` — explorable build/drive/check
-  scenarios, including the Theorem 29 / Figure 1 race and the
-  randomized register workloads;
 * :mod:`repro.explore.explorer` — bounded systematic exploration
   (DFS/BFS over decision traces with preemption bounds, state
   fingerprint memoization, and a choice of ``reduction``: sleep-set
@@ -28,6 +25,14 @@ Quickstart (see ``examples/explore_quickstart.py``)::
     swarm = fuzz(scenario, budget=200)          # seeded swarm, sharded
     tiny = shrink(scenario, swarm.violations[0])
     print(tiny.script_source())
+
+What the engines search — the picklable :class:`Scenario` spec, the
+:class:`BuiltScenario` build/drive/check triple it builds and the
+:class:`Violation` a failed check travels as — is owned by
+:mod:`repro.scenarios`, the layer below; the names are re-exported here
+because every caller of an engine needs them. Importing this package
+registers the ``theorem29`` and ``register`` builders (the two
+exploration staples) without loading the full scenario catalog.
 
 The CLI front end is ``python -m repro.analysis explore``.
 """
@@ -51,16 +56,16 @@ from repro.explore.fuzzer import (
     fuzz_scheduler,
     run_one_fuzz,
 )
-from repro.explore.scenarios import (
+from repro.explore.shrink import ShrunkViolation, shrink
+from repro.scenarios.registers import adversary_grid
+from repro.scenarios.registry import (
     SCENARIO_BUILDERS,
     BuiltScenario,
     Scenario,
     Violation,
-    adversary_grid,
     make_scenario,
-    theorem29_symmetry,
 )
-from repro.explore.shrink import ShrunkViolation, shrink
+from repro.scenarios.theorem29 import theorem29_symmetry
 
 __all__ = [
     "BuiltScenario",

@@ -77,6 +77,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulerError, StepLimitExceeded
+from repro.scenarios.registry import REDUCTIONS, Scenario, Violation
 from repro.sim.effects import (
     Broadcast,
     Pause,
@@ -89,7 +90,6 @@ from repro.sim.scheduler import CoroutineId, RoundRobinScheduler, TraceScheduler
 from repro.spec.context import CheckContext
 from repro.explore.dpor import NEVER, SymmetryFolder, analyze_run
 from repro.explore.forkexec import MISS, SKIPPED, BranchExecutor, fork_available
-from repro.explore.scenarios import Scenario, Violation
 
 #: Effect signature: ("read", reg) / ("write", reg) / ("pause",) /
 #: ("send", dest_pid) / ("recv", own_pid) / ("bcast",) / ("sync",) for
@@ -100,11 +100,6 @@ EffectSignature = Tuple[str, ...]
 _PAUSE_SIG: EffectSignature = ("pause",)
 _SYNC_SIG: EffectSignature = ("sync",)
 _BCAST_SIG: EffectSignature = ("bcast",)
-
-#: Valid ``reduction`` arguments, in increasing aggressiveness. The
-#: scenario registry mirrors this tuple (it cannot import the explorer);
-#: the differential test asserts the two never drift.
-REDUCTIONS: Tuple[str, ...] = ("sleep", "dpor", "dpor+symmetry")
 
 #: Effect-type -> signature kind, filled lazily per concrete type (the
 #: per-step isinstance chain showed up in profiles; subclasses resolve
@@ -640,7 +635,7 @@ def _resolve_prefix_sharing(prefix_sharing: str) -> bool:
     # amortized over the run it saves (singleton groups already fall
     # back to replay). The break-even is not re-measured for windowed
     # dpor records; the threshold stays at >= 4 CPUs until a multi-core
-    # `explore.dfs.3f.fork` bench point says otherwise.
+    # fork-vs-replay measurement says otherwise.
     return fork_available() and (os.cpu_count() or 1) >= 4
 
 

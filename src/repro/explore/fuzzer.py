@@ -12,10 +12,9 @@ replayable and shrinkable from its decision trace.
 Campaigns shard across cores with :mod:`multiprocessing`; each shard is
 a deterministic function of its seed list, so a campaign's findings are
 reproducible regardless of sharding, and violations are deduplicated by
-:meth:`repro.explore.scenarios.Violation.fingerprint` when shards
+:meth:`repro.scenarios.Violation.fingerprint` when shards
 report back. Throughput (runs/sec, aggregate and per shard) is part of
-the report — the fuzzer doubles as the simulator's throughput
-benchmark (``benchmarks/bench_explore.py``).
+the report.
 
 Schedulers here keep a *small* fairness bound. The quorum candidates
 under test promise safety only when correct processes keep taking
@@ -42,7 +41,7 @@ from repro.sim.scheduler import (
     Scheduler,
     TraceScheduler,
 )
-from repro.explore.scenarios import Scenario, Violation
+from repro.scenarios.registry import Scenario, Violation
 
 #: Fairness bound for fuzzing schedulers: the longest a runnable
 #: coroutine may be starved. Small enough that helper daemons always

@@ -36,7 +36,7 @@ from repro.errors import SchedulerError
 from repro.sim.scheduler import CoroutineId
 from repro.spec.context import CheckContext
 from repro.explore.explorer import RunRecord, execute_trace
-from repro.explore.scenarios import Scenario, Violation
+from repro.scenarios.registry import Scenario, Violation
 
 
 def render_script_source(

@@ -6,14 +6,23 @@ verdict — fully determines a runnable scenario, and every consumer
 derives its view from the same records:
 
 * ``repro.campaign.default_matrix`` is a :func:`grid` query;
-* the explorer and fuzzer build runs through the registry's
-  :class:`Scenario` specs and builder table;
-* ``repro.analysis`` derives its checker/monitor bindings and sweep
-  grids from :mod:`repro.scenarios.bindings` /
-  :mod:`repro.scenarios.sweeps`, and the bench matrix pulls its
-  app-throughput cells from ``grid(consumer="bench")``;
+* the explorer, fuzzer and shrinker build runs through the registry's
+  :class:`Scenario` specs and builder table, and report each failed
+  check as a :class:`Violation`;
+* ``repro.analysis`` runs its register sweeps through
+  :mod:`repro.scenarios.registers` over the grids of
+  :mod:`repro.scenarios.sweeps`;
 * corpus entries resolve their recorded scenario labels back through
   :func:`resolve_spec` on replay.
+
+The package is the single owner of "what is a scenario and how is it
+built", and sits strictly *below* the engines: nothing here imports
+``repro.explore``, ``repro.campaign``, ``repro.service`` or
+``repro.analysis`` (``tests/test_layering.py``). Builders live one
+module per family group:
+:mod:`~repro.scenarios.theorem29`, :mod:`~repro.scenarios.registers`,
+:mod:`~repro.scenarios.apps`, :mod:`~repro.scenarios.mp_emulation`,
+:mod:`~repro.scenarios.net_live`.
 
 Quickstart::
 
@@ -29,8 +38,7 @@ The CLI front end is ``python -m repro.analysis scenarios --list``.
 
 The default catalog (:mod:`repro.scenarios.catalog`) loads lazily on
 the first registry query, so importing this package is cheap and the
-builder modules (``repro.explore.scenarios``, ``repro.scenarios.apps``)
-can import the registry without a cycle.
+builder modules can import the registry without a cycle.
 """
 
 from repro.scenarios.bindings import (
@@ -46,9 +54,12 @@ from repro.scenarios.bindings import (
 from repro.scenarios.registry import (
     CONSUMERS,
     ENGINES,
+    REDUCTIONS,
     SCENARIO_BUILDERS,
+    BuiltScenario,
     Scenario,
     ScenarioRecord,
+    Violation,
     all_records,
     grid,
     known_scenarios,
@@ -62,15 +73,18 @@ from repro.scenarios.registry import (
 from repro.scenarios.sweeps import EXTRA_SWEEP_ADVERSARIES, SWEEP_ADVERSARIES
 
 __all__ = [
+    "BuiltScenario",
     "CONSUMERS",
     "ENGINES",
     "EXTRA_SWEEP_ADVERSARIES",
     "FAMILY_BINDINGS",
     "OracleBinding",
+    "REDUCTIONS",
     "SCENARIO_BUILDERS",
     "SWEEP_ADVERSARIES",
     "Scenario",
     "ScenarioRecord",
+    "Violation",
     "all_records",
     "binding_for",
     "checker_for_kind",

@@ -78,7 +78,7 @@ from repro.spec.sequential import (
     BroadcastSpec,
     SnapshotSpec,
 )
-from repro.scenarios.registry import register_builder
+from repro.scenarios.registry import BuiltScenario, register_builder
 
 #: Byzantine behaviours an app scenario may assign (pid -> name pairs).
 APP_ADVERSARIES = (
@@ -434,8 +434,6 @@ def build_snapshot(
     scenario labels only include parameters actually passed, every
     pre-existing label is untouched.
     """
-    from repro.explore.scenarios import BuiltScenario
-
     system = System(n=n, f=f, scheduler=scheduler)
     snap = AtomicSnapshot(
         system, "snap", f=f, verify_freshness=verify_freshness
@@ -546,7 +544,6 @@ def build_asset_transfer(
     sides) therefore has unexplainable credits and fails to linearize,
     which is the ``n = 3f`` double-spend the violating cell pins.
     """
-    from repro.explore.scenarios import BuiltScenario
     from repro.apps.asset_transfer import well_formed_transfer
     from repro.spec.byzantine import fresh_op_ids
 
@@ -703,7 +700,6 @@ def _build_broadcast_scenario(
     synthesized whole-run ``broadcast`` per settled Byzantine slot (the
     ``f + 1``-correct-witness rule; see module doc).
     """
-    from repro.explore.scenarios import BuiltScenario
     from repro.spec.byzantine import fresh_op_ids
 
     system = System(n=n, f=f, scheduler=scheduler)

@@ -1,16 +1,13 @@
 """Oracle bindings: implementation family -> specification, exactly once.
 
-Before the registry existed, the family→oracle mapping lived in two
-places that could silently drift apart: ``repro.campaign.matrix``'s
-private ``oracle_for`` (family → sequential spec) and
-``repro.analysis.workloads.checker_for`` (register kind → checker
-pair), with a third copy — the early-exit monitor family — as
-``workloads._MONITOR_FAMILY``. This module collapses all three into one
-table of :class:`OracleBinding` records; ``oracle_for`` and
-``checker_for`` elsewhere are now thin views over it, and the test
-suite asserts every registered family has exactly one binding.
+One table of :class:`OracleBinding` records answers, per family, which
+sequential spec its runs are judged against (:func:`oracle_for`, which
+``repro.campaign`` re-exports), which checker pair judges a register
+kind (:func:`checker_for_kind`) and which early-exit monitor family
+watches it (:func:`monitor_family_for_kind`); the test suite asserts
+every registered family has exactly one binding.
 
-The differential shape is preserved: the naive strawman and the
+The table is differential by construction: the naive strawman and the
 signature baseline are bound to the *same* :class:`VerifiableRegisterSpec`
 as Algorithm 1 — they implement the same object, so any observable
 divergence is a conformance violation of that implementation, not a
@@ -57,7 +54,7 @@ class OracleBinding:
             Topology-dependent app specs (snapshot, asset transfer) are
             instantiated by the scenario builder with the run's correct
             pids; the factory here is the spec *type* anchor.
-        kind: The ``repro.analysis.workloads`` register kind driving
+        kind: The ``repro.scenarios.registers`` register kind driving
             scenario construction, or ``None`` for families that are
             not register workloads (test_or_set and the apps).
         monitor_family: ``repro.spec.properties.EarlyPropertyMonitor``

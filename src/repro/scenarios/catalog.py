@@ -42,9 +42,10 @@ from repro.scenarios import sweeps
 from repro.scenarios.bindings import kind_for
 from repro.scenarios.registry import ScenarioRecord, make_scenario, register
 
-# Importing the builder modules registers their builders; the explore
+# Importing the builder modules registers their builders; the registers
 # module also provides the grid helper the register families reuse.
-from repro.explore.scenarios import adversary_grid
+from repro.scenarios.registers import adversary_grid
+import repro.scenarios.theorem29  # noqa: F401  (registers theorem29 builder)
 import repro.scenarios.apps  # noqa: F401  (registers snapshot/asset builders)
 import repro.scenarios.mp_emulation  # noqa: F401  (registers mp_register builder)
 import repro.scenarios.net_live  # noqa: F401  (registers net_cluster builder)
@@ -129,7 +130,7 @@ def _register_test_or_set() -> None:
                 spec=violating,
                 engine=engine,
                 expect_violation=True,
-                consumers=("campaign", "explore", "bench", "smoke"),
+                consumers=("campaign", "explore", "smoke"),
             )
         )
         register(
@@ -140,7 +141,7 @@ def _register_test_or_set() -> None:
                 spec=control,
                 engine=engine,
                 expect_violation=False,
-                consumers=("campaign", "explore", "bench", "smoke"),
+                consumers=("campaign", "explore", "smoke"),
             )
         )
 
@@ -208,7 +209,7 @@ def _register_apps() -> None:
                 ),
                 engine="swarm",
                 expect_violation=expect,
-                consumers=("campaign", "bench", "smoke"),
+                consumers=("campaign", "smoke"),
             )
         )
 
@@ -228,9 +229,6 @@ def _register_freshness_boundary() -> None:
     """
     for n, f in ((4, 1), (3, 1)):
         byzantine = ((n, "byzantine_updater"),)
-        consumers: Tuple[str, ...] = ("campaign", "smoke")
-        if n == 4:
-            consumers += ("bench",)
         register(
             ScenarioRecord(
                 family="snapshot",
@@ -241,7 +239,7 @@ def _register_freshness_boundary() -> None:
                 ),
                 engine="swarm",
                 expect_violation=False,
-                consumers=consumers,
+                consumers=("campaign", "smoke"),
             )
         )
     register(
@@ -277,9 +275,6 @@ def _register_broadcast_families() -> None:
     """
     for family in ("broadcast", "reliable_broadcast"):
         for n, expect in ((4, False), (3, True)):
-            consumers = ("campaign", "smoke")
-            if not expect:
-                consumers += ("bench",)
             register(
                 ScenarioRecord(
                     family=family,
@@ -294,7 +289,7 @@ def _register_broadcast_families() -> None:
                     ),
                     engine="swarm",
                     expect_violation=expect,
-                    consumers=consumers,
+                    consumers=("campaign", "smoke"),
                 )
             )
         # Vocabulary breadth beyond the boundary pair: the reader-side
@@ -339,12 +334,12 @@ def _register_mp_emulation() -> None:
     lossy = (("drop", 0, 0, 0.25), ("dup", 0, 0, 0.1), ("delay", 0, 0, 0.15, 9))
     writer_cut = (("drop", 1, 0, 1.0),)
     split = (("partition", ((1, 2), (3, 4)), 0, None),)
-    for faults, retransmit, expect, consumers in (
-        ((), False, False, ("campaign", "smoke", "bench")),
-        (lossy, True, False, ("campaign", "smoke", "bench")),
-        ((("crash", 4, 0),), False, False, ("campaign", "smoke")),
-        (writer_cut, False, True, ("campaign", "smoke")),
-        (split, True, True, ("campaign", "smoke")),
+    for faults, retransmit, expect in (
+        ((), False, False),
+        (lossy, True, False),
+        ((("crash", 4, 0),), False, False),
+        (writer_cut, False, True),
+        (split, True, True),
     ):
         params = dict(n=4, f=1, seed=0)
         if faults:
@@ -359,7 +354,7 @@ def _register_mp_emulation() -> None:
                 spec=make_scenario("mp_register", **params),
                 engine="swarm",
                 expect_violation=expect,
-                consumers=consumers,
+                consumers=("campaign", "smoke"),
             )
         )
 

@@ -54,7 +54,7 @@ from repro.sim import OpCall, ScriptClient, System, all_done
 from repro.spec.context import CheckContext
 from repro.spec.linearizability import find_linearization
 from repro.spec.sequential import RegularRegisterSpec
-from repro.scenarios.registry import register_builder
+from repro.scenarios.registry import BuiltScenario, register_builder
 
 
 def build_mp_register(
@@ -95,8 +95,6 @@ def build_mp_register(
     exists for the register oracle; the stall monitor is always on and
     is itself an early exit for liveness).
     """
-    from repro.explore.scenarios import BuiltScenario
-
     system = System(n=n, f=f, scheduler=scheduler)
     inner = RandomDelayNetwork(seed=seed, min_delay=min_delay, max_delay=max_delay)
     if faults:

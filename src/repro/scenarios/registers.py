@@ -1,15 +1,20 @@
-"""Workload generation and the reusable register-scenario harness.
+"""Register workloads: generation, the scenario harness, the builder.
 
-Everything the randomized experiments (E1–E4, E6) and the test suite
-share lives here:
+Everything the randomized experiments (E1–E3, E10), the ``register``
+scenario builder and the test suite share lives here:
 
 * :func:`make_register` — registry of register implementations by kind.
-* :class:`RegisterScenario` — builds a system + register + helpers +
-  scripted clients (+ optional adversaries), runs it to completion, and
-  produces both correctness verdicts.
+* :class:`PreparedRegisterScenario` — builds a system + register +
+  helpers + scripted clients (+ optional adversaries), runs it to
+  completion, and produces both correctness verdicts.
 * :func:`random_register_workload` — seeded operation scripts shaped to
   each register type's vocabulary (writers write/sign, readers read and
   verify a mix of signed, unsigned and never-written values).
+* the ``register`` scenario builder — those workloads (Algorithms 1–3
+  plus ablation strawmen) parameterized by kind, n, seed and adversary
+  mix under an exploration scheduler — and :func:`adversary_grid`, which
+  fans the E1–E3 adversary mixes into ``register`` specs so swarm
+  campaigns can spread Byzantine behaviour combinations across cores.
 
 Determinism: every random choice flows from the caller's seed, so any
 failing configuration replays exactly from its ``(kind, n, f, seed,
@@ -19,21 +24,28 @@ adversary)`` coordinates — which the test suite prints on failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary import behaviors
 from repro.core import (
     AuthenticatedRegister,
     NaiveQuorumVerifiableRegister,
-    NaiveVerifiableRegister,
     SignedVerifiableRegister,
     StickyRegister,
     VerifiableRegister,
 )
 from repro.errors import ConfigurationError, EarlyExitInterrupt
 from repro.scenarios.bindings import checker_for_kind, monitor_family_for_kind
+from repro.scenarios.registry import (
+    BuiltScenario,
+    Scenario,
+    make_scenario,
+    register_builder,
+)
+from repro.scenarios.sweeps import SWEEP_ADVERSARIES, feasible_mixes
 from repro.sim import (
+    FunctionClient,
     OpCall,
     RandomScheduler,
     ScriptClient,
@@ -47,11 +59,6 @@ from repro.spec import (
     PropertyReport,
 )
 from repro.spec.properties import EarlyPropertyMonitor
-
-#: Register kinds accepted throughout the analysis layer (one per
-#: register-family oracle binding in ``repro.scenarios.bindings``; the
-#: registry tests pin the two in sync).
-REGISTER_KINDS = ("verifiable", "authenticated", "sticky", "signed", "naive-quorum")
 
 
 def make_register(
@@ -78,20 +85,6 @@ def make_register(
             system, name, writer=writer, f=f, initial=initial
         )
     raise ConfigurationError(f"unknown register kind {kind!r}")
-
-
-def checker_for(kind: str) -> Tuple[Callable, Callable]:
-    """(property-checker, byzantine-linearizability-checker) for ``kind``.
-
-    A view over the registry's one family→oracle table
-    (:func:`repro.scenarios.bindings.checker_for_kind`) — the same
-    binding ``repro.campaign.oracle_for`` renders as a sequential spec,
-    so the two can never drift apart. The differential shape lives
-    there: the signed baseline and the naive-quorum ablation reuse the
-    verifiable register's specification — they implement the same
-    object.
-    """
-    return checker_for_kind(kind)
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +296,7 @@ class PreparedRegisterScenario:
 
     def finish(self, steps: int) -> ScenarioOutcome:
         """Check the produced history and package the outcome."""
-        check_properties, check_byzantine = checker_for(self.kind)
+        check_properties, check_byzantine = checker_for_kind(self.kind)
         if self.kind == "sticky":
             report = check_properties(
                 self.system.history,
@@ -368,7 +361,7 @@ def prepare_register_scenario(
     """Build (but do not run) one complete register scenario.
 
     Args:
-        kind: One of :data:`REGISTER_KINDS`.
+        kind: One of :func:`repro.scenarios.bindings.register_kinds`.
         n: Process count (pid 1 is the writer).
         seed: Drives the scheduler and the workload generator.
         f: Fault bound (defaults to ``(n-1)//3``).
@@ -453,8 +446,6 @@ def prepare_register_scenario(
             yield from pause_steps(delay)
             yield from client.program()
 
-        from repro.sim import FunctionClient
-
         wrapper = FunctionClient(staggered)
         client._wrapper = wrapper  # keep completion observable
         system.spawn(pid, "client", wrapper.program())
@@ -534,3 +525,95 @@ def run_register_scenario(
     )
     steps = prepared.run(max_steps)
     return prepared.finish(steps)
+
+
+# ----------------------------------------------------------------------
+# Randomized register workloads (Algorithms 1-3 and ablations)
+# ----------------------------------------------------------------------
+def _build_register(
+    scheduler: Scheduler,
+    kind: str = "verifiable",
+    n: int = 4,
+    seed: int = 0,
+    writer_adversary: str = "none",
+    reader_adversaries: Tuple[Tuple[int, str], ...] = (),
+    max_steps: int = 2_000_000,
+    ctx: Optional[CheckContext] = None,
+    early_exit: bool = False,
+) -> BuiltScenario:
+    """A seeded register workload under an exploration scheduler.
+
+    Thin adapter over :func:`prepare_register_scenario`; the seed shapes
+    the operation scripts while the explorer's scheduler owns the
+    interleaving. ``reader_adversaries`` is a tuple of pairs (not a
+    dict) so specs stay hashable.
+    """
+    prepared = prepare_register_scenario(
+        kind,
+        n,
+        seed=seed,
+        writer_adversary=writer_adversary,
+        reader_adversaries=dict(reader_adversaries),
+        scheduler=scheduler,
+        ctx=ctx,
+        early_exit=early_exit,
+    )
+    outcome_box: List[Any] = []
+
+    def drive() -> None:
+        steps = prepared.run(max_steps)
+        outcome_box.append(steps)
+
+    def check() -> Optional[str]:
+        outcome = prepared.finish(outcome_box[0] if outcome_box else 0)
+        if outcome.ok:
+            return None
+        if not outcome.report.ok:
+            return "; ".join(outcome.report.violations)
+        return f"Byzantine linearizability: {outcome.verdict.reason}"
+
+    return BuiltScenario(system=prepared.system, drive=drive, check=check)
+
+
+# Builders must stay importable from worker processes (top level of
+# their module), because pool workers re-resolve specs by name.
+register_builder("register", _build_register)
+
+
+def adversary_grid(
+    kind: str = "verifiable",
+    n: int = 4,
+    seeds: Sequence[int] = (0, 1),
+    mixes: Optional[Sequence[Tuple[str, Dict[int, str]]]] = None,
+) -> List[Scenario]:
+    """Scenario specs cycling register adversary behaviour combinations.
+
+    The swarm fuzzer fans these across cores: each spec pairs a seeded
+    workload with one adversary mix from the E1–E3 sweeps (the
+    registry-owned behaviour-combination axis of a swarm campaign,
+    orthogonal to the schedule axis), filtered to the topology by
+    :func:`repro.scenarios.sweeps.feasible_mixes` exactly as in
+    ``correctness_sweep``. ``mixes`` overrides the sweep table — the
+    catalog expands its campaign-growth grids
+    (``repro.scenarios.sweeps.EXTRA_SWEEP_ADVERSARIES``) through the
+    same filter and spec construction by passing them here.
+    """
+    if mixes is None:
+        if kind not in SWEEP_ADVERSARIES:
+            raise ConfigurationError(
+                f"no adversary sweep for register kind {kind!r}; "
+                f"known: {', '.join(sorted(SWEEP_ADVERSARIES))}"
+            )
+        mixes = SWEEP_ADVERSARIES[kind]
+    return [
+        make_scenario(
+            "register",
+            kind=kind,
+            n=n,
+            seed=seed,
+            writer_adversary=writer_adversary,
+            reader_adversaries=tuple(sorted(readers.items())),
+        )
+        for seed in seeds
+        for writer_adversary, readers in feasible_mixes(mixes, n)
+    ]

@@ -7,29 +7,32 @@ answered for every layer of the reproduction:
   engine consumes (systematic explorer, swarm fuzzer, shrinker,
   campaign cells, corpus replays). ``Scenario.build`` resolves the
   name through :data:`SCENARIO_BUILDERS`, the builder registry that
-  :mod:`repro.explore.scenarios` (theorem29 / register workloads) and
-  :mod:`repro.scenarios.apps` (snapshot / asset transfer) populate via
-  :func:`register_builder`.
+  the builder modules of this package (``theorem29``, ``registers``,
+  ``apps``, ``mp_emulation``, ``net_live``) populate via
+  :func:`register_builder`, and returns a :class:`BuiltScenario`: the
+  freshly constructed system, a ``drive`` callable that runs it to
+  completion and a ``check`` callable returning a violation reason (or
+  ``None``). A failed check travels as a :class:`Violation`.
 * :class:`ScenarioRecord` — the declarative *registry record*: one
   record pins topology ``(n, f)``, implementation family, adversary
   behaviour and workload (inside the spec's params), engine, expected
-  verdict, and which consumers (campaign / explore / bench / smoke)
+  verdict, and which consumers (campaign / explore / smoke / net)
   include it. The family's oracle binding is resolved through
   :mod:`repro.scenarios.bindings`, so a record fully determines a
   runnable, checkable, differentially-judged scenario.
 * :func:`register` / :func:`resolve` / :func:`grid` — the registry API
   the consumers query: ``repro.campaign.default_matrix`` is a
   ``grid(consumer="campaign")`` call, the analysis CLI's ``scenarios``
-  subcommand lists ``all_records()``, the bench matrix pulls its
-  app-throughput cells from ``grid(consumer="bench")``, and corpus
-  entries resolve their historical scenario labels through
-  :func:`resolve_spec`.
+  subcommand lists ``all_records()``, and corpus entries resolve their
+  historical scenario labels through :func:`resolve_spec`.
 
-Import layering: this module sits *below* the builder modules (it
-imports only ``repro.errors``), so explore/campaign/analysis can all
-import it without cycles. The default catalog
-(:mod:`repro.scenarios.catalog`) is loaded lazily on first query, which
-is what lets the builder modules import this one at module load time.
+Import layering: ``repro.scenarios`` sits *below* the engines —
+explore, campaign, service and analysis import it, never the other way
+round — and this module sits below the package's own builder modules
+(it imports only ``repro.errors`` and ``repro.sim``). The default
+catalog (:mod:`repro.scenarios.catalog`) is loaded lazily on first
+query, which is what lets the builder modules import this one at module
+load time.
 
 Labels are stable identity: a record's :meth:`ScenarioRecord.label`
 (and the spec's :meth:`Scenario.label`) are the strings campaign
@@ -41,10 +44,12 @@ would orphan the committed corpus.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.sim import System
 
 #: Engines a record may run under. ``swarm``/``systematic`` are the
 #: virtual-time engines (see ``repro.explore``); ``live`` marks records
@@ -53,17 +58,15 @@ from repro.errors import ConfigurationError
 #: through ``python -m repro.analysis net``, not through a scheduler.
 ENGINES = ("swarm", "systematic", "live")
 
-# Systematic-explorer reduction modes a record may pin. Mirrors
-# ``repro.explore.explorer.REDUCTIONS`` (this module is the dependency
-# root and cannot import the explorer; the differential test asserts
-# the two never drift).
-REDUCTIONS = ("sleep", "dpor", "dpor+symmetry")
+#: Valid ``explore(reduction=...)`` arguments, in increasing
+#: aggressiveness; a systematic record pins one of them.
+REDUCTIONS: Tuple[str, ...] = ("sleep", "dpor", "dpor+symmetry")
 
 #: The consumer axes a record can opt into. ``smoke`` is the bounded CI
-#: subset of ``campaign``; ``explore``/``bench`` mark the records the
-#: exploration CLI and the perf matrix draw from; ``net`` marks the
-#: live-network smoke cells the ``net`` CLI pins.
-CONSUMERS = ("campaign", "explore", "bench", "smoke", "net")
+#: subset of ``campaign``; ``explore`` marks the records the exploration
+#: CLI draws from; ``net`` marks the live-network smoke cells the
+#: ``net`` CLI pins.
+CONSUMERS = ("campaign", "explore", "smoke", "net")
 
 #: Registry of scenario builders, keyed by spec name. Builders must be
 #: importable from worker processes (top level of their module) and
@@ -164,6 +167,61 @@ class Scenario:
             return self.name
         rendered = ",".join(f"{k}={v}" for k, v in self.params)
         return f"{self.name}({rendered})"
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One specification violation surfaced by an exploration run.
+
+    ``trace`` is the complete decision trace of the violating run (see
+    :class:`repro.sim.TraceScheduler`), so the run replays exactly;
+    ``schedule`` describes the scheduler that produced it and ``seed``
+    its fuzzing seed, when any.
+    """
+
+    scenario: str
+    reason: str
+    trace: Tuple[int, ...]
+    schedule: str = ""
+    seed: Optional[int] = None
+
+    def fingerprint(self) -> str:
+        """Dedup key: the violation class, with run-specific ids masked.
+
+        Operation ids, pids and virtual times vary between interleavings
+        that break the *same* property; masking digits collapses them
+        into one bucket, which is what swarm campaigns report.
+        """
+        return f"{self.scenario}:{re.sub(r'[0-9]+', 'N', self.reason)}"
+
+    @property
+    def is_stall(self) -> bool:
+        """True for a liveness (``STALLED``) verdict, not a safety break.
+
+        Stall verdicts come from :class:`repro.faults.ProgressMonitor`
+        converting a would-be hang into a first-class violation; they
+        ride the same reason/fingerprint plumbing, and this flag only
+        changes how reports *word* them.
+        """
+        return self.reason.startswith("STALLED")
+
+    def describe(self) -> str:
+        """One-line rendering for reports."""
+        return (
+            f"[{self.scenario}] {self.reason} "
+            f"(trace length {len(self.trace)}, via {self.schedule or 'unknown'})"
+        )
+
+
+@dataclass
+class BuiltScenario:
+    """One constructed-but-unstarted exploration run."""
+
+    system: System
+    #: Run the system to completion; may raise StepLimitExceeded.
+    drive: Callable[[], None]
+    #: Inspect the finished history; violation reason or None.
+    check: Callable[[], Optional[str]]
 
 
 def make_scenario(name: str, **params: Any) -> Scenario:

@@ -2,10 +2,10 @@
 
 ``SWEEP_ADVERSARIES`` is the canonical per-register-kind list of
 ``(writer_adversary, reader_adversaries)`` mixes that the randomized
-correctness sweeps (``repro.analysis.experiments``), the explorer's
-``adversary_grid`` and the campaign's register cells all cycle through.
-It lived in ``repro.analysis.experiments``; the registry owns it now so
-every consumer derives the same grids from the same records.
+correctness sweeps (``repro.analysis.experiments``),
+``repro.scenarios.registers.adversary_grid`` and the campaign's register
+cells all cycle through, each after :func:`feasible_mixes` has dropped
+what does not fit the topology.
 
 ``EXTRA_SWEEP_ADVERSARIES`` holds the *campaign-growth* grids: newer
 behaviour mixes (from :mod:`repro.adversary.behaviors`) that extend the
@@ -17,7 +17,7 @@ spliced into the base lists.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 #: The adversary mixes each sweep cycles through, per register kind.
 SWEEP_ADVERSARIES: Dict[str, List[Tuple[str, Dict[int, str]]]] = {
@@ -44,6 +44,27 @@ SWEEP_ADVERSARIES: Dict[str, List[Tuple[str, Dict[int, str]]]] = {
         ("garbage", {2: "garbage"}),
     ],
 }
+
+
+def feasible_mixes(
+    mixes: Iterable[Tuple[str, Dict[int, str]]], n: int
+) -> Iterator[Tuple[str, Dict[int, str]]]:
+    """The ``mixes`` that fit ``n`` processes at ``f = (n - 1) // 3``.
+
+    Byzantine reader pids must exist (``pid <= n``; the others are
+    dropped from the mix) and the Byzantine head-count — readers plus
+    a misbehaving writer — must fit the fault bound, else the whole mix
+    is skipped.
+    """
+    f = (n - 1) // 3
+    for writer_adversary, reader_adversaries in mixes:
+        readers = {
+            pid: name for pid, name in reader_adversaries.items() if pid <= n
+        }
+        if len(readers) + (writer_adversary != "none") > f:
+            continue
+        yield writer_adversary, readers
+
 
 #: Campaign-growth mixes appended as extra registry records (kept out of
 #: the base sweeps; see module doc). Every mix here targets a behaviour

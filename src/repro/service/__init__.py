@@ -43,7 +43,6 @@ from repro.service.client import (
     DriftEntry,
     RunStatus,
     payload_from_report,
-    render_status,
     run_service_campaign,
     status,
     verdicts_payload,
@@ -67,7 +66,6 @@ __all__ = [
     "cell_to_json",
     "default_db_path",
     "payload_from_report",
-    "render_status",
     "run_service_campaign",
     "run_worker",
     "status",

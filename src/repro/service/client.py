@@ -304,49 +304,6 @@ def _drift(store: ResultsStore, result: RunStatus) -> List[DriftEntry]:
     return entries
 
 
-def render_status(result: RunStatus) -> str:
-    """Full status rendering: verdict table + summary + drift lines."""
-    from repro.analysis.reporting import render_table
-
-    headers = (
-        "cell",
-        "label",
-        "runs",
-        "runs/s",
-        "violations",
-        "expected",
-        "ok",
-        "worker",
-    )
-    rows = [
-        (
-            verdict.cell_index,
-            verdict.label,
-            verdict.runs,
-            round(verdict.runs / verdict.elapsed) if verdict.elapsed else 0,
-            len(verdict.class_fingerprints),
-            verdict.expected,
-            verdict.ok,
-            verdict.worker,
-        )
-        for verdict in result.verdicts
-    ]
-    parts = [
-        render_table(
-            headers,
-            rows,
-            title=(
-                f"Campaign service run {result.run_id} — "
-                f"{len(result.verdicts)}/{result.cells} cell verdicts"
-            ),
-        ),
-        "",
-        result.summary(),
-    ]
-    parts.extend(f"  {entry.describe()}" for entry in result.drift)
-    return "\n".join(parts)
-
-
 def verdicts_payload(result: RunStatus) -> Dict[str, Any]:
     """The machine-comparable verdict document of a service run.
 

@@ -143,8 +143,7 @@ CREATE INDEX IF NOT EXISTS idx_replay_entry
 def default_db_path() -> Path:
     """The repository's local (gitignored) service database.
 
-    Lives next to the bench trajectory under ``benchmarks/_results`` so
-    verdict history accumulates across local runs and PR checkouts of
+    Lives under ``benchmarks/_results`` so verdict history accumulates across local runs and PR checkouts of
     the same working tree; installed packages fall back to the current
     directory, where callers should pass an explicit path.
     """

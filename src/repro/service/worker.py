@@ -38,6 +38,7 @@ from repro.campaign.matrix import (
     run_cell,
 )
 from repro.explore.shrink import shrink
+from repro.scenarios.registry import Violation
 from repro.service import queue as squeue
 from repro.service.cells import cell_fingerprint
 from repro.service.queue import DEFAULT_LEASE_TTL, Lease
@@ -286,9 +287,7 @@ def worker_entry(
 
 
 def _payload_to_violation(payload: Union[str, dict]):
-    """Rebuild a :class:`repro.explore.scenarios.Violation` from its row."""
-    from repro.explore.scenarios import Violation
-
+    """Rebuild a :class:`repro.scenarios.Violation` from its row."""
     data = json.loads(payload) if isinstance(payload, str) else payload
     return Violation(
         scenario=data["scenario"],

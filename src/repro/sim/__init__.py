@@ -1,8 +1,7 @@
 """Simulation substrate: registers, schedulers, processes, histories.
 
 This subpackage is the shared-memory model of Section 3 of the paper,
-realized as a deterministic effect interpreter. See ``DESIGN.md`` (S1–S2)
-for the architecture rationale.
+realized as a deterministic effect interpreter.
 """
 
 from repro.sim.effects import (

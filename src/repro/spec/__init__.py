@@ -1,6 +1,6 @@
 """Correctness checking: sequential specs, linearizability, properties.
 
-Two complementary verdicts (see DESIGN.md §3):
+Two complementary verdicts:
 
 * observable-property checks (:mod:`repro.spec.properties`) — fast,
   exact renditions of the paper's Observations;

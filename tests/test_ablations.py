@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.experiments import (
     ablation_naive_quorum,
     ablation_set0_reset,
     ablation_sticky_write_wait,

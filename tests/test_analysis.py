@@ -6,14 +6,16 @@ import pytest
 
 from repro.analysis import (
     LatencyStats,
-    ScenarioOutcome,
-    checker_for,
-    make_register,
     merge_latency_samples,
     operation_latencies,
-    random_register_workload,
     register_access_totals,
     render_table,
+)
+from repro.scenarios.bindings import checker_for_kind
+from repro.scenarios.registers import (
+    ScenarioOutcome,
+    make_register,
+    random_register_workload,
     run_register_scenario,
 )
 from repro.core import StickyRegister, VerifiableRegister
@@ -37,7 +39,7 @@ class TestMakeRegister:
 
     def test_checker_for_all_kinds(self):
         for kind in ("verifiable", "authenticated", "sticky", "signed"):
-            props, byz = checker_for(kind)
+            props, byz = checker_for_kind(kind)
             assert callable(props) and callable(byz)
 
 

@@ -109,12 +109,11 @@ class TestMatrix:
 
     def test_oracle_mapping_agrees_with_the_runtime_checkers(self):
         # oracle_for documents what the campaign checks; the register
-        # cells are actually judged through workloads.checker_for. Both
-        # are views over the registry's one family→oracle table now
+        # cells are actually judged through checker_for_kind. Both read
+        # the registry's one family→oracle table
         # (repro.scenarios.bindings), so two implementations share an
         # oracle iff their kinds share a checker pair.
-        from repro.analysis.workloads import checker_for
-        from repro.scenarios import FAMILY_BINDINGS, kind_for
+        from repro.scenarios import FAMILY_BINDINGS, checker_for_kind, kind_for
 
         register_impls = sorted(
             family
@@ -124,7 +123,7 @@ class TestMatrix:
         for a in register_impls:
             for b in register_impls:
                 same_oracle = type(oracle_for(a)) is type(oracle_for(b))
-                same_checker = checker_for(kind_for(a)) == checker_for(
+                same_checker = checker_for_kind(kind_for(a)) == checker_for_kind(
                     kind_for(b)
                 )
                 assert same_oracle == same_checker, (a, b)

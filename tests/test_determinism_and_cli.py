@@ -1,6 +1,6 @@
 """Determinism guarantees and the command-line experiment runner.
 
-Reproducibility is a design pillar (DESIGN.md §3): identical seeds must
+Reproducibility is a design pillar: identical seeds must
 give bit-identical histories, or failure coordinates printed by the
 harness would be useless. These tests pin that contract, plus the
 ``python -m repro.analysis`` entry point.
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import run_register_scenario
+from repro.scenarios.registers import run_register_scenario
 from repro.analysis.__main__ import ALL_IDS, main
 
 
@@ -55,10 +55,11 @@ class TestDeterminism:
 
 class TestCommandLine:
     def test_known_ids_registered(self):
-        from repro.analysis.__main__ import _runner
+        from repro.analysis import EXPERIMENTS
 
         for exp_id in ALL_IDS:
-            assert _runner(exp_id) is not None, exp_id
+            title, driver, holds = EXPERIMENTS[exp_id]
+            assert title.startswith(exp_id) and callable(driver) and callable(holds)
 
     def test_unknown_id_rejected(self, capsys):
         assert main(["E99"]) == 2

@@ -33,10 +33,7 @@ import pytest
 
 import repro.scenarios.catalog  # noqa: F401  (registers the grid)
 from repro import scenarios as registry
-from repro.explore import explore, make_scenario
-from repro.explore.explorer import REDUCTIONS
-from repro.explore.scenarios import theorem29_symmetry
-from repro.scenarios.registry import REDUCTIONS as REGISTRY_REDUCTIONS
+from repro.explore import explore, make_scenario, theorem29_symmetry
 
 #: Large enough that every cell exhausts its bounded space; exhaustion
 #: is asserted, so a drifting cell fails loudly instead of comparing
@@ -189,10 +186,6 @@ class TestNetworkedAndDerived:
 
 
 class TestPlumbing:
-    def test_reduction_vocabulary_matches_registry(self):
-        """explorer.REDUCTIONS and registry.REDUCTIONS must not drift."""
-        assert REDUCTIONS == REGISTRY_REDUCTIONS == REDUCTION_GRID
-
     def test_unknown_reduction_rejected(self):
         with pytest.raises(Exception):
             explore(

@@ -3,10 +3,9 @@
 Covers the four contracts the registry owns:
 
 * **one oracle per family** — every registered family has exactly one
-  oracle binding, and the historical views (``campaign.oracle_for``,
-  ``workloads.checker_for``, the early-exit monitor families) are
-  consistent derivations of it, so the pre-registry drift hazard
-  (two independent family→oracle maps) is structurally gone;
+  oracle binding, and ``oracle_for``, ``checker_for_kind`` and the
+  early-exit monitor families all read it, so there is no second
+  family→oracle map to drift;
 * **label round-trips** — every registered record's label resolves back
   to an identical record, and rebuilding a scenario spec from its
   serialized ``(name, params)`` reproduces the same fingerprint-relevant
@@ -26,7 +25,6 @@ from pathlib import Path
 import pytest
 
 from repro import scenarios
-from repro.analysis.workloads import REGISTER_KINDS, checker_for
 from repro.campaign import (
     IMPLEMENTATIONS,
     default_matrix,
@@ -37,13 +35,13 @@ from repro.campaign import (
 from repro.campaign.matrix import CampaignCell
 from repro.errors import ConfigurationError
 from repro.scenarios import (
-    FAMILY_BINDINGS,
     ScenarioRecord,
     all_records,
     binding_for,
     grid,
     kind_for,
     make_scenario,
+    checker_for_kind,
     registered_families,
     resolve,
     resolve_spec,
@@ -79,23 +77,11 @@ class TestOracleBindings:
         assert "net" in registered_families()
         assert "net" not in campaign
 
-    def test_register_kinds_match_bindings(self):
-        # The analysis layer's kind list and the registry's kind-carrying
-        # bindings are the same set (order is historical).
-        assert set(REGISTER_KINDS) == set(scenarios.register_kinds())
-        for kind in REGISTER_KINDS:
-            binding = FAMILY_BINDINGS[
-                next(f for f in FAMILY_BINDINGS if kind_for(f) == kind)
-            ]
-            assert binding.checkers is not None
-            assert checker_for(kind) == binding.checkers
-            assert binding.monitor_family is not None
-
     def test_oracle_for_and_checker_for_raise_consistently(self):
         with pytest.raises(ConfigurationError):
             oracle_for("quantum")
         with pytest.raises(ConfigurationError):
-            checker_for("quantum")
+            checker_for_kind("quantum")
 
     def test_app_families_are_bound(self):
         from repro.spec import AssetTransferSpec, BroadcastSpec, SnapshotSpec

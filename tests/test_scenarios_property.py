@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import run_register_scenario
+from repro.scenarios.registers import run_register_scenario
 
 SCENARIO_SETTINGS = settings(
     max_examples=20,
