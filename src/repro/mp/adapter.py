@@ -22,7 +22,8 @@ Caveats (each a substitution for an assumption of the paper's model):
   write-back round that closes this is opt-in,
   ``RegisterEmulation.read(write_back=True)``, and the translation does
   not use it). E9's schedules keep low-level writes non-overlapping,
-  where regular and atomic coincide.
+  but that does not make regular and atomic coincide: the inversion
+  needs only one write and two reads. Write-back is what closes it.
 * The translation inherits the emulation's *channel* assumption: over
   the default reliable network nothing extra is needed, while over a
   fair-lossy :class:`repro.faults.FaultyNetwork` the emulation must be

@@ -38,11 +38,14 @@ Guarantees (with at most ``f`` Byzantine replicas and a correct writer):
 as the last write completed before it began (never a fabricated one,
 because fabrication needs ``f + 1`` matching liars). Regular is weaker
 than atomic in one way: two non-overlapping reads that both overlap a
-write may return the new value and then the old one. Full atomicity
-additionally needs the reader write-back round of [11]
-(``read(write_back=True)``). E9's layered experiment uses schedules
-with non-overlapping low-level writes, for which regular and atomic
-coincide.
+write may return the new value and then the old one. Keeping writes
+non-overlapping does not make the two coincide: that new/old inversion
+needs only one write and two reads, so E9's layered experiment, whose
+low-level writes never overlap, still runs over regular base registers
+unless its reads write back. The reader write-back round of [11]
+(``read(write_back=True)``) is what closes the window: a read returns
+only once ``n - f`` replicas acknowledge holding a pair at least as new
+as the one it returns.
 
 One core, two drivers: the protocol itself — replica state, the message
 handler, the confirmation rule and the bookkeeping that opens a write,
@@ -494,11 +497,11 @@ class RegisterEmulation:
         reads, strengthening regular semantics toward atomicity.
 
         Write-back defaults **off** here and **on** in
-        :meth:`repro.net.NetNode.read`. The virtual-time scenarios keep
-        low-level writes non-overlapping (where regular and atomic
-        coincide) and pin step counts that an extra round would move;
-        the live load generator's concurrent clients do hit the
-        inversion window. Aligning the defaults is left to the follow-up
+        :meth:`repro.net.NetNode.read`. The virtual-time scenarios pin
+        step counts that an extra round would move (keeping their
+        low-level writes non-overlapping does not rule the inversion
+        out: one write and two reads suffice); the live load
+        generator's concurrent clients do hit the inversion window. Aligning the defaults is left to the follow-up
         on the seed-246 / 79203 new/old-inversion finding.
         """
         core = self.state_of(pid)

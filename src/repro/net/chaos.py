@@ -2,19 +2,24 @@
 
 A :class:`ChaosProxy` fronts one destination node: every peer dials the
 proxy's port instead of the node's, the handshake identifies the
-sender, and each ``msg`` frame is then subjected to the *unchanged*
-:class:`repro.faults.FaultPlan` — drop / dup / delay link rules, timed
-group partitions, and crash windows — at frame granularity. Faulting at
-the socket layer (rather than inside the node) keeps the node code
-honest: a dropped frame really never arrives, a duplicated frame really
-arrives twice, a delayed frame really overtakes its successors.
+sender, and each payload of every ``msg`` document is then subjected to
+the *unchanged* :class:`repro.faults.FaultPlan` — drop / dup / delay
+link rules, timed group partitions, and crash windows — at payload
+granularity, in order. A node batches a tick's payloads into one
+document; the proxy forwards the undelayed survivors of one inbound
+document as one document, and each delayed copy as a one-payload
+document of its own. Faulting at the socket layer (rather than inside
+the node) keeps the node code honest: a dropped payload really never
+arrives, a duplicated one really arrives twice, a delayed one really
+overtakes its successors.
 
 Determinism: each link rule draws from its own ``random.Random`` stream
 seeded with ``(plan.seed, destination pid, rule index)``, so a rule's
-decision sequence depends only on the frames *that rule* examined —
-identical plans over identical per-link frame sequences make identical
-decisions, per rule, mirroring the virtual-time layer's replayability
-contract as closely as a real network allows.
+decision sequence depends only on the payloads *that rule* examined —
+identical plans over identical per-link payload sequences make identical
+decisions, per rule, however the sender happened to batch them,
+mirroring the virtual-time layer's replayability contract as closely as
+a real network allows.
 
 Plan times (partition windows, crash windows) are interpreted as
 **milliseconds since the cluster epoch** on the shared
@@ -31,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.faults.plan import FaultPlan
@@ -134,8 +139,15 @@ class ChaosProxy:
                 for doc in docs:
                     if doc["t"] != "msg":
                         await self._forward(backend_writer, write_lock, doc)
-                    else:
-                        await self._apply(sender, doc, backend_writer, write_lock)
+                        continue
+                    survivors: List[Any] = []
+                    for payload in doc["m"]:
+                        self._apply(sender, payload, survivors, backend_writer, write_lock)
+                    if survivors:
+                        await self._forward(
+                            backend_writer, write_lock, wire.msg(*survivors)
+                        )
+                        self.forwarded += len(survivors)
                 docs = await wire.read_docs(reader, splitter)
         except NetworkError:
             # A malformed frame: close the connection, keep the count.
@@ -169,14 +181,16 @@ class ChaosProxy:
             backend_writer.write(wire.encode(doc))
             await backend_writer.drain()
 
-    async def _apply(
+    def _apply(
         self,
         sender: int,
-        doc: Dict[str, Any],
+        payload: Any,
+        survivors: List[Any],
         backend_writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
     ) -> None:
-        """Run one protocol frame through the plan; forward the survivors."""
+        """Run one protocol payload through the plan: append its
+        undelayed copies to ``survivors``, schedule its delayed ones."""
         now = self.clock.now()
         if self.plan.crashed(sender, now) or self.plan.crashed(self.dest, now):
             self.suppressed_crash += 1
@@ -205,16 +219,15 @@ class ChaosProxy:
                 if draw < rule.prob:
                     self.delayed += 1
                     delay_ms += rule.extra
+        if not delay_ms:
+            survivors.extend([payload] * copies)
+            return
         for _ in range(copies):
-            if delay_ms:
-                task = asyncio.ensure_future(
-                    self._deliver_late(backend_writer, lock, doc, delay_ms)
-                )
-                self._delay_tasks.add(task)
-                task.add_done_callback(self._delay_tasks.discard)
-            else:
-                await self._forward(backend_writer, lock, doc)
-                self.forwarded += 1
+            task = asyncio.ensure_future(
+                self._deliver_late(backend_writer, lock, wire.msg(payload), delay_ms)
+            )
+            self._delay_tasks.add(task)
+            task.add_done_callback(self._delay_tasks.discard)
 
     async def _deliver_late(
         self,

@@ -10,20 +10,25 @@ scheduler, so what the simulator explores is what runs here. This
 module adds what a real process needs around it:
 
 * **Transport.** The core returns ``(destination, payload)`` pairs; the
-  node encodes each (through its :class:`WallClockChannels` when
+  node puts each (framed by its :class:`WallClockChannels` when
   retransmission is on) into a per-peer link buffer, and one flush per
-  peer per event-loop tick hands the tick's frames to the peer's TCP
-  transport in a single ``write`` — same bytes, same order, one frame
-  per payload, fewer syscalls. A link is lossy the way a crashed peer
-  is: frames offered while it is down (no route, a dial that just
-  failed, a closing transport) are dropped, never hoarded; frames
+  peer per event-loop tick hands the tick's payloads to the peer's TCP
+  transport as one ``msg`` document in a single ``write`` — same
+  payloads, same order, one JSON document and one length prefix per
+  tick rather than per payload. A link is lossy the way a crashed peer
+  is: payloads offered while it is down (no route, a dial that just
+  failed, a closing transport) are dropped, never hoarded; payloads
   offered *during* a dial are sent, in order, when it succeeds. The
   channel layer's retransmission is what rebuilds reliability on top.
-  Back-pressure is the transport's own unbounded write buffer. Inbound,
-  every connection is read by the chunk through the one frame splitter
-  in :mod:`repro.net.wire`, and every peer frame is fed back into the
-  core; a malformed frame closes its connection and is counted in
-  ``bad_frames``.
+  Back-pressure is the transport's own unbounded write buffer.
+* **Inbound.** Each accepted connection is one small
+  :class:`asyncio.Protocol`, not a task: every chunk the socket
+  delivers goes through the connection's frame splitter from
+  :mod:`repro.net.wire`, and a peer's payloads are fed into the core in
+  order inside that callback; a remote client's requests each run as a
+  task that writes its response straight to the transport. A malformed
+  frame — a payload holding a JSON object included — closes its
+  connection and is counted in ``bad_frames``.
 * **Waiting.** A client operation opens in the core, then parks on a
   plain future in the node's waiter list; every delivered frame
   resolves and clears that list, and each woken operation asks the core
@@ -77,19 +82,74 @@ _RECONNECT_PAUSE = 0.02
 
 
 class _Link:
-    """Outbound state for one peer: the tick's frames and where they go."""
+    """Outbound state for one peer: the tick's payloads and where they go."""
 
     __slots__ = ("dst", "frames", "transport", "dial", "retry_at")
 
     def __init__(self, dst: int):
         self.dst = dst
-        #: Encoded frames not yet handed to a transport. Non-empty only
-        #: while a flush is scheduled or a dial is in progress.
-        self.frames: List[bytes] = []
+        #: Payloads not yet handed to a transport. Non-empty only while
+        #: a flush is scheduled or a dial is in progress.
+        self.frames: List[Any] = []
         self.transport: Optional[asyncio.WriteTransport] = None
         self.dial: Optional[asyncio.Task] = None
         #: ``time.monotonic()`` before which a failed dial is not retried.
         self.retry_at = 0.0
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection: every chunk through its splitter, then
+    each payload delivered (a peer) or each request served (a client)."""
+
+    def __init__(self, node: NetNode):
+        self.node = node
+        self.splitter = wire.Splitter()
+        self.transport: Optional[asyncio.Transport] = None
+        #: The handshake's pid; ``None`` until the ``hello`` arrived.
+        self.sender: Optional[int] = None
+        #: Client requests in flight, cancelled when the connection goes.
+        self.requests: Set[asyncio.Task] = set()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.node._connections.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.node._connections.discard(self.transport)
+        for task in self.requests:
+            task.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        node = self.node
+        try:
+            docs = self.splitter.feed(data)
+        except NetworkError:
+            # A malformed frame: the stream cannot be trusted past it.
+            # Closing is the whole response; the count keeps it visible.
+            node.bad_frames += 1
+            self.transport.close()
+            return
+        sender = self.sender
+        if sender is None:
+            if not docs:
+                return
+            if docs[0]["t"] != "hello":
+                self.transport.close()
+                return
+            sender = self.sender = docs[0].get("pid", 0)
+            docs = docs[1:]
+        if sender >= 1:
+            deliver = node._deliver
+            for doc in docs:
+                if doc["t"] == "msg":
+                    for payload in doc["m"]:
+                        deliver(sender, payload, True)
+            return
+        for doc in docs:
+            if doc["t"] == "req":
+                task = asyncio.ensure_future(node._serve_request(self.transport, doc))
+                self.requests.add(task)
+                task.add_done_callback(self.requests.discard)
 
 
 class NetNode:
@@ -156,7 +216,7 @@ class NetNode:
         self._serving = False
         self._tasks: List[asyncio.Task] = []
         self._links: Dict[int, _Link] = {}
-        self._connections: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[asyncio.Transport] = set()
         #: Futures of the operations parked in :meth:`_paced_wait`.
         self._waiters: List[asyncio.Future] = []
         self._write_locks = {name: asyncio.Lock() for name in registers}
@@ -182,8 +242,8 @@ class NetNode:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Open the server (on a fresh port, or the old one on restart)."""
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self.port or 0
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port or 0
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._serving = True
@@ -215,8 +275,8 @@ class NetNode:
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
-        for writer in list(self._connections):
-            writer.close()
+        for transport in list(self._connections):
+            transport.close()
         self._connections.clear()
         if self._server is not None:
             await self._server.wait_closed()
@@ -281,17 +341,18 @@ class NetNode:
             link = self._links[dst] = _Link(dst)
         if not link.frames and link.dial is None:
             asyncio.get_running_loop().call_soon(self._flush, link)
-        link.frames.append(wire.encode(wire.msg(payload)))
+        link.frames.append(payload)
 
     def _flush(self, link: _Link) -> None:
-        """Hand the frames buffered this tick to the peer, in one write.
+        """Hand the payloads buffered this tick to the peer as one
+        ``msg`` document, in one write.
 
-        Two rules decide what happens to a frame that finds no open
-        transport. Frames offered while the link is *down* — no route,
+        Two rules decide what happens to a payload that finds no open
+        transport. Payloads offered while the link is *down* — no route,
         inside the ``_RECONNECT_PAUSE`` after a failed dial, or on a
         transport that is closing — are dropped and the buffer cleared:
         that gives bare TCP the lossy-link semantics a crashed peer
-        implies and keeps a dead peer's buffer empty. Frames offered
+        implies and keeps a dead peer's buffer empty. Payloads offered
         while a dial is *in progress* stay buffered; :meth:`_dial` sends
         them when it succeeds. Back-pressure is the transport's write
         buffer, unbounded as the queue it replaces was.
@@ -301,11 +362,11 @@ class NetNode:
             return
         transport = link.transport
         if transport is not None:
+            link.frames = []
             if not transport.is_closing():
-                transport.write(b"".join(frames))
+                transport.write(wire.encode_batch(frames))
             else:
                 link.transport = None
-            frames.clear()
             return
         route = self._routes.get(link.dst)
         if route is None or time.monotonic() < link.retry_at:
@@ -316,9 +377,9 @@ class NetNode:
     async def _dial(self, link: _Link, route: Tuple[str, int]) -> None:
         """Connect, then send ``hello`` and whatever buffered meanwhile.
 
-        The frames offered during the dial go out in order behind the
-        handshake, in the same write. A failed dial drops them and takes
-        the link down for ``_RECONNECT_PAUSE``.
+        The payloads offered during the dial go out in order behind the
+        handshake as one document, in the same write. A failed dial
+        drops them and takes the link down for ``_RECONNECT_PAUSE``.
         """
         try:
             transport, _protocol = await asyncio.get_running_loop().create_connection(
@@ -328,7 +389,7 @@ class NetNode:
             link.retry_at = time.monotonic() + _RECONNECT_PAUSE
         else:
             transport.write(
-                wire.encode(wire.hello(self.pid)) + b"".join(link.frames)
+                wire.encode(wire.hello(self.pid)) + wire.encode_batch(link.frames)
             )
             link.transport = transport
         finally:
@@ -345,52 +406,6 @@ class NetNode:
     # ------------------------------------------------------------------
     # Inbound
     # ------------------------------------------------------------------
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        splitter = wire.Splitter()
-        try:
-            opening = await wire.read_hello(reader, splitter)
-            if opening is None:
-                return
-            hello, docs = opening
-            sender = hello.get("pid", 0)
-            if sender >= 1:
-                await self._peer_session(sender, reader, splitter, docs)
-            else:
-                await self._client_session(reader, writer, splitter, docs)
-        except NetworkError:
-            # A malformed frame: the stream cannot be trusted past it.
-            # Closing is the whole response; the count keeps it visible.
-            self.bad_frames += 1
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Absorbed, not re-raised: connection-handler tasks are
-            # cancelled wholesale at loop teardown, and a cancelled
-            # handler would be reported as a spurious callback error.
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-
-    async def _peer_session(
-        self,
-        sender: int,
-        reader: asyncio.StreamReader,
-        splitter: wire.Splitter,
-        docs: Optional[List[Dict[str, Any]]],
-    ) -> None:
-        """Deliver ``docs``, then every later chunk's, until EOF."""
-        while docs is not None:
-            for doc in docs:
-                if doc["t"] == "msg":
-                    if "m" not in doc:
-                        raise NetworkError(f"msg frame without a payload: {doc!r}")
-                    self._deliver(sender, wire.freeze(doc["m"]), framed=True)
-            docs = await wire.read_docs(reader, splitter)
-
     def _deliver(self, sender: int, payload: Any, framed: bool) -> None:
         if framed and self.channels is not None:
             inner, acks = self.channels.on_receive(sender, payload)
@@ -403,39 +418,13 @@ class NetNode:
         self._emit(self.replica.handle(sender, payload))
         self._notify()
 
-    async def _client_session(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        splitter: wire.Splitter,
-        docs: Optional[List[Dict[str, Any]]],
-    ) -> None:
-        write_lock = asyncio.Lock()
-        pending: Set[asyncio.Task] = set()
-        try:
-            while docs is not None:
-                for doc in docs:
-                    if doc["t"] != "req":
-                        continue
-                    task = asyncio.ensure_future(
-                        self._serve_request(writer, write_lock, doc)
-                    )
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
-                docs = await wire.read_docs(reader, splitter)
-        finally:
-            for task in pending:
-                task.cancel()
-
     async def _serve_request(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        doc: Dict[str, Any],
+        self, transport: asyncio.WriteTransport, doc: Dict[str, Any]
     ) -> None:
+        """Run one remote client request and write its response."""
         op = doc.get("op")
-        args = wire.freeze(doc.get("args", ()))
         try:
+            args = wire.freeze(doc.get("args", ()))
             if op == "read":
                 value = await self.read(args[0])
             elif op == "write":
@@ -462,12 +451,8 @@ class NetNode:
                 "ok": False,
                 "value": f"{type(exc).__name__}: {exc}",
             }
-        try:
-            async with write_lock:
-                writer.write(wire.encode(response))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+        if not transport.is_closing():
+            transport.write(wire.encode(response))
 
     # ------------------------------------------------------------------
     # Waiting

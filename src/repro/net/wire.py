@@ -15,9 +15,11 @@ Document kinds:
   ``pid >= 1`` identifies a cluster peer (the authenticated-channels
   assumption, discharged on localhost by trusting the handshake);
   ``pid == 0`` marks a remote load client.
-* ``{"t": "msg", "m": payload}`` — one protocol payload between peers
-  (possibly channel-framed). This is the only kind a chaos proxy
-  faults; the handshake always passes through.
+* ``{"t": "msg", "m": [payload, ...]}`` — a batch of protocol payloads
+  between peers (each possibly channel-framed), in send order: a node
+  writes one per peer per event-loop tick. This is the only kind a
+  chaos proxy faults, payload by payload; the handshake always passes
+  through.
 * ``{"t": "req", "id": I, "op": O, "args": [...]}`` /
   ``{"t": "res", "id": I, "ok": B, "value": V}`` — the remote-client
   request protocol (``read`` / ``write`` / ``transfer`` / ``balance``
@@ -26,18 +28,22 @@ Document kinds:
 Decoding has one path. :class:`Splitter` takes the bytes a socket read
 returned — however many frames, cut wherever — and returns every
 document they complete, each through the same validation step; the
-node's peer and client sessions and the chaos proxy read by the chunk
-through it (:func:`read_docs`), and :func:`read_doc`, the one-frame call
-for a caller that owns no splitter, checks its frame with the same two
-helpers. Whatever is not a length-prefixed JSON object with a ``"t"``
-raises :class:`repro.errors.NetworkError`, and nothing else.
+node's connection protocol feeds it each chunk it receives, the chaos
+proxy reads by the chunk through it (:func:`read_docs`), and
+:func:`read_doc`, the one-frame call for a caller that owns no splitter,
+checks its frame with the same two helpers. A ``msg`` document comes
+out with its batch already frozen, so node and proxy validate payloads
+identically. Whatever is not a length-prefixed JSON object with a
+``"t"``, a ``msg`` whose ``"m"`` is not an array, or a payload holding a
+JSON object anywhere (no protocol payload is a mapping) raises
+:class:`repro.errors.NetworkError`, and nothing else.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 
@@ -54,11 +60,21 @@ _dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def freeze(value: Any) -> Any:
-    """Recursively turn JSON arrays back into tuples (hashable payloads)."""
+    """Recursively turn JSON arrays back into tuples (hashable payloads).
+
+    Raises:
+        NetworkError: a JSON object at any depth of an array — a mapping
+            is no protocol payload and would not be hashable.
+    """
     if isinstance(value, list):
         return tuple(
-            [freeze(item) if isinstance(item, list) else item for item in value]
+            [
+                freeze(item) if isinstance(item, (list, dict)) else item
+                for item in value
+            ]
         )
+    if isinstance(value, dict):
+        raise NetworkError("a JSON object is not a protocol payload")
     return value
 
 
@@ -80,10 +96,14 @@ def _body_length(header: bytes) -> int:
 def _document(body: bytes) -> Dict[str, Any]:
     """Decode and validate one frame body — the only decode path.
 
+    A ``msg`` document's batch is returned frozen: ``doc["m"]`` is a
+    tuple of hashable payloads.
+
     Raises:
         NetworkError: the body is not UTF-8, not JSON, not an object,
-            has no ``"t"``, or is a ``hello`` whose ``pid`` is not an
-            integer.
+            has no ``"t"``, is a ``hello`` whose ``pid`` is not an
+            integer, or is a ``msg`` whose ``"m"`` is not an array or
+            holds a JSON object.
     """
     try:
         doc = json.loads(body.decode())
@@ -91,7 +111,13 @@ def _document(body: bytes) -> Dict[str, Any]:
         raise NetworkError(f"undecodable frame: {exc}") from None
     if not isinstance(doc, dict) or "t" not in doc:
         raise NetworkError(f"malformed frame: {doc!r}")
-    if doc["t"] == "hello" and not isinstance(doc.get("pid", 0), int):
+    kind = doc["t"]
+    if kind == "msg":
+        batch = doc.get("m")
+        if not isinstance(batch, list):
+            raise NetworkError(f"msg frame without a payload array: {doc!r}")
+        doc["m"] = freeze(batch)
+    elif kind == "hello" and not isinstance(doc.get("pid", 0), int):
         raise NetworkError(f"hello frame with a non-integer pid: {doc!r}")
     return doc
 
@@ -178,6 +204,19 @@ def hello(pid: int) -> Dict[str, Any]:
     return {"t": "hello", "pid": pid}
 
 
-def msg(payload: Any) -> Dict[str, Any]:
-    """A peer protocol frame (the kind chaos proxies fault)."""
-    return {"t": "msg", "m": payload}
+def msg(*payloads: Any) -> Dict[str, Any]:
+    """A batch of peer protocol payloads (the kind chaos proxies fault)."""
+    return {"t": "msg", "m": payloads}
+
+
+def encode_batch(payloads: Sequence[Any]) -> bytes:
+    """``payloads`` as one ``msg`` frame — or, when that would exceed
+    :data:`MAX_FRAME`, as consecutive frames of halves, so a batch never
+    refuses what one frame per payload would have carried."""
+    try:
+        return encode(msg(*payloads))
+    except NetworkError:
+        if len(payloads) < 2:
+            raise
+        half = len(payloads) // 2
+        return encode_batch(payloads[:half]) + encode_batch(payloads[half:])

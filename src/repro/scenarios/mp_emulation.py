@@ -12,9 +12,12 @@ budget.
 
 Verdict shape: a clean run's history (writer ``write``\\ s + reader
 ``read``\\ s on one emulated register) is judged by linearization
-against :class:`repro.spec.RegularRegisterSpec` — over non-overlapping
-writes, where the emulation's regular semantics and atomicity coincide,
-the writer/reader workload here keeps its own writes sequential.
+against :class:`repro.spec.RegularRegisterSpec`, which despite its name
+is the *atomic* sequential register. The writer/reader workload here
+keeps its own writes sequential, but that does not make the emulation's
+regular semantics atomic: a new/old inversion needs only one write and
+two reads that overlap it, and only the reader write-back round closes
+it.
 A stalled run skips the oracle and reports the monitor's diagnosis
 (pending operations plus what the plan is suppressing); the reason
 string starts with ``STALLED:`` and its digit-masked class is stable

@@ -54,13 +54,18 @@ class TestWire:
 
         return asyncio.run(go())
 
-    def test_roundtrip_plus_freeze_restores_tuple_payloads(self):
-        # Tuples serialize as JSON arrays; receivers re-freeze payload
-        # fields so protocol payloads stay hashable after the trip.
+    def test_roundtrip_refreezes_a_batch_and_freeze_restores_tuples(self):
+        # Tuples serialize as JSON arrays; the decode path re-freezes a
+        # msg batch so protocol payloads stay hashable after the trip,
+        # and receivers freeze any other field themselves.
         payload = ("WRITE", "reg:1", (3, (4, 5)))
-        doc = self.roundtrip({"t": "msg", "p": payload})
-        assert doc == {"t": "msg", "p": ["WRITE", "reg:1", [3, [4, 5]]]}
-        assert wire.freeze(doc["p"]) == payload
+        assert self.roundtrip(wire.msg(payload, ("ACK", "reg:1", 3))) == {
+            "t": "msg",
+            "m": (payload, ("ACK", "reg:1", 3)),
+        }
+        doc = self.roundtrip({"t": "req", "args": payload})
+        assert doc == {"t": "req", "args": ["WRITE", "reg:1", [3, [4, 5]]]}
+        assert wire.freeze(doc["args"]) == payload
 
     def test_eof_mid_frame_reads_as_disconnect(self):
         async def go():
@@ -85,7 +90,8 @@ class TestWire:
 
     def test_handshake_and_message_shapes(self):
         assert wire.hello(3) == {"t": "hello", "pid": 3}
-        assert wire.msg(("ACK", 1))["t"] == "msg"
+        assert wire.msg(("ACK", 1)) == {"t": "msg", "m": (("ACK", 1),)}
+        assert wire.msg(("ACK", 1), ("ACK", 2))["m"] == (("ACK", 1), ("ACK", 2))
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 What the protocol tests in ``test_net.py`` cannot see: that the frame
 splitter is indifferent to where the socket cuts the byte stream, that
-the codec still writes the bytes it always wrote, that a peer's frames
-leave in one ``write`` per loop tick and a dead peer's are dropped, that
-waits are futures resolved by delivery and paced by a timer, and that a
-malformed frame closes its connection visibly instead of raising
-through the connection handler.
+the codec still writes the bytes it always wrote, that a peer's payloads
+leave as one document in one ``write`` per loop tick and a dead peer's
+are dropped, that waits are futures resolved by delivery and paced by a
+timer, and that a malformed frame closes its connection visibly instead
+of raising through the connection's callbacks.
 """
 
 from __future__ import annotations
@@ -21,8 +21,17 @@ from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.faults import FaultPlan
-from repro.net import ChaosClock, ChaosProxy, LiveCluster, LiveProfile, NetNode, wire
-from repro.net.node import _RECONNECT_PAUSE, _Link
+from repro.net import (
+    ChaosClock,
+    ChaosProxy,
+    LiveCluster,
+    LiveProfile,
+    NetNode,
+    WallClockChannels,
+    wire,
+)
+from repro.net.node import _RECONNECT_PAUSE, _Connection, _Link
+from repro.net.oracle import LiveHistory
 
 REGISTERS = {f"reg:{pid}": (pid, 0) for pid in range(1, 5)}
 
@@ -35,6 +44,7 @@ DOCUMENTS = [
     wire.msg(("VALUE", "led:3", 41, 5, ((2, 1), (4, 3)))),
     wire.msg(("VALUE", "led:2", 41, 0, ())),
     wire.msg(("ECHO", "reg:2", 1, "zażółć gęślą jaźń ☃")),
+    wire.msg(("CH-ACK", 8), ("CH", 9, ("READ", "reg:4", 2)), ("ACK", "reg:1", 3)),
     {"t": "req", "id": 9, "op": "write", "args": ["reg:1", [1, [2, []]]]},
     {"t": "res", "id": 9, "ok": True, "value": {"n": 4, "accounts": [1, 2]}},
 ]
@@ -44,6 +54,15 @@ def parent_encode(doc):
     """``wire.encode`` as the parent commit wrote it."""
     body = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
     return len(body).to_bytes(4, "big") + body
+
+
+def decoded(doc):
+    """What the decode path yields for ``doc``: its JSON round trip, a
+    ``msg`` batch frozen to a tuple of hashable payloads."""
+    doc = json.loads(json.dumps(doc))
+    if doc["t"] == "msg":
+        doc["m"] = wire.freeze(doc["m"])
+    return doc
 
 
 def parent_freeze(value):
@@ -107,6 +126,23 @@ class TestCodec:
         assert wire.freeze(value) is value
         assert wire.freeze([[1, [2]], (3, [4])]) == ((1, (2,)), (3, [4]))
 
+    @pytest.mark.parametrize(
+        "value", [{"x": 1}, ["ECHO", "reg:1", 1, {"x": 1}], [1, [2, [{}]]]]
+    )
+    def test_freeze_refuses_a_json_object_at_any_depth(self, value):
+        with pytest.raises(NetworkError):
+            wire.freeze(value)
+
+    def test_a_batch_too_large_for_one_frame_splits_into_halves(self):
+        payloads = [("ECHO", "reg:1", seq, "x" * 400_000) for seq in range(1, 6)]
+        data = wire.encode_batch(payloads)
+        docs = wire.Splitter().feed(data)
+        assert len(docs) > 1
+        assert [p for doc in docs for p in doc["m"]] == payloads
+        assert wire.encode_batch(payloads[:2]) == wire.encode(wire.msg(*payloads[:2]))
+        with pytest.raises(NetworkError):
+            wire.encode_batch([("ECHO", "reg:1", 1, "x" * wire.MAX_FRAME)])
+
 
 class TestSplitter:
     @settings(max_examples=25, deadline=None)
@@ -114,7 +150,7 @@ class TestSplitter:
     def test_any_cut_yields_what_read_doc_yields(self, docs):
         data = b"".join(wire.encode(doc) for doc in docs)
         expected = read_all(data)
-        assert expected == json.loads(json.dumps(docs))
+        assert expected == [decoded(doc) for doc in docs]
         for cut in range(len(data) + 1):  # includes cuts inside a prefix
             splitter = wire.Splitter()
             got = splitter.feed(data[:cut]) + splitter.feed(data[cut:])
@@ -131,7 +167,7 @@ class TestSplitter:
         splitter = wire.Splitter()
         assert splitter.feed(first + second[:-1]) == [wire.hello(1)]
         assert splitter.feed(b"") == []
-        assert splitter.feed(second[-1:]) == [{"t": "msg", "m": ["ACK", 1]}]
+        assert splitter.feed(second[-1:]) == [{"t": "msg", "m": (("ACK", 1),)}]
         # ... and read_doc agrees that a truncated frame is no document.
         assert read_all(first + second[:-1]) == [wire.hello(1)]
 
@@ -149,8 +185,10 @@ MALFORMED = [
     ("not-an-object", _framed(b"[1,2]")),
     ("no-kind", _framed(b'{"m":[1]}')),
     ("hello-pid-not-int", _framed(b'{"pid":"two","t":"hello"}')),
+    ("msg-without-m", _framed(b'{"t":"msg"}')),
+    ("msg-m-not-an-array", _framed(b'{"m":"READ","t":"msg"}')),
+    ("object-in-payload", _framed(b'{"m":[["ECHO","reg:1",1,{"x":1}]],"t":"msg"}')),
 ]
-MSG_WITHOUT_PAYLOAD = ("msg-without-m", _framed(b'{"t":"msg"}'))
 
 
 class TestMalformedFrames:
@@ -182,17 +220,17 @@ class TestMalformedFrames:
         writer.close()
 
     def test_a_live_node_hangs_up_counts_and_keeps_serving(self, caplog, capfd):
-        cases = MALFORMED + [MSG_WITHOUT_PAYLOAD]
-
         async def go():
             node = NetNode(1, 4, 1, REGISTERS)
             await node.start()
             try:
-                for count, (case, frame) in enumerate(cases, start=1):
+                for count, (case, frame) in enumerate(MALFORMED, start=1):
                     assert await self._offend(node.port, frame), case
                     await eventually(lambda: node.bad_frames == count)
                     assert node.metrics()["bad_frames"] == count
                     await self._deliver_one(node, node.port)
+                # Refused whole: no part of a bad frame reached the core.
+                assert node.replica.echo_votes == {}
             finally:
                 await node.stop()
 
@@ -215,15 +253,9 @@ class TestMalformedFrames:
                     await eventually(lambda: proxy.bad_frames == count)
                     assert proxy.metrics()["bad_frames"] == count
                     await self._deliver_one(node, proxy.port)
-                # The proxy faults frames, it does not read payloads: a
-                # msg without one is forwarded and refused by the node.
-                _reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", proxy.port
-                )
-                writer.write(wire.encode(wire.hello(2)) + MSG_WITHOUT_PAYLOAD[1])
-                await eventually(lambda: node.bad_frames == 1)
-                assert proxy.bad_frames == len(MALFORMED)
-                writer.close()
+                # The proxy reads batches through the node's decode path,
+                # so it refuses every one of them and forwards none.
+                assert node.bad_frames == 0
             finally:
                 await proxy.stop()
                 await node.stop()
@@ -247,6 +279,44 @@ class TestMalformedFrames:
                 await node.stop()
 
         asyncio.run(go())
+
+    def test_a_client_request_holding_an_object_is_refused_untouched(
+        self, caplog, capfd
+    ):
+        async def go():
+            history = LiveHistory()
+            node = NetNode(2, 4, 1, REGISTERS, history=history)
+            await node.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", node.port)
+                writer.write(
+                    wire.encode(wire.hello(0))
+                    + wire.encode(
+                        {"t": "req", "id": 1, "op": "write", "args": ["reg:2", {"a": 1}]}
+                    )
+                    + wire.encode({"t": "req", "id": 2, "op": "info", "args": []})
+                )
+                splitter, docs = wire.Splitter(), []
+                while len(docs) < 2:
+                    docs += await asyncio.wait_for(wire.read_docs(reader, splitter), 5.0)
+                writer.close()
+            finally:
+                await node.stop()
+            return node, history, {doc["id"]: doc for doc in docs}
+
+        with caplog.at_level(logging.DEBUG):
+            node, history, responses = asyncio.run(go())
+        assert responses[1]["ok"] is False
+        assert responses[1]["value"].startswith("NetworkError")
+        # The same connection goes on serving.
+        assert responses[2]["ok"] is True and responses[2]["value"]["pid"] == 2
+        # Refused before the history or the core saw it.
+        assert len(history) == 0
+        assert node.replica.accepted["reg:2"] == (0, 0)
+        assert node.replica.write_seq["reg:2"] == 0
+        assert node.bad_frames == 0
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert capfd.readouterr().err == ""
 
 
 # ----------------------------------------------------------------------
@@ -319,9 +389,8 @@ class TestLinks:
                 node._enqueue(3, ("ACK", "reg:1", 1))
                 assert stubs[2].writes == [] and stubs[3].writes == []
                 await asyncio.sleep(0)
-                assert stubs[2].writes == [
-                    b"".join(wire.encode(wire.msg(p)) for p in to_two)
-                ]
+                # One document per peer per tick, its payloads in order.
+                assert stubs[2].writes == [wire.encode(wire.msg(*to_two))]
                 assert stubs[3].writes == [wire.encode(wire.msg(("ACK", "reg:1", 1)))]
                 # The next tick is the next batch.
                 node._enqueue(2, ("READ", "reg:1", 99))
@@ -347,8 +416,14 @@ class TestLinks:
                 link = node._links[2]
                 await eventually(lambda: link.dial is None and not link.frames)
                 assert link.transport is None
-                # Inside the pause after the failed dial nothing is
-                # kept and nobody dials ...
+                # After the pause, the next frame is a fresh dial ...
+                await asyncio.sleep(_RECONNECT_PAUSE * 1.5)
+                node._enqueue(2, ("READ", "reg:1", 0))
+                await asyncio.sleep(0)
+                assert link.dial is not None
+                # ... and inside the pause after it fails (waited for
+                # exactly, not polled) nothing is kept and nobody dials ...
+                await asyncio.wait_for(link.dial, 5.0)
                 node._enqueue(2, ("READ", "reg:1", 0))
                 await asyncio.sleep(0)
                 assert link.frames == [] and link.dial is None
@@ -356,11 +431,6 @@ class TestLinks:
                 node._enqueue(3, ("READ", "reg:1", 0))
                 await asyncio.sleep(0)
                 assert node._links[3].frames == [] and node._links[3].dial is None
-                # After it, the next frame is a fresh dial.
-                await asyncio.sleep(_RECONNECT_PAUSE * 1.5)
-                node._enqueue(2, ("READ", "reg:1", 0))
-                await asyncio.sleep(0)
-                assert link.dial is not None
             finally:
                 await node.stop()
 
@@ -383,7 +453,7 @@ class TestLinks:
                 assert link.frames == [] and link.transport is None
                 node._enqueue(2, ("READ", "reg:1", 2))
                 await eventually(lambda: len(sink.docs) == 2)
-                assert sink.docs == [wire.hello(1), {"t": "msg", "m": ["READ", "reg:1", 2]}]
+                assert sink.docs == [wire.hello(1), decoded(wire.msg(("READ", "reg:1", 2)))]
             finally:
                 await node.stop()
                 await sink.stop()
@@ -405,9 +475,11 @@ class TestLinks:
                 node._enqueue(2, ("READ", "reg:1", 1))
                 node._enqueue(2, ("READ", "reg:1", 2))
                 assert len(link.frames) == 3
-                await eventually(lambda: len(sink.docs) == 4)
-                assert sink.docs == [wire.hello(1)] + [
-                    {"t": "msg", "m": ["READ", "reg:1", index]} for index in range(3)
+                # The hello, then one document holding all three.
+                await eventually(lambda: len(sink.docs) == 2)
+                assert sink.docs == [
+                    wire.hello(1),
+                    decoded(wire.msg(*[("READ", "reg:1", index) for index in range(3)])),
                 ]
                 assert link.frames == [] and link.dial is None
                 assert sink.connections == 1
@@ -442,6 +514,114 @@ class TestLinks:
             assert all(node._links == {} for node in cluster.nodes)
 
         asyncio.run(go())
+
+
+class TestProxyBatches:
+    def test_decisions_follow_the_payload_sequence_not_the_batching(self):
+        payloads = [("READ", "reg:1", index) for index in range(60)]
+        plan = FaultPlan.from_spec((("drop", 0, 0, 0.3), ("dup", 0, 0, 0.2)), seed=11)
+
+        async def through_proxy(documents):
+            sink = Sink()
+            await sink.start()
+            proxy = ChaosProxy(plan, 1, ("127.0.0.1", sink.port), ChaosClock())
+            await proxy.start()
+            try:
+                _reader, writer = await asyncio.open_connection("127.0.0.1", proxy.port)
+                writer.write(
+                    wire.encode(wire.hello(2))
+                    + b"".join(wire.encode(doc) for doc in documents)
+                )
+                await eventually(
+                    lambda: proxy.forwarded - proxy.duplicated + proxy.dropped
+                    == len(payloads)
+                )
+                await eventually(
+                    lambda: sum(len(doc.get("m", ())) for doc in sink.docs)
+                    == proxy.forwarded
+                )
+                writer.close()
+            finally:
+                await proxy.stop()
+                await sink.stop()
+            return [p for doc in sink.docs[1:] for p in doc["m"]], proxy.metrics()
+
+        one_batch = asyncio.run(through_proxy([wire.msg(*payloads)]))
+        one_each = asyncio.run(through_proxy([wire.msg(p) for p in payloads]))
+        assert one_batch == one_each
+        arrived, metrics = one_batch
+        assert metrics["dropped"] > 0 and metrics["duplicated"] > 0
+        assert len(arrived) == metrics["forwarded"]
+
+
+# ----------------------------------------------------------------------
+# Inbound chunks
+# ----------------------------------------------------------------------
+#: Any JSON value: what a peer can put in a payload.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**400),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=10,
+)
+_KINDS = ("WRITE", "ECHO", "READ", "VALUE", "PULL", "PULL-ACK", "ACK", "CH-ACK")
+#: Payloads shaped like the protocol's (a kind, a register, anything
+#: after), or not, and either bare or channel-framed.
+_SHAPED = JSON_VALUES | st.builds(
+    lambda kind, name, rest: [kind, name, *rest],
+    st.sampled_from(_KINDS),
+    st.sampled_from(sorted(REGISTERS)) | JSON_VALUES,
+    st.lists(JSON_VALUES | st.integers(0, 3), max_size=3),
+)
+PAYLOADS = _SHAPED | st.builds(
+    lambda seq, inner: ["CH", seq, inner], JSON_VALUES | st.integers(-1, 5), _SHAPED
+)
+
+
+def has_object(value):
+    if isinstance(value, dict):
+        return True
+    return isinstance(value, list) and any(has_object(item) for item in value)
+
+
+class TestInboundChunks:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=st.lists(PAYLOADS, max_size=6), data=st.data())
+    def test_a_batch_is_delivered_whole_or_refused_however_it_is_cut(
+        self, batch, data
+    ):
+        node = NetNode(1, 4, 1, REGISTERS, channels=WallClockChannels(1))
+        delivered = []
+        deliver = node._deliver
+
+        def recording(sender, payload, framed):
+            if framed:
+                delivered.append(payload)
+            deliver(sender, payload, framed)
+
+        node._deliver = recording
+        stream = wire.encode(wire.hello(2)) + wire.encode(wire.msg(*batch))
+        cuts = sorted(data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=4)))
+        connection, transport = _Connection(node), StubTransport()
+        connection.connection_made(transport)
+        for start, stop in zip([0] + cuts, cuts + [len(stream)]):
+            if start < stop and not transport.closing:
+                connection.data_received(stream[start:stop])  # never raises
+        if has_object(batch):
+            assert node.bad_frames == 1 and transport.closing and delivered == []
+        else:
+            assert node.bad_frames == 0 and not transport.closing
+            assert json.dumps(delivered) == json.dumps(batch)
+        replica = node.replica
+        for table in (replica.echo_votes, replica.acks, replica.value_reports):
+            for key in table:
+                hash(key)
+        hash(tuple(replica.accepted.items()))
 
 
 # ----------------------------------------------------------------------
