@@ -233,14 +233,6 @@ def _explore_main(argv: Sequence[str]) -> int:
         "pins, else sleep)",
     )
     parser.add_argument(
-        "--prefix-sharing",
-        choices=("auto", "fork", "replay"),
-        default="auto",
-        help="systematic node executor: fork-based prefix sharing, plain "
-        "re-execution, or auto (fork when the platform and CPU count "
-        "make it profitable)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=None, help="fuzzer processes (default: cores, <=4)"
     )
     parser.add_argument("--seed", type=int, default=0, help="first fuzzing seed")
@@ -283,7 +275,6 @@ def _explore_main(argv: Sequence[str]) -> int:
                 preemption_bound=args.preempt,
                 budget=args.budget,
                 mode=args.mode,
-                prefix_sharing=args.prefix_sharing,
                 reduction=reduction,
                 symmetry=symmetry,
             )

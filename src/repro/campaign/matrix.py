@@ -296,10 +296,6 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
             preemption_bound=cell.preemption_bound,
             budget=cell.budget,
             stop_on_violation=cell.expect_violation,
-            # Campaign cells already fan out across the worker pool; the
-            # fork branch executor would only oversubscribe the cores,
-            # so cells always use the replay engine.
-            prefix_sharing="replay",
             early_exit=early_exit,
             reduction=cell.reduction,
             symmetry=cell.symmetry,

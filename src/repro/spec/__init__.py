@@ -17,9 +17,7 @@ from repro.spec.byzantine import (
     check_verifiable,
 )
 from repro.spec.linearizability import (
-    IncrementalChecker,
     LinearizationResult,
-    assert_linearizable,
     check_linearizable,
     find_linearization,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "BroadcastSpec",
     "ByzantineVerdict",
     "CheckContext",
-    "IncrementalChecker",
     "LinearizationResult",
     "PropertyReport",
     "RegularRegisterSpec",
@@ -57,7 +54,6 @@ __all__ = [
     "StickyRegisterSpec",
     "TestOrSetSpec",
     "VerifiableRegisterSpec",
-    "assert_linearizable",
     "check_authenticated",
     "check_authenticated_properties",
     "check_linearizable",

@@ -33,14 +33,6 @@ refinements keep pathological histories cheap:
 Complexity is exponential in the width of concurrency, which is fine for
 the histories this library produces (tens of operations, bounded overlap).
 The memoization makes sequential-heavy histories linear-time in practice.
-
-:class:`IncrementalChecker` adds the early-exit mode: linearizability is
-prefix-closed (every prefix of a linearizable history is linearizable —
-take a linearization of the full history, cut it after the last
-operation that completed within the prefix, and drop the still-pending
-operations after the cut), so a run whose *partial* history already
-fails to linearize can stop simulating immediately: no extension ever
-becomes linearizable again.
 """
 
 from __future__ import annotations
@@ -294,95 +286,6 @@ def check_linearizable(
     """
     records = history.operations(obj=obj)
     return find_linearization(records, spec, max_nodes=max_nodes, ctx=ctx)
-
-
-def assert_linearizable(
-    history: History,
-    spec: SequentialSpec,
-    obj: Optional[str] = None,
-    ctx: Optional[CheckContext] = None,
-) -> List[int]:
-    """Like :func:`check_linearizable` but raising on failure.
-
-    Returns the witness order for convenience in tests.
-    """
-    result = check_linearizable(history, spec, obj=obj, ctx=ctx)
-    if not result.ok:
-        raise LinearizabilityViolation(
-            f"history of {obj or '<all>'} is not linearizable against "
-            f"{spec.describe()}:\n{result.reason}"
-        )
-    assert result.order is not None
-    return result.order
-
-
-class IncrementalChecker:
-    """Early-exit linearizability over a history that is still growing.
-
-    Linearizability is *prefix-closed*: if the history produced so far
-    (complete operations with their responses, in-flight operations as
-    incomplete) has no linearization, then no extension — however the
-    pending operations complete, whatever is invoked later — has one
-    either. The checker consumes operations as they complete (feed it
-    from :attr:`repro.sim.history.History.on_complete`) and re-checks
-    the partial history every ``interval`` completions with warm
-    :class:`CheckContext` caches; once :attr:`doomed` is set the run can
-    stop simulating immediately instead of driving to the horizon and
-    checking once.
-
-    The verdict is *sticky and sound*: ``doomed`` carries the failure
-    summary of the first non-linearizable prefix, and a doomed history
-    stays non-linearizable forever. A clean partial verdict promises
-    nothing about the future — only the final batch check does.
-    """
-
-    def __init__(
-        self,
-        history: History,
-        spec: SequentialSpec,
-        obj: Optional[str] = None,
-        ctx: Optional[CheckContext] = None,
-        interval: int = 1,
-        max_nodes: int = 2_000_000,
-    ) -> None:
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        self.history = history
-        self.spec = spec
-        self.obj = obj
-        self.ctx = ctx if ctx is not None else CheckContext()
-        self.interval = interval
-        self.max_nodes = max_nodes
-        self.checks = 0
-        self._pending = 0
-        #: Failure summary of the first doomed prefix, or None.
-        self.doomed: Optional[str] = None
-
-    def on_complete(self, record: OperationRecord) -> None:
-        """History hook: one operation just received its response."""
-        if self.doomed is not None:
-            return
-        if self.obj is not None and record.obj != self.obj:
-            return
-        self._pending += 1
-        if self._pending >= self.interval:
-            self._pending = 0
-            self.check_now()
-
-    def check_now(self) -> Optional[str]:
-        """Re-check the partial history; returns the doom reason, if any."""
-        if self.doomed is not None:
-            return self.doomed
-        self.checks += 1
-        result = find_linearization(
-            self.history.operations(obj=self.obj),
-            self.spec,
-            max_nodes=self.max_nodes,
-            ctx=self.ctx,
-        )
-        if not result.ok:
-            self.doomed = result.reason
-        return self.doomed
 
 
 def _failure_summary(

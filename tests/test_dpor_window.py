@@ -11,8 +11,7 @@ under every reduction. These tests pin why that is enough:
 * the recorder against an independent full-trace oracle, on prefixes
   real explorations executed;
 * runs with no barrier record to their last step;
-* the certify cell's full report (fork == replay under the dpor
-  reductions sits with the other fork tests in ``test_explore.py``).
+* the certify cell's full report.
 """
 
 from __future__ import annotations
@@ -143,7 +142,6 @@ def _explored_prefixes(monkeypatch, scenario, depth_bound, reduction, symmetry):
             depth_bound=depth_bound,
             preemption_bound=2,
             budget=20,
-            prefix_sharing="replay",
             reduction=reduction,
             symmetry=symmetry,
         )
@@ -288,7 +286,6 @@ def test_certify_cell_report_is_pinned():
         depth_bound=6,
         preemption_bound=2,
         budget=4000,
-        prefix_sharing="replay",
     )
     assert report.exhausted and not report.violations
     assert {

@@ -1,11 +1,12 @@
-"""Early-exit oracle modes: incremental checker, monitors, integration.
+"""Early-exit oracle modes: the history hook, monitors, integration.
 
 Covers the three layers of the early-exit stack:
 
-* :class:`repro.spec.IncrementalChecker` — prefix-closedness of plain
-  linearizability, consumed through ``History.on_complete``;
+* ``History.on_complete`` — the hook that feeds each completed
+  operation to the armed monitor;
 * :class:`repro.spec.properties.EarlyPropertyMonitor` — the monotone
-  per-family rules (doom only on violations stable under extension);
+  per-family rules (doom only on violations stable under extension),
+  the one incremental checker early-exit runs arm;
 * the run integration — ``fuzz(..., early_exit=True)`` actually stops a
   violating run before the horizon while preserving the verdict.
 """
@@ -17,7 +18,6 @@ import pytest
 from repro.explore import explore, fuzz, make_scenario
 from repro.explore.fuzzer import run_one_fuzz
 from repro.sim.history import History
-from repro.spec import CheckContext, IncrementalChecker, RegularRegisterSpec
 from repro.spec.properties import EarlyPropertyMonitor
 from repro.spec.sequential import DONE, SUCCESS
 
@@ -38,47 +38,6 @@ class TestHistoryHook:
         history.record_response(op_id, DONE, 1)
         assert len(seen) == 1
         assert seen[0].op_id == op_id and seen[0].complete
-
-
-class TestIncrementalChecker:
-    def test_dooms_at_first_bad_prefix_and_stays_doomed(self):
-        history = History()
-        checker = IncrementalChecker(history, RegularRegisterSpec(initial=0))
-        history.on_complete = checker.on_complete
-        _record(history, 1, "write", (5,), DONE)
-        assert checker.doomed is None
-        _record(history, 2, "read", (), 5)
-        assert checker.doomed is None
-        _record(history, 2, "read", (), 99)  # value never written
-        assert checker.doomed is not None
-        doom = checker.doomed
-        # Prefix-closedness: no extension can recover; the verdict is
-        # sticky and later (even legal) completions do not clear it.
-        _record(history, 1, "write", (99,), DONE)
-        assert checker.doomed == doom
-
-    def test_clean_history_never_doomed(self):
-        history = History()
-        ctx = CheckContext()
-        checker = IncrementalChecker(
-            history, RegularRegisterSpec(initial=0), ctx=ctx
-        )
-        history.on_complete = checker.on_complete
-        for value in (1, 2, 3):
-            _record(history, 1, "write", (value,), DONE)
-            _record(history, 2, "read", (), value)
-        assert checker.doomed is None
-        assert checker.checks == 6
-
-    def test_interval_batches_checks(self):
-        history = History()
-        checker = IncrementalChecker(
-            history, RegularRegisterSpec(initial=0), interval=3
-        )
-        history.on_complete = checker.on_complete
-        for value in (1, 2, 3):
-            _record(history, 1, "write", (value,), DONE)
-        assert checker.checks == 1
 
 
 class TestEarlyPropertyMonitor:

@@ -35,7 +35,6 @@ from repro.explore import (
     shrink,
     theorem29_symmetry,
 )
-from repro.explore.forkexec import fork_available
 from repro.explore.fuzzer import SwarmScheduler, fuzz_scheduler
 
 #: Shared bounds: must find the f=1 violation and keep the control
@@ -107,6 +106,29 @@ class TestTraceScheduler:
 # ----------------------------------------------------------------------
 # Systematic exploration
 # ----------------------------------------------------------------------
+def _report_facts(report):
+    """Everything a search report asserts about the schedule space."""
+    return {
+        "runs": report.runs,
+        "steps": report.steps,
+        "states": report.states,
+        "unique_states": report.unique_states,
+        "incomplete": report.incomplete,
+        "pruned_fingerprint": report.pruned_fingerprint,
+        "pruned_sleep": report.pruned_sleep,
+        "pruned_preemption": report.pruned_preemption,
+        "pruned_dpor": report.pruned_dpor,
+        "pruned_symmetry": report.pruned_symmetry,
+        "races_detected": report.races_detected,
+        "blocked_fallbacks": report.blocked_fallbacks,
+        "recorded_steps": report.recorded_steps,
+        "replayed_steps": report.replayed_steps,
+        "exhausted": report.exhausted,
+        "violations": sorted(v.fingerprint() for v in report.violations),
+        "violation_traces": sorted(str(v.trace) for v in report.violations),
+    }
+
+
 class TestSystematicExplorer:
     def test_finds_theorem29_violation_at_3f(self):
         report = explore(
@@ -158,157 +180,49 @@ class TestSystematicExplorer:
         assert commutes(("pause",), write_a)
         assert not commutes(("sync",), ("pause",))
 
-
-# ----------------------------------------------------------------------
-# Fork-based prefix sharing
-# ----------------------------------------------------------------------
-def _report_facts(report):
-    """Everything a search report asserts about the schedule space."""
-    return {
-        "runs": report.runs,
-        "steps": report.steps,
-        "states": report.states,
-        "unique_states": report.unique_states,
-        "incomplete": report.incomplete,
-        "pruned_fingerprint": report.pruned_fingerprint,
-        "pruned_sleep": report.pruned_sleep,
-        "pruned_preemption": report.pruned_preemption,
-        "pruned_dpor": report.pruned_dpor,
-        "pruned_symmetry": report.pruned_symmetry,
-        "races_detected": report.races_detected,
-        "blocked_fallbacks": report.blocked_fallbacks,
-        "recorded_steps": report.recorded_steps,
-        "exhausted": report.exhausted,
-        "violations": sorted(v.fingerprint() for v in report.violations),
-        "violation_traces": sorted(str(v.trace) for v in report.violations),
-    }
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-class TestForkPrefixSharing:
-    def test_fork_engine_matches_replay_engine(self):
-        # The load-bearing differential: both executors must drain the
-        # identical bounded tree — same states, prunes, and violations.
+    @pytest.mark.parametrize("mode", ["dfs", "bfs"])
+    def test_search_is_deterministic(self, mode):
+        # Re-execution from the root is the only executor: two searches
+        # of the same tree must agree on every counter and violation.
         scenario = make_scenario("theorem29", f=1)
-        replay = explore(scenario, budget=100, prefix_sharing="replay", **BOUNDS)
-        forked = explore(scenario, budget=100, prefix_sharing="fork", **BOUNDS)
-        assert replay.engine == "replay" and forked.engine == "fork"
-        assert _report_facts(replay) == _report_facts(forked)
-
-    def test_fork_engine_matches_replay_on_bfs(self):
-        scenario = make_scenario("theorem29", f=1)
-        replay = explore(
-            scenario, budget=60, mode="bfs", prefix_sharing="replay", **BOUNDS
-        )
-        forked = explore(
-            scenario, budget=60, mode="bfs", prefix_sharing="fork", **BOUNDS
-        )
-        assert _report_facts(replay) == _report_facts(forked)
+        first = explore(scenario, budget=60, mode=mode, **BOUNDS)
+        second = explore(scenario, budget=60, mode=mode, **BOUNDS)
+        assert first.violations
+        assert _report_facts(first) == _report_facts(second)
 
     @pytest.mark.parametrize("reduction", ["dpor", "dpor+symmetry"])
-    def test_fork_engine_matches_replay_under_dpor(self, reduction):
-        # Forked children ship the same windowed records the replay
-        # engine builds, so the race scan drives the same search.
+    def test_dpor_search_is_deterministic(self, reduction):
+        # The windowed records feed the race scan; replaying them twice
+        # must drive the identical search.
         scenario = make_scenario("theorem29", f=2, extra_correct=True)
         kwargs = dict(
             budget=80, depth_bound=6, preemption_bound=2, reduction=reduction,
             symmetry=theorem29_symmetry(f=2, extra_correct=True),
         )
-        replay = explore(scenario, prefix_sharing="replay", **kwargs)
-        forked = explore(scenario, prefix_sharing="fork", **kwargs)
-        assert replay.engine == "replay" and forked.engine == "fork"
-        assert forked.shared_steps > 0 and forked.races_detected > 0
-        assert _report_facts(replay) == _report_facts(forked)
+        first = explore(scenario, **kwargs)
+        second = explore(scenario, **kwargs)
+        assert first.races_detected > 0 and first.replayed_steps > 0
+        assert _report_facts(first) == _report_facts(second)
 
-    def test_sharing_counters_move(self):
-        report = explore(
-            make_scenario("theorem29", f=1),
-            budget=80,
-            prefix_sharing="fork",
-            **BOUNDS,
-        )
-        assert report.shared_steps > 0
-        assert report.replayed_steps > 0
-        # Singleton sibling groups (nothing to share) fall back to plain
-        # replay instead of paying the fork tax, and the replayed counter
-        # includes them — so sharing no longer dominates at small bounds;
-        # it just has to fire for every multi-sibling group.
-        assert "shared" in report.summary()
+    def test_fingerprint_memo_is_always_on(self):
+        report = explore(make_scenario("theorem29", f=1), budget=80, **BOUNDS)
+        assert report.states > 0
+        assert report.pruned_fingerprint > 0
+        assert 0 < report.unique_states <= report.states
 
-    def test_replay_engine_reports_no_sharing(self):
-        report = explore(
-            make_scenario("theorem29", f=1),
-            budget=30,
-            prefix_sharing="replay",
-            **BOUNDS,
-        )
-        assert report.shared_steps == 0
+    def test_replay_counter_moves(self):
+        report = explore(make_scenario("theorem29", f=1), budget=30, **BOUNDS)
         assert report.replayed_steps > 0
 
-    def test_stop_on_violation_cleans_up_speculative_children(self):
-        report = explore(
-            make_scenario("theorem29", f=1),
-            budget=300,
-            prefix_sharing="fork",
-            stop_on_violation=True,
-            **BOUNDS,
-        )
-        assert report.violations
+    @pytest.mark.parametrize("engine", ["fork", "auto", "nope"])
+    def test_only_the_replay_executor_exists(self, engine):
+        with pytest.raises(ValueError, match="prefix_sharing"):
+            explore(make_scenario("theorem29", f=1), prefix_sharing=engine)
 
-    def test_close_kills_and_reaps_unconsumed_children(self):
-        import os
-
-        from repro.explore.explorer import execute_trace
-        from repro.explore.forkexec import MISS, SKIPPED, BranchExecutor
-
-        scenario = make_scenario("theorem29", f=1)
-        base = execute_trace(scenario, (), depth_bound=14, fingerprints=True)
-        depth = 3
-        siblings = [
-            index
-            for index in range(len(base.runnables[depth]))
-            if index != base.trace[depth]
-        ][:2]
-        assert len(siblings) == 2
-        executor = BranchExecutor(scenario, 14)
-        parent = base.trace[:depth]
-        executor.register_group(parent, siblings)
-        fetched = executor.fetch(parent + (siblings[0],))
-        assert fetched is not MISS and fetched is not SKIPPED
-        # The second sibling was forked speculatively and never
-        # consumed; close() must kill and reap it (only the executor's
-        # own children — never a process-wide wait).
-        leftover = [entry[0] for entry in executor._pending.values() if entry]
-        assert leftover
-        executor.close()
-        assert not executor._pending
-        for pid in leftover:
-            with pytest.raises((ProcessLookupError, ChildProcessError)):
-                os.kill(pid, 0)
-                os.waitpid(pid, os.WNOHANG)
-
-    def test_invalid_prefix_sharing_rejected(self):
-        with pytest.raises(ValueError):
-            explore(make_scenario("theorem29", f=1), prefix_sharing="nope")
-
-    def test_memoize_off_matches_replay_engine(self):
-        # With memoization off neither engine may fingerprint: states
-        # stays 0 on both, and the reports still agree field for field.
-        scenario = make_scenario("theorem29", f=1)
-        replay = explore(
-            scenario, budget=40, memoize=False, prefix_sharing="replay", **BOUNDS
-        )
-        forked = explore(
-            scenario, budget=40, memoize=False, prefix_sharing="fork", **BOUNDS
-        )
-        assert replay.states == forked.states == 0
-        assert _report_facts(replay) == _report_facts(forked)
-
-    def test_child_crash_propagates_not_skips(self, monkeypatch):
-        # A scenario bug inside a forked sibling must fail the search
-        # loudly (as the replay engine would), not shrink the tree.
+    def test_scenario_bug_in_a_run_propagates(self, monkeypatch):
+        # A scenario bug raised while finishing a deviated run must fail
+        # the search loudly, not be skipped like an unrealizable prefix.
         from repro.explore import explorer as explorer_mod
-        from repro.explore.forkexec import ForkChildError
 
         original = explorer_mod.InstrumentedRun.finish
 
@@ -320,13 +234,32 @@ class TestForkPrefixSharing:
         monkeypatch.setattr(
             explorer_mod.InstrumentedRun, "finish", crashing_finish
         )
-        with pytest.raises(ForkChildError, match="injected scenario bug"):
-            explore(
-                make_scenario("theorem29", f=1),
-                budget=30,
-                prefix_sharing="fork",
-                **BOUNDS,
-            )
+        with pytest.raises(ValueError, match="injected scenario bug"):
+            explore(make_scenario("theorem29", f=1), budget=30, **BOUNDS)
+
+    @pytest.mark.parametrize(
+        "label_part",
+        ["flipflop", "verify_freshness=False", "'drop'", "'partition'"],
+    )
+    def test_stopping_on_a_violation_is_not_exhaustion(self, label_part):
+        # Each cell violates on the very first (root) run, which leaves
+        # the frontier empty at the stop: that drained nothing.
+        from repro.scenarios import grid
+
+        (record,) = [
+            rec
+            for rec in grid(expect_violation=True, engine="swarm")
+            if label_part in rec.spec.label()
+        ]
+        scenario = make_scenario(record.spec.name, **dict(record.spec.params))
+        stopped = explore(
+            scenario, depth_bound=6, budget=20, stop_on_violation=True
+        )
+        assert stopped.runs == 1 and stopped.violations
+        assert not stopped.exhausted
+        assert "budget reached" in stopped.summary()
+        full = explore(scenario, depth_bound=6, budget=20)
+        assert full.runs == 20 and not full.exhausted
 
 
 # ----------------------------------------------------------------------
