@@ -33,9 +33,9 @@ conformance matrix over every ``repro.core`` implementation family,
 with discovered violations shrunk and persisted into the replayable
 ``corpus/`` regression corpus. Exit code 0 means every cell matched
 the paper's expectation (and, with ``--replay``, that every committed
-corpus entry still reproduces). The one-shot default runs on the
-``repro.service`` substrate (submit + N workers + report, verdicts
-recorded in the results database); ``--submit`` / ``--worker`` /
+corpus entry still reproduces). The default run goes through
+``repro.service`` (submit + N workers + report, verdicts recorded in
+the results database); ``--submit`` / ``--worker`` /
 ``--status`` / ``--watch`` expose the persistent queue directly, so a
 long campaign survives worker crashes and can be drained by workers on
 any host sharing the database.
@@ -497,8 +497,8 @@ def _campaign_main(argv: Sequence[str]) -> int:
             "Run a differential conformance campaign: every repro.core "
             "implementation family x scenario x engine, checked against the "
             "repro.spec oracles, with violations shrunk into the replayable "
-            "corpus. The default runs one-shot (submit + workers + report "
-            "on the service substrate); --submit/--worker/--status/--watch "
+            "corpus. The default submits the matrix, drains it with "
+            "workers and reports; --submit/--worker/--status/--watch "
             "drive the persistent run queue directly."
         ),
     )
@@ -517,7 +517,8 @@ def _campaign_main(argv: Sequence[str]) -> int:
         "--shards",
         type=int,
         default=None,
-        help="worker processes (default: cores, <=4)",
+        help="workers (default: cores, <=4; never more than shards; "
+        "1 runs inline)",
     )
     parser.add_argument(
         "--seed",
@@ -606,7 +607,7 @@ def _campaign_main(argv: Sequence[str]) -> int:
         default=None,
         metavar="PATH",
         help="write the machine-comparable cell-verdict JSON here "
-        "(one-shot, --status and --watch)",
+        "(default run, --status and --watch)",
     )
     args = parser.parse_args(argv)
     if args.budget is not None and args.budget < 1:
@@ -747,11 +748,8 @@ def _campaign_main(argv: Sequence[str]) -> int:
         # complete one must also have every cell recorded.
         return 0 if (not result.complete or result.ok) else 1
 
-    # One-shot: the classic campaign, re-expressed as submit + N inline
-    # workers + report on the service substrate. Verdicts are
-    # byte-identical to the old run_campaign path (both execute through
-    # run_cell); the difference is that they also land in the database,
-    # so the next run can report drift.
+    # The default: submit + N workers + report on the service. The
+    # verdicts land in the database, so the next run can report drift.
     from repro.campaign import default_matrix
 
     seed0 = 0 if args.seed is None else args.seed

@@ -15,13 +15,16 @@ corpus (``corpus/*.json``) that ``tests/test_corpus_replay.py`` replays
 as a pytest-parametrized regression suite, so a counterexample found
 once can never silently regress.
 
-Quickstart::
+Quickstart (a matrix runs through the campaign service)::
 
-    from repro.campaign import default_matrix, run_campaign
+    from repro.campaign import default_matrix
+    from repro.service import run_service_campaign
 
-    report = run_campaign(default_matrix(smoke=True), corpus_dir="corpus")
-    print(report.summary())
-    assert report.ok  # every cell matched the paper's expectation
+    result = run_service_campaign(
+        default_matrix(smoke=True), workers=1, corpus_dir="corpus"
+    )
+    print(result.summary())
+    assert result.ok  # every cell matched the paper's expectation
 
 The CLI front end is ``python -m repro.analysis campaign``.
 """
@@ -39,11 +42,9 @@ from repro.campaign.corpus import (
 )
 from repro.campaign.matrix import (
     CampaignCell,
-    CampaignReport,
     CellOutcome,
     canonicalize_violation,
     default_matrix,
-    run_campaign,
     run_cell,
 )
 
@@ -68,7 +69,6 @@ def __getattr__(name: str):
 __all__ = [
     "CORPUS_VERSION",
     "CampaignCell",
-    "CampaignReport",
     "CellOutcome",
     "CorpusEntry",
     "ENGINES",
@@ -82,7 +82,6 @@ __all__ = [
     "load_corpus",
     "oracle_for",
     "replay_entry",
-    "run_campaign",
     "run_cell",
     "save_entry",
 ]

@@ -4,9 +4,8 @@ Where ``repro.explore`` searches the schedule space of *one* scenario,
 a *campaign* quantifies over the other axes of the paper's claims too:
 it builds a matrix of cells — (implementation × scenario × engine ×
 parameters) — covering every ``repro.core`` implementation family
-(:data:`IMPLEMENTATIONS`), fans the cells out across a multiprocessing
-pool (the same worker plumbing as :mod:`repro.explore.fuzzer`), and
-*differentially* judges each cell: every run's history is checked
+(:data:`IMPLEMENTATIONS`), runs each cell through :func:`run_cell`, and
+*differentially* judges it: every run's history is checked
 against the implementation's sequential specification through the
 ``repro.spec`` oracles (the property checkers plus the Wing–Gong
 Byzantine-linearizability search), and the presence or absence of
@@ -23,7 +22,9 @@ The differential expectations encode the paper's boundary:
   relay violation, and the same bounds must come back clean at
   ``n = 3f + 1``.
 
-Any violation a campaign finds is auto-shrunk
+A matrix runs through the campaign service
+(:func:`repro.service.run_service_campaign`): its workers execute the
+cells, and any violation they find is auto-shrunk
 (:mod:`repro.explore.shrink`) and persisted into the replayable corpus
 (:mod:`repro.campaign.corpus`), so each discovered counterexample
 becomes a standing regression test.
@@ -31,18 +32,14 @@ becomes a standing regression test.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SchedulerError
 from repro.explore.explorer import explore
-from repro.explore.fuzzer import default_shards, fuzz, pool_context
-from repro.explore.shrink import ShrunkViolation, shrink
+from repro.explore.fuzzer import fuzz
 from repro.scenarios import registry as _registry
 from repro.scenarios.registry import Scenario, Violation
-from repro.campaign.corpus import entry_from_shrunk, save_entry
 
 
 def __getattr__(name: str):
@@ -108,105 +105,50 @@ class CellOutcome:
         return bool(self.violations) == self.cell.expect_violation
 
     @property
-    def runs_per_sec(self) -> float:
-        """Schedules executed per wall-clock second inside the cell."""
-        return self.runs / self.elapsed if self.elapsed > 0 else 0.0
+    def class_fingerprints(self) -> List[str]:
+        """The cell's distinct violation classes, sorted."""
+        return sorted({violation.fingerprint() for violation in self.violations})
 
     def describe(self) -> str:
-        """One progress line for the CLI.
-
-        Liveness verdicts are worded apart from safety breaks: a cell
-        whose violation classes are all ``STALLED`` diagnoses reads
-        "stall class(es)", a mix annotates how many of the classes are
-        stalls. The payload/fingerprint plumbing is untouched — this is
-        presentation only.
-        """
-        stalls = sum(1 for violation in self.violations if violation.is_stall)
-        if not self.violations:
-            found = "clean"
-        elif stalls == len(self.violations):
-            found = f"{len(self.violations)} stall class(es)"
-        elif stalls:
-            found = (
-                f"{len(self.violations)} violation class(es), "
-                f"{stalls} stall(s)"
-            )
-        else:
-            found = f"{len(self.violations)} violation class(es)"
-        verdict = "as expected" if self.ok else "UNEXPECTED"
-        return (
-            f"{self.cell.label()}: {found} ({verdict}) in {self.runs} runs, "
-            f"{self.runs_per_sec:.0f} runs/s"
+        """One progress line for the CLI (see :func:`verdict_line`)."""
+        return verdict_line(
+            self.cell.label(),
+            self.class_fingerprints,
+            self.ok,
+            self.runs,
+            self.elapsed,
         )
 
 
-@dataclass
-class CampaignReport:
-    """Aggregated outcome of one differential campaign."""
+def verdict_line(
+    label: str,
+    class_fingerprints: Sequence[str],
+    ok: bool,
+    runs: int,
+    elapsed: float,
+) -> str:
+    """The one progress line of a cell verdict.
 
-    outcomes: List[CellOutcome] = field(default_factory=list)
-    shards: int = 1
-    elapsed: float = 0.0
-    shrunk: List[ShrunkViolation] = field(default_factory=list)
-    shrink_failures: List[str] = field(default_factory=list)
-    #: Violation-class fingerprints found but not shrunk because the
-    #: per-campaign cap was hit; recorded so library callers see them
-    #: even without a progress sink.
-    shrink_deferred: List[str] = field(default_factory=list)
-    corpus_written: List[str] = field(default_factory=list)
-    corpus_existing: int = 0
-
-    @property
-    def runs(self) -> int:
-        """Total schedules executed across all cells."""
-        return sum(outcome.runs for outcome in self.outcomes)
-
-    @property
-    def steps(self) -> int:
-        """Total simulator steps across all cells."""
-        return sum(outcome.steps for outcome in self.outcomes)
-
-    @property
-    def runs_per_sec(self) -> float:
-        """Aggregate campaign throughput (pool wall-clock)."""
-        return self.runs / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def steps_per_sec(self) -> float:
-        """Aggregate simulator steps per wall-clock second."""
-        return self.steps / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def mismatched(self) -> List[CellOutcome]:
-        """Cells whose findings contradicted the differential expectation."""
-        return [outcome for outcome in self.outcomes if not outcome.ok]
-
-    @property
-    def ok(self) -> bool:
-        """True iff every cell matched its expectation."""
-        return not self.mismatched
-
-    def summary(self) -> str:
-        """One-paragraph rendering for the CLI."""
-        matched = len(self.outcomes) - len(self.mismatched)
-        corpus = (
-            f"; corpus: {len(self.corpus_written)} new entr"
-            f"{'y' if len(self.corpus_written) == 1 else 'ies'}, "
-            f"{self.corpus_existing} already recorded"
-            if self.corpus_written or self.corpus_existing
-            else ""
-        )
-        deferred = (
-            f" ({len(self.shrink_deferred)} deferred)"
-            if self.shrink_deferred
-            else ""
-        )
-        return (
-            f"campaign: {matched}/{len(self.outcomes)} cells matched "
-            f"expectations in {self.runs} runs across {self.shards} worker(s); "
-            f"{self.runs_per_sec:.0f} runs/s, {self.steps_per_sec:.0f} steps/s; "
-            f"{len(self.shrunk)} violation class(es) shrunk{deferred}{corpus}"
-        )
+    A worker prints it as a cell finishes and ``watch`` prints it from
+    the recorded row, so it takes only what the row keeps. Liveness
+    verdicts are worded apart from safety breaks: a cell whose classes
+    are all ``STALLED`` diagnoses (the digit-masked ``STALLED:`` reason
+    survives in the fingerprint) reads "stall class(es)", a mix
+    annotates how many of the classes are stalls.
+    """
+    classes = len(class_fingerprints)
+    stalls = sum(1 for fp in class_fingerprints if "STALLED:" in fp)
+    if not classes:
+        found = "clean"
+    elif stalls == classes:
+        found = f"{classes} stall class(es)"
+    elif stalls:
+        found = f"{classes} violation class(es), {stalls} stall(s)"
+    else:
+        found = f"{classes} violation class(es)"
+    verdict = "as expected" if ok else "UNEXPECTED"
+    rate = runs / elapsed if elapsed > 0 else 0.0
+    return f"{label}: {found} ({verdict}) in {runs} runs, {rate:.0f} runs/s"
 
 
 def default_matrix(
@@ -269,20 +211,20 @@ def default_matrix(
 def run_cell(cell: CampaignCell) -> CellOutcome:
     """Worker entry point: execute one matrix cell to completion.
 
-    This is *the* cell-execution path: the one-shot pool workers and
-    the ``repro.service`` leasing workers both call it, which is what
-    makes a cell's verdict a pure function of its spec — byte-identical
-    however and wherever it is executed.
+    This is *the* cell-execution path: every ``repro.service`` worker,
+    inline or in a subprocess, calls it, which is what makes a cell's
+    verdict a pure function of its spec — byte-identical however and
+    wherever it is executed.
 
     Swarm cells run a single-shard :func:`repro.explore.fuzzer.fuzz`
-    campaign — pool parallelism is across cells, so a cell's findings
-    stay a deterministic function of its spec. Cells that *expect* a
-    violation stop at the first hit; the find is what matters, and the
-    shrinker minimizes it afterwards.
+    campaign — parallelism is across cells, so a cell's findings stay a
+    deterministic function of its spec. Cells that *expect* a violation
+    stop at the first hit; the find is what matters, and the shrinker
+    minimizes it afterwards.
 
     Every cell shares one :class:`repro.spec.CheckContext` across its
-    runs (built inside the engine, so it never crosses the pool's
-    pickling boundary). Early exit is armed exactly on the cells that
+    runs (built inside the engine, so it never crosses a process
+    boundary). Early exit is armed exactly on the cells that
     expect *clean* runs: there it is free insurance — a regression stops
     simulating the moment its partial history is irrecoverably broken —
     while the violation-expecting cells keep full-horizon runs, whose
@@ -328,78 +270,6 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
     )
 
 
-def _run_indexed_cell(
-    payload: Tuple[int, CampaignCell]
-) -> Tuple[int, CellOutcome]:
-    """Pool adapter: carry the matrix position alongside the outcome."""
-    index, cell = payload
-    return index, run_cell(cell)
-
-
-def run_campaign(
-    cells: Optional[Sequence[CampaignCell]] = None,
-    shards: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    shrink_violations: bool = True,
-    max_shrink_replays: int = 400,
-    max_shrink_classes: int = 8,
-    corpus_dir: Optional[Union[str, Path]] = None,
-    corpus_source: str = "campaign",
-) -> CampaignReport:
-    """Run a differential campaign over ``cells``.
-
-    Args:
-        cells: Matrix cells (:func:`default_matrix` when omitted).
-        shards: Worker processes (``explore.fuzzer.default_shards`` when
-            omitted); 1 runs inline.
-        progress: Optional sink for per-cell progress lines.
-        shrink_violations: Minimize each discovered violation class.
-        max_shrink_replays: Replay budget per shrink.
-        max_shrink_classes: Cap on classes shrunk per campaign (the
-            remainder is reported unshrunk, never silently dropped).
-        corpus_dir: Where to persist shrunk entries (None: don't).
-        corpus_source: Free-form provenance recorded in new entries.
-    """
-    cells = list(default_matrix() if cells is None else cells)
-    if not cells:
-        raise ConfigurationError("campaign needs at least one cell")
-    shard_count = default_shards() if shards is None else max(1, shards)
-    shard_count = min(shard_count, len(cells))
-    report = CampaignReport(shards=shard_count)
-    emit = progress or (lambda line: None)
-
-    started = time.perf_counter()
-    # Results are keyed by matrix position, not cell value: equal cells
-    # (a caller may legitimately repeat one) must each keep their own
-    # outcome in the aggregation.
-    by_index: Dict[int, CellOutcome] = {}
-    if shard_count == 1:
-        for index, cell in enumerate(cells):
-            outcome = run_cell(cell)
-            by_index[index] = outcome
-            emit(outcome.describe())
-    else:
-        with pool_context().Pool(processes=shard_count) as pool:
-            for index, outcome in pool.imap_unordered(
-                _run_indexed_cell, list(enumerate(cells))
-            ):
-                by_index[index] = outcome
-                emit(outcome.describe())
-    report.outcomes = [by_index[index] for index in range(len(cells))]
-    report.elapsed = time.perf_counter() - started
-
-    if shrink_violations:
-        _shrink_and_persist(
-            report,
-            emit,
-            max_shrink_replays,
-            max_shrink_classes,
-            corpus_dir,
-            corpus_source,
-        )
-    return report
-
-
 def canonicalize_violation(
     scenario: Scenario, violation: Violation
 ) -> Violation:
@@ -429,82 +299,3 @@ def canonicalize_violation(
         schedule=violation.schedule,
         seed=violation.seed,
     )
-
-
-def _shrink_and_persist(
-    report: CampaignReport,
-    emit: Callable[[str], None],
-    max_shrink_replays: int,
-    max_shrink_classes: int,
-    corpus_dir,
-    corpus_source: str,
-) -> None:
-    """Shrink one representative per violation class; persist to corpus.
-
-    Classes are deduplicated across cells (the theorem29 race found by
-    both engines shrinks once). Expected and *unexpected* violations
-    are both shrunk — an unexpected one is exactly the counterexample
-    worth a corpus entry and a bisection session; since unexpected ones
-    come from early-exit cells, they are canonicalized to their
-    full-horizon reason first (see :func:`canonicalize_violation`).
-    """
-    # Two-stage dedup. Stage 1 groups by the fingerprint the finder
-    # reported. Stage 2: clean-expecting cells run with early exit
-    # armed, so their (unexpected) violations carry truncated-history
-    # reasons — canonicalize one representative per truncated class to
-    # its full-horizon reason (one replay per class, not per violating
-    # run) and re-key, so one defect found through several truncations
-    # still shrinks once. Violation-expecting cells ran full-horizon —
-    # their finds already are canonical, no replay needed.
-    truncated: Dict[Tuple[str, str], Tuple[Scenario, Violation, bool]] = {}
-    for outcome in report.outcomes:
-        early_exit_cell = not outcome.cell.expect_violation
-        for violation in outcome.violations:
-            key = (outcome.cell.scenario.label(), violation.fingerprint())
-            truncated.setdefault(
-                key, (outcome.cell.scenario, violation, early_exit_cell)
-            )
-    representatives: Dict[Tuple[str, str], Tuple[Scenario, Violation]] = {}
-    for (label, _), (scenario, violation, early_exit_cell) in truncated.items():
-        if early_exit_cell:
-            canonical = canonicalize_violation(scenario, violation)
-            if canonical.fingerprint() != violation.fingerprint():
-                emit(
-                    f"canonicalized early-exit violation to "
-                    f"full-horizon class {canonical.fingerprint()}"
-                )
-            violation = canonical
-        representatives.setdefault(
-            (label, violation.fingerprint()), (scenario, violation)
-        )
-    report.shrink_deferred = [
-        violation.fingerprint()
-        for _scenario, violation in list(representatives.values())[
-            max_shrink_classes:
-        ]
-    ]
-    if report.shrink_deferred:
-        emit(
-            f"shrinking first {max_shrink_classes} of "
-            f"{len(representatives)} violation classes "
-            f"({len(report.shrink_deferred)} deferred)"
-        )
-    for scenario, violation in list(representatives.values())[:max_shrink_classes]:
-        try:
-            shrunk = shrink(scenario, violation, max_replays=max_shrink_replays)
-        except ValueError as exc:
-            report.shrink_failures.append(f"{violation.fingerprint()}: {exc}")
-            emit(f"shrink failed for {violation.fingerprint()}: {exc}")
-            continue
-        report.shrunk.append(shrunk)
-        emit(f"  {shrunk.describe()}")
-        if corpus_dir is None:
-            continue
-        entry = entry_from_shrunk(scenario, shrunk, source=corpus_source)
-        path, written = save_entry(corpus_dir, entry)
-        if written:
-            report.corpus_written.append(str(path))
-            emit(f"  corpus + {path}")
-        else:
-            report.corpus_existing += 1
-            emit(f"  corpus = {path} (already recorded)")

@@ -244,7 +244,7 @@ def pool_context():
     Fork is preferred where available (scenarios close over in-process
     registries, and fork start-up is what makes short campaigns cheap);
     one helper so platform fixes apply to the fuzzer and the campaign
-    layer alike.
+    service alike.
     """
     import multiprocessing
 

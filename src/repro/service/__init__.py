@@ -1,10 +1,10 @@
 """Campaign-as-a-service: a persistent run queue, leasing workers, and
 a results database.
 
-Where :mod:`repro.campaign` runs a matrix as a one-shot
-multiprocessing fan-out that forgets everything but the corpus,
-``repro.service`` makes campaigns *operational*: a submitted run
-outlives any process, workers on any host lease shards of it and
+:mod:`repro.campaign` defines the matrix and how one cell runs;
+``repro.service`` is how a matrix runs, and makes campaigns
+*operational*: a submitted run outlives any process, workers on any
+host lease shards of it and
 stream verdicts back, a crashed worker's shard is requeued when its
 lease expires, and every verdict lands in a queryable sqlite database
 (schema written for an eventual postgres port) alongside the history
@@ -17,11 +17,12 @@ The layers:
   cell verdicts, violation classes, corpus replay trend);
 * :mod:`repro.service.queue` — submit / lease / heartbeat / complete;
 * :mod:`repro.service.worker` — the leasing worker loop (executes
-  cells through the one-shot ``run_cell`` path, so verdicts are
-  byte-identical);
+  cells through ``repro.campaign.run_cell``, so verdicts are
+  byte-identical whichever worker runs them), and the one shrink +
+  corpus pipeline;
 * :mod:`repro.service.client` — status / watch / drift, and
-  :func:`run_service_campaign`, the one-shot campaign re-expressed as
-  submit + N workers + report.
+  :func:`run_service_campaign`: submit + workers + report, the one way
+  a matrix runs (one worker runs inline).
 
 Quickstart::
 
@@ -42,7 +43,6 @@ from repro.service.client import (
     CellVerdict,
     DriftEntry,
     RunStatus,
-    payload_from_report,
     run_service_campaign,
     status,
     verdicts_payload,
@@ -65,7 +65,6 @@ __all__ = [
     "cell_from_json",
     "cell_to_json",
     "default_db_path",
-    "payload_from_report",
     "run_service_campaign",
     "run_worker",
     "status",

@@ -8,12 +8,11 @@ convenience orchestration:
   verdict drift against prior runs of the same cells;
 * :func:`watch` — poll a run until it completes, emitting each cell
   verdict once as it lands (the live progress view);
-* :func:`verdicts_payload` / :func:`payload_from_report` — the same
-  machine-comparable verdict document built from a service run and
-  from an in-process :class:`repro.campaign.CampaignReport`, which is
-  how CI asserts the two paths agree cell-for-cell;
-* :func:`run_service_campaign` — submit + N worker processes + watch:
-  the one-shot campaign re-expressed on the service substrate.
+* :func:`verdicts_payload` — the machine-comparable verdict document of
+  a run, which is how CI asserts that an inline worker and a fleet of
+  leasing workers agree cell-for-cell;
+* :func:`run_service_campaign` — submit + workers + watch: the one way
+  a campaign matrix runs.
 
 Drift is reported, never gated here: a cell whose verdict contradicts
 the registry's pinned expectation already fails the run (``ok`` is
@@ -30,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.campaign.matrix import verdict_line
 from repro.errors import ConfigurationError
 from repro.service import queue as squeue
 from repro.service.queue import DEFAULT_LEASE_TTL
@@ -55,32 +55,9 @@ class CellVerdict:
     recorded_at: float
 
     def describe(self) -> str:
-        """The one-shot campaign's progress-line rendering, from the row.
-
-        Stall classes are derived from the recorded fingerprints (the
-        digit-masked ``STALLED:`` diagnoses survive masking), so the
-        wording matches ``CellOutcome.describe`` without widening the
-        verdict row schema or the machine-comparable payload.
-        """
-        stalls = sum(
-            1 for fp in self.class_fingerprints if "STALLED:" in fp
-        )
-        if not self.class_fingerprints:
-            found = "clean"
-        elif stalls == len(self.class_fingerprints):
-            found = f"{len(self.class_fingerprints)} stall class(es)"
-        elif stalls:
-            found = (
-                f"{len(self.class_fingerprints)} violation class(es), "
-                f"{stalls} stall(s)"
-            )
-        else:
-            found = f"{len(self.class_fingerprints)} violation class(es)"
-        verdict = "as expected" if self.ok else "UNEXPECTED"
-        rate = self.runs / self.elapsed if self.elapsed > 0 else 0.0
-        return (
-            f"{self.label}: {found} ({verdict}) in {self.runs} runs, "
-            f"{rate:.0f} runs/s"
+        """The worker's progress line for this cell, from the row."""
+        return verdict_line(
+            self.label, self.class_fingerprints, self.ok, self.runs, self.elapsed
         )
 
 
@@ -327,33 +304,6 @@ def verdicts_payload(result: RunStatus) -> Dict[str, Any]:
     }
 
 
-def payload_from_report(report: Any) -> Dict[str, Any]:
-    """The same verdict document from an in-process ``CampaignReport``.
-
-    This is the equality bridge between ``repro.campaign.run_campaign``
-    and the service: both paths run cells through the same
-    ``run_cell``, so the two payloads must be byte-identical.
-    """
-    return {
-        "cells": [
-            {
-                "label": outcome.cell.label(),
-                "expected": (
-                    "violation" if outcome.cell.expect_violation else "clean"
-                ),
-                "ok": outcome.ok,
-                "violations": sorted(
-                    {v.fingerprint() for v in outcome.violations}
-                ),
-                "runs": outcome.runs,
-                "steps": outcome.steps,
-                "incomplete": outcome.incomplete,
-            }
-            for outcome in report.outcomes
-        ]
-    }
-
-
 def watch(
     store: ResultsStore,
     run_id: Optional[str] = None,
@@ -366,8 +316,8 @@ def watch(
 
     ``liveness`` (when given) is consulted after each poll: if it turns
     false while shards are still outstanding, the watch raises instead
-    of spinning forever — the one-shot path wires it to "any worker
-    process still alive".
+    of spinning forever — :func:`run_service_campaign` wires it to "any
+    worker process still alive".
     """
     run_id = _resolve_run_id(store, run_id)
     emit = emit or (lambda line: None)
@@ -410,14 +360,14 @@ def run_service_campaign(
     progress: Optional[Callable[[str], None]] = None,
     watch_timeout: Optional[float] = 3600.0,
 ) -> RunStatus:
-    """The one-shot campaign on the service substrate.
+    """Run a campaign matrix: submit, drain with workers, report.
 
-    Submit ``cells`` as one run, start ``workers`` leasing worker
-    processes against it, watch until the queue drains, and return the
-    final status. Cell verdicts are byte-identical to
-    :func:`repro.campaign.run_campaign` over the same cells — both
-    execute through ``run_cell`` — which is pinned by the service test
-    suite and the CI ``service-smoke`` job.
+    Submit ``cells`` as one run, drain it with ``workers`` leasing
+    workers (never more than there are shards; a single worker runs
+    inline, without a subprocess), and return the final status. Cell
+    verdicts are byte-identical whatever the worker count — every
+    worker executes through ``run_cell`` — which is pinned by the
+    service test suite and the CI ``service-smoke`` job.
 
     ``db=None`` uses a throwaway database (submit-shaped scratch runs
     should not pollute the trend history); pass a path to accumulate
@@ -450,10 +400,12 @@ def run_service_campaign(
             selection={"submitted_by": "run_service_campaign"},
             options=options,
         )
+        # A worker beyond the shard count would only import, poll and exit.
+        shard_count = -(-len(cells) // shard_size)
+        worker_count = min(worker_count, shard_count)
         emit(
             f"submitted run {run_id}: {len(cells)} cell(s) in "
-            f"{-(-len(cells) // shard_size)} shard(s), "
-            f"{worker_count} worker(s)"
+            f"{shard_count} shard(s), {worker_count} worker(s)"
         )
         if worker_count == 1:
             # Inline: no subprocess, verdict lines stream from the worker.

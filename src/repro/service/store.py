@@ -543,7 +543,7 @@ class ResultsStore:
 
         The cap bounds shrink work per run across *all* workers; a class
         refused a slot is marked ``deferred`` (reported, never silently
-        dropped — the one-shot path's contract).
+        dropped).
         """
         with self._tx() as conn:
             active = conn.execute(

@@ -3,16 +3,16 @@
 A worker is a loop over :mod:`repro.service.queue`:
 
 1. lease a shard (requeuing any expired leases on the way);
-2. execute each cell through the exact one-shot path —
-   :func:`repro.campaign.matrix.run_cell` — so a verdict computed by a
-   worker is byte-identical to the same cell run inline;
+2. execute each cell through :func:`repro.campaign.matrix.run_cell`,
+   so a verdict is byte-identical whichever worker computes it, inline
+   or in a subprocess;
 3. record the cell verdict and every violation class into the results
    store as soon as the cell finishes (streamed, not batched at shard
    completion — a status query mid-run sees live verdicts);
 4. shrink + persist claimed violation classes through
-   ``repro.campaign.corpus``, exactly as the one-shot path does
-   (canonicalizing early-exit finds first), deduplicated across
-   workers by the store's claim table;
+   ``repro.campaign.corpus`` (canonicalizing early-exit finds first),
+   deduplicated across workers by the store's claim table and capped
+   per run — the campaign's one shrink/claim/cap policy;
 5. heartbeat between cells, complete the shard, and exit when the
    queue drains.
 
@@ -158,9 +158,7 @@ def _execute_shard(
             cell_fingerprint=cell_fingerprint(cell),
             expected="violation" if cell.expect_violation else "clean",
             ok=outcome.ok,
-            fingerprints=sorted(
-                {violation.fingerprint() for violation in outcome.violations}
-            ),
+            fingerprints=outcome.class_fingerprints,
             runs=outcome.runs,
             steps=outcome.steps,
             incomplete=outcome.incomplete,
@@ -194,11 +192,16 @@ def _shrink_and_record(
 ) -> None:
     """Claim, shrink and persist this cell's violation classes.
 
-    Mirrors the one-shot ``_shrink_and_persist`` semantics: clean-
-    expecting cells ran with early exit armed, so their finds are
+    Clean-expecting cells ran with early exit armed, so their finds are
     canonicalized to the full-horizon class before dedup; one claim per
     (scenario, class) per run across all workers; a per-run cap on
-    shrink work, with refused classes recorded as deferred.
+    shrink work, with refused classes recorded as deferred. Expected
+    and *unexpected* violations are both shrunk — an unexpected one is
+    exactly the counterexample worth a corpus entry.
+
+    ``canonicalize_violation``, ``shrink``, ``entry_from_shrunk`` and
+    ``save_entry`` are looked up as this module's globals at call time,
+    so a tracer can wrap them in place.
     """
     options = dict(DEFAULT_OPTIONS, **lease.options)
     early_exit_cell = not cell.expect_violation

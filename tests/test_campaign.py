@@ -1,10 +1,10 @@
 """The differential conformance campaign layer (repro.campaign).
 
 Covers the matrix builder (all six implementation families, both
-engines, differential expectations), the cell runner and campaign
-aggregation (including multiprocessing fan-out and expectation
-mismatches), the corpus round trip (save / load / replay / dedupe), and
-the CLI front end.
+engines, differential expectations), the cell runner, whole campaigns
+through the service (find / shrink / persist, expectation mismatches,
+an inline worker against a fleet of two), the corpus round trip
+(save / load / replay / dedupe), and the CLI front end.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from repro.campaign import (
     load_corpus,
     oracle_for,
     replay_entry,
-    run_campaign,
     run_cell,
     save_entry,
 )
+from repro.service import run_service_campaign, verdicts_payload
 from repro.spec import (
     AuthenticatedRegisterSpec,
     StickyRegisterSpec,
@@ -129,34 +129,36 @@ class TestMatrix:
                 assert same_oracle == same_checker, (a, b)
 
 
-class TestRunCampaign:
+class TestServiceCampaign:
     def test_finds_shrinks_and_persists(self, tmp_path):
-        report = run_campaign(
+        result = run_service_campaign(
             [naive_cell()],
-            shards=1,
+            workers=1,
             corpus_dir=tmp_path,
             max_shrink_replays=150,
         )
-        assert report.ok, report.summary()
-        assert report.runs >= 1 and report.runs_per_sec > 0
-        assert len(report.shrunk) == 1
-        assert len(report.corpus_written) == 1
+        assert result.ok, result.summary()
+        assert result.runs >= 1 and result.runs_per_sec > 0
+        assert [row["state"] for row in result.violations] == ["shrunk"]
+        assert len(result.corpus_written) == 1
         (entry,) = load_corpus(tmp_path)
         assert entry.scenario == "register"
         assert replay_entry(entry).ok
 
     def test_second_campaign_does_not_churn_the_corpus(self, tmp_path):
-        first = run_campaign(
-            [naive_cell()], shards=1, corpus_dir=tmp_path, max_shrink_replays=150
+        first = run_service_campaign(
+            [naive_cell()], workers=1, corpus_dir=tmp_path, max_shrink_replays=150
         )
         assert first.corpus_written
         (path,) = [p for p in tmp_path.glob("*.json")]
         before = path.read_text()
-        second = run_campaign(
-            [naive_cell()], shards=1, corpus_dir=tmp_path, max_shrink_replays=150
+        second = run_service_campaign(
+            [naive_cell()], workers=1, corpus_dir=tmp_path, max_shrink_replays=150
         )
         assert not second.corpus_written
-        assert second.corpus_existing == 1
+        (row,) = second.violations
+        assert row["detail"] == "already recorded"
+        assert row["corpus_path"] == str(path)
         assert path.read_text() == before
 
     def test_expectation_mismatch_fails_the_campaign(self):
@@ -169,11 +171,12 @@ class TestRunCampaign:
             budget=2,
             expect_violation=True,
         )
-        report = run_campaign([cell], shards=1, shrink_violations=False)
-        assert not report.ok
-        assert report.mismatched[0].cell is cell
+        result = run_service_campaign([cell], workers=1, shrink_violations=False)
+        assert result.complete and not result.ok
+        (mismatch,) = result.mismatched
+        assert mismatch.label == cell.label()
 
-    def test_sharded_campaign_matches_inline_findings(self):
+    def test_two_workers_match_the_inline_worker(self):
         cells = [
             naive_cell(budget=4),
             CampaignCell(
@@ -184,17 +187,15 @@ class TestRunCampaign:
                 expect_violation=False,
             ),
         ]
-        inline = run_campaign(cells, shards=1, shrink_violations=False)
-        sharded = run_campaign(cells, shards=2, shrink_violations=False)
-        assert sharded.shards == 2
-        assert [o.cell for o in sharded.outcomes] == [o.cell for o in inline.outcomes]
-        assert [
-            sorted(v.fingerprint() for v in o.violations)
-            for o in sharded.outcomes
-        ] == [
-            sorted(v.fingerprint() for v in o.violations)
-            for o in inline.outcomes
-        ]
+        lines = []
+        inline = run_service_campaign(cells, workers=1, shrink_violations=False)
+        fleet = run_service_campaign(
+            cells, workers=2, shrink_violations=False, progress=lines.append
+        )
+        assert "2 worker(s)" in lines[0]
+        assert json.dumps(verdicts_payload(fleet), sort_keys=True) == json.dumps(
+            verdicts_payload(inline), sort_keys=True
+        )
 
     def test_systematic_engine_cell(self):
         cell = CampaignCell(
@@ -204,22 +205,41 @@ class TestRunCampaign:
             budget=300,
             expect_violation=True,
         )
-        report = run_campaign([cell], shards=1, shrink_violations=False)
-        assert report.ok, report.summary()
-        assert report.outcomes[0].violations
+        result = run_service_campaign([cell], workers=1, shrink_violations=False)
+        assert result.ok, result.summary()
+        assert result.verdicts[0].class_fingerprints
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_campaign([], shards=1)
+            run_service_campaign([], workers=1)
 
-    def test_duplicate_cells_keep_separate_outcomes(self):
-        # Equal cells hash equal; aggregation must still report one
-        # outcome per matrix position, through the pool too.
+    def test_duplicate_cells_keep_separate_verdicts(self):
+        # Equal cells hash equal; the run must still record one verdict
+        # per matrix position, across two workers too.
         cells = [naive_cell(budget=3), naive_cell(budget=3)]
-        report = run_campaign(cells, shards=2, shrink_violations=False)
-        assert len(report.outcomes) == 2
-        assert all(outcome.runs >= 1 for outcome in report.outcomes)
-        assert report.runs == sum(o.runs for o in report.outcomes)
+        result = run_service_campaign(cells, workers=2, shrink_violations=False)
+        assert [verdict.cell_index for verdict in result.verdicts] == [0, 1]
+        assert all(verdict.runs >= 1 for verdict in result.verdicts)
+        assert result.runs == sum(verdict.runs for verdict in result.verdicts)
+
+    def test_one_shard_runs_inline_whatever_the_worker_count(self, monkeypatch):
+        # More workers than shards would only import, poll and exit: a
+        # one-cell run takes the inline path and starts no subprocess.
+        import repro.explore.fuzzer
+
+        def no_subprocess():
+            raise AssertionError("a one-shard run started a worker process")
+
+        monkeypatch.setattr(repro.explore.fuzzer, "pool_context", no_subprocess)
+        lines = []
+        result = run_service_campaign(
+            [naive_cell(budget=3)],
+            workers=4,
+            shrink_violations=False,
+            progress=lines.append,
+        )
+        assert result.ok, result.summary()
+        assert lines[0].endswith("1 cell(s) in 1 shard(s), 1 worker(s)")
 
 
 class TestPinnedStepCounts:
@@ -387,10 +407,10 @@ class TestCampaignCli:
             main(["campaign", "--replay", "--corpus", str(tmp_path), "--db", db])
             == 1
         )
-        report = run_campaign(
-            [naive_cell()], shards=1, corpus_dir=tmp_path, max_shrink_replays=150
+        result = run_service_campaign(
+            [naive_cell()], workers=1, corpus_dir=tmp_path, max_shrink_replays=150
         )
-        assert report.corpus_written
+        assert result.corpus_written
         capsys.readouterr()
         assert (
             main(["campaign", "--replay", "--corpus", str(tmp_path), "--db", db])

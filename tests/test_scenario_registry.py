@@ -30,10 +30,10 @@ from repro.campaign import (
     default_matrix,
     load_corpus,
     oracle_for,
-    run_campaign,
 )
 from repro.campaign.matrix import CampaignCell
 from repro.errors import ConfigurationError
+from repro.service import run_service_campaign
 from repro.scenarios import (
     ScenarioRecord,
     all_records,
@@ -336,9 +336,9 @@ class TestGrownMatrix:
             budget=3,
             expect_violation=record.expect_violation,
         )
-        report = run_campaign([cell], shards=1, shrink_violations=False)
-        assert report.ok, report.summary()
-        assert report.runs == 3
+        result = run_service_campaign([cell], workers=1, shrink_violations=False)
+        assert result.ok, result.summary()
+        assert result.runs == 3
 
     def test_asset_transfer_violating_cell_finds_the_double_spend(self):
         # The registry's violating boundary cell: the equivocating owner
@@ -357,8 +357,7 @@ class TestGrownMatrix:
             budget=40,
             expect_violation=True,
         )
-        report = run_campaign([cell], shards=1, shrink_violations=False)
-        assert report.ok, report.summary()
-        (outcome,) = report.outcomes
-        assert outcome.violations
-        assert "asset-transfer linearizability" in outcome.violations[0].reason
+        result = run_service_campaign([cell], workers=1, shrink_violations=False)
+        assert result.ok, result.summary()
+        (violation,) = result.violations
+        assert "asset-transfer linearizability" in violation["reason"]

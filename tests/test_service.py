@@ -2,11 +2,11 @@
 
 Covers the cell codec (CampaignCell <-> JSON, stable fingerprints),
 the sqlite store and lease protocol (submit / lease / expiry-requeue /
-heartbeat / idempotent completion), the worker loop's byte-identical
-parity with the one-shot ``run_campaign`` path, the client layer
-(status, watch, verdict drift, replay trend), and the service modes of
-the campaign CLI. Crash-safe resume — a worker SIGKILLed mid-shard —
-lives in ``tests/test_service_crash.py``.
+heartbeat / idempotent completion), the worker loop's verdicts against
+``run_cell`` and a two-worker fleet against the inline worker, the
+client layer (status, watch, verdict drift, replay trend), and the
+service modes of the campaign CLI. Crash-safe resume — a worker
+SIGKILLed mid-shard — lives in ``tests/test_service_crash.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignCell, run_campaign
+from repro.campaign import CampaignCell, run_cell
 from repro.errors import ConfigurationError
 from repro.explore import make_scenario
 from repro.service import (
@@ -23,7 +23,6 @@ from repro.service import (
     cell_fingerprint,
     cell_from_json,
     cell_to_json,
-    payload_from_report,
     run_service_campaign,
     status,
     verdicts_payload,
@@ -215,44 +214,81 @@ class TestStoreAndQueue:
 
 
 class TestWorkerParity:
-    def test_service_verdicts_match_one_shot_byte_for_byte(self, store, tmp_path):
+    def test_worker_verdicts_are_the_run_cell_outcomes(self, store, tmp_path):
         cells = [naive_cell(budget=4), clean_cell(budget=2)]
         run_id = squeue.submit(store, cells, options={"shrink": False})
         summary = run_worker(
             tmp_path / "service.db", run_id=run_id, poll_interval=0.01
         )
         assert summary.shards == 2 and summary.cells == 2
-        service_doc = verdicts_payload(status(store, run_id))
-        report = run_campaign(cells, shards=1, shrink_violations=False)
-        one_shot_doc = payload_from_report(report)
-        assert json.dumps(service_doc, sort_keys=True) == json.dumps(
-            one_shot_doc, sort_keys=True
-        )
+        verdicts = status(store, run_id).verdicts
+        assert [verdict.cell_index for verdict in verdicts] == [0, 1]
+        for verdict, cell in zip(verdicts, cells):
+            outcome = run_cell(cell)
+            assert verdict.label == cell.label()
+            assert verdict.ok == outcome.ok
+            assert list(verdict.class_fingerprints) == outcome.class_fingerprints
+            assert (verdict.runs, verdict.steps, verdict.incomplete) == (
+                outcome.runs,
+                outcome.steps,
+                outcome.incomplete,
+            )
 
-    def test_run_service_campaign_fleet_matches_corpus_of_one_shot(self, tmp_path):
-        cells = [naive_cell()]
-        service_corpus = tmp_path / "service-corpus"
-        one_shot_corpus = tmp_path / "one-shot-corpus"
-        result = run_service_campaign(
+    def test_worker_fleet_matches_the_inline_worker(self, tmp_path):
+        cells = [naive_cell(), clean_cell()]
+        fleet_corpus = tmp_path / "fleet-corpus"
+        inline_corpus = tmp_path / "inline-corpus"
+        lines = []
+        fleet = run_service_campaign(
             cells,
             workers=2,
             shard_size=1,
             max_shrink_replays=150,
-            corpus_dir=service_corpus,
+            corpus_dir=fleet_corpus,
+            progress=lines.append,
+        )
+        assert fleet.ok, fleet.summary()
+        assert "2 worker(s)" in lines[0]
+        assert fleet.attempts >= 2 and fleet.complete
+        inline = run_service_campaign(
+            cells, workers=1, max_shrink_replays=150, corpus_dir=inline_corpus
+        )
+        assert inline.ok
+        fleet_files = sorted(p.name for p in fleet_corpus.glob("*.json"))
+        inline_files = sorted(p.name for p in inline_corpus.glob("*.json"))
+        assert fleet_files == inline_files and fleet_files
+        assert verdicts_payload(fleet) == verdicts_payload(inline)
+
+    def test_inline_and_watched_verdict_lines_are_identical(self, tmp_path):
+        # The inline worker prints each verdict as the cell finishes;
+        # watch prints it back from the recorded row. Same renderer, same
+        # bytes — for clean, violating and STALLED cells alike.
+        stalled = CampaignCell(
+            implementation="mp_emulation",
+            scenario=make_scenario(
+                "mp_register", n=4, f=1, seed=0, faults=(("drop", 1, 0, 1.0),)
+            ),
+            engine="swarm",
+            budget=2,
+            expect_violation=True,
+        )
+        db = tmp_path / "service.db"
+        printed = []
+        result = run_service_campaign(
+            [clean_cell(), naive_cell(budget=4), stalled],
+            workers=1,
+            db=db,
+            shrink_violations=False,
+            progress=printed.append,
         )
         assert result.ok, result.summary()
-        assert result.attempts >= 1 and result.complete
-        report = run_campaign(
-            [naive_cell()],
-            shards=1,
-            corpus_dir=one_shot_corpus,
-            max_shrink_replays=150,
-        )
-        assert report.ok
-        service_files = sorted(p.name for p in service_corpus.glob("*.json"))
-        one_shot_files = sorted(p.name for p in one_shot_corpus.glob("*.json"))
-        assert service_files == one_shot_files and service_files
-        assert verdicts_payload(result) == payload_from_report(report)
+        watched = []
+        with ResultsStore(db) as replay_store:
+            watch(replay_store, result.run_id, interval=0.01, emit=watched.append)
+        assert printed[1:] == watched
+        assert "clean (as expected)" in watched[0]
+        assert "1 violation class(es) (as expected)" in watched[1]
+        assert "stall class(es) (as expected)" in watched[2]
 
     def test_watch_streams_each_verdict_once(self, store, tmp_path):
         run_id = squeue.submit(
@@ -381,9 +417,9 @@ class TestServiceCli:
         from repro.analysis.__main__ import main
 
         db = tmp_path / "service.db"
-        run_campaign(
+        run_service_campaign(
             [naive_cell()],
-            shards=1,
+            workers=1,
             corpus_dir=tmp_path / "corpus",
             max_shrink_replays=150,
         )

@@ -5,19 +5,19 @@ A worker that is SIGKILLed between leasing a shard and completing it
 cleanup, no rollback, exactly what a kill -9 leaves behind) must not
 lose work: its lease expires, the next ``lease()`` call requeues the
 shard, and a second worker completes the run with verdicts
-byte-identical to the one-shot path.
+byte-identical to an uninterrupted inline run.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.campaign import CampaignCell, run_campaign
+from repro.campaign import CampaignCell
 from repro.explore import make_scenario
 from repro.explore.fuzzer import pool_context
 from repro.service import (
     ResultsStore,
-    payload_from_report,
+    run_service_campaign,
     status,
     verdicts_payload,
 )
@@ -103,10 +103,12 @@ def test_killed_worker_forfeits_its_shard_and_a_second_worker_finishes(
     ]
     assert len(expired) == 1 and expired[0]["worker"] == "crasher"
 
-    # ...and the verdicts are still byte-identical to the one-shot path:
-    # deterministic cells make the crash invisible in the results.
-    report = run_campaign(_cells(), shards=1, shrink_violations=False)
+    # ...and the verdicts are still byte-identical to an uninterrupted
+    # inline run: deterministic cells make the crash invisible.
+    uninterrupted = run_service_campaign(
+        _cells(), workers=1, shrink_violations=False
+    )
     assert json.dumps(verdicts_payload(result), sort_keys=True) == json.dumps(
-        payload_from_report(report), sort_keys=True
+        verdicts_payload(uninterrupted), sort_keys=True
     )
     store.close()
