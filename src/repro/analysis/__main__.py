@@ -56,7 +56,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.reporting import render_table
@@ -71,9 +71,8 @@ def _list_experiments() -> int:
     """Print every experiment id with its title; exit code 0."""
     for exp_id, experiment in EXPERIMENTS.items():
         print(f"{exp_id:4} {experiment.title}")
-    print("explore  schedule-space exploration (see `explore --help`)")
-    print("campaign differential conformance campaign (see `campaign --help`)")
-    print("scenarios unified scenario registry listing (see `scenarios --help`)")
+    for name, (_run, summary) in SUBCOMMANDS.items():
+        print(f"{name:9} {summary} (see `{name} --help`)")
     return 0
 
 
@@ -831,20 +830,29 @@ def _campaign_main(argv: Sequence[str]) -> int:
     return 1
 
 
+def _net_main(argv: Sequence[str]) -> int:
+    """The ``net`` subcommand: the live-network runtime (``repro.net``)."""
+    from repro.analysis.net import main as net_main
+
+    return net_main(list(argv))
+
+
+#: Every subcommand ``main`` dispatches, with its ``--list`` summary.
+SUBCOMMANDS: Dict[str, Tuple[Callable[[Sequence[str]], int], str]] = {
+    "explore": (_explore_main, "schedule-space exploration"),
+    "campaign": (_campaign_main, "differential conformance campaign"),
+    "scenarios": (_scenarios_main, "unified scenario registry listing"),
+    "net": (_net_main, "live localhost cluster under load, checked online"),
+}
+
+
 def main(argv: Sequence[str]) -> int:
     """Entry point; returns a process exit code."""
     if argv and argv[0] in ("--list", "-l"):
         return _list_experiments()
-    if argv and argv[0].lower() == "explore":
-        return _explore_main(list(argv[1:]))
-    if argv and argv[0].lower() == "campaign":
-        return _campaign_main(list(argv[1:]))
-    if argv and argv[0].lower() == "scenarios":
-        return _scenarios_main(list(argv[1:]))
-    if argv and argv[0].lower() == "net":
-        from repro.analysis.net import main as net_main
-
-        return net_main(list(argv[1:]))
+    if argv and argv[0].lower() in SUBCOMMANDS:
+        run, _summary = SUBCOMMANDS[argv[0].lower()]
+        return run(list(argv[1:]))
     wanted = [arg.upper() for arg in argv] or list(ALL_IDS)
     failures: List[str] = []
     for exp_id in wanted:

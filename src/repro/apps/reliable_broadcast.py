@@ -51,7 +51,7 @@ class ReliableBroadcast:
     A thin, recorded facade over :class:`NonEquivocatingBroadcast`: the
     slot machinery is identical; this class fixes the object vocabulary
     (broadcast/deliver with sequence numbers) to mirror the reliable
-    broadcast object of [5] and is what experiment E7 measures.
+    broadcast object of [5] and is what experiment E8 measures.
     """
 
     OPERATIONS = ("broadcast", "deliver")
@@ -122,7 +122,7 @@ class SignedReliableBroadcast:
     *relays* the signed pair into its own relay register before
     delivering — which is what prevents later deniability. A Byzantine
     sender can still *equivocate* by overwriting its slot with a second
-    validly-signed message before anyone delivers; the experiment E7
+    validly-signed message before anyone delivers; the experiment E8
     demonstrates exactly that residual attack (it is why [4] pairs
     transferable authentication *with* non-equivocation), while the
     sticky-register version above excludes it by construction.

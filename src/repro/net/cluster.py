@@ -39,7 +39,7 @@ from repro.net.monitor import WallClockProgressMonitor
 from repro.net.node import NetNode
 from repro.net.oracle import LiveHistory, window_evidence, window_slices
 from repro.spec import CheckContext
-from repro.spec.sequential import AssetTransferSpec, RegularRegisterSpec
+from repro.spec.sequential import AssetTransferSpec, AtomicRegisterSpec
 
 CLEAN = "CLEAN"
 VIOLATING = "VIOLATING"
@@ -371,7 +371,7 @@ class LiveCluster:
         out: List[Dict[str, Any]] = []
         for obj, obj_records in sorted(by_obj.items()):
             if obj.startswith("reg:"):
-                spec: Any = RegularRegisterSpec(initial=anchors[obj])
+                spec: Any = AtomicRegisterSpec(initial=anchors[obj])
             elif obj == "assets":
                 spec = AssetTransferSpec(
                     accounts=self.accounts, initial=tuple(balances)

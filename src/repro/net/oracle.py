@@ -42,7 +42,7 @@ from repro.errors import ConfigurationError
 from repro.net import wire
 from repro.sim.history import History, OperationRecord
 from repro.spec import CheckContext, find_linearization
-from repro.spec.sequential import AssetTransferSpec, RegularRegisterSpec
+from repro.spec.sequential import AssetTransferSpec, AtomicRegisterSpec
 
 #: Version stamp of the evidence document format.
 EVIDENCE_VERSION = 1
@@ -122,7 +122,9 @@ def record_from_json(doc: Dict[str, Any]) -> OperationRecord:
 
 def spec_to_json(spec: Any) -> Dict[str, Any]:
     """The window spec as JSON (register and asset-transfer only)."""
-    if isinstance(spec, RegularRegisterSpec):
+    if isinstance(spec, AtomicRegisterSpec):
+        # The tag keeps the spec's old class name so evidence files
+        # written before the rename still re-check.
         return {"type": "regular_register", "initial": spec.initial}
     if isinstance(spec, AssetTransferSpec):
         return {
@@ -136,7 +138,7 @@ def spec_to_json(spec: Any) -> Dict[str, Any]:
 def spec_from_json(doc: Dict[str, Any]) -> Any:
     kind = doc.get("type")
     if kind == "regular_register":
-        return RegularRegisterSpec(initial=wire.freeze(doc["initial"]))
+        return AtomicRegisterSpec(initial=wire.freeze(doc["initial"]))
     if kind == "asset_transfer":
         return AssetTransferSpec(
             accounts=wire.freeze(doc["accounts"]),

@@ -9,9 +9,10 @@ derives its view from the same records:
 * the explorer, fuzzer and shrinker build runs through the registry's
   :class:`Scenario` specs and builder table, and report each failed
   check as a :class:`Violation`;
-* ``repro.analysis`` runs its register sweeps through
-  :mod:`repro.scenarios.registers` over the grids of
-  :mod:`repro.scenarios.sweeps`;
+* ``repro.analysis`` runs its register tables (E1–E3, E10) as
+  ``register`` specs over the grids of :mod:`repro.scenarios.sweeps`,
+  and its snapshot and broadcast tables (E7, E8) as the catalog's
+  records, each judged by its builder's own oracle;
 * corpus entries resolve their recorded scenario labels back through
   :func:`resolve_spec` on replay.
 

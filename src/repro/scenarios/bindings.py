@@ -32,9 +32,9 @@ from repro.spec.properties import (
 )
 from repro.spec.sequential import (
     AssetTransferSpec,
+    AtomicRegisterSpec,
     AuthenticatedRegisterSpec,
     BroadcastSpec,
-    RegularRegisterSpec,
     SequentialSpec,
     SnapshotSpec,
     StickyRegisterSpec,
@@ -154,7 +154,7 @@ FAMILY_BINDINGS: Dict[str, OracleBinding] = {
         # completed run must linearize against.
         OracleBinding(
             family="mp_emulation",
-            spec_factory=_value_spec(RegularRegisterSpec),
+            spec_factory=_value_spec(AtomicRegisterSpec),
         ),
         # The live-network runtime (repro.net) serves the same emulated
         # registers over real sockets; sampled windows are judged
@@ -163,7 +163,7 @@ FAMILY_BINDINGS: Dict[str, OracleBinding] = {
         # the online oracle).
         OracleBinding(
             family="net",
-            spec_factory=_value_spec(RegularRegisterSpec),
+            spec_factory=_value_spec(AtomicRegisterSpec),
         ),
     )
 }

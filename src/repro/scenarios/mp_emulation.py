@@ -12,12 +12,11 @@ budget.
 
 Verdict shape: a clean run's history (writer ``write``\\ s + reader
 ``read``\\ s on one emulated register) is judged by linearization
-against :class:`repro.spec.RegularRegisterSpec`, which despite its name
-is the *atomic* sequential register. The writer/reader workload here
-keeps its own writes sequential, but that does not make the emulation's
-regular semantics atomic: a new/old inversion needs only one write and
-two reads that overlap it, and only the reader write-back round closes
-it.
+against :class:`repro.spec.AtomicRegisterSpec`. The writer/reader
+workload here keeps its own writes sequential, but that does not make
+the emulation's regular semantics atomic: a new/old inversion needs
+only one write and two reads that overlap it, and only the reader
+write-back round closes it.
 A stalled run skips the oracle and reports the monitor's diagnosis
 (pending operations plus what the plan is suppressing); the reason
 string starts with ``STALLED:`` and its digit-masked class is stable
@@ -56,7 +55,7 @@ from repro.mp import RandomDelayNetwork, RegisterEmulation
 from repro.sim import OpCall, ScriptClient, System, all_done
 from repro.spec.context import CheckContext
 from repro.spec.linearizability import find_linearization
-from repro.spec.sequential import RegularRegisterSpec
+from repro.spec.sequential import AtomicRegisterSpec
 from repro.scenarios.registry import BuiltScenario, register_builder
 
 
@@ -185,7 +184,7 @@ def build_mp_register(
             # stall is the verdict, reported by check() below.
             stall["reason"] = exc.reason
 
-    spec = RegularRegisterSpec(initial=0)
+    spec = AtomicRegisterSpec(initial=0)
 
     def check() -> Optional[str]:
         if "reason" in stall:

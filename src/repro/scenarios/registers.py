@@ -1,31 +1,37 @@
-"""Register workloads: generation, the scenario harness, the builder.
+"""Register workloads: generation, adversaries, the builder.
 
-Everything the randomized experiments (E1–E3, E10), the ``register``
-scenario builder and the test suite share lives here:
+Everything the randomized experiments (E1–E3, E10), the campaign's
+register cells and the test suite share lives here:
 
 * :func:`make_register` — registry of register implementations by kind.
-* :class:`PreparedRegisterScenario` — builds a system + register +
-  helpers + scripted clients (+ optional adversaries), runs it to
-  completion, and produces both correctness verdicts.
 * :func:`random_register_workload` — seeded operation scripts shaped to
   each register type's vocabulary (writers write/sign, readers read and
   verify a mix of signed, unsigned and never-written values).
-* the ``register`` scenario builder — those workloads (Algorithms 1–3
-  plus ablation strawmen) parameterized by kind, n, seed and adversary
-  mix under an exploration scheduler — and :func:`adversary_grid`, which
-  fans the E1–E3 adversary mixes into ``register`` specs so swarm
-  campaigns can spread Byzantine behaviour combinations across cores.
+* the ``register`` scenario builder, which *is* the harness: it builds a
+  system + register + helpers + scripted clients (+ optional
+  adversaries) for Algorithms 1–3 and the ablation strawmen,
+  parameterized by kind, n, seed and adversary mix, and its
+  ``BuiltScenario`` drives the run and judges it with both register
+  oracles (observable properties, then Byzantine linearizability).
+  Every caller runs it the same way —
+  ``make_scenario("register", ...).build(scheduler)``, ``drive()``,
+  ``check()`` — whether the scheduler is the experiments' seeded
+  :class:`~repro.sim.RandomScheduler` or an explorer's.
+* :func:`adversary_grid`, which fans the E1–E3 adversary mixes into
+  ``register`` specs so swarm campaigns can spread Byzantine behaviour
+  combinations across cores.
 
-Determinism: every random choice flows from the caller's seed, so any
-failing configuration replays exactly from its ``(kind, n, f, seed,
-adversary)`` coordinates — which the test suite prints on failure.
+Determinism: every random choice flows from the spec's seed and the
+scheduler's, so any failing configuration replays exactly from its
+spec label — which the experiment tables and the test suite print on
+failure.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary import behaviors
 from repro.core import (
@@ -44,20 +50,10 @@ from repro.scenarios.registry import (
     register_builder,
 )
 from repro.scenarios.sweeps import SWEEP_ADVERSARIES, feasible_mixes
-from repro.sim import (
-    FunctionClient,
-    OpCall,
-    RandomScheduler,
-    ScriptClient,
-    System,
-)
+from repro.sim import FunctionClient, OpCall, ScriptClient, System
 from repro.sim.process import all_done, pause_steps
 from repro.sim.scheduler import Scheduler
-from repro.spec import (
-    ByzantineVerdict,
-    CheckContext,
-    PropertyReport,
-)
+from repro.spec import CheckContext
 from repro.spec.properties import EarlyPropertyMonitor
 
 
@@ -157,7 +153,7 @@ def random_register_workload(
 # ----------------------------------------------------------------------
 # Adversary registry
 # ----------------------------------------------------------------------
-#: Names accepted by RegisterScenario's writer_adversary / reader_adversary.
+#: Names the ``register`` builder accepts as writer / reader adversaries.
 WRITER_ADVERSARIES = ("none", "silent", "deny", "equivocate", "garbage")
 READER_ADVERSARIES = ("silent", "garbage", "lying", "stonewall", "flipflop")
 
@@ -207,193 +203,50 @@ def reader_adversary_program(
 
 
 # ----------------------------------------------------------------------
-# Scenario harness
+# Randomized register workloads (Algorithms 1-3 and ablations)
 # ----------------------------------------------------------------------
-@dataclass
-class ScenarioOutcome:
-    """Everything a finished scenario exposes for checking and metrics."""
+#: Value domain of the generated operations and of the adversaries.
+_DOMAIN = (10, 20, 30)
 
-    kind: str
-    n: int
-    f: int
-    seed: int
-    adversary: str
-    system: System
-    register: Any
-    report: PropertyReport
-    verdict: ByzantineVerdict
-    steps: int
-
-    @property
-    def ok(self) -> bool:
-        """True iff both the property report and the linearization passed."""
-        return bool(self.report) and bool(self.verdict)
-
-    def coordinates(self) -> str:
-        """Replay coordinates for failure messages."""
-        return (
-            f"kind={self.kind} n={self.n} f={self.f} seed={self.seed} "
-            f"adversary={self.adversary}"
-        )
-
-    def failure_detail(self) -> str:
-        """Full diagnostics: coordinates, report, verdict, history."""
-        return "\n".join(
-            [
-                self.coordinates(),
-                "property report: " + self.report.summary(),
-                "byzantine verdict: "
-                + ("ok" if self.verdict.ok else self.verdict.reason),
-                "history:",
-                self.system.history.describe(),
-            ]
-        )
+#: Pause steps before each reader's script (reader ``i`` waits
+#: ``(i + 1) * _READER_STAGGER``), so reads overlap the writer's
+#: operations rather than trivially following them.
+_READER_STAGGER = 40
 
 
-@dataclass
-class PreparedRegisterScenario:
-    """A fully built register scenario that has not yet taken a step.
-
-    The build/run/check split exists for ``repro.explore``: the explorer
-    installs its ``on_step`` observer and trace scheduler between
-    construction and execution. :func:`run_register_scenario` is the
-    one-shot convenience wrapper that most callers keep using.
-    """
-
-    kind: str
-    n: int
-    f: int
-    seed: int
-    adversary: str
-    system: System
-    register: Any
-    initial: Any
-    done: Callable[[], bool]
-    #: Shared oracle caches for this run's checks (optional accelerator).
-    ctx: Optional[CheckContext] = None
-    #: Early-exit monitor wired to the history (None without early_exit).
-    monitor: Optional[EarlyPropertyMonitor] = None
-
-    def run(self, max_steps: int = 2_000_000) -> int:
-        """Drive the system until every scripted client finished.
-
-        With an early-exit monitor attached, the run additionally stops
-        the moment the partial history carries a violation that no
-        extension can retract (the monitor's one-shot
-        :class:`~repro.errors.EarlyExitInterrupt`) — the final
-        :meth:`finish` check on the truncated history then reports it
-        without simulating the tail.
-        """
-        try:
-            return self.system.run_until(
-                self.done, max_steps, label="all clients"
-            )
-        except EarlyExitInterrupt:
-            # Only an armed monitor raises. Fresh systems clock from
-            # zero, so the clock *is* the step count of this
-            # (truncated) run.
-            return self.system.clock
-
-    def finish(self, steps: int) -> ScenarioOutcome:
-        """Check the produced history and package the outcome."""
-        check_properties, check_byzantine = checker_for_kind(self.kind)
-        if self.kind == "sticky":
-            report = check_properties(
-                self.system.history,
-                self.system.correct,
-                self.register.name,
-                writer=self.register.writer,
-                ctx=self.ctx,
-            )
-            verdict = check_byzantine(
-                self.system.history,
-                self.system.correct,
-                self.register.name,
-                writer=self.register.writer,
-                ctx=self.ctx,
-            )
-        else:
-            report = check_properties(
-                self.system.history,
-                self.system.correct,
-                self.register.name,
-                writer=self.register.writer,
-                initial=self.initial,
-                ctx=self.ctx,
-            )
-            verdict = check_byzantine(
-                self.system.history,
-                self.system.correct,
-                self.register.name,
-                writer=self.register.writer,
-                initial=self.initial,
-                ctx=self.ctx,
-            )
-        return ScenarioOutcome(
-            kind=self.kind,
-            n=self.n,
-            f=self.f,
-            seed=self.seed,
-            adversary=self.adversary,
-            system=self.system,
-            register=self.register,
-            report=report,
-            verdict=verdict,
-            steps=steps,
-        )
-
-
-def prepare_register_scenario(
-    kind: str,
-    n: int,
+def _build_register(
+    scheduler: Scheduler,
+    kind: str = "verifiable",
+    n: int = 4,
     seed: int = 0,
-    f: Optional[int] = None,
     writer_adversary: str = "none",
-    reader_adversaries: Optional[Dict[int, str]] = None,
-    workload: Optional[Workload] = None,
-    scheduler: Optional[Scheduler] = None,
-    domain: Sequence[Any] = (10, 20, 30),
-    initial: Any = 0,
-    reader_stagger: int = 40,
+    reader_adversaries: Tuple[Tuple[int, str], ...] = (),
+    max_steps: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
     early_exit: bool = False,
-) -> PreparedRegisterScenario:
-    """Build (but do not run) one complete register scenario.
+) -> BuiltScenario:
+    """A seeded register workload under any scheduler.
 
-    Args:
-        kind: One of :func:`repro.scenarios.bindings.register_kinds`.
-        n: Process count (pid 1 is the writer).
-        seed: Drives the scheduler and the workload generator.
-        f: Fault bound (defaults to ``(n-1)//3``).
-        writer_adversary: ``"none"`` for a correct scripted writer, else a
-            :data:`WRITER_ADVERSARIES` behaviour.
-        reader_adversaries: pid -> behaviour name for Byzantine readers.
-        workload: Pre-built scripts (random ones are generated when None).
-        scheduler: Defaults to a seeded :class:`RandomScheduler`.
-        domain: Value domain for generated operations.
-        reader_stagger: Pause steps inserted before each reader's script
-            so operations overlap the writer's rather than trivially
-            following it.
-        ctx: Shared :class:`CheckContext` for the final checks.
-        early_exit: Attach an :class:`EarlyPropertyMonitor` so the run
-            stops as soon as the partial history is irrecoverably
-            violating (see :meth:`PreparedRegisterScenario.run`).
+    The seed shapes the operation scripts (:func:`random_register_workload`)
+    while the scheduler owns the interleaving; pid 1 is the writer, the
+    register starts at ``0`` and ``f`` is the system default
+    ``(n - 1) // 3``. ``writer_adversary`` is ``"none"`` for a correct
+    scripted writer, else a :data:`WRITER_ADVERSARIES` behaviour;
+    ``reader_adversaries`` is a tuple of (pid, behaviour) pairs (not a
+    dict) so specs stay hashable.
+
+    ``early_exit`` attaches an :class:`EarlyPropertyMonitor`: the drive
+    then stops the moment the partial history carries a violation no
+    extension can retract (the monitor's one-shot
+    :class:`~repro.errors.EarlyExitInterrupt`), and the final check on
+    the truncated history reports it without simulating the tail.
     """
-    reader_adversaries = dict(reader_adversaries or {})
-    adversary_label = writer_adversary
-    if reader_adversaries:
-        pretty = ",".join(
-            f"p{pid}:{name}" for pid, name in sorted(reader_adversaries.items())
-        )
-        adversary_label += f"+{pretty}"
-
-    system = System(
-        n=n, f=f, scheduler=scheduler or RandomScheduler(seed=seed)
-    )
-    register = make_register(kind, system, "reg", writer=1, f=f, initial=initial)
+    readers_cast = dict(reader_adversaries)
+    system = System(n=n, scheduler=scheduler)
+    register = make_register(kind, system, "reg", writer=1)
     register.install()
 
-    byzantine = set(reader_adversaries)
+    byzantine = set(readers_cast)
     if writer_adversary != "none":
         byzantine.add(register.writer)
     if byzantine:
@@ -401,8 +254,7 @@ def prepare_register_scenario(
     register.start_helpers(sorted(system.correct))
 
     correct_readers = [pid for pid in register.readers if pid not in byzantine]
-    if workload is None:
-        workload = random_register_workload(kind, correct_readers, seed)
+    workload = random_register_workload(kind, correct_readers, seed)
 
     clients: List[ScriptClient] = []
     if writer_adversary == "none":
@@ -424,7 +276,7 @@ def prepare_register_scenario(
         system.spawn(
             register.writer,
             "client",
-            writer_adversary_program(writer_adversary, register, kind, domain),
+            writer_adversary_program(writer_adversary, register, kind, _DOMAIN),
         )
 
     for index, pid in enumerate(correct_readers):
@@ -442,7 +294,7 @@ def prepare_register_scenario(
         client = ScriptClient(calls, pause_between=7)
         clients.append(client)
 
-        def staggered(client=client, delay=(index + 1) * reader_stagger):
+        def staggered(client=client, delay=(index + 1) * _READER_STAGGER):
             yield from pause_steps(delay)
             yield from client.program()
 
@@ -450,11 +302,11 @@ def prepare_register_scenario(
         client._wrapper = wrapper  # keep completion observable
         system.spawn(pid, "client", wrapper.program())
 
-    for pid, name in sorted(reader_adversaries.items()):
+    for pid, name in sorted(readers_cast.items()):
         system.spawn(
             pid,
             "client",
-            reader_adversary_program(name, register, pid, kind, domain),
+            reader_adversary_program(name, register, pid, kind, _DOMAIN),
         )
 
     # The completion watcher for each client is its stagger wrapper when
@@ -462,7 +314,6 @@ def prepare_register_scenario(
     # off the getattr chain.
     all_scripts_done = all_done([getattr(c, "_wrapper", c) for c in clients])
 
-    monitor: Optional[EarlyPropertyMonitor] = None
     if early_exit:
         monitor = EarlyPropertyMonitor(
             system.history,
@@ -470,109 +321,44 @@ def prepare_register_scenario(
             system.correct,
             register.name,
             writer=register.writer,
-            initial=initial,
+            initial=0,
             interrupt=True,
         )
         system.history.on_complete = monitor.on_complete
 
-    return PreparedRegisterScenario(
-        kind=kind,
-        n=n,
-        f=system.f if f is None else f,
-        seed=seed,
-        adversary=adversary_label,
-        system=system,
-        register=register,
-        initial=initial,
-        done=all_scripts_done,
-        ctx=ctx,
-        monitor=monitor,
-    )
-
-
-def run_register_scenario(
-    kind: str,
-    n: int,
-    seed: int = 0,
-    f: Optional[int] = None,
-    writer_adversary: str = "none",
-    reader_adversaries: Optional[Dict[int, str]] = None,
-    workload: Optional[Workload] = None,
-    scheduler: Optional[Scheduler] = None,
-    domain: Sequence[Any] = (10, 20, 30),
-    initial: Any = 0,
-    max_steps: int = 2_000_000,
-    reader_stagger: int = 40,
-) -> ScenarioOutcome:
-    """Build, run, and check one complete register scenario.
-
-    See :func:`prepare_register_scenario` for the parameters; this
-    wrapper drives the prepared scenario to completion and returns a
-    :class:`ScenarioOutcome` with verdicts already computed.
-    """
-    prepared = prepare_register_scenario(
-        kind,
-        n,
-        seed=seed,
-        f=f,
-        writer_adversary=writer_adversary,
-        reader_adversaries=reader_adversaries,
-        workload=workload,
-        scheduler=scheduler,
-        domain=domain,
-        initial=initial,
-        reader_stagger=reader_stagger,
-    )
-    steps = prepared.run(max_steps)
-    return prepared.finish(steps)
-
-
-# ----------------------------------------------------------------------
-# Randomized register workloads (Algorithms 1-3 and ablations)
-# ----------------------------------------------------------------------
-def _build_register(
-    scheduler: Scheduler,
-    kind: str = "verifiable",
-    n: int = 4,
-    seed: int = 0,
-    writer_adversary: str = "none",
-    reader_adversaries: Tuple[Tuple[int, str], ...] = (),
-    max_steps: int = 2_000_000,
-    ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
-) -> BuiltScenario:
-    """A seeded register workload under an exploration scheduler.
-
-    Thin adapter over :func:`prepare_register_scenario`; the seed shapes
-    the operation scripts while the explorer's scheduler owns the
-    interleaving. ``reader_adversaries`` is a tuple of pairs (not a
-    dict) so specs stay hashable.
-    """
-    prepared = prepare_register_scenario(
-        kind,
-        n,
-        seed=seed,
-        writer_adversary=writer_adversary,
-        reader_adversaries=dict(reader_adversaries),
-        scheduler=scheduler,
-        ctx=ctx,
-        early_exit=early_exit,
-    )
-    outcome_box: List[Any] = []
-
     def drive() -> None:
-        steps = prepared.run(max_steps)
-        outcome_box.append(steps)
+        try:
+            system.run_until(all_scripts_done, max_steps, label="all clients")
+        except EarlyExitInterrupt:
+            pass  # only an armed monitor raises; check() reports it
 
     def check() -> Optional[str]:
-        outcome = prepared.finish(outcome_box[0] if outcome_box else 0)
-        if outcome.ok:
-            return None
-        if not outcome.report.ok:
-            return "; ".join(outcome.report.violations)
-        return f"Byzantine linearizability: {outcome.verdict.reason}"
+        check_properties, check_byzantine = checker_for_kind(kind)
+        # The sticky checkers take no initial value (it is always ⊥).
+        initial = {} if kind == "sticky" else {"initial": 0}
+        report = check_properties(
+            system.history,
+            system.correct,
+            register.name,
+            writer=register.writer,
+            ctx=ctx,
+            **initial,
+        )
+        verdict = check_byzantine(
+            system.history,
+            system.correct,
+            register.name,
+            writer=register.writer,
+            ctx=ctx,
+            **initial,
+        )
+        if not report.ok:
+            return "; ".join(report.violations)
+        if not verdict.ok:
+            return f"Byzantine linearizability: {verdict.reason}"
+        return None
 
-    return BuiltScenario(system=prepared.system, drive=drive, check=check)
+    return BuiltScenario(system=system, drive=drive, check=check)
 
 
 # Builders must stay importable from worker processes (top level of

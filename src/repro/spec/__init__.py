@@ -30,9 +30,9 @@ from repro.spec.properties import (
 )
 from repro.spec.sequential import (
     AssetTransferSpec,
+    AtomicRegisterSpec,
     AuthenticatedRegisterSpec,
     BroadcastSpec,
-    RegularRegisterSpec,
     SequentialSpec,
     SnapshotSpec,
     StickyRegisterSpec,
@@ -42,13 +42,13 @@ from repro.spec.sequential import (
 
 __all__ = [
     "AssetTransferSpec",
+    "AtomicRegisterSpec",
     "AuthenticatedRegisterSpec",
     "BroadcastSpec",
     "ByzantineVerdict",
     "CheckContext",
     "LinearizationResult",
     "PropertyReport",
-    "RegularRegisterSpec",
     "SequentialSpec",
     "SnapshotSpec",
     "StickyRegisterSpec",

@@ -8,7 +8,7 @@ replays through the spec with matching responses.
 
 Specs implemented:
 
-* :class:`RegularRegisterSpec` — a plain SWMR atomic register.
+* :class:`AtomicRegisterSpec` — a plain SWMR atomic register.
 * :class:`VerifiableRegisterSpec` — Definition 10.
 * :class:`AuthenticatedRegisterSpec` — Definition 15.
 * :class:`StickyRegisterSpec` — Definition 21.
@@ -68,7 +68,7 @@ class SequentialSpec(ABC):
 
 
 @dataclass(frozen=True)
-class RegularRegisterSpec(SequentialSpec):
+class AtomicRegisterSpec(SequentialSpec):
     """Plain SWMR atomic register: ``write(v) -> done``, ``read -> last v``."""
 
     initial: Any = None

@@ -2,7 +2,9 @@
 
 The helpers here remove the boilerplate of the common test shape:
 build a system, install a register, start helpers, run scripted clients
-to completion, then assert on results/history.
+to completion, then assert on results/history — or, for randomized
+workloads, run one ``register`` scenario spec the way every caller does
+(:func:`run_register`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.sim import FunctionClient, OpCall, ScriptClient, System
+from repro.scenarios import make_scenario
+from repro.sim import FunctionClient, OpCall, RandomScheduler, ScriptClient, System
 from repro.sim.process import pause_steps
 
 
@@ -69,6 +72,27 @@ def run_clients(
         )
 
     return system.run_until(done, max_steps, label="all scripted clients")
+
+
+def run_register(
+    kind: str, n: int, seed: int, **adversaries: Any
+) -> Tuple[System, Optional[str]]:
+    """Build, drive and judge one ``register`` spec under ``RandomScheduler(seed)``.
+
+    Returns the finished system and the failure: None when the oracles
+    find the run clean, else the violation reason followed by the spec
+    label (its replay coordinates) and the full history — ready to be an
+    assertion message.
+    """
+    spec = make_scenario("register", kind=kind, n=n, seed=seed, **adversaries)
+    built = spec.build(RandomScheduler(seed=seed))
+    built.drive()
+    reason = built.check()
+    if reason is None:
+        return built.system, None
+    return built.system, "\n".join(
+        [reason, spec.label(), "history:", built.system.history.describe()]
+    )
 
 
 @pytest.fixture

@@ -12,15 +12,10 @@ from repro.analysis import (
     render_table,
 )
 from repro.scenarios.bindings import checker_for_kind
-from repro.scenarios.registers import (
-    ScenarioOutcome,
-    make_register,
-    random_register_workload,
-    run_register_scenario,
-)
-from repro.core import StickyRegister, VerifiableRegister
+from repro.scenarios.registers import make_register, random_register_workload
 from repro.errors import ConfigurationError
 from repro.sim import System
+from tests.conftest import run_register
 
 
 class TestMakeRegister:
@@ -75,29 +70,29 @@ class TestWorkloadGeneration:
 class TestScenarioRunner:
     @pytest.mark.parametrize("kind", ["verifiable", "authenticated", "sticky"])
     def test_clean_runs_pass(self, kind):
-        outcome = run_register_scenario(kind, n=4, seed=0)
-        assert outcome.ok, outcome.failure_detail()
-        assert outcome.steps > 0
+        system, failure = run_register(kind, n=4, seed=0)
+        assert failure is None, failure
+        assert system.clock > 0
 
     def test_byzantine_writer_scenarios_pass(self):
-        outcome = run_register_scenario(
+        system, failure = run_register(
             "verifiable", n=4, seed=2, writer_adversary="deny"
         )
-        assert outcome.ok, outcome.failure_detail()
-        assert outcome.adversary == "deny"
+        assert failure is None, failure
+        assert system.byzantine == {1}
 
     def test_byzantine_reader_scenarios_pass(self):
-        outcome = run_register_scenario(
-            "verifiable", n=4, seed=1, reader_adversaries={3: "lying"}
+        system, failure = run_register(
+            "verifiable", n=4, seed=1, reader_adversaries=((3, "lying"),)
         )
-        assert outcome.ok, outcome.failure_detail()
-        assert "p3:lying" in outcome.adversary
+        assert failure is None, failure
+        assert system.byzantine == {3}
 
     def test_coordinates_replayable(self):
-        first = run_register_scenario("authenticated", n=4, seed=7)
-        second = run_register_scenario("authenticated", n=4, seed=7)
+        first, _ = run_register("authenticated", n=4, seed=7)
+        second, _ = run_register("authenticated", n=4, seed=7)
         # Identical coordinates -> identical histories.
-        assert first.system.history.describe() == second.system.history.describe()
+        assert first.history.describe() == second.history.describe()
 
 
 class TestMetrics:
@@ -113,10 +108,8 @@ class TestMetrics:
             LatencyStats.from_samples([])
 
     def test_operation_latencies(self):
-        outcome = run_register_scenario("verifiable", n=4, seed=0)
-        samples = operation_latencies(
-            outcome.system.history, obj="reg", pids=outcome.system.correct
-        )
+        system, _ = run_register("verifiable", n=4, seed=0)
+        samples = operation_latencies(system.history, obj="reg", pids=system.correct)
         assert samples  # at least one op type sampled
         for op, values in samples.items():
             assert all(v >= 1 for v in values), op
@@ -128,8 +121,8 @@ class TestMetrics:
         assert merged == {"read": [1, 2, 3], "verify": [4]}
 
     def test_register_access_totals(self):
-        outcome = run_register_scenario("verifiable", n=4, seed=0)
-        totals = register_access_totals(outcome.system, "reg/")
+        system, _ = run_register("verifiable", n=4, seed=0)
+        totals = register_access_totals(system, "reg/")
         assert totals["<total>"] > 0
 
 

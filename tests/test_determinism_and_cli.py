@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios.registers import run_register_scenario
 from repro.analysis.__main__ import ALL_IDS, main
+from tests.conftest import run_register
 
 
 class TestDeterminism:
@@ -23,27 +23,20 @@ class TestDeterminism:
     )
     @settings(max_examples=10, deadline=None)
     def test_identical_seeds_identical_histories(self, kind, seed):
-        first = run_register_scenario(kind, n=4, seed=seed)
-        second = run_register_scenario(kind, n=4, seed=seed)
-        assert (
-            first.system.history.describe() == second.system.history.describe()
-        )
-        assert first.system.clock == second.system.clock
-        assert first.steps == second.steps
+        first, _ = run_register(kind, n=4, seed=seed)
+        second, _ = run_register(kind, n=4, seed=seed)
+        assert first.history.describe() == second.history.describe()
+        assert first.clock == second.clock
 
     def test_different_seeds_differ(self):
-        a = run_register_scenario("verifiable", n=4, seed=0)
-        b = run_register_scenario("verifiable", n=4, seed=1)
-        assert a.system.history.describe() != b.system.history.describe()
+        a, _ = run_register("verifiable", n=4, seed=0)
+        b, _ = run_register("verifiable", n=4, seed=1)
+        assert a.history.describe() != b.history.describe()
 
     def test_adversarial_runs_deterministic(self):
-        a = run_register_scenario(
-            "verifiable", n=4, seed=5, writer_adversary="deny"
-        )
-        b = run_register_scenario(
-            "verifiable", n=4, seed=5, writer_adversary="deny"
-        )
-        assert a.system.history.describe() == b.system.history.describe()
+        a, _ = run_register("verifiable", n=4, seed=5, writer_adversary="deny")
+        b, _ = run_register("verifiable", n=4, seed=5, writer_adversary="deny")
+        assert a.history.describe() == b.history.describe()
 
     def test_theorem29_deterministic(self):
         from repro.adversary import run_figure1
@@ -79,3 +72,13 @@ class TestCommandLine:
 
     def test_lower_case_accepted(self, capsys):
         assert main(["e12"]) == 0
+
+    def test_list_names_every_subcommand(self, capsys):
+        from repro.analysis.__main__ import SUBCOMMANDS
+
+        assert set(SUBCOMMANDS) == {"explore", "campaign", "scenarios", "net"}
+        assert main(["--list"]) == 0
+        listed = {
+            line.split()[0] for line in capsys.readouterr().out.splitlines()
+        }
+        assert set(SUBCOMMANDS) <= listed

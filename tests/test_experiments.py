@@ -8,11 +8,15 @@ table is the one statement of what each experiment must show.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis import EXPERIMENTS
 from repro.analysis.__main__ import ALL_IDS
+from repro.analysis.experiments import correctness_sweep, step_complexity_table
 from repro.analysis.reporting import render_table
+from tests.conftest import run_register
 
 
 @pytest.mark.parametrize("exp_id", ALL_IDS)
@@ -20,3 +24,60 @@ def test_experiment_reproduces_its_expected_shape(exp_id):
     title, driver, holds = EXPERIMENTS[exp_id]
     headers, rows = driver()
     assert holds(headers, rows), "\n" + render_table(headers, rows, title=title)
+
+
+# ----------------------------------------------------------------------
+# The register tables and runs are pinned: the ``register`` builder is
+# the only harness, and these literals fix what it produces, so a change
+# to how a run is built, driven or judged shows up as a changed figure.
+# ----------------------------------------------------------------------
+def test_correctness_sweep_rows_pinned():
+    headers, rows = correctness_sweep("verifiable", ns=(4,), seeds=(0, 1))
+    assert headers == (
+        "n", "f", "adversary", "runs", "correct", "mean verify steps", "max",
+        "failure",
+    )
+    assert rows == [
+        (4, 1, "none", 2, True, 231.2, 367, ""),
+        (4, 1, "deny", 2, True, 246.2, 346, ""),
+        (4, 1, "equivocate", 2, True, 285.4, 428, ""),
+        (4, 1, "none+p2:lying", 2, True, 180.9, 424, ""),
+        (4, 1, "none+p3:flipflop", 2, True, 189.9, 410, ""),
+    ]
+
+
+def test_step_complexity_rows_pinned():
+    _headers, rows = step_complexity_table(ns=(4,), seeds=(0,))
+    assert rows == [
+        ("verifiable", 4, "read", 5, 12.0, 24),
+        ("verifiable", 4, "sign", 2, 7.0, 8),
+        ("verifiable", 4, "verify", 10, 229.9, 317),
+        ("verifiable", 4, "write", 4, 13.2, 28),
+        ("signed", 4, "read", 5, 8.2, 15),
+        ("signed", 4, "sign", 2, 9.5, 11),
+        ("signed", 4, "verify", 10, 31.1, 50),
+        ("signed", 4, "write", 4, 16.0, 28),
+        ("authenticated", 4, "read", 3, 291.0, 296),
+        ("authenticated", 4, "verify", 12, 222.3, 317),
+        ("authenticated", 4, "write", 6, 22.5, 33),
+        ("sticky", 4, "read", 15, 213.0, 282),
+        ("sticky", 4, "write", 1, 192.0, 192),
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, digest, clock",
+    [
+        ("verifiable", "12b4687f5a1be7bb", 1767),
+        ("authenticated", "4a77937531693d7e", 2127),
+        ("sticky", "74b4c4788adbb755", 2145),
+        ("signed", "08ea470e6df79b25", 1186),
+        ("naive-quorum", "dd1a6d82455a980f", 1514),
+    ],
+)
+def test_register_run_history_pinned(kind, digest, clock):
+    system, failure = run_register(kind, n=4, seed=0)
+    assert failure is None, failure
+    described = system.history.describe().encode()
+    assert hashlib.sha256(described).hexdigest()[:16] == digest
+    assert system.clock == clock

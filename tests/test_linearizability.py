@@ -13,7 +13,7 @@ from repro.sim.history import OperationRecord
 from repro.spec.linearizability import find_linearization
 from repro.spec.sequential import (
     DONE,
-    RegularRegisterSpec,
+    AtomicRegisterSpec,
     TestOrSetSpec,
     VerifiableRegisterSpec,
 )
@@ -28,7 +28,7 @@ def record(op_id, pid, op, args, inv, resp, result, obj="r"):
 
 class TestSequentialHistories:
     def test_trivial_sequential(self):
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         records = [
             record(0, 1, "write", (5,), 0, 1, DONE),
             record(1, 2, "read", (), 2, 3, 5),
@@ -37,7 +37,7 @@ class TestSequentialHistories:
         assert result.ok and result.order == [0, 1]
 
     def test_sequential_violation(self):
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         records = [
             record(0, 1, "write", (5,), 0, 1, DONE),
             record(1, 2, "read", (), 2, 3, 99),  # impossible value
@@ -45,13 +45,13 @@ class TestSequentialHistories:
         assert not find_linearization(records, spec).ok
 
     def test_empty_history(self):
-        assert find_linearization([], RegularRegisterSpec()).ok
+        assert find_linearization([], AtomicRegisterSpec()).ok
 
 
 class TestConcurrency:
     def test_concurrent_read_can_go_either_side(self):
         # write(5) overlaps a read; the read may return 0 or 5.
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         for observed in (0, 5):
             records = [
                 record(0, 1, "write", (5,), 0, 10, DONE),
@@ -60,7 +60,7 @@ class TestConcurrency:
             assert find_linearization(records, spec).ok, observed
 
     def test_concurrent_read_cannot_invent(self):
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         records = [
             record(0, 1, "write", (5,), 0, 10, DONE),
             record(1, 2, "read", (), 2, 8, 7),
@@ -69,7 +69,7 @@ class TestConcurrency:
 
     def test_precedence_respected(self):
         # read -> 0 strictly AFTER write(5) completed: not linearizable.
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         records = [
             record(0, 1, "write", (5,), 0, 1, DONE),
             record(1, 2, "read", (), 5, 6, 0),
@@ -79,7 +79,7 @@ class TestConcurrency:
     def test_new_old_inversion_rejected(self):
         # Two sequential reads around a concurrent write must not observe
         # new-then-old (atomicity, not just regularity).
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         records = [
             record(0, 1, "write", (5,), 0, 100, DONE),
             record(1, 2, "read", (), 10, 20, 5),   # sees new value
@@ -90,7 +90,7 @@ class TestConcurrency:
 
 class TestIncompleteOperations:
     def test_incomplete_write_may_take_effect(self):
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         records = [
             record(0, 1, "write", (5,), 0, None, None),  # never responded
             record(1, 2, "read", (), 10, 11, 5),
@@ -98,7 +98,7 @@ class TestIncompleteOperations:
         assert find_linearization(records, spec).ok
 
     def test_incomplete_write_may_be_dropped(self):
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         records = [
             record(0, 1, "write", (5,), 0, None, None),
             record(1, 2, "read", (), 10, 11, 0),
@@ -108,7 +108,7 @@ class TestIncompleteOperations:
         assert result.order == [1]  # the pending write was dropped
 
     def test_incomplete_cannot_explain_anything(self):
-        spec = RegularRegisterSpec(initial=0)
+        spec = AtomicRegisterSpec(initial=0)
         records = [
             record(0, 1, "write", (5,), 0, None, None),
             record(1, 2, "read", (), 10, 11, 7),
@@ -157,7 +157,7 @@ class TestBudget:
 @st.composite
 def sequential_register_history(draw):
     count = draw(st.integers(min_value=1, max_value=8))
-    spec = RegularRegisterSpec(initial=0)
+    spec = AtomicRegisterSpec(initial=0)
     state = spec.initial_state()
     records = []
     time = 0
@@ -179,7 +179,7 @@ def sequential_register_history(draw):
 @given(sequential_register_history())
 @settings(max_examples=80)
 def test_sequential_spec_runs_always_linearize(records):
-    assert find_linearization(records, RegularRegisterSpec(initial=0)).ok
+    assert find_linearization(records, AtomicRegisterSpec(initial=0)).ok
 
 
 @given(sequential_register_history(), st.randoms())
@@ -195,4 +195,4 @@ def test_tampered_read_rejected(records, rng):
         )
         for r in records
     ]
-    assert not find_linearization(tampered, RegularRegisterSpec(initial=0)).ok
+    assert not find_linearization(tampered, AtomicRegisterSpec(initial=0)).ok

@@ -24,7 +24,7 @@ from repro.mp import (
 from repro.sim import Broadcast, FunctionClient, Pause, ReceiveAll, Send, System
 from repro.sim.effects import Invoke, Respond
 from repro.sim.process import idle_forever
-from repro.spec import RegularRegisterSpec, check_linearizable
+from repro.spec import AtomicRegisterSpec, check_linearizable
 
 
 def mp_system(n=4, seed=0, max_delay=8) -> System:
@@ -353,7 +353,7 @@ class TestEmulationSpecConformance:
     tests wrap emulated operations in Invoke/Respond markers so the
     kernel records a history, then run the Wing–Gong linearizability
     search over it — the base emulated register against
-    :class:`RegularRegisterSpec`, and Algorithm 1 layered on top
+    :class:`AtomicRegisterSpec`, and Algorithm 1 layered on top
     against the very spec instance ``repro.campaign.oracle_for``
     hands the campaign.
     """
@@ -411,7 +411,7 @@ class TestEmulationSpecConformance:
             lambda: w.done and all(r.done for r in readers), 800_000
         )
         result = check_linearizable(
-            system.history, RegularRegisterSpec(initial=0), obj="r"
+            system.history, AtomicRegisterSpec(initial=0), obj="r"
         )
         assert result.ok, result.reason
 
@@ -435,7 +435,7 @@ class TestEmulationSpecConformance:
             system.run_until(lambda: reader.done, 400_000)
             assert reader.result == 7
         result = check_linearizable(
-            system.history, RegularRegisterSpec(initial=0), obj="r"
+            system.history, AtomicRegisterSpec(initial=0), obj="r"
         )
         assert result.ok, result.reason
 

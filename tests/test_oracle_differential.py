@@ -24,9 +24,9 @@ from repro.errors import LinearizabilityViolation
 from repro.sim.history import OperationRecord
 from repro.sim.values import BOTTOM
 from repro.spec import (
+    AtomicRegisterSpec,
     AuthenticatedRegisterSpec,
     CheckContext,
-    RegularRegisterSpec,
     StickyRegisterSpec,
     TestOrSetSpec,
     VerifiableRegisterSpec,
@@ -139,7 +139,7 @@ def _random_history(rng, kind):
 
 
 _SPECS = {
-    "regular": RegularRegisterSpec(initial=0),
+    "regular": AtomicRegisterSpec(initial=0),
     "verifiable": VerifiableRegisterSpec(initial=0),
     "authenticated": AuthenticatedRegisterSpec(initial=0),
     "sticky": StickyRegisterSpec(),
@@ -173,7 +173,7 @@ def test_differential_vs_brute_force(kind):
 
 def test_unhashable_args_still_check():
     """Unhashable operation args skip the memo tables, never crash."""
-    spec = RegularRegisterSpec(initial=0)
+    spec = AtomicRegisterSpec(initial=0)
     records = [
         OperationRecord(
             op_id=0, pid=1, obj="r", op="write", args=([1, 2],),
@@ -211,7 +211,7 @@ def test_budget_exhaustion_raises_loudly():
 
 def test_long_sequential_history_checks_linearly():
     """500 sequential ops: no recursion limit, no pathological ordering."""
-    spec = RegularRegisterSpec(initial=0)
+    spec = AtomicRegisterSpec(initial=0)
     records = []
     value = 0
     for op_id in range(500):
@@ -240,7 +240,7 @@ def test_long_sequential_history_checks_linearly():
 
 def test_shared_context_caches_whole_results():
     """Identical (records, spec) pairs hit the whole-result cache."""
-    spec = RegularRegisterSpec(initial=0)
+    spec = AtomicRegisterSpec(initial=0)
     records = (
         OperationRecord(
             op_id=0, pid=1, obj="r", op="write", args=(5,),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios.registers import run_register_scenario
+from tests.conftest import run_register
 
 SCENARIO_SETTINGS = settings(
     max_examples=20,
@@ -31,8 +31,8 @@ SCENARIO_SETTINGS = settings(
 )
 @SCENARIO_SETTINGS
 def test_fault_free_scenarios_correct(kind, n, seed):
-    outcome = run_register_scenario(kind, n=n, seed=seed)
-    assert outcome.ok, outcome.failure_detail()
+    _system, failure = run_register(kind, n=n, seed=seed)
+    assert failure is None, failure
 
 
 def test_sign_vs_own_help_daemon_race_regression():
@@ -46,8 +46,8 @@ def test_sign_vs_own_help_daemon_race_regression():
     process-local shadow set (the paper's process is sequential, so the
     interleaving cannot occur there); this pins the exact coordinates.
     """
-    outcome = run_register_scenario("verifiable", n=5, seed=43)
-    assert outcome.ok, outcome.failure_detail()
+    _system, failure = run_register("verifiable", n=5, seed=43)
+    assert failure is None, failure
 
 
 @given(
@@ -61,10 +61,10 @@ def test_byzantine_writer_scenarios_correct(kind, adversary, seed):
         # The verifiable-shaped equivocator writes R*/set-typed registers;
         # the authenticated register uses the deny behaviour instead.
         adversary = "deny"
-    outcome = run_register_scenario(
+    _system, failure = run_register(
         kind, n=4, seed=seed, writer_adversary=adversary
     )
-    assert outcome.ok, outcome.failure_detail()
+    assert failure is None, failure
 
 
 @given(
@@ -73,10 +73,10 @@ def test_byzantine_writer_scenarios_correct(kind, adversary, seed):
 )
 @SCENARIO_SETTINGS
 def test_byzantine_sticky_writer_scenarios_correct(adversary, seed):
-    outcome = run_register_scenario(
+    _system, failure = run_register(
         "sticky", n=4, seed=seed, writer_adversary=adversary
     )
-    assert outcome.ok, outcome.failure_detail()
+    assert failure is None, failure
 
 
 @given(
@@ -87,10 +87,10 @@ def test_byzantine_sticky_writer_scenarios_correct(adversary, seed):
 )
 @SCENARIO_SETTINGS
 def test_byzantine_reader_scenarios_correct(kind, reader_adversary, byz_pid, seed):
-    outcome = run_register_scenario(
-        kind, n=4, seed=seed, reader_adversaries={byz_pid: reader_adversary}
+    _system, failure = run_register(
+        kind, n=4, seed=seed, reader_adversaries=((byz_pid, reader_adversary),)
     )
-    assert outcome.ok, outcome.failure_detail()
+    assert failure is None, failure
 
 
 @given(
@@ -100,11 +100,11 @@ def test_byzantine_reader_scenarios_correct(kind, reader_adversary, byz_pid, see
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_f2_with_two_byzantine(kind, seed):
     """n = 7, f = 2: a Byzantine writer *and* a Byzantine helper."""
-    outcome = run_register_scenario(
+    _system, failure = run_register(
         kind,
         n=7,
         seed=seed,
         writer_adversary="deny",
-        reader_adversaries={4: "lying"},
+        reader_adversaries=((4, "lying"),),
     )
-    assert outcome.ok, outcome.failure_detail()
+    assert failure is None, failure

@@ -9,8 +9,8 @@ from repro.spec.sequential import (
     DONE,
     FAIL,
     SUCCESS,
+    AtomicRegisterSpec,
     AuthenticatedRegisterSpec,
-    RegularRegisterSpec,
     StickyRegisterSpec,
     TestOrSetSpec,
     VerifiableRegisterSpec,
@@ -29,18 +29,18 @@ def run_ops(spec, ops):
 
 class TestRegularRegister:
     def test_read_initial(self):
-        assert run_ops(RegularRegisterSpec(initial=7), [("read", ())]) == [7]
+        assert run_ops(AtomicRegisterSpec(initial=7), [("read", ())]) == [7]
 
     def test_read_after_writes(self):
         responses = run_ops(
-            RegularRegisterSpec(initial=0),
+            AtomicRegisterSpec(initial=0),
             [("write", (1,)), ("write", (2,)), ("read", ())],
         )
         assert responses == [DONE, DONE, 2]
 
     def test_unknown_op(self):
         with pytest.raises(ValueError):
-            RegularRegisterSpec().apply(None, "sign", (1,))
+            AtomicRegisterSpec().apply(None, "sign", (1,))
 
 
 class TestVerifiableSpec:
