@@ -14,7 +14,9 @@ state machine:
   and delivers the inner payload at most once (seqno dedup absorbs
   duplication and retransmit races);
 * the sender keeps unacknowledged frames pending and retransmits on a
-  timeout with exponential backoff capped at ``max_backoff``, up to
+  per-destination timeout (:meth:`ChannelCore.rto`: ``base_timeout``
+  here, a measured one in the wall-clock driver) with exponential
+  backoff capped at ``max_backoff``, up to
   ``max_retries`` attempts; exhaustion is surfaced in
   :attr:`ChannelCore.exhausted` (a metric, not an exception — over a
   fair-lossy link exhaustion means the retry budget was too small; over
@@ -59,14 +61,16 @@ def _metrics(channels: Any) -> Dict[str, int]:
 class _PendingFrame:
     """Sender-side bookkeeping for one unacknowledged frame."""
 
-    __slots__ = ("dest", "seq", "payload", "due", "attempts")
+    __slots__ = ("dest", "seq", "payload", "due", "attempts", "sent_at")
 
-    def __init__(self, dest: int, seq: int, payload: Any, due: float):
+    def __init__(self, dest: int, seq: int, payload: Any, due: float, sent_at: float):
         self.dest = dest
         self.seq = seq
         self.payload = payload
         self.due = due
         self.attempts = 0
+        #: When the first copy left: an ack of that copy is a round trip.
+        self.sent_at = sent_at
 
 
 class DedupWindow:
@@ -100,8 +104,10 @@ class ChannelCore:
 
     Args:
         pid: The owning process (jitter seeding and diagnostics).
-        base_timeout: float before the first retransmit of a frame.
-            Should comfortably exceed the network round trip.
+        base_timeout: Time before the first retransmit of a frame, in
+            the caller's unit; should comfortably exceed the network
+            round trip. A driver that measures round trips uses it only
+            until its first measurement (see :meth:`rto`).
         max_backoff: Cap on the doubling retransmit interval. Jitter is
             applied downward, so no retransmit gap ever exceeds the cap
             — which is what a stall window is validated against (see
@@ -143,6 +149,8 @@ class ChannelCore:
         self._pending: Dict[Tuple[int, int], _PendingFrame] = {}
         #: Receiver-side dedup, per sender.
         self._seen: Dict[int, DedupWindow] = defaultdict(DedupWindow)
+        #: Per destination: the RTO a driver measured (see :meth:`rto`).
+        self._rto: Dict[int, float] = {}
         self.sent = 0
         self.retransmitted = 0
         self.acked = 0
@@ -157,7 +165,7 @@ class ChannelCore:
         seq = self._next_seq.get(dst, 0) + 1
         self._next_seq[dst] = seq
         self._pending[(dst, seq)] = _PendingFrame(
-            dst, seq, payload, now + self._interval(0)
+            dst, seq, payload, now + self._interval(dst, 0), now
         )
         self.sent += 1
         return ("CH", seq, payload)
@@ -174,15 +182,34 @@ class ChannelCore:
                 abandoned.append(key)
                 continue
             self.retransmitted += 1
-            frame.due = now + self._interval(frame.attempts)
+            frame.due = now + self._interval(frame.dest, frame.attempts)
             out.append((frame.dest, ("CH", frame.seq, frame.payload)))
         for key in abandoned:
             del self._pending[key]
             self.exhausted += 1
         return out
 
-    def _interval(self, attempts: int) -> float:
-        backoff = min(self.base_timeout * (2 ** attempts), self.max_backoff)
+    def deadline(self, dst: int, seq: int) -> float:
+        """When pending frame ``seq`` to ``dst`` is next due for a resend."""
+        return self._pending[(dst, seq)].due
+
+    def next_due(self) -> Optional[float]:
+        """The earliest deadline among unacked frames (``None`` if none)."""
+        return min((frame.due for frame in self._pending.values()), default=None)
+
+    def rto(self, dst: int) -> float:
+        """The timeout before the first retransmit of a frame to ``dst``:
+        ``base_timeout`` until a driver that measures round trips has set
+        one from :meth:`_round_trip` (only the wall-clock driver does)."""
+        return self._rto.get(dst, self.base_timeout)
+
+    def _round_trip(self, dst: int, sample: float) -> None:
+        """A frame to ``dst`` was acked ``sample`` after its only copy
+        left (Karn's rule: a retransmitted frame gives no sample)."""
+
+    def _interval(self, dst: int, attempts: int) -> float:
+        rto = self._rto.get(dst, self.base_timeout)  # rto(dst), inlined
+        backoff = min(rto * (2 ** attempts), self.max_backoff)
         if self.jitter:
             backoff *= 1.0 - self.jitter * self._rng.random()
         return backoff
@@ -197,18 +224,21 @@ class ChannelCore:
     # Receiver side
     # ------------------------------------------------------------------
     def on_receive(
-        self, sender: int, payload: Any
+        self, sender: int, payload: Any, now: Optional[float] = None
     ) -> Tuple[Optional[Any], List[Any]]:
-        """Unframe one inbound payload.
+        """Unframe one inbound payload received at ``now``.
 
         Returns ``(inner, acks)``: ``inner`` is the deliverable protocol
         payload (``None`` for duplicates and pure acks), ``acks`` the
         raw payloads to send back to ``sender`` *outside* the channel
-        layer. Non-channel payloads pass through untouched.
+        layer. Non-channel payloads pass through untouched. Both drivers
+        pass ``now``; without it (the channel probe of
+        ``benchmarks/e2e/layers.py``, which times the bare state machine)
+        an ack still clears its frame but times no round trip.
         """
         if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "CH":
             _k, seq, inner = payload
-            if not isinstance(seq, int) or isinstance(seq, bool):
+            if type(seq) is not int:  # a bool, a float, a string...
                 return None, []
             # Always ack — the previous ack may have been the lost leg.
             acks: List[Any] = [("CH-ACK", seq)]
@@ -218,8 +248,13 @@ class ChannelCore:
             return inner, acks
         if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "CH-ACK":
             _k, seq = payload
-            if self._pending.pop((sender, seq), None) is not None:
+            if type(seq) is not int:  # True / 2.0 would hash like a real seq
+                return None, []
+            frame = self._pending.pop((sender, seq), None)
+            if frame is not None:
                 self.acked += 1
+                if frame.attempts == 0 and now is not None:
+                    self._round_trip(sender, now - frame.sent_at)
             return None, []
         return payload, []
 
@@ -293,7 +328,7 @@ class RetransmitChannels:
         deliverable protocol payload (``None`` for duplicates and pure
         acks), ``effects`` the acknowledgement sends to emit.
         """
-        inner, acks = self._cores[pid].on_receive(sender, payload)
+        inner, acks = self._cores[pid].on_receive(sender, payload, self.system.clock)
         return inner, [Send(sender, ack) for ack in acks]
 
     def pending_count(self, src: Optional[int] = None) -> int:

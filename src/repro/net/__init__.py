@@ -17,7 +17,10 @@ deployment needs around those cores:
   delay rules, timed group partitions, crash-stop with optional
   restart-and-recover) with seeded determinism per rule.
 * :mod:`repro.net.channels` — :class:`WallClockChannels`, the channel
-  core on ``float`` seconds with seeded downward jitter.
+  core on ``float`` seconds with seeded downward jitter and a
+  per-peer retransmit timeout estimated from measured round trips
+  (RFC 6298, from the first resend on), which each node's one deadline
+  timer fires on.
 * :mod:`repro.net.monitor` — :class:`WallClockProgressMonitor`, an
   asyncio task sampling the stall window: a hung cluster becomes a
   first-class ``STALLED`` verdict with a waiting-on/suppression

@@ -21,6 +21,18 @@ module adds what a real process needs around it:
   offered *during* a dial are sent, in order, when it succeeds. The
   channel layer's retransmission is what rebuilds reliability on top.
   Back-pressure is the transport's own unbounded write buffer.
+* **Retransmission.** No task polls for lost frames: one
+  ``loop.call_at`` timer per node is armed at the earliest pending
+  deadline (by :meth:`NetNode._send` when the deadline the channel
+  core set for a fresh frame is sooner than the armed one), and each
+  firing resends what is due and re-arms from
+  :meth:`WallClockChannels.next_due`. A deadline is one measured RTO
+  after the send (``base_timeout`` until a round trip to that peer has
+  been timed, which starts at the node's first resend), jittered
+  downward, doubling per resend up to
+  ``max_backoff``. Inbound payloads are unframed at the
+  ``time.monotonic()`` their chunk arrived, so a first-copy ack times
+  its round trip.
 * **Inbound.** Each accepted connection is one small
   :class:`asyncio.Protocol`, not a task: every chunk the socket
   delivers goes through the connection's frame splitter from
@@ -32,10 +44,12 @@ module adds what a real process needs around it:
 * **Waiting.** A client operation opens in the core, then parks on a
   plain future in the node's waiter list; every delivered frame
   resolves and clears that list, and each woken operation asks the core
-  again for its own quorum. Waits are paced by a timer: the query is
-  re-broadcast on an exponentially growing interval (capped at 16x), so
-  an unsatisfiable wait backs off instead of flooding — the progress
-  monitor, not a flood, is what turns it into a verdict.
+  again for its own quorum. Waits are paced by a timer of their own:
+  the query is re-broadcast on an exponentially growing ``requery``
+  interval (capped at 16x), so an unsatisfiable wait backs off instead
+  of flooding — the progress monitor, not a flood, is what turns it
+  into a verdict. That re-query is the protocol asking again, above the
+  channel layer; resending a lost frame is the retransmit timer's job.
 * **Write-back on by default.** ``read`` runs the [11] write-back round
   unless told otherwise. The live load generator runs hundreds of
   genuinely concurrent clients, so the new/old-inversion window regular
@@ -49,8 +63,9 @@ module adds what a real process needs around it:
   regular+write-back semantics make the derived object linearizable —
   which is exactly what the sampled-window oracle verifies live.
 
-Crash faults: :meth:`stop` drops all connection state and closes the
-server (frames in flight are genuinely lost); :meth:`restart` models a
+Crash faults: :meth:`stop` drops all connection state, cancels the
+retransmit timer (a crashed node stays silent) and closes the server
+(frames in flight are genuinely lost); :meth:`restart` models a
 *lose-state* restart — the core is replaced by a fresh one and rebuilt
 by a recovery round that collects ``VALUE`` reports from ``n - f - 1``
 *other* replicas per register and adopts the newest (with no Byzantine
@@ -69,6 +84,7 @@ runtime injects crash and network faults, not Byzantine replicas.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -139,11 +155,11 @@ class _Connection(asyncio.Protocol):
             sender = self.sender = docs[0].get("pid", 0)
             docs = docs[1:]
         if sender >= 1:
-            deliver = node._deliver
+            deliver, now = node._deliver, time.monotonic()
             for doc in docs:
                 if doc["t"] == "msg":
                     for payload in doc["m"]:
-                        deliver(sender, payload, True)
+                        deliver(sender, payload, now)
             return
         for doc in docs:
             if doc["t"] == "req":
@@ -214,7 +230,10 @@ class NetNode:
         self._routes: Dict[int, Tuple[str, int]] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._serving = False
-        self._tasks: List[asyncio.Task] = []
+        #: The one retransmit deadline timer, and when it fires
+        #: (``time.monotonic()``; ``inf`` while none is armed).
+        self._retransmit_timer: Optional[asyncio.TimerHandle] = None
+        self._retransmit_at = math.inf
         self._links: Dict[int, _Link] = {}
         self._connections: Set[asyncio.Transport] = set()
         #: Futures of the operations parked in :meth:`_paced_wait`.
@@ -248,14 +267,15 @@ class NetNode:
         self.port = self._server.sockets[0].getsockname()[1]
         self._serving = True
         if self.channels is not None:
-            self._tasks.append(asyncio.ensure_future(self._retransmit_pump()))
+            self._arm(self.channels.next_due())
 
     def set_routes(self, routes: Dict[int, Tuple[str, int]]) -> None:
         """Where to dial each peer (a chaos proxy front, or the node itself)."""
         self._routes = dict(routes)
 
     async def stop(self) -> None:
-        """Crash-stop: drop every connection and link, close the server.
+        """Crash-stop: drop every connection and link, cancel the
+        retransmit timer, close the server.
 
         Frames in flight are lost. Accepted connections are closed
         *before* awaiting ``wait_closed()``: since Python 3.12.1 that
@@ -264,7 +284,10 @@ class NetNode:
         self._serving = False
         if self._server is not None:
             self._server.close()
-        tasks, self._tasks = self._tasks, []
+        if self._retransmit_timer is not None:
+            self._retransmit_timer.cancel()
+            self._retransmit_timer, self._retransmit_at = None, math.inf
+        tasks: List[asyncio.Task] = []
         for link in self._links.values():
             link.frames.clear()
             if link.dial is not None:
@@ -317,10 +340,14 @@ class NetNode:
 
     def _send(self, dst: int, payload: Any) -> None:
         if dst == self.pid:
-            self._deliver(self.pid, payload, framed=False)
+            self._deliver(self.pid, payload, None)
             return
-        if self.channels is not None:
-            payload = self.channels.frame(dst, payload, time.monotonic())
+        channels = self.channels
+        if channels is not None:
+            payload = channels.frame(dst, payload, time.monotonic())
+            due = channels.deadline(dst, payload[1])
+            if due < self._retransmit_at:  # the common case skips the call
+                self._arm(due)
         self._enqueue(dst, payload)
 
     def _send_raw(self, dst: int, payload: Any) -> None:
@@ -396,19 +423,38 @@ class NetNode:
             link.frames.clear()
             link.dial = None
 
-    async def _retransmit_pump(self) -> None:
+    def _arm(self, at: Optional[float]) -> None:
+        """Have the retransmit timer fire at ``at`` (``time.monotonic()``)
+        unless it already fires sooner; ``None`` (nothing pending) and a
+        node that is not serving arm nothing."""
+        if at is None or not self._serving or at >= self._retransmit_at:
+            return
+        if self._retransmit_timer is not None:
+            self._retransmit_timer.cancel()
+        self._retransmit_at = at
+        # The loop's clock is time.monotonic(), so ``at`` needs no rebase.
+        self._retransmit_timer = asyncio.get_running_loop().call_at(at, self._retransmit)
+
+    def _retransmit(self) -> None:
+        """The deadline timer: resend what is due, re-arm for the next."""
         assert self.channels is not None
-        while True:
-            await asyncio.sleep(self.channels.base_timeout / 2)
-            for dst, payload in self.channels.due_retransmits(time.monotonic()):
-                self._enqueue(dst, payload)
+        # Everything due by the armed deadline is due, even if the loop
+        # woke a hair early.
+        now = max(time.monotonic(), self._retransmit_at)
+        self._retransmit_timer, self._retransmit_at = None, math.inf
+        for dst, payload in self.channels.due_retransmits(now):
+            self._enqueue(dst, payload)
+        self._arm(self.channels.next_due())
 
     # ------------------------------------------------------------------
     # Inbound
     # ------------------------------------------------------------------
-    def _deliver(self, sender: int, payload: Any, framed: bool) -> None:
-        if framed and self.channels is not None:
-            inner, acks = self.channels.on_receive(sender, payload)
+    def _deliver(self, sender: int, payload: Any, received_at: Optional[float]) -> None:
+        """Handle one payload: off the wire in a chunk that arrived at
+        ``received_at`` (``time.monotonic()``), or ``None`` for the
+        node's own message to itself, which is not framed."""
+        if received_at is not None and self.channels is not None:
+            inner, acks = self.channels.on_receive(sender, payload, received_at)
             for ack in acks:
                 self._send_raw(sender, ack)
             if inner is None:

@@ -21,6 +21,14 @@ from repro.faults import RetransmitChannels
 from repro.net import WallClockChannels
 
 
+def _deadlines(core):
+    """``(dst, seq) -> (sent_at, attempts, due)`` of every pending frame."""
+    return {
+        key: (frame.sent_at, frame.attempts, frame.due)
+        for key, frame in core._pending.items()
+    }
+
+
 class ClockedSystem:
     """The slice of System the channel/monitor layers consume."""
 
@@ -47,13 +55,17 @@ class VirtualEndpoint:
         effects = self.channels.due_retransmits(self.pid, now)
         return [(effect.to, effect.payload) for effect in effects]
 
-    def receive(self, sender, payload):
+    def receive(self, sender, payload, now):
+        self.system.clock = now
         inner, effects = self.channels.on_receive(self.pid, sender, payload)
         assert all(effect.to == sender for effect in effects)
         return inner, [effect.payload for effect in effects]
 
     def pending(self):
         return self.channels.pending_count(self.pid)
+
+    def deadlines(self):
+        return _deadlines(self.channels._cores[self.pid])
 
     def metrics(self):
         return self.channels.metrics()
@@ -71,11 +83,14 @@ class WallEndpoint:
     def due(self, now):
         return self.channels.due_retransmits(now)
 
-    def receive(self, sender, payload):
-        return self.channels.on_receive(sender, payload)
+    def receive(self, sender, payload, now):
+        return self.channels.on_receive(sender, payload, now)
 
     def pending(self):
         return self.channels.pending_count()
+
+    def deadlines(self):
+        return _deadlines(self.channels)
 
     def metrics(self):
         return self.channels.metrics()
@@ -96,22 +111,22 @@ class ChannelFacadeCases:
     def test_receiver_acks_and_dedups(self):
         ch = self.endpoint(pid=2)
         framed = ("CH", 1, ("WRITE", "r", 1, 7))
-        assert ch.receive(1, framed) == (("WRITE", "r", 1, 7), [("CH-ACK", 1)])
+        assert ch.receive(1, framed, 0) == (("WRITE", "r", 1, 7), [("CH-ACK", 1)])
         # A duplicate is absorbed, but re-acked: the previous ack may
         # have been the lost leg.
-        assert ch.receive(1, framed) == (None, [("CH-ACK", 1)])
+        assert ch.receive(1, framed, 0) == (None, [("CH-ACK", 1)])
         assert ch.metrics()["duplicates_dropped"] == 1
         # Dedup is per sender.
-        assert ch.receive(3, framed)[0] == ("WRITE", "r", 1, 7)
+        assert ch.receive(3, framed, 0)[0] == ("WRITE", "r", 1, 7)
 
     def test_ack_clears_pending(self):
         ch = self.endpoint()
         ch.frame(2, "x", 0)
-        assert ch.receive(2, ("CH-ACK", 1)) == (None, [])
+        assert ch.receive(2, ("CH-ACK", 1), 1) == (None, [])
         assert ch.pending() == 0 and ch.metrics()["acked"] == 1
         # A duplicated or stray ack is harmless.
-        ch.receive(2, ("CH-ACK", 1))
-        ch.receive(2, ("CH-ACK", 99))
+        ch.receive(2, ("CH-ACK", 1), 1)
+        ch.receive(2, ("CH-ACK", 99), 1)
         assert ch.metrics()["acked"] == 1
 
     def test_retransmit_backoff_doubles_and_caps(self):
@@ -135,11 +150,18 @@ class ChannelFacadeCases:
 
     def test_unframed_payloads_pass_through(self):
         ch = self.endpoint(pid=2)
-        assert ch.receive(1, ("READ", "r", 7)) == (("READ", "r", 7), [])
-        assert ch.receive(1, "bare") == ("bare", [])
+        assert ch.receive(1, ("READ", "r", 7), 0) == (("READ", "r", 7), [])
+        assert ch.receive(1, "bare", 0) == ("bare", [])
         # A malformed frame (non-int seq) is discarded, not crashed on.
-        assert ch.receive(1, ("CH", "seq", "x")) == (None, [])
-        assert ch.receive(1, ("CH", True, "x")) == (None, [])
+        assert ch.receive(1, ("CH", "seq", "x"), 0) == (None, [])
+        assert ch.receive(1, ("CH", True, "x"), 0) == (None, [])
+        # Nor does an ack with one: True == 1 and 2.0 == 2 hash like the
+        # real sequence numbers, but acknowledge nothing.
+        ch.frame(1, "a", 0)
+        ch.frame(1, "b", 0)
+        assert ch.receive(1, ("CH-ACK", True), 0) == (None, [])
+        assert ch.receive(1, ("CH-ACK", 2.0), 0) == (None, [])
+        assert ch.pending() == 2 and ch.metrics()["acked"] == 0
 
     def test_rejects_bad_timing(self):
         for timing in (

@@ -37,6 +37,7 @@ from repro.net import (
     window_evidence,
 )
 from repro.net import wire
+from repro.net.channels import MIN_RTO
 from repro.spec import CheckContext
 from tests.channel_cases import ChannelFacadeCases, WallEndpoint
 
@@ -102,16 +103,39 @@ class TestWallClockChannels(ChannelFacadeCases):
 
     endpoint = WallEndpoint
 
-    def test_backoff_caps_and_jitter_stays_below_the_cap(self):
+    @staticmethod
+    def round_trip(ch, dst, sent, acked):
+        """Frame to ``dst`` at ``sent``, ack it at ``acked``."""
+        _kind, seq, _payload = ch.frame(dst, "x", sent)
+        assert ch.on_receive(dst, ("CH-ACK", seq), acked) == (None, [])
+
+    @staticmethod
+    def resend_once(ch):
+        """Lose one frame to peer 9 and ack its resend: ``ch`` has now
+        retransmitted, so it times round trips, and nothing is pending."""
+        _kind, seq, _payload = ch.frame(9, "lost", 0.0)
+        assert len(ch.due_retransmits(1.0)) == 1
+        ch.on_receive(9, ("CH-ACK", seq), 1.0)
+        assert ch.pending_count() == 0 and ch._rtt == {}
+
+    @pytest.mark.parametrize("sample", [None, 0.3, 0.0001])
+    def test_backoff_caps_and_jitter_stays_below_the_cap(self, sample):
+        # Before any round trip, after one that pushes the RTO to the
+        # cap, and after one that pulls it to the floor.
         ch = WallClockChannels(
             pid=1, base_timeout=0.05, max_backoff=0.4, jitter=0.25, seed=3
         )
-        ch.frame(2, "x", now=0.0)
+        if sample is not None:
+            self.resend_once(ch)
+            self.round_trip(ch, 2, 0.0, sample)
+        rto = ch.rto(2)
+        assert rto == {None: 0.05, 0.3: 0.4, 0.0001: MIN_RTO}[sample]
+        ch.frame(2, "x", now=1.0)
         # Jitter is downward-only, so the first interval never exceeds
-        # the base timeout and the cap is a true upper bound: sampled
-        # one cap after the previous resend, the frame is always due.
-        assert len(ch.due_retransmits(0.05)) == 1
-        now = 0.05
+        # the RTO and the cap is a true upper bound: sampled one cap
+        # after the previous resend, the frame is always due.
+        assert len(ch.due_retransmits(1.0 + rto)) == 1
+        now = 1.0 + rto
         for _ in range(11):
             now += 0.4
             assert len(ch.due_retransmits(now)) == 1
@@ -120,6 +144,79 @@ class TestWallClockChannels(ChannelFacadeCases):
         for dst in range(2, 12):
             ch.frame(dst, "x", now=0.0)
         assert len(ch.due_retransmits(0.0499)) >= 1
+
+    def test_the_rto_is_base_timeout_until_a_round_trip_is_measured(self):
+        ch = WallClockChannels(pid=1, base_timeout=0.05, jitter=0)
+        assert ch.rto(2) == 0.05
+        # Nothing resent yet: a clean round trip is not timed.
+        self.round_trip(ch, 3, 0.0, 0.002)
+        assert ch.rto(3) == 0.05 and ch._rtt == {}
+        ch.frame(2, "x", now=1.0)
+        assert ch.due_retransmits(1.0499) == []
+        assert len(ch.due_retransmits(1.05)) == 1
+        # From the first resend on, first-copy round trips are timed...
+        self.round_trip(ch, 3, 2.0, 2.002)
+        assert ch.rto(3) == MIN_RTO
+        # ...but not by an ack without a clock (the two-argument call of
+        # the channel probe in benchmarks/e2e/layers.py): that clears
+        # the frame and times nothing.
+        ch.frame(2, "y", now=3.0)
+        ch.on_receive(2, ("CH-ACK", 2))
+        assert ch.pending_count() == 1 and ch.rto(2) == 0.05
+
+    def test_srtt_and_rttvar_follow_rfc_6298(self):
+        ch = WallClockChannels(pid=1, base_timeout=0.05, max_backoff=0.8, jitter=0)
+        self.resend_once(ch)
+        # First sample R: SRTT = R, RTTVAR = R/2. Then RTTVAR = 3/4 RTTVAR
+        # + 1/4 |SRTT - R| (old SRTT), SRTT = 7/8 SRTT + 1/8 R; RTO =
+        # SRTT + 4 RTTVAR. Worked by hand:
+        expected = [
+            (0.020, 0.020, 0.010, 0.060),
+            (0.004, 0.018, 0.0115, 0.064),
+            (0.030, 0.0195, 0.011625, 0.066),
+        ]
+        for index, (sample, srtt, rttvar, rto) in enumerate(expected):
+            self.round_trip(ch, 2, float(index), index + sample)
+            assert tuple(ch._rtt[2]) == pytest.approx((srtt, rttvar))
+            assert ch.rto(2) == pytest.approx(rto)
+        assert ch.rto(3) == 0.05  # per destination
+        # The next frame's first deadline is one RTO out.
+        ch.frame(2, "x", now=10.0)
+        assert ch.due_retransmits(10.0 + 0.066 - 1e-9) == []
+        assert len(ch.due_retransmits(10.0 + 0.066 + 1e-9)) == 1
+
+    def test_the_rto_is_clamped_to_the_floor_and_the_cap(self):
+        ch = WallClockChannels(pid=1, base_timeout=0.05, max_backoff=0.4, jitter=0)
+        self.resend_once(ch)
+        for index in range(20):
+            self.round_trip(ch, 2, float(index), index + 0.0001)
+        assert ch.rto(2) == MIN_RTO
+        self.round_trip(ch, 3, 0.0, 5.0)
+        assert ch.rto(3) == 0.4
+
+    def test_a_retransmitted_frame_gives_no_sample(self):
+        # Karn's rule: an ack after a resend may answer either copy.
+        ch = WallClockChannels(pid=1, base_timeout=0.05, jitter=0)
+        ch.frame(2, "x", now=0.0)
+        assert len(ch.due_retransmits(0.05)) == 1
+        ch.on_receive(2, ("CH-ACK", 1), 0.051)
+        assert ch.pending_count() == 0 and ch.acked == 1
+        assert ch.rto(2) == 0.05 and ch._rtt == {}
+
+    def test_a_forged_or_stray_ack_moves_nothing(self):
+        ch = WallClockChannels(pid=1, base_timeout=0.05, jitter=0)
+        self.resend_once(ch)
+        ch.frame(2, "x", now=0.0)
+        for sender, payload in (
+            (2, ("CH-ACK", 7)),  # nothing sent under that seq
+            (3, ("CH-ACK", 1)),  # seq 1 went to 2, not to 3
+            (2, ("CH-ACK", True)),  # == 1, but not a sequence number
+            (2, ("CH-ACK", 1.0)),
+            (2, ("CH-ACK", "1")),
+        ):
+            assert ch.on_receive(sender, payload, 0.02) == (None, [])
+        assert ch.pending_count() == 1 and ch.acked == 1  # the resend's
+        assert ch.rto(2) == ch.rto(3) == 0.05 and ch._rtt == {}
 
     def test_rejects_bad_jitter(self):
         with pytest.raises(ConfigurationError):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -503,15 +504,111 @@ class TestLinks:
                 transports = [link.transport for link in node._links.values()]
                 assert len(transports) == 3 and None not in transports
                 await node.stop()
-                assert node._links == {} and node._tasks == []
+                assert node._links == {} and node._retransmit_timer is None
                 assert all(transport.is_closing() for transport in transports)
                 await node.restart()
                 assert len(node._waiters) == 0
-                assert await node.read("reg:2") == await cluster.nodes[1].read("reg:2")
+                read = asyncio.ensure_future(node.read("reg:2"))
+                await asyncio.sleep(0)
+                assert node._retransmit_timer is not None  # its frames re-arm it
+                assert await read == await cluster.nodes[1].read("reg:2")
                 assert len(node._waiters) == 0
             finally:
                 await cluster.stop()
             assert all(node._links == {} for node in cluster.nodes)
+
+        asyncio.run(go())
+
+
+class TestRetransmitTimer:
+    """Lost frames are resent by one deadline timer per node."""
+
+    BASE = 0.03
+
+    async def node_towards_sink(self):
+        sink = Sink()
+        await sink.start()
+        node = NetNode(
+            1, 4, 1, REGISTERS, channels=WallClockChannels(1, base_timeout=self.BASE)
+        )
+        await node.start()
+        node.set_routes({2: ("127.0.0.1", sink.port)})
+        return node, sink
+
+    @staticmethod
+    def received(sink):
+        return [p for doc in sink.docs if doc["t"] == "msg" for p in doc["m"]]
+
+    def test_a_lost_first_copy_is_resent_by_the_deadline_timer(self):
+        async def go():
+            node, sink = await self.node_towards_sink()
+            try:
+                # Nothing polls: the node runs no task of its own.
+                assert asyncio.all_tasks() == {asyncio.current_task()}
+                assert node._retransmit_timer is None
+                enqueue, lost = node._enqueue, []
+                node._enqueue = lambda dst, payload: lost.append(payload)
+                loop = asyncio.get_running_loop()
+                sent = loop.time()
+                node._send(2, ("READ", "reg:1", 1))
+                node._enqueue = enqueue
+                assert lost == [("CH", 1, ("READ", "reg:1", 1))]
+                timer = node._retransmit_timer
+                assert timer is not None and timer.when() <= sent + self.BASE + 0.01
+                await eventually(lambda: self.received(sink) != [])
+                # The timer, not a poll: resent one (jittered) RTO later.
+                assert loop.time() - sent >= self.BASE * 0.75
+                assert self.received(sink)[0] == lost[0]
+                assert node.channels.retransmitted >= 1
+                # Unacked, it stays armed for the backed-off resend.
+                assert node._retransmit_timer is not None
+                # Having resent, the node times a fresh frame's loopback
+                # round trip (Karn's rule: never the resent one's).
+                node._deliver(2, ("CH-ACK", 1), time.monotonic())
+                assert node.channels.rto(2) == self.BASE
+                node._send(2, ("READ", "reg:1", 2))
+                node._deliver(2, ("CH-ACK", 2), time.monotonic())
+                assert node.channels.rto(2) < self.BASE
+            finally:
+                await node.stop()
+                await sink.stop()
+
+        asyncio.run(go())
+
+    def test_an_ack_leaves_the_timer_nothing_to_resend(self):
+        async def go():
+            node, sink = await self.node_towards_sink()
+            try:
+                node._send(2, ("READ", "reg:1", 1))
+                node._deliver(2, ("CH-ACK", 1), time.monotonic())
+                assert node.channels.pending_count() == 0
+                await asyncio.sleep(self.BASE * 2)
+                # It fired, found nothing due and nothing pending: disarmed.
+                assert node._retransmit_timer is None
+                assert node.channels.retransmitted == 0
+                # Nothing was ever resent, so nothing is timed either.
+                assert node.channels.rto(2) == self.BASE
+            finally:
+                await node.stop()
+                await sink.stop()
+
+        asyncio.run(go())
+
+    def test_a_stopped_node_emits_nothing_when_the_old_deadline_passes(self):
+        async def go():
+            node, sink = await self.node_towards_sink()
+            try:
+                node._send(2, ("READ", "reg:1", 1))
+                assert node._retransmit_timer is not None
+                await node.stop()
+                assert node._retransmit_timer is None
+                emitted = []
+                node._enqueue = lambda dst, payload: emitted.append(payload)
+                await asyncio.sleep(self.BASE * 3)
+                assert emitted == [] and node.channels.retransmitted == 0
+            finally:
+                await node.stop()
+                await sink.stop()
 
         asyncio.run(go())
 
@@ -665,7 +762,7 @@ class TestWaiting:
             assert len(node._waiters) == count and checks == [1] * count
             for index in range(0, count, 2):
                 ok[index] = True
-            node._deliver(2, ("NOISE", "x"), framed=False)  # one delivery
+            node._deliver(2, ("NOISE", "x"), None)  # one delivery
             assert node._waiters == []
             await asyncio.sleep(0)
             assert checks == [2] * count

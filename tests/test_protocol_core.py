@@ -9,6 +9,9 @@ seconds. These tests deliver one seeded schedule to both drivers of a
 core and require the same state and the same outgoing traffic after
 every single event, so a driver that reorders, drops or reinterprets
 what the core returned fails here rather than in a flaky cluster run.
+The one sanctioned difference is the channel's retransmit timeout
+(fixed on virtual steps, measured on the wall clock); there each
+driver's deadlines are held to a reference model of its own rule.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.faults.monitor import StallWindow
 from repro.mp import RandomDelayNetwork, RegisterEmulation
 from repro.mp.swmr_emulation import ALL
 from repro.net import NetNode
+from repro.net.channels import MIN_RTO
 from repro.sim import Broadcast, Pause, ReceiveAll, Send, System
 from tests.channel_cases import VirtualEndpoint, WallEndpoint
 
@@ -93,7 +97,7 @@ class LiveReplica:
         return self.node.replica
 
     def deliver(self, sender, payload):
-        self.node._deliver(sender, payload, framed=False)
+        self.node._deliver(sender, payload, None)
         return self.take()
 
     def take(self):
@@ -240,46 +244,138 @@ def test_both_drivers_open_and_complete_operations_alike():
 # ----------------------------------------------------------------------
 # The channel core behind RetransmitChannels and behind WallClockChannels
 # ----------------------------------------------------------------------
+class ChannelModel:
+    """The channel core's timing contract, restated plainly: which
+    frames a driver resends when, what it counts, when it gives up.
+
+    The first retransmit of a frame to ``dst`` waits ``rto(dst)``, then
+    each next one doubles, capped; a frame is abandoned after
+    ``max_retries`` resends. With ``estimate`` the RTO is RFC 6298's,
+    from round trips of frames acked on their first copy once the driver
+    has resent anything (the wall driver); without, it is
+    ``base_timeout`` (the virtual driver).
+    """
+
+    def __init__(self, base_timeout, max_backoff, max_retries, estimate):
+        self.base, self.cap, self.retries = base_timeout, max_backoff, max_retries
+        self.estimate = estimate
+        self.rtt = {}  # dst -> (srtt, rttvar)
+        self.pending = {}  # (dst, seq) -> [sent_at, attempts, due, payload]
+        self.counts = dict(retransmitted=0, acked=0, exhausted=0)
+
+    def rto(self, dst):
+        if dst not in self.rtt:
+            return self.base
+        srtt, rttvar = self.rtt[dst]
+        return min(max(srtt + 4 * rttvar, MIN_RTO), self.cap)
+
+    def frame(self, dst, seq, payload, now):
+        self.pending[(dst, seq)] = [now, 0, now + self.rto(dst), payload]
+
+    def ack(self, sender, seq, now):
+        if type(seq) is not int or (sender, seq) not in self.pending:
+            return
+        sent_at, attempts, _due, _payload = self.pending.pop((sender, seq))
+        self.counts["acked"] += 1
+        if self.estimate and attempts == 0 and self.counts["retransmitted"]:
+            sample = now - sent_at
+            if sender not in self.rtt:
+                self.rtt[sender] = (sample, sample / 2)
+            else:
+                srtt, rttvar = self.rtt[sender]
+                rttvar = 0.75 * rttvar + 0.25 * abs(srtt - sample)
+                self.rtt[sender] = (0.875 * srtt + 0.125 * sample, rttvar)
+
+    def due(self, now):
+        out = []
+        for key, entry in list(self.pending.items()):
+            if entry[2] > now:
+                continue
+            entry[1] += 1
+            if entry[1] > self.retries:
+                del self.pending[key]
+                self.counts["exhausted"] += 1
+                continue
+            self.counts["retransmitted"] += 1
+            entry[2] = now + min(self.rto(key[0]) * 2 ** entry[1], self.cap)
+            out.append((key[0], ("CH", key[1], entry[3])))
+        return out
+
+    def deadlines(self):
+        return {key: tuple(entry[:3]) for key, entry in self.pending.items()}
+
+
 def test_both_channel_facades_make_the_same_transitions():
-    """One seeded schedule of sends, clock ticks and arrivals (acks,
-    peer frames fresh and duplicated, bare and malformed payloads) at
-    integer times with jitter 0: same frames, same retransmit sets,
-    same abandonment at the retry cap, same counters, event by event."""
+    """One seeded schedule of sends, clock ticks and arrivals (acks real,
+    stray and forged, peer frames fresh and duplicated, bare and
+    malformed payloads) at integer times with jitter 0, delivered to
+    both drivers.
+
+    What no clock decides must be identical across the two, event by
+    event: the frames, what each arrival yields (inner payload and
+    acks), dedup and the send count. The wall driver times its first
+    retransmit by its measured RTO, so the rest — every pending frame's
+    ``(sent_at, attempts, due)``, the retransmit sets, the retransmit,
+    ack and abandonment counters, pending counts — is held, per driver,
+    to one :class:`ChannelModel` fed that driver's timeout rule."""
     rng = random.Random(7)
     timing = dict(base_timeout=3, max_backoff=12, max_retries=3)
     virtual, wall = VirtualEndpoint(pid=1, **timing), WallEndpoint(pid=1, **timing)
-    now, framed, resent = 0, [], 0
+    models = {
+        virtual: ChannelModel(**timing, estimate=False),
+        wall: ChannelModel(**timing, estimate=True),
+    }
+    now, framed, parted = 0, [], 0
     for step in range(600):
         now += rng.randint(0, 2)
         roll = rng.random()
         if roll < 0.35:
             dst, payload = rng.randint(2, 4), ("WRITE", "r", step, "v")
             got = virtual.frame(dst, payload, now)
-            assert got == wall.frame(dst, payload, now)
+            assert got == wall.frame(dst, payload, now) == ("CH", got[1], payload)
             framed.append((dst, got[1]))
+            for model in models.values():
+                model.frame(dst, got[1], payload, now)
         elif roll < 0.60:
-            due = virtual.due(now)
-            assert due == wall.due(now)
-            resent += len(due)
+            for driver, model in models.items():
+                assert driver.due(now) == model.due(now), step
         else:
             sender = rng.randint(2, 4)
+            # Mostly a recent frame, so some acks beat their first resend.
+            target = rng.choice(framed[-3:]) if framed else (sender, 1)
             arrival = rng.choice(
                 [
-                    ("CH-ACK", rng.choice(framed)[1] if framed else 1),
+                    ("CH-ACK", target[1]),
+                    ("CH-ACK", rng.choice([True, 2.0])),
                     ("CH", rng.randint(1, 8), ("ECHO", "r", 1, "v")),
                     ("READ", "r", step),
                     ("CH", "1", "x"),
                 ]
             )
-            if arrival[0] == "CH-ACK" and framed and rng.random() < 0.7:
-                sender = rng.choice(framed)[0]  # mostly acks that match
-            assert virtual.receive(sender, arrival) == wall.receive(sender, arrival)
-        assert virtual.metrics() == wall.metrics(), step
-        assert virtual.pending() == wall.pending()
-    metrics = wall.metrics()
-    assert metrics["retransmitted"] == resent > 0
-    assert metrics["acked"] > 0 and metrics["duplicates_dropped"] > 0
-    assert metrics["exhausted"] > 0  # some frames ran out of retries
+            if arrival[0] == "CH-ACK" and rng.random() < 0.7:
+                sender = target[0]  # mostly acks that match
+            got = virtual.receive(sender, arrival, now)
+            assert got == wall.receive(sender, arrival, now)
+            if arrival[0] == "CH-ACK":
+                for model in models.values():
+                    model.ack(sender, arrival[1], now)
+        shared = ("sent", "duplicates_dropped")
+        metrics = {driver: driver.metrics() for driver in models}
+        assert [metrics[virtual][k] for k in shared] == [metrics[wall][k] for k in shared]
+        parted += virtual.deadlines() != wall.deadlines()
+        for driver, model in models.items():
+            assert driver.deadlines() == model.deadlines(), step
+            assert driver.pending() == len(model.pending)
+            assert {k: metrics[driver][k] for k in model.counts} == model.counts
+    for driver in models:
+        metrics = driver.metrics()
+        assert metrics["retransmitted"] > 0 and metrics["acked"] > 0
+        assert metrics["duplicates_dropped"] > 0
+        assert metrics["exhausted"] > 0  # some frames ran out of retries
+    # The wall driver did measure, and its deadlines did part from the
+    # virtual driver's: the model, not a copy, is what they agree with.
+    assert any(wall.channels.rto(dst) != 3 for dst in (2, 3, 4))
+    assert parted > 0
 
 
 # ----------------------------------------------------------------------
