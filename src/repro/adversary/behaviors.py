@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence
 from repro.core.authenticated import AuthenticatedRegister
 from repro.core.sticky import StickyRegister
 from repro.core.verifiable import VerifiableRegister
-from repro.sim.effects import Pause, ReadRegister, WriteRegister
+from repro.sim.effects import ReadRegister, WriteRegister
 from repro.sim.process import Program, idle_forever, pause_steps
 from repro.sim.values import BOTTOM, freeze
 
@@ -50,8 +50,7 @@ def crash_after(steps: int) -> Program:
 
     def program() -> Program:
         yield from pause_steps(steps)
-        while True:
-            yield Pause()
+        yield from idle_forever()
 
     return program()
 
@@ -131,8 +130,7 @@ def denying_writer_verifiable(
         yield from pause_steps(expose_steps)
         yield WriteRegister(reg.reg_witness(reg.writer), frozenset())
         yield WriteRegister(reg.reg_star(), reg.initial)
-        while True:
-            yield Pause()
+        yield from idle_forever()
 
     return program()
 
@@ -158,8 +156,7 @@ def denying_writer_authenticated(
         )
         yield from pause_steps(expose_steps)
         yield WriteRegister(reg.reg_witness(reg.writer), frozenset({initial_tuple}))
-        while True:
-            yield Pause()
+        yield from idle_forever()
 
     return program()
 

@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.test_or_set import SET_FLAG, QuorumTestOrSet
-from repro.sim.effects import Pause, WriteRegister
+from repro.sim.effects import WriteRegister
 from repro.sim.process import (
     FunctionClient,
     OpCall,
     Program,
     ScriptClient,
     all_done,
+    idle_forever,
 )
 from repro.sim.system import System
 from repro.spec.byzantine import ByzantineVerdict, check_test_or_set
@@ -224,8 +225,7 @@ def run_h3(
     # flags raised), then halt. s, Q1 asleep (take no steps).
     def liar(pid: int) -> Program:
         yield WriteRegister(tos.reg_witness(pid), SET_FLAG)
-        while True:
-            yield Pause()
+        yield from idle_forever()
 
     for pid in byz:
         system.spawn(pid, "liar", liar(pid))

@@ -63,8 +63,7 @@ from repro.sim import (
     System,
     WriteRegister,
 )
-from repro.sim.effects import Pause
-from repro.sim.process import all_done, pause_steps
+from repro.sim.process import all_done, idle_forever, pause_steps
 from repro.sim.values import is_bottom
 from repro.spec import (
     check_test_or_set,
@@ -387,8 +386,7 @@ def broadcast_table(seeds: Sequence[int] = (0, 1)) -> Tuple[Headers, Rows]:
             yield from sig.procedure_broadcast(1, 0, "msgA")
             yield from pause_steps(40)
             yield from sig.procedure_broadcast(1, 0, "msgB")
-            while True:
-                yield Pause()
+            yield from idle_forever()
 
         system.spawn(1, "client", equivocating_sender())
         receivers: List[ScriptClient] = []

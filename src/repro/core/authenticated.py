@@ -39,7 +39,7 @@ from repro.core.interfaces import (
     as_int,
     as_reply_pair,
 )
-from repro.sim.effects import Pause, ReadRegister, WriteRegister
+from repro.sim.effects import Await, Pause, ReadRegister, WriteRegister
 from repro.sim.process import Program
 from repro.sim.registers import RegisterSpec, swmr, swsr
 from repro.sim.values import freeze, stable_key
@@ -237,14 +237,19 @@ class AuthenticatedRegister(AlgorithmBase):
         witness set *is* ``R_1`` — while other processes accumulate
         adopted values into their own ``R_j`` (lines 31–35).
         """
+        counter_names = [self.reg_counter(k) for k in self.readers]
         prev_ck: Dict[int, int] = {k: 0 for k in self.readers}  # line 24
         while True:  # line 25
             cks: Dict[int, int] = {}
-            for k in self.readers:  # line 26
-                cks[k] = as_int((yield ReadRegister(self.reg_counter(k))))
+            seen: List[Any] = []
+            for k, name in zip(self.readers, counter_names):  # line 26
+                raw = yield ReadRegister(name)
+                seen.append(raw)
+                cks[k] = as_int(raw)
             askers = [k for k in self.readers if cks[k] > prev_ck[k]]  # line 27
             if not askers:  # line 28
-                yield Pause()
+                # An idle pass is stutter: park until some C_k moves.
+                yield Await(tuple(zip(counter_names, seen)))
                 continue
             raw_writer = yield ReadRegister(self.reg_witness(self.writer))  # line 29
             writer_values = timestamped_values(raw_writer)  # line 30

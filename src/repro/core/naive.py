@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set
 from repro.core.interfaces import DONE, FAIL, SUCCESS, AlgorithmBase, as_frozenset
 from repro.core.verifiable import VerifiableRegister
 from repro.sim.effects import Pause, ReadRegister, WriteRegister
-from repro.sim.process import Program
+from repro.sim.process import Program, idle_forever
 from repro.sim.registers import RegisterSpec, swmr
 from repro.sim.values import freeze
 
@@ -94,10 +94,7 @@ class NaiveVerifiableRegister(AlgorithmBase):
 
     def procedure_help(self, pid: int) -> Program:
         """No helping — that is exactly what is missing."""
-        from repro.sim.effects import Pause
-
-        while True:
-            yield Pause()
+        return idle_forever()
 
 
 class NaiveQuorumVerifiableRegister(VerifiableRegister):

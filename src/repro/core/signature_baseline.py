@@ -42,7 +42,7 @@ from repro.core.interfaces import (
 )
 from repro.errors import ProtocolViolation
 from repro.sim.effects import ReadRegister, WriteRegister
-from repro.sim.process import Program
+from repro.sim.process import Program, idle_forever
 from repro.sim.registers import RegisterSpec, swmr
 from repro.sim.values import freeze
 
@@ -187,10 +187,7 @@ class SignedVerifiableRegister(AlgorithmBase):
         Provided (as a no-op daemon) so harness code can treat all
         register types uniformly.
         """
-        from repro.sim.effects import Pause
-
-        while True:
-            yield Pause()
+        return idle_forever()
 
     # ------------------------------------------------------------------
     def _find_valid(self, v: Any, raw: Any) -> Optional[Tuple[Any, Any]]:

@@ -26,8 +26,8 @@ from repro.core.authenticated import AuthenticatedRegister
 from repro.core.interfaces import DONE, AlgorithmBase, as_int
 from repro.core.sticky import StickyRegister
 from repro.core.verifiable import VerifiableRegister
-from repro.sim.effects import PAUSE, ReadRegister, WriteRegister
-from repro.sim.process import Program
+from repro.sim.effects import PAUSE, Await, ReadRegister, WriteRegister
+from repro.sim.process import Program, idle_forever
 from repro.sim.registers import RegisterSpec, swmr
 from repro.sim.system import System
 from repro.sim.values import BOTTOM, is_bottom
@@ -273,22 +273,34 @@ class QuorumTestOrSet(AlgorithmBase):
         return 0
 
     def procedure_help(self, pid: int) -> Program:
-        """Witness daemon: adopt on seeing the flag or a witness quorum."""
+        """Witness daemon: adopt on seeing the flag or a witness quorum.
+
+        A pass that adopts writes the helper's witness flag and pauses;
+        the next pass finds the flag set, and a helper with nothing left
+        to do parks for good. A pass that adopts nothing is stutter: it
+        parks on every register it read until one of them is written.
+        """
         read_own = self._read_witness[pid - 1]
         write_own = WriteRegister(self.reg_witness(pid), SET_FLAG)
         read_flag = self._read_flag
         adopt = self.adopt_threshold
         while True:
-            own = as_int((yield read_own))
-            if own != SET_FLAG:
-                flag = as_int((yield read_flag))
-                if flag == SET_FLAG:
-                    yield write_own
-                else:
-                    count = 0
-                    for i, read in enumerate(self._read_witness):
-                        if as_int((yield read)) == SET_FLAG:
-                            count += 1
-                    if count >= adopt:
-                        yield write_own
+            own = yield read_own
+            if as_int(own) == SET_FLAG:
+                yield from idle_forever()
+            flag = yield read_flag
+            if as_int(flag) != SET_FLAG:
+                seen = [(read_own.register, own), (read_flag.register, flag)]
+                count = 0
+                # ``i`` goes unread, but as a primitive local it keeps
+                # the scan position in the state fingerprint.
+                for i, read in enumerate(self._read_witness):
+                    raw = yield read
+                    seen.append((read.register, raw))
+                    if as_int(raw) == SET_FLAG:
+                        count += 1
+                if count < adopt:
+                    yield Await(tuple(seen))
+                    continue
+            yield write_own
             yield PAUSE

@@ -46,7 +46,7 @@ from repro.core.interfaces import (
     as_int,
     as_reply_pair,
 )
-from repro.sim.effects import PAUSE, Pause, ReadRegister, WriteRegister
+from repro.sim.effects import Await, Pause, ReadRegister, WriteRegister
 from repro.sim.process import Program
 from repro.sim.registers import RegisterSpec, swmr, swsr
 from repro.sim.values import freeze
@@ -252,14 +252,19 @@ class VerifiableRegister(AlgorithmBase):
         reply_names = self._reply_names
         own_witness_read = read_witness[pid]
         own_witness_name = self._witness_names[pid]
+        counter_names = [read_counter[k].register for k in readers]
         prev_ck: Dict[int, int] = {k: 0 for k in readers}  # line 25
         while True:  # line 26
             cks: Dict[int, int] = {}
+            seen: List[Any] = []
             for k in readers:  # line 27
-                cks[k] = as_int((yield read_counter[k]))
+                raw = yield read_counter[k]
+                seen.append(raw)
+                cks[k] = as_int(raw)
             askers = [k for k in readers if cks[k] > prev_ck[k]]  # line 28
             if not askers:  # line 29
-                yield PAUSE
+                # An idle pass is stutter: park until some C_k moves.
+                yield Await(tuple(zip(counter_names, seen)))
                 continue
             witness_sets: Dict[int, frozenset] = {}
             for i in pids:  # line 30

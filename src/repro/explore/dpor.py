@@ -41,11 +41,14 @@ modes; it deliberately knows nothing about frontiers or budgets:
 
 Happens-before is the conflict closure of the ``commutes`` algebra:
 same-coroutine program order, plus an edge for every pair of
-non-commuting steps. Coroutines here pause-poll rather than block, so
-the requested coroutine of a backtrack is *usually* runnable at its
-node; when a guarded helper has already retired or is mid-await at that
-prefix, the search loop falls back to the classic conservative
-treatment and expands every enabled sibling there instead. The race
+non-commuting steps. A coroutine parked on an ``Await`` is *disabled*
+until a write to a watched register: its wait step reads every watched
+register, so the waking write conflicts with it. The wake-up itself
+adds no edge (the woken coroutine's next step follows its wait by
+program order only), which can add races but never hide one. When the
+requested coroutine of a backtrack is parked or retired at its node,
+the search loop falls back to the classic conservative treatment and
+expands every enabled sibling there instead. The race
 scan tracks, per resource, only the accesses that can still be an
 *immediate* predecessor of a later conflict (same-register last write +
 reads since it, same-mailbox last touch, last broadcast, last sync,
@@ -169,8 +172,10 @@ def analyze_run(
         candidates: List[Optional[int]]
         if head == "sync":
             candidates = [s for q, s in enumerate(last_step_of) if q != p]
-        elif head == "pause":
-            candidates = [last_sync]
+        elif head == "wait":
+            # A wait reads every register it watches (none: a Pause).
+            candidates = [last_write.get(name) for name in sig[1:]]
+            candidates.append(last_sync)
         elif head == "read":
             candidates = [last_write.get(sig[1]), last_sync]
         elif head == "write":
@@ -210,8 +215,9 @@ def analyze_run(
 
         if head == "sync":
             last_sync = j
-        elif head == "read":
-            reads_since_write.setdefault(sig[1], []).append(j)
+        elif head == "read" or head == "wait":
+            for name in sig[1:]:
+                reads_since_write.setdefault(name, []).append(j)
         elif head == "write":
             last_write[sig[1]] = j
             reads_since_write.pop(sig[1], None)
@@ -253,8 +259,8 @@ class SymmetryFolder:
     ``register_owners`` maps register names to their writer pid, which
     is how a register access in an effect signature is attributed to a
     group member. A grouped pid is *touched* by a step when the step is
-    its own, reads or writes a register it owns, or targets its
-    mailbox; until either pid of a transposition is touched, the
+    its own, reads, writes or waits on a register it owns, or targets
+    its mailbox; until either pid of a transposition is touched, the
     reached state is a fixed point of that transposition and the two
     branches explore renaming-equivalent subtrees.
     """
@@ -298,10 +304,11 @@ class SymmetryFolder:
                 touched[pid] = k
             sig = effects[k]
             head = sig[0]
-            if head in ("read", "write"):
-                owner = self.owners.get(sig[1])
-                if owner in members and owner not in touched:
-                    touched[owner] = k
+            if head in ("read", "write", "wait"):
+                for name in sig[1:]:
+                    owner = self.owners.get(name)
+                    if owner in members and owner not in touched:
+                        touched[owner] = k
             elif head in ("send", "recv"):
                 dest = sig[1]
                 if dest in members and dest not in touched:

@@ -45,9 +45,9 @@ search is bounded three ways:
   conservative point — without it, race-driven deviations are all
   preemption-expensive while the baseline reaches the same classes by
   switching early and running one coroutine for free), and a backtrack
-  for a coroutine blocked at its node falls back to requesting every
-  enabled sibling there (guards can depend on state the race scan
-  cannot see).
+  for a coroutine that is not runnable at its node — parked on an
+  ``Await``, or retired — falls back to requesting every enabled
+  sibling there (the disabled-process treatment of source-set DPOR).
 * ``"dpor+symmetry"`` additionally folds backtrack
   candidates drawn from a scenario-declared interchangeable-process
   group onto one canonical representative while both processes are
@@ -57,9 +57,13 @@ search is bounded three ways:
 
 Depth, preemption and budget bounds apply identically in every mode.
 All reductions are heuristic in the strict sense (the fingerprint
-abstracts non-primitive locals; the commutation algebra assumes
-``Pause`` guards depend only on operation completion; symmetry trusts
-the scenario's declaration), so the report keeps separate counters for
+abstracts non-primitive locals; symmetry trusts the scenario's
+declaration; and while the commutation algebra models a register wait
+exactly — an ``Await`` is a read of the registers it watches, and a
+parked coroutine is not runnable — the ``Pause`` loops that remain
+are waits with an empty read set, which assumes their guards depend
+only on operation completion, message arrival or their own
+counters), so the report keeps separate counters for
 each and ``exhausted`` only claims the *bounded, reduced* tree was
 drained. ``tests/test_dpor_differential.py`` pins that all three modes
 reach identical verdicts and violation classes across the scenario
@@ -78,6 +82,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import SchedulerError, StepLimitExceeded
 from repro.scenarios.registry import REDUCTIONS, Scenario, Violation
 from repro.sim.effects import (
+    Await,
     Broadcast,
     Pause,
     ReadRegister,
@@ -89,13 +94,14 @@ from repro.sim.scheduler import CoroutineId, RoundRobinScheduler, TraceScheduler
 from repro.spec.context import CheckContext
 from repro.explore.dpor import NEVER, SymmetryFolder, analyze_run
 
-#: Effect signature: ("read", reg) / ("write", reg) / ("pause",) /
-#: ("send", dest_pid) / ("recv", own_pid) / ("bcast",) / ("sync",) for
-#: anything that touches history or retires a coroutine. Signatures
-#: drive the commutation test below.
+#: Effect signature: ("read", reg) / ("write", reg) / ("wait", reg...)
+#: / ("send", dest_pid) / ("recv", own_pid) / ("bcast",) / ("sync",) for
+#: anything that touches history or retires a coroutine. A wait's
+#: registers are its read set: an ``Await``'s watched registers, none
+#: for a ``Pause``. Signatures drive the commutation test below.
 EffectSignature = Tuple[str, ...]
 
-_PAUSE_SIG: EffectSignature = ("pause",)
+_WAIT_SIG: EffectSignature = ("wait",)
 _SYNC_SIG: EffectSignature = ("sync",)
 _BCAST_SIG: EffectSignature = ("bcast",)
 
@@ -105,7 +111,8 @@ _BCAST_SIG: EffectSignature = ("bcast",)
 _SIG_KINDS: Dict[type, str] = {
     ReadRegister: "read",
     WriteRegister: "write",
-    Pause: "pause",
+    Pause: "wait",
+    Await: "wait",
     Send: "send",
     Broadcast: "bcast",
     ReceiveAll: "recv",
@@ -144,8 +151,8 @@ def effect_signature(
         return ("read", effect.register)
     if kind == "write":
         return ("write", effect.register)
-    if kind == "pause":
-        return _PAUSE_SIG
+    if kind == "wait":
+        return _wait_signature(effect.watch)
     if networked:
         return _SYNC_SIG
     if kind == "send":
@@ -157,26 +164,35 @@ def effect_signature(
     return _SYNC_SIG
 
 
+def _wait_signature(watch) -> EffectSignature:
+    if not watch:
+        return _WAIT_SIG
+    return ("wait", *(name for name, _ in watch))
+
+
 def commutes(a: EffectSignature, b: EffectSignature) -> bool:
     """Whether two adjacent steps can swap without changing the state.
 
     Reads commute with reads; register accesses commute unless they
-    race on the same register with a write involved; ``Pause`` commutes
-    with any register access or message effect (a pause only
-    re-evaluates its guard, which in this codebase watches operation
-    completion, not register or mailbox contents). Message effects
-    commute with each other unless they touch the same mailbox — a
-    broadcast touches every mailbox — and always commute with register
-    accesses (mailboxes and registers are disjoint state). Anything
-    classified ``sync`` — Invoke/Respond (they flip client ``done``
-    flags that pause-guards watch), networked message submission, and
-    coroutine retirement — conservatively commutes with nothing.
+    race on the same register with a write involved; a wait is a read
+    of each register it watches (whether it parks depends on their
+    values), so it conflicts only with a write to one of them — a
+    ``Pause`` watches nothing and commutes with every register access
+    and message effect. Message effects commute with each other unless
+    they touch the same mailbox — a broadcast touches every mailbox —
+    and always commute with register accesses (mailboxes and registers
+    are disjoint state). Anything classified ``sync`` — Invoke/Respond
+    (they flip client ``done`` flags that pause loops poll), networked
+    message submission, and coroutine retirement — conservatively
+    commutes with nothing.
     """
     ka, kb = a[0], b[0]
     if ka == "sync" or kb == "sync":
         return False
-    if ka == "pause" or kb == "pause":
-        return True
+    if ka == "wait":
+        return kb != "write" or b[1] not in a[1:]
+    if kb == "wait":
+        return ka != "write" or a[1] not in b[1:]
     a_msg = ka in ("send", "recv", "bcast")
     b_msg = kb in ("send", "recv", "bcast")
     if a_msg != b_msg:
@@ -378,7 +394,6 @@ class InstrumentedRun:
         self.signatures: List[EffectSignature] = []
         self.chosen: List[CoroutineId] = []
         self.prints: List[int] = []
-        self._finished: set = set()
         #: None until the recording window may close; then the cids whose
         #: post-horizon next effect is still unknown.
         self._pending: Optional[set] = None
@@ -390,14 +405,13 @@ class InstrumentedRun:
     def _on_step(self, cid: CoroutineId, effect: object) -> None:
         if effect is None:
             sig = _SYNC_SIG
-            self._finished.add(cid)
         else:
             effect_type = type(effect)
             kind = _SIG_KINDS.get(effect_type)
             if kind is None:
                 kind = _resolve_sig_kind(effect_type)
-            if kind == "pause":
-                sig = _PAUSE_SIG
+            if kind == "wait":
+                sig = _wait_signature(effect.watch)
             elif kind == "read":
                 sig = ("read", effect.register)
             elif kind == "write":
@@ -423,7 +437,10 @@ class InstrumentedRun:
                 pending = set()
                 for runnable in self.scheduler.runnables:
                     pending.update(runnable)
-                pending -= self._finished
+                # A coroutine retired or parked by now took its last
+                # windowed step at or after every depth it was runnable
+                # at, so its queries are already answered.
+                pending.intersection_update(self.system.runnable())
                 self._pending = pending
             pending.discard(cid)
             if sig is _SYNC_SIG:

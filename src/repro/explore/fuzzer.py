@@ -17,11 +17,12 @@ report back. Throughput (runs/sec, aggregate and per shard) is part of
 the report.
 
 Schedulers here keep a *small* fairness bound. The quorum candidates
-under test promise safety only when correct processes keep taking
-steps; an unboundedly unfair schedule can starve a helper through an
-entire bounded Test scan, which breaks even the ``n = 3f + 1`` control
-— an artifact of bounded ``patience``, not of the algorithm. Bounded
-unfairness keeps the fuzzer inside the model's fairness premise while
+under test promise safety only when correct helpers keep taking steps
+while they have work; an unboundedly unfair schedule can starve a
+runnable helper through an entire bounded Test scan, which breaks even
+the ``n = 3f + 1`` control — an artifact of bounded ``patience``, not
+of the algorithm. (A helper with no work is parked, not runnable; the
+write that gives it work wakes it.) Bounded unfairness keeps the fuzzer inside the model's fairness premise while
 still visiting extreme interleavings.
 """
 
@@ -44,8 +45,8 @@ from repro.sim.scheduler import (
 from repro.scenarios.registry import Scenario, Violation
 
 #: Fairness bound for fuzzing schedulers: the longest a runnable
-#: coroutine may be starved. Small enough that helper daemons always
-#: get steps during a bounded Test scan (see module docstring).
+#: coroutine may be starved. Small enough that a runnable helper always
+#: gets steps during a bounded Test scan (see module docstring).
 FUZZ_FAIRNESS_BOUND = 12
 
 #: Weight classes swarm-priority schedulers draw from: crawling,

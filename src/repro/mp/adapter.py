@@ -38,7 +38,7 @@ from typing import Any, Iterable, Optional
 
 from repro.core.interfaces import AlgorithmBase
 from repro.mp.swmr_emulation import RegisterEmulation
-from repro.sim.effects import ReadRegister, WriteRegister
+from repro.sim.effects import PAUSE, Await, ReadRegister, WriteRegister
 from repro.sim.process import Program
 
 
@@ -56,9 +56,11 @@ def translate(emu: RegisterEmulation, pid: int, program: Program) -> Program:
     """Re-interpret a shared-memory program's register effects over messages.
 
     Every ``ReadRegister`` becomes an emulated quorum read, every
-    ``WriteRegister`` an emulated quorum write; ``Invoke``/``Respond``/
-    ``Pause`` and the rest pass straight through to the kernel, so
-    histories record identically to the shared-memory runs.
+    ``WriteRegister`` an emulated quorum write, and every ``Await`` a
+    ``Pause``: the watched registers live in the replicas, not in the
+    kernel, so over messages a wait is still a poll. ``Invoke``/
+    ``Respond``/``Pause`` and the rest pass straight through to the
+    kernel, so histories record identically to the shared-memory runs.
     """
     to_send: Any = None
     first = True
@@ -73,6 +75,8 @@ def translate(emu: RegisterEmulation, pid: int, program: Program) -> Program:
         elif isinstance(effect, WriteRegister):
             yield from emu.write(pid, effect.register, effect.value)
             to_send = None
+        elif isinstance(effect, Await):
+            to_send = yield PAUSE
         else:
             to_send = yield effect
 

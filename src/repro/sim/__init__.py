@@ -6,6 +6,7 @@ realized as a deterministic effect interpreter.
 
 from repro.sim.effects import (
     Annotate,
+    Await,
     Broadcast,
     Effect,
     Invoke,
@@ -45,6 +46,7 @@ from repro.sim.values import BOTTOM, FrozenDict, freeze, is_bottom, stable_key
 __all__ = [
     "Annotate",
     "Annotation",
+    "Await",
     "BOTTOM",
     "Broadcast",
     "CoroutineId",

@@ -19,8 +19,14 @@ implemented (high-level) object so the kernel can record the history
 (Section 3.1). They are steps too: the invocation and response of an
 operation are events in the history with their own times.
 
-:class:`Pause` — a no-op step. Busy-wait loops must yield *something*
-each iteration so the scheduler can interleave other processes fairly.
+:class:`Pause` — a no-op step that leaves the process runnable: think
+time, and polls of what no register write signals (message arrival,
+virtual time, another client's completion).
+
+:class:`Await` — one step that *parks* the process on the registers it
+just read until one of them is written; ``Await(())`` parks for good.
+A parked coroutine is a *disabled* process: waiting costs the
+scheduler no decisions.
 
 :class:`Annotate` — attaches a free-form note to the trace at the current
 virtual time without semantic effect; used by attack scripts to mark the
@@ -36,7 +42,7 @@ systems built with a network installed accept them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Tuple
+from typing import Any, ClassVar, Tuple
 
 
 class Effect:
@@ -69,11 +75,29 @@ class WriteRegister(Effect):
 class Pause(Effect):
     """Consume one step without touching shared state; resumes with None."""
 
+    #: A pause watches nothing: to the explorer it is a wait with an
+    #: empty read set (see :class:`Await`).
+    watch: ClassVar[Tuple[Tuple[str, Any], ...]] = ()
+
 
 #: Shared Pause instance. Effects are frozen values, so busy-wait loops
 #: (the most-executed yields in the repository) can reuse one object
 #: instead of constructing a fresh Pause every iteration.
 PAUSE = Pause()
+
+
+@dataclass(frozen=True)
+class Await(Effect):
+    """Park until a watched register changes; resumes with None.
+
+    ``watch`` is a tuple of ``(register, value_seen)`` pairs. The step
+    parks the coroutine unless some watched register already differs
+    from the value seen (then it resumes at once, so no wake-up is
+    lost); any later write to a watched register makes it runnable
+    again. ``Await(())`` parks for good.
+    """
+
+    watch: Tuple[Tuple[str, Any], ...] = ()
 
 
 @dataclass(frozen=True)

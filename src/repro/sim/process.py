@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.effects import PAUSE, Effect, Invoke, Respond
+from repro.sim.effects import PAUSE, Await, Effect, Invoke, Respond
 
 #: The type of a process program: a generator of effects.
 Program = Generator[Effect, Any, Any]
@@ -43,9 +43,14 @@ def call(
 
 
 def idle_forever() -> Program:
-    """A program that only pauses; used for silent (crashed) processes."""
+    """Wait for nothing: one step, then never runnable again.
+
+    The program of silent (crashed) processes and of no-op daemons. The
+    kernel parks ``Await(())`` for good; the loop only matters to
+    consumers that turn a wait back into a poll (``repro.mp.adapter``).
+    """
     while True:
-        yield PAUSE
+        yield Await(())
 
 
 def pause_steps(count: int) -> Program:

@@ -9,6 +9,10 @@ history, the virtual clock, and a set of coroutines. Each call to
 3. resumes the coroutine with the result of its previous effect,
 4. executes the newly yielded effect against the shared state.
 
+A coroutine that yields :class:`~repro.sim.effects.Await` *parks*: it
+leaves the runnable set until a write to one of its watched registers
+(every write goes through ``_exec_write``) makes it runnable again.
+
 Because exactly one effect executes per step, every register access is
 atomic and the history's virtual times are a total order of steps — the
 precise setting of Section 3 of the paper.
@@ -28,6 +32,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.errors import ConfigurationError, SchedulerError, StepLimitExceeded
 from repro.sim.effects import (
     Annotate,
+    Await,
     Broadcast,
     Effect,
     Invoke,
@@ -59,6 +64,10 @@ class _Coroutine:
     program: Program
     started: bool = False
     finished: bool = False
+    #: Parked on an Await: not runnable until a write to a register in
+    #: ``watch`` (the names it waits on) wakes it.
+    parked: bool = False
+    watch: Tuple[str, ...] = ()
     next_send: Any = None
     steps_taken: int = 0
     error: Optional[BaseException] = None
@@ -77,6 +86,7 @@ class StepMetrics:
     total_steps: int = 0
     reads: int = 0
     writes: int = 0
+    #: Pause and Await steps.
     pauses: int = 0
     invocations: int = 0
     responses: int = 0
@@ -136,6 +146,10 @@ class System:
         #: coroutine retirement), which is rare compared to steps. A
         #: tuple, so the shared object handed to schedulers is immutable.
         self._runnable_cache: Optional[Tuple[CoroutineId, ...]] = None
+        #: Register name -> coroutines parked on it. Empty whenever
+        #: nothing is parked on a register, so a write pays one
+        #: truthiness test for the wake-up check.
+        self._watchers: Dict[str, List[CoroutineId]] = {}
         self._byzantine: set[int] = set()
         self._enforce_bound = enforce_bound
         self._mailboxes: Dict[int, List[Tuple[int, Any]]] = {
@@ -221,7 +235,9 @@ class System:
 
     def despawn(self, cid: CoroutineId) -> None:
         """Remove a coroutine (e.g. to crash a process mid-run)."""
-        self._coroutines.pop(cid, None)
+        co = self._coroutines.pop(cid, None)
+        if co is not None and co.parked:
+            self._unwatch(cid, co)
         self._runnable_cache = None
         self._co_dirty.add(cid)
 
@@ -237,6 +253,7 @@ class System:
         steppable afterwards; registers and history remain readable.
         """
         self._coroutines.clear()
+        self._watchers.clear()
         self._co_digests.clear()
         self._co_dirty.clear()
         self._co_fold = 0
@@ -262,7 +279,7 @@ class System:
                 sorted(
                     cid
                     for cid, co in self._coroutines.items()
-                    if not co.finished
+                    if not (co.finished or co.parked)
                 )
             )
         return cache
@@ -436,6 +453,10 @@ class System:
     def _execute(self, cid: CoroutineId, effect: Effect) -> Any:
         handler = self._HANDLERS.get(type(effect))
         if handler is None:
+            # Await needs the coroutine, not just its pid, so it stays
+            # off the handler table and off the step loops' fast path.
+            if isinstance(effect, Await):
+                return self._exec_await(cid, effect)
             # Effect subclasses dispatch through their nearest handled
             # base; the resolution is cached (class-wide) per concrete
             # type.
@@ -472,7 +493,62 @@ class System:
     def _exec_write(self, pid: int, effect: WriteRegister) -> None:
         self.metrics.writes += 1
         self.registers.write(pid, effect.register, effect.value, self.clock)
+        if self._watchers:
+            self._wake(effect.register)
         return None
+
+    def _exec_await(self, cid: CoroutineId, effect: Await) -> None:
+        """Park ``cid`` unless a watched register moved since it was read."""
+        self.metrics.pauses += 1
+        registers = self.registers
+        specs = registers._specs
+        values = registers._values
+        pid = cid[0]
+        changed = False
+        for name, seen in effect.watch:
+            spec = specs.get(name)
+            if spec is None or (
+                spec.readers is not None and pid not in spec.readers
+            ):
+                # Raises exactly what a ReadRegister of it would.
+                registers.read(pid, name, self.clock)
+            if values[name] != seen:
+                changed = True
+        if changed:
+            return None
+        co = self._coroutines[cid]
+        co.parked = True
+        co.watch = names = tuple(dict.fromkeys(name for name, _ in effect.watch))
+        watchers = self._watchers
+        for name in names:
+            watchers.setdefault(name, []).append(cid)
+        self._runnable_cache = None
+        return None
+
+    def _wake(self, name: str) -> None:
+        """Make every coroutine parked on register ``name`` runnable."""
+        cids = self._watchers.pop(name, None)
+        if cids is None:
+            return
+        coroutines = self._coroutines
+        for cid in cids:
+            co = coroutines[cid]
+            self._unwatch(cid, co)
+            if self._fp_live:
+                self._co_dirty.add(cid)
+        self._runnable_cache = None
+
+    def _unwatch(self, cid: CoroutineId, co: _Coroutine) -> None:
+        """Unpark ``co`` and drop it from every watcher list."""
+        watchers = self._watchers
+        for name in co.watch:
+            parked = watchers.get(name)
+            if parked is not None:
+                parked.remove(cid)
+                if not parked:
+                    del watchers[name]
+        co.parked = False
+        co.watch = ()
 
     def _exec_pause(self, pid: int, effect: Pause) -> None:
         self.metrics.pauses += 1
@@ -573,6 +649,7 @@ class System:
                     cid,
                     co.started,
                     co.finished,
+                    co.parked,
                     _generator_signature(co.program),
                     _abstract_value(co.next_send),
                 )

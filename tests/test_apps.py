@@ -400,7 +400,7 @@ class TestSnapshotFreshness:
 
         for pid in (3, 4):
             system.spawn(pid, "client", churny_updates(pid))
-        scanner = spawn_ops(system, snap, 2, [("scan", ())], delay=400)
+        scanner = spawn_ops(system, snap, 2, [("scan", ())], delay=60)
         run_clients(system, [scanner], max_steps=8_000_000)
         view = scanner.result_of("scan")
         assert view[0] == (1, "real"), view

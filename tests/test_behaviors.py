@@ -7,21 +7,25 @@ import pytest
 from repro.adversary import behaviors
 from repro.core import StickyRegister, VerifiableRegister
 from repro.errors import OwnershipError
-from repro.sim import Pause, System
+from repro.sim import System
 from tests.conftest import run_clients, spawn_script
 
 
 class TestGenericBehaviors:
-    def test_silent_only_pauses(self):
-        gen = behaviors.silent()
-        for _ in range(20):
-            assert isinstance(next(gen), Pause)
+    def test_silent_takes_one_step_then_parks(self):
+        system = System(n=2)
+        cid = system.spawn(1, "c", behaviors.silent())
+        assert system.run(50) == 1
+        assert system.runnable() == ()
+        assert system.metrics.writes == 0
 
     def test_crash_after(self):
         system = System(n=2)
-        system.spawn(1, "c", behaviors.crash_after(5))
-        # Runs forever pausing; just confirm it never raises.
-        system.run(50)
+        cid = system.spawn(1, "c", behaviors.crash_after(5))
+        # Five pauses, then one step that parks it for good.
+        assert system.run(50) == 6
+        assert system.steps_of(cid) == 6
+        assert system.runnable() == ()
 
     def test_owned_register_names(self):
         system = System(n=4)

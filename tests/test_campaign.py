@@ -271,7 +271,7 @@ class TestPinnedStepCounts:
             and at_bound(cell)
         ]
         assert len(cells) == 5
-        assert self.totals(cells) == (390_308, 20)
+        assert self.totals(cells) == (300_111, 20)
 
     def test_clean_mp_emulation_cells(self):
         cells = [

@@ -28,9 +28,9 @@ from repro.explore import (
     theorem29_symmetry,
 )
 from repro.explore import explorer as explorer_mod
-from repro.explore.dpor import analyze_run
+from repro.explore.dpor import SymmetryFolder, analyze_run
 from repro.explore.explorer import effect_signature
-from repro.sim import RoundRobinScheduler, TraceScheduler
+from repro.sim import Await, Pause, RoundRobinScheduler, TraceScheduler
 
 SYNC = ("sync",)
 
@@ -43,7 +43,9 @@ _REGISTERS = ("x", "y")
 _SIGNATURES = st.one_of(
     st.sampled_from(_REGISTERS).map(lambda r: ("read", r)),
     st.sampled_from(_REGISTERS).map(lambda r: ("write", r)),
-    st.just(("pause",)),
+    st.lists(st.sampled_from(_REGISTERS), max_size=2).map(
+        lambda names: ("wait", *names)
+    ),
     st.sampled_from((1, 2, 3)).map(lambda p: ("send", p)),
     st.sampled_from((1, 2, 3)).map(lambda p: ("recv", p)),
     st.just(("bcast",)),
@@ -80,7 +82,7 @@ class TestBarrierLemma:
         # the horizon — or anywhere short of the read — drops the request.
         a, b, c = (1, "client"), (2, "client"), (3, "client")
         chosen = [a, b, c, b, c]
-        effects = [("write", "x"), ("pause",), ("pause",), ("read", "x"), SYNC]
+        effects = [("write", "x"), ("wait",), ("wait",), ("read", "x"), SYNC]
         limit = 2
         assert _first_barrier(effects, limit) == 4
         assert analyze_run(chosen, effects, limit) == (1, [(0, b)])
@@ -96,6 +98,36 @@ class TestBarrierLemma:
         effects = [("write", "x"), SYNC]
         assert analyze_run(chosen, effects, 1) == (1, [(0, b)])
         assert analyze_run(chosen[:1], effects[:1], 1) == (0, [])
+
+
+class TestWaitSignatures:
+    def test_an_await_is_a_read_of_what_it_watches(self):
+        assert effect_signature(Await((("x", 0), ("y", 1)))) == (
+            "wait", "x", "y",
+        )
+        assert effect_signature(Await(())) == ("wait",)
+        assert effect_signature(Pause()) == ("wait",)
+        a, b = (1, "help"), (2, "client")
+        # wait-then-write on a watched register races like read-then-write
+        assert analyze_run([a, b], [("wait", "x"), ("write", "x")], 1) == (
+            1, [(0, b)],
+        )
+        # ... and write-then-wait like write-then-read.
+        assert analyze_run([b, a], [("write", "x"), ("wait", "y", "x")], 1) == (
+            1, [(0, a)],
+        )
+        # A wait on nothing (a Pause) races nothing but a sync.
+        assert analyze_run([a, b], [("wait",), ("write", "x")], 1) == (0, [])
+        assert analyze_run([a, b], [("wait", "y"), ("write", "x")], 1) == (
+            0, [],
+        )
+
+    def test_a_wait_touches_the_owners_it_watches(self):
+        folder = SymmetryFolder(((2, 3, 4),), {"x": 2, "y": 3, "z": 4})
+        reader = (1, "help")
+        assert folder.first_touches(
+            [reader, reader], [("wait",), ("wait", "y", "x")], 2
+        ) == {3: 1, 2: 1}
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +196,9 @@ def _from_grid(depth_bound, label):
 #: name -> (scenario, declared symmetry, depth bound)
 _CELLS = {
     "theorem29-f1": _theorem29(14, f=1),
+    # Deep enough that helpers park inside the horizon: a parked
+    # coroutine must not hold the window open.
+    "theorem29-f1-deep": _theorem29(30, f=1),
     "theorem29-f2-control": _theorem29(6, f=2, extra_correct=True),
     "broadcast-n3": _from_grid(
         6,
@@ -273,6 +308,13 @@ class TestRunsWithoutABarrier:
         assert record.completed
         assert len(record.effects) < record.steps // 4
 
+    def test_a_coroutine_parked_inside_the_horizon_lets_the_window_close(self):
+        # At depth 30 helpers park (for good) inside the horizon: they
+        # never step again, so waiting for them would record the run.
+        record = execute_trace(make_scenario("theorem29", f=1), depth_bound=30)
+        assert record.completed
+        assert len(record.effects) < record.steps // 4
+
 
 # ----------------------------------------------------------------------
 # The certify cell, pinned whole
@@ -303,7 +345,7 @@ def test_certify_cell_report_is_pinned():
     } == {
         "runs": 315,
         "states": 1890,
-        "steps": 271_751,
+        "steps": 85_945,
         "races_detected": 2690,
         "pruned_dpor": 3406,
         "pruned_symmetry": 164,
@@ -313,9 +355,10 @@ def test_certify_cell_report_is_pinned():
         "replayed_steps": 1301,
         "incomplete": 0,
     }
-    # The recorder saw under a twentieth of what the kernel executed.
-    assert 0 < report.recorded_steps < report.steps // 20
-    assert f"{report.recorded_steps} of 271751 steps recorded" in report.summary()
+    # The recorder's window closes after about 37 steps a run; the rest
+    # of each run executes unrecorded.
+    assert report.recorded_steps == 11_642
+    assert "11642 of 85945 steps recorded" in report.summary()
     assert f"{report.blocked_fallbacks} blocked-coroutine fallbacks" in (
         report.summary()
     )

@@ -38,28 +38,28 @@ def test_correctness_sweep_rows_pinned():
         "failure",
     )
     assert rows == [
-        (4, 1, "none", 2, True, 231.2, 367, ""),
-        (4, 1, "deny", 2, True, 246.2, 346, ""),
-        (4, 1, "equivocate", 2, True, 285.4, 428, ""),
-        (4, 1, "none+p2:lying", 2, True, 180.9, 424, ""),
-        (4, 1, "none+p3:flipflop", 2, True, 189.9, 410, ""),
+        (4, 1, "none", 2, True, 211.5, 346, ""),
+        (4, 1, "deny", 2, True, 230.6, 325, ""),
+        (4, 1, "equivocate", 2, True, 278.5, 374, ""),
+        (4, 1, "none+p2:lying", 2, True, 197.5, 514, ""),
+        (4, 1, "none+p3:flipflop", 2, True, 206.5, 507, ""),
     ]
 
 
 def test_step_complexity_rows_pinned():
     _headers, rows = step_complexity_table(ns=(4,), seeds=(0,))
     assert rows == [
-        ("verifiable", 4, "read", 5, 12.0, 24),
-        ("verifiable", 4, "sign", 2, 7.0, 8),
-        ("verifiable", 4, "verify", 10, 229.9, 317),
-        ("verifiable", 4, "write", 4, 13.2, 28),
-        ("signed", 4, "read", 5, 8.2, 15),
-        ("signed", 4, "sign", 2, 9.5, 11),
-        ("signed", 4, "verify", 10, 31.1, 50),
-        ("signed", 4, "write", 4, 16.0, 28),
-        ("authenticated", 4, "read", 3, 291.0, 296),
-        ("authenticated", 4, "verify", 12, 222.3, 317),
-        ("authenticated", 4, "write", 6, 22.5, 33),
+        ("verifiable", 4, "read", 5, 12.8, 29),
+        ("verifiable", 4, "sign", 2, 2.0, 2),
+        ("verifiable", 4, "verify", 10, 218.3, 290),
+        ("verifiable", 4, "write", 4, 14.5, 33),
+        ("signed", 4, "read", 5, 4.2, 8),
+        ("signed", 4, "sign", 2, 5.5, 10),
+        ("signed", 4, "verify", 10, 12.0, 24),
+        ("signed", 4, "write", 4, 9.0, 16),
+        ("authenticated", 4, "read", 3, 268.7, 304),
+        ("authenticated", 4, "verify", 12, 211.7, 315),
+        ("authenticated", 4, "write", 6, 15.5, 34),
         ("sticky", 4, "read", 15, 213.0, 282),
         ("sticky", 4, "write", 1, 192.0, 192),
     ]
@@ -68,11 +68,11 @@ def test_step_complexity_rows_pinned():
 @pytest.mark.parametrize(
     "kind, digest, clock",
     [
-        ("verifiable", "12b4687f5a1be7bb", 1767),
-        ("authenticated", "4a77937531693d7e", 2127),
+        ("verifiable", "ec4665fcb98d2a4a", 1526),
+        ("authenticated", "45f8f46ed2c3e69a", 2047),
         ("sticky", "74b4c4788adbb755", 2145),
-        ("signed", "08ea470e6df79b25", 1186),
-        ("naive-quorum", "dd1a6d82455a980f", 1514),
+        ("signed", "bb5986fd8de0529e", 448),
+        ("naive-quorum", "f27c50229e93870a", 1108),
     ],
 )
 def test_register_run_history_pinned(kind, digest, clock):

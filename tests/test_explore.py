@@ -177,8 +177,16 @@ class TestSystematicExplorer:
         assert commutes(read_a, write_b)
         assert not commutes(read_a, write_a)
         assert not commutes(write_a, write_a)
-        assert commutes(("pause",), write_a)
-        assert not commutes(("sync",), ("pause",))
+        assert commutes(("wait",), write_a)  # a Pause: empty read set
+        assert not commutes(("sync",), ("wait",))
+        # An Await reads the registers it watches.
+        await_xy = ("wait", "x", "y")
+        assert not commutes(await_xy, write_a)
+        assert not commutes(write_b, await_xy)
+        assert commutes(await_xy, ("write", "z"))
+        assert commutes(await_xy, read_a)
+        assert commutes(await_xy, ("wait", "x"))
+        assert commutes(await_xy, ("send", 1))
 
     @pytest.mark.parametrize("mode", ["dfs", "bfs"])
     def test_search_is_deterministic(self, mode):

@@ -5,7 +5,8 @@ only re-hashes what the last step touched; ``fingerprint(full=True)``
 recomputes everything from scratch. The explorer's memo table trusts
 the incremental path, so these tests hold the two paths equal after
 *arbitrary* effect sequences — register writes, sends, broadcasts,
-mailbox drains, invokes/responds, pauses, spawns mid-run, despawns,
+mailbox drains, invokes/responds, pauses, awaits (park and wake),
+spawns mid-run, despawns,
 and the out-of-band mutations (``deliver``, ``reset_to_initial``) the
 adversary and network layers use.
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro.sim import System
 from repro.sim.effects import (
     Annotate,
+    Await,
     Broadcast,
     Invoke,
     Pause,
@@ -90,8 +92,12 @@ def _random_program(rng: random.Random, system: System, pid: int, n: int):
                     )
                     open_ops.append(op_id)
             else:
-                if rng.random() < 0.3:
+                roll = rng.random()
+                if roll < 0.3:
                     yield Annotate(label=f"mark{rng.randrange(3)}")
+                elif roll < 0.5:
+                    name = f"r/{rng.randrange(n) + 1}"
+                    yield Await(((name, (yield ReadRegister(name))),))
                 else:
                     yield Pause()
 
@@ -230,6 +236,42 @@ class TestDirtyTrackingHooks:
         system.despawn((1, "c"))
         assert system.fingerprint() != with_coroutine
         assert system.fingerprint() == system.fingerprint(full=True)
+
+    def test_park_and_wake_are_tracked(self):
+        system = self._system()
+        system.install_register(swmr("r/2", 2, initial=0))
+
+        def watcher():
+            yield Await((("r/2", (yield ReadRegister("r/2"))),))
+            yield Pause()
+
+        def writer():
+            yield Pause()
+            yield Pause()
+            yield WriteRegister("r/2", 1)
+
+        system.spawn(1, "w", watcher())
+        system.spawn(2, "c", writer())
+        prints = []
+        for _ in range(6):
+            system.step()
+            prints.append(system.fingerprint())
+            assert prints[-1] == system.fingerprint(full=True)
+        # w: read, park; c: pause, pause, write (wakes w); w: pause.
+        assert system.steps_of((1, "w")) == 3
+
+    def test_the_parked_flag_is_part_of_the_state(self):
+        system = self._system()
+
+        def watcher():
+            yield Await((("r/1", (yield ReadRegister("r/1"))),))
+
+        system.spawn(2, "w", watcher())
+        system.run(2)
+        assert system.runnable() == ()
+        parked = system.fingerprint(full=True)
+        system._coroutines[(2, "w")].parked = False
+        assert system.fingerprint(full=True) != parked
 
     def test_release_coroutines_resets_the_fold(self):
         from repro.sim.process import pause_steps

@@ -21,7 +21,15 @@ from repro.mp import (
     translate,
     translated_help,
 )
-from repro.sim import Broadcast, FunctionClient, Pause, ReceiveAll, Send, System
+from repro.sim import (
+    Await,
+    Broadcast,
+    FunctionClient,
+    Pause,
+    ReceiveAll,
+    Send,
+    System,
+)
 from repro.sim.effects import Invoke, Respond
 from repro.sim.process import idle_forever
 from repro.spec import AtomicRegisterSpec, check_linearizable
@@ -257,6 +265,25 @@ class TestAdapter:
         system.spawn(2, "client", r.program())
         system.run_until(lambda: r.done, 8_000_000)
         assert r.result == (5, True, False)
+
+    def test_a_wait_is_a_poll_over_messages(self):
+        # The watched registers live in the replicas, not in the kernel:
+        # an Await must reach the kernel as a Pause, never by name.
+        system = System(n=4, f=1)
+        system.network = RandomDelayNetwork(seed=0, max_delay=2)
+        emu = RegisterEmulation(system)
+
+        def program():
+            yield Await((("v/C[2]", 0),))
+            yield Await(())
+            return "resumed"
+
+        translated = translate(emu, 1, program())
+        assert next(translated) == Pause()
+        assert translated.send(None) == Pause()
+        with pytest.raises(StopIteration) as stop:
+            translated.send(None)
+        assert stop.value.value == "resumed"
 
     def test_history_recorded_identically(self):
         # The adapter passes Invoke/Respond through, so the history has

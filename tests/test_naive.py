@@ -11,6 +11,8 @@ import pytest
 
 from repro.adversary import behaviors
 from repro.core import NaiveQuorumVerifiableRegister, NaiveVerifiableRegister
+from repro.explore.fuzzer import run_one_fuzz
+from repro.scenarios.registry import all_records
 from repro.sim import Pause, PriorityScheduler, System, WriteRegister
 from repro.sim.process import pause_steps
 from repro.spec import check_verifiable_properties
@@ -148,3 +150,22 @@ class TestNaiveQuorumVerify:
         run_clients(system, [verifier_b], max_steps=4_000_000)
         assert verifier_a.result_of("verify") is True
         assert verifier_b.result_of("verify") is True  # relay holds
+
+
+def test_swarm_keeps_killing_the_flip_flop_strawman():
+    """Sensitivity guard: the swarm must still find the §5.1 strawman.
+
+    The catalog's naive flip-flop cell violates in 93 of swarm seeds
+    0-99. Deleting the registers scenario's reader stagger drops it to
+    10: a change that dulls the swarm that way fails here, not only in
+    a benchmark cell.
+    """
+    (cell,) = [
+        record
+        for record in all_records()
+        if record.family == "naive" and record.expect_violation
+    ]
+    kills = sum(
+        run_one_fuzz(cell.spec, seed)[0] is not None for seed in range(100)
+    )
+    assert kills >= 80, f"{kills} of 100 swarm seeds violate"

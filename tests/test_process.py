@@ -10,10 +10,12 @@ from repro.sim import (
     Pause,
     ScriptClient,
     System,
+    WriteRegister,
     all_done,
     call,
     idle_forever,
     pause_steps,
+    swmr,
 )
 
 
@@ -195,7 +197,17 @@ class TestUtilities:
         assert len(effects) == 3
         assert all(isinstance(e, Pause) for e in effects)
 
-    def test_idle_forever_never_stops(self):
-        gen = idle_forever()
-        for _ in range(50):
-            assert isinstance(next(gen), Pause)
+    def test_idle_forever_takes_one_step_and_parks_for_good(self):
+        system = System(n=2)
+        system.install_register(swmr("R", writer=2, initial=0))
+        cid = system.spawn(1, "idle", idle_forever())
+
+        def writer():
+            for value in range(10):
+                yield WriteRegister("R", value)
+
+        system.spawn(2, "w", writer())
+        system.run(100)
+        assert system.steps_of(cid) == 1
+        assert system.runnable() == ()
+        assert system.metrics.writes == 10  # all of them the writer's

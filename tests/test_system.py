@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.errors import (
     ConfigurationError,
     OwnershipError,
     SchedulerError,
     StepLimitExceeded,
+    UnknownRegisterError,
 )
 from repro.sim import (
     Annotate,
+    Await,
     Broadcast,
     FunctionClient,
     Invoke,
@@ -19,6 +24,8 @@ from repro.sim import (
     ReadRegister,
     ReceiveAll,
     Respond,
+    RandomScheduler,
+    ScriptedScheduler,
     Send,
     System,
     WriteRegister,
@@ -305,3 +312,179 @@ class TestMetrics:
         cid = system.spawn(1, "c", program())
         system.run(10)
         assert system.steps_of(cid) >= 2
+
+
+# ----------------------------------------------------------------------
+# Await: parking on watched registers
+# ----------------------------------------------------------------------
+def _watcher(watches, names):
+    """Forever: read ``names``, log the watch, await it."""
+
+    def program():
+        while True:
+            seen = []
+            for name in names:
+                seen.append((name, (yield ReadRegister(name))))
+            watches.append(tuple(seen))
+            yield Await(tuple(seen))
+
+    return program()
+
+
+def _writes(*pairs):
+    def program():
+        for name, value in pairs:
+            yield WriteRegister(name, value)
+
+    return program()
+
+
+def _await_system(script):
+    system = System(n=3, scheduler=ScriptedScheduler(script))
+    system.install_register(swmr("R", writer=2, initial=0))
+    system.install_register(swmr("S", writer=3, initial=0))
+    return system
+
+
+W, B, C = (1, "w"), (2, "b"), (3, "c")
+
+
+class TestAwait:
+    def test_write_between_read_and_await_resumes_at_once(self):
+        system = _await_system([W, B, W])
+        system.spawn(1, "w", _watcher([], ["R"]))
+        system.spawn(2, "b", _writes(("R", 1)))
+        system.run(3)  # read R = 0, write R = 1, await ((R, 0),)
+        assert W in system.runnable()
+
+    def test_only_a_watched_write_wakes(self):
+        system = _await_system([W, W, C, B])
+        system.spawn(1, "w", _watcher([], ["R"]))
+        system.spawn(2, "b", _writes(("R", 1)))
+        system.spawn(3, "c", _writes(("S", 1)))
+        system.run(2)  # read, park
+        assert system.runnable() == (B, C)
+        system.run(1)  # a write to S
+        assert W not in system.runnable()
+        system.run(1)  # a write to R
+        assert W in system.runnable()
+
+    def test_a_write_of_the_same_value_wakes(self):
+        system = _await_system([W, W, B])
+        system.spawn(1, "w", _watcher([], ["R"]))
+        system.spawn(2, "b", _writes(("R", 0)))
+        system.run(3)
+        assert W in system.runnable()
+
+    def test_await_nothing_never_wakes(self):
+        system = System(n=2)
+        system.install_register(swmr("R", writer=2, initial=0))
+        system.spawn(1, "w", _watcher([], []))
+        system.spawn(2, "b", _writes(*[("R", v) for v in range(5)]))
+        system.run(100)
+        assert system.runnable() == ()
+        assert system.steps_of(W) == 1
+
+    def test_everything_parked_raises_at_once(self):
+        for observe in (False, True):
+            system = System(n=1)
+            system.spawn(1, "w", _watcher([], []))
+            if observe:
+                system.on_step = lambda cid, effect: None
+            with pytest.raises(StepLimitExceeded, match="no runnable") as exc:
+                system.run_until(lambda: False, max_steps=1000)
+            assert exc.value.steps == 1
+            assert system.clock == 1
+
+    def test_unknown_register_fails_like_a_read(self):
+        for effect in (ReadRegister("nope"), Await((("nope", 0),))):
+            system = System(n=1)
+
+            def program(effect=effect):
+                yield effect
+
+            system.spawn(1, "w", program())
+            with pytest.raises(UnknownRegisterError, match="nope"):
+                system.run(1)
+
+    def test_despawn_drops_the_watch(self):
+        system = _await_system([W, W, B])
+        system.spawn(1, "w", _watcher([], ["R"]))
+        system.spawn(2, "b", _writes(("R", 1)))
+        system.run(2)
+        system.despawn(W)
+        system.run(1)  # the write finds no watcher to wake
+        assert system.runnable() == (B,)
+
+    def test_step_and_inlined_run_until_agree_under_parks(self):
+        def run(observe):
+            system = System(n=4, scheduler=RandomScheduler(seed=3))
+            for pid in (2, 3):
+                system.install_register(swmr(f"r/{pid}", writer=pid, initial=0))
+            watches = {1: [], 4: []}
+            for pid, log in watches.items():
+                system.spawn(pid, "w", _watcher(log, ["r/2", "r/3"]))
+            for pid in (2, 3):
+
+                def writer(name=f"r/{pid}"):
+                    for value in range(40):
+                        op = yield Invoke("o", "write", (value % 3,))
+                        yield WriteRegister(name, value % 3)
+                        yield Pause()
+                        yield Respond(op, None)
+
+                system.spawn(pid, "c", writer())
+            if observe:
+                system.on_step = lambda cid, effect: None
+            with pytest.raises(StepLimitExceeded, match="no runnable"):
+                system.run_until(lambda: False, max_steps=10_000)
+            events = [
+                (op.pid, op.args, op.invoked_at, op.responded_at)
+                for op in system.history.all()
+            ]
+            return events, system.clock, watches
+
+        plain, observed = run(False), run(True)
+        assert plain == observed
+        assert all(len(log) > 1 for log in plain[2].values())  # both woke
+
+
+#: Registers, each owned by its own writer coroutine, for the property.
+_NAMES = ("r/2", "r/3")
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    writes=st.lists(
+        st.tuples(st.sampled_from(_NAMES), st.integers(0, 2)), max_size=12
+    ),
+    watches=st.lists(
+        st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_no_coroutine_stays_parked_on_a_stale_watch(seed, writes, watches):
+    """A parked coroutine's watched registers all still hold what it saw."""
+    system = System(n=5, scheduler=RandomScheduler(seed=seed))
+    for name in _NAMES:
+        system.install_register(swmr(name, writer=int(name[-1]), initial=0))
+    logs = {}
+    for index, names in enumerate(watches):
+        cid = (1, f"w{index}")
+        logs[cid] = []
+        system.spawn(*cid, _watcher(logs[cid], names))
+    for name in _NAMES:
+        mine = [(n, v) for n, v in writes if n == name]
+        system.spawn(int(name[-1]), "c", _writes(*mine))
+
+    def check(cid, effect):
+        runnable = system.runnable()
+        for watcher, log in logs.items():
+            if log and watcher not in runnable:
+                for name, value in log[-1]:
+                    assert system.registers.peek(name) == value
+
+    system.on_step = check
+    system.run(200)
