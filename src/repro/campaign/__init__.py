@@ -43,7 +43,6 @@ from repro.campaign.corpus import (
 from repro.campaign.matrix import (
     CampaignCell,
     CellOutcome,
-    canonicalize_violation,
     default_matrix,
     run_cell,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "ENGINES",
     "IMPLEMENTATIONS",
     "ReplayOutcome",
-    "canonicalize_violation",
     "default_corpus_dir",
     "default_matrix",
     "entry_from_shrunk",

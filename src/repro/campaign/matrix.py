@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, SchedulerError
+from repro.errors import ConfigurationError
 from repro.explore.explorer import explore
 from repro.explore.fuzzer import fuzz
 from repro.scenarios import registry as _registry
@@ -224,13 +224,9 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
 
     Every cell shares one :class:`repro.spec.CheckContext` across its
     runs (built inside the engine, so it never crosses a process
-    boundary). Early exit is armed exactly on the cells that
-    expect *clean* runs: there it is free insurance — a regression stops
-    simulating the moment its partial history is irrecoverably broken —
-    while the violation-expecting cells keep full-horizon runs, whose
-    exact reasons the shrink/corpus pipeline fingerprints.
+    boundary). Every run is driven to its horizon and judged there, so
+    a find's reason is the one the shrinker and the corpus replay see.
     """
-    early_exit = not cell.expect_violation
     if cell.engine == "systematic":
         report = explore(
             cell.scenario,
@@ -238,7 +234,6 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
             preemption_bound=cell.preemption_bound,
             budget=cell.budget,
             stop_on_violation=cell.expect_violation,
-            early_exit=early_exit,
             reduction=cell.reduction,
             symmetry=cell.symmetry,
         )
@@ -257,7 +252,6 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
         shards=1,
         seed0=cell.seed0,
         stop_on_violation=cell.expect_violation,
-        early_exit=early_exit,
     )
     return CellOutcome(
         cell=cell,
@@ -267,35 +261,4 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
         elapsed=report.elapsed,
         violations=list(report.violations),
         note=f"{sum(report.violation_counts.values())} violating run(s)",
-    )
-
-
-def canonicalize_violation(
-    scenario: Scenario, violation: Violation
-) -> Violation:
-    """Re-derive a violation's reason from a full-horizon replay.
-
-    Violations found by early-exit runs carry the *truncated* history's
-    reason; the shrinker and the corpus replay at full horizon, where
-    the same trace can accumulate further violating pairs and change
-    the class fingerprint. One replay per class re-anchors the reason
-    to what every later replay will see. Full-horizon finds replay to
-    themselves (the determinism the corpus suite pins), so this is a
-    no-op for them; an unreplayable violation is returned unchanged and
-    left for :func:`repro.explore.shrink.shrink` to report.
-    """
-    from repro.explore.explorer import execute_trace
-
-    try:
-        record = execute_trace(scenario, violation.trace)
-    except SchedulerError:
-        return violation
-    if record.violation is None:
-        return violation
-    return Violation(
-        scenario=violation.scenario,
-        reason=record.violation.reason,
-        trace=violation.trace,
-        schedule=violation.schedule,
-        seed=violation.seed,
     )

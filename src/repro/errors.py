@@ -74,24 +74,6 @@ class StallDetected(ReproError):
         self.reason = reason
 
 
-class EarlyExitInterrupt(ReproError):
-    """An early-exit monitor proved the running history irrecoverable.
-
-    Raised (opt-in) from a history completion hook the moment a
-    violation that is stable under extension appears, aborting the
-    simulation mid-step — a one-shot control transfer that costs clean
-    runs nothing, unlike a per-step "doomed?" predicate. Scenario
-    drivers catch it and proceed straight to the final batch check,
-    which is guaranteed to report the violation on the truncated
-    history.
-    """
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        #: The monitor's violation summary.
-        self.reason = reason
-
-
 class ProtocolViolation(ReproError):
     """A *correct* process's program behaved outside its allowed protocol.
 

@@ -311,7 +311,6 @@ def execute_trace(
     fingerprints: bool = False,
     schedule_label: str = "",
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
 ) -> RunRecord:
     """Replay ``prefix`` against a fresh build of ``scenario``.
 
@@ -321,12 +320,10 @@ def execute_trace(
     (the effect record runs a little further — see
     :class:`InstrumentedRun` for where its window closes).
     Raises :class:`SchedulerError` when the prefix is not realizable.
-    ``ctx`` shares oracle caches across replays; ``early_exit`` arms the
-    scenario's incremental violation monitor.
+    ``ctx`` shares oracle caches across replays.
     """
     return InstrumentedRun(
-        scenario, prefix, depth_bound, fingerprints, schedule_label,
-        ctx=ctx, early_exit=early_exit,
+        scenario, prefix, depth_bound, fingerprints, schedule_label, ctx=ctx
     ).finish()
 
 
@@ -360,10 +357,9 @@ class InstrumentedRun:
         :mod:`repro.explore.dpor`), so the race scan reads the same
         races and requests off the window as off the whole run.
 
-    A run with no such step (it hit the step limit, or an
-    ``EarlyExitInterrupt`` ended it) records to its last step. The
-    windowed record answers every search-loop query identically to a
-    full-length record.
+    A run with no such step (it hit the step limit) records to its last
+    step. The windowed record answers every search-loop query
+    identically to a full-length record.
     """
 
     def __init__(
@@ -374,7 +370,6 @@ class InstrumentedRun:
         fingerprints: bool = False,
         schedule_label: str = "",
         ctx: Optional[CheckContext] = None,
-        early_exit: bool = False,
     ):
         self.scenario = scenario
         self.depth_bound = depth_bound
@@ -383,9 +378,7 @@ class InstrumentedRun:
         self.scheduler = TraceScheduler(
             prefix=prefix, fallback=RoundRobinScheduler(), horizon=depth_bound
         )
-        self.built = scenario.build(
-            self.scheduler, ctx=ctx, early_exit=early_exit
-        )
+        self.built = scenario.build(self.scheduler, ctx=ctx)
         self.system = self.built.system
         #: Networked systems route Send/Broadcast through the network
         #: model's RNG, so message signatures degrade to "sync" (see
@@ -609,7 +602,6 @@ def explore(
     stop_on_violation: bool = False,
     prefix_sharing: str = "replay",
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
     reduction: str = "sleep",
     symmetry: Sequence[Sequence[int]] = (),
 ) -> ExploreReport:
@@ -641,10 +633,7 @@ def explore(
     A :class:`CheckContext` (one is created when ``ctx`` is None) shares
     the oracle layer's memo tables across every run of the exploration:
     sibling schedules that commute into the same history pay for one
-    verdict. ``early_exit`` stops each run as soon as its partial
-    history is irrecoverably violating; violating runs then report the
-    truncated history's violation, so keep it off when the exact
-    horizon-history reason matters (the corpus pipeline does).
+    verdict.
     """
     if mode not in ("dfs", "bfs"):
         raise ValueError(f"mode must be 'dfs' or 'bfs', got {mode!r}")
@@ -692,7 +681,6 @@ def explore(
                     fingerprints=True,
                     schedule_label=label,
                     ctx=ctx,
-                    early_exit=early_exit,
                 )
             except SchedulerError:
                 # The prefix stopped being realizable (can happen when a
@@ -716,13 +704,11 @@ def explore(
 
             # Fingerprint memoization: skip expanding a node whose
             # state was already expanded at the same or a shallower
-            # depth. An early-exited run aborts mid-step — the
-            # scheduler has recorded that step's decision, but the
-            # on_step observations (effects/chosen/fingerprints)
-            # stop one entry short — so a record doomed at its own
-            # deviated step may lack that fingerprint; skip the
-            # memo (less pruning, never wrong).
-            if prefix and len(record.fingerprints) >= len(prefix):
+            # depth. A completed run records a fingerprint, runnable
+            # set and effect for each of its first ``depth_bound``
+            # steps, and no prefix is longer; step-limited runs were
+            # skipped above.
+            if prefix:
                 node_state = record.fingerprints[len(prefix) - 1]
                 known_depth = seen_states.get(node_state)
                 if known_depth is not None and known_depth <= len(prefix):
@@ -740,12 +726,7 @@ def explore(
                 # backtracks the race scan demands (instead of every
                 # runnable sibling, which is what the "sleep" branch
                 # below does).
-                horizon = min(
-                    depth_bound,
-                    len(record.trace),
-                    len(record.runnables),
-                    len(record.effects),
-                )
+                horizon = min(depth_bound, len(record.trace))
                 touches = (
                     folder.first_touches(
                         record.chosen, record.effects, horizon
@@ -943,16 +924,8 @@ def explore(
                 continue
 
             # Expand: deviate from this run at every depth past the
-            # forced prefix, up to the bounds. ``effects`` (same
-            # length as ``chosen``) can be one entry shorter than
-            # ``trace``/``runnables`` on an early-exited run — see
-            # the memoization note above.
-            horizon = min(
-                depth_bound,
-                len(record.trace),
-                len(record.runnables),
-                len(record.effects),
-            )
+            # forced prefix, up to the bounds.
+            horizon = min(depth_bound, len(record.trace))
             for depth in range(len(prefix), horizon):
                 runnable = record.runnables[depth]
                 chosen_index = record.trace[depth]

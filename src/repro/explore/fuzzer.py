@@ -144,7 +144,6 @@ def run_one_fuzz(
     scenario: Scenario,
     seed: int,
     ctx=None,
-    early_exit: bool = False,
 ) -> Tuple[Optional[Violation], int, bool]:
     """Execute one fuzzing run; returns (violation, steps, completed).
 
@@ -158,7 +157,7 @@ def run_one_fuzz(
     the replayable decision trace.
     """
     scheduler = fuzz_scheduler(seed)
-    built = scenario.build(scheduler, ctx=ctx, early_exit=early_exit)
+    built = scenario.build(scheduler, ctx=ctx)
     try:
         try:
             built.drive()
@@ -175,7 +174,7 @@ def run_one_fuzz(
     tracer = TraceScheduler(
         prefix=(), fallback=fuzz_scheduler(seed), horizon=0
     )
-    replay = scenario.build(tracer, ctx=ctx, early_exit=early_exit)
+    replay = scenario.build(tracer, ctx=ctx)
     try:
         replay.drive()
     finally:
@@ -191,7 +190,7 @@ def run_one_fuzz(
 
 
 def _run_shard(
-    payload: Tuple[int, List[Tuple[Scenario, int]], bool],
+    payload: Tuple[int, List[Tuple[Scenario, int]]],
     stop_on_violation: bool = False,
 ) -> ShardResult:
     """Worker entry point: run every (scenario, seed) job of one shard.
@@ -203,7 +202,7 @@ def _run_shard(
     oracle layer's memo tables persist across every run of the shard —
     contexts never cross process boundaries.
     """
-    shard, jobs, early_exit = payload
+    shard, jobs = payload
     from repro.spec.context import CheckContext
 
     ctx = CheckContext()
@@ -217,9 +216,7 @@ def _run_shard(
     with paused_gc():
         for scenario, seed in jobs:
             try:
-                violation, steps, completed = run_one_fuzz(
-                    scenario, seed, ctx=ctx, early_exit=early_exit
-                )
+                violation, steps, completed = run_one_fuzz(scenario, seed, ctx=ctx)
             except SchedulerError:
                 continue
             result.runs += 1
@@ -260,7 +257,6 @@ def fuzz(
     shards: Optional[int] = None,
     seed0: int = 0,
     stop_on_violation: bool = False,
-    early_exit: bool = False,
 ) -> FuzzReport:
     """Run a swarm campaign of ``budget`` seeded runs over ``scenarios``.
 
@@ -270,11 +266,6 @@ def fuzz(
     campaign's findings do not depend on the sharding; only throughput
     does. ``stop_on_violation`` short-circuits inline campaigns after
     the first violating run (sharded campaigns always drain their jobs).
-
-    ``early_exit`` stops each run as soon as its partial history is
-    irrecoverably violating; a violating run then reports the truncated
-    history's violation, so keep it off when the exact horizon-history
-    reason matters (the shrink/corpus pipeline does).
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
@@ -287,10 +278,7 @@ def fuzz(
     jobs = [
         (scenarios[i % len(scenarios)], seed0 + i) for i in range(budget)
     ]
-    payloads = [
-        (shard, jobs[shard::shard_count], early_exit)
-        for shard in range(shard_count)
-    ]
+    payloads = [(shard, jobs[shard::shard_count]) for shard in range(shard_count)]
 
     started = time.perf_counter()
     if shard_count == 1:

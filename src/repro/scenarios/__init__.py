@@ -48,7 +48,6 @@ from repro.scenarios.bindings import (
     binding_for,
     checker_for_kind,
     kind_for,
-    monitor_family_for_kind,
     oracle_for,
     register_kinds,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "kind_for",
     "known_scenarios",
     "make_scenario",
-    "monitor_family_for_kind",
     "oracle_for",
     "register",
     "register_builder",

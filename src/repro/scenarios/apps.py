@@ -34,10 +34,6 @@ correct processes and then rewritten so the spec can replay it —
   message is explainable while a *forked* slot — two correct receivers
   delivering different messages — is not.
 
-Early exit: no incremental monitor exists for the app oracles, so the
-``early_exit`` flag is accepted and ignored — runs are judged at full
-horizon, which trivially preserves verdicts.
-
 Topology note: at ``n = 3f + 1`` all applications must be clean under
 every behaviour here (the paper's n > 3f translations). At ``n = 3f``
 the equivocating-owner/sender attack forks a sticky register and two
@@ -416,7 +412,6 @@ def build_snapshot(
     max_steps: int = 6_000_000,
     max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
 ):
     """A seeded snapshot workload: concurrent updates and scans.
 
@@ -519,7 +514,6 @@ def build_asset_transfer(
     max_steps: int = 6_000_000,
     max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
 ):
     """A seeded asset-transfer workload: payments plus balance audits.
 
@@ -817,7 +811,6 @@ def build_broadcast(
     max_steps: int = 6_000_000,
     max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
 ):
     """Non-equivocating broadcast (Section 8's sticky-register sketch)."""
     return _build_broadcast_scenario(
@@ -847,7 +840,6 @@ def build_reliable_broadcast(
     max_steps: int = 6_000_000,
     max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
 ):
     """The signature-free reliable broadcast facade (same slot machinery,
     the object vocabulary of [5]) — judged against the same

@@ -2,10 +2,9 @@
 
 One table of :class:`OracleBinding` records answers, per family, which
 sequential spec its runs are judged against (:func:`oracle_for`, which
-``repro.campaign`` re-exports), which checker pair judges a register
-kind (:func:`checker_for_kind`) and which early-exit monitor family
-watches it (:func:`monitor_family_for_kind`); the test suite asserts
-every registered family has exactly one binding.
+``repro.campaign`` re-exports) and which checker pair judges a register
+kind (:func:`checker_for_kind`); the test suite asserts every
+registered family has exactly one binding.
 
 The table is differential by construction: the naive strawman and the
 signature baseline are bound to the *same* :class:`VerifiableRegisterSpec`
@@ -57,9 +56,6 @@ class OracleBinding:
         kind: The ``repro.scenarios.registers`` register kind driving
             scenario construction, or ``None`` for families that are
             not register workloads (test_or_set and the apps).
-        monitor_family: ``repro.spec.properties.EarlyPropertyMonitor``
-            family for early-exit runs, or ``None`` when no incremental
-            monitor exists for the oracle.
         checkers: ``(property-checker, byzantine-checker)`` pair for
             register families; ``None`` for families checked purely
             through linearization inside their scenario builder.
@@ -68,7 +64,6 @@ class OracleBinding:
     family: str
     spec_factory: Callable[..., SequentialSpec]
     kind: Optional[str] = None
-    monitor_family: Optional[str] = None
     checkers: Optional[Tuple[Callable, Callable]] = None
 
 
@@ -92,40 +87,34 @@ FAMILY_BINDINGS: Dict[str, OracleBinding] = {
             family="naive",
             spec_factory=_value_spec(VerifiableRegisterSpec),
             kind="naive-quorum",
-            monitor_family="verifiable",
             checkers=_VERIFIABLE_CHECKERS,
         ),
         OracleBinding(
             family="sticky",
             spec_factory=lambda initial=0: StickyRegisterSpec(),
             kind="sticky",
-            monitor_family="sticky",
             checkers=_STICKY_CHECKERS,
         ),
         OracleBinding(
             family="test_or_set",
             spec_factory=lambda initial=0: TestOrSetSpec(),
-            monitor_family="test_or_set",
         ),
         OracleBinding(
             family="authenticated",
             spec_factory=_value_spec(AuthenticatedRegisterSpec),
             kind="authenticated",
-            monitor_family="authenticated",
             checkers=_AUTHENTICATED_CHECKERS,
         ),
         OracleBinding(
             family="verifiable",
             spec_factory=_value_spec(VerifiableRegisterSpec),
             kind="verifiable",
-            monitor_family="verifiable",
             checkers=_VERIFIABLE_CHECKERS,
         ),
         OracleBinding(
             family="signature_baseline",
             spec_factory=_value_spec(VerifiableRegisterSpec),
             kind="signed",
-            monitor_family="verifiable",
             checkers=_VERIFIABLE_CHECKERS,
         ),
         OracleBinding(
@@ -206,13 +195,6 @@ def checker_for_kind(kind: str) -> Tuple[Callable, Callable]:
     binding = _binding_for_kind(kind)
     assert binding.checkers is not None  # register kinds always carry them
     return binding.checkers
-
-
-def monitor_family_for_kind(kind: str) -> str:
-    """The early-exit monitor family judging a register kind."""
-    binding = _binding_for_kind(kind)
-    assert binding.monitor_family is not None
-    return binding.monitor_family
 
 
 def register_kinds() -> Tuple[str, ...]:

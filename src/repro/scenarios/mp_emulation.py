@@ -77,7 +77,6 @@ def build_mp_register(
     max_steps: int = 150_000,
     max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
 ):
     """A seeded register workload over the mp emulation, under faults.
 
@@ -92,10 +91,6 @@ def build_mp_register(
     Identical ``(seed, fault_seed)`` pairs under identical schedules
     reproduce identical runs — fault draws are a pure function of the
     submission sequence (``tests/test_faults.py`` pins this end to end).
-
-    ``early_exit`` is accepted and ignored (no incremental monitor
-    exists for the register oracle; the stall monitor is always on and
-    is itself an early exit for liveness).
     """
     system = System(n=n, f=f, scheduler=scheduler)
     inner = RandomDelayNetwork(seed=seed, min_delay=min_delay, max_delay=max_delay)

@@ -24,7 +24,7 @@ from repro.net.cluster import LiveProfile
 from repro.scenarios.registry import ScenarioRecord, register_builder
 
 
-def build_net_cluster(scheduler: Any, ctx: Any = None, early_exit: bool = False, **params: Any):
+def build_net_cluster(scheduler: Any, ctx: Any = None, **params: Any):
     """Refuse: live cells execute on wall clocks, not under a scheduler."""
     raise ConfigurationError(
         "net_cluster scenarios run on the wall-clock socket runtime, not "

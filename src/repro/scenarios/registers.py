@@ -41,8 +41,8 @@ from repro.core import (
     StickyRegister,
     VerifiableRegister,
 )
-from repro.errors import ConfigurationError, EarlyExitInterrupt
-from repro.scenarios.bindings import checker_for_kind, monitor_family_for_kind
+from repro.errors import ConfigurationError
+from repro.scenarios.bindings import checker_for_kind
 from repro.scenarios.registry import (
     BuiltScenario,
     Scenario,
@@ -54,7 +54,6 @@ from repro.sim import FunctionClient, OpCall, ScriptClient, System
 from repro.sim.process import all_done, pause_steps
 from repro.sim.scheduler import Scheduler
 from repro.spec import CheckContext
-from repro.spec.properties import EarlyPropertyMonitor
 
 
 def make_register(
@@ -227,7 +226,6 @@ def _build_register(
     reader_adversaries: Tuple[Tuple[int, str], ...] = (),
     max_steps: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
 ) -> BuiltScenario:
     """A seeded register workload under any scheduler.
 
@@ -238,12 +236,6 @@ def _build_register(
     scripted writer, else a :data:`WRITER_ADVERSARIES` behaviour;
     ``reader_adversaries`` is a tuple of (pid, behaviour) pairs (not a
     dict) so specs stay hashable.
-
-    ``early_exit`` attaches an :class:`EarlyPropertyMonitor`: the drive
-    then stops the moment the partial history carries a violation no
-    extension can retract (the monitor's one-shot
-    :class:`~repro.errors.EarlyExitInterrupt`), and the final check on
-    the truncated history reports it without simulating the tail.
     """
     readers_cast = dict(reader_adversaries)
     system = System(n=n, scheduler=scheduler)
@@ -318,23 +310,8 @@ def _build_register(
     # off the getattr chain.
     all_scripts_done = all_done([getattr(c, "_wrapper", c) for c in clients])
 
-    if early_exit:
-        monitor = EarlyPropertyMonitor(
-            system.history,
-            monitor_family_for_kind(kind),
-            system.correct,
-            register.name,
-            writer=register.writer,
-            initial=0,
-            interrupt=True,
-        )
-        system.history.on_complete = monitor.on_complete
-
     def drive() -> None:
-        try:
-            system.run_until(all_scripts_done, max_steps, label="all clients")
-        except EarlyExitInterrupt:
-            pass  # only an armed monitor raises; check() reports it
+        system.run_until(all_scripts_done, max_steps, label="all clients")
 
     def check() -> Optional[str]:
         check_properties, check_byzantine = checker_for_kind(kind)

@@ -70,7 +70,7 @@ CONSUMERS = ("campaign", "explore", "smoke", "net")
 
 #: Registry of scenario builders, keyed by spec name. Builders must be
 #: importable from worker processes (top level of their module) and
-#: accept ``(scheduler, ctx=..., early_exit=..., **params)``.
+#: accept ``(scheduler, ctx=..., **params)``.
 SCENARIO_BUILDERS: Dict[str, Callable[..., Any]] = {}
 
 #: Catalog load state: "unloaded" -> "loading" -> "loaded". The
@@ -149,17 +149,17 @@ class Scenario:
     ) -> Any:
         """Construct a fresh run of this scenario under ``scheduler``.
 
-        ``ctx`` shares the oracle layer's memo caches across runs;
-        ``early_exit`` arms the incremental property monitor so the run
-        stops as soon as its partial history is irrecoverably violating
-        (verdict-preserving: the final check on the truncated history
-        reports the violation). Builders without an incremental monitor
-        for their oracle accept and ignore the flag.
+        ``ctx`` shares the oracle layer's memo caches across runs. Every
+        run is driven to its horizon and judged there. ``early_exit`` is
+        a residue kept only because ``benchmarks/e2e/layers.py`` still
+        passes it through: anything but ``False`` raises, and the keyword
+        goes with that harness's next revision (ROADMAP item 1).
         """
-        builder = _builder_for(self.name)
-        return builder(
-            scheduler, ctx=ctx, early_exit=early_exit, **dict(self.params)
-        )
+        if early_exit is not False:
+            raise ConfigurationError(
+                f"early_exit must be False, got {early_exit!r}"
+            )
+        return _builder_for(self.name)(scheduler, ctx=ctx, **dict(self.params))
 
     def label(self) -> str:
         """Human-readable spec rendering for tables and reports."""

@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple
 
 from repro.adversary.theorem29 import Roles
 from repro.core.test_or_set import SET_FLAG, QuorumTestOrSet
-from repro.errors import EarlyExitInterrupt
 from repro.scenarios.registry import BuiltScenario, register_builder
 from repro.sim import (
     FunctionClient,
@@ -32,7 +31,7 @@ from repro.sim.effects import PAUSE
 from repro.sim.scheduler import Scheduler
 from repro.spec.byzantine import check_test_or_set
 from repro.spec.context import CheckContext
-from repro.spec.properties import EarlyPropertyMonitor, check_test_or_set_properties
+from repro.spec.properties import check_test_or_set_properties
 
 
 def _build_theorem29(
@@ -44,7 +43,6 @@ def _build_theorem29(
     linger: int = 2,
     max_steps: int = 60_000,
     ctx: Optional[CheckContext] = None,
-    early_exit: bool = False,
 ) -> BuiltScenario:
     """The Figure 1 cast with a free-running Byzantine group.
 
@@ -141,27 +139,8 @@ def _build_theorem29(
     pb_wrapper = FunctionClient(pb_program)
     system.spawn(roles.pb, "client", pb_wrapper.program())
 
-    if early_exit:
-        monitor = EarlyPropertyMonitor(
-            system.history, "test_or_set", correct, "tos",
-            writer=roles.setter, interrupt=True,
-        )
-        system.history.on_complete = monitor.on_complete
-
-        def drive() -> None:
-            try:
-                system.run_until(
-                    lambda: pb_wrapper.done, max_steps, label="Test' by pb"
-                )
-            except EarlyExitInterrupt:
-                pass  # check() reports the violation on the truncated run
-
-    else:
-
-        def drive() -> None:
-            system.run_until(
-                lambda: pb_wrapper.done, max_steps, label="Test' by pb"
-            )
+    def drive() -> None:
+        system.run_until(lambda: pb_wrapper.done, max_steps, label="Test' by pb")
 
     def check() -> Optional[str]:
         report = check_test_or_set_properties(

@@ -10,8 +10,7 @@ A worker is a loop over :mod:`repro.service.queue`:
    store as soon as the cell finishes (streamed, not batched at shard
    completion — a status query mid-run sees live verdicts);
 4. shrink + persist claimed violation classes through
-   ``repro.campaign.corpus`` (canonicalizing early-exit finds first),
-   deduplicated across workers by the store's claim table and capped
+   ``repro.campaign.corpus``, deduplicated across workers by the store's claim table and capped
    per run — the campaign's one shrink/claim/cap policy;
 5. heartbeat between cells, complete the shard, and exit when the
    queue drains.
@@ -31,12 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
 from repro.campaign.corpus import entry_from_shrunk, save_entry
-from repro.campaign.matrix import (
-    CampaignCell,
-    CellOutcome,
-    canonicalize_violation,
-    run_cell,
-)
+from repro.campaign.matrix import CampaignCell, CellOutcome, run_cell
 from repro.explore.shrink import shrink
 from repro.scenarios.registry import Violation
 from repro.service import queue as squeue
@@ -54,6 +48,16 @@ DEFAULT_OPTIONS = {
     "max_shrink_classes": 8,
     "source": "service",
 }
+
+
+def canonicalize_violation(scenario: object, violation: Violation) -> Violation:
+    """Return ``violation`` unchanged: every find is a full-horizon find.
+
+    A residue kept only because ``benchmarks/e2e/layers.py`` wraps this
+    name; the worker never calls it, and it goes with that harness's
+    next revision (ROADMAP item 1).
+    """
+    return violation
 
 
 @dataclass
@@ -192,28 +196,19 @@ def _shrink_and_record(
 ) -> None:
     """Claim, shrink and persist this cell's violation classes.
 
-    Clean-expecting cells ran with early exit armed, so their finds are
-    canonicalized to the full-horizon class before dedup; one claim per
-    (scenario, class) per run across all workers; a per-run cap on
-    shrink work, with refused classes recorded as deferred. Expected
-    and *unexpected* violations are both shrunk — an unexpected one is
+    Every find comes from a full-horizon run, so its class is the one
+    the shrinker and the corpus replay see. One claim per (scenario,
+    class) per run across all workers; a per-run cap on shrink work,
+    with refused classes recorded as deferred. Expected and
+    *unexpected* violations are both shrunk — an unexpected one is
     exactly the counterexample worth a corpus entry.
 
-    ``canonicalize_violation``, ``shrink``, ``entry_from_shrunk`` and
-    ``save_entry`` are looked up as this module's globals at call time,
-    so a tracer can wrap them in place.
+    ``shrink``, ``entry_from_shrunk`` and ``save_entry`` are looked up
+    as this module's globals at call time, so a tracer can wrap them in
+    place.
     """
     options = dict(DEFAULT_OPTIONS, **lease.options)
-    early_exit_cell = not cell.expect_violation
     for violation in outcome.violations:
-        if early_exit_cell:
-            canonical = canonicalize_violation(cell.scenario, violation)
-            if canonical.fingerprint() != violation.fingerprint():
-                emit(
-                    f"canonicalized early-exit violation to "
-                    f"full-horizon class {canonical.fingerprint()}"
-                )
-            violation = canonical
         label = cell.scenario.label()
         fingerprint = violation.fingerprint()
         claimed = store.claim_violation(

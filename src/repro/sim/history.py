@@ -23,7 +23,7 @@ totally ordered and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import HistoryError
 from repro.sim.fingerprint import abstract_value, digest64
@@ -110,12 +110,6 @@ class History:
         #: excluded); an observable change counter for tests and
         #: tooling that cache derived views of the history.
         self.version = 0
-        #: Optional observer invoked with each record the moment it
-        #: completes (gains its response). This is the feed of the
-        #: incremental checkers (``repro.spec``): early-exit modes
-        #: consume operations as they complete instead of re-scanning
-        #: the history. One None-check per response event when unused.
-        self.on_complete: Optional[Callable[[OperationRecord], None]] = None
         self._fp_fold = 0
         #: Set by the bulk builders (restrict / with_synthetic): the
         #: fold is recomputed lazily on first demand, so derived
@@ -182,8 +176,6 @@ class History:
             self._fp_fold ^= self._fp_digest(record) ^ self._fp_digest(completed)
         else:
             self._fp_stale = True
-        if self.on_complete is not None:
-            self.on_complete(completed)
 
     def record_annotation(self, annotation: Annotation) -> None:
         """Append a trace waypoint."""
@@ -246,15 +238,6 @@ class History:
     def all(self) -> List[OperationRecord]:
         """Every record in invocation order."""
         return [self._records[i] for i in self._order]
-
-    def records_from(self, position: int) -> List[OperationRecord]:
-        """Records from invocation-order ``position`` onward.
-
-        The order is append-only, so incremental consumers (the
-        early-exit monitors' invocation index) can keep a cursor and
-        pay O(new records) per refresh instead of rescanning.
-        """
-        return [self._records[i] for i in self._order[position:]]
 
     def __len__(self) -> int:
         return len(self._order)

@@ -73,20 +73,28 @@ class PropertyReport:
         )
 
 
-def _gather(
-    history: History, correct: Set[int], obj: str
-) -> Dict[str, List[OperationRecord]]:
-    """One history scan: completed correct-process ops on ``obj``, by name.
+_Grouped = Dict[str, List[OperationRecord]]
 
-    The property checks each look at two or three op kinds; grouping in
-    a single pass replaces the four-to-five full scans the per-op filter
+
+def _gather(history: History, correct: Set[int], obj: str) -> Tuple[_Grouped, _Grouped]:
+    """One history scan: correct-process ops on ``obj``, by name.
+
+    Returns ``(done, invoked)``: the completed operations, and every
+    invoked one, pending included. Pending operations carry no result,
+    so only the absence rules read ``invoked`` — "did the correct writer
+    invoke X before this response?" — where a pending operation may
+    still take effect (a pending Sign may still succeed). Grouping in a
+    single pass replaces the four-to-five full scans the per-op filter
     calls used to cost on the campaign hot path.
     """
-    grouped: Dict[str, List[OperationRecord]] = {}
-    for record in history.operations(obj=obj, complete_only=True):
+    done: _Grouped = {}
+    invoked: _Grouped = {}
+    for record in history.operations(obj=obj):
         if record.pid in correct:
-            grouped.setdefault(record.op, []).append(record)
-    return grouped
+            invoked.setdefault(record.op, []).append(record)
+            if record.complete:
+                done.setdefault(record.op, []).append(record)
+    return done, invoked
 
 
 def _memo_report(
@@ -101,17 +109,14 @@ def _memo_report(
 ) -> "PropertyReport":
     """Compute-or-reuse a property report through ``ctx``.
 
-    Reports read only the completed operations of correct processes on
-    ``obj``, so that record tuple (plus the writer's identity and
-    correctness and the spec extras) keys the verdict exactly.
+    Reports read only the operations of correct processes on ``obj``
+    (pending ones included, see :func:`_gather`), so that record tuple
+    (plus the writer's identity and correctness and the spec extras)
+    keys the verdict exactly.
     """
     if ctx is None:
         return compute()
-    records = tuple(
-        r
-        for r in history.operations(obj=obj, complete_only=True)
-        if r.pid in correct
-    )
+    records = tuple(r for r in history.operations(obj=obj) if r.pid in correct)
     key = (family, obj, writer, writer in correct, extras, records)
     try:
         table = ctx.table("properties")
@@ -176,7 +181,7 @@ def _verifiable_report(
     initial: Any,
 ) -> PropertyReport:
     report = PropertyReport()
-    grouped = _gather(history, correct, obj)
+    grouped, invoked = _gather(history, correct, obj)
     verifies = grouped.get("verify", [])
     report.record("relay (Obs 13)", _relay_failures(verifies))
 
@@ -202,17 +207,18 @@ def _verifiable_report(
                         )
 
         def unforgeability() -> Iterable[str]:
-            # Obs 12 (via Cor 61): Verify(v) -> true requires a successful
-            # Sign(v) invoked before the verify responded.
+            # Obs 12 (via Cor 61): Verify(v) -> true requires a Sign(v)
+            # invoked before the verify responded that succeeded or is
+            # still pending.
             for verify in verifies:
                 if verify.result is not True:
                     continue
                 value = _value(verify)
                 if not any(
-                    sign.result == SUCCESS
+                    (sign.result == SUCCESS or not sign.complete)
                     and _value(sign) == value
                     and sign.invoked_at < verify.responded_at
-                    for sign in signs
+                    for sign in invoked.get("sign", ())
                 ):
                     yield (
                         f"{verify.describe()} returned true but the correct "
@@ -241,7 +247,7 @@ def _verifiable_report(
                     continue
                 if not any(
                     _value(w) == value and w.invoked_at < read.responded_at
-                    for w in writes
+                    for w in invoked.get("write", ())
                 ):
                     yield (
                         f"{read.describe()} returned a value the correct "
@@ -284,7 +290,7 @@ def _authenticated_report(
 ) -> PropertyReport:
     v0 = freeze(initial)
     report = PropertyReport()
-    grouped = _gather(history, correct, obj)
+    grouped, invoked = _gather(history, correct, obj)
     verifies = grouped.get("verify", [])
     reads = grouped.get("read", [])
     report.record("relay (Obs 18)", _relay_failures(verifies))
@@ -343,7 +349,7 @@ def _authenticated_report(
                     continue
                 if not any(
                     _value(w) == value and w.invoked_at < verify.responded_at
-                    for w in writes
+                    for w in invoked.get("write", ())
                 ):
                     yield (
                         f"{verify.describe()} returned true but the correct "
@@ -357,7 +363,7 @@ def _authenticated_report(
                     continue
                 if not any(
                     _value(w) == value and w.invoked_at < read.responded_at
-                    for w in writes
+                    for w in invoked.get("write", ())
                 ):
                     yield (
                         f"{read.describe()} returned a value the correct "
@@ -395,7 +401,7 @@ def _sticky_report(
     writer: int,
 ) -> PropertyReport:
     report = PropertyReport()
-    grouped = _gather(history, correct, obj)
+    grouped, invoked = _gather(history, correct, obj)
     reads = grouped.get("read", [])
 
     def uniqueness() -> Iterable[str]:
@@ -438,8 +444,10 @@ def _sticky_report(
 
         def unforgeability() -> Iterable[str]:
             # Obs 23: a non-⊥ read returns the first write's value, and
-            # only after that write was invoked.
-            first = min(writes, key=lambda w: w.invoked_at) if writes else None
+            # only after that write was invoked (it may still be pending).
+            first = min(
+                invoked.get("write", ()), key=lambda w: w.invoked_at, default=None
+            )
             for read in reads:
                 if is_bottom(read.result):
                     continue
@@ -490,7 +498,7 @@ def _test_or_set_report(
     setter: int,
 ) -> PropertyReport:
     report = PropertyReport()
-    grouped = _gather(history, correct, obj)
+    grouped, invoked = _gather(history, correct, obj)
     tests = grouped.get("test", [])
 
     def relay() -> Iterable[str]:
@@ -521,11 +529,14 @@ def _test_or_set_report(
                         )
 
         def unforgeability() -> Iterable[str]:
-            # Lemma 28(2): Test -> 1 requires Set invoked before it returned.
+            # Lemma 28(2): Test -> 1 requires Set invoked before it
+            # returned (it may still be pending).
             for test in tests:
                 if test.result != 1:
                     continue
-                if not any(s.invoked_at < test.responded_at for s in sets):
+                if not any(
+                    s.invoked_at < test.responded_at for s in invoked.get("set", ())
+                ):
                     yield (
                         f"{test.describe()} returned 1 but the correct "
                         f"setter never invoked Set in time"
@@ -534,266 +545,3 @@ def _test_or_set_report(
         report.record("validity (Lemma 28.1)", validity())
         report.record("unforgeability (Lemma 28.2)", unforgeability())
     return report
-
-
-# ----------------------------------------------------------------------
-# Incremental early-exit monitoring
-# ----------------------------------------------------------------------
-#: Sentinel distinguishing "no value filter" from "value is None".
-_ABSENT = object()
-
-
-class EarlyPropertyMonitor:
-    """Monotone incremental property checking for early-exit runs.
-
-    Feed :meth:`on_complete` from
-    :attr:`repro.sim.history.History.on_complete`; once :attr:`doomed`
-    is set, the run can stop simulating — the final batch check on the
-    truncated history is guaranteed to report a violation, and (because
-    records are only ever *added*) so would the check at any later
-    horizon. Two rule classes keep that guarantee:
-
-    * **completed-pair rules** (relay, validity, read-then-verify,
-      uniqueness, sign-requires-write): a violation is witnessed by two
-      already-completed operations whose results and precedence are
-      frozen facts — no extension retracts them. Pairs are evaluated
-      when their later-completing member completes, so the total cost
-      over a run equals one batch property check.
-    * **absence rules** (unforgeability, read-regularity): the batch
-      check demands a *completed* matching operation; the monitor only
-      dooms when no matching *invocation* exists at all. Any event
-      already in the history was invoked before the current response,
-      and future invocations come later still — so the absence is
-      permanent. This is deliberately conservative: an in-flight
-      operation that would eventually fail suppresses the early exit,
-      never the final verdict.
-
-    The sticky register's first-write rules (Obs 22/23's value
-    comparison) depend on *which* write completes first and are not
-    stable under extension; the monitor checks only their monotone
-    fragments. Early exit is a pure optimization — missed dooms cost
-    horizon steps, never correctness.
-    """
-
-    def __init__(
-        self,
-        history: History,
-        kind: str,
-        correct: Iterable[int],
-        obj: str,
-        writer: int,
-        initial: Any = None,
-        interrupt: bool = False,
-    ) -> None:
-        if kind not in ("verifiable", "authenticated", "sticky", "test_or_set"):
-            raise ValueError(f"no early property monitor for kind {kind!r}")
-        self.history = history
-        self.kind = kind
-        self.correct = frozenset(correct)
-        self.obj = obj
-        self.writer = writer
-        self.writer_correct = writer in self.correct
-        self.v0 = freeze(initial)
-        #: Raise :class:`repro.errors.EarlyExitInterrupt` on doom — a
-        #: one-shot control transfer out of the simulation loop, so
-        #: clean runs never pay a per-step "doomed?" predicate. The
-        #: scenario driver that armed the monitor catches it.
-        self.interrupt = interrupt
-        #: First stable violation found, or None. Sticky once set.
-        self.doomed: Optional[str] = None
-        self._done: Dict[str, List[OperationRecord]] = {}
-        #: Incremental invocation index for the absence rules: op name
-        #: -> set of invoked argument values (correct processes, this
-        #: object), plus a cursor into the append-only history order.
-        self._invocations: Dict[str, set] = {}
-        self._scan_pos = 0
-
-    # -- plumbing -------------------------------------------------------
-    def on_complete(self, record: OperationRecord) -> None:
-        """History hook: one operation just received its response."""
-        if (
-            self.doomed is not None
-            or record.obj != self.obj
-            or record.pid not in self.correct
-        ):
-            return
-        handler = getattr(self, f"_{self.kind}_rules")
-        reason = handler(record)
-        if reason is not None:
-            self.doomed = reason
-            if self.interrupt:
-                from repro.errors import EarlyExitInterrupt
-
-                raise EarlyExitInterrupt(reason)
-        self._done.setdefault(record.op, []).append(record)
-
-    def _invoked(self, op: str, value: Any = _ABSENT) -> bool:
-        """Any correct-process invocation of ``op`` (matching ``value``)?
-
-        Counts in-flight operations too — the conservative side of the
-        absence rules above. Backed by an incremental index over the
-        append-only history order, so each refresh costs O(new records)
-        and a whole run costs one scan, not one scan per rule firing.
-        """
-        fresh = self.history.records_from(self._scan_pos)
-        if fresh:
-            self._scan_pos += len(fresh)
-            invocations = self._invocations
-            obj = self.obj
-            correct = self.correct
-            for r in fresh:
-                if r.obj == obj and r.pid in correct:
-                    values = invocations.get(r.op)
-                    if values is None:
-                        values = invocations[r.op] = set()
-                    try:
-                        values.add(_value(r))
-                    except TypeError:
-                        values.add(_ABSENT)  # unhashable arg: wildcard
-        values = self._invocations.get(op)
-        if values is None:
-            return False
-        return value is _ABSENT or value in values or _ABSENT in values
-
-    # -- per-family rules ----------------------------------------------
-    def _relay(self, record: OperationRecord, op: str = "verify") -> Optional[str]:
-        if record.result is False or (op == "test" and record.result != 1):
-            value = _value(record)
-            for earlier in self._done.get(op, ()):
-                if (
-                    (earlier.result is True if op == "verify" else earlier.result == 1)
-                    and earlier.precedes(record)
-                    and (op == "test" or _value(earlier) == value)
-                ):
-                    return (
-                        f"relay broken early: {earlier.describe()} then "
-                        f"{record.describe()}"
-                    )
-        return None
-
-    def _verifiable_rules(self, record: OperationRecord) -> Optional[str]:
-        if record.op == "verify":
-            reason = self._relay(record)
-            if reason is not None:
-                return reason
-            if self.writer_correct:
-                value = _value(record)
-                if record.result is not True:
-                    for sign in self._done.get("sign", ()):
-                        if (
-                            sign.result == SUCCESS
-                            and _value(sign) == value
-                            and sign.precedes(record)
-                        ):
-                            return (
-                                f"validity broken early: {sign.describe()} "
-                                f"then {record.describe()}"
-                            )
-                elif not self._invoked("sign", value):
-                    return (
-                        f"unforgeability broken early: {record.describe()} "
-                        f"with no Sign({value!r}) ever invoked"
-                    )
-        elif record.op == "sign" and self.writer_correct:
-            value = _value(record)
-            wrote_before = any(
-                w.precedes(record) and _value(w) == value
-                for w in self._done.get("write", ())
-            )
-            if (record.result == SUCCESS) != wrote_before:
-                return f"sign/write mismatch early: {record.describe()}"
-        elif record.op == "read" and self.writer_correct:
-            value = freeze(record.result)
-            if value != self.v0 and not self._invoked("write", value):
-                return (
-                    f"read-regularity broken early: {record.describe()} "
-                    f"with no Write({value!r}) ever invoked"
-                )
-        return None
-
-    def _authenticated_rules(self, record: OperationRecord) -> Optional[str]:
-        if record.op == "verify":
-            reason = self._relay(record)
-            if reason is not None:
-                return reason
-            value = _value(record)
-            if record.result is not True:
-                if value == self.v0:
-                    return f"initial value rejected early: {record.describe()}"
-                for read in self._done.get("read", ()):
-                    if freeze(read.result) == value and read.precedes(record):
-                        return (
-                            f"read-then-verify broken early: "
-                            f"{read.describe()} then {record.describe()}"
-                        )
-                if self.writer_correct:
-                    for write in self._done.get("write", ()):
-                        if _value(write) == value and write.precedes(record):
-                            return (
-                                f"validity broken early: {write.describe()} "
-                                f"then {record.describe()}"
-                            )
-            elif (
-                self.writer_correct
-                and value != self.v0
-                and not self._invoked("write", value)
-            ):
-                return (
-                    f"unforgeability broken early: {record.describe()} "
-                    f"with no Write({value!r}) ever invoked"
-                )
-        elif record.op == "read" and self.writer_correct:
-            value = freeze(record.result)
-            if value != self.v0 and not self._invoked("write", value):
-                return (
-                    f"read-regularity broken early: {record.describe()} "
-                    f"with no Write({value!r}) ever invoked"
-                )
-        return None
-
-    def _sticky_rules(self, record: OperationRecord) -> Optional[str]:
-        if record.op != "read":
-            return None
-        reads = self._done.get("read", ())
-        if is_bottom(record.result):
-            for earlier in reads:
-                if not is_bottom(earlier.result) and earlier.precedes(record):
-                    return (
-                        f"stickiness broken early: {earlier.describe()} "
-                        f"then {record.describe()}"
-                    )
-            return None
-        value = freeze(record.result)
-        for earlier in reads:
-            if not is_bottom(earlier.result) and freeze(earlier.result) != value:
-                return (
-                    f"uniqueness broken early: {earlier.describe()} vs "
-                    f"{record.describe()}"
-                )
-        if self.writer_correct and not self._invoked("write"):
-            return (
-                f"unforgeability broken early: {record.describe()} "
-                f"with no Write ever invoked"
-            )
-        return None
-
-    def _test_or_set_rules(self, record: OperationRecord) -> Optional[str]:
-        if record.op != "test":
-            return None
-        reason = self._relay(record, op="test")
-        if reason is not None:
-            return reason
-        if self.writer_correct:
-            if record.result != 1:
-                for set_op in self._done.get("set", ()):
-                    if set_op.precedes(record):
-                        return (
-                            f"validity broken early: {set_op.describe()} "
-                            f"then {record.describe()}"
-                        )
-            elif not self._invoked("set"):
-                return (
-                    f"unforgeability broken early: {record.describe()} "
-                    f"with no Set ever invoked"
-                )
-        return None

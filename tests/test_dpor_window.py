@@ -285,24 +285,6 @@ class TestRunsWithoutABarrier:
         assert not record.completed
         assert len(record.effects) == record.steps == closes_at - 1
 
-    def test_early_exit_inside_the_open_window_records_everything(self):
-        scenario = make_scenario("theorem29", f=1)
-        found = explore(
-            scenario, budget=400, depth_bound=14, preemption_bound=2,
-            stop_on_violation=True, early_exit=True,
-        )
-        assert found.violations
-        trace = found.violations[0].trace
-        # The window opens three steps before the interrupt: too few for
-        # every pending coroutine to step, so it cannot close first.
-        record = execute_trace(
-            scenario, trace, depth_bound=len(trace) - 3, early_exit=True
-        )
-        assert record.violation is not None
-        assert record.steps == len(trace)
-        # The interrupt aborts the last step before on_step sees it.
-        assert len(record.effects) == record.steps - 1
-
     def test_full_runs_still_close_the_window(self):
         record = execute_trace(make_scenario("theorem29", f=1), depth_bound=6)
         assert record.completed

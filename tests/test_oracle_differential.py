@@ -7,6 +7,12 @@ specs — complete and incomplete operations alike. Every positive verdict
 is additionally validated: the witness must replay through the spec with
 matching responses and respect real-time precedence.
 
+A second net pits each register family's observable-property check
+(:mod:`repro.spec.properties`) against its Byzantine-linearizability
+checker on generated histories with a correct writer whose last
+operation may be pending: the properties are necessary conditions, so
+a history they reject must not linearize either.
+
 Also pins the loud-budget contract (``explored`` exhaustion raises, with
 and without a shared :class:`CheckContext`) and the 500-operation
 sequential-history regression for the iterative rewrite (the recursive
@@ -19,9 +25,11 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LinearizabilityViolation
-from repro.sim.history import OperationRecord
+from repro.sim.history import History, OperationRecord
 from repro.sim.values import BOTTOM
 from repro.spec import (
     AtomicRegisterSpec,
@@ -31,6 +39,18 @@ from repro.spec import (
     TestOrSetSpec,
     VerifiableRegisterSpec,
     find_linearization,
+)
+from repro.spec.byzantine import (
+    check_authenticated,
+    check_sticky,
+    check_test_or_set,
+    check_verifiable,
+)
+from repro.spec.properties import (
+    check_authenticated_properties,
+    check_sticky_properties,
+    check_test_or_set_properties,
+    check_verifiable_properties,
 )
 from repro.spec.sequential import DONE, FAIL, SUCCESS
 
@@ -260,3 +280,105 @@ def test_shared_context_caches_whole_results():
     # Cached results are independent copies, not aliases.
     second.order.append(99)
     assert find_linearization(records, spec, ctx=ctx).order == first.order
+
+
+# ----------------------------------------------------------------------
+# Observable properties are necessary conditions of Byzantine
+# linearizability
+# ----------------------------------------------------------------------
+#: family -> (property check, Byzantine checker, initial-value kwargs,
+#: examples). Verifiable histories that linearize only through a pending
+#: writer operation are the rarest (about 2 % of draws), so that family
+#: gets more examples.
+_FAMILIES = {
+    "verifiable": (
+        check_verifiable_properties, check_verifiable, {"initial": 0}, 400
+    ),
+    "authenticated": (
+        check_authenticated_properties, check_authenticated, {"initial": 0}, 100
+    ),
+    "sticky": (check_sticky_properties, check_sticky, {}, 100),
+    "test_or_set": (check_test_or_set_properties, check_test_or_set, {}, 100),
+}
+
+#: One written value keeps reads and verifies on what the writer touches.
+_V = _DOMAIN[0]
+
+
+def _writer_script(ops):
+    """A correct writer's results: Sign(v) succeeds iff it wrote v before."""
+    return [
+        (op, (_V,), SUCCESS if "write" in ops[:i] else FAIL)
+        if op == "sign"
+        else (op, () if op == "set" else (_V,), DONE)
+        for i, op in enumerate(ops)
+    ]
+
+
+_reads = st.sampled_from((0, _V)).map(lambda r: ("read", (), r))
+_verifies = st.booleans().map(lambda r: ("verify", (_V,), r))
+
+#: family -> (writer operation names, one reader script). Built once:
+#: strategy construction, not drawing, dominates a fresh strategy's cost.
+_SCRIPTS = {
+    "verifiable": (
+        st.lists(st.sampled_from(("write", "sign")), min_size=1, max_size=3),
+        st.lists(_reads | _verifies, max_size=2),
+    ),
+    "authenticated": (
+        st.lists(st.just("write"), min_size=1, max_size=3),
+        st.lists(_reads | _verifies, max_size=2),
+    ),
+    "sticky": (
+        st.lists(st.just("write"), min_size=1, max_size=3),
+        st.lists(
+            st.sampled_from((BOTTOM, _V)).map(lambda r: ("read", (), r)), max_size=2
+        ),
+    ),
+    "test_or_set": (
+        st.lists(st.just("set"), min_size=1, max_size=3),
+        st.lists(st.sampled_from((0, 1)).map(lambda r: ("test", (), r)), max_size=2),
+    ),
+}
+
+
+@st.composite
+def _writer_histories(draw, family):
+    """Writer pid 1 and readers 2, 3, all correct, at distinct times;
+    the writer's last operation is optionally left pending."""
+    writer_ops, reader_script = _SCRIPTS[family]
+    scripts = {1: _writer_script(draw(writer_ops))}
+    for pid in (2, 3):
+        scripts[pid] = draw(reader_script)
+    writer_pending = draw(st.booleans())
+    # Every process alternates invocation and response events; a
+    # permutation of the per-process event tokens interleaves them.
+    tokens = [pid for pid, ops in scripts.items() for _ in range(2 * len(ops))]
+    history = History()
+    open_op = {}
+    seen = dict.fromkeys(scripts, 0)
+    last_writer_event = 2 * len(scripts[1]) - 1
+    for time, pid in enumerate(draw(st.permutations(tokens))):
+        event = seen[pid]
+        seen[pid] += 1
+        op, args, result = scripts[pid][event // 2]
+        if event % 2 == 0:
+            open_op[pid] = history.record_invocation(pid, "r", op, args, time)
+        elif not (writer_pending and pid == 1 and event == last_writer_event):
+            history.record_response(open_op[pid], result, time)
+    return history
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_property_rejection_implies_byzantine_rejection(family):
+    properties, byzantine, initial, examples = _FAMILIES[family]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(history=_writer_histories(family))
+    def check(history):
+        report = properties(history, {1, 2, 3}, "r", 1, **initial)
+        if not report.ok:
+            verdict = byzantine(history, {1, 2, 3}, "r", 1, **initial)
+            assert not verdict.ok, f"{report.summary()}\n{history.describe()}"
+
+    check()

@@ -6,6 +6,12 @@ import pytest
 
 from repro.sim.history import History
 from repro.sim.values import BOTTOM
+from repro.spec.byzantine import (
+    check_authenticated,
+    check_sticky,
+    check_test_or_set,
+    check_verifiable,
+)
 from repro.spec.properties import (
     check_authenticated_properties,
     check_sticky_properties,
@@ -15,10 +21,13 @@ from repro.spec.properties import (
 
 
 def build_history(entries):
+    """A history from ``(pid, obj, op, args, inv, resp, result)`` rows;
+    ``resp=None`` leaves the operation pending."""
     history = History()
     for pid, obj, op, args, inv, resp, result in entries:
         op_id = history.record_invocation(pid, obj, op, args, inv)
-        history.record_response(op_id, result, resp)
+        if resp is not None:
+            history.record_response(op_id, result, resp)
     return history
 
 
@@ -260,6 +269,89 @@ class TestTestOrSetProperties:
         )
         report = check_test_or_set_properties(history, {2, 3, 4}, "t", setter=1)
         assert any("Lemma 28.3" in v for v in report.violations)
+
+
+class TestPendingWriterOperation:
+    """A pending operation of the correct writer may still take effect.
+
+    Each history below is Byzantine linearizable — the linearization
+    completes the pending writer operation before the response that
+    depends on it — so the absence rules must accept it, exactly as the
+    family's Byzantine checker does.
+    """
+
+    def test_inflight_sign_suppresses_unforgeability(self):
+        pending = build_history(
+            [
+                (1, "v", "sign", (5,), 0, None, None),
+                (2, "v", "verify", (5,), 1, 2, True),
+            ]
+        )
+        report = check_verifiable_properties(pending, ALL, "v", 1, initial=0)
+        assert report.ok, report.summary()
+        # Without any sign invocation the same verify is a forgery.
+        bare = build_history([(2, "v", "verify", (5,), 1, 2, True)])
+        report = check_verifiable_properties(bare, ALL, "v", 1, initial=0)
+        assert any("Obs 12" in v for v in report.violations)
+
+    def test_failed_sign_still_does_not_count(self):
+        history = build_history(
+            [
+                (1, "v", "sign", (5,), 0, 1, "fail"),
+                (2, "v", "verify", (5,), 2, 3, True),
+            ]
+        )
+        report = check_verifiable_properties(history, ALL, "v", 1, initial=0)
+        assert any("Obs 12" in v for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "family, entries",
+        [
+            (
+                "verifiable",
+                [(1, "r", "write", (5,), 0, None, None), (2, "r", "read", (), 1, 2, 5)],
+            ),
+            (
+                "verifiable",
+                [
+                    (1, "r", "write", (5,), 0, 1, "done"),
+                    (1, "r", "sign", (5,), 2, None, None),
+                    (2, "r", "verify", (5,), 3, 4, True),
+                ],
+            ),
+            (
+                "authenticated",
+                [
+                    (1, "r", "write", (5,), 0, None, None),
+                    (2, "r", "verify", (5,), 1, 2, True),
+                ],
+            ),
+            (
+                "authenticated",
+                [(1, "r", "write", (5,), 0, None, None), (2, "r", "read", (), 1, 2, 5)],
+            ),
+            (
+                "sticky",
+                [(1, "r", "write", (5,), 0, None, None), (2, "r", "read", (), 1, 2, 5)],
+            ),
+            (
+                "test_or_set",
+                [(1, "r", "set", (), 0, None, None), (2, "r", "test", (), 1, 2, 1)],
+            ),
+        ],
+    )
+    def test_pending_writer_operation_accepted(self, family, entries):
+        history = build_history(entries)
+        properties, byzantine = {
+            "verifiable": (check_verifiable_properties, check_verifiable),
+            "authenticated": (check_authenticated_properties, check_authenticated),
+            "sticky": (check_sticky_properties, check_sticky),
+            "test_or_set": (check_test_or_set_properties, check_test_or_set),
+        }[family]
+        initial = {"initial": 0} if family in ("verifiable", "authenticated") else {}
+        assert byzantine(history, ALL, "r", 1, **initial).ok
+        report = properties(history, ALL, "r", 1, **initial)
+        assert report.ok, report.summary()
 
 
 class TestReportComposition:

@@ -3,9 +3,8 @@
 Covers the four contracts the registry owns:
 
 * **one oracle per family** — every registered family has exactly one
-  oracle binding, and ``oracle_for``, ``checker_for_kind`` and the
-  early-exit monitor families all read it, so there is no second
-  family→oracle map to drift;
+  oracle binding, and ``oracle_for`` and ``checker_for_kind`` both
+  read it, so there is no second family→oracle map to drift;
 * **label round-trips** — every registered record's label resolves back
   to an identical record, and rebuilding a scenario spec from its
   serialized ``(name, params)`` reproduces the same fingerprint-relevant
@@ -34,6 +33,7 @@ from repro.campaign import (
 from repro.campaign.matrix import CampaignCell
 from repro.errors import ConfigurationError
 from repro.service import run_service_campaign
+from repro.sim import RoundRobinScheduler
 from repro.scenarios import (
     ScenarioRecord,
     all_records,
@@ -131,6 +131,14 @@ class TestRoundTrips:
     def test_resolve_unknown_label_raises(self):
         with pytest.raises(ConfigurationError):
             resolve("no-such-family/swarm:nothing")
+
+    def test_build_refuses_early_exit(self):
+        # Every run is judged at its horizon; the keyword survives only
+        # for benchmarks/e2e/layers.py, which passes False through.
+        spec = make_scenario("register", kind="verifiable", n=4, seed=0)
+        with pytest.raises(ConfigurationError):
+            spec.build(RoundRobinScheduler(), early_exit=True)
+        assert spec.build(RoundRobinScheduler(), early_exit=False).system
 
     def test_register_rejects_conflicting_record(self):
         record = all_records()[0]
