@@ -51,7 +51,9 @@ CHAOS_PRESETS: Dict[str, Tuple[Tuple[Any, ...], ...]] = {
 
 
 def _parse_chaos(text: str) -> Tuple[Tuple[Any, ...], ...]:
-    """A preset name or a Python-literal fault-plan spec."""
+    """A preset name or a Python-literal fault-plan spec, validated."""
+    from repro.faults.plan import FaultPlan
+
     preset = CHAOS_PRESETS.get(text)
     if preset is not None:
         return preset
@@ -62,11 +64,7 @@ def _parse_chaos(text: str) -> Tuple[Tuple[Any, ...], ...]:
             f"--chaos must be a preset ({', '.join(sorted(CHAOS_PRESETS))}) "
             f"or a literal fault-plan spec: {exc}"
         )
-    if not isinstance(spec, (tuple, list)):
-        raise ConfigurationError(
-            f"--chaos literal must be a tuple of fault entries, got {spec!r}"
-        )
-    return tuple(tuple(entry) for entry in spec)
+    return FaultPlan.from_spec(spec).spec
 
 
 def _build_profile(args: argparse.Namespace) -> Tuple[Any, Optional[bool]]:

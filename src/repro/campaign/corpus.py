@@ -52,10 +52,13 @@ def _freeze_json(value: Any) -> Any:
 
     Scenario params are hashable tuples (e.g. ``reader_adversaries``
     pair lists); JSON round-trips them as lists, which would change the
-    scenario label and break fingerprint matching.
+    scenario label and break fingerprint matching. No param holds a JSON
+    object, so one is refused here rather than as an unhashable spec.
     """
     if isinstance(value, list):
         return tuple(_freeze_json(item) for item in value)
+    if isinstance(value, dict):
+        raise ConfigurationError(f"a scenario param cannot hold an object: {value!r}")
     return value
 
 
@@ -124,8 +127,12 @@ class CorpusEntry:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "CorpusEntry":
-        """Parse one corpus document, validating version and scenario."""
+    def from_json(cls, data: Any) -> "CorpusEntry":
+        """Parse one corpus document, validating shape, version and scenario."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"corpus entry must be a JSON object, got {type(data).__name__}"
+            )
         version = data.get("version")
         if version != CORPUS_VERSION:
             raise ConfigurationError(
@@ -138,12 +145,13 @@ class CorpusEntry:
                 f"corpus entry references unknown scenario {scenario!r}; "
                 f"known: {', '.join(known_scenarios())}"
             )
+        params = tuple((key, _freeze_json(value)) for key, value in data["params"])
+        if not all(isinstance(key, str) for key, _value in params):
+            raise ConfigurationError(f"corpus param names must be strings: {params!r}")
         return cls(
             entry_id=data["entry_id"],
             scenario=scenario,
-            params=tuple(
-                (key, _freeze_json(value)) for key, value in data["params"]
-            ),
+            params=params,
             trace=tuple(int(index) for index in data["trace"]),
             reason=data["reason"],
             fingerprint=data["fingerprint"],
@@ -236,7 +244,9 @@ def load_corpus(corpus_dir: Union[str, Path]) -> List[CorpusEntry]:
     for path in sorted(corpus_dir.glob("*.json")):
         try:
             entries.append(CorpusEntry.from_json(json.loads(path.read_text())))
-        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        except (
+            KeyError, TypeError, ValueError, OverflowError, ConfigurationError
+        ) as exc:
             raise ConfigurationError(f"bad corpus entry {path}: {exc}") from exc
     return entries
 

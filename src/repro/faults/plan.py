@@ -27,17 +27,29 @@ loader's JSON round trip. The vocabulary:
   unreachable (its volatile protocol state survives); true lose-state
   recovery would need process-level support.
 
-``src``/``dst`` use ``0`` as a wildcard (pids are ``1..n``). All random
-draws made while *applying* a plan come from a ``random.Random`` seeded
-with the plan's ``seed``, in submission order — identical plans applied
-to identical submission sequences make identical decisions, which is
-what makes faulty runs replayable and shrinkable.
+``src``/``dst`` use ``0`` as a wildcard (pids are ``1..n``); pids,
+endpoints and clock times are non-bool ints, checked at parse, so a
+spec from a ``--chaos`` literal or a corpus entry either parses into a
+plan that judges every message or raises :class:`ConfigurationError`.
+
+A :class:`FaultJudge` applies a plan to messages, one at a time, on
+either clock: :class:`repro.faults.FaultyNetwork` in virtual time and
+:class:`repro.net.chaos.ChaosProxy` on the wall clock. It has two
+checkpoints — *submission* (sender crashed, then partition, then every
+matching link rule draws once, in plan order) and *delivery* (either
+endpoint crashed, then partition) — and keeps the one suppression
+ledger both drivers report. The drivers differ only in their draw
+source: the simulator hands every rule the same plan-seeded stream, so
+its decisions are a pure function of the submission sequence (which is
+what makes faulty runs replayable and shrinkable); each proxy gives
+every rule a stream of its own, so a rule's decisions depend only on
+the payloads that rule examined, however the sender batched them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.fingerprint import digest64
@@ -47,15 +59,16 @@ _LINK_KINDS = {"drop": 4, "dup": 4, "delay": 5}
 
 
 def _check_prob(kind: str, prob: Any) -> float:
-    if not isinstance(prob, (int, float)) or not 0.0 <= prob <= 1.0:
+    if type(prob) not in (int, float) or not 0 <= prob <= 1:
         raise ConfigurationError(f"{kind} probability must be in [0, 1], got {prob!r}")
     return float(prob)
 
 
-def _check_endpoint(kind: str, which: str, pid: Any) -> int:
-    if not isinstance(pid, int) or isinstance(pid, bool) or pid < 0:
-        raise ConfigurationError(f"{kind} {which} must be a pid or 0 (any), got {pid!r}")
-    return pid
+def _check_int(kind: str, what: str, value: Any, low: int) -> int:
+    """``value`` if it is an int (not a bool) ``>= low``."""
+    if type(value) is not int or value < low:
+        raise ConfigurationError(f"{kind} {what} must be an int >= {low}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -147,31 +160,37 @@ class FaultPlan:
                 raise ConfigurationError(f"malformed fault entry {entry!r}")
             entry = tuple(entry)
             kind = entry[0]
-            if kind in _LINK_KINDS:
+            if isinstance(kind, str) and kind in _LINK_KINDS:
                 if len(entry) != _LINK_KINDS[kind]:
                     raise ConfigurationError(
                         f"{kind} takes {_LINK_KINDS[kind] - 1} arguments, got {entry!r}"
                     )
-                src = _check_endpoint(kind, "src", entry[1])
-                dst = _check_endpoint(kind, "dst", entry[2])
+                src = _check_int(kind, "src", entry[1], 0)
+                dst = _check_int(kind, "dst", entry[2], 0)
                 prob = _check_prob(kind, entry[3])
                 extra = 0
                 if kind == "delay":
-                    extra = entry[4]
-                    if not isinstance(extra, int) or extra < 1:
-                        raise ConfigurationError(
-                            f"delay extra must be a positive int, got {extra!r}"
-                        )
+                    extra = _check_int(kind, "extra", entry[4], 1)
                 link_rules.append(_LinkRule(kind, src, dst, prob, extra))
             elif kind == "partition":
                 if len(entry) != 4:
                     raise ConfigurationError(f"partition takes 3 arguments, got {entry!r}")
                 _k, groups, start, end = entry
-                if not isinstance(groups, (tuple, list)) or len(groups) < 2:
+                if (
+                    not isinstance(groups, (tuple, list))
+                    or len(groups) < 2
+                    or not all(isinstance(group, (tuple, list)) for group in groups)
+                ):
                     raise ConfigurationError(
-                        f"partition needs >= 2 groups, got {groups!r}"
+                        f"partition needs >= 2 groups of pids, got {groups!r}"
                     )
-                parsed = tuple(frozenset(group) for group in groups)
+                parsed = tuple(
+                    frozenset(_check_int(kind, "member", pid, 1) for pid in group)
+                    for group in groups
+                )
+                _check_int(kind, "start", start, 0)
+                if end is not None:
+                    _check_int(kind, "end", end, start + 1)
                 seen: set = set()
                 for group in parsed:
                     if not group:
@@ -181,24 +200,16 @@ class FaultPlan:
                             f"partition groups must be disjoint, got {groups!r}"
                         )
                     seen |= group
-                if end is not None and end <= start:
-                    raise ConfigurationError(
-                        f"partition window must have end > start, got {entry!r}"
-                    )
                 partitions.append(_Partition(parsed, start, end))
                 entry = ("partition", tuple(tuple(sorted(g)) for g in parsed), start, end)
             elif kind == "crash":
                 if len(entry) not in (3, 4):
                     raise ConfigurationError(f"crash takes 2 or 3 arguments, got {entry!r}")
-                pid = entry[1]
-                if not isinstance(pid, int) or pid < 1:
-                    raise ConfigurationError(f"crash pid must be >= 1, got {pid!r}")
-                at = entry[2]
-                recover_at = entry[3] if len(entry) == 4 else None
-                if recover_at is not None and recover_at <= at:
-                    raise ConfigurationError(
-                        f"crash recovery must be after the crash, got {entry!r}"
-                    )
+                pid = _check_int(kind, "pid", entry[1], 1)
+                at = _check_int(kind, "time", entry[2], 0)
+                recover_at = None
+                if len(entry) == 4:
+                    recover_at = _check_int(kind, "recovery", entry[3], at + 1)
                 crashes.append(_Crash(pid, at, recover_at))
             else:
                 raise ConfigurationError(f"unknown fault kind {kind!r} in {entry!r}")
@@ -266,3 +277,93 @@ class FaultPlan:
                 "cut=" + ",".join(f"{src}->{dst}:{count}" for (src, dst), count in top)
             )
         return " ".join(parts)
+
+
+class FaultJudge:
+    """One plan's verdict on each message, and the ledger of verdicts.
+
+    Args:
+        plan: The plan to apply.
+        streams: One ``random.Random`` per link rule, in plan order —
+            the driver's draw source (the same object repeated when all
+            rules share one stream).
+    """
+
+    def __init__(self, plan: FaultPlan, streams: Sequence[Any]):
+        self.plan = plan
+        self._draws = tuple(
+            (rule, stream.random)
+            for rule, stream in zip(plan.link_rules, streams, strict=True)
+        )
+        self.dropped = 0
+        #: Extra copies made by dup rules.
+        self.duplicated = 0
+        #: Copies held back by delay rules.
+        self.delayed = 0
+        self.partitioned = 0
+        self.suppressed_crash = 0
+        #: (sender, dest) -> suppression count, for diagnoses.
+        self.suppressed_links: Dict[Tuple[int, int], int] = {}
+
+    def submit(self, sender: int, dest: int, now: int) -> Tuple[int, int]:
+        """Submission checkpoint: ``(copies, extra_delay)`` for one
+        message sent at clock ``now``; ``copies == 0`` means suppressed.
+
+        Every matching rule draws exactly once, in plan order, even after
+        the message's fate is sealed — so each stream's position depends
+        only on the messages its rules matched, not on which faults fired.
+        """
+        plan = self.plan
+        if plan.crashed(sender, now):
+            self.suppressed_crash += 1
+        elif plan.partitioned(sender, dest, now):
+            self.partitioned += 1
+        else:
+            copies, extra, dropped = 1, 0, False
+            for rule, draw in self._draws:
+                if rule.matches(sender, dest) and draw() < rule.prob:
+                    if rule.kind == "drop":
+                        dropped = True
+                    elif rule.kind == "dup":
+                        copies += 1
+                    else:
+                        extra += rule.extra
+            if not dropped:
+                self.duplicated += copies - 1
+                if extra:
+                    self.delayed += copies
+                return copies, extra
+            self.dropped += 1
+        self._cut(sender, dest)
+        return 0, 0
+
+    def deliverable(self, sender: int, dest: int, now: int) -> bool:
+        """Delivery checkpoint: whether one copy due at clock ``now``
+        still gets through (a window that opened in flight cuts it)."""
+        plan = self.plan
+        if plan.crashed(dest, now) or plan.crashed(sender, now):
+            self.suppressed_crash += 1
+        elif plan.partitioned(sender, dest, now):
+            self.partitioned += 1
+        else:
+            return True
+        self._cut(sender, dest)
+        return False
+
+    def _cut(self, sender: int, dest: int) -> None:
+        key = (sender, dest)
+        self.suppressed_links[key] = self.suppressed_links.get(key, 0) + 1
+
+    def metrics(self) -> Dict[str, int]:
+        """The suppression counters, keyed as both drivers report them."""
+        return {
+            "dropped": self.dropped,
+            "duplicated": self.duplicated,
+            "delayed": self.delayed,
+            "partitioned": self.partitioned,
+            "suppressed_crash": self.suppressed_crash,
+        }
+
+    def describe_suppression(self, now: int) -> str:
+        """One-line summary of what the plan is cutting at clock ``now``."""
+        return self.plan.describe_suppression(now, self.suppressed_links)

@@ -24,7 +24,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import NetworkError
 from repro.sim.fingerprint import digest64
@@ -82,6 +82,57 @@ def _queued_digest(message: _QueuedMessage) -> int:
     )
 
 
+class _InFlight:
+    """Messages in flight, popped in ``(due, tiebreak)`` order: the delay
+    queue of :class:`RandomDelayNetwork` and of
+    :class:`repro.faults.FaultyNetwork`'s delay rules.
+
+    Eager two-XOR maintenance of the fingerprint fold only starts once
+    someone has asked for it (the explorer does, every step; fuzzing and
+    campaign runs never do) — until then push/pop digest nothing. Same
+    gate as ``History._fp_eager``.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[_QueuedMessage] = []
+        self._tiebreak = itertools.count()
+        self._fold = 0
+        self._fp_eager = False
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, due: int, sender: int, dest: int, payload: Any) -> None:
+        message = _QueuedMessage(due, next(self._tiebreak), sender, dest, payload)
+        heapq.heappush(self._heap, message)
+        if self._fp_eager:
+            self._fold ^= _queued_digest(message)
+
+    def pop_due(self, now: int) -> Iterator[_QueuedMessage]:
+        """Pop every message due by clock ``now``, earliest first."""
+        heap = self._heap
+        while heap and heap[0].due <= now:
+            message = heapq.heappop(heap)
+            if self._fp_eager:
+                self._fold ^= _queued_digest(message)
+            yield message
+
+    def fold(self, full: bool = False) -> int:
+        """XOR fold of the queue (see ``System.fingerprint``). The first
+        call rebuilds it and turns on incremental maintenance; ``full=True``
+        recomputes from the heap and leaves the gate alone (the oracle the
+        incremental path is pinned against)."""
+        if full:
+            fold = 0
+            for message in self._heap:
+                fold ^= _queued_digest(message)
+            return fold
+        if not self._fp_eager:
+            self._fold = self.fold(full=True)
+            self._fp_eager = True
+        return self._fold
+
+
 class RandomDelayNetwork:
     """Reliable network with seeded random per-message delays.
 
@@ -100,14 +151,7 @@ class RandomDelayNetwork:
         self._rng = random.Random(seed)
         self._min = min_delay
         self._max = max_delay
-        self._heap: List[_QueuedMessage] = []
-        self._tiebreak = itertools.count()
-        self._fold = 0
-        #: Eager two-XOR maintenance of the in-flight fold only starts
-        #: once someone has asked for it (the explorer does, every step;
-        #: fuzzing and campaign runs never do) — until then submit/tick
-        #: digest nothing. Same gate as ``History._fp_eager``.
-        self._fp_eager = False
+        self._queue = _InFlight()
         #: Total messages ever submitted (metrics).
         self.submitted = 0
         #: Total messages delivered into mailboxes (metrics).
@@ -116,48 +160,22 @@ class RandomDelayNetwork:
     def submit(self, sender: int, dest: int, payload: Any, now: int) -> None:
         """Queue a message for future delivery (kernel hook)."""
         delay = self._rng.randint(self._min, self._max)
-        message = _QueuedMessage(
-            due=now + delay,
-            tiebreak=next(self._tiebreak),
-            sender=sender,
-            dest=dest,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, message)
-        if self._fp_eager:
-            self._fold ^= _queued_digest(message)
+        self._queue.push(now + delay, sender, dest, payload)
         self.submitted += 1
 
     def tick(self, now: int, system: Any) -> None:
         """Deliver every message whose due time has arrived (kernel hook)."""
-        while self._heap and self._heap[0].due <= now:
-            message = heapq.heappop(self._heap)
-            if self._fp_eager:
-                self._fold ^= _queued_digest(message)
+        for message in self._queue.pop_due(now):
             system.deliver(message.sender, message.dest, message.payload)
             self.delivered += 1
 
     def pending(self) -> int:
         """Messages queued but not yet delivered."""
-        return len(self._heap)
+        return len(self._queue)
 
     def fingerprint_fold(self, full: bool = False) -> int:
-        """XOR fold of the in-flight queue (see ``System.fingerprint``).
-
-        The first call rebuilds the fold from the heap and switches to
-        incremental maintenance — two XORs per submit/deliver from then
-        on. ``full=True`` recomputes from the heap without touching the
-        gate, the oracle the incremental path is pinned against.
-        """
-        if full:
-            fold = 0
-            for message in self._heap:
-                fold ^= _queued_digest(message)
-            return fold
-        if not self._fp_eager:
-            self._fold = self.fingerprint_fold(full=True)
-            self._fp_eager = True
-        return self._fold
+        """XOR fold of the in-flight queue (see :meth:`_InFlight.fold`)."""
+        return self._queue.fold(full)
 
 
 class ScriptedNetwork:
@@ -177,7 +195,7 @@ class ScriptedNetwork:
         self._held_fold = 0
         self._queue_fold = 0
         #: Nothing is digested until the first ``fingerprint_fold()``
-        #: (see ``RandomDelayNetwork._fp_eager``).
+        #: (see ``_InFlight``).
         self._fp_eager = False
         self.submitted = 0
         self.delivered = 0

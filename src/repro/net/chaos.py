@@ -1,25 +1,25 @@
-"""Socket-layer chaos: the PR 8 fault vocabulary applied to real TCP.
+"""Socket-layer chaos: the fault vocabulary applied to real TCP.
 
 A :class:`ChaosProxy` fronts one destination node: every peer dials the
 proxy's port instead of the node's, the handshake identifies the
-sender, and each payload of every ``msg`` document is then subjected to
-the *unchanged* :class:`repro.faults.FaultPlan` — drop / dup / delay
-link rules, timed group partitions, and crash windows — at payload
-granularity, in order. A node batches a tick's payloads into one
-document; the proxy forwards the undelayed survivors of one inbound
-document as one document, and each delayed copy as a one-payload
-document of its own. Faulting at the socket layer (rather than inside
-the node) keeps the node code honest: a dropped payload really never
-arrives, a duplicated one really arrives twice, a delayed one really
-overtakes its successors.
+sender, and each payload of every ``msg`` document is then judged, in
+order, by the :class:`repro.faults.plan.FaultJudge` that
+:class:`repro.faults.FaultyNetwork` drives in virtual time: the
+submission checkpoint decides its copies and delay, and the delivery
+checkpoint runs on each copy as it is forwarded (a delayed copy after
+its sleep, so a window that opened meanwhile cuts it). A node batches a
+tick's payloads into one document; the proxy forwards the undelayed
+survivors of one inbound document as one document, and each delayed
+copy as a one-payload document of its own. Faulting at the socket layer
+(rather than inside the node) keeps the node code honest: a dropped
+payload really never arrives, a duplicated one really arrives twice, a
+delayed one really overtakes its successors.
 
-Determinism: each link rule draws from its own ``random.Random`` stream
-seeded with ``(plan.seed, destination pid, rule index)``, so a rule's
-decision sequence depends only on the payloads *that rule* examined —
-identical plans over identical per-link payload sequences make identical
-decisions, per rule, however the sender happened to batch them,
-mirroring the virtual-time layer's replayability contract as closely as
-a real network allows.
+Draw source: each link rule draws from its own ``random.Random`` stream
+seeded with ``(plan.seed, destination pid, rule index)``, once per
+payload it matches, so identical plans over identical per-link payload
+sequences make identical decisions, per rule, however the sender
+happened to batch them (the simulator gives all rules one stream).
 
 Plan times (partition windows, crash windows) are interpreted as
 **milliseconds since the cluster epoch** on the shared
@@ -39,7 +39,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultJudge, FaultPlan
 from repro.net import wire
 
 
@@ -79,21 +79,16 @@ class ChaosProxy:
         self.host = host
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._rngs = [
-            random.Random(f"chaos:{plan.seed}:{dest}:{index}")
-            for index in range(len(plan.link_rules))
-        ]
-        # Metrics (key-compatible with FaultyNetwork where they overlap).
+        self.judge = FaultJudge(
+            plan,
+            [
+                random.Random(f"chaos:{plan.seed}:{dest}:{index}")
+                for index in range(len(plan.link_rules))
+            ],
+        )
         self.forwarded = 0
-        self.dropped = 0
-        self.duplicated = 0
-        self.delayed = 0
-        self.partitioned = 0
-        self.suppressed_crash = 0
         #: Inbound connections closed for a malformed frame.
         self.bad_frames = 0
-        #: (src, dst) -> suppression count, for the STALLED diagnosis.
-        self.suppressed_links: Dict[Tuple[int, int], int] = {}
         self._delay_tasks: set = set()
         self._connections: set = set()
 
@@ -189,73 +184,42 @@ class ChaosProxy:
         backend_writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
     ) -> None:
-        """Run one protocol payload through the plan: append its
-        undelayed copies to ``survivors``, schedule its delayed ones."""
+        """Judge one protocol payload: append its undelayed copies that
+        pass delivery to ``survivors``, schedule its delayed ones."""
         now = self.clock.now()
-        if self.plan.crashed(sender, now) or self.plan.crashed(self.dest, now):
-            self.suppressed_crash += 1
-            self._suppress(sender)
-            return
-        if self.plan.partitioned(sender, self.dest, now):
-            self.partitioned += 1
-            self._suppress(sender)
-            return
-        copies = 1
-        delay_ms = 0
-        for index, rule in enumerate(self.plan.link_rules):
-            if not rule.matches(sender, self.dest):
-                continue
-            draw = self._rngs[index].random()
-            if rule.kind == "drop":
-                if draw < rule.prob:
-                    self.dropped += 1
-                    self._suppress(sender)
-                    return
-            elif rule.kind == "dup":
-                if draw < rule.prob:
-                    self.duplicated += 1
-                    copies += 1
-            elif rule.kind == "delay":
-                if draw < rule.prob:
-                    self.delayed += 1
-                    delay_ms += rule.extra
-        if not delay_ms:
-            survivors.extend([payload] * copies)
-            return
+        copies, delay_ms = self.judge.submit(sender, self.dest, now)
         for _ in range(copies):
-            task = asyncio.ensure_future(
-                self._deliver_late(backend_writer, lock, wire.msg(payload), delay_ms)
-            )
-            self._delay_tasks.add(task)
-            task.add_done_callback(self._delay_tasks.discard)
+            if delay_ms:
+                task = asyncio.ensure_future(
+                    self._deliver_late(sender, payload, backend_writer, lock, delay_ms)
+                )
+                self._delay_tasks.add(task)
+                task.add_done_callback(self._delay_tasks.discard)
+            elif self.judge.deliverable(sender, self.dest, now):
+                survivors.append(payload)
 
     async def _deliver_late(
         self,
+        sender: int,
+        payload: Any,
         backend_writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
-        doc: Dict[str, Any],
         delay_ms: int,
     ) -> None:
         await asyncio.sleep(delay_ms / 1000.0)
+        if not self.judge.deliverable(sender, self.dest, self.clock.now()):
+            return
         try:
-            await self._forward(backend_writer, lock, doc)
+            await self._forward(backend_writer, lock, wire.msg(payload))
             self.forwarded += 1
         except (ConnectionError, OSError):
             pass
-
-    def _suppress(self, sender: int) -> None:
-        key = (sender, self.dest)
-        self.suppressed_links[key] = self.suppressed_links.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     def metrics(self) -> Dict[str, int]:
         return {
             "forwarded": self.forwarded,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "delayed": self.delayed,
-            "partitioned": self.partitioned,
-            "suppressed_crash": self.suppressed_crash,
+            **self.judge.metrics(),
             "bad_frames": self.bad_frames,
         }
 
@@ -271,6 +235,6 @@ def describe_suppression(
     """
     links: Dict[Tuple[int, int], int] = {}
     for proxy in proxies.values():
-        for key, count in proxy.suppressed_links.items():
+        for key, count in proxy.judge.suppressed_links.items():
             links[key] = links.get(key, 0) + count
     return plan.describe_suppression(now, links)

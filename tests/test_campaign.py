@@ -10,8 +10,12 @@ an inline worker against a fleet of two), the corpus round trip
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.explore import execute_trace, fuzz, make_scenario, shrink
@@ -22,6 +26,7 @@ from repro.campaign import (
     IMPLEMENTATIONS,
     default_matrix,
     entry_from_shrunk,
+    default_corpus_dir,
     entry_id_for,
     load_corpus,
     oracle_for,
@@ -36,6 +41,29 @@ from repro.spec import (
     TestOrSetSpec,
     VerifiableRegisterSpec,
 )
+
+#: A committed corpus entry whose params nest (a fault plan).
+COMMITTED_ENTRY = default_corpus_dir() / "mp_register-9bf91604093e.json"
+#: Any JSON document.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw, value):
+    """``value`` with one node, the root included, replaced by any JSON."""
+    if isinstance(value, dict) and value and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(value)))
+        return {**value, key: draw(_mutated(value[key]))}
+    if isinstance(value, list) and value and draw(st.integers(0, 3)):
+        index = draw(st.integers(0, len(value) - 1))
+        return value[:index] + [draw(_mutated(value[index]))] + value[index + 1 :]
+    return draw(JSON_VALUES)
+
 
 #: A fast known-violating cell: the naive strawman under the flip-flop
 #: collusion breaks almost every schedule, so tiny budgets suffice.
@@ -356,6 +384,35 @@ class TestCorpus:
         )
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: [doc],  # a top-level array
+            lambda doc: {**doc, "params": doc["params"] + [["faults", {"a": 1}]]},
+        ],
+        ids=["top-level-array", "object-param"],
+    )
+    def test_malformed_documents_are_refused_naming_the_file(self, tmp_path, mutate):
+        doc = json.loads(COMMITTED_ENTRY.read_text())
+        (tmp_path / "bad.json").write_text(json.dumps(mutate(doc)))
+        with pytest.raises(ConfigurationError, match="bad.json"):
+            load_corpus(tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_mutated(json.loads(COMMITTED_ENTRY.read_text())))
+    def test_a_mutated_entry_loads_whole_or_is_refused(self, doc):
+        with tempfile.TemporaryDirectory() as directory:
+            (Path(directory) / "bad.json").write_text(json.dumps(doc))
+            try:
+                entries = load_corpus(directory)
+            except ConfigurationError as exc:
+                assert "bad.json" in str(exc)
+                return
+        (entry,) = entries
+        hash(entry.scenario_spec())
+        assert entry.label().startswith(entry.scenario)
+        json.dumps(entry.to_json())
 
     def test_missing_directory_is_an_empty_corpus(self, tmp_path):
         assert load_corpus(tmp_path / "absent") == []

@@ -10,7 +10,12 @@ a ``STALLED`` verdict that replays like any safety violation.
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import CampaignCell, run_cell
 from repro.errors import ConfigurationError, StallDetected
@@ -21,6 +26,7 @@ from repro.faults import (
     ProgressMonitor,
     RetransmitChannels,
 )
+from repro.faults.plan import FaultJudge
 from repro.mp import RandomDelayNetwork
 from repro.sim import RandomScheduler, Send
 from tests.channel_cases import ChannelFacadeCases, ClockedSystem, VirtualEndpoint
@@ -29,6 +35,57 @@ from tests.channel_cases import ChannelFacadeCases, ClockedSystem, VirtualEndpoi
 LOSSY = (("drop", 0, 0, 0.25), ("dup", 0, 0, 0.1), ("delay", 0, 0, 0.15, 9))
 WRITER_CUT = (("drop", 1, 0, 1.0),)
 SPLIT = (("partition", ((1, 2), (3, 4)), 0, None),)
+
+_ENDS = st.integers(0, 4)
+_TIMES = st.integers(0, 9)
+_SPANS = st.integers(1, 9)
+#: One well-formed entry of each fault kind.
+_ENTRIES = (
+    st.tuples(st.sampled_from(["drop", "dup"]), _ENDS, _ENDS, st.floats(0, 1))
+    | st.tuples(st.just("delay"), _ENDS, _ENDS, st.floats(0, 1), _SPANS)
+    | st.builds(
+        lambda pids, cut, start, span: (
+            "partition",
+            (tuple(pids[:cut]), tuple(pids[cut:])),
+            start,
+            span and start + span,
+        ),
+        st.permutations([1, 2, 3, 4]),
+        st.integers(1, 3),
+        _TIMES,
+        st.none() | _SPANS,
+    )
+    | st.tuples(st.just("crash"), st.integers(1, 4), _TIMES)
+    | st.builds(
+        lambda pid, at, span: ("crash", pid, at, at + span),
+        st.integers(1, 4),
+        _TIMES,
+        _SPANS,
+    )
+)
+#: What a ``--chaos`` literal or a corpus ``faults=`` param can hold in
+#: place of a pid, a time, a probability or a group list.
+_JUNK = st.sampled_from(
+    [-1, 0, True, None, "x", 1.5, float("nan"), ()]
+    + [(1, 2), ((1,), ("b",)), ((0,), (2,))]
+)
+
+
+@st.composite
+def fault_specs(draw):
+    """A well-formed spec, or one with a single argument swapped for junk
+    or an entry cut short."""
+    spec = draw(st.lists(_ENTRIES, max_size=3))
+    if spec and draw(st.booleans()):
+        index = draw(st.integers(0, len(spec) - 1))
+        entry = list(spec[index])
+        position = draw(st.integers(0, len(entry)))
+        if position == len(entry):
+            entry.pop()
+        else:
+            entry[position] = draw(_JUNK)
+        spec[index] = tuple(entry)
+    return tuple(spec)
 
 
 class TestFaultPlan:
@@ -75,11 +132,42 @@ class TestFaultPlan:
             (("crash", 0, 5),),  # pid must be >= 1
             (("crash", 1, 5, 5),),  # recovery not after crash
             (("flood", 1, 2, 0.5),),  # unknown kind
+            ((["drop"], 1, 2, 0.5),),  # unhashable kind
+            (("drop", 1, 2, True),),  # bool probability
+            (("delay", 1, 2, 0.5, True),),  # bool extra
+            (("crash", 2, "x"),),  # time not an int
+            (("crash", True, 3),),  # bool pid
+            (("crash", 2, -1),),  # negative time
+            (("crash", 2, 3, 4.5),),  # recovery not an int
+            (("partition", ((1,), (2,)), "a", None),),  # start not an int
+            (("partition", ((1,), (2,)), 0, "z"),),  # end not an int
+            (("partition", ((1,), ("b",)), 0, None),),  # member not a pid
+            (("partition", ((0,), (2,)), 0, None),),  # member 0 is no pid
+            (("partition", ((True,), (2,)), 0, None),),  # bool member
+            (("partition", (1, 2), 0, None),),  # groups not tuples
         ],
     )
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ConfigurationError):
             FaultPlan.from_spec(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=fault_specs(), clocks=st.lists(st.integers(), min_size=1, max_size=4))
+    def test_a_spec_parses_into_a_total_plan_or_is_refused(self, spec, clocks):
+        try:
+            plan = FaultPlan.from_spec(spec)
+        except ConfigurationError:
+            return
+        streams = [random.Random(0)] * len(plan.link_rules)
+        judge = FaultJudge(plan, streams)
+        for now in clocks:
+            for sender in range(1, 5):
+                for dest in range(1, 5):
+                    plan.crashed(sender, now)
+                    plan.partitioned(sender, dest, now)
+                    judge.submit(sender, dest, now)
+                    judge.deliverable(sender, dest, now)
+            assert judge.describe_suppression(now).startswith("plan[")
 
     def test_fingerprint_identity(self):
         a = FaultPlan.from_spec(LOSSY, seed=1)
@@ -133,8 +221,8 @@ class TestFaultyNetwork:
         net.submit(3, 2, "y", now=0)  # unmatched sender passes
         net.tick(1, sink)
         assert sink.delivered == [(3, 2, "y")]
-        assert net.dropped == 1 and net.delivered == 1
-        assert net.suppressed_links == {(1, 2): 1}
+        assert net.judge.dropped == 1 and net.delivered == 1
+        assert net.judge.suppressed_links == {(1, 2): 1}
 
     def test_certain_duplication(self):
         net = FaultyNetwork(_SinkInner(), FaultPlan.from_spec((("dup", 0, 0, 1.0),)))
@@ -142,7 +230,7 @@ class TestFaultyNetwork:
         net.submit(1, 2, "x", now=0)
         net.tick(1, sink)
         assert sink.delivered == [(1, 2, "x"), (1, 2, "x")]
-        assert net.duplicated == 1
+        assert net.judge.duplicated == 1
 
     def test_delay_holds_until_due(self):
         inner = _SinkInner()
@@ -156,11 +244,11 @@ class TestFaultyNetwork:
         assert sink.delivered == []
         net.tick(10, sink)
         assert sink.delivered == [(1, 2, "x")]
-        assert net.delayed == 1 and net.pending() == 0
+        assert net.judge.delayed == 1 and net.pending() == 0
 
     def test_partition_cuts_in_flight_messages(self):
         # Submitted before the window opens, due inside it: the
-        # delivery-side sieve must still cut it.
+        # delivery checkpoint must still cut it.
         net = FaultyNetwork(
             _SinkInner(),
             FaultPlan.from_spec((("partition", ((1,), (2,)), 5, None),)),
@@ -169,7 +257,7 @@ class TestFaultyNetwork:
         net.submit(1, 2, "x", now=0)  # window not yet open: submit passes
         net.tick(6, sink)
         assert sink.delivered == []
-        assert net.partitioned == 1
+        assert net.judge.partitioned == 1
 
     def test_crash_suppresses_both_directions(self):
         net = FaultyNetwork(
@@ -180,7 +268,7 @@ class TestFaultyNetwork:
         net.submit(3, 2, "to-crashed", now=1)
         net.tick(2, sink)
         assert sink.delivered == []
-        assert net.suppressed_crash == 2
+        assert net.judge.suppressed_crash == 2
         # After recovery both directions flow again.
         net.submit(2, 3, "up", now=60)
         net.submit(3, 2, "up-too", now=60)
@@ -226,6 +314,81 @@ class TestFaultyNetwork:
         net.submit(1, 2, "x", now=0)
         text = net.describe_suppression(0)
         assert "plan[" in text and "down=p4" in text and "cut=1->2:1" in text
+
+
+#: Every kind of fault at once, with windows that open and close inside
+#: the pinned 500-message run below.
+PIN_PLAN = (
+    ("drop", 0, 0, 0.2),
+    ("dup", 0, 0, 0.15),
+    ("delay", 0, 0, 0.2, 7),
+    ("drop", 2, 3, 0.5),
+    ("partition", ((1, 2), (3, 4)), 120, 180),
+    ("crash", 4, 300, 360),
+    ("crash", 3, 420),
+)
+
+
+def _pin_digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestDecisionStreamPin:
+    """The virtual-clock decision stream, byte for byte.
+
+    A fixed 500-message sequence through ``FaultyNetwork`` over a seeded
+    ``RandomDelayNetwork``: which copies of each message arrive and when,
+    the delivery order, the counters and the in-flight fingerprint fold
+    are pinned literals, so any change to the draw order, the checkpoint
+    order or the in-flight queue moves one of them.
+    """
+
+    def test_fixed_sequence_pins_fates_order_metrics_and_fold(self):
+        net = FaultyNetwork(
+            RandomDelayNetwork(seed=0), FaultPlan.from_spec(PIN_PLAN, seed=5)
+        )
+
+        class _Clocked:
+            def __init__(self):
+                self.now = 0
+                self.delivered = []
+
+            def deliver(self, sender, dest, payload):
+                self.delivered.append((self.now, sender, dest, payload[1]))
+
+        sink = _Clocked()
+        folds = []
+        for index in range(500):
+            sender = 1 + (index * 7) % 4
+            dest = 1 + (index * 3 + 1) % 4
+            net.submit(sender, dest, ("m", index), index)
+            sink.now = index
+            net.tick(index, sink)
+            if index in (199, 349):
+                folds.append(net.fingerprint_fold())
+        folds.append(net.fingerprint_fold(full=True))
+        sink.now = 10_000
+        net.tick(10_000, sink)
+        assert net.pending() == 0 and net.fingerprint_fold() == 0
+        fates = [[] for _ in range(500)]
+        for now, _sender, _dest, index in sink.delivered:
+            fates[index].append(now)
+        assert _pin_digest(fates) == "4db6c7018f28e432"
+        assert _pin_digest(sink.delivered) == "333e1c3cd9e3946d"
+        assert net.metrics() == {
+            "submitted": 500,
+            "delivered": 300,
+            "dropped": 136,
+            "duplicated": 41,
+            "delayed": 91,
+            "partitioned": 35,
+            "suppressed_crash": 70,
+        }
+        assert folds == [
+            14827688620172719172,
+            8347248028621991212,
+            11741087749918273618,
+        ]
 
 
 class TestRetransmitChannels(ChannelFacadeCases):
@@ -373,12 +536,12 @@ class TestEmulationUnderFaults:
         built = self.drive(_mp_scenario(LOSSY, retransmit=True))
         assert built.check() is None
         network = built.system.network
-        assert network.dropped > 0  # the plan really was lossy
+        assert network.judge.dropped > 0  # the plan really was lossy
 
     def test_crash_within_f_completes_clean(self):
         built = self.drive(_mp_scenario((("crash", 4, 0),)))
         assert built.check() is None
-        assert built.system.network.suppressed_crash > 0
+        assert built.system.network.judge.suppressed_crash > 0
 
     def test_writer_cut_without_retransmit_stalls(self):
         built = self.drive(_mp_scenario(WRITER_CUT))

@@ -629,8 +629,9 @@ class TestProxyBatches:
                     wire.encode(wire.hello(2))
                     + b"".join(wire.encode(doc) for doc in documents)
                 )
+                judge = proxy.judge
                 await eventually(
-                    lambda: proxy.forwarded - proxy.duplicated + proxy.dropped
+                    lambda: proxy.forwarded - judge.duplicated + judge.dropped
                     == len(payloads)
                 )
                 await eventually(
@@ -649,6 +650,49 @@ class TestProxyBatches:
         arrived, metrics = one_batch
         assert metrics["dropped"] > 0 and metrics["duplicated"] > 0
         assert len(arrived) == metrics["forwarded"]
+
+
+    def test_a_delayed_copy_is_cut_by_a_partition_that_opened_during_its_delay(
+        self,
+    ):
+        # Held 300 ms by the delay rule; the partition opens at 100 ms.
+        # The copy is judged again when its delay ends, as the simulator
+        # judges an in-flight message at delivery, so it never arrives.
+        plan = FaultPlan.from_spec(
+            (("delay", 0, 0, 1.0, 300), ("partition", ((1,), (2,)), 100, None))
+        )
+
+        class _SetClock:
+            ms = 0
+
+            def now(self):
+                return self.ms
+
+        clock = _SetClock()
+
+        async def go():
+            sink = Sink()
+            await sink.start()
+            proxy = ChaosProxy(plan, 1, ("127.0.0.1", sink.port), clock)
+            await proxy.start()
+            try:
+                _reader, writer = await asyncio.open_connection("127.0.0.1", proxy.port)
+                writer.write(
+                    wire.encode(wire.hello(2))
+                    + wire.encode(wire.msg(("READ", "reg:1", 1)))
+                )
+                await eventually(lambda: proxy.metrics()["delayed"] == 1)
+                clock.ms = 150
+                await eventually(lambda: proxy.metrics()["partitioned"] == 1)
+                writer.close()
+                return proxy.metrics(), [doc for doc in sink.docs if doc["t"] == "msg"]
+            finally:
+                await proxy.stop()
+                await sink.stop()
+
+        metrics, forwarded = asyncio.run(go())
+        assert forwarded == [] and metrics["forwarded"] == 0
+        assert metrics["partitioned"] == 1 and metrics["delayed"] == 1
 
 
 # ----------------------------------------------------------------------
