@@ -25,8 +25,8 @@ E5 sweeps this over f and thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.test_or_set import SET_FLAG, QuorumTestOrSet
 from repro.sim.effects import WriteRegister
@@ -39,8 +39,9 @@ from repro.sim.process import (
     idle_forever,
 )
 from repro.sim.system import System
-from repro.spec.byzantine import ByzantineVerdict, check_test_or_set
-from repro.spec.properties import PropertyReport, check_test_or_set_properties
+from repro.spec.byzantine import TEST_OR_SET
+from repro.spec.judge import judge
+from repro.spec.sequential import TestOrSetSpec
 
 
 @dataclass
@@ -86,7 +87,9 @@ class Figure1Outcome:
     """Everything the impossibility experiment observed.
 
     ``violated`` is the empty string when no lemma property broke (the
-    ``n > 3f`` control), else names the broken property.
+    ``n > 3f`` control), else names the broken property; ``h2_reason``
+    and ``h3_reason`` are the judge's verdicts on H2 and H3 (None when
+    clean).
     """
 
     n: int
@@ -95,10 +98,8 @@ class Figure1Outcome:
     h1_test_result: Any = None
     h2_test_result: Any = None
     h3_test_result: Any = None
-    h2_verdict: Optional[ByzantineVerdict] = None
-    h3_verdict: Optional[ByzantineVerdict] = None
-    h2_report: Optional[PropertyReport] = None
-    h3_report: Optional[PropertyReport] = None
+    h2_reason: Optional[str] = None
+    h3_reason: Optional[str] = None
     indistinguishable: bool = False
     violated: str = ""
 
@@ -269,17 +270,13 @@ def run_figure1(
     h2_correct = {roles.pa, roles.pb, *roles.q2, *roles.q3}
     h3_correct = {roles.setter, roles.pb, *roles.q1, *roles.q3}
 
-    h2_report = check_test_or_set_properties(
-        h2_system.history, h2_correct, "tos", setter=roles.setter
+    h2_reason = judge(
+        h2_system.history, h2_correct, "tos", TestOrSetSpec(), TEST_OR_SET,
+        owner=roles.setter,
     )
-    h3_report = check_test_or_set_properties(
-        h3_system.history, h3_correct, "tos", setter=roles.setter
-    )
-    h2_verdict = check_test_or_set(
-        h2_system.history, h2_correct, "tos", setter=roles.setter
-    )
-    h3_verdict = check_test_or_set(
-        h3_system.history, h3_correct, "tos", setter=roles.setter
+    h3_reason = judge(
+        h3_system.history, h3_correct, "tos", TestOrSetSpec(), TEST_OR_SET,
+        owner=roles.setter,
     )
 
     violated = ""
@@ -288,9 +285,9 @@ def run_figure1(
         # Test, so Lemma 28(1) forces Test -> 1; thresholds above n - f
         # fail right here (a correct Set cannot gather more witnesses).
         violated = "H1: validity (Lemma 28(1))"
-    elif not h2_report.ok or not h2_verdict.ok:
+    elif h2_reason is not None:
         violated = "H2: relay / Byzantine linearizability (Lemma 28(3))"
-    elif not h3_report.ok or not h3_verdict.ok:
+    elif h3_reason is not None:
         violated = "H3: unforgeability (Lemma 28(2))"
 
     tos = QuorumTestOrSet(System(n=roles.n, f=f, enforce_bound=False), "tmp", f=f)
@@ -302,10 +299,8 @@ def run_figure1(
         h1_test_result=pa_result,
         h2_test_result=h2_pb,
         h3_test_result=h3_pb,
-        h2_verdict=h2_verdict,
-        h3_verdict=h3_verdict,
-        h2_report=h2_report,
-        h3_report=h3_report,
+        h2_reason=h2_reason,
+        h3_reason=h3_reason,
         indistinguishable=(h2_pb == h3_pb),
         violated=violated,
     )

@@ -51,7 +51,7 @@ from repro.mp import (
     translate,
     translated_help,
 )
-from repro.scenarios import BuiltScenario, Scenario, grid, make_scenario
+from repro.scenarios import BuiltScenario, Scenario, binding_for, grid, make_scenario
 from repro.scenarios.registers import adversary_grid
 from repro.scenarios.sweeps import SWEEP_ADVERSARIES, feasible_mixes
 from repro.sim import (
@@ -65,10 +65,7 @@ from repro.sim import (
 )
 from repro.sim.process import all_done, idle_forever, pause_steps
 from repro.sim.values import is_bottom
-from repro.spec import (
-    check_test_or_set,
-    check_test_or_set_properties,
-)
+from repro.spec import judge
 
 Headers = Sequence[str]
 Rows = List[Sequence[Any]]
@@ -240,6 +237,7 @@ def test_or_set_table(
     then all agree on 0 or follow the relay rule).
     """
     rows: Rows = []
+    oracle = binding_for("test_or_set")
     builders = {
         "verifiable": lambda system: TestOrSetFromVerifiable(
             VerifiableRegister(system, "tosreg", initial=0), name="tos"
@@ -286,13 +284,11 @@ def test_or_set_table(
                     testers.append(client)
                     system.spawn(pid, "client", client.program())
                 system.run_until(all_done(testers), 2_000_000)
-                report = check_test_or_set_properties(
-                    system.history, system.correct, "tos", setter=1
+                reason = judge(
+                    system.history, system.correct, "tos", oracle.spec_factory(),
+                    oracle.rules, owner=1,
                 )
-                verdict = check_test_or_set(
-                    system.history, system.correct, "tos", setter=1
-                )
-                all_ok = all_ok and report.ok and verdict.ok
+                all_ok = all_ok and reason is None
                 latencies.extend(
                     operation_latencies(
                         system.history, obj="tos", pids=system.correct

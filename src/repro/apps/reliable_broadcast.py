@@ -1,10 +1,15 @@
-"""Signature-free Byzantine reliable broadcast (the [5] translation).
+"""Byzantine reliable broadcast: the signature-based comparator of [5].
 
 Cohen & Keidar give a Byzantine-linearizable *reliable broadcast* object
 from SWMR registers **with signatures** for ``n > 2f``. The paper's
 Section 1/2 claim is that replacing the signed registers with its
 signature-free registers yields the first signature-free implementation,
-at the cost of requiring ``n > 3f``. This module is that translation.
+at the cost of requiring ``n > 3f``. That translation *is*
+:class:`repro.apps.broadcast.NonEquivocatingBroadcast` — the
+``reliable_broadcast`` scenario family runs it as object ``rbc`` over
+registers named ``rbc/slots`` — and this module keeps the signed
+original, :class:`SignedReliableBroadcast`, that experiment E8 compares
+it against.
 
 Object semantics (per-sender, per-sequence-number slots):
 
@@ -23,95 +28,26 @@ Guarantees for correct processes:
 * **Totality (relay)** — once any correct process delivers ``m ≠ ⊥``
   from a slot, every later ``deliver`` of that slot returns ``m``.
 
-The implementation maps each slot to one sticky register — the paper's
-point that its registers make the [5] construction's signature machinery
-unnecessary: stickiness *is* signed non-equivocation here. (A variant
-on authenticated registers is possible; the sticky mapping is the direct
-one because reliable broadcast's integrity is exactly uniqueness.)
+The signature-free implementation maps each slot to one sticky register
+— the paper's point that its registers make the [5] construction's
+signature machinery unnecessary: stickiness *is* signed
+non-equivocation there. (A variant on authenticated registers is
+possible; the sticky mapping is the direct one because reliable
+broadcast's integrity is exactly uniqueness.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, Optional
 
-from repro.apps.broadcast import NonEquivocatingBroadcast
 from repro.core.signature_baseline import SignatureOracle
 from repro.core.interfaces import DONE
 from repro.errors import ConfigurationError
-from repro.sim.effects import Pause, ReadRegister, WriteRegister
+from repro.sim.effects import ReadRegister, WriteRegister
 from repro.sim.process import Program, call
 from repro.sim.registers import swmr
 from repro.sim.system import System
 from repro.sim.values import BOTTOM, freeze, is_bottom
-
-
-class ReliableBroadcast:
-    """Signature-free reliable broadcast for ``n > 3f``.
-
-    A thin, recorded facade over :class:`NonEquivocatingBroadcast`: the
-    slot machinery is identical; this class fixes the object vocabulary
-    (broadcast/deliver with sequence numbers) to mirror the reliable
-    broadcast object of [5] and is what experiment E8 measures.
-    """
-
-    OPERATIONS = ("broadcast", "deliver")
-
-    def __init__(
-        self,
-        system: System,
-        name: str = "rbc",
-        slots: int = 4,
-        f: Optional[int] = None,
-    ):
-        self.system = system
-        self.name = name
-        self._slots = NonEquivocatingBroadcast(
-            system, name=f"{name}/slots", slots=slots, f=f
-        )
-
-    def install(self) -> "ReliableBroadcast":
-        """Install the backing sticky registers."""
-        self._slots.install()
-        return self
-
-    def start_helpers(self, pids: Optional[Iterable[int]] = None) -> None:
-        """Start the backing registers' Help daemons."""
-        self._slots.start_helpers(pids)
-
-    @property
-    def slots(self) -> int:
-        """Number of broadcast slots per sender."""
-        return self._slots.slots
-
-    @property
-    def f(self) -> int:
-        """Fault bound of the backing sticky registers."""
-        return self._slots.f
-
-    def register_for(self, sender: int, seq: int = 0):
-        """The sticky register backing slot ``seq`` of ``sender``.
-
-        Exposed for the scenario/adversary layer, which targets backing
-        registers directly (witness-state synthesis, equivocation).
-        """
-        return self._slots.register_for(sender, seq)
-
-    def procedure_broadcast(self, sender: int, seq: int, message: Any) -> Program:
-        """Publish ``message`` in slot ``seq`` of ``sender``."""
-        result = yield from self._slots.procedure_broadcast(sender, seq, message)
-        return result
-
-    def procedure_deliver(self, receiver: int, sender: int, seq: int) -> Program:
-        """Read slot ``seq`` of ``sender``; ``⊥`` when not deliverable."""
-        value = yield from self._slots.procedure_deliver(receiver, sender, seq)
-        return value
-
-    def op(self, pid: int, opname: str, *args: Any) -> Program:
-        """Recorded operation entry point."""
-        if opname not in self.OPERATIONS:
-            raise ConfigurationError(f"no operation {opname!r}")
-        procedure = getattr(self, f"procedure_{opname}")(pid, *args)
-        return call(self.name, opname, tuple(args), procedure)
 
 
 class SignedReliableBroadcast:
@@ -189,8 +125,6 @@ class SignedReliableBroadcast:
                 if not is_bottom(found):
                     break
         if not is_bottom(found):
-            #
-
             # Relay before delivering: the signed pair is now pinned in a
             # register the Byzantine sender cannot erase.
             yield WriteRegister(self.reg_relay(receiver, sender, seq), found)

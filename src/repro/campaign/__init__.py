@@ -39,6 +39,7 @@ from repro.campaign.corpus import (
     load_corpus,
     replay_entry,
     save_entry,
+    thaw_params,
 )
 from repro.campaign.matrix import (
     CampaignCell,
@@ -82,4 +83,5 @@ __all__ = [
     "replay_entry",
     "run_cell",
     "save_entry",
+    "thaw_params",
 ]

@@ -47,19 +47,32 @@ from repro.scenarios.registry import (
 CORPUS_VERSION = 1
 
 
-def _freeze_json(value: Any) -> Any:
-    """Recursively turn JSON arrays back into the tuples specs expect.
-
-    Scenario params are hashable tuples (e.g. ``reader_adversaries``
-    pair lists); JSON round-trips them as lists, which would change the
-    scenario label and break fingerprint matching. No param holds a JSON
-    object, so one is refused here rather than as an unhashable spec.
-    """
+def _thaw(value: Any) -> Any:
     if isinstance(value, list):
-        return tuple(_freeze_json(item) for item in value)
+        return tuple(_thaw(item) for item in value)
     if isinstance(value, dict):
         raise ConfigurationError(f"a scenario param cannot hold an object: {value!r}")
     return value
+
+
+def thaw_params(raw: Any) -> Tuple[Tuple[str, Any], ...]:
+    """Scenario params back from their JSON ``[[name, value], ...]`` form.
+
+    Scenario params are hashable tuples (e.g. ``reader_adversaries``
+    pair lists); JSON round-trips them as lists, which would change the
+    scenario label and break fingerprint matching, so arrays are turned
+    back into tuples recursively. No param holds a JSON object, so one
+    is refused here rather than as an unhashable spec — as is anything
+    but a list of ``[string, value]`` pairs.
+    """
+    if not isinstance(raw, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+        for pair in raw
+    ):
+        raise ConfigurationError(
+            f"scenario params must be [name, value] pairs, got {raw!r}"
+        )
+    return tuple((key, _thaw(value)) for key, value in raw)
 
 
 @dataclass(frozen=True)
@@ -145,9 +158,7 @@ class CorpusEntry:
                 f"corpus entry references unknown scenario {scenario!r}; "
                 f"known: {', '.join(known_scenarios())}"
             )
-        params = tuple((key, _freeze_json(value)) for key, value in data["params"])
-        if not all(isinstance(key, str) for key, _value in params):
-            raise ConfigurationError(f"corpus param names must be strings: {params!r}")
+        params = thaw_params(data["params"])
         return cls(
             entry_id=data["entry_id"],
             scenario=scenario,

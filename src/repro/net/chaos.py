@@ -122,6 +122,7 @@ class ChaosProxy:
         backend_writer: Optional[asyncio.StreamWriter] = None
         write_lock = asyncio.Lock()
         self._connections.add(writer)
+        wire.cap_reads(writer.transport)
         splitter = wire.Splitter()
         try:
             opening = await wire.read_hello(reader, splitter)

@@ -128,6 +128,7 @@ class _Connection(asyncio.Protocol):
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
+        wire.cap_reads(transport)
         self.node._connections.add(transport)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:

@@ -6,7 +6,7 @@ followed by a UTF-8 JSON document. JSON keeps frames inspectable with
 ``tcpdump``/``nc`` and round-trips every payload the virtual-time
 protocol uses; the one lossy step (tuples become arrays) is undone on
 receipt by :func:`freeze`, mirroring the corpus loader's
-``_freeze_json`` so protocol payloads stay the hashable tuples the
+``thaw_params`` so protocol payloads stay the hashable tuples the
 emulation logic compares.
 
 Document kinds:
@@ -155,6 +155,22 @@ class Splitter:
             pos = stop
         self._tail = buf[pos:]
         return docs
+
+
+def cap_reads(transport: asyncio.BaseTransport) -> None:
+    """Make an inbound ``transport`` ask the socket for :data:`_CHUNK`
+    bytes per read.
+
+    asyncio's selector transports ``recv`` into a fresh 256 KiB buffer
+    on every read and shrink it to what arrived. Whether glibc then hands
+    that heap top back to the kernel and asks for it again on the next
+    read depends on what else the process allocated first, so the live
+    workloads' processor time moved by a quarter across changes that did
+    not touch this path. Frames are tens of bytes; a chunk-sized read
+    loses nothing. Transports without the attribute are left as they are.
+    """
+    if hasattr(transport, "max_size"):
+        transport.max_size = _CHUNK
 
 
 async def read_docs(

@@ -46,7 +46,7 @@ from repro.scenarios.bindings import (
     FAMILY_BINDINGS,
     OracleBinding,
     binding_for,
-    checker_for_kind,
+    binding_for_kind,
     kind_for,
     oracle_for,
     register_kinds,
@@ -87,7 +87,7 @@ __all__ = [
     "Violation",
     "all_records",
     "binding_for",
-    "checker_for_kind",
+    "binding_for_kind",
     "grid",
     "kind_for",
     "known_scenarios",

@@ -4,9 +4,10 @@ These builders bring the Section 1/8 applications — the Byzantine atomic
 snapshot, the asset-transfer object, and the two broadcast objects
 (non-equivocating and reliable) — into the same conformance matrix as
 the registers: one picklable spec per scenario, driven by any
-exploration scheduler, judged against a *sequential specification*
-through the shared Wing–Gong linearizability search and
-:class:`repro.spec.CheckContext` caches.
+exploration scheduler, judged by :func:`repro.spec.judge` against a
+*sequential specification* under the family's rules (their
+``FAMILY_BINDINGS`` row in :mod:`repro.scenarios.bindings`); this module
+supplies only the run-side evidence those rules read.
 
 Oracle shape (see :class:`repro.spec.SnapshotSpec` /
 :class:`repro.spec.AssetTransferSpec` /
@@ -23,9 +24,9 @@ correct processes and then rewritten so the spec can replay it —
   Byzantine accounts' settled outgoing payments are *synthesized* from
   the final witness state of their log registers (the Byzantine-
   linearizability move of ``repro.spec.byzantine``, specialized to
-  fork-free sticky logs), so a consistent Byzantine credit is
-  explainable while a forked log — two auditors crediting different
-  payments — is not;
+  fork-free sticky logs; :func:`_settled_slots` reads it), so a
+  consistent Byzantine credit is explainable while a forked log — two
+  auditors crediting different payments — is not;
 * broadcast histories are judged over *all* senders the same way: at
   most one whole-run ``broadcast`` is synthesized per Byzantine
   (sender, slot) whose sticky register settled (``f + 1`` correct
@@ -49,8 +50,7 @@ entry (see ``repro.scenarios.catalog``).
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary import behaviors
 from repro.apps import (
@@ -58,22 +58,22 @@ from repro.apps import (
     AssetTransfer,
     AtomicSnapshot,
     NonEquivocatingBroadcast,
-    ReliableBroadcast,
+    well_formed_transfer,
 )
 from repro.core.sticky import StickyRegister
 from repro.errors import ConfigurationError
 from repro.sim import OpCall, ScriptClient, System
 from repro.sim.effects import ReadRegister, WriteRegister
-from repro.sim.history import OperationRecord
 from repro.sim.process import all_done, pause_steps
 from repro.sim.values import BOTTOM, freeze, is_bottom
 from repro.spec.context import CheckContext
-from repro.spec.linearizability import find_linearization
+from repro.spec.judge import judge
 from repro.spec.sequential import (
     AssetTransferSpec,
     BroadcastSpec,
     SnapshotSpec,
 )
+from repro.scenarios.bindings import binding_for
 from repro.scenarios.registry import BuiltScenario, register_builder
 
 #: Byzantine behaviours an app scenario may assign (pid -> name pairs).
@@ -101,7 +101,7 @@ def _backing_registers(app: Any) -> List[Any]:
             for owner in sorted(app.system.pids)
             for index in range(app.slots)
         ]
-    elif isinstance(app, (NonEquivocatingBroadcast, ReliableBroadcast)):
+    elif isinstance(app, NonEquivocatingBroadcast):
         registers = [
             app.register_for(sender, slot)
             for sender in sorted(app.system.pids)
@@ -237,7 +237,7 @@ def _app_equivocator(app: Any, pid: int) -> Any:
             freeze((payees[0], EQUIVOCATION_AMOUNT)),
             freeze((payees[1], EQUIVOCATION_AMOUNT)),
         )
-    elif isinstance(app, (NonEquivocatingBroadcast, ReliableBroadcast)):
+    elif isinstance(app, NonEquivocatingBroadcast):
         register = app.register_for(pid, 0)
         forks = (freeze(f"fork-a@{pid}"), freeze(f"fork-b@{pid}"))
     else:
@@ -391,11 +391,40 @@ def _declare_byzantine(
     return cast
 
 
-def _correct_indexes(system: System) -> Tuple[List[int], List[int]]:
-    """(sorted correct pids, their indexes among all sorted pids)."""
-    owners = sorted(system.pids)
+def _settled_slots(
+    system: System,
+    owners: Sequence[int],
+    slots: int,
+    register_for: Callable[[int, int], StickyRegister],
+    f: int,
+    parse: Callable[[int, Any], Optional[Tuple[Any, ...]]],
+    log: bool,
+) -> Tuple[Tuple[Tuple[int, Tuple[Any, ...]], ...], int]:
+    """The settled-slot evidence the app rules synthesize from.
+
+    Returns ``(settled, horizon)``: ``(owner, args)`` per slot of a
+    Byzantine owner whose sticky register ``f + 1`` correct helpers
+    witnessed with one value that ``parse(slot, value)`` accepts, and
+    the run's end. A ``log`` is a prefix: its first unsettled slot ends
+    the owner's usable entries.
+    """
     correct = sorted(system.correct)
-    return correct, [owners.index(pid) for pid in correct]
+    settled = []
+    for owner in owners:
+        for slot in range(slots):
+            register = register_for(owner, slot)
+            counts: Dict[Any, int] = {}
+            for i in correct:
+                witnessed = system.registers.peek(register.reg_witness(i))
+                if not is_bottom(witnessed):
+                    counts[witnessed] = counts.get(witnessed, 0) + 1
+            value = next((v for v, c in counts.items() if c >= f + 1), None)
+            args = None if value is None else parse(slot, value)
+            if args is not None:
+                settled.append((owner, args))
+            elif log:
+                break
+    return tuple(settled), system.clock + 1
 
 
 # ----------------------------------------------------------------------
@@ -473,29 +502,20 @@ def build_snapshot(
             label="snapshot clients",
         )
 
-    correct, indexes = _correct_indexes(system)
-    spec = SnapshotSpec(pids=tuple(correct))
+    spec = SnapshotSpec(pids=tuple(sorted(system.correct)))
+    rules = binding_for("snapshot").rules
 
     def check() -> Optional[str]:
-        records = []
-        for record in system.history.restrict(correct).operations(obj="snap"):
-            if record.op == "update":
-                record = replace(record, args=(record.pid,) + record.args)
-            elif record.op == "scan" and record.complete:
-                view = record.result
-                if not isinstance(view, tuple) or len(view) != n:
-                    return (
-                        f"snapshot scan by p{record.pid} returned a "
-                        f"malformed view: {view!r}"
-                    )
-                record = replace(
-                    record, result=tuple(view[index] for index in indexes)
-                )
-            records.append(record)
-        result = find_linearization(records, spec, max_nodes=max_nodes, ctx=ctx)
-        if result.ok:
-            return None
-        return f"snapshot linearizability: {result.reason}"
+        return judge(
+            system.history,
+            system.correct,
+            "snap",
+            spec,
+            rules,
+            witness=tuple(sorted(system.pids)),
+            max_nodes=max_nodes,
+            ctx=ctx,
+        )
 
     return BuiltScenario(system=system, drive=drive, check=check)
 
@@ -538,9 +558,6 @@ def build_asset_transfer(
     sides) therefore has unexplainable credits and fails to linearize,
     which is the ``n = 3f`` double-spend the violating cell pins.
     """
-    from repro.apps.asset_transfer import well_formed_transfer
-    from repro.spec.byzantine import fresh_op_ids
-
     system = System(n=n, f=f, scheduler=scheduler)
     assets = AssetTransfer(
         system,
@@ -555,7 +572,7 @@ def build_asset_transfer(
         system.spawn(pid, "adv", _app_adversary(name, assets, pid, seed))
 
     rng = random.Random(seed)
-    correct, _indexes = _correct_indexes(system)
+    correct = sorted(system.correct)
     clients: List[ScriptClient] = []
     for pid in correct:
         peers = [other for other in correct if other != pid]
@@ -604,62 +621,28 @@ def build_asset_transfer(
         initial=tuple(initial_balance for _ in accounts),
     )
 
-    def settled_byzantine_transfers() -> List[Tuple[int, int, int]]:
-        """(owner, to, amount) per settled Byzantine log slot, in order."""
-        settled: List[Tuple[int, int, int]] = []
-        for owner in sorted(cast):
-            for index in range(assets.slots):
-                register = assets.slot_register(owner, index)
-                counts: Dict[Any, int] = {}
-                for i in correct:
-                    witnessed = system.registers.peek(register.reg_witness(i))
-                    if not is_bottom(witnessed):
-                        counts[witnessed] = counts.get(witnessed, 0) + 1
-                value = next(
-                    (v for v, c in counts.items() if c >= assets.f + 1), None
-                )
-                parsed = (
-                    None
-                    if value is None
-                    else well_formed_transfer(value, system.pids)
-                )
-                if parsed is None:
-                    break  # the usable prefix of this log ends here
-                settled.append((owner, parsed[0], parsed[1]))
-        return settled
+    rules = binding_for("asset_transfer").rules
 
     def check() -> Optional[str]:
-        restricted = system.history.restrict(correct)
-        synthesized: List[OperationRecord] = []
-        settled = settled_byzantine_transfers()
-        horizon = system.clock + 1
-        for op_id, (owner, to, amount) in zip(
-            fresh_op_ids(system.history, len(settled) + 1), settled
-        ):
-            synthesized.append(
-                OperationRecord(
-                    op_id=op_id,
-                    pid=owner,
-                    obj="assets",
-                    op="transfer",
-                    args=(owner, to, amount),
-                    invoked_at=-1,
-                    responded_at=horizon,
-                    result="ok",
-                )
-            )
-        synthetic_ids = {record.op_id for record in synthesized}
-        if synthesized:
-            restricted = restricted.with_synthetic(synthesized)
-        records: List[OperationRecord] = []
-        for record in restricted.operations(obj="assets"):
-            if record.op == "transfer" and record.op_id not in synthetic_ids:
-                record = replace(record, args=(record.pid,) + record.args)
-            records.append(record)
-        result = find_linearization(records, spec, max_nodes=max_nodes, ctx=ctx)
-        if result.ok:
-            return None
-        return f"asset-transfer linearizability: {result.reason}"
+        witness = _settled_slots(
+            system,
+            sorted(cast),
+            assets.slots,
+            assets.slot_register,
+            assets.f,
+            lambda _slot, value: well_formed_transfer(value, system.pids),
+            log=True,
+        )
+        return judge(
+            system.history,
+            system.correct,
+            "assets",
+            spec,
+            rules,
+            witness=witness,
+            max_nodes=max_nodes,
+            ctx=ctx,
+        )
 
     return BuiltScenario(system=system, drive=drive, check=check)
 
@@ -668,6 +651,7 @@ def build_asset_transfer(
 # Broadcast (non-equivocating and reliable)
 # ----------------------------------------------------------------------
 def _build_broadcast_scenario(
+    family: str,
     app_factory: Any,
     obj: str,
     scheduler: Any,
@@ -694,8 +678,6 @@ def _build_broadcast_scenario(
     synthesized whole-run ``broadcast`` per settled Byzantine slot (the
     ``f + 1``-correct-witness rule; see module doc).
     """
-    from repro.spec.byzantine import fresh_op_ids
-
     system = System(n=n, f=f, scheduler=scheduler)
     app = app_factory(system, f=f, slots=slots).install()
     cast = _declare_byzantine(system, byzantine)
@@ -704,9 +686,8 @@ def _build_broadcast_scenario(
         system.spawn(pid, "adv", _app_adversary(name, app, pid, seed))
 
     rng = random.Random(seed)
-    correct, _indexes = _correct_indexes(system)
     clients: List[ScriptClient] = []
-    for pid in correct:
+    for pid in sorted(system.correct):
         calls: List[OpCall] = []
         for slot in range(slots):
             message = f"m{pid}.{slot}"
@@ -747,56 +728,28 @@ def _build_broadcast_scenario(
 
     spec = BroadcastSpec(senders=tuple(sorted(system.pids)), slots=slots)
 
-    def settled_byzantine_broadcasts() -> List[Tuple[int, int, Any]]:
-        """(sender, slot, message) per settled Byzantine slot."""
-        settled: List[Tuple[int, int, Any]] = []
-        for sender in sorted(cast):
-            for slot in range(slots):
-                register = app.register_for(sender, slot)
-                counts: Dict[Any, int] = {}
-                for i in correct:
-                    witnessed = system.registers.peek(register.reg_witness(i))
-                    if not is_bottom(witnessed):
-                        counts[witnessed] = counts.get(witnessed, 0) + 1
-                value = next(
-                    (v for v, c in counts.items() if c >= app.f + 1), None
-                )
-                if value is not None:
-                    settled.append((sender, slot, value))
-        return settled
+    rules = binding_for(family).rules
 
     def check() -> Optional[str]:
-        restricted = system.history.restrict(correct)
-        synthesized: List[OperationRecord] = []
-        settled = settled_byzantine_broadcasts()
-        horizon = system.clock + 1
-        for op_id, (sender, slot, message) in zip(
-            fresh_op_ids(system.history, len(settled) + 1), settled
-        ):
-            synthesized.append(
-                OperationRecord(
-                    op_id=op_id,
-                    pid=sender,
-                    obj=obj,
-                    op="broadcast",
-                    args=(sender, slot, message),
-                    invoked_at=-1,
-                    responded_at=horizon,
-                    result="done",
-                )
-            )
-        synthetic_ids = {record.op_id for record in synthesized}
-        if synthesized:
-            restricted = restricted.with_synthetic(synthesized)
-        records: List[OperationRecord] = []
-        for record in restricted.operations(obj=obj):
-            if record.op == "broadcast" and record.op_id not in synthetic_ids:
-                record = replace(record, args=(record.pid,) + record.args)
-            records.append(record)
-        result = find_linearization(records, spec, max_nodes=max_nodes, ctx=ctx)
-        if result.ok:
-            return None
-        return f"{obj} linearizability: {result.reason}"
+        witness = _settled_slots(
+            system,
+            sorted(cast),
+            slots,
+            app.register_for,
+            app.f,
+            lambda slot, message: (slot, message),
+            log=False,
+        )
+        return judge(
+            system.history,
+            system.correct,
+            obj,
+            spec,
+            rules,
+            witness=witness,
+            max_nodes=max_nodes,
+            ctx=ctx,
+        )
 
     return BuiltScenario(system=system, drive=drive, check=check)
 
@@ -814,6 +767,7 @@ def build_broadcast(
 ):
     """Non-equivocating broadcast (Section 8's sticky-register sketch)."""
     return _build_broadcast_scenario(
+        "broadcast",
         lambda system, f, slots: NonEquivocatingBroadcast(
             system, "bcast", slots=slots, f=f
         ),
@@ -841,13 +795,13 @@ def build_reliable_broadcast(
     max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ):
-    """The signature-free reliable broadcast facade (same slot machinery,
-    the object vocabulary of [5]) — judged against the same
-    :class:`BroadcastSpec`, so any divergence between the two apps is a
-    conformance violation, not a spec difference."""
+    """Signature-free reliable broadcast (the [5] translation): the same
+    sticky-slot broadcast recorded as object ``rbc`` over registers named
+    ``rbc/slots``, judged against the same :class:`BroadcastSpec`."""
     return _build_broadcast_scenario(
-        lambda system, f, slots: ReliableBroadcast(
-            system, "rbc", slots=slots, f=f
+        "reliable_broadcast",
+        lambda system, f, slots: NonEquivocatingBroadcast(
+            system, "rbc/slots", slots=slots, f=f
         ),
         "rbc",
         scheduler,

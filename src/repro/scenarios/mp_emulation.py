@@ -54,8 +54,8 @@ from repro.errors import StallDetected
 from repro.mp import RandomDelayNetwork, RegisterEmulation
 from repro.sim import OpCall, ScriptClient, System, all_done
 from repro.spec.context import CheckContext
-from repro.spec.linearizability import find_linearization
-from repro.spec.sequential import AtomicRegisterSpec
+from repro.spec.judge import judge
+from repro.scenarios.bindings import binding_for
 from repro.scenarios.registry import BuiltScenario, register_builder
 
 
@@ -179,16 +179,21 @@ def build_mp_register(
             # stall is the verdict, reported by check() below.
             stall["reason"] = exc.reason
 
-    spec = AtomicRegisterSpec(initial=0)
+    binding = binding_for("mp_emulation")
+    spec = binding.spec_factory(initial=0)
 
     def check() -> Optional[str]:
         if "reason" in stall:
             return stall["reason"]
-        records = system.history.operations(obj="r")
-        result = find_linearization(records, spec, max_nodes=max_nodes, ctx=ctx)
-        if result.ok:
-            return None
-        return f"mp emulation linearizability: {result.reason}"
+        return judge(
+            system.history,
+            system.correct,
+            "r",
+            spec,
+            binding.rules,
+            max_nodes=max_nodes,
+            ctx=ctx,
+        )
 
     return BuiltScenario(system=system, drive=drive, check=check)
 

@@ -11,8 +11,8 @@ register cells and the test suite share lives here:
   system + register + helpers + scripted clients (+ optional
   adversaries) for Algorithms 1–3 and the ablation strawmen,
   parameterized by kind, n, seed and adversary mix, and its
-  ``BuiltScenario`` drives the run and judges it with both register
-  oracles (observable properties, then Byzantine linearizability).
+  ``BuiltScenario`` drives the run and judges it with the family's
+  rules (observable properties, then Byzantine linearizability).
   Every caller runs it the same way —
   ``make_scenario("register", ...).build(scheduler)``, ``drive()``,
   ``check()`` — whether the scheduler is the experiments' seeded
@@ -42,7 +42,7 @@ from repro.core import (
     VerifiableRegister,
 )
 from repro.errors import ConfigurationError
-from repro.scenarios.bindings import checker_for_kind
+from repro.scenarios.bindings import binding_for_kind
 from repro.scenarios.registry import (
     BuiltScenario,
     Scenario,
@@ -53,7 +53,7 @@ from repro.scenarios.sweeps import SWEEP_ADVERSARIES, feasible_mixes
 from repro.sim import FunctionClient, OpCall, ScriptClient, System
 from repro.sim.process import all_done, pause_steps
 from repro.sim.scheduler import Scheduler
-from repro.spec import CheckContext
+from repro.spec import CheckContext, judge
 
 
 def make_register(
@@ -313,31 +313,19 @@ def _build_register(
     def drive() -> None:
         system.run_until(all_scripts_done, max_steps, label="all clients")
 
+    binding = binding_for_kind(kind)
+    spec = binding.spec_factory(initial=0)
+
     def check() -> Optional[str]:
-        check_properties, check_byzantine = checker_for_kind(kind)
-        # The sticky checkers take no initial value (it is always ⊥).
-        initial = {} if kind == "sticky" else {"initial": 0}
-        report = check_properties(
+        return judge(
             system.history,
             system.correct,
             register.name,
-            writer=register.writer,
+            spec,
+            binding.rules,
+            owner=register.writer,
             ctx=ctx,
-            **initial,
         )
-        verdict = check_byzantine(
-            system.history,
-            system.correct,
-            register.name,
-            writer=register.writer,
-            ctx=ctx,
-            **initial,
-        )
-        if not report.ok:
-            return "; ".join(report.violations)
-        if not verdict.ok:
-            return f"Byzantine linearizability: {verdict.reason}"
-        return None
 
     return BuiltScenario(system=system, drive=drive, check=check)
 

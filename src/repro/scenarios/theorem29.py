@@ -29,9 +29,9 @@ from repro.sim import (
 )
 from repro.sim.effects import PAUSE
 from repro.sim.scheduler import Scheduler
-from repro.spec.byzantine import check_test_or_set
+from repro.scenarios.bindings import binding_for
 from repro.spec.context import CheckContext
-from repro.spec.properties import check_test_or_set_properties
+from repro.spec.judge import judge
 
 
 def _build_theorem29(
@@ -142,18 +142,19 @@ def _build_theorem29(
     def drive() -> None:
         system.run_until(lambda: pb_wrapper.done, max_steps, label="Test' by pb")
 
+    binding = binding_for("test_or_set")
+    spec = binding.spec_factory()
+
     def check() -> Optional[str]:
-        report = check_test_or_set_properties(
-            system.history, correct, "tos", setter=roles.setter, ctx=ctx
+        return judge(
+            system.history,
+            correct,
+            "tos",
+            spec,
+            binding.rules,
+            owner=roles.setter,
+            ctx=ctx,
         )
-        if not report.ok:
-            return "; ".join(report.violations)
-        verdict = check_test_or_set(
-            system.history, correct, "tos", setter=roles.setter, ctx=ctx
-        )
-        if not verdict.ok:
-            return f"Byzantine linearizability: {verdict.reason}"
-        return None
 
     return BuiltScenario(system=system, drive=drive, check=check)
 

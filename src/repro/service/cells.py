@@ -5,7 +5,11 @@ JSON document inside its shard, and workers rebuild the cell — through
 the scenario registry, so a retired scenario name fails the lease
 loudly instead of executing the wrong thing. Scenario params survive
 the round trip as the hashable tuples their labels and fingerprints
-were derived from (the same freeze the corpus loader applies).
+were derived from (the same thaw the corpus loader applies). The queue
+is a trust boundary: a document of the wrong shape — a missing key, a
+non-integer budget, bound or pid, an unknown engine or reduction —
+fails the lease with a :class:`~repro.errors.ConfigurationError`, never
+a bare ``KeyError`` or a silently coerced value.
 
 ``cell_fingerprint`` is the cross-run identity used by the results
 database: two submissions of the same matrix cell (same family, engine,
@@ -16,11 +20,15 @@ what makes verdict drift between runs a single indexed query.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
-from repro.campaign.corpus import _freeze_json
+from repro.campaign.corpus import thaw_params
 from repro.campaign.matrix import CampaignCell
-from repro.scenarios.registry import resolve_spec
+from repro.errors import ConfigurationError
+from repro.scenarios.registry import REDUCTIONS, resolve_spec
+
+#: Engines a campaign cell can run on (``"live"`` cells never queue).
+CELL_ENGINES: Tuple[str, ...] = ("swarm", "systematic")
 
 
 def cell_to_json(cell: CampaignCell) -> Dict[str, Any]:
@@ -42,31 +50,58 @@ def cell_to_json(cell: CampaignCell) -> Dict[str, Any]:
     }
 
 
-def cell_from_json(data: Dict[str, Any]) -> CampaignCell:
-    """Rebuild a queued cell, validating its scenario against the registry."""
-    scenario = resolve_spec(
-        data["scenario"]["name"],
-        tuple(
-            (key, _freeze_json(value))
-            for key, value in data["scenario"]["params"]
-        ),
-    )
+def _field(data: Dict[str, Any], key: str, kind: type) -> Any:
+    """``data[key]``, which must be a ``kind`` (a bool is no int here)."""
+    if key not in data:
+        raise ConfigurationError(f"queued cell lacks {key!r}")
+    value = data[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigurationError(
+            f"queued cell field {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _choice(value: Any, key: str, allowed: Tuple[str, ...]) -> str:
+    if value not in allowed:
+        raise ConfigurationError(
+            f"queued cell {key} {value!r} is not one of {', '.join(allowed)}"
+        )
+    return value
+
+
+def cell_from_json(data: Any) -> CampaignCell:
+    """Rebuild a queued cell, validating its shape and its scenario.
+
+    Raises:
+        ConfigurationError: for any malformed document.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"queued cell must be an object, got {data!r}")
+    scenario = _field(data, "scenario", dict)
+    symmetry = data.get("symmetry", [])
+    if not isinstance(symmetry, list) or not all(
+        isinstance(group, list)
+        and all(isinstance(pid, int) and not isinstance(pid, bool) for pid in group)
+        for group in symmetry
+    ):
+        raise ConfigurationError(f"queued cell symmetry must list pid groups: {symmetry!r}")
     return CampaignCell(
-        implementation=data["implementation"],
-        scenario=scenario,
-        engine=data["engine"],
-        budget=int(data["budget"]),
-        expect_violation=bool(data["expect_violation"]),
-        seed0=int(data["seed0"]),
-        depth_bound=int(data["depth_bound"]),
-        preemption_bound=int(data["preemption_bound"]),
+        implementation=_field(data, "implementation", str),
+        scenario=resolve_spec(
+            _field(scenario, "name", str),
+            thaw_params(_field(scenario, "params", list)),
+        ),
+        engine=_choice(_field(data, "engine", str), "engine", CELL_ENGINES),
+        budget=_field(data, "budget", int),
+        expect_violation=_field(data, "expect_violation", bool),
+        seed0=_field(data, "seed0", int),
+        depth_bound=_field(data, "depth_bound", int),
+        preemption_bound=_field(data, "preemption_bound", int),
         # Documents queued before the dpor reductions existed carry
         # neither key; they were (and remain) sleep-baseline cells.
-        reduction=str(data.get("reduction", "sleep")),
-        symmetry=tuple(
-            tuple(int(pid) for pid in group)
-            for group in data.get("symmetry", ())
-        ),
+        reduction=_choice(data.get("reduction", "sleep"), "reduction", REDUCTIONS),
+        symmetry=tuple(tuple(group) for group in symmetry),
     )
 
 

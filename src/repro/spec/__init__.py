@@ -1,16 +1,19 @@
 """Correctness checking: sequential specs, linearizability, properties.
 
-Two complementary verdicts:
+One judge (:func:`repro.spec.judge.judge`) decides every verdict:
+Byzantine linearizability (Definitions 6–9) under a family's
+:class:`~repro.spec.judge.Rules` —
 
-* observable-property checks (:mod:`repro.spec.properties`) — fast,
-  exact renditions of the paper's Observations;
-* full Byzantine linearizability (:mod:`repro.spec.byzantine`) — the
-  paper's constructive Appendix arguments driving a Wing–Gong checker.
+* observable-property rules (:mod:`repro.spec.properties`) — fast,
+  exact renditions of the paper's Observations, screened first;
+* synthesis rules (:mod:`repro.spec.byzantine`) — the paper's
+  constructive Appendix arguments building ``H'`` for a Byzantine
+  owner, linearized once by the Wing–Gong checker.
 """
 
 from repro.spec.context import CheckContext
+from repro.spec.judge import ByzantineVerdict, Rules, judge
 from repro.spec.byzantine import (
-    ByzantineVerdict,
     check_authenticated,
     check_sticky,
     check_test_or_set,
@@ -49,6 +52,7 @@ __all__ = [
     "CheckContext",
     "LinearizationResult",
     "PropertyReport",
+    "Rules",
     "SequentialSpec",
     "SnapshotSpec",
     "StickyRegisterSpec",
@@ -64,4 +68,5 @@ __all__ = [
     "check_verifiable",
     "check_verifiable_properties",
     "find_linearization",
+    "judge",
 ]

@@ -1,11 +1,14 @@
-"""Byzantine linearizability (Cohen & Keidar; Definitions 6–9).
+"""The paper's synthesis rules for a Byzantine owner's operations.
 
-A history ``H`` is *Byzantine linearizable* w.r.t. an object when some
-history ``H'`` with ``H'|correct = H|correct`` is linearizable. For the
-register types of the paper, the existential over ``H'`` is resolved
-constructively — the paper's own Appendix constructions (Definition 78
-for verifiable, Definition 143 for authenticated, and the Appendix C
-analogue for sticky) synthesize the Byzantine writer's operations:
+:func:`repro.spec.judge.judge` decides Byzantine linearizability
+(Definitions 6–9: some ``H'`` with ``H'|correct = H|correct`` is
+linearizable) for every family; this module holds the register
+families' :class:`~repro.spec.judge.Rules`. When the owner is
+Byzantine, the existential over ``H'`` is resolved constructively — the
+paper's own Appendix constructions (Definition 78 for verifiable,
+Definition 143 for authenticated, the Appendix C analogue for sticky,
+and Lemma 28's window for test-or-set) synthesize the owner's
+operations:
 
 * one ``Sign(v)`` / ``Write(v)`` per value that some correct process
   verified, placed inside the window ``(t_0^v, t_1^v)`` between the last
@@ -14,9 +17,9 @@ analogue for sticky) synthesize the Byzantine writer's operations:
 * a ``Write(v)`` glued immediately before every Read that returned ``v``
   (and before every synthesized Sign).
 
-The synthesized history is then handed to the generic Wing–Gong checker.
-When the window for some value is empty, or the final linearization
-fails, the verdict is negative with a pinpointed reason. Soundness: a
+The judge hands the synthesized history to the generic Wing–Gong
+checker. When the window for some value is empty, or the final
+linearization fails, the verdict is negative with a pinpointed reason. Soundness: a
 positive verdict exhibits a concrete ``H'`` and linearization, so it is
 a *proof* of Byzantine linearizability; the paper's appendix proves the
 construction is also complete for histories its algorithms produce.
@@ -29,18 +32,22 @@ comparisons are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.history import History, OperationRecord, fresh_op_ids
-from repro.sim.values import BOTTOM, freeze, is_bottom
+from repro.sim.history import History, OperationRecord
+from repro.sim.values import freeze, is_bottom
 from repro.spec.context import CheckContext
-from repro.spec.linearizability import LinearizationResult, find_linearization
+from repro.spec.judge import ByzantineVerdict, Case, Rules, linearize, restrict
+from repro.spec.properties import (
+    authenticated_properties,
+    sticky_properties,
+    test_or_set_properties,
+    verifiable_properties,
+)
 from repro.spec.sequential import (
     DONE,
     SUCCESS,
     AuthenticatedRegisterSpec,
-    SequentialSpec,
     StickyRegisterSpec,
     TestOrSetSpec,
     VerifiableRegisterSpec,
@@ -48,92 +55,6 @@ from repro.spec.sequential import (
 
 #: Width of a synthesized operation's interval, in virtual-time units.
 _SLIVER = 1.0 / 4096.0
-
-
-@dataclass
-class ByzantineVerdict:
-    """Result of a Byzantine-linearizability check.
-
-    Attributes:
-        ok: Whether a witnessing ``H'`` + linearization was found.
-        reason: Failure explanation (empty on success).
-        synthesized: The writer operations added to ``H|correct``.
-        linearization: Witness order of operation ids, when ok.
-        explored: Search nodes expanded by the underlying checker.
-    """
-
-    ok: bool
-    reason: str = ""
-    synthesized: List[OperationRecord] = field(default_factory=list)
-    linearization: Optional[List[int]] = None
-    explored: int = 0
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def copy(self) -> "ByzantineVerdict":
-        """An independent copy (cached verdicts hand these out)."""
-        return ByzantineVerdict(
-            ok=self.ok,
-            reason=self.reason,
-            synthesized=list(self.synthesized),
-            linearization=(
-                None if self.linearization is None else list(self.linearization)
-            ),
-            explored=self.explored,
-        )
-
-
-def _verdict_key(
-    kind: str,
-    history: History,
-    correct: Set[int],
-    obj: str,
-    writer: int,
-    extras: Tuple[Any, ...],
-) -> Optional[Tuple]:
-    """Whole-verdict memo key, or None when the history is uncacheable.
-
-    The verdict is a pure function of (a) the correct processes'
-    operations on ``obj`` — synthesis reads the complete ones, the final
-    linearization all of them — (b) the writer's identity and
-    correctness, (c) the spec parameters in ``extras``, and (d) the
-    fresh-id base (synthesized records embed ids derived from the *full*
-    history's max operation id, and those ids appear in reasons and
-    witnesses). Keys use real record equality, never digests.
-    """
-    records = tuple(
-        r for r in history.operations(obj=obj) if r.pid in correct
-    )
-    base = max((r.op_id for r in history.all()), default=-1)
-    key = (kind, obj, writer, writer in correct, base, extras, records)
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
-
-
-def _memo_verdict(
-    ctx: Optional[CheckContext],
-    key_args: Tuple,
-    compute,
-) -> ByzantineVerdict:
-    """Compute-or-reuse a Byzantine verdict through ``ctx``."""
-    if ctx is None:
-        return compute()
-    key = _verdict_key(*key_args)
-    if key is None:
-        return compute()
-    table = ctx.table("byzantine")
-    cached = table.get(key)
-    if cached is not None:
-        ctx.hits += 1
-        return cached.copy()
-    ctx.misses += 1
-    verdict = compute()
-    table[key] = verdict.copy()
-    return verdict
 
 
 class _Placer:
@@ -218,13 +139,13 @@ def _window(
 
 
 def _writer_record(
-    op_id: int, writer: int, obj: str, op: str, args: Tuple[Any, ...],
+    op_id: int, case: Case, op: str, args: Tuple[Any, ...],
     interval: Tuple[float, float], result: Any,
 ) -> OperationRecord:
     return OperationRecord(
         op_id=op_id,
-        pid=writer,
-        obj=obj,
+        pid=case.owner,
+        obj=case.obj,
         op=op,
         args=tuple(freeze(a) for a in args),
         invoked_at=interval[0],
@@ -233,88 +154,20 @@ def _writer_record(
     )
 
 
-def _finish(
-    restricted: History,
-    synthesized: List[OperationRecord],
-    spec: SequentialSpec,
-    obj: str,
-    max_nodes: int,
-    ctx: Optional[CheckContext] = None,
-) -> ByzantineVerdict:
-    """Merge synthesized ops into the restriction and linearize."""
-    merged = restricted.with_synthetic(synthesized)
-    result = find_linearization(
-        merged.operations(obj=obj), spec, max_nodes=max_nodes, ctx=ctx
-    )
-    if result.ok:
-        return ByzantineVerdict(
-            ok=True,
-            synthesized=synthesized,
-            linearization=result.order,
-            explored=result.explored,
-        )
-    return ByzantineVerdict(
-        ok=False,
-        reason=(
-            "synthesized history failed to linearize:\n" + result.reason
-        ),
-        synthesized=synthesized,
-        explored=result.explored,
-    )
+#: A synthesis rule's outcome: ``H'|obj`` or why none exists.
+_Synthesis = Union[str, List[OperationRecord]]
 
 
 # ----------------------------------------------------------------------
 # Verifiable register (Definition 78 construction)
 # ----------------------------------------------------------------------
-def check_verifiable(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    writer: int,
-    initial: Any = None,
-    max_nodes: int = 2_000_000,
-    ctx: Optional[CheckContext] = None,
-) -> ByzantineVerdict:
-    """Byzantine linearizability of a verifiable-register history."""
-    correct = set(correct)
-    return _memo_verdict(
-        ctx,
-        ("verifiable", history, correct, obj, writer,
-         (freeze(initial), max_nodes)),
-        lambda: _check_verifiable(
-            history, correct, obj, writer, initial, max_nodes, ctx
-        ),
-    )
-
-
-def _check_verifiable(
-    history: History,
-    correct: Set[int],
-    obj: str,
-    writer: int,
-    initial: Any,
-    max_nodes: int,
-    ctx: Optional[CheckContext],
-) -> ByzantineVerdict:
-    spec = VerifiableRegisterSpec(initial=freeze(initial))
-    restricted = history.restrict(correct)
-    if writer in correct:
-        result = find_linearization(
-            restricted.operations(obj=obj), spec, max_nodes=max_nodes, ctx=ctx
-        )
-        return ByzantineVerdict(
-            ok=result.ok,
-            reason=result.reason,
-            linearization=result.order,
-            explored=result.explored,
-        )
-
-    records = restricted.operations(obj=obj, complete_only=True)
-    verifies = [r for r in records if r.op == "verify"]
-    reads = [r for r in records if r.op == "read"]
+def _synthesize_verifiable(records: List[OperationRecord], case: Case) -> _Synthesis:
+    done = [r for r in records if r.complete]
+    verifies = [r for r in done if r.op == "verify"]
+    reads = [r for r in done if r.op == "read"]
     placer = _Placer()
     synthesized: List[OperationRecord] = []
-    id_pool = iter(fresh_op_ids(history, 4 * len(records) + 8))
+    id_pool = case.fresh_ids()
 
     # Step 2: one Sign(v) per verified value, inside its relay window.
     # The anchor is snapped to floor(mid) + 0.25: real events sit at
@@ -329,17 +182,14 @@ def _check_verifiable(
     for value in sorted(verified_values, key=repr):
         t0, t1, err = _window(verifies, value)
         if err:
-            return ByzantineVerdict(ok=False, reason=err)
+            return err
         upper = t1 if math.isfinite(t1) else t0 + 1.0
         anchor = math.floor((t0 + upper) / 2.0) + 0.25
         interval = placer.place(anchor, upper=upper)
         if interval is None:
-            return ByzantineVerdict(
-                ok=False,
-                reason=f"no room to place Sign({value!r}) in ({t0:g},{t1:g})",
-            )
+            return f"no room to place Sign({value!r}) in ({t0:g},{t1:g})"
         record = _writer_record(
-            next(id_pool), writer, obj, "sign", (value,), interval, SUCCESS
+            next(id_pool), case, "sign", (value,), interval, SUCCESS
         )
         sign_records.append(record)
         synthesized.append(record)
@@ -354,96 +204,41 @@ def _check_verifiable(
     for target_time, value in sorted(glue_targets):
         interval = placer.place_before(target_time, lower=target_time - 1.0)
         if interval is None:
-            return ByzantineVerdict(
-                ok=False,
-                reason=f"no room to glue Write({value!r}) before {target_time:g}",
-            )
+            return f"no room to glue Write({value!r}) before {target_time:g}"
         synthesized.append(
-            _writer_record(
-                next(id_pool), writer, obj, "write", (value,), interval, DONE
-            )
+            _writer_record(next(id_pool), case, "write", (value,), interval, DONE)
         )
-
-    return _finish(restricted, synthesized, spec, obj, max_nodes, ctx)
+    return records + synthesized
 
 
 # ----------------------------------------------------------------------
 # Authenticated register (Definition 143 construction)
 # ----------------------------------------------------------------------
-def check_authenticated(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    writer: int,
-    initial: Any = None,
-    max_nodes: int = 2_000_000,
-    ctx: Optional[CheckContext] = None,
-) -> ByzantineVerdict:
-    """Byzantine linearizability of an authenticated-register history."""
-    correct = set(correct)
-    return _memo_verdict(
-        ctx,
-        ("authenticated", history, correct, obj, writer,
-         (freeze(initial), max_nodes)),
-        lambda: _check_authenticated(
-            history, correct, obj, writer, initial, max_nodes, ctx
-        ),
-    )
-
-
-def _check_authenticated(
-    history: History,
-    correct: Set[int],
-    obj: str,
-    writer: int,
-    initial: Any,
-    max_nodes: int,
-    ctx: Optional[CheckContext],
-) -> ByzantineVerdict:
-    v0 = freeze(initial)
-    spec = AuthenticatedRegisterSpec(initial=v0)
-    restricted = history.restrict(correct)
-    if writer in correct:
-        result = find_linearization(
-            restricted.operations(obj=obj), spec, max_nodes=max_nodes, ctx=ctx
-        )
-        return ByzantineVerdict(
-            ok=result.ok,
-            reason=result.reason,
-            linearization=result.order,
-            explored=result.explored,
-        )
-
-    records = restricted.operations(obj=obj, complete_only=True)
-    verifies = [r for r in records if r.op == "verify"]
-    reads = [r for r in records if r.op == "read"]
+def _synthesize_authenticated(records: List[OperationRecord], case: Case) -> _Synthesis:
+    v0 = case.spec.initial
+    done = [r for r in records if r.complete]
+    verifies = [r for r in done if r.op == "verify"]
+    reads = [r for r in done if r.op == "read"]
     placer = _Placer()
     synthesized: List[OperationRecord] = []
-    id_pool = iter(fresh_op_ids(history, 4 * len(records) + 8))
+    id_pool = case.fresh_ids()
 
     # Step 2: one Write(v) per verified value v != v0, inside its window
-    # (anchored off the integer grid — see check_verifiable's Step 2).
+    # (anchored off the integer grid — see _synthesize_verifiable's Step 2).
     verified_values = {
         freeze(r.args[0]) for r in verifies if r.result is True
     } - {v0}
-    windows: Dict[Any, Tuple[float, float]] = {}
     for value in sorted(verified_values, key=repr):
         t0, t1, err = _window(verifies, value)
         if err:
-            return ByzantineVerdict(ok=False, reason=err)
-        windows[value] = (t0, t1)
+            return err
         upper = t1 if math.isfinite(t1) else t0 + 1.0
         anchor = math.floor((t0 + upper) / 2.0) + 0.25
         interval = placer.place(anchor, upper=upper)
         if interval is None:
-            return ByzantineVerdict(
-                ok=False,
-                reason=f"no room to place Write({value!r}) in ({t0:g},{t1:g})",
-            )
+            return f"no room to place Write({value!r}) in ({t0:g},{t1:g})"
         synthesized.append(
-            _writer_record(
-                next(id_pool), writer, obj, "write", (value,), interval, DONE
-            )
+            _writer_record(next(id_pool), case, "write", (value,), interval, DONE)
         )
 
     # v0 must never have failed to verify (Observation 146).
@@ -453,10 +248,7 @@ def _check_authenticated(
             and freeze(record.args[0]) == v0
             and record.result is False
         ):
-            return ByzantineVerdict(
-                ok=False,
-                reason=f"Verify(v0={v0!r}) returned false: {record.describe()}",
-            )
+            return f"Verify(v0={v0!r}) returned false: {record.describe()}"
 
     # Step 3: a Write(v) glued just before the *response* of every
     # Read -> v, constrained to land after t_0^v (Lemma 142). Reads
@@ -467,35 +259,129 @@ def _check_authenticated(
         value = freeze(read.result)
         t0, _t1, err = _window(verifies, value)
         if err:
-            return ByzantineVerdict(ok=False, reason=err)
+            return err
         response_time = float(read.responded_at)
         if response_time <= t0:
-            return ByzantineVerdict(
-                ok=False,
-                reason=(
-                    f"Read -> {value!r} responded at {response_time:g}, not "
-                    f"after t0={t0:g} (Lemma 142 violated: a later Verify of "
-                    f"the value the read returned came back false)"
-                ),
+            return (
+                f"Read -> {value!r} responded at {response_time:g}, not "
+                f"after t0={t0:g} (Lemma 142 violated: a later Verify of "
+                f"the value the read returned came back false)"
             )
         interval = placer.place_before(response_time, lower=t0)
         if interval is None:
-            return ByzantineVerdict(
-                ok=False,
-                reason=f"no room to glue Write({value!r}) before read response",
-            )
+            return f"no room to glue Write({value!r}) before read response"
         synthesized.append(
-            _writer_record(
-                next(id_pool), writer, obj, "write", (value,), interval, DONE
-            )
+            _writer_record(next(id_pool), case, "write", (value,), interval, DONE)
         )
-
-    return _finish(restricted, synthesized, spec, obj, max_nodes, ctx)
+    return records + synthesized
 
 
 # ----------------------------------------------------------------------
 # Sticky register (Appendix C construction)
 # ----------------------------------------------------------------------
+def _synthesize_sticky(records: List[OperationRecord], case: Case) -> _Synthesis:
+    reads = [r for r in records if r.complete and r.op == "read"]
+    returned_values = {
+        freeze(r.result) for r in reads if not is_bottom(r.result)
+    }
+    if len(returned_values) > 1:
+        return (
+            f"uniqueness violated: correct reads returned distinct "
+            f"values {sorted(map(repr, returned_values))}"
+        )
+    if not returned_values:
+        return records
+    (value,) = returned_values
+    t1 = min(float(r.responded_at) for r in reads if freeze(r.result) == value)
+    t0 = max(
+        (float(r.invoked_at) for r in reads if is_bottom(r.result)),
+        default=0.0,
+    )
+    if t1 <= t0:
+        return (
+            f"stickiness window empty: a Read -> ⊥ was invoked at "
+            f"{t0:g} after a Read -> {value!r} responded at {t1:g}"
+        )
+    interval = _Placer().place((t0 + t1) / 2.0, upper=t1)
+    assert interval is not None  # fresh placer over an open window
+    write = _writer_record(
+        next(case.fresh_ids()), case, "write", (value,), interval, DONE
+    )
+    return records + [write]
+
+
+# ----------------------------------------------------------------------
+# Test-or-set (Lemma 28's object)
+# ----------------------------------------------------------------------
+def _synthesize_test_or_set(records: List[OperationRecord], case: Case) -> _Synthesis:
+    tests = [r for r in records if r.complete and r.op == "test"]
+    ones = [r for r in tests if r.result == 1]
+    if not ones:
+        return records
+    t1 = min(float(r.responded_at) for r in ones)
+    t0 = max(
+        (float(r.invoked_at) for r in tests if r.result == 0),
+        default=0.0,
+    )
+    if t1 <= t0:
+        return (
+            f"test-or-set relay window empty: Test -> 0 invoked at "
+            f"{t0:g} after Test -> 1 responded at {t1:g} "
+            f"(Lemma 28(3) violated)"
+        )
+    interval = _Placer().place((t0 + t1) / 2.0, upper=t1)
+    assert interval is not None
+    set_op = _writer_record(next(case.fresh_ids()), case, "set", (), interval, DONE)
+    return records + [set_op]
+
+
+# ----------------------------------------------------------------------
+# The register families' rules, and the public per-type checks
+# ----------------------------------------------------------------------
+VERIFIABLE = Rules(
+    "Byzantine", _synthesize_verifiable, verifiable_properties
+)
+AUTHENTICATED = Rules(
+    "Byzantine", _synthesize_authenticated, authenticated_properties
+)
+STICKY = Rules("Byzantine", _synthesize_sticky, sticky_properties)
+TEST_OR_SET = Rules("Byzantine", _synthesize_test_or_set, test_or_set_properties)
+
+
+def check_verifiable(
+    history: History,
+    correct: Iterable[int],
+    obj: str,
+    writer: int,
+    initial: Any = None,
+    max_nodes: int = 2_000_000,
+    ctx: Optional[CheckContext] = None,
+) -> ByzantineVerdict:
+    """Byzantine linearizability of a verifiable-register history."""
+    spec = VerifiableRegisterSpec(initial=freeze(initial))
+    return linearize(
+        *restrict(history, correct, obj, spec, writer),
+        _synthesize_verifiable, max_nodes, ctx,
+    )
+
+
+def check_authenticated(
+    history: History,
+    correct: Iterable[int],
+    obj: str,
+    writer: int,
+    initial: Any = None,
+    max_nodes: int = 2_000_000,
+    ctx: Optional[CheckContext] = None,
+) -> ByzantineVerdict:
+    """Byzantine linearizability of an authenticated-register history."""
+    spec = AuthenticatedRegisterSpec(initial=freeze(initial))
+    return linearize(
+        *restrict(history, correct, obj, spec, writer),
+        _synthesize_authenticated, max_nodes, ctx,
+    )
+
+
 def check_sticky(
     history: History,
     correct: Iterable[int],
@@ -505,82 +391,12 @@ def check_sticky(
     ctx: Optional[CheckContext] = None,
 ) -> ByzantineVerdict:
     """Byzantine linearizability of a sticky-register history."""
-    correct = set(correct)
-    return _memo_verdict(
-        ctx,
-        ("sticky", history, correct, obj, writer, (max_nodes,)),
-        lambda: _check_sticky(history, correct, obj, writer, max_nodes, ctx),
+    return linearize(
+        *restrict(history, correct, obj, StickyRegisterSpec(), writer),
+        _synthesize_sticky, max_nodes, ctx,
     )
 
 
-def _check_sticky(
-    history: History,
-    correct: Set[int],
-    obj: str,
-    writer: int,
-    max_nodes: int,
-    ctx: Optional[CheckContext],
-) -> ByzantineVerdict:
-    spec = StickyRegisterSpec()
-    restricted = history.restrict(correct)
-    if writer in correct:
-        result = find_linearization(
-            restricted.operations(obj=obj), spec, max_nodes=max_nodes, ctx=ctx
-        )
-        return ByzantineVerdict(
-            ok=result.ok,
-            reason=result.reason,
-            linearization=result.order,
-            explored=result.explored,
-        )
-
-    records = restricted.operations(obj=obj, complete_only=True)
-    reads = [r for r in records if r.op == "read"]
-    returned_values = {
-        freeze(r.result) for r in reads if not is_bottom(r.result)
-    }
-    if len(returned_values) > 1:
-        return ByzantineVerdict(
-            ok=False,
-            reason=(
-                f"uniqueness violated: correct reads returned distinct "
-                f"values {sorted(map(repr, returned_values))}"
-            ),
-        )
-    synthesized: List[OperationRecord] = []
-    if returned_values:
-        (value,) = returned_values
-        t1 = min(
-            float(r.responded_at)
-            for r in reads
-            if freeze(r.result) == value
-        )
-        t0 = max(
-            (float(r.invoked_at) for r in reads if is_bottom(r.result)),
-            default=0.0,
-        )
-        if t1 <= t0:
-            return ByzantineVerdict(
-                ok=False,
-                reason=(
-                    f"stickiness window empty: a Read -> ⊥ was invoked at "
-                    f"{t0:g} after a Read -> {value!r} responded at {t1:g}"
-                ),
-            )
-        interval = _Placer().place((t0 + t1) / 2.0, upper=t1)
-        assert interval is not None  # fresh placer over an open window
-        (write_id,) = fresh_op_ids(history, 1)
-        synthesized.append(
-            _writer_record(
-                write_id, writer, obj, "write", (value,), interval, DONE
-            )
-        )
-    return _finish(restricted, synthesized, spec, obj, max_nodes, ctx)
-
-
-# ----------------------------------------------------------------------
-# Test-or-set (Lemma 28's object)
-# ----------------------------------------------------------------------
 def check_test_or_set(
     history: History,
     correct: Iterable[int],
@@ -590,60 +406,7 @@ def check_test_or_set(
     ctx: Optional[CheckContext] = None,
 ) -> ByzantineVerdict:
     """Byzantine linearizability of a test-or-set history."""
-    correct = set(correct)
-    return _memo_verdict(
-        ctx,
-        ("test_or_set", history, correct, obj, setter, (max_nodes,)),
-        lambda: _check_test_or_set(
-            history, correct, obj, setter, max_nodes, ctx
-        ),
+    return linearize(
+        *restrict(history, correct, obj, TestOrSetSpec(), setter),
+        _synthesize_test_or_set, max_nodes, ctx,
     )
-
-
-def _check_test_or_set(
-    history: History,
-    correct: Set[int],
-    obj: str,
-    setter: int,
-    max_nodes: int,
-    ctx: Optional[CheckContext],
-) -> ByzantineVerdict:
-    spec = TestOrSetSpec()
-    restricted = history.restrict(correct)
-    if setter in correct:
-        result = find_linearization(
-            restricted.operations(obj=obj), spec, max_nodes=max_nodes, ctx=ctx
-        )
-        return ByzantineVerdict(
-            ok=result.ok,
-            reason=result.reason,
-            linearization=result.order,
-            explored=result.explored,
-        )
-
-    records = restricted.operations(obj=obj, complete_only=True)
-    tests = [r for r in records if r.op == "test"]
-    synthesized: List[OperationRecord] = []
-    ones = [r for r in tests if r.result == 1]
-    if ones:
-        t1 = min(float(r.responded_at) for r in ones)
-        t0 = max(
-            (float(r.invoked_at) for r in tests if r.result == 0),
-            default=0.0,
-        )
-        if t1 <= t0:
-            return ByzantineVerdict(
-                ok=False,
-                reason=(
-                    f"test-or-set relay window empty: Test -> 0 invoked at "
-                    f"{t0:g} after Test -> 1 responded at {t1:g} "
-                    f"(Lemma 28(3) violated)"
-                ),
-            )
-        interval = _Placer().place((t0 + t1) / 2.0, upper=t1)
-        assert interval is not None
-        (set_id,) = fresh_op_ids(history, 1)
-        synthesized.append(
-            _writer_record(set_id, setter, obj, "set", (), interval, DONE)
-        )
-    return _finish(restricted, synthesized, spec, obj, max_nodes, ctx)

@@ -12,14 +12,17 @@ the repetition cheap:
   The Wing–Gong search replays the same transitions across nodes, runs,
   and histories; one table per spec means a transition is computed once
   per *cell*, not once per search node.
-* **whole-result memoization** — named ``table(...)`` dicts cache
-  complete checker verdicts (linearization results, Byzantine verdicts,
-  property reports) keyed by the exact record tuples they were computed
-  from; the checkers store and hand out *copies*, so a cached verdict
-  can never be corrupted through a returned object. Two runs that produce the same history — extremely common under
-  schedule exploration, where most interleavings commute — share one
-  verdict computation. Keys use real equality (no digests), so a cache
-  hit is a *proof* of identical inputs, never a collision gamble.
+* **one result table** — ``linearize`` caches complete linearization
+  results keyed by ``(spec, records, max_nodes)``: the exact records
+  :func:`repro.spec.judge.judge` linearized, synthesized ones included,
+  so the key covers everything a verdict depends on — even the
+  applications' synthesis, which reads register witness state rather
+  than the history. The checker stores and hands out *copies*, so a
+  cached result can never be corrupted through a returned object. Two
+  runs that produce the same history — extremely common under schedule
+  exploration, where most interleavings commute — share one search.
+  Keys use real equality (no digests), so a cache hit is a *proof* of
+  identical inputs, never a collision gamble.
 
 A context is deliberately scoped: one per campaign cell, exploration,
 fuzzing shard, or replay batch. It is not thread- or process-safe —
@@ -39,17 +42,18 @@ class CheckContext:
     """Memo tables shared across the checks of one scenario/cell.
 
     Attributes:
-        hits: Whole-result cache hits (diagnostics).
-        misses: Whole-result cache misses (diagnostics).
+        hits: ``linearize`` cache hits (diagnostics).
+        misses: ``linearize`` cache misses (diagnostics).
+        linearize: ``(spec, records, max_nodes) -> LinearizationResult``.
     """
 
-    __slots__ = ("hits", "misses", "_apply_tables", "_tables")
+    __slots__ = ("hits", "misses", "linearize", "_apply_tables")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
+        self.linearize: Dict[Any, Any] = {}
         self._apply_tables: Dict[Any, Dict] = {}
-        self._tables: Dict[str, Dict] = {}
 
     def apply_table(self, spec: Hashable) -> Dict:
         """The ``(state, op, args) -> apply outcome`` table for ``spec``.
@@ -60,13 +64,6 @@ class CheckContext:
         table = self._apply_tables.get(spec)
         if table is None:
             table = self._apply_tables[spec] = {}
-        return table
-
-    def table(self, name: str) -> Dict:
-        """A named whole-result table (created on first use)."""
-        table = self._tables.get(name)
-        if table is None:
-            table = self._tables[name] = {}
         return table
 
     def stats(self) -> str:

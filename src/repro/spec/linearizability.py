@@ -95,15 +95,15 @@ def find_linearization(
             :class:`LinearizabilityViolation` (so a silent wrong verdict
             is impossible — budget exhaustion is loud).
         ctx: Optional :class:`CheckContext`; shares the per-spec
-            ``apply`` memo and the whole-result cache across the many
-            checks of one campaign cell / exploration / replay batch.
+            ``apply`` memo and the ``linearize`` result table across the
+            many checks of one campaign cell / exploration / replay batch.
     """
     records = tuple(records)
     cache_key: Optional[Tuple] = None
     if ctx is not None:
         try:
             cache_key = (spec, records, max_nodes)
-            cached = ctx.table("linearize").get(cache_key)
+            cached = ctx.linearize.get(cache_key)
         except TypeError:
             cache_key = None
         else:
@@ -116,7 +116,7 @@ def find_linearization(
     )
     result = _search(records, spec, max_nodes, apply_table)
     if cache_key is not None:
-        ctx.table("linearize")[cache_key] = result.copy()
+        ctx.linearize[cache_key] = result.copy()
     return result
 
 

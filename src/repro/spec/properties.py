@@ -7,10 +7,13 @@ Lemma 28 properties of test-or-set. Unlike full (Byzantine)
 linearizability they are linear-time in the history length, so the
 randomized stress experiments (E4) can check thousands of runs.
 
-All functions operate on the *correct* processes' operations only —
-Byzantine processes' invocations carry no obligations — and condition
-writer-dependent properties (validity, unforgeability) on the writer
-being correct, exactly as the paper's statements do.
+Each ``*_properties`` function is a family's property rule for
+:func:`repro.spec.judge.judge`: it reads the *correct* processes'
+operations only — Byzantine processes' invocations carry no obligations
+— and conditions writer-dependent properties (validity, unforgeability)
+on the writer being correct (``case.owner_correct``), exactly as the
+paper's statements do. The ``check_*_properties`` names apply one rule
+to a whole history.
 
 A check returns a :class:`PropertyReport`; reports compose with ``&``.
 """
@@ -18,12 +21,18 @@ A check returns a :class:`PropertyReport`; reports compose with ``&``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.sim.history import History, OperationRecord
-from repro.sim.values import BOTTOM, freeze, is_bottom
-from repro.spec.context import CheckContext
-from repro.spec.sequential import SUCCESS
+from repro.sim.values import freeze, is_bottom
+from repro.spec.judge import Case, restrict
+from repro.spec.sequential import (
+    SUCCESS,
+    AuthenticatedRegisterSpec,
+    StickyRegisterSpec,
+    TestOrSetSpec,
+    VerifiableRegisterSpec,
+)
 
 
 @dataclass
@@ -64,20 +73,12 @@ class PropertyReport:
         lines.extend(self.violations)
         return "\n".join(lines)
 
-    def copy(self) -> "PropertyReport":
-        """An independent copy (cached reports hand these out)."""
-        return PropertyReport(
-            ok=self.ok,
-            violations=list(self.violations),
-            checked=list(self.checked),
-        )
-
 
 _Grouped = Dict[str, List[OperationRecord]]
 
 
-def _gather(history: History, correct: Set[int], obj: str) -> Tuple[_Grouped, _Grouped]:
-    """One history scan: correct-process ops on ``obj``, by name.
+def _gather(records: Sequence[OperationRecord]) -> Tuple[_Grouped, _Grouped]:
+    """One scan of the correct processes' ops on the object, by name.
 
     Returns ``(done, invoked)``: the completed operations, and every
     invoked one, pending included. Pending operations carry no result,
@@ -89,47 +90,11 @@ def _gather(history: History, correct: Set[int], obj: str) -> Tuple[_Grouped, _G
     """
     done: _Grouped = {}
     invoked: _Grouped = {}
-    for record in history.operations(obj=obj):
-        if record.pid in correct:
-            invoked.setdefault(record.op, []).append(record)
-            if record.complete:
-                done.setdefault(record.op, []).append(record)
+    for record in records:
+        invoked.setdefault(record.op, []).append(record)
+        if record.complete:
+            done.setdefault(record.op, []).append(record)
     return done, invoked
-
-
-def _memo_report(
-    ctx: Optional[CheckContext],
-    family: str,
-    history: History,
-    correct: Set[int],
-    obj: str,
-    writer: int,
-    extras: Tuple[Any, ...],
-    compute: Callable[[], "PropertyReport"],
-) -> "PropertyReport":
-    """Compute-or-reuse a property report through ``ctx``.
-
-    Reports read only the operations of correct processes on ``obj``
-    (pending ones included, see :func:`_gather`), so that record tuple
-    (plus the writer's identity and correctness and the spec extras)
-    keys the verdict exactly.
-    """
-    if ctx is None:
-        return compute()
-    records = tuple(r for r in history.operations(obj=obj) if r.pid in correct)
-    key = (family, obj, writer, writer in correct, extras, records)
-    try:
-        table = ctx.table("properties")
-        cached = table.get(key)
-    except TypeError:
-        return compute()
-    if cached is not None:
-        ctx.hits += 1
-        return cached.copy()
-    ctx.misses += 1
-    report = compute()
-    table[key] = report.copy()
-    return report
 
 
 def _value(record: OperationRecord) -> Any:
@@ -162,30 +127,22 @@ def check_verifiable_properties(
     obj: str,
     writer: int,
     initial: Any = None,
-    ctx: Optional[CheckContext] = None,
 ) -> PropertyReport:
     """Validity, unforgeability, relay, and read-regularity checks."""
-    correct = set(correct)
-    return _memo_report(
-        ctx, "verifiable", history, correct, obj, writer,
-        (freeze(initial),),
-        lambda: _verifiable_report(history, correct, obj, writer, initial),
-    )
+    spec = VerifiableRegisterSpec(initial=freeze(initial))
+    return verifiable_properties(*restrict(history, correct, obj, spec, writer))
 
 
-def _verifiable_report(
-    history: History,
-    correct: Set[int],
-    obj: str,
-    writer: int,
-    initial: Any,
+def verifiable_properties(
+    records: List[OperationRecord], case: Case
 ) -> PropertyReport:
+    """The verifiable register's property rule (Observations 11–13)."""
     report = PropertyReport()
-    grouped, invoked = _gather(history, correct, obj)
+    grouped, invoked = _gather(records)
     verifies = grouped.get("verify", [])
     report.record("relay (Obs 13)", _relay_failures(verifies))
 
-    if writer in correct:
+    if case.owner_correct:
         signs = grouped.get("sign", [])
         writes = grouped.get("write", [])
         reads = grouped.get("read", [])
@@ -240,7 +197,7 @@ def _verifiable_report(
         def read_regularity() -> Iterable[str]:
             # Necessary condition of Def 10's read clause: a read returns
             # the initial value or some value written before it responded.
-            v0 = freeze(initial)
+            v0 = case.spec.initial
             for read in reads:
                 value = freeze(read.result)
                 if value == v0:
@@ -270,27 +227,19 @@ def check_authenticated_properties(
     obj: str,
     writer: int,
     initial: Any = None,
-    ctx: Optional[CheckContext] = None,
 ) -> PropertyReport:
     """Validity, unforgeability, relay, and the Obs 19 read guarantee."""
-    correct = set(correct)
-    return _memo_report(
-        ctx, "authenticated", history, correct, obj, writer,
-        (freeze(initial),),
-        lambda: _authenticated_report(history, correct, obj, writer, initial),
-    )
+    spec = AuthenticatedRegisterSpec(initial=freeze(initial))
+    return authenticated_properties(*restrict(history, correct, obj, spec, writer))
 
 
-def _authenticated_report(
-    history: History,
-    correct: Set[int],
-    obj: str,
-    writer: int,
-    initial: Any,
+def authenticated_properties(
+    records: List[OperationRecord], case: Case
 ) -> PropertyReport:
-    v0 = freeze(initial)
+    """The authenticated register's property rule (Observations 16–19)."""
+    v0 = case.spec.initial
     report = PropertyReport()
-    grouped, invoked = _gather(history, correct, obj)
+    grouped, invoked = _gather(records)
     verifies = grouped.get("verify", [])
     reads = grouped.get("read", [])
     report.record("relay (Obs 18)", _relay_failures(verifies))
@@ -321,7 +270,7 @@ def _authenticated_report(
 
     report.record("initial-verifies (Lemma 113)", initial_always_verifies())
 
-    if writer in correct:
+    if case.owner_correct:
         writes = grouped.get("write", [])
 
         def validity() -> Iterable[str]:
@@ -384,24 +333,16 @@ def check_sticky_properties(
     correct: Iterable[int],
     obj: str,
     writer: int,
-    ctx: Optional[CheckContext] = None,
 ) -> PropertyReport:
     """Validity, unforgeability, and uniqueness checks."""
-    correct = set(correct)
-    return _memo_report(
-        ctx, "sticky", history, correct, obj, writer, (),
-        lambda: _sticky_report(history, correct, obj, writer),
-    )
+    spec = StickyRegisterSpec()
+    return sticky_properties(*restrict(history, correct, obj, spec, writer))
 
 
-def _sticky_report(
-    history: History,
-    correct: Set[int],
-    obj: str,
-    writer: int,
-) -> PropertyReport:
+def sticky_properties(records: List[OperationRecord], case: Case) -> PropertyReport:
+    """The sticky register's property rule (Observations 22–24)."""
     report = PropertyReport()
-    grouped, invoked = _gather(history, correct, obj)
+    grouped, invoked = _gather(records)
     reads = grouped.get("read", [])
 
     def uniqueness() -> Iterable[str]:
@@ -426,7 +367,7 @@ def _sticky_report(
 
     report.record("uniqueness (Obs 24)", uniqueness())
 
-    if writer in correct:
+    if case.owner_correct:
         writes = grouped.get("write", [])
 
         def validity() -> Iterable[str]:
@@ -481,24 +422,18 @@ def check_test_or_set_properties(
     correct: Iterable[int],
     obj: str,
     setter: int,
-    ctx: Optional[CheckContext] = None,
 ) -> PropertyReport:
     """The three properties every correct test-or-set history satisfies."""
-    correct = set(correct)
-    return _memo_report(
-        ctx, "test_or_set", history, correct, obj, setter, (),
-        lambda: _test_or_set_report(history, correct, obj, setter),
-    )
+    spec = TestOrSetSpec()
+    return test_or_set_properties(*restrict(history, correct, obj, spec, setter))
 
 
-def _test_or_set_report(
-    history: History,
-    correct: Set[int],
-    obj: str,
-    setter: int,
+def test_or_set_properties(
+    records: List[OperationRecord], case: Case
 ) -> PropertyReport:
+    """Test-or-set's property rule (Lemma 28)."""
     report = PropertyReport()
-    grouped, invoked = _gather(history, correct, obj)
+    grouped, invoked = _gather(records)
     tests = grouped.get("test", [])
 
     def relay() -> Iterable[str]:
@@ -515,7 +450,7 @@ def _test_or_set_report(
 
     report.record("relay (Lemma 28.3)", relay())
 
-    if setter in correct:
+    if case.owner_correct:
         sets = grouped.get("set", [])
 
         def validity() -> Iterable[str]:

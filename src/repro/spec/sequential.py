@@ -23,8 +23,8 @@ Specs implemented:
 The application specs are *caller-indexed*: ``update``/``transfer``/
 ``broadcast`` take the acting pid as their first spec argument, because
 a sequential snapshot/asset-transfer/broadcast state transition depends
-on who acts. The scenario layer rewrites history records accordingly
-before checking (see ``repro.scenarios.apps``).
+on who acts. The families' judging rules rewrite history records
+accordingly before checking (see ``repro.scenarios.bindings``).
 
 All states are immutable (hashable) so the checker can memoize on
 ``(linearized-set, state)`` pairs.
@@ -265,8 +265,8 @@ class BroadcastSpec(SequentialSpec):
     need the pre-broadcast state after a post-broadcast read).
 
     Byzantine senders never appear in the correct-restricted history;
-    the scenario layer synthesizes at most one whole-run ``broadcast``
-    per settled Byzantine slot (see ``repro.scenarios.apps``), so a
+    the family's rule synthesizes at most one whole-run ``broadcast``
+    per settled Byzantine slot (see ``repro.scenarios.bindings``), so a
     forked slot — two receivers delivering different messages — is
     unexplainable and fails the search.
     """

@@ -11,7 +11,7 @@ from repro.analysis import (
     register_access_totals,
     render_table,
 )
-from repro.scenarios.bindings import checker_for_kind
+from repro.scenarios.bindings import binding_for_kind
 from repro.scenarios.registers import make_register, random_register_workload
 from repro.errors import ConfigurationError
 from repro.sim import System
@@ -32,10 +32,10 @@ class TestMakeRegister:
         with pytest.raises(ConfigurationError):
             make_register("quantum", System(n=4))
 
-    def test_checker_for_all_kinds(self):
+    def test_rules_for_all_kinds(self):
         for kind in ("verifiable", "authenticated", "sticky", "signed"):
-            props, byz = checker_for_kind(kind)
-            assert callable(props) and callable(byz)
+            rules = binding_for_kind(kind).rules
+            assert callable(rules.properties) and callable(rules.synthesize)
 
 
 class TestWorkloadGeneration:

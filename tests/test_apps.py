@@ -1,7 +1,7 @@
 """Integration tests for the applications (repro.apps).
 
-Non-equivocating broadcast, the signature-free reliable broadcast, the
-signature-based comparator with its residual equivocation weakness, and
+Non-equivocating broadcast (also run as the signature-free reliable
+broadcast), the signature-based comparator with its residual equivocation weakness, and
 the Byzantine atomic snapshot.
 """
 
@@ -13,7 +13,6 @@ from repro.adversary import behaviors
 from repro.apps import (
     AtomicSnapshot,
     NonEquivocatingBroadcast,
-    ReliableBroadcast,
     SignedReliableBroadcast,
 )
 from repro.sim import (
@@ -106,10 +105,15 @@ class TestNonEquivocatingBroadcast:
         assert len(delivered) <= 1, f"equivocation succeeded: {delivered}"
 
 
+def reliable_broadcast(system, slots):
+    """The signature-free reliable broadcast, as its scenario family builds it."""
+    return NonEquivocatingBroadcast(system, "rbc/slots", slots=slots).install()
+
+
 class TestReliableBroadcast:
     def test_slots_independent(self):
         system = System(n=4)
-        rbc = ReliableBroadcast(system, slots=3).install()
+        rbc = reliable_broadcast(system, slots=3)
         rbc.start_helpers()
         sender = spawn_ops(
             system, rbc, 1,
@@ -129,10 +133,10 @@ class TestReliableBroadcast:
         # Once one correct process delivers, later delivers agree — even
         # though the sender is Byzantine and wrote via raw registers.
         system = System(n=4)
-        rbc = ReliableBroadcast(system, slots=1).install()
+        rbc = reliable_broadcast(system, slots=1)
         system.declare_byzantine(1)
         rbc.start_helpers(sorted(system.correct))
-        backing = rbc._slots.register_for(1, 0)
+        backing = rbc.register_for(1, 0)
         system.spawn(
             1, "client",
             behaviors.equivocating_writer_sticky(backing, "X", "Y", flip_after=25),

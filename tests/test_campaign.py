@@ -135,13 +135,13 @@ class TestMatrix:
         with pytest.raises(ConfigurationError):
             oracle_for("quantum")
 
-    def test_oracle_mapping_agrees_with_the_runtime_checkers(self):
+    def test_oracle_mapping_agrees_with_the_runtime_rules(self):
         # oracle_for documents what the campaign checks; the register
-        # cells are actually judged through checker_for_kind. Both read
-        # the registry's one family→oracle table
+        # cells are actually judged under their binding's rules. Both
+        # read the registry's one family→oracle table
         # (repro.scenarios.bindings), so two implementations share an
-        # oracle iff their kinds share a checker pair.
-        from repro.scenarios import FAMILY_BINDINGS, checker_for_kind, kind_for
+        # oracle iff their kinds share rules.
+        from repro.scenarios import FAMILY_BINDINGS, binding_for_kind, kind_for
 
         register_impls = sorted(
             family
@@ -151,10 +151,11 @@ class TestMatrix:
         for a in register_impls:
             for b in register_impls:
                 same_oracle = type(oracle_for(a)) is type(oracle_for(b))
-                same_checker = checker_for_kind(kind_for(a)) == checker_for_kind(
-                    kind_for(b)
+                same_rules = (
+                    binding_for_kind(kind_for(a)).rules
+                    == binding_for_kind(kind_for(b)).rules
                 )
-                assert same_oracle == same_checker, (a, b)
+                assert same_oracle == same_rules, (a, b)
 
 
 class TestServiceCampaign:

@@ -78,6 +78,32 @@ def test_every_cross_package_import_points_down_the_order():
     assert not back_edges, "\n".join(back_edges)
 
 
+def test_verdicts_go_through_the_one_judge():
+    # Scenario builders, E5 and the experiment drivers get every reason
+    # from repro.spec.judge; importing the linearizer or a per-type
+    # check_* function there would be a hand-rolled verdict path.
+    offenders = []
+    for package in ("scenarios", "adversary", "analysis"):
+        for path in sorted((PACKAGE_ROOT / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module
+                    and node.module.startswith("repro.spec")
+                ):
+                    continue
+                for alias in node.names:
+                    if alias.name == "find_linearization" or alias.name.startswith(
+                        "check_"
+                    ):
+                        offenders.append(
+                            f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno} "
+                            f"imports {alias.name}"
+                        )
+    assert not offenders, "\n".join(offenders)
+
+
 def _loaded_after(statement: str, candidates) -> list:
     """Which of ``candidates`` are in ``sys.modules`` after ``statement``."""
     code = (

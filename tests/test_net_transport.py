@@ -266,6 +266,33 @@ class TestMalformedFrames:
         assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
         assert capfd.readouterr().err == ""
 
+    def test_inbound_reads_ask_for_one_wire_chunk(self):
+        # asyncio's default 256 KiB buffer per recv thrashes the heap top
+        # in some allocation layouts (see wire.cap_reads).
+        async def go():
+            node = NetNode(1, 4, 1, REGISTERS)
+            await node.start()
+            proxy = ChaosProxy(
+                FaultPlan.from_spec(()), 1, ("127.0.0.1", node.port), ChaosClock()
+            )
+            await proxy.start()
+            _reader, writer = await asyncio.open_connection("127.0.0.1", proxy.port)
+            try:
+                writer.write(
+                    wire.encode(wire.hello(2))
+                    + wire.encode(wire.msg(("READ", "reg:1", 1)))
+                )
+                await writer.drain()
+                await eventually(lambda: node.delivered == 1)
+                assert [t.max_size for t in node._connections] == [1 << 16]
+                assert [w.transport.max_size for w in proxy._connections] == [1 << 16]
+            finally:
+                writer.close()
+                await proxy.stop()
+                await node.stop()
+
+        asyncio.run(go())
+
     def test_a_malformed_first_frame_is_the_same_error(self):
         async def go():
             node = NetNode(1, 4, 1, REGISTERS)

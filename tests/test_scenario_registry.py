@@ -3,7 +3,7 @@
 Covers the four contracts the registry owns:
 
 * **one oracle per family** — every registered family has exactly one
-  oracle binding, and ``oracle_for`` and ``checker_for_kind`` both
+  oracle binding, and ``oracle_for`` and ``binding_for_kind`` both
   read it, so there is no second family→oracle map to drift;
 * **label round-trips** — every registered record's label resolves back
   to an identical record, and rebuilding a scenario spec from its
@@ -41,7 +41,7 @@ from repro.scenarios import (
     grid,
     kind_for,
     make_scenario,
-    checker_for_kind,
+    binding_for_kind,
     registered_families,
     resolve,
     resolve_spec,
@@ -77,11 +77,11 @@ class TestOracleBindings:
         assert "net" in registered_families()
         assert "net" not in campaign
 
-    def test_oracle_for_and_checker_for_raise_consistently(self):
+    def test_oracle_for_and_binding_for_kind_raise_consistently(self):
         with pytest.raises(ConfigurationError):
             oracle_for("quantum")
         with pytest.raises(ConfigurationError):
-            checker_for_kind("quantum")
+            binding_for_kind("quantum")
 
     def test_app_families_are_bound(self):
         from repro.spec import AssetTransferSpec, BroadcastSpec, SnapshotSpec
@@ -90,9 +90,8 @@ class TestOracleBindings:
         assert isinstance(oracle_for("asset_transfer"), AssetTransferSpec)
         assert kind_for("snapshot") is None
         assert kind_for("asset_transfer") is None
-        # Both broadcast implementations share the one BroadcastSpec —
-        # the facade differential, like strawman/baseline sharing
-        # VerifiableRegisterSpec.
+        # Both broadcast families share the one BroadcastSpec (they run
+        # the same implementation under two object names).
         assert isinstance(oracle_for("broadcast"), BroadcastSpec)
         assert isinstance(oracle_for("reliable_broadcast"), BroadcastSpec)
         assert kind_for("broadcast") is None

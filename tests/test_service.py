@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import CampaignCell, run_cell
 from repro.errors import ConfigurationError
@@ -93,6 +95,100 @@ class TestCellCodec:
             seed0=1,
         )
         assert cell_fingerprint(other_seed) != cell_fingerprint(cell)
+
+
+#: Arbitrary JSON values (no NaN: it is not equal to itself).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutations(doc):
+    """Every (path, doc') one edit away: a key dropped or a value replaced."""
+    paths = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            paths.append(path + (key,))
+            if isinstance(child, (dict, list)):
+                walk(child, path + (key,))
+
+    walk(doc, ())
+    return paths
+
+
+def _edit(doc, path, value, drop):
+    edited = json.loads(json.dumps(doc))
+    node = edited
+    for key in path[:-1]:
+        node = node[key]
+    if drop:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return edited
+
+
+DPOR_CELL = CampaignCell(
+    implementation="test_or_set",
+    scenario=make_scenario("theorem29", f=2),
+    engine="systematic",
+    budget=5,
+    expect_violation=True,
+    reduction="dpor+symmetry",
+    symmetry=((4,), (5, 6)),
+)
+
+
+class TestCellCodecFuzz:
+    """The cell codec is a trust boundary: every mutation of a queued
+    document round-trips or fails with ``ConfigurationError``."""
+
+    @pytest.mark.parametrize(
+        "doc, bad",
+        [
+            ({"budget": True}, "budget"),
+            ({"budget": 2.7}, "budget"),
+            ({"engine": "warp"}, "engine"),
+            ({"reduction": "bogus"}, "reduction"),
+            ({"symmetry": [["4"]]}, "symmetry"),
+            ({"scenario": {"name": "register", "params": {"kind": "x"}}}, "params"),
+        ],
+    )
+    def test_known_malformations_are_configuration_errors(self, doc, bad):
+        with pytest.raises(ConfigurationError, match=bad):
+            cell_from_json({**cell_to_json(naive_cell()), **doc})
+
+    def test_missing_key_is_a_configuration_error(self):
+        doc = cell_to_json(naive_cell())
+        del doc["seed0"]
+        with pytest.raises(ConfigurationError, match="seed0"):
+            cell_from_json(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.sampled_from(("naive", "dpor")),
+        choice=st.data(),
+        value=JSON_VALUES,
+        drop=st.booleans(),
+    )
+    def test_every_mutation_round_trips_or_is_refused(self, which, choice, value, drop):
+        cell = naive_cell() if which == "naive" else DPOR_CELL
+        doc = cell_to_json(cell)
+        path = choice.draw(st.sampled_from(_mutations(doc)))
+        try:
+            restored = cell_from_json(_edit(doc, path, value, drop))
+        except ConfigurationError:
+            return
+        assert cell_from_json(json.loads(json.dumps(cell_to_json(restored)))) == restored
 
 
 class TestStoreAndQueue:

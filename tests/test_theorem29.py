@@ -98,9 +98,8 @@ class TestHistoriesIndividually:
 
     def test_h2_verdict_names_relay(self):
         outcome = run_figure1(f=1)
-        assert outcome.h2_verdict is not None
-        assert not outcome.h2_verdict.ok
-        assert "Lemma 28(3)" in outcome.h2_verdict.reason
+        assert outcome.h2_reason is not None
+        assert "[relay (Lemma 28.3)]" in outcome.h2_reason
 
     def test_h3_correct_setter_never_set(self):
         system, _tos, roles, _pb = run_h3(f=1)
