@@ -221,7 +221,6 @@ def _explore_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--preempt", type=int, default=2, help="systematic preemption bound"
     )
-    parser.add_argument("--mode", choices=("dfs", "bfs"), default="dfs")
     parser.add_argument(
         "--reduction",
         choices=REDUCTIONS,
@@ -253,6 +252,10 @@ def _explore_main(argv: Sequence[str]) -> int:
         parser.error("--f must be >= 1")
     if args.budget < 1:
         parser.error("--budget must be >= 1")
+    if args.depth < 0:
+        parser.error("--depth must be >= 0")
+    if args.preempt < 0:
+        parser.error("--preempt must be >= 0")
 
     headers = ("phase", "engine", "runs", "runs/s", "states/s", "violations", "note")
     rows: List[Tuple] = []
@@ -273,7 +276,6 @@ def _explore_main(argv: Sequence[str]) -> int:
                 depth_bound=args.depth,
                 preemption_bound=args.preempt,
                 budget=args.budget,
-                mode=args.mode,
                 reduction=reduction,
                 symmetry=symmetry,
             )
@@ -281,7 +283,7 @@ def _explore_main(argv: Sequence[str]) -> int:
             rows.append(
                 (
                     phase,
-                    f"systematic/{args.mode}/{reduction}",
+                    f"systematic/dfs/{reduction}",
                     sys_report.runs,
                     round(sys_report.runs_per_sec),
                     round(sys_report.states_per_sec),

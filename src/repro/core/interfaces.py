@@ -149,14 +149,6 @@ class AlgorithmBase:
             )
         return cached
 
-    def quorum_accept(self) -> int:
-        """``n - f`` — the acceptance threshold used throughout."""
-        return self.n - self.f
-
-    def witness_adoption(self) -> int:
-        """``f + 1`` — enough replicas that one is guaranteed correct."""
-        return self.f + 1
-
     # ------------------------------------------------------------------
     # Installation and helpers
     # ------------------------------------------------------------------

@@ -41,16 +41,6 @@ from repro.sim.registers import RegisterSpec, swmr, swsr
 from repro.sim.values import BOTTOM, freeze, is_bottom
 
 
-def as_single_value(raw: Any) -> Any:
-    """Parse an echo/witness register: any frozen value or ``⊥``.
-
-    Unlike Algorithms 1–2 these registers hold a single value, so all
-    frozen values are acceptable; the only normalization needed is
-    preserving ``⊥`` identity.
-    """
-    return raw
-
-
 def reply_pair(raw: Any) -> Tuple[Any, Optional[int]]:
     """Parse ``R_jk`` as ``(value-or-⊥, counter)``; garbage never unblocks."""
     if (

@@ -5,7 +5,7 @@ interleavings*. The paper's theorems are quantified over all adversarial
 schedules; ``repro.explore`` actually searches that space:
 
 * :mod:`repro.explore.explorer` — bounded systematic exploration
-  (DFS/BFS over decision traces with preemption bounds, state
+  (depth-first over decision traces with preemption bounds, state
   fingerprint memoization, and a choice of ``reduction``: sleep-set
   commutation pruning, source-set dynamic partial-order reduction, or
   DPOR plus interchangeable-process symmetry folding);

@@ -5,14 +5,16 @@ traces: each node of the search tree is a decision-index prefix (see
 :class:`repro.sim.TraceScheduler`); executing a node replays its prefix
 and completes the run with a *fair* round-robin fallback, so every
 explored schedule is a full history the spec checkers can judge. The
-search is bounded three ways:
+tree is searched depth first (the frontier is a stack of prefixes), and
+the search is bounded three ways:
 
 * **depth bound** — deviations from the fallback are only injected in
   the first ``depth_bound`` steps (the classic bounded-model-checking
   frontier);
 * **preemption bound** — prefixes that switch away from a runnable
   coroutine more than ``preemption_bound`` times are pruned, the CHESS
-  observation that real schedule bugs need very few preemptions;
+  observation that real schedule bugs need very few preemptions (one
+  rule, :func:`_switch_cost`, prices every switch);
 * **budget** — a hard cap on executed runs.
 
 ``reduction`` selects how the remaining tree is cut:
@@ -75,9 +77,8 @@ from __future__ import annotations
 import contextlib
 import gc
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulerError, StepLimitExceeded
 from repro.scenarios.registry import REDUCTIONS, Scenario, Violation
@@ -142,7 +143,9 @@ def effect_signature(
     ``sync``). ``networked`` must be True when the system routes
     messages through an installed network model: delivery then consumes
     the network's RNG in submission order, so reordering two sends is
-    observable and the signatures conservatively stay ``sync``.
+    observable and the signatures conservatively stay ``sync``. A
+    retiring step (``effect`` None) is ``sync``, like every effect type
+    the table does not classify.
     """
     kind = _SIG_KINDS.get(type(effect))
     if kind is None:
@@ -206,6 +209,21 @@ def commutes(a: EffectSignature, b: EffectSignature) -> bool:
     return a[1] != b[1]
 
 
+def _switch_cost(
+    previous: Optional[CoroutineId],
+    runnable: Sequence[CoroutineId],
+    cid: CoroutineId,
+) -> int:
+    """1 when scheduling ``cid`` is a preemption, else 0.
+
+    A preemption switches away from the coroutine that took the previous
+    step while it could have continued (it is still in ``runnable``).
+    """
+    return (
+        1 if previous is not None and cid != previous and previous in runnable else 0
+    )
+
+
 @dataclass
 class RunRecord:
     """Everything one re-execution exposes to the search loop."""
@@ -213,6 +231,8 @@ class RunRecord:
     trace: Tuple[int, ...]
     chosen: Tuple[CoroutineId, ...]
     runnables: Tuple[Tuple[CoroutineId, ...], ...]
+    #: ``cumulative_preemptions[i]``: preemptions among steps < i, for
+    #: every i up to the horizon.
     cumulative_preemptions: Tuple[int, ...]
     effects: Tuple[EffectSignature, ...]
     fingerprints: Tuple[int, ...]
@@ -226,7 +246,6 @@ class ExploreReport:
     """Outcome of one bounded exploration campaign."""
 
     scenario: str
-    mode: str
     depth_bound: int
     preemption_bound: int
     budget: int
@@ -295,7 +314,7 @@ class ExploreReport:
             )
         return (
             f"{self.scenario}: {verdict} in {self.runs} runs "
-            f"({self.mode}/{self.reduction}, "
+            f"(dfs/{self.reduction}, "
             f"depth<={self.depth_bound}, "
             f"preemptions<={self.preemption_bound}; {tree}); "
             f"{self.runs_per_sec:.0f} runs/s, {self.states_per_sec:.0f} states/s, "
@@ -396,29 +415,7 @@ class InstrumentedRun:
         self.system.on_step = self._on_step
 
     def _on_step(self, cid: CoroutineId, effect: object) -> None:
-        if effect is None:
-            sig = _SYNC_SIG
-        else:
-            effect_type = type(effect)
-            kind = _SIG_KINDS.get(effect_type)
-            if kind is None:
-                kind = _resolve_sig_kind(effect_type)
-            if kind == "wait":
-                sig = _wait_signature(effect.watch)
-            elif kind == "read":
-                sig = ("read", effect.register)
-            elif kind == "write":
-                sig = ("write", effect.register)
-            elif self._networked:
-                sig = _SYNC_SIG
-            elif kind == "send":
-                sig = ("send", effect.to)
-            elif kind == "bcast":
-                sig = _BCAST_SIG
-            elif kind == "recv":
-                sig = ("recv", cid[0])
-            else:
-                sig = _SYNC_SIG
+        sig = effect_signature(effect, cid[0], self._networked)
         signatures = self.signatures
         signatures.append(sig)
         self.chosen.append(cid)
@@ -473,11 +470,18 @@ class InstrumentedRun:
             if reason
             else None
         )
+        preemptions = [0]
+        previous = None
+        for cid, runnable in zip(self.chosen, scheduler.runnables):
+            preemptions.append(
+                preemptions[-1] + _switch_cost(previous, runnable, cid)
+            )
+            previous = cid
         record = RunRecord(
             trace=tuple(scheduler.trace),
             chosen=tuple(self.chosen),
             runnables=tuple(scheduler.runnables),
-            cumulative_preemptions=tuple(scheduler.cumulative_preemptions),
+            cumulative_preemptions=tuple(preemptions),
             effects=tuple(self.signatures),
             fingerprints=tuple(self.prints),
             completed=completed,
@@ -563,6 +567,12 @@ class _DporNode:
         #: does not commute with.
         self.sleep = sleep
 
+    def cost(self, cid: CoroutineId) -> int:
+        """Preemptions on the path through this node's ``cid`` branch."""
+        return self.base_preemptions + _switch_cost(
+            self.previous, self.runnable, cid
+        )
+
 
 _NO_LIVE: frozenset = frozenset()
 
@@ -598,7 +608,6 @@ def explore(
     depth_bound: int = 14,
     preemption_bound: int = 2,
     budget: int = 1_000,
-    mode: str = "dfs",
     stop_on_violation: bool = False,
     prefix_sharing: str = "replay",
     ctx: Optional[CheckContext] = None,
@@ -609,6 +618,9 @@ def explore(
 
     Returns an :class:`ExploreReport`; ``report.violations`` holds one
     representative :class:`Violation` per deduplicated violation class.
+    The search is depth first. ``depth_bound`` and ``preemption_bound``
+    must be >= 0, else ``ValueError``: a negative bound would drain an
+    empty tree and report it ``exhausted``.
 
     ``reduction`` picks the pruning strategy (see the module docstring):
     ``"sleep"`` expands every runnable sibling under fingerprint memo +
@@ -635,8 +647,10 @@ def explore(
     sibling schedules that commute into the same history pay for one
     verdict.
     """
-    if mode not in ("dfs", "bfs"):
-        raise ValueError(f"mode must be 'dfs' or 'bfs', got {mode!r}")
+    if depth_bound < 0:
+        raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
+    if preemption_bound < 0:
+        raise ValueError(f"preemption_bound must be >= 0, got {preemption_bound}")
     if reduction not in REDUCTIONS:
         raise ValueError(
             f"reduction must be one of {', '.join(map(repr, REDUCTIONS))}, "
@@ -656,30 +670,45 @@ def explore(
     )
     report = ExploreReport(
         scenario=scenario.label(),
-        mode=mode,
         depth_bound=depth_bound,
         preemption_bound=preemption_bound,
         budget=budget,
         reduction=reduction,
     )
     started = time.perf_counter()
-    frontier: Deque[Tuple[int, ...]] = deque([()])
+    #: Decision prefixes still to execute, popped last-in first-out.
+    frontier: List[Tuple[int, ...]] = [()]
     seen_states: Dict[int, int] = {}
     seen_violations: Set[str] = set()
     #: dpor modes: decision prefix -> backtrack bookkeeping.
     nodes: Dict[Tuple[int, ...], _DporNode] = {}
-    label = f"explore({mode})"
+
+    def fold(cid: CoroutineId, node: _DporNode) -> CoroutineId:
+        """``cid``'s symmetric representative at ``node``; a fold counts
+        in ``pruned_symmetry``."""
+        if folder is None:
+            return cid
+        canonical = folder.canonical(cid, node.runnable, node.live)
+        if canonical != cid:
+            report.pruned_symmetry += 1
+        return canonical
+
+    def branch(key: Tuple[int, ...], node: _DporNode, index: int) -> None:
+        """Schedule ``node``'s runnable ``index`` as a backtrack."""
+        node.done.add(index)
+        report.pruned_dpor -= 1
+        frontier.append(key + (index,))
 
     with paused_gc():
         while frontier and report.runs < budget:
-            prefix = frontier.pop() if mode == "dfs" else frontier.popleft()
+            prefix = frontier.pop()
             try:
                 record = execute_trace(
                     scenario,
                     prefix,
                     depth_bound=depth_bound,
                     fingerprints=True,
-                    schedule_label=label,
+                    schedule_label="explore(dfs)",
                     ctx=ctx,
                 )
             except SchedulerError:
@@ -806,21 +835,14 @@ def explore(
                     node = nodes.get(node_key)
                     if node is None:
                         continue
-                    runnable = node.runnable
-                    if folder is not None:
-                        canonical = folder.canonical(
-                            cid, runnable, node.live
-                        )
-                        if canonical != cid:
-                            report.pruned_symmetry += 1
-                            cid = canonical
+                    cid = fold(cid, node)
                     if cid in node.sleep:
                         # Covered by an already-explored sibling
                         # subtree (source-set sleep inheritance).
                         report.pruned_sleep += 1
                         continue
                     try:
-                        index = runnable.index(cid)
+                        index = node.runnable.index(cid)
                     except ValueError:
                         # The racing coroutine is blocked at the
                         # deviation point (its guard depends on
@@ -830,97 +852,48 @@ def explore(
                         # classic disabled-process fallback of
                         # dynamic partial-order reduction.
                         report.blocked_fallbacks += 1
-                        for index in range(len(runnable)):
+                        for index, other in enumerate(node.runnable):
                             if index in node.done:
                                 continue
-                            other = runnable[index]
-                            switch_cost = (
-                                1
-                                if node.previous is not None
-                                and other != node.previous
-                                and node.previous in runnable
-                                else 0
-                            )
-                            if (
-                                node.base_preemptions + switch_cost
-                                > preemption_bound
-                            ):
+                            if node.cost(other) > preemption_bound:
                                 report.pruned_preemption += 1
                                 node.done.add(index)
                                 continue
-                            node.done.add(index)
-                            report.pruned_dpor -= 1
-                            frontier.append(node_key + (index,))
+                            branch(node_key, node, index)
                         continue
                     if index in node.done:
                         continue
-                    previous = node.previous
-                    switch_cost = (
-                        1
-                        if previous is not None
-                        and cid != previous
-                        and previous in runnable
-                        else 0
-                    )
-                    if (
-                        node.base_preemptions + switch_cost
-                        > preemption_bound
-                    ):
-                        report.pruned_preemption += 1
-                        node.done.add(index)
-                        # Bounded-search completeness patch (the
-                        # conservative points of bounded partial-
-                        # order reduction): a race-derived backtrack
-                        # that busts the preemption budget may still
-                        # be coverable by deviating earlier. The
-                        # latest budget-feasible ancestor always
-                        # includes the path's own last context
-                        # switch (deviating there costs exactly the
-                        # switch the path already paid), so anchor
-                        # the request there instead of silently
-                        # dropping the class.
-                        for back in range(depth - 1, -1, -1):
-                            anchor = nodes.get(record.trace[:back])
-                            if anchor is None:
-                                continue
-                            prev = anchor.previous
-                            cost = (
-                                1
-                                if prev is not None
-                                and cid != prev
-                                and prev in anchor.runnable
-                                else 0
-                            )
-                            if (
-                                anchor.base_preemptions + cost
-                                > preemption_bound
-                            ):
-                                continue
-                            acid = cid
-                            if folder is not None:
-                                canonical = folder.canonical(
-                                    acid, anchor.runnable, anchor.live
-                                )
-                                if canonical != acid:
-                                    report.pruned_symmetry += 1
-                                    acid = canonical
-                            if acid in anchor.sleep:
-                                report.pruned_sleep += 1
-                                break
-                            try:
-                                aindex = anchor.runnable.index(acid)
-                            except ValueError:
-                                continue
-                            if aindex not in anchor.done:
-                                anchor.done.add(aindex)
-                                report.pruned_dpor -= 1
-                                anchor_key = record.trace[:back]
-                                frontier.append(anchor_key + (aindex,))
-                            break
+                    if node.cost(cid) <= preemption_bound:
+                        branch(node_key, node, index)
                         continue
+                    report.pruned_preemption += 1
                     node.done.add(index)
-                    report.pruned_dpor -= 1
-                    frontier.append(node_key + (index,))
+                    # Bounded-search completeness patch (the
+                    # conservative points of bounded partial-order
+                    # reduction): a race-derived backtrack that busts
+                    # the preemption budget may still be coverable by
+                    # deviating earlier. The latest budget-feasible
+                    # ancestor always includes the path's own last
+                    # context switch (deviating there costs exactly the
+                    # switch the path already paid), so anchor the
+                    # request there instead of silently dropping the
+                    # class.
+                    for back in range(depth - 1, -1, -1):
+                        anchor_key = record.trace[:back]
+                        anchor = nodes.get(anchor_key)
+                        if anchor is None or anchor.cost(cid) > preemption_bound:
+                            continue
+                        acid = fold(cid, anchor)
+                        if acid in anchor.sleep:
+                            report.pruned_sleep += 1
+                            break
+                        try:
+                            aindex = anchor.runnable.index(acid)
+                        except ValueError:
+                            continue
+                        if aindex not in anchor.done:
+                            branch(anchor_key, anchor, aindex)
+                        break
                 continue
 
             # Expand: deviate from this run at every depth past the
@@ -936,14 +909,10 @@ def explore(
                 for index, cid in enumerate(runnable):
                     if index == chosen_index:
                         continue
-                    switch_cost = (
-                        1
-                        if previous is not None
-                        and cid != previous
-                        and previous in runnable
-                        else 0
-                    )
-                    if base_preemptions + switch_cost > preemption_bound:
+                    if (
+                        base_preemptions + _switch_cost(previous, runnable, cid)
+                        > preemption_bound
+                    ):
                         report.pruned_preemption += 1
                         continue
                     pending = _next_effect_at(record, depth, cid)

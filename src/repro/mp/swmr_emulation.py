@@ -417,10 +417,6 @@ class RegisterEmulation:
             raise ConfigurationError("cannot add registers after replicas started")
         self._specs[name] = EmulatedRegisterSpec(name, writer, freeze(initial))
 
-    def register_names(self) -> Tuple[str, ...]:
-        """All declared emulated register names."""
-        return tuple(self._specs)
-
     def state_of(self, pid: int) -> ReplicaCore:
         """The replica core of ``pid`` (created on first use)."""
         if pid not in self._states:

@@ -26,7 +26,6 @@ diagnosis names the stuck operations and what the chaos layer cut).
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -417,8 +416,3 @@ async def _run_live(profile: LiveProfile) -> LiveRunReport:
 def run_live(profile: LiveProfile) -> LiveRunReport:
     """Deploy, load, and judge one live cluster (blocking entry point)."""
     return asyncio.run(_run_live(profile))
-
-
-def report_to_json_str(report: LiveRunReport) -> str:
-    """Stable serialization of a report (sorted keys, 2-space indent)."""
-    return json.dumps(report.to_json(), sort_keys=True, indent=2)

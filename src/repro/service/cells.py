@@ -7,9 +7,11 @@ loudly instead of executing the wrong thing. Scenario params survive
 the round trip as the hashable tuples their labels and fingerprints
 were derived from (the same thaw the corpus loader applies). The queue
 is a trust boundary: a document of the wrong shape — a missing key, a
-non-integer budget, bound or pid, an unknown engine or reduction —
-fails the lease with a :class:`~repro.errors.ConfigurationError`, never
-a bare ``KeyError`` or a silently coerced value.
+non-integer budget, bound or pid, a budget below 1 or a negative bound
+(either would report clean for work never done), an unknown engine or
+reduction — fails the lease with a
+:class:`~repro.errors.ConfigurationError`, never a bare ``KeyError`` or
+a silently coerced value.
 
 ``cell_fingerprint`` is the cross-run identity used by the results
 database: two submissions of the same matrix cell (same family, engine,
@@ -20,7 +22,7 @@ what makes verdict drift between runs a single indexed query.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.campaign.corpus import thaw_params
 from repro.campaign.matrix import CampaignCell
@@ -50,14 +52,21 @@ def cell_to_json(cell: CampaignCell) -> Dict[str, Any]:
     }
 
 
-def _field(data: Dict[str, Any], key: str, kind: type) -> Any:
-    """``data[key]``, which must be a ``kind`` (a bool is no int here)."""
+def _field(
+    data: Dict[str, Any], key: str, kind: type, minimum: Optional[int] = None
+) -> Any:
+    """``data[key]``, which must be a ``kind`` (a bool is no int here)
+    and, when ``minimum`` is given, at least ``minimum``."""
     if key not in data:
         raise ConfigurationError(f"queued cell lacks {key!r}")
     value = data[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigurationError(
             f"queued cell field {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(
+            f"queued cell field {key!r} must be >= {minimum}, got {value!r}"
         )
     return value
 
@@ -93,11 +102,11 @@ def cell_from_json(data: Any) -> CampaignCell:
             thaw_params(_field(scenario, "params", list)),
         ),
         engine=_choice(_field(data, "engine", str), "engine", CELL_ENGINES),
-        budget=_field(data, "budget", int),
+        budget=_field(data, "budget", int, minimum=1),
         expect_violation=_field(data, "expect_violation", bool),
         seed0=_field(data, "seed0", int),
-        depth_bound=_field(data, "depth_bound", int),
-        preemption_bound=_field(data, "preemption_bound", int),
+        depth_bound=_field(data, "depth_bound", int, minimum=0),
+        preemption_bound=_field(data, "preemption_bound", int, minimum=0),
         # Documents queued before the dpor reductions existed carry
         # neither key; they were (and remain) sleep-baseline cells.
         reduction=_choice(data.get("reduction", "sleep"), "reduction", REDUCTIONS),

@@ -23,7 +23,6 @@ worker that *appears* dead but finishes late changes nothing.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -282,15 +281,3 @@ def worker_entry(
 ) -> None:
     """Module-level process target for spawned worker fleets."""
     run_worker(db, run_id=run_id, worker=worker, lease_ttl=lease_ttl)
-
-
-def _payload_to_violation(payload: Union[str, dict]):
-    """Rebuild a :class:`repro.scenarios.Violation` from its row."""
-    data = json.loads(payload) if isinstance(payload, str) else payload
-    return Violation(
-        scenario=data["scenario"],
-        reason=data["reason"],
-        trace=tuple(int(index) for index in data["trace"]),
-        schedule=data.get("schedule", ""),
-        seed=data.get("seed"),
-    )

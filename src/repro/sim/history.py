@@ -305,18 +305,6 @@ class History:
         merged._fp_stale = True
         return merged
 
-    def completions(self) -> Iterable[List[OperationRecord]]:
-        """Yield completions of this history (Definition 2), lazily.
-
-        Each completion either removes or completes every incomplete
-        operation. Completing requires a response value, which depends on
-        the object's type; rather than guess here, this method only yields
-        the *removal* completion plus hooks for checkers to extend. The
-        full enumeration with typed responses lives in
-        ``repro.spec.linearizability``.
-        """
-        yield [r for r in self.all() if r.complete]
-
     def max_time(self) -> int:
         """The largest event time recorded (0 for an empty history)."""
         latest = 0

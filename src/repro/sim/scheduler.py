@@ -329,12 +329,13 @@ class TraceScheduler(Scheduler):
     prefix is not realizable against this scenario), then delegates to
     ``fallback`` — round robin unless specified, so every bounded prefix
     extends to a *fair* completion. The decision-index :attr:`trace` is
-    recorded for the whole run (it is the replay script); the heavier
-    per-step observations — :attr:`chosen`, :attr:`runnables`, and
-    :attr:`cumulative_preemptions` — are only kept for the first
+    recorded for the whole run (it is the replay script); the runnable
+    tuple of each step (:attr:`runnables`) is only kept for the first
     ``horizon`` steps, which is all the systematic explorer's frontier
-    expansion reads. ``horizon=None`` (the default) records everything,
-    preserving the original contract for replay tooling and tests.
+    expansion reads (``horizon=None``, the default, keeps it for every
+    step). The coroutine chosen at such a step is
+    ``runnables[i][trace[i]]``; counting preemptions is the explorer's
+    job.
     """
 
     def __init__(
@@ -357,21 +358,12 @@ class TraceScheduler(Scheduler):
         )
         self._rr_seen: Optional[Tuple[CoroutineId, ...]] = None
         self._rr_index = -1
-        self._horizon = horizon
         #: Single int compare on the hot path (huge -> record forever).
         self._record_until = (1 << 62) if horizon is None else horizon
-        self._last_chosen: Optional[CoroutineId] = None
         #: Index chosen at each step (prefix entries included).
         self.trace: List[int] = []
-        #: Coroutine chosen at each of the first ``horizon`` steps.
-        self.chosen: List[CoroutineId] = []
         #: Runnable tuple at each of the first ``horizon`` steps.
         self.runnables: List[Tuple[CoroutineId, ...]] = []
-        #: ``cumulative_preemptions[i]`` = preemptions among steps < i. A
-        #: *preemption* is a switch away from a coroutine that could have
-        #: continued (it is still in the runnable set). Kept for the
-        #: first ``horizon`` steps.
-        self.cumulative_preemptions: List[int] = [0]
 
     def select(self, runnable: Sequence[CoroutineId], clock: int) -> CoroutineId:
         trace = self.trace
@@ -413,15 +405,7 @@ class TraceScheduler(Scheduler):
             choice = self._fallback.select(runnable, clock)
             index = runnable.index(choice)
         if depth < self._record_until:
-            previous = self._last_chosen
-            preempted = (
-                previous is not None and choice != previous and previous in runnable
-            )
-            preemptions = self.cumulative_preemptions
-            preemptions.append(preemptions[-1] + (1 if preempted else 0))
             self.runnables.append(tuple(runnable))
-            self.chosen.append(choice)
-        self._last_chosen = choice
         trace.append(index)
         return choice
 

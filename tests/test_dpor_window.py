@@ -256,6 +256,16 @@ def test_window_record_matches_full_trace_oracle(cell, monkeypatch):
                 for cid in runnable:
                     if cid in chosen[depth:]:
                         assert cid in record.chosen[depth:]
+        # ... whose preemption counts are the textbook ones: step i
+        # preempts when it switches away from a coroutine still
+        # runnable at i ...
+        expected = [0]
+        for i, runnable in enumerate(runnables):
+            preempted = (
+                i > 0 and chosen[i] != chosen[i - 1] and chosen[i - 1] in runnable
+            )
+            expected.append(expected[-1] + int(preempted))
+        assert list(record.cumulative_preemptions) == expected
         # ... so every search-loop query reads the same off both.
         horizon = min(depth_bound, len(record.trace), recorded)
         assert analyze_run(record.chosen, record.effects, horizon) == (

@@ -56,8 +56,14 @@ class TestTraceScheduler:
         scheduler = system.scheduler
         assert scheduler.trace[:3] == [0, 0, 1]
         assert len(scheduler.trace) == 9  # 3 coroutines x (2 pauses + finish)
-        assert scheduler.cumulative_preemptions[0] == 0
-        assert scheduler.cumulative_preemptions[-1] >= 1
+        assert len(scheduler.runnables) == 9
+        # Preemptions are counted off the explorer's record: (0, 0, 1)
+        # switches away from a still-runnable coroutine at step 2.
+        record = execute_trace(
+            make_scenario("theorem29", f=1), (0, 0, 1), depth_bound=3
+        )
+        assert record.trace[:3] == (0, 0, 1)
+        assert record.cumulative_preemptions == (0, 0, 0, 1)
 
     def test_unrealizable_prefix_raises(self):
         from repro.sim.process import pause_steps
@@ -160,16 +166,6 @@ class TestSystematicExplorer:
         assert report.pruned_sleep > 0
         assert report.unique_states > 0
 
-    def test_bfs_mode_also_finds_it(self):
-        report = explore(
-            make_scenario("theorem29", f=1),
-            budget=300,
-            mode="bfs",
-            stop_on_violation=True,
-            **BOUNDS,
-        )
-        assert report.violations, report.summary()
-
     def test_commutation_table(self):
         read_a, read_b = ("read", "x"), ("read", "y")
         write_a, write_b = ("write", "x"), ("write", "y")
@@ -188,13 +184,12 @@ class TestSystematicExplorer:
         assert commutes(await_xy, ("wait", "x"))
         assert commutes(await_xy, ("send", 1))
 
-    @pytest.mark.parametrize("mode", ["dfs", "bfs"])
-    def test_search_is_deterministic(self, mode):
+    def test_search_is_deterministic(self):
         # Re-execution from the root is the only executor: two searches
         # of the same tree must agree on every counter and violation.
         scenario = make_scenario("theorem29", f=1)
-        first = explore(scenario, budget=60, mode=mode, **BOUNDS)
-        second = explore(scenario, budget=60, mode=mode, **BOUNDS)
+        first = explore(scenario, budget=60, **BOUNDS)
+        second = explore(scenario, budget=60, **BOUNDS)
         assert first.violations
         assert _report_facts(first) == _report_facts(second)
 
@@ -226,6 +221,13 @@ class TestSystematicExplorer:
     def test_only_the_replay_executor_exists(self, engine):
         with pytest.raises(ValueError, match="prefix_sharing"):
             explore(make_scenario("theorem29", f=1), prefix_sharing=engine)
+
+    @pytest.mark.parametrize("bound", ["depth_bound", "preemption_bound"])
+    def test_negative_bounds_are_refused(self, bound):
+        # A negative bound drains an empty tree: without the refusal the
+        # violating n = 3f cell would read "exhausted, no violations".
+        with pytest.raises(ValueError, match=bound):
+            explore(make_scenario("theorem29", f=1), **{**BOUNDS, bound: -1})
 
     def test_scenario_bug_in_a_run_propagates(self, monkeypatch):
         # A scenario bug raised while finishing a deviated run must fail
@@ -466,6 +468,15 @@ class TestExploreCli:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "ScriptedScheduler" in out  # the shrunk script was printed
+
+    @pytest.mark.parametrize("flag", ["--depth", "--preempt"])
+    def test_explore_refuses_negative_bounds(self, flag, capsys):
+        from repro.analysis.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", flag, "-1"])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
 
     def test_explore_help_exits_cleanly(self):
         from repro.analysis.__main__ import main

@@ -157,6 +157,9 @@ class TestCellCodecFuzz:
         [
             ({"budget": True}, "budget"),
             ({"budget": 2.7}, "budget"),
+            ({"budget": 0}, "budget"),
+            ({"depth_bound": -1}, "depth_bound"),
+            ({"preemption_bound": -1}, "preemption_bound"),
             ({"engine": "warp"}, "engine"),
             ({"reduction": "bogus"}, "reduction"),
             ({"symmetry": [["4"]]}, "symmetry"),
