@@ -15,11 +15,18 @@ Families:
   lets readers see/verify it, then erases everything and "denies".
 * **Equivocating writer** (Section 8's motivation) — rapidly writes
   different values, trying to show different readers different data.
-* **Lying witness** — claims to witness values nobody wrote, or refuses
-  to acknowledge values everybody wrote; replies to askers with
-  fabricated sets.
-* **Flip-flop witness** — answers "yes" to early askers and "no" to
-  later ones; the behaviour Section 5.1's set0/set1 machinery defeats.
+* **Forking owner** (Obs 24) — a sticky register's owner flip-flops
+  its echo between two values and mirrors each asker's own echo back.
+* **Witness-layer helpers** — every one writes ``(report, counter)``
+  into its reply channels ``R[pid->k]`` through the one serve loop,
+  :func:`serve_askers`, and differs only in the report (and in what it
+  writes before serving): the *lying* witness claims values nobody
+  wrote; the *stonewalling* witness reports :func:`no_witness` ("I
+  witness nothing": ``⊥`` on sticky registers, the empty set elsewhere);
+  the *denying* witness joins the writers' quorums first and then
+  stonewalls; the *flip-flop* witness answers "yes" to early askers and
+  "no" to later ones, the behaviour Section 5.1's set0/set1 machinery
+  defeats.
 
 Each factory returns a generator ready for ``System.spawn``.
 """
@@ -27,14 +34,14 @@ Each factory returns a generator ready for ``System.spawn``.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.authenticated import AuthenticatedRegister
+from repro.core.authenticated import AuthenticatedRegister, well_formed_tuples
 from repro.core.sticky import StickyRegister
 from repro.core.verifiable import VerifiableRegister
 from repro.sim.effects import ReadRegister, WriteRegister
 from repro.sim.process import Program, idle_forever, pause_steps
-from repro.sim.values import BOTTOM, freeze
+from repro.sim.values import BOTTOM, freeze, is_bottom
 
 
 # ----------------------------------------------------------------------
@@ -224,9 +231,95 @@ def equivocating_writer_sticky(
     return program()
 
 
+def forking_owner_sticky(
+    register: StickyRegister, pid: int, forks: Tuple[Any, Any]
+) -> Program:
+    """Flip-flop + mirror-serve a sticky register between two forks (Obs 24).
+
+    The Byzantine owner flip-flops its echo register between the two
+    fork values and — acting as its own register's only
+    truthful-looking witness — *mirrors* each asker's own echo back at
+    it, so a reader that echoed fork ``a`` collects matching ``a``
+    reports and one that echoed ``b`` collects ``b``. At ``n = 3f + 1``
+    the ``n - f``-echo witness rule lets at most one fork ever be
+    witnessed, so every correct read agrees. At ``n = 3f`` the rule
+    degrades to "the owner's echo plus one correct echo", both forks
+    are witnessable, and two correct readers settle different forks.
+
+    It keeps its own reply loop (not :func:`serve_askers`): the echo
+    read sits between the counter read and the reply write.
+    """
+    helpers = [k for k in register.readers if k != pid]
+
+    def program() -> Program:
+        # Phase 1 — blind churn, one flip per step: which fork a correct
+        # helper's (sticky) echo commits to is decided by the scheduler,
+        # not by arrival order. 64 flips comfortably cover every
+        # helper's first echo under the exploration schedulers.
+        side = 0
+        for _ in range(64):
+            yield WriteRegister(register.reg_echo(pid), forks[side])
+            side = 1 - side
+        # Phase 2 — mirror-serve, still flipping: each asker is answered
+        # with its *own* echo, so a reader's matching-report quorum
+        # closes around its side of the fork (at n = 3f) instead of
+        # stalling; the continued flips let each side's helper meet the
+        # echo-witness rule for its own fork, which keeps reads live
+        # (and at n = 3f + 1 can never push the minority fork to the
+        # n - f echo quorum).
+        while True:
+            yield WriteRegister(register.reg_echo(pid), forks[side])
+            side = 1 - side
+            for k in helpers:
+                counter_raw = yield ReadRegister(register.reg_counter(k))
+                counter = counter_raw if isinstance(counter_raw, int) else 0
+                echoed = yield ReadRegister(register.reg_echo(k))
+                yield WriteRegister(
+                    register.reg_reply(pid, k),
+                    (echoed if not is_bottom(echoed) else BOTTOM, counter),
+                )
+
+    return program()
+
+
 # ----------------------------------------------------------------------
 # Byzantine helpers (witness-layer attacks)
 # ----------------------------------------------------------------------
+def no_witness(register: Any, *_: Any) -> Any:
+    """The "I witness nothing" report: ``⊥`` for a sticky register, the
+    empty set for the set-valued witness registers of the others (extra
+    arguments are ignored, so it serves as a :func:`serve_askers` report)."""
+    return BOTTOM if isinstance(register, StickyRegister) else frozenset()
+
+
+def serve_askers(
+    registers: Sequence[Any],
+    pid: int,
+    report: Callable[[Any, int, int], Any],
+    period: int,
+    before: Optional[Callable[[Any], Program]] = None,
+) -> Program:
+    """Answer every asker of every register forever: the one reply loop.
+
+    For each register a pass runs ``before(register)`` first, then, for
+    every reader ``k != pid``, reads ``k``'s counter and writes
+    ``(report(register, k, counter), counter)`` into ``R[pid->k]``; the
+    pass ends with ``period`` pauses. A malformed counter reads as 0.
+    """
+    while True:
+        for register in registers:
+            if before is not None:
+                yield from before(register)
+            for k in register.readers:
+                if k == pid:
+                    continue
+                counter_raw = yield ReadRegister(register.reg_counter(k))
+                counter = counter_raw if isinstance(counter_raw, int) else 0
+                reply = report(register, k, counter)
+                yield WriteRegister(register.reg_reply(pid, k), (reply, counter))
+        yield from pause_steps(period)
+
+
 def lying_witness(
     impl: Any,
     pid: int,
@@ -247,37 +340,58 @@ def lying_witness(
 
     def program() -> Program:
         yield WriteRegister(impl.reg_witness(pid), fake)
-        while True:
-            for k in impl.readers:
-                if k == pid:
-                    continue
-                counter_raw = yield ReadRegister(impl.reg_counter(k))
-                counter = counter_raw if isinstance(counter_raw, int) else 0
-                yield WriteRegister(impl.reg_reply(pid, k), (fake, counter))
-            yield from pause_steps(serve_period)
+        yield from serve_askers([impl], pid, lambda *_: fake, serve_period)
 
     return program()
 
 
-def stonewalling_witness(impl: Any, pid: int) -> Program:
-    """A helper that answers every asker with the empty witness set.
+def stonewalling_witness(
+    registers: Sequence[Any], pid: int, period: int = 2
+) -> Program:
+    """A helper that answers every asker with :func:`no_witness`.
 
     Unlike :func:`silent` it *does* reply (so verifiers classify it into
-    ``set0`` quickly), always claiming to have witnessed nothing — a
-    targeted attempt to drive ``|set0| > f``.
+    ``set0`` / ``set⊥`` quickly), always claiming to have witnessed
+    nothing — a targeted attempt to drive ``|set0| > f`` (or a sticky
+    read's ``f + 1`` ⊥-reports, Obs 22). Registers ``pid`` owns are
+    skipped. Measured result: a register with a *correct* owner survives
+    this even at ``n = 3f``, because the owner's and the reader's own
+    helpers already form the needed quorum.
+    """
+    helped = [register for register in registers if register.writer != pid]
+    return serve_askers(helped, pid, no_witness, period)
+
+
+def denying_witness(registers: Sequence[Any], pid: int) -> Program:
+    """Witness-then-deny: speed writes to completion, starve the readers.
+
+    The composition of the Theorem 29 "raise the witness, then act as if
+    you never stepped" move and the E12 staging, against sticky or
+    authenticated registers: before serving a register's askers it
+    *eagerly* copies the owner's current value into its own echo/witness
+    registers — so writes reach their ``n - f`` witness quorum with the
+    Byzantine process as a member — while answering every asker with
+    :func:`no_witness`. The aim is a write whose quorum is
+    ``{owner, Byzantine}`` followed by a read that collects ``f + 1``
+    "nothing" reports (Obs 22's validity break). Measured result: the
+    helpers' self-echo closes the window — a correct helper that serves
+    an asker has already run its echo/witness duties in the same
+    iteration — so correct-owner registers survive it even at ``n = 3f``.
     """
 
-    def program() -> Program:
-        while True:
-            for k in impl.readers:
-                if k == pid:
-                    continue
-                counter_raw = yield ReadRegister(impl.reg_counter(k))
-                counter = counter_raw if isinstance(counter_raw, int) else 0
-                yield WriteRegister(impl.reg_reply(pid, k), (frozenset(), counter))
-            yield from pause_steps(2)
+    def join_quorum(register: Any) -> Program:
+        if isinstance(register, StickyRegister):
+            value = yield ReadRegister(register.reg_echo(register.writer))
+            if not is_bottom(value):
+                yield WriteRegister(register.reg_echo(pid), value)
+                yield WriteRegister(register.reg_witness(pid), value)
+        else:
+            raw = yield ReadRegister(register.reg_witness(register.writer))
+            values = frozenset(value for _ts, value in well_formed_tuples(raw))
+            yield WriteRegister(register.reg_witness(pid), values | {register.initial})
 
-    return program()
+    helped = [register for register in registers if register.writer != pid]
+    return serve_askers(helped, pid, no_witness, 1, before=join_quorum)
 
 
 def flip_flop_witness(
@@ -297,27 +411,19 @@ def flip_flop_witness(
     immune (a process that ever said yes lands in the verifier's
     monotonic ``set1`` and is never consulted again).
     """
-    value = freeze(value)
+    yes_set = frozenset({freeze(value)})
+    no_set: frozenset = frozenset()
+    last_counter: dict = {}
+    rounds_served = 0
 
-    def program() -> Program:
-        yes_set = frozenset({value})
-        no_set: frozenset = frozenset()
-        last_counter: dict = {}
-        rounds_served = 0
-        while True:
-            for k in impl.readers:
-                if k == pid:
-                    continue
-                counter_raw = yield ReadRegister(impl.reg_counter(k))
-                counter = counter_raw if isinstance(counter_raw, int) else 0
-                if counter > last_counter.get(k, 0):
-                    last_counter[k] = counter
-                    rounds_served += 1
-                reply = yes_set if rounds_served <= yes_rounds else no_set
-                yield WriteRegister(impl.reg_reply(pid, k), (reply, counter))
-            yield from pause_steps(1)
+    def report(_register: Any, k: int, counter: int) -> frozenset:
+        nonlocal rounds_served
+        if counter > last_counter.get(k, 0):
+            last_counter[k] = counter
+            rounds_served += 1
+        return yes_set if rounds_served <= yes_rounds else no_set
 
-    return program()
+    return serve_askers([impl], pid, report, 1)
 
 
 def sticky_lying_witness(
@@ -338,13 +444,6 @@ def sticky_lying_witness(
     def program() -> Program:
         yield WriteRegister(reg.reg_echo(pid), claim)
         yield WriteRegister(reg.reg_witness(pid), claim)
-        while True:
-            for k in reg.readers:
-                if k == pid:
-                    continue
-                counter_raw = yield ReadRegister(reg.reg_counter(k))
-                counter = counter_raw if isinstance(counter_raw, int) else 0
-                yield WriteRegister(reg.reg_reply(pid, k), (claim, counter))
-            yield from pause_steps(serve_period)
+        yield from serve_askers([reg], pid, lambda *_: claim, serve_period)
 
     return program()

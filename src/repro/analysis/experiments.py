@@ -41,6 +41,7 @@ from repro.core import (
     TestOrSetFromSticky,
     TestOrSetFromVerifiable,
     VerifiableRegister,
+    as_reply_pair,
 )
 from repro.errors import StepLimitExceeded
 from repro.mp import (
@@ -652,14 +653,10 @@ def ablation_set0_reset(max_steps: int = 60_000) -> Tuple[Headers, Rows]:
         system.spawn(2, "client", verifier.program())
 
         def p3_replied_no() -> bool:
-            raw = system.registers.peek(register.reg_reply(3, 2))
-            return (
-                isinstance(raw, tuple)
-                and len(raw) == 2
-                and isinstance(raw[1], int)
-                and raw[1] >= 1
-                and 7 not in raw[0]
+            payload, counter = as_reply_pair(
+                system.registers.peek(register.reg_reply(3, 2))
             )
+            return counter is not None and counter >= 1 and 7 not in payload
 
         system.run_until(p3_replied_no, max_steps, label="p3's no-reply")
         system.run(600)  # let the verifier consume the reply
@@ -713,9 +710,6 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
     returns ⊥ — violating validity (Obs 22). With the paper's wait the
     Write cannot return that early and the Read gets the value.
     """
-    from repro.sim.values import BOTTOM, is_bottom
-    from repro.sim.effects import Pause, ReadRegister
-
     rows: Rows = []
     for wait in (True, False):
         system = System(n=4)
@@ -723,20 +717,10 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
         register.install()
         system.declare_byzantine(4)
 
-        def bottom_stonewaller():
-            # Replies "I witness nothing" (⊥) to every asker round, fast.
-            while True:
-                for k in register.readers:
-                    if k == 4:
-                        continue
-                    counter = yield ReadRegister(register.reg_counter(k))
-                    counter = counter if isinstance(counter, int) else 0
-                    yield WriteRegister(
-                        register.reg_reply(4, k), (BOTTOM, counter)
-                    )
-                yield Pause()
-
-        system.spawn(4, "client", bottom_stonewaller())
+        # Replies "I witness nothing" (⊥) to every asker round, fast.
+        system.spawn(
+            4, "client", behaviors.stonewalling_witness([register], 4, period=1)
+        )
 
         # Shared timeline for both variants: only p3's helper is up when
         # the Write is issued; p1's and p2's helpers are slow (legal

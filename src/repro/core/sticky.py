@@ -32,25 +32,13 @@ Comments cite Algorithm 3's line numbers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
-from repro.core.interfaces import DONE, AlgorithmBase, as_int
+from repro.core.interfaces import DONE, AlgorithmBase, as_int, as_reply_pair
 from repro.sim.effects import Pause, ReadRegister, WriteRegister
 from repro.sim.process import Program
 from repro.sim.registers import RegisterSpec, swmr, swsr
 from repro.sim.values import BOTTOM, freeze, is_bottom
-
-
-def reply_pair(raw: Any) -> Tuple[Any, Optional[int]]:
-    """Parse ``R_jk`` as ``(value-or-⊥, counter)``; garbage never unblocks."""
-    if (
-        isinstance(raw, tuple)
-        and len(raw) == 2
-        and isinstance(raw[1], int)
-        and not isinstance(raw[1], bool)
-    ):
-        return raw[0], raw[1]
-    return BOTTOM, None
 
 
 class StickyRegister(AlgorithmBase):
@@ -166,7 +154,7 @@ class StickyRegister(AlgorithmBase):
                     continue
                 for j in pending:
                     raw = yield ReadRegister(self.reg_reply(j, pid))  # line 13
-                    uj, cj = reply_pair(raw)
+                    uj, cj = as_reply_pair(raw)
                     if cj is not None and cj >= ck:  # line 14
                         chosen_j = j
                         chosen_value = uj

@@ -35,10 +35,17 @@ correct processes and then rewritten so the spec can replay it —
   message is explainable while a *forked* slot — two correct receivers
   delivering different messages — is not.
 
+Adversaries: :data:`APP_ADVERSARIES` names the behaviours a cell may
+cast and :func:`_app_adversary` maps each name to a program. The
+witness-layer attacks (``stonewall``, ``deny``) and the forking owner
+behind ``equivocate`` are :mod:`repro.adversary.behaviors` programs
+pointed at the app's backing registers; only the snapshot-only
+``byzantine_updater`` is written here.
+
 Topology note: at ``n = 3f + 1`` all applications must be clean under
-every behaviour here (the paper's n > 3f translations). At ``n = 3f``
-the equivocating-owner/sender attack forks a sticky register and two
-correct processes settle different values — the asset-transfer double
+every one of those behaviours (the paper's n > 3f translations). At
+``n = 3f`` the equivocating-owner/sender attack forks a sticky register
+and two correct processes settle different values — the asset-transfer double
 spend and the broadcast integrity break the violating campaign cells
 pin. The snapshot cells pin clean at both boundaries under the
 reader-side behaviours *and* under ``byzantine_updater`` now that
@@ -63,9 +70,8 @@ from repro.apps import (
 from repro.core.sticky import StickyRegister
 from repro.errors import ConfigurationError
 from repro.sim import OpCall, ScriptClient, System
-from repro.sim.effects import ReadRegister, WriteRegister
 from repro.sim.process import all_done, pause_steps
-from repro.sim.values import BOTTOM, freeze, is_bottom
+from repro.sim.values import freeze, is_bottom
 from repro.spec.context import CheckContext
 from repro.spec.judge import judge
 from repro.spec.sequential import (
@@ -74,7 +80,11 @@ from repro.spec.sequential import (
     SnapshotSpec,
 )
 from repro.scenarios.bindings import binding_for
-from repro.scenarios.registry import BuiltScenario, register_builder
+from repro.scenarios.registry import (
+    BuiltScenario,
+    declare_byzantine,
+    register_builder,
+)
 
 #: Byzantine behaviours an app scenario may assign (pid -> name pairs).
 APP_ADVERSARIES = (
@@ -112,106 +122,6 @@ def _backing_registers(app: Any) -> List[Any]:
     return registers
 
 
-def _app_stonewaller(app: Any, pid: int) -> Any:
-    """Answer every asker of every backing register with "nothing".
-
-    The app-level analogue of
-    :func:`repro.adversary.behaviors.stonewalling_witness`: for each
-    backing register the pid helps (but does not own), it serves every
-    asker round with the empty witness report — ``⊥`` for sticky logs,
-    the empty set for authenticated segments. Measured result: a
-    register with a *correct* owner survives this even at ``n = 3f``,
-    because the owner's and the reader's own helpers already form the
-    needed quorum — which is exactly why the campaign's snapshot cells
-    pin clean at both boundaries.
-    """
-    registers = [
-        register
-        for register in _backing_registers(app)
-        if register.writer != pid
-    ]
-
-    def program() -> Any:
-        while True:
-            for register in registers:
-                empty: Any = (
-                    BOTTOM
-                    if isinstance(register, StickyRegister)
-                    else frozenset()
-                )
-                for k in register.readers:
-                    if k == pid:
-                        continue
-                    counter_raw = yield ReadRegister(register.reg_counter(k))
-                    counter = counter_raw if isinstance(counter_raw, int) else 0
-                    yield WriteRegister(
-                        register.reg_reply(pid, k), (empty, counter)
-                    )
-            yield from pause_steps(1)
-
-    return program()
-
-
-def _app_denier(app: Any, pid: int) -> Any:
-    """Witness-then-deny: speed writes to completion, starve the readers.
-
-    The app-level composition of the Theorem 29 "raise the witness,
-    then act as if you never stepped" move and the E12 staging: for
-    every backing register the pid helps, it *eagerly* copies the
-    owner's current value into its own echo/witness registers — so
-    writes reach their ``n - f`` witness quorum with the Byzantine
-    process as a member — while answering every asker round with the
-    empty report. The aim is a write whose quorum is
-    ``{owner, Byzantine}`` followed by a read that collects ``f + 1``
-    "nothing" reports (Obs 22's validity break). Measured result: the
-    helpers' self-echo closes the window — a correct helper that serves
-    an asker has already run its echo/witness duties in the same
-    iteration — so correct-owner registers survive this behaviour even
-    at ``n = 3f``; it stays in the catalogue as the strongest honest
-    reader-side attack (the snapshot cells pin clean under it).
-    """
-    from repro.core.authenticated import well_formed_tuples
-
-    registers = [
-        register
-        for register in _backing_registers(app)
-        if register.writer != pid
-    ]
-
-    def program() -> Any:
-        while True:
-            for register in registers:
-                if isinstance(register, StickyRegister):
-                    value = yield ReadRegister(register.reg_echo(register.writer))
-                    if not is_bottom(value):
-                        yield WriteRegister(register.reg_echo(pid), value)
-                        yield WriteRegister(register.reg_witness(pid), value)
-                    empty: Any = BOTTOM
-                else:
-                    raw = yield ReadRegister(
-                        register.reg_witness(register.writer)
-                    )
-                    values = frozenset(
-                        value for _ts, value in well_formed_tuples(raw)
-                    )
-                    yield WriteRegister(
-                        register.reg_witness(pid),
-                        values | {register.initial},
-                    )
-                    empty = frozenset()
-                for k in register.readers:
-                    if k == pid:
-                        continue
-                    counter_raw = yield ReadRegister(register.reg_counter(k))
-                    counter = counter_raw if isinstance(counter_raw, int) else 0
-                    yield WriteRegister(
-                        register.reg_reply(pid, k), (empty, counter)
-                    )
-            yield from pause_steps(1)
-
-    return program()
-
-
 def _app_equivocator(app: Any, pid: int) -> Any:
     """Fork the owner's first sticky slot between two values (Obs 24).
 
@@ -221,7 +131,8 @@ def _app_equivocator(app: Any, pid: int) -> Any:
     correct payees) — the double spend; for the **broadcast** objects
     the Byzantine *sender* forks its slot-0 message register between two
     messages — the integrity/non-equivocation break. The sticky-register
-    mechanics are identical (see :func:`_sticky_fork_equivocator`): at
+    mechanics are identical (see
+    :func:`repro.adversary.behaviors.forking_owner_sticky`): at
     ``n = 3f + 1`` at most one fork is ever witnessable and the cells
     pin clean; at ``n = 3f`` two correct processes settle *different*
     forks — the violating cells.
@@ -245,55 +156,7 @@ def _app_equivocator(app: Any, pid: int) -> Any:
             "the equivocate behaviour targets sticky-backed apps "
             "(asset transfer, broadcast)"
         )
-    return _sticky_fork_equivocator(register, pid, forks)
-
-
-def _sticky_fork_equivocator(
-    register: StickyRegister, pid: int, forks: Tuple[Any, Any]
-) -> Any:
-    """Flip-flop + mirror-serve a sticky register between two forks.
-
-    The Byzantine owner flip-flops its echo register between the two
-    fork values and — acting as its own register's only
-    truthful-looking witness — *mirrors* each asker's own echo back at
-    it, so a reader that echoed fork ``a`` collects matching ``a``
-    reports and one that echoed ``b`` collects ``b``. At ``n = 3f + 1``
-    the ``n - f``-echo witness rule lets at most one fork ever be
-    witnessed, so every correct read agrees. At ``n = 3f`` the rule
-    degrades to "the owner's echo plus one correct echo", both forks
-    are witnessable, and two correct readers settle different forks.
-    """
-    helpers = [k for k in register.readers if k != pid]
-
-    def program() -> Any:
-        # Phase 1 — blind churn, one flip per step: which fork a correct
-        # helper's (sticky) echo commits to is decided by the scheduler,
-        # not by arrival order. 64 flips comfortably cover every
-        # helper's first echo under the exploration schedulers.
-        side = 0
-        for _ in range(64):
-            yield WriteRegister(register.reg_echo(pid), forks[side])
-            side = 1 - side
-        # Phase 2 — mirror-serve, still flipping: each asker is answered
-        # with its *own* echo, so a reader's matching-report quorum
-        # closes around its side of the fork (at n = 3f) instead of
-        # stalling; the continued flips let each side's helper meet the
-        # echo-witness rule for its own fork, which keeps reads live
-        # (and at n = 3f + 1 can never push the minority fork to the
-        # n - f echo quorum).
-        while True:
-            yield WriteRegister(register.reg_echo(pid), forks[side])
-            side = 1 - side
-            for k in helpers:
-                counter_raw = yield ReadRegister(register.reg_counter(k))
-                counter = counter_raw if isinstance(counter_raw, int) else 0
-                echoed = yield ReadRegister(register.reg_echo(k))
-                yield WriteRegister(
-                    register.reg_reply(pid, k),
-                    (echoed if not is_bottom(echoed) else BOTTOM, counter),
-                )
-
-    return program()
+    return behaviors.forking_owner_sticky(register, pid, forks)
 
 
 def _app_byzantine_updater(app: Any, pid: int, churn: int = 12) -> Any:
@@ -349,10 +212,13 @@ def _app_adversary(name: str, app: Any, pid: int, seed: int) -> Any:
     may legally write under the app — its own segment/log slots and its
     reply channels in everyone else's backing registers, so it attacks
     both the data and the witness protocol. ``silent`` never steps.
-    ``stonewall`` serves every witness query with the empty report (see
-    :func:`_app_stonewaller`); ``deny`` additionally joins the write
-    quorums first (see :func:`_app_denier`); ``equivocate`` forks the
-    owner's own sticky slot — transfer log or broadcast message (see
+    ``stonewall`` and ``deny`` run the library's witness-layer helpers
+    over every backing register the pid does not own, one pass per step
+    (:func:`~repro.adversary.behaviors.stonewalling_witness`: every
+    witness query gets the "nothing" report;
+    :func:`~repro.adversary.behaviors.denying_witness`: it joins the
+    write quorums first). ``equivocate`` forks the owner's own sticky
+    slot — transfer log or broadcast message (see
     :func:`_app_equivocator`); ``byzantine_updater`` churns genuine
     snapshot updates carrying stale embedded scans (see
     :func:`_app_byzantine_updater`).
@@ -364,9 +230,11 @@ def _app_adversary(name: str, app: Any, pid: int, seed: int) -> Any:
     if name == "silent":
         return behaviors.silent()
     if name == "stonewall":
-        return _app_stonewaller(app, pid)
+        return behaviors.stonewalling_witness(
+            _backing_registers(app), pid, period=1
+        )
     if name == "deny":
-        return _app_denier(app, pid)
+        return behaviors.denying_witness(_backing_registers(app), pid)
     if name == "equivocate":
         return _app_equivocator(app, pid)
     if name == "byzantine_updater":
@@ -374,21 +242,6 @@ def _app_adversary(name: str, app: Any, pid: int, seed: int) -> Any:
     raise ConfigurationError(
         f"unknown app adversary {name!r}; known: {', '.join(APP_ADVERSARIES)}"
     )
-
-
-def _declare_byzantine(
-    system: System, byzantine: Sequence[Tuple[int, str]]
-) -> Dict[int, str]:
-    """Validate and declare the Byzantine cast; returns pid -> behaviour."""
-    cast = dict(byzantine)
-    if len(cast) != len(tuple(byzantine)):
-        raise ConfigurationError(f"duplicate Byzantine pid in {byzantine!r}")
-    for pid in cast:
-        if pid not in system.pids:
-            raise ConfigurationError(f"Byzantine pid {pid} not in system")
-    if cast:
-        system.declare_byzantine(*cast)
-    return cast
 
 
 def _settled_slots(
@@ -462,7 +315,7 @@ def build_snapshot(
     snap = AtomicSnapshot(
         system, "snap", f=f, verify_freshness=verify_freshness
     ).install()
-    cast = _declare_byzantine(system, byzantine)
+    cast = declare_byzantine(system, byzantine)
     snap.start_helpers(sorted(system.correct))
     for pid, name in sorted(cast.items()):
         system.spawn(pid, "adv", _app_adversary(name, snap, pid, seed))
@@ -566,7 +419,7 @@ def build_asset_transfer(
         slots=max(transfers, 1),
         f=f,
     ).install()
-    cast = _declare_byzantine(system, byzantine)
+    cast = declare_byzantine(system, byzantine)
     assets.start_helpers(sorted(system.correct))
     for pid, name in sorted(cast.items()):
         system.spawn(pid, "adv", _app_adversary(name, assets, pid, seed))
@@ -680,7 +533,7 @@ def _build_broadcast_scenario(
     """
     system = System(n=n, f=f, scheduler=scheduler)
     app = app_factory(system, f=f, slots=slots).install()
-    cast = _declare_byzantine(system, byzantine)
+    cast = declare_byzantine(system, byzantine)
     app.start_helpers(sorted(system.correct))
     for pid, name in sorted(cast.items()):
         system.spawn(pid, "adv", _app_adversary(name, app, pid, seed))

@@ -46,6 +46,7 @@ from repro.scenarios.bindings import binding_for_kind
 from repro.scenarios.registry import (
     BuiltScenario,
     Scenario,
+    declare_byzantine,
     make_scenario,
     register_builder,
 )
@@ -195,7 +196,7 @@ def reader_adversary_program(
             return behaviors.sticky_lying_witness(register, pid, domain[0])
         return behaviors.lying_witness(register, pid, [d * 31 + 1 for d in domain])
     if name == "stonewall":
-        return behaviors.stonewalling_witness(register, pid)
+        return behaviors.stonewalling_witness([register], pid)
     if name == "flipflop":
         return behaviors.flip_flop_witness(register, pid, domain[0], yes_rounds=2)
     raise ConfigurationError(f"unknown reader adversary {name!r}")
@@ -235,18 +236,25 @@ def _build_register(
     ``(n - 1) // 3``. ``writer_adversary`` is ``"none"`` for a correct
     scripted writer, else a :data:`WRITER_ADVERSARIES` behaviour;
     ``reader_adversaries`` is a tuple of (pid, behaviour) pairs (not a
-    dict) so specs stay hashable.
+    dict) so specs stay hashable. A malformed cast — a pid cast twice,
+    the correct writer's pid, more than ``f`` pids — raises
+    :class:`ConfigurationError` before anything is spawned.
     """
-    readers_cast = dict(reader_adversaries)
     system = System(n=n, scheduler=scheduler)
     register = make_register(kind, system, "reg", writer=1)
     register.install()
 
-    byzantine = set(readers_cast)
-    if writer_adversary != "none":
-        byzantine.add(register.writer)
-    if byzantine:
-        system.declare_byzantine(*byzantine)
+    # A correct writer runs the scripted client, so its pid is not castable.
+    if writer_adversary == "none":
+        byzantine = declare_byzantine(
+            system, reader_adversaries, eligible=register.readers
+        )
+    else:
+        byzantine = declare_byzantine(
+            system,
+            ((register.writer, writer_adversary),) + tuple(reader_adversaries),
+        )
+    readers_cast = dict(reader_adversaries)
     register.start_helpers(sorted(system.correct))
 
     correct_readers = [pid for pid in register.readers if pid not in byzantine]

@@ -224,6 +224,27 @@ class BuiltScenario:
     check: Callable[[], Optional[str]]
 
 
+def declare_byzantine(
+    system: System,
+    cast: Sequence[Tuple[int, str]],
+    eligible: Optional[Sequence[int]] = None,
+) -> Dict[int, str]:
+    """Validate and declare a Byzantine cast; returns pid -> behaviour.
+
+    A pid runs one program, so a pid cast twice is refused, and so is one
+    outside ``eligible`` (default: every pid of ``system``). Builders call
+    this before they spawn anything.
+    """
+    by_pid = dict(cast)
+    if len(by_pid) != len(cast):
+        raise ConfigurationError(f"duplicate Byzantine pid in {cast!r}")
+    stray = set(by_pid) - set(system.pids if eligible is None else eligible)
+    if stray:
+        raise ConfigurationError(f"Byzantine pid(s) {sorted(stray)} cannot be cast")
+    system.declare_byzantine(*by_pid)
+    return by_pid
+
+
 def make_scenario(name: str, **params: Any) -> Scenario:
     """Build a :class:`Scenario` spec, validating the name eagerly."""
     _builder_for(name)  # raises on unknown names

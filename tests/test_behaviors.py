@@ -5,9 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import behaviors
-from repro.core import StickyRegister, VerifiableRegister
+from repro.core import (
+    AuthenticatedRegister,
+    StickyRegister,
+    VerifiableRegister,
+    as_reply_pair,
+)
 from repro.errors import OwnershipError
-from repro.sim import System
+from repro.sim import System, WriteRegister
+from repro.sim.values import is_bottom
 from tests.conftest import run_clients, spawn_script
 
 
@@ -82,7 +88,7 @@ class TestAttackBehaviorsAreSurvivable:
         if attack == "lying_witness":
             program = behaviors.lying_witness(register, 4, [777])
         elif attack == "stonewalling_witness":
-            program = behaviors.stonewalling_witness(register, 4)
+            program = behaviors.stonewalling_witness([register], 4)
         else:
             program = behaviors.flip_flop_witness(register, 4, 777, yes_rounds=1)
         system.spawn(4, "client", program)
@@ -96,6 +102,23 @@ class TestAttackBehaviorsAreSurvivable:
         assert reader.result_of("verify", 0) is True
         assert reader.result_of("verify", 1) is False
 
+    @pytest.mark.parametrize("kind", ["sticky", "authenticated"])
+    def test_stonewalling_witness_survivable(self, kind):
+        system = System(n=4)
+        if kind == "sticky":
+            register = StickyRegister(system, "s").install()
+            ops, expected = [("write", ("GOOD",))], "GOOD"
+        else:
+            register = AuthenticatedRegister(system, "a", initial=0).install()
+            ops, expected = [("write", (5,))], 5
+        system.declare_byzantine(4)
+        register.start_helpers([1, 2, 3])
+        system.spawn(4, "client", behaviors.stonewalling_witness([register], 4))
+        writer = spawn_script(system, register, 1, ops)
+        reader = spawn_script(system, register, 2, [("read", ())], delay=200)
+        run_clients(system, [writer, reader])
+        assert reader.result_of("read") == expected
+
     def test_sticky_lying_witness_survivable(self):
         system = System(n=4)
         register = StickyRegister(system, "s")
@@ -107,6 +130,60 @@ class TestAttackBehaviorsAreSurvivable:
         reader = spawn_script(system, register, 2, [("read", ())], delay=200)
         run_clients(system, [writer, reader])
         assert reader.result_of("read") == "GOOD"
+
+
+class TestWitnessReports:
+    """The "nothing" report is ``⊥`` on sticky registers, ``{}`` elsewhere."""
+
+    @pytest.mark.parametrize("kind", ["sticky", "verifiable"])
+    def test_stonewaller_replies_no_witness(self, kind):
+        system = System(n=4)
+        if kind == "sticky":
+            register = StickyRegister(system, "s").install()
+        else:
+            register = VerifiableRegister(system, "v", initial=0).install()
+        system.declare_byzantine(4)
+        system.spawn(4, "client", behaviors.stonewalling_witness([register], 4))
+        system.run(10)
+        assert system.metrics.writes >= 2  # one reply to each of p2, p3
+        for k in (2, 3):
+            payload, counter = as_reply_pair(
+                system.registers.peek(register.reg_reply(4, k))
+            )
+            assert counter == 0
+            if kind == "sticky":
+                # A sticky reader counts any non-⊥ payload as a witnessed
+                # value, so the empty set would be a lie, not a refusal.
+                assert is_bottom(payload)
+            else:
+                assert payload == frozenset()
+
+    def test_stonewaller_skips_the_registers_it_owns(self):
+        system = System(n=4)
+        own = StickyRegister(system, "own", writer=4).install()
+        system.declare_byzantine(4)
+        system.spawn(4, "client", behaviors.stonewalling_witness([own], 4))
+        system.run(50)
+        assert system.metrics.writes == 0
+
+    def test_denying_witness_joins_the_quorum_then_stonewalls(self):
+        system = System(n=4)
+        register = StickyRegister(system, "s").install()
+        system.declare_byzantine(4)
+
+        def echo_once():
+            yield WriteRegister(register.reg_echo(1), "V")
+
+        system.spawn(1, "client", echo_once())
+        system.spawn(4, "client", behaviors.denying_witness([register], 4))
+        system.run(40)
+        assert system.registers.peek(register.reg_echo(4)) == "V"
+        assert system.registers.peek(register.reg_witness(4)) == "V"
+        for k in (2, 3):
+            payload, _counter = as_reply_pair(
+                system.registers.peek(register.reg_reply(4, k))
+            )
+            assert is_bottom(payload)
 
 
 class TestDenyingWriters:

@@ -104,6 +104,30 @@ def test_verdicts_go_through_the_one_judge():
     assert not offenders, "\n".join(offenders)
 
 
+def test_reply_channels_are_written_only_by_core_and_adversary():
+    # A witness-layer attack is a write into R[j->k]; the adversary
+    # library owns that act (its one serve loop), so a scenario or an
+    # experiment that writes a reply channel is a hand-rolled attack.
+    offenders = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        relative = path.relative_to(PACKAGE_ROOT)
+        if relative.parts[0] in ("core", "adversary"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func, target = node.func, node.args[0]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if (
+                name == "WriteRegister"
+                and isinstance(target, ast.Call)
+                and getattr(target.func, "attr", "") == "reg_reply"
+            ):
+                offenders.append(f"{relative}:{node.lineno} writes a reply channel")
+    assert not offenders, "\n".join(offenders)
+
+
 def _loaded_after(statement: str, candidates) -> list:
     """Which of ``candidates`` are in ``sys.modules`` after ``statement``."""
     code = (

@@ -33,7 +33,7 @@ from repro.campaign import (
 from repro.campaign.matrix import CampaignCell
 from repro.errors import ConfigurationError
 from repro.service import run_service_campaign
-from repro.sim import RoundRobinScheduler
+from repro.sim import RoundRobinScheduler, System
 from repro.scenarios import (
     ScenarioRecord,
     all_records,
@@ -46,6 +46,7 @@ from repro.scenarios import (
     resolve,
     resolve_spec,
 )
+from repro.scenarios.registry import declare_byzantine
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -164,6 +165,40 @@ class TestRoundTrips:
         assert violating and all(r.expect_violation for r in violating)
         with pytest.raises(ConfigurationError):
             grid(consumer="quantum")
+
+
+class TestByzantineCast:
+    """Every builder validates its cast in one place, before any spawn."""
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"reader_adversaries": ((2, "lying"), (2, "stonewall"))}, "duplicate"),
+            ({"reader_adversaries": ((1, "lying"),)}, "cannot be cast"),
+            (
+                {"writer_adversary": "silent", "reader_adversaries": ((1, "lying"),)},
+                "duplicate",
+            ),
+        ],
+        ids=["reader-twice", "correct-writer", "byzantine-writer-twice"],
+    )
+    def test_register_builder_refuses_a_malformed_cast(self, params, message):
+        spec = make_scenario("register", kind="verifiable", n=4, seed=0, **params)
+        with pytest.raises(ConfigurationError, match=message):
+            spec.build(RoundRobinScheduler())
+
+    def test_app_builder_refuses_a_pid_cast_twice(self):
+        spec = make_scenario(
+            "snapshot", n=4, f=1, seed=0, byzantine=((4, "stonewall"), (4, "deny"))
+        )
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            spec.build(RoundRobinScheduler())
+
+    def test_a_refused_cast_declares_nothing(self):
+        system = System(n=4)
+        with pytest.raises(ConfigurationError, match="cannot be cast"):
+            declare_byzantine(system, ((2, "lying"), (1, "lying")), eligible=(2, 3, 4))
+        assert system.correct == frozenset(system.pids)
 
 
 class TestCorpusResolution:

@@ -214,7 +214,7 @@ class TestByzantineHelpers:
         register = build(system4)
         system4.declare_byzantine(4)
         register.start_helpers([1, 2, 3])
-        system4.spawn(4, "client", behaviors.stonewalling_witness(register, 4))
+        system4.spawn(4, "client", behaviors.stonewalling_witness([register], 4))
         writer = spawn_script(system4, register, 1, [("write", (9,)), ("sign", (9,))])
         reader = spawn_script(system4, register, 2, [("verify", (9,))], delay=80)
         run_clients(system4, [writer, reader])
