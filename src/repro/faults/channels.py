@@ -42,6 +42,7 @@ keeps Byzantine senders free to ignore the framing).
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -147,6 +148,10 @@ class ChannelCore:
         self._next_seq: Dict[int, int] = {}
         #: Unacked frames: (dst, seq) -> _PendingFrame.
         self._pending: Dict[Tuple[int, int], _PendingFrame] = {}
+        #: A lower bound on every pending frame's ``due``: exact after a
+        #: scan, lowered by each new frame, left stale-low by acks. Below
+        #: it, :meth:`due_retransmits` has nothing to scan for.
+        self._due_floor: float = math.inf
         #: Receiver-side dedup, per sender.
         self._seen: Dict[int, DedupWindow] = defaultdict(DedupWindow)
         #: Per destination: the RTO a driver measured (see :meth:`rto`).
@@ -164,18 +169,25 @@ class ChannelCore:
         """Frame ``payload`` for ``dst``; registers it for retransmission."""
         seq = self._next_seq.get(dst, 0) + 1
         self._next_seq[dst] = seq
-        self._pending[(dst, seq)] = _PendingFrame(
-            dst, seq, payload, now + self._interval(dst, 0), now
-        )
+        due = now + self._interval(dst, 0)
+        self._pending[(dst, seq)] = _PendingFrame(dst, seq, payload, due, now)
+        if due < self._due_floor:
+            self._due_floor = due
         self.sent += 1
         return ("CH", seq, payload)
 
     def due_retransmits(self, now: float) -> List[Tuple[int, Any]]:
-        """``(dst, wire_payload)`` for every overdue frame; abandons at cap."""
+        """``(dst, wire_payload)`` for every overdue frame, in the order
+        the frames were first sent; abandons at cap."""
         out: List[Tuple[int, Any]] = []
+        if now < self._due_floor:
+            return out
         abandoned: List[Tuple[int, int]] = []
+        floor = math.inf
         for key, frame in self._pending.items():
             if frame.due > now:
+                if frame.due < floor:
+                    floor = frame.due
                 continue
             frame.attempts += 1
             if frame.attempts > self.max_retries:
@@ -183,7 +195,10 @@ class ChannelCore:
                 continue
             self.retransmitted += 1
             frame.due = now + self._interval(frame.dest, frame.attempts)
+            if frame.due < floor:
+                floor = frame.due
             out.append((frame.dest, ("CH", frame.seq, frame.payload)))
+        self._due_floor = floor
         for key in abandoned:
             del self._pending[key]
             self.exhausted += 1
@@ -219,6 +234,7 @@ class ChannelCore:
         volatile). Sequence counters and dedup state survive, so peers'
         view of this endpoint stays consistent."""
         self._pending.clear()
+        self._due_floor = math.inf
 
     # ------------------------------------------------------------------
     # Receiver side
@@ -238,7 +254,10 @@ class ChannelCore:
         """
         if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "CH":
             _k, seq, inner = payload
-            if type(seq) is not int:  # a bool, a float, a string...
+            # A bool, a float, a string... or a number no sender issues
+            # (they start at 1): it could never fold into the dedup
+            # window's prefix, so it would be stored forever.
+            if type(seq) is not int or seq < 1:
                 return None, []
             # Always ack — the previous ack may have been the lost leg.
             acks: List[Any] = [("CH-ACK", seq)]

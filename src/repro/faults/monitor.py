@@ -4,8 +4,8 @@ Under injected faults a run can lose liveness — a write that can never
 reach its quorum just polls forever — and without help it burns the
 whole step budget and surfaces as :class:`repro.errors.StepLimitExceeded`,
 indistinguishable from "budget too small". :class:`ProgressMonitor`
-watches a tuple of *progress signals* (delivered counters, recorded
-responses, protocol-state versions) from inside the drive loop's goal
+watches *progress signals* (delivered counters, recorded responses,
+protocol-state change counts) from inside the drive loop's goal
 predicate and raises :class:`repro.errors.StallDetected` once nothing
 has moved for a full stall window — converting the would-be hang into a
 first-class ``STALLED`` verdict carrying a diagnosis: which operations
@@ -30,7 +30,7 @@ so serves this monitor on virtual steps and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import ConfigurationError, StallDetected
 
@@ -41,8 +41,12 @@ class StallWindow:
     """Has any progress signal moved within the last ``window``?
 
     Args:
-        signals: Zero-argument callable returning a comparable tuple of
-            progress counters; any change resets the window.
+        signals: Zero-argument callable returning the progress signal;
+            any change resets the window. Where every counter is
+            monotone, return their sum: one int, which changes exactly
+            when one of them does (the simulator's scenarios do). A
+            counter that can fall — a live node's version resets on a
+            lose-state restart — needs a tuple instead.
         window: Time without a signal change that counts as a stall, in
             the unit of the ``now`` values passed to :meth:`expired`.
         unit: That unit as the messages print it (``" steps"``, ``"s"``).
@@ -58,7 +62,7 @@ class StallWindow:
 
     def __init__(
         self,
-        signals: Callable[[], Tuple],
+        signals: Callable[[], Any],
         window: float,
         unit: str,
         channels: Iterable[Any] = (),
@@ -106,11 +110,11 @@ class ProgressMonitor:
 
     Args:
         system: The system whose clock measures the window.
-        signals: Zero-argument callable returning a comparable tuple of
-            progress counters; any change resets the window. Counters
-            should track *useful* events (deliveries into mailboxes,
-            responses, protocol-state adoptions) — retransmission sends
-            are not progress.
+        signals: Zero-argument callable returning the progress signal
+            (see :class:`StallWindow`): the sum of monotone counters of
+            *useful* events (deliveries into mailboxes, responses,
+            protocol-state adoptions), one int compared per step —
+            retransmission sends are not progress.
         window: Steps without a signal change before the stall verdict.
         describe_pending: Optional callable returning a one-line summary
             of the operations still pending (folded into the diagnosis).
@@ -125,7 +129,7 @@ class ProgressMonitor:
     def __init__(
         self,
         system: Any,
-        signals: Callable[[], Tuple],
+        signals: Callable[[], Any],
         window: int = 2_500,
         describe_pending: Optional[Callable[[], str]] = None,
         network: Optional[Any] = None,
@@ -151,7 +155,8 @@ class ProgressMonitor:
         """Sample the signals; raise once the window elapses unchanged.
 
         Designed to be called from a ``run_until`` goal predicate (so it
-        runs before every step); cost is one tuple compare per step.
+        runs before every step); cost is one signal read and one int
+        compare per step.
         """
         now = self.system.clock
         if self._stall.expired(now):

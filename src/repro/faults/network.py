@@ -62,8 +62,10 @@ class FaultyNetwork:
 
     def tick(self, now: int, system: Any) -> None:
         """Release due delayed copies, then tick the wrapped network."""
-        for entry in self._held.pop_due(now):
-            self.inner.submit(entry.sender, entry.dest, entry.payload, now)
+        held = self._held.heap
+        if held and held[0][0] <= now:
+            for _due, _tiebreak, sender, dest, payload in self._held.pop_due(now):
+                self.inner.submit(sender, dest, payload, now)
         self._system = system
         self._now = now
         self.inner.tick(now, self)

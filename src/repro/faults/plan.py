@@ -295,6 +295,11 @@ class FaultJudge:
             (rule, stream.random)
             for rule, stream in zip(plan.link_rules, streams, strict=True)
         )
+        #: (sender, dest) -> the ``_draws`` whose rule matches that link,
+        #: in plan order; filled on a link's first message.
+        self._link_draws: Dict[Tuple[int, int], Tuple[Tuple[_LinkRule, Any], ...]] = {}
+        self._crashes = bool(plan.crashes)
+        self._partitions = bool(plan.partitions)
         self.dropped = 0
         #: Extra copies made by dup rules.
         self.duplicated = 0
@@ -314,14 +319,21 @@ class FaultJudge:
         only on the messages its rules matched, not on which faults fired.
         """
         plan = self.plan
-        if plan.crashed(sender, now):
+        if self._crashes and plan.crashed(sender, now):
             self.suppressed_crash += 1
-        elif plan.partitioned(sender, dest, now):
+        elif self._partitions and plan.partitioned(sender, dest, now):
             self.partitioned += 1
         else:
+            draws = self._link_draws.get((sender, dest))
+            if draws is None:
+                draws = self._link_draws[(sender, dest)] = tuple(
+                    (rule, draw)
+                    for rule, draw in self._draws
+                    if rule.matches(sender, dest)
+                )
             copies, extra, dropped = 1, 0, False
-            for rule, draw in self._draws:
-                if rule.matches(sender, dest) and draw() < rule.prob:
+            for rule, draw in draws:
+                if draw() < rule.prob:
                     if rule.kind == "drop":
                         dropped = True
                     elif rule.kind == "dup":
@@ -341,9 +353,9 @@ class FaultJudge:
         """Delivery checkpoint: whether one copy due at clock ``now``
         still gets through (a window that opened in flight cuts it)."""
         plan = self.plan
-        if plan.crashed(dest, now) or plan.crashed(sender, now):
+        if self._crashes and (plan.crashed(dest, now) or plan.crashed(sender, now)):
             self.suppressed_crash += 1
-        elif plan.partitioned(sender, dest, now):
+        elif self._partitions and plan.partitioned(sender, dest, now):
             self.partitioned += 1
         else:
             return True

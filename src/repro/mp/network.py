@@ -23,8 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import NetworkError
 from repro.sim.fingerprint import digest64
@@ -57,18 +56,13 @@ class Network(Protocol):
         ...
 
 
-@dataclass(order=True)
-class _QueuedMessage:
-    """Heap entry: ``(due_time, tiebreak)`` orders deliveries."""
-
-    due: int
-    tiebreak: int
-    sender: int = field(compare=False)
-    dest: int = field(compare=False)
-    payload: Any = field(compare=False)
+#: One in-flight message: ``(due, tiebreak, sender, dest, payload)``. A
+#: plain tuple, so heap order is ``(due, tiebreak)`` compared in C; the
+#: tiebreak is unique, so the payload is never compared.
+_Queued = Tuple[int, int, int, int, Any]
 
 
-def _queued_digest(message: _QueuedMessage) -> int:
+def _queued_digest(message: _Queued) -> int:
     """Fingerprint digest of one in-flight message.
 
     Unlike the rest of :meth:`repro.sim.System.fingerprint`, the due
@@ -76,9 +70,9 @@ def _queued_digest(message: _QueuedMessage) -> int:
     order, so two states differing only there must not collapse in the
     explorer's memo table.
     """
+    due, tiebreak, sender, dest, payload = message
     return digest64(
-        f"net\x00{message.due}\x00{message.tiebreak}\x00{message.sender}"
-        f"\x00{message.dest}\x00{message.payload!r}"
+        f"net\x00{due}\x00{tiebreak}\x00{sender}\x00{dest}\x00{payload!r}"
     )
 
 
@@ -87,6 +81,9 @@ class _InFlight:
     queue of :class:`RandomDelayNetwork` and of
     :class:`repro.faults.FaultyNetwork`'s delay rules.
 
+    ``heap`` is read directly by the ticks: a tick with nothing due is
+    one compare of ``heap[0][0]`` against the clock, with no call.
+
     Eager two-XOR maintenance of the fingerprint fold only starts once
     someone has asked for it (the explorer does, every step; fuzzing and
     campaign runs never do) — until then push/pop digest nothing. Same
@@ -94,28 +91,30 @@ class _InFlight:
     """
 
     def __init__(self) -> None:
-        self._heap: List[_QueuedMessage] = []
+        self.heap: List[_Queued] = []
         self._tiebreak = itertools.count()
         self._fold = 0
         self._fp_eager = False
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def push(self, due: int, sender: int, dest: int, payload: Any) -> None:
-        message = _QueuedMessage(due, next(self._tiebreak), sender, dest, payload)
-        heapq.heappush(self._heap, message)
+        message = (due, next(self._tiebreak), sender, dest, payload)
+        heapq.heappush(self.heap, message)
         if self._fp_eager:
             self._fold ^= _queued_digest(message)
 
-    def pop_due(self, now: int) -> Iterator[_QueuedMessage]:
+    def pop_due(self, now: int) -> List[_Queued]:
         """Pop every message due by clock ``now``, earliest first."""
-        heap = self._heap
-        while heap and heap[0].due <= now:
+        heap = self.heap
+        due: List[_Queued] = []
+        while heap and heap[0][0] <= now:
             message = heapq.heappop(heap)
             if self._fp_eager:
                 self._fold ^= _queued_digest(message)
-            yield message
+            due.append(message)
+        return due
 
     def fold(self, full: bool = False) -> int:
         """XOR fold of the queue (see ``System.fingerprint``). The first
@@ -124,7 +123,7 @@ class _InFlight:
         incremental path is pinned against)."""
         if full:
             fold = 0
-            for message in self._heap:
+            for message in self.heap:
                 fold ^= _queued_digest(message)
             return fold
         if not self._fp_eager:
@@ -165,9 +164,11 @@ class RandomDelayNetwork:
 
     def tick(self, now: int, system: Any) -> None:
         """Deliver every message whose due time has arrived (kernel hook)."""
-        for message in self._queue.pop_due(now):
-            system.deliver(message.sender, message.dest, message.payload)
-            self.delivered += 1
+        heap = self._queue.heap
+        if heap and heap[0][0] <= now:
+            for _due, _tiebreak, sender, dest, payload in self._queue.pop_due(now):
+                system.deliver(sender, dest, payload)
+                self.delivered += 1
 
     def pending(self) -> int:
         """Messages queued but not yet delivered."""

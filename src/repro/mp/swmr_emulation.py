@@ -106,10 +106,28 @@ class EmulatedRegisterSpec:
     initial: Any = None
 
 
-class ReplicaState:
-    """Per-process replica + client bookkeeping for all emulated registers."""
+class ProgressCount:
+    """A monotone count of protocol-state changes, shared by the cores of
+    one emulation so that its progress signal is one attribute read."""
 
-    def __init__(self, specs: Dict[str, EmulatedRegisterSpec]):
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
+class ReplicaState:
+    """Per-process replica + client bookkeeping for all emulated registers.
+
+    ``progress`` is the count this state's changes also bump: shared by
+    every core of a :class:`RegisterEmulation`, a fresh one otherwise.
+    """
+
+    def __init__(
+        self,
+        specs: Dict[str, EmulatedRegisterSpec],
+        progress: Optional[ProgressCount] = None,
+    ):
         #: Highest accepted (seq, value) per register.
         self.accepted: Dict[str, Tuple[int, Any]] = {
             name: (0, freeze(spec.initial)) for name, spec in specs.items()
@@ -123,16 +141,21 @@ class ReplicaState:
         self.acks: Dict[Tuple[str, int], Set[int]] = {}
         #: VALUE reports for this process's reads: (reg, rid) -> per-sender.
         self.value_reports: Dict[Tuple[str, int], Dict[int, Tuple[int, Any]]] = {}
-        #: Monotone count of state *changes* (adoptions, fresh votes,
-        #: fresh acks, changed reports) — a progress signal; duplicate
-        #: or stale messages leave it untouched.
+        #: Monotone count of this state's *changes* (adoptions, fresh
+        #: votes, fresh acks, changed reports) — a progress signal;
+        #: duplicate or stale messages leave it untouched.
         self.version = 0
+        self.progress = ProgressCount() if progress is None else progress
+
+    def _changed(self) -> None:
+        self.version += 1
+        self.progress.value += 1
 
     def maybe_adopt(self, name: str, seq: int, value: Any) -> bool:
         """Adopt ``(seq, value)`` if strictly newer; returns adoption."""
         if seq > self.accepted[name][0]:
             self.accepted[name] = (seq, value)
-            self.version += 1
+            self._changed()
             return True
         return False
 
@@ -149,6 +172,8 @@ class ReplicaCore(ReplicaState):
         n: System size.
         f: Fault bound (quorums are ``n - f``, confirmations ``f + 1``).
         specs: Every emulated register (identical at every process).
+        progress: The count this core's changes also bump (see
+            :class:`ReplicaState`).
 
     Values handed to :meth:`begin_write` must already be hashable and
     immutable; freezing is the driver's (each transport has its own
@@ -156,9 +181,14 @@ class ReplicaCore(ReplicaState):
     """
 
     def __init__(
-        self, pid: int, n: int, f: int, specs: Dict[str, EmulatedRegisterSpec]
+        self,
+        pid: int,
+        n: int,
+        f: int,
+        specs: Dict[str, EmulatedRegisterSpec],
+        progress: Optional[ProgressCount] = None,
     ):
-        super().__init__(specs)
+        super().__init__(specs, progress)
         self.pid = pid
         self.n = n
         self.f = f
@@ -200,7 +230,7 @@ class ReplicaCore(ReplicaState):
                 votes = self.echo_votes.setdefault((name, seq, value), set())
                 if sender not in votes:
                     votes.add(sender)
-                    self.version += 1
+                    self._changed()
                 if len(votes) >= self.f + 1:
                     self.maybe_adopt(name, seq, value)
                     self._echo_once(name, seq, value, out)
@@ -232,7 +262,7 @@ class ReplicaCore(ReplicaState):
                 reports = self.value_reports.setdefault((name, rid), {})
                 if reports.get(sender) != (seq, value):
                     reports[sender] = (seq, value)
-                    self.version += 1
+                    self._changed()
         return out
 
     def _echo_once(
@@ -247,7 +277,7 @@ class ReplicaCore(ReplicaState):
         acks = self.acks.setdefault((name, key), set())
         if sender not in acks:
             acks.add(sender)
-            self.version += 1
+            self._changed()
 
     # ------------------------------------------------------------------
     # Client: open an operation, then ask whether its quorum is in
@@ -383,6 +413,12 @@ class RegisterEmulation:
         self.channels = channels
         self._specs: Dict[str, EmulatedRegisterSpec] = {}
         self._states: Dict[int, ReplicaCore] = {}
+        #: Monotone count of protocol-state changes across all replicas,
+        #: bumped by their cores: adoptions, fresh echo votes, fresh
+        #: ACKs and changed VALUE reports — the "accepted" side of the
+        #: progress signals a :class:`repro.faults.ProgressMonitor`
+        #: watches. Retransmissions and duplicate messages do not move it.
+        self.progress = ProgressCount()
 
     def _effects(self, pid: int, outgoing: List[Outgoing]) -> List[Any]:
         """Kernel effects that put ``pid``'s outgoing pairs on the wire,
@@ -398,16 +434,6 @@ class RegisterEmulation:
                 effects.extend(channels.send_effects(pid, dst, payload))
         return effects
 
-    def progress_version(self) -> int:
-        """Monotone counter of protocol-state changes across all replicas.
-
-        Bumped by adoptions, fresh echo votes, fresh ACKs, and changed
-        VALUE reports — the "accepted" side of the progress signals a
-        :class:`repro.faults.ProgressMonitor` watches. Retransmissions
-        and duplicate messages do not move it.
-        """
-        return sum(state.version for state in self._states.values())
-
     # ------------------------------------------------------------------
     def add_register(self, name: str, writer: int, initial: Any = None) -> None:
         """Declare an emulated register before replicas start."""
@@ -420,7 +446,9 @@ class RegisterEmulation:
     def state_of(self, pid: int) -> ReplicaCore:
         """The replica core of ``pid`` (created on first use)."""
         if pid not in self._states:
-            self._states[pid] = ReplicaCore(pid, self.n, self.f, self._specs)
+            self._states[pid] = ReplicaCore(
+                pid, self.n, self.f, self._specs, self.progress
+            )
         return self._states[pid]
 
     # ------------------------------------------------------------------

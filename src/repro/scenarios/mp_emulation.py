@@ -23,6 +23,12 @@ string starts with ``STALLED:`` and its digit-masked class is stable
 across schedules, so stall verdicts dedupe, shrink, and persist to the
 corpus exactly like safety violations.
 
+The monitor's signal is one int: network deliveries plus recorded
+responses plus the emulation's count of replica protocol-state changes
+(:attr:`repro.mp.RegisterEmulation.progress`, bumped by the cores
+themselves). Each is a monotone counter, so the sum moves exactly when
+one of them does and the per-step check is one read and one compare.
+
 The pinned matrix cells (see :mod:`repro.scenarios.catalog`):
 
 * reliable baseline — clean;
@@ -35,6 +41,12 @@ The pinned matrix cells (see :mod:`repro.scenarios.catalog`):
 * a partition window splitting the system 2|2 for the whole run, even
   *with* retransmit — ``STALLED`` (no partition side holds a quorum;
   retransmission cannot defeat a partition).
+
+Cost note: a step of these cells pays only for what it reads. The
+kernel's inlined ``run_until`` loop ticks the network, and a tick with
+nothing due is one compare of the in-flight heap's head; the fault
+judge tests only the rules that match a link; a replica daemon's
+retransmit poll returns at once below its earliest pending deadline.
 
 Engine note: the cells run the swarm engine. Systematic exploration is
 *sound* here — the network heap folds into ``System.fingerprint`` — but
@@ -149,13 +161,11 @@ def build_mp_register(
             parts.append(f"p{pid} {op}#{index + 1}/{len(calls)}")
         return ", ".join(parts) if parts else "none"
 
+    # One int (see the module docstring): a sum of monotone counters.
+    metrics, progress = system.metrics, emu.progress
     monitor = ProgressMonitor(
         system,
-        signals=lambda: (
-            network.delivered,
-            system.metrics.responses,
-            emu.progress_version(),
-        ),
+        signals=lambda: network.delivered + metrics.responses + progress.value,
         window=stall_window,
         describe_pending=describe_pending,
         network=network if network is not inner else None,

@@ -347,12 +347,15 @@ class System:
         :class:`StepLimitExceeded` to flag non-termination.
 
         This is the kernel's hottest loop (every scenario drives through
-        it), so the uninstrumented case — no ``on_step`` observer, no
-        network — runs an inlined copy of :meth:`step`'s body with the
-        lookups hoisted out of the loop. The two bodies must stay
-        behaviourally identical; the record/replay determinism tests
-        pin them together. Steps with hooks installed take the plain
-        :meth:`step` path, so observers still see every step.
+        it), so the uninstrumented case — no ``on_step`` observer —
+        runs an inlined copy of :meth:`step`'s body with the lookups
+        hoisted out of the loop. Networked runs take it too: the loop
+        ticks ``self.network`` where :meth:`step` does, after the clock
+        advances and before the coroutine resumes. The two bodies must
+        stay behaviourally identical; the record/replay determinism
+        tests and ``tests/test_faults.py``'s observer differential pin
+        them together. Only steps with an ``on_step`` observer take the
+        plain :meth:`step` path, so observers still see every step.
         """
         taken = 0
         step = self.step
@@ -367,11 +370,10 @@ class System:
         # call instead of two.
         select_index = getattr(scheduler, "select_index", None)
         # The network hook is installed at system construction (before
-        # any drive) and never detaches mid-run; hoisting it leaves one
-        # on_step load on the per-step instrumentation check. on_step
+        # any drive) and never detaches mid-run, so it is hoisted. on_step
         # *does* detach mid-run (the explorer's recording window), so it
         # must stay a per-step load.
-        network = self.network
+        network_tick = None if self.network is None else self.network.tick
         # total_steps is only observed between runs, so the fast path
         # batches the counter into one add per run_until call (exception
         # exits included) instead of one per step.
@@ -386,7 +388,7 @@ class System:
                         f"(clock={self.clock})",
                         steps=taken,
                     )
-                if network is not None or self.on_step is not None:
+                if self.on_step is not None:
                     if not step():
                         raise StepLimitExceeded(
                             f"{label} unreachable: no runnable coroutines left "
@@ -423,6 +425,8 @@ class System:
                 # silently stale fingerprint).
                 if self._fp_live:
                     co_dirty_add(cid)
+                if network_tick is not None:
+                    network_tick(self.clock, self)
                 try:
                     if co.started:
                         effect = co.resume(co.next_send)

@@ -44,6 +44,7 @@ class VirtualEndpoint:
         self.pid = pid
         self.system = ClockedSystem()
         self.channels = RetransmitChannels(self.system, **timing)
+        self.core = self.channels._cores[pid]
 
     def frame(self, dst, payload, now):
         self.system.clock = now
@@ -65,7 +66,7 @@ class VirtualEndpoint:
         return self.channels.pending_count(self.pid)
 
     def deadlines(self):
-        return _deadlines(self.channels._cores[self.pid])
+        return _deadlines(self.core)
 
     def metrics(self):
         return self.channels.metrics()
@@ -75,7 +76,7 @@ class WallEndpoint:
     """A :class:`WallClockChannels` with jitter off (times may be ints)."""
 
     def __init__(self, pid=1, **timing):
-        self.channels = WallClockChannels(pid, jitter=0, **timing)
+        self.channels = self.core = WallClockChannels(pid, jitter=0, **timing)
 
     def frame(self, dst, payload, now):
         return self.channels.frame(dst, payload, now)
@@ -90,7 +91,7 @@ class WallEndpoint:
         return self.channels.pending_count()
 
     def deadlines(self):
-        return _deadlines(self.channels)
+        return _deadlines(self.core)
 
     def metrics(self):
         return self.channels.metrics()
@@ -162,6 +163,19 @@ class ChannelFacadeCases:
         assert ch.receive(1, ("CH-ACK", True), 0) == (None, [])
         assert ch.receive(1, ("CH-ACK", 2.0), 0) == (None, [])
         assert ch.pending() == 2 and ch.metrics()["acked"] == 0
+
+    def test_non_positive_sequence_numbers_are_refused(self):
+        # Peers number frames from 1. A frame numbered 0 or below is
+        # neither delivered nor acked, and the dedup window keeps nothing
+        # for it: such a number could never fold into the delivered
+        # prefix, so storing it would grow receiver state without bound.
+        ch = self.endpoint(pid=2)
+        for seq in (0, -7):
+            assert ch.receive(1, ("CH", seq, "p"), 0) == (None, [])
+        assert ch.receive(1, ("CH", 1, "q"), 0) == ("q", [("CH-ACK", 1)])
+        window = ch.core._seen[1]
+        assert (window.low, window.above) == (1, set())
+        assert ch.metrics()["duplicates_dropped"] == 0
 
     def test_rejects_bad_timing(self):
         for timing in (

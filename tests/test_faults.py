@@ -28,6 +28,7 @@ from repro.faults import (
 )
 from repro.faults.plan import FaultJudge
 from repro.mp import RandomDelayNetwork
+from repro.scenarios import mp_emulation
 from repro.sim import RandomScheduler, Send
 from tests.channel_cases import ChannelFacadeCases, ClockedSystem, VirtualEndpoint
 
@@ -391,6 +392,91 @@ class TestDecisionStreamPin:
         ]
 
 
+class _ScanJudge:
+    """:class:`FaultJudge`'s rule as a full scan: every message runs both
+    window checks and tests every link rule (the reference for the
+    judge's per-link rule cache and its skipped scans)."""
+
+    def __init__(self, plan, stream):
+        self.plan, self.draw = plan, stream.random
+        self.ledger = dict.fromkeys(
+            ("dropped", "duplicated", "delayed", "partitioned", "suppressed_crash"), 0
+        )
+        self.links = {}
+
+    def submit(self, sender, dest, now):
+        plan = self.plan
+        if plan.crashed(sender, now):
+            cut = "suppressed_crash"
+        elif plan.partitioned(sender, dest, now):
+            cut = "partitioned"
+        else:
+            copies, extra, dropped = 1, 0, False
+            for rule in plan.link_rules:
+                if rule.matches(sender, dest) and self.draw() < rule.prob:
+                    if rule.kind == "drop":
+                        dropped = True
+                    elif rule.kind == "dup":
+                        copies += 1
+                    else:
+                        extra += rule.extra
+            if not dropped:
+                self.ledger["duplicated"] += copies - 1
+                self.ledger["delayed"] += copies if extra else 0
+                return copies, extra
+            cut = "dropped"
+        self._cut(cut, sender, dest)
+        return 0, 0
+
+    def deliverable(self, sender, dest, now):
+        plan = self.plan
+        if plan.crashed(dest, now) or plan.crashed(sender, now):
+            self._cut("suppressed_crash", sender, dest)
+        elif plan.partitioned(sender, dest, now):
+            self._cut("partitioned", sender, dest)
+        else:
+            return True
+        return False
+
+    def _cut(self, counter, sender, dest):
+        self.ledger[counter] += 1
+        self.links[(sender, dest)] = self.links.get((sender, dest), 0) + 1
+
+
+class TestJudgeAgainstFullScan:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.lists(_ENTRIES, min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+        messages=st.lists(
+            st.tuples(
+                st.integers(1, 4), st.integers(1, 4), st.integers(0, 8), _TIMES
+            ),
+            max_size=60,
+        ),
+    )
+    def test_decisions_and_ledger_match_the_full_scan(self, spec, seed, messages):
+        # Src- and dst-specific link rules beside wildcards, crash and
+        # partition windows that open and close mid-sequence: the judge
+        # must decide every message, and draw, exactly as the scan does.
+        plan = FaultPlan.from_spec(spec)
+        stream = random.Random(seed)
+        judge = FaultJudge(plan, [stream] * len(plan.link_rules))
+        reference = _ScanJudge(plan, random.Random(seed))
+        now = 0
+        for sender, dest, gap, flight in messages:
+            now += gap
+            assert judge.submit(sender, dest, now) == reference.submit(
+                sender, dest, now
+            )
+            assert judge.deliverable(sender, dest, now + flight) == (
+                reference.deliverable(sender, dest, now + flight)
+            )
+        assert judge.metrics() == reference.ledger
+        assert judge.suppressed_links == reference.links
+        assert stream.random() == reference.draw()
+
+
 class TestRetransmitChannels(ChannelFacadeCases):
     """The shared channel cases, plus what only this façade has."""
 
@@ -553,6 +639,96 @@ class TestEmulationUnderFaults:
         built = self.drive(_mp_scenario(SPLIT, retransmit=True))
         reason = built.check()
         assert reason is not None and reason.startswith("STALLED:")
+
+
+#: The three ``campaign-mp`` cells and the two STALLED ``mp_register``
+#: cells of the catalog: name -> (faults, retransmit).
+MP_CELLS = {
+    "reliable": ((), False),
+    "lossy": (LOSSY, True),
+    "crash": ((("crash", 4, 0),), False),
+    "writer_cut": (WRITER_CUT, False),
+    "split": (SPLIT, True),
+}
+
+
+def _observe_mp_run(monkeypatch, name, observer=False):
+    """Drive one cell at seed 0 and return what the run left behind.
+
+    With ``observer``, a no-op ``on_step`` hook sends every step through
+    ``System.step``; without, the run takes ``run_until``'s inlined loop.
+    """
+    channels = []
+
+    class _Recorded(RetransmitChannels):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            channels.append(self)
+
+    monkeypatch.setattr(mp_emulation, "RetransmitChannels", _Recorded)
+    built = _mp_scenario(*MP_CELLS[name]).build(RandomScheduler(seed=0))
+    system = built.system
+    if observer:
+        system.on_step = lambda cid, effect: None
+    built.drive()
+    network = system.network
+    judge = getattr(network, "judge", None)
+    return {
+        "clock": system.clock,
+        "metrics": system.metrics.snapshot(),
+        "history": (system.history.all(), system.history.annotations),
+        "submitted": network.submitted,
+        "delivered": network.delivered,
+        "ledger": None if judge is None else (judge.metrics(), judge.suppressed_links),
+        "channels": channels[0].metrics() if channels else None,
+        "reason": built.check(),
+        "fingerprint": system.fingerprint(full=True),
+    }
+
+
+#: Per cell at seed 0: (final clock, delivered, (retransmitted, acked)
+#: or None without channels, the STALLED reason or None).
+MP_PINNED = {
+    "reliable": (258, 80, None, None),
+    "lossy": (968, 481, (236, 74), None),
+    "crash": (262, 54, None, None),
+    "writer_cut": (
+        2736,
+        28,
+        None,
+        "STALLED: no progress for 2500 steps (clock=2736); pending: p1 "
+        "write#1/2; plan[drop(1->*,p=1)] cut=1->2:3,1->3:3,1->1:1,1->4:1",
+    ),
+    "split": (
+        3351,
+        202,
+        (273, 36),
+        "STALLED: no progress for 2500 steps (clock=3351); pending: p1 "
+        "write#1/2; plan[partition(1,2|3,4)@[0,inf)] "
+        "cut=2->3:55,2->4:55,3->1:35,3->2:35",
+    ),
+}
+
+
+class TestNetworkedStepPaths:
+    """Networked runs step through ``run_until``'s inlined loop, which
+    ticks the network itself; an ``on_step`` observer forces the plain
+    ``System.step`` path. Both must leave the same run behind."""
+
+    @pytest.mark.parametrize("name", sorted(MP_CELLS))
+    def test_observer_path_matches_the_inlined_loop(self, monkeypatch, name):
+        inlined = _observe_mp_run(monkeypatch, name)
+        stepped = _observe_mp_run(monkeypatch, name, observer=True)
+        assert stepped == inlined
+
+    @pytest.mark.parametrize("name", sorted(MP_CELLS))
+    def test_pinned_clock_deliveries_retransmits_and_stall(self, monkeypatch, name):
+        run = _observe_mp_run(monkeypatch, name)
+        channels = run["channels"]
+        resends = channels and (channels["retransmitted"], channels["acked"])
+        assert (run["clock"], run["delivered"], resends, run["reason"]) == (
+            MP_PINNED[name]
+        )
 
 
 def _mp_cell(faults=(), retransmit=False, expect=False, budget=4):

@@ -20,6 +20,8 @@ import asyncio
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults.channels import ChannelCore, DedupWindow
@@ -304,6 +306,12 @@ class ChannelModel:
     def deadlines(self):
         return {key: tuple(entry[:3]) for key, entry in self.pending.items()}
 
+    def next_due(self):
+        return min((entry[2] for entry in self.pending.values()), default=None)
+
+    def drop_pending(self):
+        self.pending.clear()
+
 
 def test_both_channel_facades_make_the_same_transitions():
     """One seeded schedule of sends, clock ticks and arrivals (acks real,
@@ -378,6 +386,52 @@ def test_both_channel_facades_make_the_same_transitions():
     assert parted > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    estimate=st.booleans(),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["frame", "ack", "due", "drop"]),
+            st.integers(2, 4),
+            st.integers(0, 5),
+            st.integers(0, 4),
+        ),
+        max_size=80,
+    ),
+)
+def test_channel_deadline_floor_matches_a_full_scan(estimate, ops):
+    """``due_retransmits`` returns at once below a lower bound on the
+    pending deadlines, which acks leave stale and ``drop_pending``
+    resets. Over any interleaving of sends, acks (of live and of gone
+    frames), polls and drops, each driver must resend, count and keep
+    deadlines exactly as :class:`ChannelModel`'s scan of every frame,
+    and ``next_due`` must stay the exact earliest deadline."""
+    timing = dict(base_timeout=3, max_backoff=12, max_retries=3)
+    driver = (WallEndpoint if estimate else VirtualEndpoint)(pid=1, **timing)
+    model = ChannelModel(**timing, estimate=estimate)
+    now, framed = 0, []
+    for kind, dst, pick, gap in ops:
+        now += gap
+        if kind == "frame":
+            payload = ("m", len(framed))
+            seq = driver.frame(dst, payload, now)[1]
+            model.frame(dst, seq, payload, now)
+            framed.append((dst, seq))
+        elif kind == "ack" and framed:
+            dst, seq = framed[-1 - pick % len(framed)]
+            assert driver.receive(dst, ("CH-ACK", seq), now) == (None, [])
+            model.ack(dst, seq, now)
+        elif kind == "due":
+            assert driver.due(now) == model.due(now)
+        elif kind == "drop":
+            driver.core.drop_pending()
+            model.drop_pending()
+        assert driver.deadlines() == model.deadlines()
+        assert driver.core.next_due() == model.next_due()
+        metrics = driver.metrics()
+        assert {key: metrics[key] for key in model.counts} == model.counts
+
+
 # ----------------------------------------------------------------------
 # Bounded dedup: a low-water mark plus a sparse set, same decisions
 # ----------------------------------------------------------------------
@@ -407,6 +461,9 @@ def test_dedup_window_decides_like_an_ever_growing_set(order):
     seen, duplicates = set(), 0
     for seq in arrivals:
         inner, acks = core.on_receive(1, ("CH", seq, ("payload", seq)))
+        if seq < 1:  # malformed: refused before the window sees it
+            assert (inner, acks) == (None, [])
+            continue
         assert acks == [("CH-ACK", seq)]  # the always-ACK rule
         if seq in seen:
             duplicates += 1
