@@ -20,12 +20,10 @@ paper uses it in both directions of the optimality result:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.authenticated import AuthenticatedRegister
 from repro.core.interfaces import DONE, AlgorithmBase, as_int
-from repro.core.sticky import StickyRegister
-from repro.core.verifiable import VerifiableRegister
 from repro.sim.effects import PAUSE, Await, ReadRegister, WriteRegister
 from repro.sim.process import Program, idle_forever
 from repro.sim.registers import RegisterSpec, swmr
@@ -36,22 +34,26 @@ from repro.sim.values import BOTTOM, is_bottom
 SET_FLAG = 1
 
 
-class TestOrSetFromVerifiable:
-    """Test-or-set from one verifiable register (Section 10).
+class _TestOrSetWrapper:
+    """A test-or-set over one register object of Algorithms 1–3.
 
-    ``Set``: ``Write(1)`` then ``Sign(1)`` — linearizing at the Sign.
-    ``Test``: ``Verify(1)`` — 1 iff it returns true.
+    Installation and Help daemons are the register's own; subclasses
+    supply ``procedure_set`` / ``procedure_test`` and a default ``name``.
     """
 
     OPERATIONS = ("set", "test")
     #: Not a pytest test class despite the name.
     __test__ = False
+    #: Object name recorded in the history unless the caller gives one;
+    #: each subclass sets its default.
+    name: str
 
-    def __init__(self, register: VerifiableRegister, name: str = "tos-v"):
+    def __init__(self, register: AlgorithmBase, name: Optional[str] = None):
         self.register = register
-        self.name = name
+        if name is not None:
+            self.name = name
 
-    def install(self) -> "TestOrSetFromVerifiable":
+    def install(self) -> "_TestOrSetWrapper":
         """Install the underlying register's shared state."""
         self.register.install()
         return self
@@ -59,6 +61,20 @@ class TestOrSetFromVerifiable:
     def start_helpers(self, pids: Optional[Iterable[int]] = None) -> None:
         """Start the underlying register's Help daemons."""
         self.register.start_helpers(pids)
+
+    #: Recorded operation entry point, operation check included: it reads
+    #: only ``OPERATIONS``, ``name`` and the ``procedure_*`` methods.
+    op = AlgorithmBase.op
+
+
+class TestOrSetFromVerifiable(_TestOrSetWrapper):
+    """Test-or-set from one verifiable register (Section 10).
+
+    ``Set``: ``Write(1)`` then ``Sign(1)`` — linearizing at the Sign.
+    ``Test``: ``Verify(1)`` — 1 iff it returns true.
+    """
+
+    name = "tos-v"
 
     def procedure_set(self, pid: int) -> Program:
         """``Set`` = ``Write(1)``; ``Sign(1)``."""
@@ -71,15 +87,8 @@ class TestOrSetFromVerifiable:
         verified = yield from self.register.procedure_verify(pid, SET_FLAG)
         return 1 if verified else 0
 
-    def op(self, pid: int, opname: str, *args: Any) -> Program:
-        """Recorded operation entry point (mirrors AlgorithmBase.op)."""
-        from repro.sim.process import call
 
-        procedure = getattr(self, f"procedure_{opname}")(pid, *args)
-        return call(self.name, opname, tuple(args), procedure)
-
-
-class TestOrSetFromAuthenticated:
+class TestOrSetFromAuthenticated(_TestOrSetWrapper):
     """Test-or-set from one authenticated register (Section 10).
 
     ``Set``: ``Write(1)`` (auto-signed). ``Test``: ``Verify(1)``.
@@ -87,24 +96,14 @@ class TestOrSetFromAuthenticated:
     uses ``v0 = 0``) so an unset ``Verify(1)`` is false.
     """
 
-    OPERATIONS = ("set", "test")
-    #: Not a pytest test class despite the name.
-    __test__ = False
+    name = "tos-a"
 
-    def __init__(self, register: AuthenticatedRegister, name: str = "tos-a"):
+    def __init__(
+        self, register: AuthenticatedRegister, name: Optional[str] = None
+    ):
         if register.initial == SET_FLAG:
             raise ValueError("authenticated register must not start at 1")
-        self.register = register
-        self.name = name
-
-    def install(self) -> "TestOrSetFromAuthenticated":
-        """Install the underlying register's shared state."""
-        self.register.install()
-        return self
-
-    def start_helpers(self, pids: Optional[Iterable[int]] = None) -> None:
-        """Start the underlying register's Help daemons."""
-        self.register.start_helpers(pids)
+        super().__init__(register, name)
 
     def procedure_set(self, pid: int) -> Program:
         """``Set`` = ``Write(1)``."""
@@ -116,36 +115,14 @@ class TestOrSetFromAuthenticated:
         verified = yield from self.register.procedure_verify(pid, SET_FLAG)
         return 1 if verified else 0
 
-    def op(self, pid: int, opname: str, *args: Any) -> Program:
-        """Recorded operation entry point."""
-        from repro.sim.process import call
 
-        procedure = getattr(self, f"procedure_{opname}")(pid, *args)
-        return call(self.name, opname, tuple(args), procedure)
-
-
-class TestOrSetFromSticky:
+class TestOrSetFromSticky(_TestOrSetWrapper):
     """Test-or-set from one sticky register (Section 10).
 
     ``Set``: ``Write(1)``. ``Test``: ``Read`` — 1 iff it returns 1.
     """
 
-    OPERATIONS = ("set", "test")
-    #: Not a pytest test class despite the name.
-    __test__ = False
-
-    def __init__(self, register: StickyRegister, name: str = "tos-s"):
-        self.register = register
-        self.name = name
-
-    def install(self) -> "TestOrSetFromSticky":
-        """Install the underlying register's shared state."""
-        self.register.install()
-        return self
-
-    def start_helpers(self, pids: Optional[Iterable[int]] = None) -> None:
-        """Start the underlying register's Help daemons."""
-        self.register.start_helpers(pids)
+    name = "tos-s"
 
     def procedure_set(self, pid: int) -> Program:
         """``Set`` = ``Write(1)`` on the sticky register."""
@@ -156,13 +133,6 @@ class TestOrSetFromSticky:
         """``Test`` = ``Read`` mapped to {0, 1}."""
         value = yield from self.register.procedure_read(pid)
         return 1 if value == SET_FLAG and not is_bottom(value) else 0
-
-    def op(self, pid: int, opname: str, *args: Any) -> Program:
-        """Recorded operation entry point."""
-        from repro.sim.process import call
-
-        procedure = getattr(self, f"procedure_{opname}")(pid, *args)
-        return call(self.name, opname, tuple(args), procedure)
 
 
 class QuorumTestOrSet(AlgorithmBase):

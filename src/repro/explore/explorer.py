@@ -356,9 +356,9 @@ class InstrumentedRun:
     finish.
 
     Recording is *windowed*: per-step observations stop — and the
-    ``on_step`` hook detaches, so the completion tail runs on
-    ``run_until``'s inlined fast path — once nothing the search loop can
-    still ask about remains open. The window is
+    ``on_step`` hook detaches, so the kernel's step loop runs the
+    completion tail without calling it — once nothing the search loop
+    can still ask about remains open. The window is
     ``max(depth_bound, len(prefix))`` steps (``chosen``/``effects``
     always cover the full forced prefix: the shrinker converts prefix
     decisions into scripts), and it closes, the same way under every

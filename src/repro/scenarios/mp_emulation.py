@@ -43,8 +43,8 @@ The pinned matrix cells (see :mod:`repro.scenarios.catalog`):
   retransmission cannot defeat a partition).
 
 Cost note: a step of these cells pays only for what it reads. The
-kernel's inlined ``run_until`` loop ticks the network, and a tick with
-nothing due is one compare of the in-flight heap's head; the fault
+kernel's one step loop ticks the network, and a tick with nothing due
+is one compare of the in-flight heap's head; the fault
 judge tests only the rules that match a link; a replica daemon's
 retransmit poll returns at once below its earliest pending deadline.
 

@@ -37,8 +37,6 @@ from repro.sim.scheduler import (
     ScriptedScheduler,
     Scheduler,
     TraceScheduler,
-    interleave,
-    steps,
 )
 from repro.sim.system import StepMetrics, System
 from repro.sim.values import BOTTOM, FrozenDict, freeze, is_bottom, stable_key
@@ -80,11 +78,9 @@ __all__ = [
     "freeze",
     "fresh_op_ids",
     "idle_forever",
-    "interleave",
     "is_bottom",
     "pause_steps",
     "stable_key",
-    "steps",
     "swmr",
     "swsr",
 ]

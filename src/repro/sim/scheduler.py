@@ -23,6 +23,13 @@ this with pluggable schedulers:
   complete, compact encoding of the interleaving: replaying the same
   index trace against the same scenario reproduces the run bit for bit.
 
+Every scheduler answers one question, :meth:`Scheduler.select_index`:
+the *index* into the runnable tuple of the coroutine that moves next.
+The kernel runs every step through one loop (``System._drive``) that
+asks exactly that; :meth:`Scheduler.select` is the same pick returned
+as a coroutine id, and a wrapping scheduler (scripted or trace) asks
+its fallback's ``select_index`` once its own script runs out.
+
 A *coroutine id* is a ``(pid, role)`` pair — each process typically runs a
 ``"client"`` coroutine (its operations) and a ``"help"`` daemon
 (Section 3.3's steps outside operation intervals).
@@ -46,12 +53,17 @@ class Scheduler(ABC):
     """Strategy deciding which runnable coroutine takes the next step."""
 
     @abstractmethod
-    def select(self, runnable: Sequence[CoroutineId], clock: int) -> CoroutineId:
-        """Pick one element of ``runnable`` to advance at time ``clock``.
+    def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
+        """Index into ``runnable`` of the coroutine to advance at ``clock``.
 
         ``runnable`` is never empty and is presented in a deterministic
-        (sorted) order by the kernel.
+        (sorted) order by the kernel, as one cached tuple until its
+        membership changes.
         """
+
+    def select(self, runnable: Sequence[CoroutineId], clock: int) -> CoroutineId:
+        """The coroutine :meth:`select_index` picks."""
+        return runnable[self.select_index(runnable, clock)]
 
     def describe(self) -> str:
         """A short human-readable label for reports."""
@@ -66,10 +78,11 @@ class RoundRobinScheduler(Scheduler):
     least once per full rotation, which satisfies the fairness premise of
     all the paper's termination proofs.
 
-    ``select`` runs once per kernel step, so the rotation is O(1) on the
-    hot path: the kernel hands schedulers one cached immutable tuple
-    until membership changes, and as long as the same tuple comes back,
-    "first id greater than the last choice" is simply the next position.
+    ``select_index`` runs once per kernel step, so the rotation is O(1)
+    on the hot path: the kernel hands schedulers one cached immutable
+    tuple until membership changes, and as long as the same tuple comes
+    back, "first id greater than the last choice" is simply the next
+    position.
     The scan fallback handles membership changes and non-tuple callers.
     """
 
@@ -78,23 +91,7 @@ class RoundRobinScheduler(Scheduler):
         self._seen: Optional[Tuple[CoroutineId, ...]] = None
         self._index = -1
 
-    def select(self, runnable: Sequence[CoroutineId], clock: int) -> CoroutineId:
-        return runnable[self.select_index(runnable, clock)]
-
     def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
-        """Like :meth:`select` but returns the chosen *index*.
-
-        The record/replay layer (:class:`TraceScheduler`) stores decision
-        indices; exposing the index directly saves it a linear
-        ``runnable.index`` scan on every step. This is the primary entry
-        point (``select`` wraps it), so the rotation fast path pays one
-        call, not two.
-
-        NOTE: :meth:`TraceScheduler.select` inlines this exact rotation
-        as its fused fallback fast path (one call per kernel step is
-        measurably cheaper than two) — any change to the algorithm here
-        must be mirrored there.
-        """
         if runnable is self._seen:
             index = self._index + 1
             if index >= len(runnable):
@@ -148,12 +145,6 @@ class _FairScheduler(Scheduler):
         self._fargmin = vals.index(min(vals))
         self._fepoch = runnable if type(runnable) is tuple else None
 
-    def select(self, runnable: Sequence[CoroutineId], clock: int) -> CoroutineId:
-        return runnable[self.select_index(runnable, clock)]
-
-    def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
-        raise NotImplementedError
-
 
 class RandomScheduler(_FairScheduler):
     """Seeded random scheduling with a hard starvation bound.
@@ -173,9 +164,7 @@ class RandomScheduler(_FairScheduler):
         self._seed = seed
 
     def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
-        """Index-direct selection (see RoundRobinScheduler.select_index).
-
-        Draw-for-draw identical to ``rng.choice(list(runnable))`` with a
+        """Draw-for-draw identical to ``rng.choice(list(runnable))`` with a
         per-step starving scan: ``_randbelow`` is exactly the draw
         ``choice`` makes, and the maintained argmin is the same
         first-minimal starving coroutine the scan-and-``min`` found.
@@ -226,7 +215,7 @@ class ScriptedScheduler(Scheduler):
         self._strict = strict
         self._exhausted = False
 
-    def select(self, runnable: Sequence[CoroutineId], clock: int) -> CoroutineId:
+    def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
         while not self._exhausted:
             try:
                 wanted = next(self._script)
@@ -234,13 +223,13 @@ class ScriptedScheduler(Scheduler):
                 self._exhausted = True
                 break
             if wanted in runnable:
-                return wanted
+                return runnable.index(wanted)
             if self._strict:
                 raise SchedulerError(
                     f"scripted coroutine {wanted!r} not runnable at time "
                     f"{clock}; runnable = {list(runnable)}"
                 )
-        return self._fallback.select(runnable, clock)
+        return self._fallback.select_index(runnable, clock)
 
     @property
     def exhausted(self) -> bool:
@@ -282,9 +271,7 @@ class PriorityScheduler(_FairScheduler):
         """Hook for subclasses that assign weights on first sight."""
 
     def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
-        """Index-direct selection (see RoundRobinScheduler.select_index).
-
-        Draw-for-draw identical to the original per-step
+        """Draw-for-draw identical to the original per-step
         ``rng.choices(list(runnable), weights=...)``: ``choices`` with
         ``k=1`` consumes one ``random()`` and bisects the cumulative
         weights — reproduced here against the epoch-cached prefix sums.
@@ -346,18 +333,6 @@ class TraceScheduler(Scheduler):
     ):
         self._prefix = tuple(prefix)
         self._fallback = fallback or RoundRobinScheduler()
-        #: Index-direct fast path (no ``runnable.index`` scan) for
-        #: fallbacks that expose ``select_index`` (round robin does).
-        self._fallback_index = getattr(self._fallback, "select_index", None)
-        #: Plain round-robin fallbacks are fused into select() itself —
-        #: one call per kernel step instead of two. The rotation state
-        #: lives here; the fallback object is then never consulted.
-        self._fused_rr = type(self._fallback) is RoundRobinScheduler
-        self._rr_last: Optional[CoroutineId] = (
-            self._fallback._last if self._fused_rr else None
-        )
-        self._rr_seen: Optional[Tuple[CoroutineId, ...]] = None
-        self._rr_index = -1
         #: Single int compare on the hot path (huge -> record forever).
         self._record_until = (1 << 62) if horizon is None else horizon
         #: Index chosen at each step (prefix entries included).
@@ -365,7 +340,7 @@ class TraceScheduler(Scheduler):
         #: Runnable tuple at each of the first ``horizon`` steps.
         self.runnables: List[Tuple[CoroutineId, ...]] = []
 
-    def select(self, runnable: Sequence[CoroutineId], clock: int) -> CoroutineId:
+    def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
         trace = self.trace
         depth = len(trace)
         prefix = self._prefix
@@ -376,38 +351,12 @@ class TraceScheduler(Scheduler):
                     f"trace index {index} out of range at step {depth}: "
                     f"only {len(runnable)} runnable coroutines"
                 )
-            choice = runnable[index]
-        elif self._fused_rr:
-            # Inlined RoundRobinScheduler rotation (see select_index
-            # there): next position while the runnable tuple is the
-            # kernel's cached one, first-greater scan on change.
-            if runnable is self._rr_seen:
-                index = self._rr_index + 1
-                if index >= len(runnable):
-                    index = 0
-            else:
-                last = self._rr_last
-                index = 0
-                if last is not None:
-                    for position, cid in enumerate(runnable):
-                        if cid > last:
-                            index = position
-                            break
-                if type(runnable) is tuple:
-                    self._rr_seen = runnable
-            self._rr_index = index
-            choice = runnable[index]
-            self._rr_last = choice
-        elif self._fallback_index is not None:
-            index = self._fallback_index(runnable, clock)
-            choice = runnable[index]
         else:
-            choice = self._fallback.select(runnable, clock)
-            index = runnable.index(choice)
+            index = self._fallback.select_index(runnable, clock)
         if depth < self._record_until:
             self.runnables.append(tuple(runnable))
         trace.append(index)
-        return choice
+        return index
 
     @property
     def prefix(self) -> Tuple[int, ...]:
@@ -419,13 +368,3 @@ class TraceScheduler(Scheduler):
             f"TraceScheduler(prefix_len={len(self._prefix)}, "
             f"fallback={self._fallback.describe()})"
         )
-
-
-def steps(cid: CoroutineId, count: int) -> List[CoroutineId]:
-    """Script helper: ``count`` consecutive steps of ``cid``."""
-    return [cid] * count
-
-
-def interleave(*cids: CoroutineId, rounds: int = 1) -> List[CoroutineId]:
-    """Script helper: ``rounds`` rounds of the given ids in order."""
-    return list(cids) * rounds

@@ -1,13 +1,15 @@
 """The simulation kernel: effect interpreter, virtual clock, fault bookkeeping.
 
 :class:`System` owns the shared memory (:class:`RegisterFile`), the
-history, the virtual clock, and a set of coroutines. Each call to
-:meth:`System.step`:
+history, the virtual clock, and a set of coroutines. Every step, whether
+:meth:`System.step`, :meth:`System.run` or :meth:`System.run_until`
+drives it, goes through one loop that:
 
-1. asks the scheduler to pick one runnable coroutine,
-2. advances the clock,
+1. asks the scheduler for the index of one runnable coroutine,
+2. advances the clock (and ticks the network, if one is installed),
 3. resumes the coroutine with the result of its previous effect,
-4. executes the newly yielded effect against the shared state.
+4. executes the newly yielded effect against the shared state,
+5. reports the step to the ``on_step`` observer, if one is attached.
 
 A coroutine that yields :class:`~repro.sim.effects.Await` *parks*: it
 leaves the runnable set until a write to one of its watched registers
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, SchedulerError, StepLimitExceeded
+from repro.errors import ConfigurationError, StepLimitExceeded
 from repro.sim.effects import (
     Annotate,
     Await,
@@ -54,6 +56,11 @@ from repro.sim.history import Annotation, History
 from repro.sim.process import Program
 from repro.sim.registers import RegisterFile, RegisterSpec
 from repro.sim.scheduler import CoroutineId, RoundRobinScheduler, Scheduler
+
+
+def _never() -> bool:
+    """The goal of :meth:`System.step` and :meth:`System.run`: none."""
+    return False
 
 
 @dataclass(slots=True)
@@ -286,53 +293,11 @@ class System:
 
     def step(self) -> bool:
         """Advance one coroutine by one effect; False if none runnable."""
-        runnable = self._runnable_cache
-        if runnable is None:
-            runnable = self._runnable()
-        if not runnable:
-            return False
-        cid = self.scheduler.select(runnable, self.clock)
-        co = self._coroutines.get(cid)
-        if co is None or co.finished:
-            raise SchedulerError(f"scheduler chose non-runnable coroutine {cid!r}")
-        clock = self.clock + 1
-        self.clock = clock
-        self.metrics.total_steps += 1
-        co.steps_taken += 1
-        if self._fp_live:
-            self._co_dirty.add(cid)
-        if self.network is not None:
-            self.network.tick(clock, self)
-        try:
-            if co.started:
-                effect = co.resume(co.next_send)
-            else:
-                co.started = True
-                effect = co.resume(None)
-        except StopIteration:
-            co.finished = True
-            self._runnable_cache = None
-            if self.on_step is not None:
-                self.on_step(cid, None)
-            return True
-        # Inlined _execute fast path: one dict probe per step; the
-        # method handles subclass resolution and unknown effects.
-        handler = self._HANDLERS.get(type(effect))
-        if handler is None:
-            co.next_send = self._execute(cid, effect)
-        else:
-            co.next_send = handler(self, cid[0], effect)
-        if self.on_step is not None:
-            self.on_step(cid, effect)
-        return True
+        return self._drive(_never, 1)[0] == 1
 
     def run(self, max_steps: int) -> int:
         """Take up to ``max_steps`` steps; returns how many were taken."""
-        taken = 0
-        step = self.step
-        while taken < max_steps and step():
-            taken += 1
-        return taken
+        return self._drive(_never, max_steps)[0]
 
     def run_until(
         self,
@@ -346,78 +311,66 @@ class System:
         already holds costs zero steps. Liveness tests rely on the raised
         :class:`StepLimitExceeded` to flag non-termination.
 
-        This is the kernel's hottest loop (every scenario drives through
-        it), so the uninstrumented case — no ``on_step`` observer —
-        runs an inlined copy of :meth:`step`'s body with the lookups
-        hoisted out of the loop. Networked runs take it too: the loop
-        ticks ``self.network`` where :meth:`step` does, after the clock
-        advances and before the coroutine resumes. The two bodies must
-        stay behaviourally identical; the record/replay determinism
-        tests and ``tests/test_faults.py``'s observer differential pin
-        them together. Only steps with an ``on_step`` observer take the
-        plain :meth:`step` path, so observers still see every step.
+        :meth:`step`, :meth:`run` and this method share one step loop
+        (:meth:`_drive`) and one pick (the scheduler's ``select_index``),
+        so an ``on_step`` observer, a network tick or a fingerprint
+        sees the same steps whichever entry point drove them.
+        """
+        taken, why = self._drive(predicate, max_steps)
+        if why == "limit":
+            raise StepLimitExceeded(
+                f"{label} not reached within {max_steps} steps "
+                f"(clock={self.clock})",
+                steps=taken,
+            )
+        if why == "idle":
+            raise StepLimitExceeded(
+                f"{label} unreachable: no runnable coroutines left "
+                f"(clock={self.clock})",
+                steps=taken,
+            )
+        return taken
+
+    def _drive(
+        self, predicate: Callable[[], bool], max_steps: int
+    ) -> Tuple[int, str]:
+        """The kernel's one step loop: ``(steps taken, why it stopped)``.
+
+        Before each step it stops with ``"goal"`` once ``predicate()``
+        holds, ``"limit"`` once ``max_steps`` steps were taken, and
+        ``"idle"`` when nothing is runnable. A step asks the scheduler
+        for an index into the runnable tuple, advances the clock, ticks
+        the network, resumes the coroutine and executes the effect it
+        yields, then calls ``on_step`` (with ``None`` for the step that
+        retires the coroutine).
         """
         taken = 0
-        step = self.step
-        coroutines_get = self._coroutines.get
+        coroutines = self._coroutines
         handlers_get = self._HANDLERS.get
-        metrics = self.metrics
         co_dirty_add = self._co_dirty.add
-        scheduler = self.scheduler
-        scheduler_select = scheduler.select
-        # Index-direct selection when the scheduler exposes it (all the
-        # in-tree non-wrapping schedulers do); decision-identical, one
-        # call instead of two.
-        select_index = getattr(scheduler, "select_index", None)
+        select_index = self.scheduler.select_index
         # The network hook is installed at system construction (before
         # any drive) and never detaches mid-run, so it is hoisted. on_step
         # *does* detach mid-run (the explorer's recording window), so it
         # must stay a per-step load.
         network_tick = None if self.network is None else self.network.tick
-        # total_steps is only observed between runs, so the fast path
-        # batches the counter into one add per run_until call (exception
-        # exits included) instead of one per step.
-        batched = 0
         try:
             while True:
                 if predicate():
-                    return taken
+                    return taken, "goal"
                 if taken >= max_steps:
-                    raise StepLimitExceeded(
-                        f"{label} not reached within {max_steps} steps "
-                        f"(clock={self.clock})",
-                        steps=taken,
-                    )
-                if self.on_step is not None:
-                    if not step():
-                        raise StepLimitExceeded(
-                            f"{label} unreachable: no runnable coroutines left "
-                            f"(clock={self.clock})",
-                            steps=taken,
-                        )
-                    taken += 1
-                    continue
-                # ---- inlined step() body (uninstrumented fast path) ----
+                    return taken, "limit"
                 runnable = self._runnable_cache
                 if runnable is None:
                     runnable = self._runnable()
                 if not runnable:
-                    raise StepLimitExceeded(
-                        f"{label} unreachable: no runnable coroutines left "
-                        f"(clock={self.clock})",
-                        steps=taken,
-                    )
-                if select_index is not None:
-                    cid = runnable[select_index(runnable, self.clock)]
-                else:
-                    cid = scheduler_select(runnable, self.clock)
-                co = coroutines_get(cid)
-                if co is None or co.finished:
-                    raise SchedulerError(
-                        f"scheduler chose non-runnable coroutine {cid!r}"
-                    )
+                    return taken, "idle"
+                cid = runnable[select_index(runnable, self.clock)]
+                co = coroutines[cid]
                 self.clock += 1
-                batched += 1
+                # total_steps is only observed between drives, so it is
+                # added once on the way out (exception exits included).
+                taken += 1
                 co.steps_taken += 1
                 # _fp_live is re-read per step on purpose: a predicate
                 # may call fingerprint() mid-run, and hoisting the flag
@@ -436,15 +389,18 @@ class System:
                 except StopIteration:
                     co.finished = True
                     self._runnable_cache = None
+                    effect = None
                 else:
                     handler = handlers_get(type(effect))
                     if handler is None:
                         co.next_send = self._execute(cid, effect)
                     else:
                         co.next_send = handler(self, cid[0], effect)
-                taken += 1
+                on_step = self.on_step
+                if on_step is not None:
+                    on_step(cid, effect)
         finally:
-            metrics.total_steps += batched
+            self.metrics.total_steps += taken
 
     def steps_of(self, cid: CoroutineId) -> int:
         """Steps taken so far by coroutine ``cid`` (0 if never spawned)."""
@@ -458,7 +414,7 @@ class System:
         handler = self._HANDLERS.get(type(effect))
         if handler is None:
             # Await needs the coroutine, not just its pid, so it stays
-            # off the handler table and off the step loops' fast path.
+            # off the handler table and off the step loop's fast path.
             if isinstance(effect, Await):
                 return self._exec_await(cid, effect)
             # Effect subclasses dispatch through their nearest handled

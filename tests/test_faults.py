@@ -655,8 +655,8 @@ MP_CELLS = {
 def _observe_mp_run(monkeypatch, name, observer=False):
     """Drive one cell at seed 0 and return what the run left behind.
 
-    With ``observer``, a no-op ``on_step`` hook sends every step through
-    ``System.step``; without, the run takes ``run_until``'s inlined loop.
+    With ``observer``, a no-op ``on_step`` hook sees every step; an
+    observer must not change the run.
     """
     channels = []
 
@@ -711,9 +711,9 @@ MP_PINNED = {
 
 
 class TestNetworkedStepPaths:
-    """Networked runs step through ``run_until``'s inlined loop, which
-    ticks the network itself; an ``on_step`` observer forces the plain
-    ``System.step`` path. Both must leave the same run behind."""
+    """Networked runs tick the network inside the kernel's one step
+    loop; an ``on_step`` observer rides along on every step. With and
+    without one, they must leave the same run behind."""
 
     @pytest.mark.parametrize("name", sorted(MP_CELLS))
     def test_observer_path_matches_the_inlined_loop(self, monkeypatch, name):

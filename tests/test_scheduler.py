@@ -10,9 +10,9 @@ from repro.sim.scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
     ScriptedScheduler,
-    interleave,
-    steps,
+    TraceScheduler,
 )
+from repro.explore.fuzzer import SwarmScheduler
 
 A, B, C = (1, "client"), (2, "client"), (2, "help")
 
@@ -90,10 +90,6 @@ class TestScripted:
         assert sched.exhausted
         assert set(follow) == {A, B}  # round-robin fallback covers both
 
-    def test_script_helpers(self):
-        assert steps(A, 3) == [A, A, A]
-        assert interleave(A, B, rounds=2) == [A, B, A, B]
-
 
 class TestPriority:
     def test_bias_respected(self):
@@ -113,3 +109,46 @@ class TestPriority:
     def test_invalid_weight(self):
         with pytest.raises(SchedulerError):
             PriorityScheduler(weights={A: 0.0})
+
+
+def _warm_round_robin():
+    scheduler = RoundRobinScheduler()
+    for clock in range(2):
+        scheduler.select_index((A, B, C), clock)
+    return scheduler
+
+
+#: One runnable tuple per step, reused object for object while
+#: membership holds, as the kernel hands them out.
+_ALL, _NO_B, _NO_A = (A, B, C), (A, C), (B, C)
+_RUNNABLES = [_ALL] * 5 + [_NO_B] * 3 + [_ALL] * 4 + [_NO_A] * 2 + [_ALL] * 4
+
+
+class TestTraceFallback:
+    """Past an empty prefix, a trace records exactly its fallback's picks."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            RoundRobinScheduler,
+            _warm_round_robin,
+            lambda: RandomScheduler(seed=7, fairness_bound=3),
+            lambda: SwarmScheduler(seed=5),
+            lambda: ScriptedScheduler([C, B, B, A, C], strict=False),
+        ],
+        ids=["round-robin", "warm-round-robin", "random", "swarm", "scripted"],
+    )
+    def test_records_the_fallbacks_own_picks(self, make):
+        alone = make()
+        expected = [
+            alone.select_index(runnable, clock)
+            for clock, runnable in enumerate(_RUNNABLES)
+        ]
+        traced = TraceScheduler(fallback=make())
+        picks = [
+            traced.select_index(runnable, clock)
+            for clock, runnable in enumerate(_RUNNABLES)
+        ]
+        assert picks == traced.trace == expected
+        assert traced.runnables == _RUNNABLES
+        assert len(set(expected)) > 1

@@ -417,6 +417,8 @@ class TestAwait:
         assert system.runnable() == (B,)
 
     def test_step_and_inlined_run_until_agree_under_parks(self):
+        """An ``on_step`` observer does not change a run that parks."""
+
         def run(observe):
             system = System(n=4, scheduler=RandomScheduler(seed=3))
             for pid in (2, 3):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import behaviors
+from repro.errors import ConfigurationError
 from repro.core import (
     AuthenticatedRegister,
     QuorumTestOrSet,
@@ -148,6 +149,23 @@ class TestByzantineSetter:
             assert late.result_of("test") == 1
         verdict = check_test_or_set(system.history, system.correct, "t", setter=1)
         assert verdict.ok, verdict.reason
+
+
+class TestOperationEntryPoint:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_operation_is_a_configuration_error(self, kind):
+        tos = build_tos(kind, System(n=4))
+        with pytest.raises(ConfigurationError, match="no operation 'write'"):
+            tos.op(2, "write", 5)
+
+    def test_wrappers_keep_their_default_names(self):
+        system = System(n=4)
+        names = [
+            TestOrSetFromVerifiable(VerifiableRegister(system, "v")).name,
+            TestOrSetFromAuthenticated(AuthenticatedRegister(system, "a")).name,
+            TestOrSetFromSticky(StickyRegister(system, "s")).name,
+        ]
+        assert names == ["tos-v", "tos-a", "tos-s"]
 
 
 class TestQuorumCandidateValidRegime:
