@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.authenticated import AuthenticatedRegister, well_formed_tuples
+from repro.core.authenticated import AuthenticatedRegister, timestamped_values
 from repro.core.sticky import StickyRegister
 from repro.core.verifiable import VerifiableRegister
 from repro.sim.effects import ReadRegister, WriteRegister
@@ -286,10 +286,10 @@ def forking_owner_sticky(
 # Byzantine helpers (witness-layer attacks)
 # ----------------------------------------------------------------------
 def no_witness(register: Any, *_: Any) -> Any:
-    """The "I witness nothing" report: ``⊥`` for a sticky register, the
-    empty set for the set-valued witness registers of the others (extra
-    arguments are ignored, so it serves as a :func:`serve_askers` report)."""
-    return BOTTOM if isinstance(register, StickyRegister) else frozenset()
+    """The "I witness nothing" report: the register's ``NO_REPORT`` (``⊥``
+    for a sticky register, the empty set for the others; extra arguments
+    are ignored, so it serves as a :func:`serve_askers` report)."""
+    return register.NO_REPORT
 
 
 def serve_askers(
@@ -387,7 +387,7 @@ def denying_witness(registers: Sequence[Any], pid: int) -> Program:
                 yield WriteRegister(register.reg_witness(pid), value)
         else:
             raw = yield ReadRegister(register.reg_witness(register.writer))
-            values = frozenset(value for _ts, value in well_formed_tuples(raw))
+            values = timestamped_values(raw)
             yield WriteRegister(register.reg_witness(pid), values | {register.initial})
 
     helped = [register for register in registers if register.writer != pid]

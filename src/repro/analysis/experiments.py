@@ -35,7 +35,9 @@ from repro.analysis.metrics import (
 from repro.apps import SignedReliableBroadcast
 from repro.core import (
     AuthenticatedRegister,
+    EarlyWriteStickyRegister,
     NaiveQuorumVerifiableRegister,
+    NoResetVerifiableRegister,
     StickyRegister,
     TestOrSetFromAuthenticated,
     TestOrSetFromSticky,
@@ -638,9 +640,12 @@ def ablation_set0_reset(max_steps: int = 60_000) -> Tuple[Headers, Rows]:
     liveness failure, detected as a step-budget exhaustion.
     """
     rows: Rows = []
-    for reset in (True, False):
+    for reset, register_class in (
+        (True, VerifiableRegister),
+        (False, NoResetVerifiableRegister),
+    ):
         system = System(n=4)
-        register = VerifiableRegister(system, "reg", initial=0, reset_set0=reset)
+        register = register_class(system, "reg", initial=0)
         register.install()
         system.declare_byzantine(1)
 
@@ -711,9 +716,12 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
     Write cannot return that early and the Read gets the value.
     """
     rows: Rows = []
-    for wait in (True, False):
+    for wait, register_class in (
+        (True, StickyRegister),
+        (False, EarlyWriteStickyRegister),
+    ):
         system = System(n=4)
-        register = StickyRegister(system, "s", wait_for_witnesses=wait)
+        register = register_class(system, "s")
         register.install()
         system.declare_byzantine(4)
 

@@ -5,7 +5,9 @@
 * :class:`StickyRegister` — Algorithm 3 (write-once uniqueness).
 * Test-or-set wrappers — Section 10's possibility direction.
 * :class:`SignedVerifiableRegister` — signature-based comparator.
-* :class:`NaiveVerifiableRegister` — the erasable strawman of Section 5.1.
+* :class:`NaiveVerifiableRegister` — the erasable strawman of Section 5.1,
+  and the other broken variants of :mod:`repro.core.naive` (E11, E12).
+* :class:`WitnessRegister` — the ask/answer layer Algorithms 1–3 share.
 """
 
 from repro.core.authenticated import (
@@ -19,11 +21,17 @@ from repro.core.interfaces import (
     FAIL,
     SUCCESS,
     AlgorithmBase,
+    WitnessRegister,
     as_frozenset,
     as_int,
     as_reply_pair,
 )
-from repro.core.naive import NaiveQuorumVerifiableRegister, NaiveVerifiableRegister
+from repro.core.naive import (
+    EarlyWriteStickyRegister,
+    NaiveQuorumVerifiableRegister,
+    NaiveVerifiableRegister,
+    NoResetVerifiableRegister,
+)
 from repro.core.signature_baseline import SignatureOracle, SignedVerifiableRegister
 from repro.core.sticky import StickyRegister
 from repro.core.test_or_set import (
@@ -39,9 +47,11 @@ __all__ = [
     "AlgorithmBase",
     "AuthenticatedRegister",
     "DONE",
+    "EarlyWriteStickyRegister",
     "FAIL",
     "NaiveQuorumVerifiableRegister",
     "NaiveVerifiableRegister",
+    "NoResetVerifiableRegister",
     "QuorumTestOrSet",
     "SET_FLAG",
     "SUCCESS",
@@ -52,6 +62,7 @@ __all__ = [
     "TestOrSetFromSticky",
     "TestOrSetFromVerifiable",
     "VerifiableRegister",
+    "WitnessRegister",
     "as_frozenset",
     "as_int",
     "as_reply_pair",

@@ -23,46 +23,24 @@ Paper name         Simulator name           Role
 =================  =======================  ==========================
 
 Comments cite Algorithm 2's line numbers. The ``Verify`` procedure is
-identical to Algorithm 1's (the paper states this explicitly); the Help
-daemon differs in how the writer's values are extracted from the
-timestamped ``R_1`` (lines 29–31).
+identical to Algorithm 1's (the paper states this explicitly), so the
+class binds :meth:`VerifiableRegister.procedure_verify` rather than
+copying it; the ask/answer protocol is the shared
+:class:`~repro.core.interfaces.WitnessRegister`'s. The Help daemon
+differs in how the writer's values are extracted from the timestamped
+``R_1`` (lines 29–31).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.interfaces import (
-    DONE,
-    AlgorithmBase,
-    as_frozenset,
-    as_int,
-    as_reply_pair,
-)
-from repro.sim.effects import Await, Pause, ReadRegister, WriteRegister
+from repro.core.interfaces import DONE, WitnessRegister, as_frozenset
+from repro.core.verifiable import VerifiableRegister, adoptable
+from repro.sim.effects import Await, WriteRegister
 from repro.sim.process import Program
-from repro.sim.registers import RegisterSpec, swmr, swsr
+from repro.sim.registers import RegisterSpec, swmr
 from repro.sim.values import freeze, stable_key
-
-
-def timestamped_values(raw: Any) -> frozenset:
-    """Extract ``{v : ⟨-, v⟩ in raw}`` from the writer's register (line 30).
-
-    A Byzantine writer can store arbitrary garbage in ``R_1``; entries
-    that are not well-formed ``⟨l, v⟩`` pairs are ignored, and a raw value
-    that is not a set at all contributes nothing.
-    """
-    values: Set[Any] = set()
-    if isinstance(raw, frozenset):
-        for entry in raw:
-            if (
-                isinstance(entry, tuple)
-                and len(entry) == 2
-                and isinstance(entry[0], int)
-                and not isinstance(entry[0], bool)
-            ):
-                values.add(entry[1])
-    return frozenset(values)
 
 
 def well_formed_tuples(raw: Any) -> List[Tuple[int, Any]]:
@@ -81,6 +59,16 @@ def well_formed_tuples(raw: Any) -> List[Tuple[int, Any]]:
     return out
 
 
+def timestamped_values(raw: Any) -> frozenset:
+    """Extract ``{v : ⟨-, v⟩ in raw}`` from the writer's register (line 30).
+
+    The projection of :func:`well_formed_tuples`: entries of a Byzantine
+    writer's ``R_1`` that are not well-formed ``⟨l, v⟩`` pairs are
+    ignored, and a raw value that is not a set contributes nothing.
+    """
+    return frozenset({v for _l, v in well_formed_tuples(raw)})
+
+
 def max_tuple(tuples: List[Tuple[int, Any]]) -> Tuple[int, Any]:
     """The maximum ``⟨l, v⟩`` under the paper's order (footnote 8).
 
@@ -91,7 +79,7 @@ def max_tuple(tuples: List[Tuple[int, Any]]) -> Tuple[int, Any]:
     return max(tuples, key=lambda lv: (lv[0], stable_key(lv[1])))
 
 
-class AuthenticatedRegister(AlgorithmBase):
+class AuthenticatedRegister(WitnessRegister):
     """Line-faithful implementation of Algorithm 2.
 
     Operations: ``write`` (writer), ``read`` and ``verify`` (any reader).
@@ -112,24 +100,10 @@ class AuthenticatedRegister(AlgorithmBase):
         #: Writer-local timestamp counter ``l`` (line "local variable").
         self._timestamp = 0
 
-    # ------------------------------------------------------------------
-    # Register naming
-    # ------------------------------------------------------------------
-    def reg_witness(self, i: int) -> str:
-        """``R_i`` — writer tuples for i = writer, witness set otherwise."""
-        return f"{self.name}/R[{i}]"
-
-    def reg_reply(self, j: int, k: int) -> str:
-        """``R_jk`` — SWSR reply channel written by j, read by reader k."""
-        return f"{self.name}/R[{j}->{k}]"
-
-    def reg_counter(self, k: int) -> str:
-        """``C_k`` — reader k's asker counter."""
-        return f"{self.name}/C[{k}]"
-
     def register_specs(self) -> Iterable[RegisterSpec]:
         # R1 initially {⟨0, v0⟩}; reader witness sets initially {v0}
-        # (the initial value is deemed signed — Section 6).
+        # (the initial value is deemed signed — Section 6). R1 holds the
+        # writer's tuples and doubles as its witness register.
         yield swmr(
             self.reg_witness(self.writer),
             self.writer,
@@ -137,11 +111,7 @@ class AuthenticatedRegister(AlgorithmBase):
         )
         for k in self.readers:
             yield swmr(self.reg_witness(k), k, initial=frozenset({self.initial}))
-        for j in self.pids:
-            for k in self.readers:
-                yield swsr(self.reg_reply(j, k), j, k, initial=(frozenset(), 0))
-        for k in self.readers:
-            yield swmr(self.reg_counter(k), k, initial=0)
+        yield from self.asker_specs()
 
     # ------------------------------------------------------------------
     # Writer procedure
@@ -151,7 +121,7 @@ class AuthenticatedRegister(AlgorithmBase):
         self._require_writer(pid)
         v = freeze(v)
         self._timestamp += 1  # line 1: l <- l + 1 (writer-local)
-        current = yield ReadRegister(self.reg_witness(self.writer))
+        current = yield self._read_witness[self.writer]
         tuples = current if isinstance(current, frozenset) else frozenset()
         # line 2: R1 <- R1 U {⟨l, v⟩} (owner read-modify-write)
         yield WriteRegister(
@@ -171,59 +141,17 @@ class AuthenticatedRegister(AlgorithmBase):
         a Byzantine writer erases the tuple right after the Read.
         """
         self._require_reader(pid)
-        raw = yield ReadRegister(self.reg_witness(self.writer))  # line 4
+        raw = yield self._read_witness[self.writer]  # line 4
         tuples = well_formed_tuples(raw)  # line 5 (format check)
         if tuples:
             _ts, candidate = max_tuple(tuples)  # line 6
-            verified = yield from self.procedure_verify(
-                pid, candidate, _internal=True
-            )  # line 7
+            verified = yield from self.procedure_verify(pid, candidate)  # line 7
             if verified:  # line 8
                 return candidate
         return self.initial  # line 9
 
-    def procedure_verify(
-        self, pid: int, v: Any, _internal: bool = False
-    ) -> Program:
-        """``Verify(v)`` — lines 10–23; identical to Algorithm 1's.
-
-        ``_internal`` marks executions nested inside Read (they are
-        *executions* of the procedure, not Verify *operations*, per the
-        paper's Appendix B notation); behaviourally identical.
-        """
-        self._require_reader(pid)
-        v = freeze(v)
-        set0: Set[int] = set()
-        set1: Set[int] = set()
-        while True:  # line 11
-            counter = as_int((yield ReadRegister(self.reg_counter(pid))))
-            ck = counter + 1
-            yield WriteRegister(self.reg_counter(pid), ck)  # line 12
-            chosen_j: Optional[int] = None
-            chosen_reply: frozenset = frozenset()
-            while chosen_j is None:  # lines 13-16
-                progressed = False
-                for j in self.pids:
-                    if j in set0 or j in set1:
-                        continue
-                    progressed = True
-                    raw = yield ReadRegister(self.reg_reply(j, pid))  # line 15
-                    payload, cj = as_reply_pair(raw)
-                    if cj is not None and cj >= ck:  # line 16
-                        chosen_j = j
-                        chosen_reply = as_frozenset(payload)
-                        break
-                if not progressed:
-                    yield Pause()  # n <= 3f dead end; see verifiable.py
-            if v in chosen_reply:  # line 17
-                set1.add(chosen_j)  # line 18
-                set0 = set()  # line 19
-            else:  # line 20
-                set0.add(chosen_j)  # line 21
-            if len(set1) >= self.n - self.f:  # line 22
-                return True
-            if len(set0) > self.f:  # line 23
-                return False
+    #: ``Verify(v)`` — lines 10–23, identical to Algorithm 1's.
+    procedure_verify = VerifiableRegister.procedure_verify
 
     # ------------------------------------------------------------------
     # Help daemon
@@ -237,51 +165,30 @@ class AuthenticatedRegister(AlgorithmBase):
         witness set *is* ``R_1`` — while other processes accumulate
         adopted values into their own ``R_j`` (lines 31–35).
         """
-        counter_names = [self.reg_counter(k) for k in self.readers]
+        read_witness = self._read_witness
+        own_witness_read = read_witness[pid]
         prev_ck: Dict[int, int] = {k: 0 for k in self.readers}  # line 24
         while True:  # line 25
-            cks: Dict[int, int] = {}
-            seen: List[Any] = []
-            for k, name in zip(self.readers, counter_names):  # line 26
-                raw = yield ReadRegister(name)
-                seen.append(raw)
-                cks[k] = as_int(raw)
-            askers = [k for k in self.readers if cks[k] > prev_ck[k]]  # line 27
+            askers, cks, watch = yield from self.askers(prev_ck)  # lines 26-27
             if not askers:  # line 28
                 # An idle pass is stutter: park until some C_k moves.
-                yield Await(tuple(zip(counter_names, seen)))
+                yield Await(watch)
                 continue
-            raw_writer = yield ReadRegister(self.reg_witness(self.writer))  # line 29
+            raw_writer = yield read_witness[self.writer]  # line 29
             writer_values = timestamped_values(raw_writer)  # line 30
             if pid != self.writer:  # line 31
                 witness_sets: Dict[int, frozenset] = {self.writer: writer_values}
                 for i in self.readers:  # line 32
-                    witness_sets[i] = as_frozenset(
-                        (yield ReadRegister(self.reg_witness(i)))
-                    )
-                candidates: Set[Any] = set()
-                for witnessed in witness_sets.values():
-                    candidates |= witnessed
-                adopted = {
-                    v
-                    for v in candidates
-                    # line 33: v in r1 or in >= f+1 of the r_i (the
-                    # writer's projection counts as one of the r_i).
-                    if v in writer_values
-                    or sum(1 for i in self.pids if v in witness_sets[i])
-                    >= self.f + 1
-                }
-                own_now = as_frozenset(
-                    (yield ReadRegister(self.reg_witness(pid)))
-                )
-                yield WriteRegister(self.reg_witness(pid), own_now | adopted)  # line 34
-                published = as_frozenset(
-                    (yield ReadRegister(self.reg_witness(pid)))
-                )  # line 35
+                    witness_sets[i] = as_frozenset((yield read_witness[i]))
+                # line 33: the writer's projection counts as one of the r_i.
+                adopted = adoptable(witness_sets, writer_values, self.f)
+                own_now = as_frozenset((yield own_witness_read))
+                yield WriteRegister(
+                    own_witness_read.register, own_now | adopted
+                )  # line 34
+                published = as_frozenset((yield own_witness_read))  # line 35
             else:
                 # For j = 1 the helper publishes the projection of R_1
                 # directly (no separate witness register exists).
                 published = writer_values
-            for k in askers:  # line 36
-                yield WriteRegister(self.reg_reply(pid, k), (published, cks[k]))  # line 37
-                prev_ck[k] = cks[k]  # line 38
+            yield from self.answer(pid, askers, cks, published, prev_ck)  # lines 36-38

@@ -8,6 +8,11 @@ provides:
 
 * :class:`AlgorithmBase` — register-name bookkeeping, installation,
   helper spawning, traced operation entry points.
+* :class:`WitnessRegister` — the ask/answer protocol of Algorithms 1–3,
+  written once: the ``R_i`` / ``R_jk`` / ``C_k`` names and specs, the
+  cached read effects, a reader's asker round (:meth:`~WitnessRegister.ask`)
+  and a Help daemon's asker scan and reply
+  (:meth:`~WitnessRegister.askers`, :meth:`~WitnessRegister.answer`).
 * Defensive parsers (:func:`as_frozenset`, :func:`as_int`,
   :func:`as_reply_pair`) — a Byzantine process can store *anything* in the
   registers it owns, so correct code must never crash on malformed
@@ -18,13 +23,14 @@ provides:
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Container, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolViolation
-from repro.sim.effects import Effect
+from repro.sim.effects import PAUSE, Effect, ReadRegister, WriteRegister
 from repro.sim.process import Program, call
+from repro.sim.registers import RegisterSpec, swmr, swsr
 from repro.sim.system import System
-from repro.sim.values import BOTTOM, freeze
+from repro.sim.values import freeze
 
 #: Return value of Write operations (Definitions 10, 15, 21).
 DONE = "done"
@@ -115,10 +121,14 @@ class AlgorithmBase:
         self.system = system
         self.name = name
         self.writer = writer
-        self.f = system.f if f is None else f
-        if self.f < 0:
-            raise ConfigurationError(f"f must be >= 0, got {self.f}")
         self.n = system.n
+        self.f = system.f if f is None else f
+        if not 0 <= self.f < self.n:
+            # With n - f <= 0 Verify's yes-quorum is empty, so the first
+            # reply of any kind would verify a never-written value.
+            raise ConfigurationError(
+                f"f must satisfy 0 <= f < n = {self.n}, got {self.f}"
+            )
         self.initial = freeze(initial)
         self._installed = False
         self._pids_cache: Optional[Tuple[int, ...]] = None
@@ -211,3 +221,139 @@ class AlgorithmBase:
             raise ProtocolViolation(
                 f"operation reserved to readers, called by the writer p{pid}"
             )
+
+
+class WitnessRegister(AlgorithmBase):
+    """The ask/answer protocol Algorithms 1–3 share.
+
+    A reader *asks* by bumping its counter ``C_k`` and polling the reply
+    channels ``R_jk`` until some process ``j`` answers with a counter
+    ``c_j >= C_k`` (:meth:`ask`); every Help daemon scans the counters
+    for new askers (:meth:`askers`) and writes each one its current
+    report (:meth:`answer`). What a report is — a witness set, one
+    witnessed value — and what an asker does with it is the subclass's.
+    """
+
+    #: The "I witness nothing" report; every ``R_jk`` starts at
+    #: ``(NO_REPORT, 0)``.
+    NO_REPORT: Any = frozenset()
+
+    def __init__(
+        self,
+        system: System,
+        name: str,
+        writer: int = 1,
+        f: Optional[int] = None,
+        initial: Any = None,
+    ):
+        super().__init__(system, name, writer=writer, f=f, initial=initial)
+        # Hot-path caches: the poll loops yield reads of the same
+        # registers thousands of times per run; effects are frozen
+        # values, so one instance per register serves every yield, and
+        # its ``register`` field is the name, built once.
+        self._read_counter = {
+            k: ReadRegister(self.reg_counter(k)) for k in self.readers
+        }
+        self._read_witness = {
+            i: ReadRegister(self.reg_witness(i)) for i in self.pids
+        }
+        self._read_reply = {
+            (j, k): ReadRegister(self.reg_reply(j, k))
+            for j in self.pids
+            for k in self.readers
+        }
+
+    # ------------------------------------------------------------------
+    # Register naming
+    # ------------------------------------------------------------------
+    def reg_witness(self, i: int) -> str:
+        """``R_i`` — process i's witness register."""
+        return f"{self.name}/R[{i}]"
+
+    def reg_reply(self, j: int, k: int) -> str:
+        """``R_jk`` — SWSR reply channel written by j, read by reader k."""
+        return f"{self.name}/R[{j}->{k}]"
+
+    def reg_counter(self, k: int) -> str:
+        """``C_k`` — reader k's asker counter."""
+        return f"{self.name}/C[{k}]"
+
+    def asker_specs(self) -> Iterable[RegisterSpec]:
+        """Every reply channel ``R_jk`` and asker counter ``C_k``."""
+        for j in self.pids:
+            for k in self.readers:
+                yield swsr(self.reg_reply(j, k), j, k, initial=(self.NO_REPORT, 0))
+        for k in self.readers:
+            yield swmr(self.reg_counter(k), k, initial=0)
+
+    # ------------------------------------------------------------------
+    # The asker side
+    # ------------------------------------------------------------------
+    def ask(
+        self, pid: int, classified: Container[int]
+    ) -> Generator[Effect, Any, Tuple[int, Any]]:
+        """One asker round of reader ``pid``; returns ``(j, payload)``.
+
+        Algorithm 1 lines 12–17, Algorithm 2 lines 11–16, Algorithm 3
+        lines 8–14: bump ``C_k``, then poll ``R_jk`` of every ``j`` not
+        in ``classified`` until one reply carries ``c_j >= C_k``. The
+        payload is returned unparsed. When every process is already
+        classified yet the caller's thresholds were not met — possible
+        only when ``n <= 3f`` — the round pauses forever: the coroutine
+        stays schedulable and the operation legitimately never returns
+        (Theorem 29 and the E5 experiments).
+        """
+        read_counter = self._read_counter[pid]
+        ck = as_int((yield read_counter)) + 1
+        yield WriteRegister(read_counter.register, ck)
+        pending = [
+            (j, self._read_reply[(j, pid)]) for j in self.pids if j not in classified
+        ]
+        if not pending:
+            while True:
+                yield PAUSE
+        while True:
+            for j, read_reply in pending:
+                payload, cj = as_reply_pair((yield read_reply))
+                if cj is not None and cj >= ck:
+                    return j, payload
+
+    # ------------------------------------------------------------------
+    # The helper side
+    # ------------------------------------------------------------------
+    def askers(
+        self, prev_ck: Dict[int, int]
+    ) -> Generator[Effect, Any, Tuple[List[int], Dict[int, int], tuple]]:
+        """The Help daemon's asker scan; returns ``(askers, cks, watch)``.
+
+        Algorithm 1 lines 27–28, Algorithm 2 lines 26–27, Algorithm 3
+        lines 31–32: read every ``C_k``; the askers are the readers whose
+        counter moved past ``prev_ck``. ``watch`` pairs each counter with
+        the value read, ready for an idle helper's ``Await``.
+        """
+        cks: Dict[int, int] = {}
+        seen = []
+        for k, read_counter in self._read_counter.items():
+            raw = yield read_counter
+            seen.append((read_counter.register, raw))
+            cks[k] = as_int(raw)
+        askers = [k for k in cks if cks[k] > prev_ck[k]]
+        return askers, cks, tuple(seen)
+
+    def answer(
+        self,
+        pid: int,
+        askers: List[int],
+        cks: Dict[int, int],
+        published: Any,
+        prev_ck: Dict[int, int],
+    ) -> Program:
+        """Write ``(published, C_k)`` to every asker's ``R_pid,k``.
+
+        Algorithm 1 lines 34–36, Algorithm 2 lines 36–38, Algorithm 3
+        lines 38–40; ``prev_ck`` records each asker as served.
+        """
+        read_reply = self._read_reply
+        for k in askers:
+            yield WriteRegister(read_reply[(pid, k)].register, (published, cks[k]))
+            prev_ck[k] = cks[k]

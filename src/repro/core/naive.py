@@ -1,7 +1,8 @@
-"""Naive strawman registers: what goes wrong without the paper's machinery.
+"""Broken variants: what goes wrong without the paper's machinery.
 
-Two broken designs from the paper's own discussion, written out so
-attack demos and tests can exhibit the failures concretely:
+Each class drops one piece of Sections 5 and 9 so attack demos, tests
+and the E11 / E12 ablations can exhibit the failure it prevents; the
+paper's classes carry no switch for any of them.
 
 1. :class:`NaiveVerifiableRegister` — Section 5.1's opening problem. A
    reader who sees a value ``v`` in the writer's register cannot treat
@@ -19,13 +20,31 @@ attack demos and tests can exhibit the failures concretely:
    writer) give an early verifier ``τ`` yes-votes and a later one fewer,
    breaking relay; the set0/set1 round machinery of Algorithm 1 is
    exactly the fix. Experiment E11 stages this attack.
+
+3. :class:`NoResetVerifiableRegister` — Algorithm 1 whose Verify never
+   resets ``set0`` on a "yes" (line 20 dropped): a "no" voter is never
+   re-asked, so a verify can wait forever on a silent Byzantine writer
+   (Lemma 37(3); E11's liveness row).
+
+4. :class:`EarlyWriteStickyRegister` — Algorithm 3 whose Write returns
+   without waiting for ``n - f`` witnesses (lines 3–5 dropped): a Read
+   after the Write can return ``⊥`` (Section 9.1; E12).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, Optional, Set
 
-from repro.core.interfaces import DONE, FAIL, SUCCESS, AlgorithmBase, as_frozenset
+from repro.core.interfaces import (
+    DONE,
+    FAIL,
+    SUCCESS,
+    AlgorithmBase,
+    as_frozenset,
+    as_int,
+    as_reply_pair,
+)
+from repro.core.sticky import StickyRegister
 from repro.core.verifiable import VerifiableRegister
 from repro.sim.effects import Pause, ReadRegister, WriteRegister
 from repro.sim.process import Program, idle_forever
@@ -131,8 +150,6 @@ class NaiveQuorumVerifiableRegister(VerifiableRegister):
         """Collect first ``n - f`` distinct replies; threshold decides."""
         self._require_reader(pid)
         v = freeze(v)
-        from repro.core.interfaces import as_int, as_reply_pair
-
         counter = as_int((yield ReadRegister(self.reg_counter(pid))))
         ck = counter + 1
         yield WriteRegister(self.reg_counter(pid), ck)
@@ -151,3 +168,42 @@ class NaiveQuorumVerifiableRegister(VerifiableRegister):
                 yield Pause()
         yes_votes = sum(1 for reply in replied.values() if v in reply)
         return yes_votes >= self.tau
+
+
+class NoResetVerifiableRegister(VerifiableRegister):
+    """Algorithm 1 without the set0 reset (E11 liveness ablation).
+
+    Verify counts votes and never revisits a "no": line 20 is dropped,
+    so ``set0`` only grows. Lemma 37(3)'s re-ask is what lets a verify
+    that heard "no" before the value was signed still terminate; without
+    it the verify can wait forever on a silent Byzantine writer.
+    """
+
+    def procedure_verify(self, pid: int, v: Any) -> Program:
+        """Algorithm 1's Verify rounds, minus the line-20 reset."""
+        self._require_reader(pid)
+        v = freeze(v)
+        set0: Set[int] = set()
+        set1: Set[int] = set()
+        while True:
+            j, reply = yield from self.ask(pid, set0 | set1)
+            if v in as_frozenset(reply):
+                set1.add(j)
+            else:
+                set0.add(j)
+            if len(set1) >= self.n - self.f:
+                return True
+            if len(set0) > self.f:
+                return False
+
+
+class EarlyWriteStickyRegister(StickyRegister):
+    """Algorithm 3 whose Write skips the witness wait (E12 ablation).
+
+    Section 9.1: without the wait at lines 3–5, a Read invoked after
+    ``Write(v)`` completes can return ``⊥``, violating Observation 22.
+    """
+
+    def await_witnesses(self, v: Any) -> Program:
+        """Lines 3–5 dropped: return at once (unsound)."""
+        yield from ()

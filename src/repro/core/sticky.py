@@ -27,21 +27,25 @@ Paper name         Simulator name           Role
 ``C_k``            ``{name}/C[k]``          reader k's round counter
 =================  =======================  ==========================
 
-Comments cite Algorithm 3's line numbers.
+Comments cite Algorithm 3's line numbers. The ask/answer protocol over
+``R_ik`` / ``C_k`` is :class:`~repro.core.interfaces.WitnessRegister`'s,
+shared with Algorithms 1 and 2, with ``⊥`` as the "nothing" report. The
+E12 ablation (a Write that skips the witness wait) lives in
+:mod:`repro.core.naive`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
-from repro.core.interfaces import DONE, AlgorithmBase, as_int, as_reply_pair
-from repro.sim.effects import Pause, ReadRegister, WriteRegister
+from repro.core.interfaces import DONE, WitnessRegister
+from repro.sim.effects import PAUSE, ReadRegister, WriteRegister
 from repro.sim.process import Program
-from repro.sim.registers import RegisterSpec, swmr, swsr
+from repro.sim.registers import RegisterSpec, swmr
 from repro.sim.values import BOTTOM, freeze, is_bottom
 
 
-class StickyRegister(AlgorithmBase):
+class StickyRegister(WitnessRegister):
     """Line-faithful implementation of Algorithm 3.
 
     Operations: ``write`` (writer; blocks for ``n - f`` witnesses),
@@ -50,6 +54,8 @@ class StickyRegister(AlgorithmBase):
     """
 
     OPERATIONS = ("write", "read")
+    #: A sticky witness register holds one value; ``⊥`` is "no witness".
+    NO_REPORT = BOTTOM
 
     def __init__(
         self,
@@ -57,15 +63,9 @@ class StickyRegister(AlgorithmBase):
         name: str = "sreg",
         writer: int = 1,
         f: Optional[int] = None,
-        wait_for_witnesses: bool = True,
     ):
         # The initial value of a sticky register is always ⊥ (Def. 21).
         super().__init__(system, name, writer=writer, f=f, initial=BOTTOM)
-        #: §9.1 ablation switch. The paper explains that *without* the
-        #: n-f-witness wait in Write, a Read invoked after Write(v)
-        #: completes can return ⊥ (violating Observation 22); experiment
-        #: E12 demonstrates it. True is the paper's algorithm.
-        self.wait_for_witnesses = wait_for_witnesses
 
     # ------------------------------------------------------------------
     # Register naming
@@ -74,27 +74,11 @@ class StickyRegister(AlgorithmBase):
         """``E_i`` — process i's echo register."""
         return f"{self.name}/E[{i}]"
 
-    def reg_witness(self, i: int) -> str:
-        """``R_i`` — process i's (single-value) witness register."""
-        return f"{self.name}/R[{i}]"
-
-    def reg_reply(self, j: int, k: int) -> str:
-        """``R_jk`` — SWSR reply channel written by j, read by reader k."""
-        return f"{self.name}/R[{j}->{k}]"
-
-    def reg_counter(self, k: int) -> str:
-        """``C_k`` — reader k's asker counter."""
-        return f"{self.name}/C[{k}]"
-
     def register_specs(self) -> Iterable[RegisterSpec]:
         for i in self.pids:
             yield swmr(self.reg_echo(i), i, initial=BOTTOM)
             yield swmr(self.reg_witness(i), i, initial=BOTTOM)
-        for j in self.pids:
-            for k in self.readers:
-                yield swsr(self.reg_reply(j, k), j, k, initial=(BOTTOM, 0))
-        for k in self.readers:
-            yield swmr(self.reg_counter(k), k, initial=0)
+        yield from self.asker_specs()
 
     # ------------------------------------------------------------------
     # Writer procedure
@@ -114,16 +98,19 @@ class StickyRegister(AlgorithmBase):
         if not is_bottom(current):  # line 1: already wrote before
             return DONE
         yield WriteRegister(self.reg_echo(self.writer), v)  # line 2
-        if not self.wait_for_witnesses:
-            return DONE  # E12 ablation: skip lines 3-5 (unsound!)
-        while True:  # lines 3-5: wait for n-f witnesses of v
+        yield from self.await_witnesses(v)  # lines 3-5
+        return DONE  # line 6
+
+    def await_witnesses(self, v: Any) -> Program:
+        """Lines 3–5: wait until ``n - f`` witness registers hold ``v``."""
+        while True:
             count = 0
             for i in self.pids:  # line 4
-                witnessed = yield ReadRegister(self.reg_witness(i))
+                witnessed = yield self._read_witness[i]
                 if witnessed == v and not is_bottom(witnessed):
                     count += 1
             if count >= self.n - self.f:  # line 5
-                return DONE  # line 6
+                return
 
     # ------------------------------------------------------------------
     # Reader procedure
@@ -140,37 +127,21 @@ class StickyRegister(AlgorithmBase):
         self._require_reader(pid)
         set_bot: Set[int] = set()
         setval: Set[Tuple[Any, int]] = set()  # line 7
-        classified_pids = lambda: set_bot | {pj for (_v, pj) in setval}
         while True:  # line 8
-            counter = as_int((yield ReadRegister(self.reg_counter(pid))))
-            ck = counter + 1
-            yield WriteRegister(self.reg_counter(pid), ck)  # line 9
-            pending = [j for j in self.pids if j not in classified_pids()]  # line 10
-            chosen_j: Optional[int] = None
-            chosen_value: Any = BOTTOM
-            while chosen_j is None:  # lines 11-14
-                if not pending:
-                    yield Pause()  # n <= 3f dead end; cannot classify more
-                    continue
-                for j in pending:
-                    raw = yield ReadRegister(self.reg_reply(j, pid))  # line 13
-                    uj, cj = as_reply_pair(raw)
-                    if cj is not None and cj >= ck:  # line 14
-                        chosen_j = j
-                        chosen_value = uj
-                        break
-            if not is_bottom(chosen_value):  # line 15
-                setval.add((chosen_value, chosen_j))  # line 16
+            classified = set_bot | {pj for (_v, pj) in setval}
+            j, value = yield from self.ask(pid, classified)  # lines 9-14
+            if not is_bottom(value):  # line 15
+                setval.add((value, j))  # line 16
                 set_bot = set()  # line 17
             else:  # line 18
-                set_bot.add(chosen_j)  # line 19
+                set_bot.add(j)  # line 19
             # line 20: some value witnessed by >= n-f distinct processes?
             by_value: Dict[Any, int] = {}
-            for value, _pj in setval:
-                by_value[value] = by_value.get(value, 0) + 1
-            for value, count in by_value.items():
+            for witnessed, _pj in setval:
+                by_value[witnessed] = by_value.get(witnessed, 0) + 1
+            for witnessed, count in by_value.items():
                 if count >= self.n - self.f:
-                    return value  # line 21
+                    return witnessed  # line 21
             if len(set_bot) > self.f:  # line 22
                 return BOTTOM
 
@@ -186,6 +157,8 @@ class StickyRegister(AlgorithmBase):
         process may alternatively adopt on ``f + 1`` matching *witnesses*
         (lines 34–36) before publishing its witness value (lines 37–39).
         """
+        read_witness = self._read_witness
+        own_witness_read = read_witness[pid]
         prev_ck: Dict[int, int] = {k: 0 for k in self.readers}  # line 23
         while True:  # line 24
             own_echo = yield ReadRegister(self.reg_echo(pid))
@@ -193,7 +166,7 @@ class StickyRegister(AlgorithmBase):
                 writer_echo = yield ReadRegister(self.reg_echo(self.writer))  # line 26
                 if not is_bottom(writer_echo):
                     yield WriteRegister(self.reg_echo(pid), writer_echo)  # line 27
-            own_witness = yield ReadRegister(self.reg_witness(pid))
+            own_witness = yield own_witness_read
             if is_bottom(own_witness):  # line 28
                 echo_counts: Dict[Any, int] = {}
                 for i in self.pids:  # line 29
@@ -202,29 +175,24 @@ class StickyRegister(AlgorithmBase):
                         echo_counts[echoed] = echo_counts.get(echoed, 0) + 1
                 for value, count in echo_counts.items():  # line 30
                     if count >= self.n - self.f:
-                        yield WriteRegister(self.reg_witness(pid), value)
+                        yield WriteRegister(own_witness_read.register, value)
                         break
-            cks: Dict[int, int] = {}
-            for k in self.readers:  # line 31
-                cks[k] = as_int((yield ReadRegister(self.reg_counter(k))))
-            askers = [k for k in self.readers if cks[k] > prev_ck[k]]  # line 32
+            askers, cks, _watch = yield from self.askers(prev_ck)  # lines 31-32
             if not askers:  # line 33
-                yield Pause()
+                yield PAUSE
                 continue
-            own_witness = yield ReadRegister(self.reg_witness(pid))
+            own_witness = yield own_witness_read
             if is_bottom(own_witness):  # line 34
                 witness_counts: Dict[Any, int] = {}
                 for i in self.pids:  # line 35
-                    witnessed = yield ReadRegister(self.reg_witness(i))
+                    witnessed = yield read_witness[i]
                     if not is_bottom(witnessed):
                         witness_counts[witnessed] = (
                             witness_counts.get(witnessed, 0) + 1
                         )
                 for value, count in witness_counts.items():  # line 36
                     if count >= self.f + 1:
-                        yield WriteRegister(self.reg_witness(pid), value)
+                        yield WriteRegister(own_witness_read.register, value)
                         break
-            published = yield ReadRegister(self.reg_witness(pid))  # line 37
-            for k in askers:  # line 38
-                yield WriteRegister(self.reg_reply(pid, k), (published, cks[k]))  # line 39
-                prev_ck[k] = cks[k]  # line 40
+            published = yield own_witness_read  # line 37
+            yield from self.answer(pid, askers, cks, published, prev_ck)  # lines 38-40

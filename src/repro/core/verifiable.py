@@ -26,33 +26,48 @@ insertions are issued as a single merged set write (one atomic write of
 ``R_j ∪ {v, ...}``), which is observably equivalent because the values
 are inserted into the same register in the same step interval.
 
-An *ablation* flag ``reset_set0`` (default True) disables the
-set0-resetting mechanism when False, degrading Verify to the naive
-"count votes, never revisit" strategy of Section 5.1's broken partial
-algorithm — experiment E11 shows that variant violates the relay
-property under a colluding adversary.
+The ask/answer protocol over ``R_ik`` / ``C_k`` is
+:class:`~repro.core.interfaces.WitnessRegister`'s, shared with
+Algorithms 2 and 3; Algorithm 2 binds this module's Verify unchanged.
+The E11 ablations of Verify live in :mod:`repro.core.naive`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set
 
 from repro.core.interfaces import (
     DONE,
     FAIL,
     SUCCESS,
-    AlgorithmBase,
+    WitnessRegister,
     as_frozenset,
-    as_int,
-    as_reply_pair,
 )
-from repro.sim.effects import Await, Pause, ReadRegister, WriteRegister
+from repro.sim.effects import Await, ReadRegister, WriteRegister
 from repro.sim.process import Program
-from repro.sim.registers import RegisterSpec, swmr, swsr
+from repro.sim.registers import RegisterSpec, swmr
 from repro.sim.values import freeze
 
 
-class VerifiableRegister(AlgorithmBase):
+def adoptable(witness_sets: Dict[int, frozenset], signed: frozenset, f: int) -> Set[Any]:
+    """The values a helper adopts: Algorithm 1 line 31, Algorithm 2 line 33.
+
+    ``v`` is adoptable when the writer signed it (``v in signed``) or at
+    least ``f + 1`` of the witness sets contain it, so at least one
+    correct process witnessed it.
+    """
+    candidates: Set[Any] = set()
+    for witnessed in witness_sets.values():
+        candidates |= witnessed
+    return {
+        v
+        for v in candidates
+        if v in signed
+        or sum(1 for witnessed in witness_sets.values() if v in witnessed) >= f + 1
+    }
+
+
+class VerifiableRegister(WitnessRegister):
     """Line-faithful implementation of Algorithm 1.
 
     Operations: ``write`` / ``read`` (writer / any reader), ``sign``
@@ -69,7 +84,6 @@ class VerifiableRegister(AlgorithmBase):
         writer: int = 1,
         f: Optional[int] = None,
         initial: Any = None,
-        reset_set0: bool = True,
     ):
         super().__init__(system, name, writer=writer, f=f, initial=initial)
         #: Writer-local set ``r*`` of previously written values (line 2).
@@ -85,32 +99,6 @@ class VerifiableRegister(AlgorithmBase):
         #: Obs 11); both therefore merge through this shared set so every
         #: write of ``R_1`` carries the full union.
         self._r1_shadow: Set[Any] = set()
-        #: E11 ablation switch; True is the paper's algorithm.
-        self.reset_set0 = reset_set0
-        # Hot-path caches: the poll loops below yield reads of the same
-        # registers thousands of times per run; effects are frozen
-        # values, so one instance per register serves every yield, and
-        # the f-string register names are built once instead of per
-        # loop iteration.
-        self._read_star = ReadRegister(self.reg_star())
-        self._read_counter = {
-            k: ReadRegister(self.reg_counter(k)) for k in self.readers
-        }
-        self._read_witness = {
-            i: ReadRegister(self.reg_witness(i)) for i in self.pids
-        }
-        self._read_reply = {
-            (j, k): ReadRegister(self.reg_reply(j, k))
-            for j in self.pids
-            for k in self.readers
-        }
-        self._counter_names = {k: self.reg_counter(k) for k in self.readers}
-        self._witness_names = {i: self.reg_witness(i) for i in self.pids}
-        self._reply_names = {
-            (j, k): self.reg_reply(j, k)
-            for j in self.pids
-            for k in self.readers
-        }
 
     # ------------------------------------------------------------------
     # Register naming
@@ -119,29 +107,11 @@ class VerifiableRegister(AlgorithmBase):
         """``R*`` — the writer's current-value register."""
         return f"{self.name}/R*"
 
-    def reg_witness(self, i: int) -> str:
-        """``R_i`` — process i's witness-set register."""
-        return f"{self.name}/R[{i}]"
-
-    def reg_reply(self, j: int, k: int) -> str:
-        """``R_jk`` — SWSR reply channel written by j, read by reader k."""
-        return f"{self.name}/R[{j}->{k}]"
-
-    def reg_counter(self, k: int) -> str:
-        """``C_k`` — reader k's asker counter."""
-        return f"{self.name}/C[{k}]"
-
     def register_specs(self) -> Iterable[RegisterSpec]:
         yield swmr(self.reg_star(), self.writer, initial=self.initial)
         for i in self.pids:
             yield swmr(self.reg_witness(i), i, initial=frozenset())
-        for j in self.pids:
-            for k in self.readers:
-                yield swsr(
-                    self.reg_reply(j, k), j, k, initial=(frozenset(), 0)
-                )
-        for k in self.readers:
-            yield swmr(self.reg_counter(k), k, initial=0)
+        yield from self.asker_specs()
 
     # ------------------------------------------------------------------
     # Writer procedures
@@ -179,55 +149,25 @@ class VerifiableRegister(AlgorithmBase):
         return value  # line 10
 
     def procedure_verify(self, pid: int, v: Any) -> Program:
-        """``Verify(v)`` — lines 11–24.
+        """``Verify(v)`` — lines 11–24 (Algorithm 2's lines 10–23 too).
 
         The round structure is exactly the paper's: ``set1`` accumulates
         processes that ever replied "yes" (their reply set contained
         ``v``); ``set0`` holds processes that replied "no" *since the last
-        yes*; a yes resets ``set0`` (unless the E11 ablation disables the
-        reset), giving "no"-voters a chance to re-vote.
+        yes*; a yes resets ``set0``, giving "no"-voters a chance to
+        re-vote.
         """
         self._require_reader(pid)
         v = freeze(v)
         set0: Set[int] = set()
         set1: Set[int] = set()
-        read_counter = self._read_counter[pid]
-        counter_name = self._counter_names[pid]
-        read_reply = self._read_reply
-        pids = self.pids
         while True:  # line 12
-            counter = as_int((yield read_counter))
-            ck = counter + 1
-            yield WriteRegister(counter_name, ck)  # line 13
-            # Lines 14-17: repeat reading R_jk of every j not in
-            # set1 U set0 until one reply carries c_j >= C_k.
-            chosen_j: Optional[int] = None
-            chosen_reply: frozenset = frozenset()
-            while chosen_j is None:
-                progressed = False
-                for j in pids:
-                    if j in set0 or j in set1:
-                        continue
-                    progressed = True
-                    raw = yield read_reply[(j, pid)]  # line 16
-                    payload, cj = as_reply_pair(raw)
-                    if cj is not None and cj >= ck:  # line 17
-                        chosen_j = j
-                        chosen_reply = as_frozenset(payload)
-                        break
-                if not progressed:
-                    # Every process is already classified yet neither
-                    # threshold was met — possible only when n <= 3f.
-                    # Keep the coroutine schedulable (the operation
-                    # legitimately never returns; see Theorem 29 and the
-                    # E5 experiments).
-                    yield Pause()
-            if v in chosen_reply:  # line 18
-                set1.add(chosen_j)  # line 19
-                if self.reset_set0:
-                    set0 = set()  # line 20
+            j, reply = yield from self.ask(pid, set0 | set1)  # lines 13-17
+            if v in as_frozenset(reply):  # line 18
+                set1.add(j)  # line 19
+                set0 = set()  # line 20
             else:  # line 21
-                set0.add(chosen_j)  # line 22
+                set0.add(j)  # line 22
             if len(set1) >= self.n - self.f:  # line 23
                 return True
             if len(set0) > self.f:  # line 24
@@ -245,42 +185,21 @@ class VerifiableRegister(AlgorithmBase):
         correct process witnessed it), and then publishes its witness set
         to every current asker.
         """
-        readers = self.readers
-        pids = self.pids
-        read_counter = self._read_counter
         read_witness = self._read_witness
-        reply_names = self._reply_names
         own_witness_read = read_witness[pid]
-        own_witness_name = self._witness_names[pid]
-        counter_names = [read_counter[k].register for k in readers]
-        prev_ck: Dict[int, int] = {k: 0 for k in readers}  # line 25
+        prev_ck: Dict[int, int] = {k: 0 for k in self.readers}  # line 25
         while True:  # line 26
-            cks: Dict[int, int] = {}
-            seen: List[Any] = []
-            for k in readers:  # line 27
-                raw = yield read_counter[k]
-                seen.append(raw)
-                cks[k] = as_int(raw)
-            askers = [k for k in readers if cks[k] > prev_ck[k]]  # line 28
+            askers, cks, watch = yield from self.askers(prev_ck)  # lines 27-28
             if not askers:  # line 29
                 # An idle pass is stutter: park until some C_k moves.
-                yield Await(tuple(zip(counter_names, seen)))
+                yield Await(watch)
                 continue
             witness_sets: Dict[int, frozenset] = {}
-            for i in pids:  # line 30
-                witness_sets[i] = as_frozenset((yield read_witness[i]))
-            signed_by_writer = witness_sets[self.writer]
-            candidates: Set[Any] = set()
-            for witnessed in witness_sets.values():
-                candidates |= witnessed
-            adopted = {
-                v
-                for v in candidates
-                # line 31: v in r1 or witnessed by >= f+1 processes
-                if v in signed_by_writer
-                or sum(1 for i in pids if v in witness_sets[i])
-                >= self.f + 1
-            }
+            for i, read in read_witness.items():  # line 30
+                witness_sets[i] = as_frozenset((yield read))
+            adopted = adoptable(  # line 31
+                witness_sets, witness_sets[self.writer], self.f
+            )
             own_now = as_frozenset((yield own_witness_read))
             if pid == self.writer:
                 # R1's other writer is Sign on the same process; merge
@@ -290,10 +209,6 @@ class VerifiableRegister(AlgorithmBase):
                 merged = own_now | frozenset(self._r1_shadow)
             else:
                 merged = own_now | adopted
-            yield WriteRegister(own_witness_name, merged)  # line 32
-            own_published = yield own_witness_read  # line 33
-            for k in askers:  # line 34
-                yield WriteRegister(
-                    reply_names[(pid, k)], (own_published, cks[k])
-                )  # line 35
-                prev_ck[k] = cks[k]  # line 36
+            yield WriteRegister(own_witness_read.register, merged)  # line 32
+            published = yield own_witness_read  # line 33
+            yield from self.answer(pid, askers, cks, published, prev_ck)  # lines 34-36
