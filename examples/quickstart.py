@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from repro import VerifiableRegister, build_shared_memory_system
 from repro.adversary import denying_writer_verifiable
-from repro.sim import FunctionClient, OpCall, ScriptClient
-from repro.sim.process import pause_steps
+from repro.sim import ScriptClient, all_done, pause_steps
 from repro.spec import check_verifiable, check_verifiable_properties
 
 
@@ -33,32 +32,19 @@ def main() -> None:
         1, "client", denying_writer_verifiable(register, value=7, expose_steps=300)
     )
 
-    # Reader p2 reads and verifies early, while the value is exposed.
-    early = ScriptClient(
-        [
-            OpCall("vreg", "read", (), lambda: register.procedure_read(2)),
-            OpCall("vreg", "verify", (7,), lambda: register.procedure_verify(2, 7)),
-        ]
-    )
+    # Reader p2 reads and verifies early, while the value is exposed;
+    # reader p3 verifies late — well after the writer erased everything.
+    # A script is rows of (operation, args) run through ``register.op``.
+    early = ScriptClient(register, 2, [("read", ()), ("verify", (7,))])
+    late = ScriptClient(register, 3, [("verify", (7,))])
 
-    def early_program():
-        yield from pause_steps(60)
-        yield from early.program()
+    def after(delay, client):
+        yield from pause_steps(delay)
+        yield from client.program()
 
-    # Reader p3 verifies late — well after the writer erased everything.
-    late = ScriptClient(
-        [OpCall("vreg", "verify", (7,), lambda: register.procedure_verify(3, 7))]
-    )
-
-    def late_program():
-        yield from pause_steps(900)
-        yield from late.program()
-
-    early_client = FunctionClient(early_program)
-    late_client = FunctionClient(late_program)
-    system.spawn(2, "client", early_client.program())
-    system.spawn(3, "client", late_client.program())
-    system.run_until(lambda: early_client.done and late_client.done, 500_000)
+    system.spawn(2, "client", after(60, early))
+    system.spawn(3, "client", after(900, late))
+    system.run_until(all_done([early, late]), 500_000)
 
     print("Early reader (while value exposed):")
     print(f"  Read()    -> {early.result_of('read')!r}")

@@ -32,7 +32,6 @@ from repro.core.test_or_set import SET_FLAG, QuorumTestOrSet
 from repro.sim.effects import WriteRegister
 from repro.sim.process import (
     FunctionClient,
-    OpCall,
     Program,
     ScriptClient,
     all_done,
@@ -149,15 +148,11 @@ def run_h2(
     for pid in phase1_helpers:
         system.spawn(pid, "help", tos.procedure_help(pid))
 
-    set_client = ScriptClient(
-        [OpCall("tos", "set", (), lambda: tos.procedure_set(roles.setter))]
-    )
+    set_client = ScriptClient(tos, roles.setter, [("set", ())])
     system.spawn(roles.setter, "client", set_client.program())
     system.run_until(lambda: set_client.done, max_steps, label="Set by s")
 
-    pa_client = ScriptClient(
-        [OpCall("tos", "test", (), lambda: tos.procedure_test(roles.pa))]
-    )
+    pa_client = ScriptClient(tos, roles.pa, [("test", ())])
     system.spawn(roles.pa, "client", pa_client.program())
     system.run_until(lambda: pa_client.done, max_steps, label="Test by pa")
     pa_result = pa_client.result_of("test")
@@ -181,9 +176,7 @@ def run_h2(
     # --- t6: pb and Q3 wake up; pb runs Test'. ---
     for pid in [roles.pb, *roles.q3]:
         system.spawn(pid, "help", tos.procedure_help(pid))
-    pb_client = ScriptClient(
-        [OpCall("tos", "test", (), lambda: tos.procedure_test(roles.pb))]
-    )
+    pb_client = ScriptClient(tos, roles.pb, [("test", ())])
     system.spawn(roles.pb, "client", pb_client.program())
     system.run_until(lambda: pb_client.done, max_steps, label="Test' by pb")
     pb_result = pb_client.result_of("test")
@@ -235,9 +228,7 @@ def run_h3(
     # pb and Q3 wake; pb runs Test'.
     for pid in [roles.pb, *roles.q3]:
         system.spawn(pid, "help", tos.procedure_help(pid))
-    pb_client = ScriptClient(
-        [OpCall("tos", "test", (), lambda: tos.procedure_test(roles.pb))]
-    )
+    pb_client = ScriptClient(tos, roles.pb, [("test", ())])
     system.spawn(roles.pb, "client", pb_client.program())
     system.run_until(lambda: pb_client.done, max_steps, label="Test' by pb (H3)")
     return system, tos, roles, pb_client.result_of("test")

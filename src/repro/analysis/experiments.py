@@ -59,7 +59,6 @@ from repro.scenarios.registers import adversary_grid
 from repro.scenarios.sweeps import SWEEP_ADVERSARIES, feasible_mixes
 from repro.sim import (
     FunctionClient,
-    OpCall,
     PriorityScheduler,
     RandomScheduler,
     ScriptClient,
@@ -266,23 +265,12 @@ def test_or_set_table(
                     system.spawn(1, "client", behaviors.silent())
                 else:
                     tos.start_helpers()
-                    setter = ScriptClient(
-                        [OpCall("tos", "set", (), lambda: tos.procedure_set(1))]
-                    )
+                    setter = ScriptClient(tos, 1, [("set", ())])
                     system.spawn(1, "client", setter.program())
                 testers: List[ScriptClient] = []
                 for pid in range(2, n + 1):
                     client = ScriptClient(
-                        [
-                            OpCall(
-                                "tos",
-                                "test",
-                                (),
-                                lambda pid=pid: tos.procedure_test(pid),
-                            )
-                            for _ in range(2)
-                        ],
-                        pause_between=11,
+                        tos, pid, [("test", ())] * 2, pause_between=11
                     )
                     testers.append(client)
                     system.spawn(pid, "client", client.program())
@@ -391,16 +379,7 @@ def broadcast_table(seeds: Sequence[int] = (0, 1)) -> Tuple[Headers, Rows]:
         receivers: List[ScriptClient] = []
         for pid in range(2, 5):
             client = ScriptClient(
-                [
-                    OpCall(
-                        "sigrbc",
-                        "deliver",
-                        (1, 0),
-                        lambda pid=pid: sig.procedure_deliver(pid, 1, 0),
-                    )
-                    for _ in range(3)
-                ],
-                pause_between=29,
+                sig, pid, [("deliver", (1, 0))] * 3, pause_between=29
             )
             receivers.append(client)
             system.spawn(pid, "client", client.program())
@@ -599,24 +578,15 @@ def ablation_naive_quorum(seed: int = 0) -> Tuple[Headers, Rows]:
             4, "client", behaviors.flip_flop_witness(register, 4, 10, yes_rounds=1)
         )
 
-        writer = ScriptClient(
-            [
-                OpCall("reg", "write", (10,), lambda: register.procedure_write(1, 10)),
-                OpCall("reg", "sign", (10,), lambda: register.procedure_sign(1, 10)),
-            ]
-        )
+        writer = ScriptClient(register, 1, [("write", (10,)), ("sign", (10,))])
         system.spawn(1, "client", writer.program())
         system.run_until(lambda: writer.done, 1_000_000)
 
-        verifier_a = ScriptClient(
-            [OpCall("reg", "verify", (10,), lambda: register.procedure_verify(3, 10))]
-        )
+        verifier_a = ScriptClient(register, 3, [("verify", (10,))])
         system.spawn(3, "client", verifier_a.program())
         system.run_until(lambda: verifier_a.done, 1_000_000)
 
-        verifier_b = ScriptClient(
-            [OpCall("reg", "verify", (10,), lambda: register.procedure_verify(2, 10))]
-        )
+        verifier_b = ScriptClient(register, 2, [("verify", (10,))])
         system.spawn(2, "client", verifier_b.program())
         system.run_until(lambda: verifier_b.done, 1_000_000)
 
@@ -652,9 +622,7 @@ def ablation_set0_reset(max_steps: int = 60_000) -> Tuple[Headers, Rows]:
         # Stage 1: only p3's helper runs; p2 starts Verify(7); p3 replies
         # "no" (the writer has signed nothing yet).
         system.spawn(3, "help:reg", register.procedure_help(3))
-        verifier = ScriptClient(
-            [OpCall("reg", "verify", (7,), lambda: register.procedure_verify(2, 7))]
-        )
+        verifier = ScriptClient(register, 2, [("verify", (7,))])
         system.spawn(2, "client", verifier.program())
 
         def p3_replied_no() -> bool:
@@ -734,9 +702,7 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
         # the Write is issued; p1's and p2's helpers are slow (legal
         # asynchrony) and arrive later.
         register.start_helpers([3])
-        writer = ScriptClient(
-            [OpCall("s", "write", ("V",), lambda: register.procedure_write(1, "V"))]
-        )
+        writer = ScriptClient(register, 1, [("write", ("V",))])
         system.spawn(1, "client", writer.program())
 
         if wait:
@@ -747,9 +713,7 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
             assert not writer.done, "Write returned without witnesses?!"
             register.start_helpers([1, 2])
             system.run_until(lambda: writer.done, max_steps, label="sticky write")
-            reader = ScriptClient(
-                [OpCall("s", "read", (), lambda: register.procedure_read(2))]
-            )
+            reader = ScriptClient(register, 2, [("read", ())])
             system.spawn(2, "client", reader.program())
             system.run_until(lambda: reader.done, max_steps, label="sticky read")
         else:
@@ -760,9 +724,7 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
             # echoes exist) and so also reports ⊥ — two ⊥-reports exceed
             # f and the Read returns ⊥ after a completed Write.
             system.run_until(lambda: writer.done, max_steps, label="sticky write")
-            reader = ScriptClient(
-                [OpCall("s", "read", (), lambda: register.procedure_read(2))]
-            )
+            reader = ScriptClient(register, 2, [("read", ())])
             system.spawn(2, "client", reader.program())
             system.run_until(lambda: reader.done, max_steps, label="sticky read")
             register.start_helpers([1, 2])  # too late for this reader

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.interfaces import AlgorithmBase
 from repro.core.sticky import StickyRegister
 from repro.errors import ConfigurationError
-from repro.sim.process import Program, call
+from repro.sim.process import Program
 from repro.sim.system import System
 from repro.sim.values import BOTTOM, is_bottom
 
@@ -117,9 +118,4 @@ class NonEquivocatingBroadcast:
         value = yield from register.procedure_read(receiver)
         return value
 
-    def op(self, pid: int, opname: str, *args: Any) -> Program:
-        """Recorded operation entry point."""
-        if opname not in self.OPERATIONS:
-            raise ConfigurationError(f"no operation {opname!r}")
-        procedure = getattr(self, f"procedure_{opname}")(pid, *args)
-        return call(self.name, opname, tuple(args), procedure)
+    op = AlgorithmBase.op

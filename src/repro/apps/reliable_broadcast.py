@@ -41,10 +41,9 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from repro.core.signature_baseline import SignatureOracle
-from repro.core.interfaces import DONE
-from repro.errors import ConfigurationError
+from repro.core.interfaces import DONE, AlgorithmBase
 from repro.sim.effects import ReadRegister, WriteRegister
-from repro.sim.process import Program, call
+from repro.sim.process import Program
 from repro.sim.registers import swmr
 from repro.sim.system import System
 from repro.sim.values import BOTTOM, freeze, is_bottom
@@ -131,12 +130,7 @@ class SignedReliableBroadcast:
             return found[0]
         return BOTTOM
 
-    def op(self, pid: int, opname: str, *args: Any) -> Program:
-        """Recorded operation entry point."""
-        if opname not in self.OPERATIONS:
-            raise ConfigurationError(f"no operation {opname!r}")
-        procedure = getattr(self, f"procedure_{opname}")(pid, *args)
-        return call(self.name, opname, tuple(args), procedure)
+    op = AlgorithmBase.op
 
     # ------------------------------------------------------------------
     def _validate(self, sender: int, seq: int, raw: Any) -> Any:

@@ -44,10 +44,10 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.authenticated import AuthenticatedRegister
-from repro.core.interfaces import DONE
+from repro.core.interfaces import DONE, AlgorithmBase
 from repro.errors import ConfigurationError
 from repro.sim.effects import Pause
-from repro.sim.process import Program, call
+from repro.sim.process import Program
 from repro.sim.system import System
 from repro.sim.values import freeze
 
@@ -356,9 +356,4 @@ class AtomicSnapshot:
         """Strip embedded scans from a view: ``((seq, value), ...)``."""
         return tuple((seq, value) for (seq, value, _embedded) in view)
 
-    def op(self, pid: int, opname: str, *args: Any) -> Program:
-        """Recorded operation entry point."""
-        if opname not in self.OPERATIONS:
-            raise ConfigurationError(f"no operation {opname!r}")
-        procedure = getattr(self, f"procedure_{opname}")(pid, *args)
-        return call(self.name, opname, tuple(args), procedure)
+    op = AlgorithmBase.op

@@ -194,9 +194,17 @@ class AlgorithmBase:
     def op(self, pid: int, opname: str, *args: Any) -> Program:
         """A recorded operation: Invoke + procedure + Respond.
 
-        This is the public API clients compose into scripts::
+        The one entry point every recorded operation goes through — the
+        registers, the test-or-set wrappers and the apps all bind it,
+        and :class:`~repro.sim.process.ScriptClient` runs each script row
+        through it::
 
             yield from reg.op(pid, "verify", v)
+
+        An ``opname`` outside ``OPERATIONS`` raises
+        :class:`ConfigurationError`; the args are recorded frozen (a list
+        becomes a tuple) under the target's ``name``, and the procedure
+        receives them as given.
         """
         if opname not in self.OPERATIONS:
             raise ConfigurationError(

@@ -69,7 +69,7 @@ from repro.apps import (
 )
 from repro.core.sticky import StickyRegister
 from repro.errors import ConfigurationError
-from repro.sim import OpCall, ScriptClient, System
+from repro.sim import ScriptClient, System
 from repro.sim.process import all_done, pause_steps
 from repro.sim.values import freeze, is_bottom
 from repro.spec.context import CheckContext
@@ -84,6 +84,7 @@ from repro.scenarios.registry import (
     BuiltScenario,
     declare_byzantine,
     register_builder,
+    require_sizes,
 )
 
 #: Byzantine behaviours an app scenario may assign (pid -> name pairs).
@@ -280,6 +281,75 @@ def _settled_slots(
     return tuple(settled), system.clock + 1
 
 
+#: A correct client's script, drawn as ``rows(app, cast, rng, pid)``.
+Rows = Callable[
+    [Any, Dict[int, str], random.Random, int], List[Tuple[str, Tuple[Any, ...]]]
+]
+
+
+def _build_app(
+    family: str,
+    label: str,
+    make_app: Callable[[System], Any],
+    rows: Rows,
+    spec: Callable[[Any], Any],
+    witness: Callable[[Any, Dict[int, str]], Any],
+    scheduler: Any,
+    n: int,
+    f: int,
+    seed: int,
+    byzantine: Tuple[Tuple[int, str], ...],
+    max_steps: int,
+    max_nodes: int,
+    ctx: Optional[CheckContext],
+) -> BuiltScenario:
+    """The body every app builder shares.
+
+    ``make_app(system)`` builds the app; Byzantine pids run their
+    :data:`APP_ADVERSARIES` behaviour; every correct pid runs one
+    :class:`ScriptClient` over its ``rows`` (drawn from the seeded rng
+    before the client's ``pause_between``); ``drive`` runs them all to
+    completion; ``check`` judges the history recorded under the app's
+    name by the family's rules against ``spec(app)``, with
+    ``witness(app, cast)`` as the run-side evidence.
+    """
+    system = System(n=n, f=f, scheduler=scheduler)
+    app = make_app(system).install()
+    cast = declare_byzantine(system, byzantine)
+    app.start_helpers(sorted(system.correct))
+    for pid, name in sorted(cast.items()):
+        system.spawn(pid, "adv", _app_adversary(name, app, pid, seed))
+
+    rng = random.Random(seed)
+    clients: List[ScriptClient] = []
+    for pid in sorted(system.correct):
+        script = rows(app, cast, rng, pid)
+        client = ScriptClient(app, pid, script, pause_between=rng.randrange(5, 20))
+        clients.append(client)
+        system.spawn(pid, "client", client.program())
+    clients_done = all_done(clients)
+
+    def drive() -> None:
+        system.run_until(clients_done, max_steps, label=f"{label} clients")
+
+    app_spec = spec(app)
+    rules = binding_for(family).rules
+
+    def check() -> Optional[str]:
+        return judge(
+            system.history,
+            system.correct,
+            app.name,
+            app_spec,
+            rules,
+            witness=witness(app, cast),
+            max_nodes=max_nodes,
+            ctx=ctx,
+        )
+
+    return BuiltScenario(system=system, drive=drive, check=check)
+
+
 # ----------------------------------------------------------------------
 # Atomic snapshot
 # ----------------------------------------------------------------------
@@ -311,71 +381,43 @@ def build_snapshot(
     scenario labels only include parameters actually passed, every
     pre-existing label is untouched.
     """
-    system = System(n=n, f=f, scheduler=scheduler)
-    snap = AtomicSnapshot(
-        system, "snap", f=f, verify_freshness=verify_freshness
-    ).install()
-    cast = declare_byzantine(system, byzantine)
-    snap.start_helpers(sorted(system.correct))
-    for pid, name in sorted(cast.items()):
-        system.spawn(pid, "adv", _app_adversary(name, snap, pid, seed))
+    require_sizes(updates=updates)
 
-    rng = random.Random(seed)
-    clients: List[ScriptClient] = []
-    for pid in sorted(system.correct):
-        calls: List[OpCall] = []
+    def rows(app, cast, rng, pid):
+        script = []
         for round_index in range(updates):
-            value = pid * 100 + round_index
-            calls.append(
-                OpCall(
-                    "snap",
-                    "update",
-                    (value,),
-                    lambda pid=pid, value=value: snap.procedure_update(
-                        pid, value
-                    ),
-                )
-            )
-            calls.append(
-                OpCall(
-                    "snap",
-                    "scan",
-                    (),
-                    lambda pid=pid: snap.procedure_scan(pid),
-                )
-            )
-        client = ScriptClient(calls, pause_between=rng.randrange(5, 20))
-        clients.append(client)
-        system.spawn(pid, "client", client.program())
+            script += [("update", (pid * 100 + round_index,)), ("scan", ())]
+        return script
 
-    def drive() -> None:
-        system.run_until(
-            all_done(clients),
-            max_steps,
-            label="snapshot clients",
-        )
-
-    spec = SnapshotSpec(pids=tuple(sorted(system.correct)))
-    rules = binding_for("snapshot").rules
-
-    def check() -> Optional[str]:
-        return judge(
-            system.history,
-            system.correct,
-            "snap",
-            spec,
-            rules,
-            witness=tuple(sorted(system.pids)),
-            max_nodes=max_nodes,
-            ctx=ctx,
-        )
-
-    return BuiltScenario(system=system, drive=drive, check=check)
+    return _build_app(
+        "snapshot",
+        "snapshot",
+        lambda system: AtomicSnapshot(
+            system, "snap", f=f, verify_freshness=verify_freshness
+        ),
+        rows,
+        lambda app: SnapshotSpec(pids=tuple(sorted(app.system.correct))),
+        lambda app, cast: tuple(sorted(app.system.pids)),
+        scheduler, n, f, seed, byzantine, max_steps, max_nodes, ctx,
+    )
 
 
 # ----------------------------------------------------------------------
 # Asset transfer
 # ----------------------------------------------------------------------
+def _settled_transfers(app: AssetTransfer, cast: Dict[int, str]) -> Any:
+    pids = app.system.pids
+    return _settled_slots(
+        app.system,
+        sorted(cast),
+        app.slots,
+        app.slot_register,
+        app.f,
+        lambda _slot, value: well_formed_transfer(value, pids),
+        log=True,
+    )
+
+
 def build_asset_transfer(
     scheduler: Any,
     n: int = 4,
@@ -411,200 +453,77 @@ def build_asset_transfer(
     sides) therefore has unexplainable credits and fails to linearize,
     which is the ``n = 3f`` double-spend the violating cell pins.
     """
-    system = System(n=n, f=f, scheduler=scheduler)
-    assets = AssetTransfer(
-        system,
-        "assets",
-        initial_balances={pid: initial_balance for pid in system.pids},
-        slots=max(transfers, 1),
-        f=f,
-    ).install()
-    cast = declare_byzantine(system, byzantine)
-    assets.start_helpers(sorted(system.correct))
-    for pid, name in sorted(cast.items()):
-        system.spawn(pid, "adv", _app_adversary(name, assets, pid, seed))
+    require_sizes(transfers=transfers)
 
-    rng = random.Random(seed)
-    correct = sorted(system.correct)
-    clients: List[ScriptClient] = []
-    for pid in correct:
-        peers = [other for other in correct if other != pid]
-        calls: List[OpCall] = []
+    def rows(app, cast, rng, pid):
+        peers = [other for other in sorted(app.system.correct) if other != pid]
+        script = []
         for _ in range(transfers):
             to = rng.choice(peers)
-            amount = rng.randrange(5, 30)
-            calls.append(
-                OpCall(
-                    "assets",
-                    "transfer",
-                    (to, amount),
-                    lambda pid=pid, to=to, amount=amount: (
-                        assets.procedure_transfer(pid, to, amount)
-                    ),
-                )
-            )
+            script.append(("transfer", (to, rng.randrange(5, 30))))
         audits = [pid, rng.choice(peers)]
         if cast:
             audits.append(rng.choice(sorted(cast)))
-        for account in audits:
-            calls.append(
-                OpCall(
-                    "assets",
-                    "balance",
-                    (account,),
-                    lambda pid=pid, account=account: (
-                        assets.procedure_balance(pid, account)
-                    ),
-                )
-            )
-        client = ScriptClient(calls, pause_between=rng.randrange(5, 20))
-        clients.append(client)
-        system.spawn(pid, "client", client.program())
+        return script + [("balance", (account,)) for account in audits]
 
-    def drive() -> None:
-        system.run_until(
-            all_done(clients),
-            max_steps,
-            label="asset-transfer clients",
+    def spec(app):
+        accounts = tuple(sorted(app.system.pids))
+        return AssetTransferSpec(
+            accounts=accounts, initial=tuple(initial_balance for _ in accounts)
         )
 
-    accounts = tuple(sorted(system.pids))
-    spec = AssetTransferSpec(
-        accounts=accounts,
-        initial=tuple(initial_balance for _ in accounts),
-    )
-
-    rules = binding_for("asset_transfer").rules
-
-    def check() -> Optional[str]:
-        witness = _settled_slots(
+    return _build_app(
+        "asset_transfer",
+        "asset-transfer",
+        lambda system: AssetTransfer(
             system,
-            sorted(cast),
-            assets.slots,
-            assets.slot_register,
-            assets.f,
-            lambda _slot, value: well_formed_transfer(value, system.pids),
-            log=True,
-        )
-        return judge(
-            system.history,
-            system.correct,
             "assets",
-            spec,
-            rules,
-            witness=witness,
-            max_nodes=max_nodes,
-            ctx=ctx,
-        )
-
-    return BuiltScenario(system=system, drive=drive, check=check)
+            initial_balances={pid: initial_balance for pid in system.pids},
+            slots=max(transfers, 1),
+            f=f,
+        ),
+        rows,
+        spec,
+        _settled_transfers,
+        scheduler, n, f, seed, byzantine, max_steps, max_nodes, ctx,
+    )
 
 
 # ----------------------------------------------------------------------
 # Broadcast (non-equivocating and reliable)
 # ----------------------------------------------------------------------
-def _build_broadcast_scenario(
-    family: str,
-    app_factory: Any,
-    obj: str,
-    scheduler: Any,
-    n: int,
-    f: int,
-    seed: int,
-    byzantine: Tuple[Tuple[int, str], ...],
-    slots: int,
-    max_steps: int,
-    max_nodes: int,
-    ctx: Optional[CheckContext],
-):
-    """Shared broadcast workload: every sender broadcasts, all deliver.
+def _broadcast_rows(app, cast, rng, pid):
+    """Every slot broadcast, then every other sender's slots delivered.
 
-    Every correct process broadcasts one message per slot it owns, then
-    delivers every *other* sender's slots — the delivery following the
-    broadcast sequentially in the same client gives the spec real-time
-    precedence to bite on — and probes each Byzantine sender's slot 0 a
-    second time (the totality/relay check: once a delivery returned
-    ``m``, a later ``⊥`` or different message cannot linearize).
-
-    The oracle is Byzantine linearizability against
-    :class:`BroadcastSpec` over *all* senders, with at most one
-    synthesized whole-run ``broadcast`` per settled Byzantine slot (the
-    ``f + 1``-correct-witness rule; see module doc).
+    The delivery following the broadcast sequentially in the same client
+    gives the spec real-time precedence to bite on; each Byzantine
+    sender's slot 0 is probed a second time (the totality/relay check:
+    once a delivery returned ``m``, a later ``⊥`` or different message
+    cannot linearize).
     """
-    system = System(n=n, f=f, scheduler=scheduler)
-    app = app_factory(system, f=f, slots=slots).install()
-    cast = declare_byzantine(system, byzantine)
-    app.start_helpers(sorted(system.correct))
-    for pid, name in sorted(cast.items()):
-        system.spawn(pid, "adv", _app_adversary(name, app, pid, seed))
+    script = [("broadcast", (slot, f"m{pid}.{slot}")) for slot in range(app.slots)]
+    senders = [s for s in sorted(app.system.pids) if s != pid]
+    probes = [(s, slot) for s in senders for slot in range(app.slots)]
+    probes += [(s, 0) for s in sorted(cast)]  # totality re-read
+    return script + [("deliver", probe) for probe in probes]
 
-    rng = random.Random(seed)
-    clients: List[ScriptClient] = []
-    for pid in sorted(system.correct):
-        calls: List[OpCall] = []
-        for slot in range(slots):
-            message = f"m{pid}.{slot}"
-            calls.append(
-                OpCall(
-                    obj,
-                    "broadcast",
-                    (slot, message),
-                    lambda pid=pid, slot=slot, message=message: (
-                        app.procedure_broadcast(pid, slot, message)
-                    ),
-                )
-            )
-        senders = [s for s in sorted(system.pids) if s != pid]
-        probes = [(s, slot) for s in senders for slot in range(slots)]
-        probes += [(s, 0) for s in sorted(cast)]  # totality re-read
-        for sender, slot in probes:
-            calls.append(
-                OpCall(
-                    obj,
-                    "deliver",
-                    (sender, slot),
-                    lambda pid=pid, sender=sender, slot=slot: (
-                        app.procedure_deliver(pid, sender, slot)
-                    ),
-                )
-            )
-        client = ScriptClient(calls, pause_between=rng.randrange(5, 20))
-        clients.append(client)
-        system.spawn(pid, "client", client.program())
 
-    def drive() -> None:
-        system.run_until(
-            all_done(clients),
-            max_steps,
-            label=f"{obj} clients",
-        )
+def _broadcast_spec(app: NonEquivocatingBroadcast) -> BroadcastSpec:
+    """:class:`BroadcastSpec` over *all* senders (see module doc)."""
+    return BroadcastSpec(senders=tuple(sorted(app.system.pids)), slots=app.slots)
 
-    spec = BroadcastSpec(senders=tuple(sorted(system.pids)), slots=slots)
 
-    rules = binding_for(family).rules
-
-    def check() -> Optional[str]:
-        witness = _settled_slots(
-            system,
-            sorted(cast),
-            slots,
-            app.register_for,
-            app.f,
-            lambda slot, message: (slot, message),
-            log=False,
-        )
-        return judge(
-            system.history,
-            system.correct,
-            obj,
-            spec,
-            rules,
-            witness=witness,
-            max_nodes=max_nodes,
-            ctx=ctx,
-        )
-
-    return BuiltScenario(system=system, drive=drive, check=check)
+def _settled_broadcasts(app: NonEquivocatingBroadcast, cast: Dict[int, str]) -> Any:
+    """At most one synthesized ``broadcast`` per settled Byzantine slot."""
+    return _settled_slots(
+        app.system,
+        sorted(cast),
+        app.slots,
+        app.register_for,
+        app.f,
+        lambda slot, message: (slot, message),
+        log=False,
+    )
 
 
 def build_broadcast(
@@ -618,22 +537,17 @@ def build_broadcast(
     max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ):
-    """Non-equivocating broadcast (Section 8's sticky-register sketch)."""
-    return _build_broadcast_scenario(
+    """Non-equivocating broadcast (Section 8's sticky-register sketch):
+    every correct process broadcasts one message per slot it owns, then
+    delivers every other sender's slots."""
+    return _build_app(
         "broadcast",
-        lambda system, f, slots: NonEquivocatingBroadcast(
-            system, "bcast", slots=slots, f=f
-        ),
         "bcast",
-        scheduler,
-        n,
-        f,
-        seed,
-        byzantine,
-        slots,
-        max_steps,
-        max_nodes,
-        ctx,
+        lambda system: NonEquivocatingBroadcast(system, "bcast", slots=slots, f=f),
+        _broadcast_rows,
+        _broadcast_spec,
+        _settled_broadcasts,
+        scheduler, n, f, seed, byzantine, max_steps, max_nodes, ctx,
     )
 
 
@@ -651,21 +565,20 @@ def build_reliable_broadcast(
     """Signature-free reliable broadcast (the [5] translation): the same
     sticky-slot broadcast recorded as object ``rbc`` over registers named
     ``rbc/slots``, judged against the same :class:`BroadcastSpec`."""
-    return _build_broadcast_scenario(
+
+    def make_app(system):
+        app = NonEquivocatingBroadcast(system, "rbc/slots", slots=slots, f=f)
+        app.name = "rbc"  # the recorded object; the registers keep their names
+        return app
+
+    return _build_app(
         "reliable_broadcast",
-        lambda system, f, slots: NonEquivocatingBroadcast(
-            system, "rbc/slots", slots=slots, f=f
-        ),
         "rbc",
-        scheduler,
-        n,
-        f,
-        seed,
-        byzantine,
-        slots,
-        max_steps,
-        max_nodes,
-        ctx,
+        make_app,
+        _broadcast_rows,
+        _broadcast_spec,
+        _settled_broadcasts,
+        scheduler, n, f, seed, byzantine, max_steps, max_nodes, ctx,
     )
 
 

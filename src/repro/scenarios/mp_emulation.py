@@ -61,14 +61,33 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.interfaces import AlgorithmBase
 from repro.faults import FaultPlan, FaultyNetwork, ProgressMonitor, RetransmitChannels
 from repro.errors import StallDetected
 from repro.mp import RandomDelayNetwork, RegisterEmulation
-from repro.sim import OpCall, ScriptClient, System, all_done
+from repro.sim import ScriptClient, System, all_done
 from repro.spec.context import CheckContext
 from repro.spec.judge import judge
 from repro.scenarios.bindings import binding_for
-from repro.scenarios.registry import BuiltScenario, register_builder
+from repro.scenarios.registry import BuiltScenario, register_builder, require_sizes
+
+
+class _EmulatedRegister:
+    """The emulated register ``r`` as a script target: ``r.write`` / ``r.read``."""
+
+    name = "r"
+    OPERATIONS = ("write", "read")
+    op = AlgorithmBase.op
+
+    def __init__(self, emu: RegisterEmulation, requery_every: int):
+        self._emu = emu
+        self._requery_every = requery_every
+
+    def procedure_write(self, pid: int, value: Any) -> Any:
+        return self._emu.write(pid, "r", value)
+
+    def procedure_read(self, pid: int) -> Any:
+        return self._emu.read(pid, "r", requery_every=self._requery_every)
 
 
 def build_mp_register(
@@ -104,6 +123,7 @@ def build_mp_register(
     reproduce identical runs — fault draws are a pure function of the
     submission sequence (``tests/test_faults.py`` pins this end to end).
     """
+    require_sizes(writes=writes, readers=readers, reads=reads)
     system = System(n=n, f=f, scheduler=scheduler)
     inner = RandomDelayNetwork(seed=seed, min_delay=min_delay, max_delay=max_delay)
     if faults:
@@ -117,48 +137,27 @@ def build_mp_register(
     for pid in system.pids:
         system.spawn(pid, "replica", emu.replica_program(pid))
 
+    target = _EmulatedRegister(emu, requery_every)
     rng = random.Random(seed)
-    client_rows: List[Tuple[int, ScriptClient, List[OpCall]]] = []
+    clients: List[Tuple[int, ScriptClient]] = []
 
-    def spawn_client(pid: int, calls: List[OpCall]) -> None:
-        client = ScriptClient(calls, pause_between=rng.randrange(5, 20))
-        client_rows.append((pid, client, calls))
+    def spawn_client(pid: int, rows: List[Tuple[str, Tuple[Any, ...]]]) -> None:
+        client = ScriptClient(target, pid, rows, pause_between=rng.randrange(5, 20))
+        clients.append((pid, client))
         system.spawn(pid, "client", client.program())
 
-    spawn_client(
-        1,
-        [
-            OpCall(
-                "r",
-                "write",
-                (100 + index,),
-                lambda index=index: emu.write(1, "r", 100 + index),
-            )
-            for index in range(writes)
-        ],
-    )
+    spawn_client(1, [("write", (100 + index,)) for index in range(writes)])
     for pid in range(2, 2 + readers):
-        spawn_client(
-            pid,
-            [
-                OpCall(
-                    "r",
-                    "read",
-                    (),
-                    lambda pid=pid: emu.read(pid, "r", requery_every=requery_every),
-                )
-                for _ in range(reads)
-            ],
-        )
+        spawn_client(pid, [("read", ())] * reads)
 
     def describe_pending() -> str:
         parts = []
-        for pid, client, calls in client_rows:
+        for pid, client in clients:
             if client.done:
                 continue
-            index = len(client.results)
-            op = calls[index].op if index < len(calls) else "?"
-            parts.append(f"p{pid} {op}#{index + 1}/{len(calls)}")
+            index, rows = len(client.results), client.rows
+            op = rows[index][0] if index < len(rows) else "?"
+            parts.append(f"p{pid} {op}#{index + 1}/{len(rows)}")
         return ", ".join(parts) if parts else "none"
 
     # One int (see the module docstring): a sum of monotone counters.
@@ -173,7 +172,7 @@ def build_mp_register(
     )
     stall: Dict[str, str] = {}
 
-    clients_done = all_done([client for _pid, client, _calls in client_rows])
+    clients_done = all_done([client for _pid, client in clients])
 
     def goal() -> bool:
         if clients_done():

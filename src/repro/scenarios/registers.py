@@ -51,7 +51,7 @@ from repro.scenarios.registry import (
     register_builder,
 )
 from repro.scenarios.sweeps import SWEEP_ADVERSARIES, feasible_mixes
-from repro.sim import FunctionClient, OpCall, ScriptClient, System
+from repro.sim import ScriptClient, System
 from repro.sim.process import all_done, pause_steps
 from repro.sim.scheduler import Scheduler
 from repro.spec import CheckContext, judge
@@ -262,18 +262,9 @@ def _build_register(
 
     clients: List[ScriptClient] = []
     if writer_adversary == "none":
-        writer_calls = [
-            OpCall(
-                register.name,
-                op,
-                args,
-                (lambda op=op, args=args: getattr(
-                    register, f"procedure_{op}"
-                )(register.writer, *args)),
-            )
-            for op, args in workload.writer_ops
-        ]
-        writer_client = ScriptClient(writer_calls, pause_between=5)
+        writer_client = ScriptClient(
+            register, register.writer, workload.writer_ops, pause_between=5
+        )
         clients.append(writer_client)
         system.spawn(register.writer, "client", writer_client.program())
     else:
@@ -284,27 +275,16 @@ def _build_register(
         )
 
     for index, pid in enumerate(correct_readers):
-        calls = [
-            OpCall(
-                register.name,
-                op,
-                args,
-                (lambda pid=pid, op=op, args=args: getattr(
-                    register, f"procedure_{op}"
-                )(pid, *args)),
-            )
-            for op, args in workload.reader_ops.get(pid, [])
-        ]
-        client = ScriptClient(calls, pause_between=7)
+        client = ScriptClient(
+            register, pid, workload.reader_ops.get(pid, []), pause_between=7
+        )
         clients.append(client)
 
         def staggered(client=client, delay=(index + 1) * _READER_STAGGER):
             yield from pause_steps(delay)
             yield from client.program()
 
-        wrapper = FunctionClient(staggered)
-        client._wrapper = wrapper  # keep completion observable
-        system.spawn(pid, "client", wrapper.program())
+        system.spawn(pid, "client", staggered())
 
     for pid, name in sorted(readers_cast.items()):
         system.spawn(
@@ -313,10 +293,7 @@ def _build_register(
             reader_adversary_program(name, register, pid, kind, _DOMAIN),
         )
 
-    # The completion watcher for each client is its stagger wrapper when
-    # one exists; resolving that once keeps the per-step done-predicate
-    # off the getattr chain.
-    all_scripts_done = all_done([getattr(c, "_wrapper", c) for c in clients])
+    all_scripts_done = all_done(clients)
 
     def drive() -> None:
         system.run_until(all_scripts_done, max_steps, label="all clients")

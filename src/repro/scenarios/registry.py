@@ -245,6 +245,21 @@ def declare_byzantine(
     return by_pid
 
 
+def require_sizes(**sizes: int) -> None:
+    """Refuse a negative workload size (``updates=-2``, ``reads=-3``, …).
+
+    A negative count scripts no operation, and a run that records none
+    is judged CLEAN: a vacuous certificate. Builders call this before
+    they build anything.
+    """
+    negative = sorted(name for name, size in sizes.items() if size < 0)
+    if negative:
+        raise ConfigurationError(
+            "workload sizes must be >= 0: "
+            + ", ".join(f"{name}={sizes[name]}" for name in negative)
+        )
+
+
 def make_scenario(name: str, **params: Any) -> Scenario:
     """Build a :class:`Scenario` spec, validating the name eagerly."""
     _builder_for(name)  # raises on unknown names

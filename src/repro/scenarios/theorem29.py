@@ -21,7 +21,6 @@ from repro.core.test_or_set import SET_FLAG, QuorumTestOrSet
 from repro.scenarios.registry import BuiltScenario, register_builder
 from repro.sim import (
     FunctionClient,
-    OpCall,
     ScriptClient,
     System,
     WriteRegister,
@@ -90,9 +89,7 @@ def _build_theorem29(
     for pid in (roles.pa, *roles.q2):
         system.spawn(pid, "help", tos.procedure_help(pid))
 
-    pa_client = ScriptClient(
-        [OpCall("tos", "test", (), lambda: tos.procedure_test(roles.pa))]
-    )
+    pa_client = ScriptClient(tos, roles.pa, [("test", ())])
     system.spawn(roles.pa, "client", pa_client.program())
 
     erasers: List[FunctionClient] = []
@@ -127,20 +124,17 @@ def _build_theorem29(
     for pid in (roles.pb, *roles.q3):
         system.spawn(pid, "help", late_help(pid))
 
-    pb_client = ScriptClient(
-        [OpCall("tos", "test", (), lambda: tos.procedure_test(roles.pb))]
-    )
+    pb_client = ScriptClient(tos, roles.pb, [("test", ())])
 
     def pb_program():
         while not (byzantine_halted() and pa_client.done):
             yield PAUSE
         yield from pb_client.program()
 
-    pb_wrapper = FunctionClient(pb_program)
-    system.spawn(roles.pb, "client", pb_wrapper.program())
+    system.spawn(roles.pb, "client", pb_program())
 
     def drive() -> None:
-        system.run_until(lambda: pb_wrapper.done, max_steps, label="Test' by pb")
+        system.run_until(lambda: pb_client.done, max_steps, label="Test' by pb")
 
     binding = binding_for("test_or_set")
     spec = binding.spec_factory()

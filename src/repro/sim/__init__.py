@@ -20,7 +20,6 @@ from repro.sim.effects import (
 from repro.sim.history import Annotation, History, OperationRecord, fresh_op_ids
 from repro.sim.process import (
     FunctionClient,
-    OpCall,
     Program,
     ScriptClient,
     all_done,
@@ -53,7 +52,6 @@ __all__ = [
     "FunctionClient",
     "History",
     "Invoke",
-    "OpCall",
     "OperationRecord",
     "Pause",
     "PriorityScheduler",

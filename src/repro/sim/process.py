@@ -5,8 +5,12 @@ provides the glue between low-level programs (the algorithm procedures in
 ``repro.core``, which yield register effects) and the history: the
 :func:`call` wrapper brackets a procedure with ``Invoke``/``Respond``
 effects so the kernel records the operation, and :class:`ScriptClient`
-runs a list of such calls sequentially — the paper's requirement that
-"each correct process invokes operations sequentially" (Section 3.1).
+runs rows of ``(op, args)`` sequentially through its target's ``op`` —
+the paper's requirement that "each correct process invokes operations
+sequentially" (Section 3.1). ``target.op(pid, op, *args)``
+(:meth:`repro.core.interfaces.AlgorithmBase.op`) is the one way a
+recorded operation is made: it checks the name, freezes the args and
+records under the target's ``name``.
 
 Programs never touch the ``System`` directly; they communicate only
 through yielded effects, which keeps Byzantine programs honest: whatever
@@ -16,8 +20,7 @@ and the same register ports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Sequence, Tuple
 
 from repro.sim.effects import PAUSE, Await, Effect, Invoke, Respond
 
@@ -60,56 +63,49 @@ def pause_steps(count: int) -> Program:
     return None
 
 
-@dataclass
-class OpCall:
-    """One scripted operation: object name, op name, args, and a callback.
-
-    ``make_procedure`` is invoked lazily at execution time (so scripts can
-    depend on results of earlier operations through closures), and
-    ``on_result`` — if given — receives the operation's return value.
-    """
-
-    obj: str
-    op: str
-    args: Tuple[Any, ...]
-    make_procedure: Callable[[], Program]
-    on_result: Optional[Callable[[Any], None]] = None
-
-
 class ScriptClient:
-    """Sequential client: runs a list of :class:`OpCall` and records results.
+    """Sequential client: runs rows of ``(op, args)`` on one target.
 
-    The resulting program performs the calls one after another — never
-    concurrently — matching the sequential-process assumption. Results
-    are accumulated in :attr:`results` in call order for post-run
-    assertions.
+    Each row runs as ``yield from target.op(pid, op, *args)``, one after
+    another — never concurrently — with ``pause_between`` pause steps
+    between consecutive rows, matching the sequential-process
+    assumption. A row naming an operation the target lacks raises
+    :class:`~repro.errors.ConfigurationError` when it runs. Results are
+    accumulated in :attr:`results` in row order for post-run assertions;
+    :attr:`done` turns true in the step the last row responds.
     """
 
-    def __init__(self, calls: Iterable[OpCall], pause_between: int = 0):
-        self._calls: List[OpCall] = list(calls)
+    def __init__(
+        self,
+        target: Any,
+        pid: int,
+        rows: Iterable[Tuple[str, Sequence[Any]]],
+        pause_between: int = 0,
+    ):
+        self._target = target
+        self._pid = pid
+        self.rows: List[Tuple[str, Tuple[Any, ...]]] = [
+            (op, tuple(args)) for op, args in rows
+        ]
         self._pause_between = pause_between
-        #: (obj, op, args, result) tuples, filled in as the script runs.
-        self.results: List[Tuple[str, str, Tuple[Any, ...], Any]] = []
-        #: True once every scripted call has responded.
+        #: (op, args, result) triples, filled in as the script runs.
+        self.results: List[Tuple[str, Tuple[Any, ...], Any]] = []
+        #: True once every row has responded.
         self.done = False
 
     def program(self) -> Program:
-        """The client program: execute every call sequentially."""
-        for index, op_call in enumerate(self._calls):
+        """The client program: run every row sequentially."""
+        for index, (op, args) in enumerate(self.rows):
             if index and self._pause_between:
                 yield from pause_steps(self._pause_between)
-            result = yield from call(
-                op_call.obj, op_call.op, op_call.args, op_call.make_procedure()
-            )
-            self.results.append((op_call.obj, op_call.op, op_call.args, result))
-            if op_call.on_result is not None:
-                op_call.on_result(result)
+            result = yield from self._target.op(self._pid, op, *args)
+            self.results.append((op, args, result))
         self.done = True
         return None
 
     def result_of(self, op: str, occurrence: int = 0) -> Any:
-        """The result of the ``occurrence``-th completed call named ``op``."""
-        matches = [r for (_, name, _, r) in self.results if name == op]
+        """The result of the ``occurrence``-th completed row named ``op``."""
+        matches = [r for (name, _, r) in self.results if name == op]
         return matches[occurrence]
 
 

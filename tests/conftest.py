@@ -9,69 +9,45 @@ workloads, run one ``register`` scenario spec the way every caller does
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.scenarios import make_scenario
-from repro.sim import FunctionClient, OpCall, RandomScheduler, ScriptClient, System
-from repro.sim.process import pause_steps
-
-
-def script_for(
-    impl: Any, pid: int, ops: Sequence[Tuple[str, Tuple[Any, ...]]],
-    pause_between: int = 3,
-) -> ScriptClient:
-    """A ScriptClient running ``ops`` (list of (name, args)) on ``impl``."""
-    calls = [
-        OpCall(
-            impl.name,
-            op,
-            args,
-            (lambda op=op, args=args: getattr(impl, f"procedure_{op}")(pid, *args)),
-        )
-        for op, args in ops
-    ]
-    return ScriptClient(calls, pause_between=pause_between)
+from repro.sim import RandomScheduler, ScriptClient, System, all_done, pause_steps
 
 
 def spawn_script(
     system: System,
-    impl: Any,
+    target: Any,
     pid: int,
-    ops: Sequence[Tuple[str, Tuple[Any, ...]]],
+    rows: Sequence[Tuple[str, Tuple[Any, ...]]],
     delay: int = 0,
     role: str = "client",
+    pause_between: int = 3,
 ) -> ScriptClient:
-    """Spawn a scripted client (optionally delayed); returns the client."""
-    client = script_for(impl, pid, ops)
-    if delay:
+    """Spawn a client running ``rows`` ((op, args) pairs) on ``target``.
 
-        def delayed():
-            yield from pause_steps(delay)
-            yield from client.program()
+    With ``delay`` the script starts after that many pause steps; the
+    client's ``done`` flips in its last row's step either way.
+    """
+    client = ScriptClient(target, pid, rows, pause_between=pause_between)
 
-        wrapper = FunctionClient(delayed)
-        client._wrapper = wrapper
-        system.spawn(pid, role, wrapper.program())
-    else:
-        system.spawn(pid, role, client.program())
+    def delayed():
+        yield from pause_steps(delay)
+        yield from client.program()
+
+    system.spawn(pid, role, delayed() if delay else client.program())
     return client
 
 
 def run_clients(
     system: System, clients: Iterable[ScriptClient], max_steps: int = 2_000_000
 ) -> int:
-    """Run until every client's script (including delayed wrappers) finished."""
-    clients = list(clients)
-
-    def done() -> bool:
-        return all(
-            getattr(c, "_wrapper", c).done if hasattr(c, "_wrapper") else c.done
-            for c in clients
-        )
-
-    return system.run_until(done, max_steps, label="all scripted clients")
+    """Run until every client's script finished."""
+    return system.run_until(
+        all_done(list(clients)), max_steps, label="all scripted clients"
+    )
 
 
 def run_register(

@@ -15,41 +15,10 @@ from repro.apps import (
     NonEquivocatingBroadcast,
     SignedReliableBroadcast,
 )
-from repro.sim import (
-    FunctionClient,
-    OpCall,
-    Pause,
-    RandomScheduler,
-    ScriptClient,
-    System,
-)
+from repro.sim import Pause, RandomScheduler, System
 from repro.sim.process import pause_steps
 from repro.sim.values import is_bottom
-from tests.conftest import run_clients
-
-
-def spawn_ops(system, app, pid, ops, delay=0):
-    """ops: list of (opname, args). Returns the ScriptClient."""
-    calls = [
-        OpCall(
-            app.name, op, args,
-            (lambda op=op, args=args, pid=pid: getattr(
-                app, f"procedure_{op}"
-            )(pid, *args)),
-        )
-        for op, args in ops
-    ]
-    client = ScriptClient(calls, pause_between=9)
-    if delay:
-        def delayed():
-            yield from pause_steps(delay)
-            yield from client.program()
-        wrapper = FunctionClient(delayed)
-        client._wrapper = wrapper
-        system.spawn(pid, "client", wrapper.program())
-    else:
-        system.spawn(pid, "client", client.program())
-    return client
+from tests.conftest import run_clients, spawn_script
 
 
 class TestNonEquivocatingBroadcast:
@@ -57,9 +26,11 @@ class TestNonEquivocatingBroadcast:
         system = System(n=4)
         neb = NonEquivocatingBroadcast(system, slots=2).install()
         neb.start_helpers()
-        sender = spawn_ops(system, neb, 1, [("broadcast", (0, "hello"))])
+        sender = spawn_script(system, neb, 1, [("broadcast", (0, "hello"))])
         run_clients(system, [sender])
-        receiver = spawn_ops(system, neb, 2, [("deliver", (1, 0)), ("deliver", (1, 1))])
+        receiver = spawn_script(
+            system, neb, 2, [("deliver", (1, 0)), ("deliver", (1, 1))], pause_between=9
+        )
         run_clients(system, [receiver])
         assert receiver.result_of("deliver", 0) == "hello"
         assert is_bottom(receiver.result_of("deliver", 1))  # empty slot
@@ -68,9 +39,9 @@ class TestNonEquivocatingBroadcast:
         system = System(n=4)
         neb = NonEquivocatingBroadcast(system, slots=1).install()
         neb.start_helpers()
-        s3 = spawn_ops(system, neb, 3, [("broadcast", (0, "from-3"))])
+        s3 = spawn_script(system, neb, 3, [("broadcast", (0, "from-3"))])
         run_clients(system, [s3])
-        r1 = spawn_ops(system, neb, 1, [("deliver", (3, 0))])
+        r1 = spawn_script(system, neb, 1, [("deliver", (3, 0))])
         run_clients(system, [r1])
         assert r1.result_of("deliver") == "from-3"
 
@@ -94,12 +65,15 @@ class TestNonEquivocatingBroadcast:
             behaviors.equivocating_writer_sticky(backing, "A", "B", flip_after=30),
         )
         receivers = [
-            spawn_ops(system, neb, pid, [("deliver", (1, 0))] * 2, delay=50 * pid)
+            spawn_script(
+                system, neb, pid, [("deliver", (1, 0))] * 2, delay=50 * pid,
+                pause_between=9,
+            )
             for pid in (2, 3, 4)
         ]
         run_clients(system, receivers, max_steps=3_000_000)
         delivered = {
-            r for c in receivers for (_o, _op, _a, r) in c.results
+            r for c in receivers for (_op, _a, r) in c.results
             if not is_bottom(r)
         }
         assert len(delivered) <= 1, f"equivocation succeeded: {delivered}"
@@ -115,14 +89,16 @@ class TestReliableBroadcast:
         system = System(n=4)
         rbc = reliable_broadcast(system, slots=3)
         rbc.start_helpers()
-        sender = spawn_ops(
+        sender = spawn_script(
             system, rbc, 1,
             [("broadcast", (0, "m0")), ("broadcast", (2, "m2"))],
+            pause_between=9,
         )
         run_clients(system, [sender])
-        receiver = spawn_ops(
+        receiver = spawn_script(
             system, rbc, 2,
             [("deliver", (1, 0)), ("deliver", (1, 1)), ("deliver", (1, 2))],
+            pause_between=9,
         )
         run_clients(system, [receiver])
         assert receiver.result_of("deliver", 0) == "m0"
@@ -141,9 +117,9 @@ class TestReliableBroadcast:
             1, "client",
             behaviors.equivocating_writer_sticky(backing, "X", "Y", flip_after=25),
         )
-        first = spawn_ops(system, rbc, 2, [("deliver", (1, 0))], delay=60)
+        first = spawn_script(system, rbc, 2, [("deliver", (1, 0))], delay=60)
         run_clients(system, [first])
-        second = spawn_ops(system, rbc, 3, [("deliver", (1, 0))])
+        second = spawn_script(system, rbc, 3, [("deliver", (1, 0))])
         run_clients(system, [second])
         if not is_bottom(first.result_of("deliver")):
             assert second.result_of("deliver") == first.result_of("deliver")
@@ -153,9 +129,9 @@ class TestSignedReliableBroadcastComparator:
     def test_valid_delivery(self):
         system = System(n=4)
         sig = SignedReliableBroadcast(system, slots=1).install()
-        sender = spawn_ops(system, sig, 1, [("broadcast", (0, "m"))])
+        sender = spawn_script(system, sig, 1, [("broadcast", (0, "m"))])
         run_clients(system, [sender])
-        receiver = spawn_ops(system, sig, 2, [("deliver", (1, 0))])
+        receiver = spawn_script(system, sig, 2, [("deliver", (1, 0))])
         run_clients(system, [receiver])
         assert receiver.result_of("deliver") == "m"
 
@@ -172,7 +148,7 @@ class TestSignedReliableBroadcastComparator:
                 yield Pause()
 
         system.spawn(1, "client", forger())
-        receiver = spawn_ops(system, sig, 2, [("deliver", (1, 0))], delay=20)
+        receiver = spawn_script(system, sig, 2, [("deliver", (1, 0))], delay=20)
         run_clients(system, [receiver])
         assert is_bottom(receiver.result_of("deliver"))
 
@@ -192,8 +168,8 @@ class TestSignedReliableBroadcastComparator:
                 yield Pause()
 
         system.spawn(1, "client", equivocator())
-        early = spawn_ops(system, sig, 2, [("deliver", (1, 0))], delay=10)
-        late = spawn_ops(system, sig, 3, [("deliver", (1, 0))], delay=300)
+        early = spawn_script(system, sig, 2, [("deliver", (1, 0))], delay=10)
+        late = spawn_script(system, sig, 3, [("deliver", (1, 0))], delay=300)
         run_clients(system, [early, late])
         assert early.result_of("deliver") == "A"
         assert late.result_of("deliver") == "B"  # the attack succeeds
@@ -204,7 +180,7 @@ class TestAtomicSnapshot:
         system = System(n=3, f=0)
         snap = AtomicSnapshot(system).install()
         snap.start_helpers()
-        scanner = spawn_ops(system, snap, 2, [("scan", ())])
+        scanner = spawn_script(system, snap, 2, [("scan", ())])
         run_clients(system, [scanner])
         view = scanner.result_of("scan")
         assert len(view) == 3
@@ -214,9 +190,9 @@ class TestAtomicSnapshot:
         system = System(n=3, f=0)
         snap = AtomicSnapshot(system).install()
         snap.start_helpers()
-        updater = spawn_ops(system, snap, 1, [("update", ("u1",))])
+        updater = spawn_script(system, snap, 1, [("update", ("u1",))])
         run_clients(system, [updater], max_steps=4_000_000)
-        scanner = spawn_ops(system, snap, 2, [("scan", ())])
+        scanner = spawn_script(system, snap, 2, [("scan", ())])
         run_clients(system, [scanner], max_steps=4_000_000)
         view = scanner.result_of("scan")
         assert view[0] == (1, "u1")
@@ -229,16 +205,17 @@ class TestAtomicSnapshot:
         clients = []
         for pid in (1, 2, 3):
             clients.append(
-                spawn_ops(
+                spawn_script(
                     system, snap, pid,
                     [("update", (pid * 10,)), ("scan", ()),
                      ("update", (pid * 10 + 1,)), ("scan", ())],
                     delay=6 * pid,
+                    pause_between=9,
                 )
             )
         run_clients(system, clients, max_steps=8_000_000)
         scans = [
-            r for c in clients for (_o, op, _a, r) in c.results if op == "scan"
+            r for c in clients for (op, _a, r) in c.results if op == "scan"
         ]
         # Scans are views: component sequence numbers must be mutually
         # comparable (a necessary condition of snapshot linearizability).
@@ -260,8 +237,8 @@ class TestAtomicSnapshot:
                 [snap.segment(4).reg_witness(4)], period=23
             ),
         )
-        updater = spawn_ops(system, snap, 1, [("update", ("x",))])
-        scanner = spawn_ops(system, snap, 2, [("scan", ())], delay=100)
+        updater = spawn_script(system, snap, 1, [("update", ("x",))])
+        scanner = spawn_script(system, snap, 2, [("scan", ())], delay=100)
         run_clients(system, [updater, scanner], max_steps=8_000_000)
         view = scanner.result_of("scan")
         assert len(view) == 4
@@ -306,9 +283,9 @@ class TestSnapshotAdversarialMover:
                 yield from pause_steps(7)
 
         system.spawn(4, "client", relentless_mover())
-        updater = spawn_ops(system, snap, 1, [("update", ("real",))])
+        updater = spawn_script(system, snap, 1, [("update", ("real",))])
         run_clients(system, [updater], max_steps=8_000_000)
-        scanner = spawn_ops(system, snap, 2, [("scan", ())])
+        scanner = spawn_script(system, snap, 2, [("scan", ())])
         run_clients(system, [scanner], max_steps=8_000_000)
         view = scanner.result_of("scan")
         # The correct updater's component is genuine; the Byzantine
@@ -366,10 +343,10 @@ class TestSnapshotFreshness:
         snap = SpyingSnapshot(system, "snap").install()
         system.declare_byzantine(4)
         snap.start_helpers(sorted(system.correct))
-        updater = spawn_ops(system, snap, 1, [("update", ("real",))])
+        updater = spawn_script(system, snap, 1, [("update", ("real",))])
         run_clients(system, [updater], max_steps=8_000_000)
         system.spawn(4, "client", stale_churner(snap, 4, gap=40))
-        scanner = spawn_ops(system, snap, 2, [("scan", ())])
+        scanner = spawn_script(system, snap, 2, [("scan", ())])
         run_clients(system, [scanner], max_steps=8_000_000)
         view = scanner.result_of("scan")
         assert view[0] == (1, "real"), view
@@ -389,7 +366,7 @@ class TestSnapshotFreshness:
         system = System(n=4, scheduler=RandomScheduler(seed=0))
         snap = SpyingSnapshot(system, "snap").install()
         snap.start_helpers()
-        updater = spawn_ops(system, snap, 1, [("update", ("real",))])
+        updater = spawn_script(system, snap, 1, [("update", ("real",))])
         run_clients(system, [updater], max_steps=8_000_000)
 
         def churny_updates(pid):
@@ -404,7 +381,7 @@ class TestSnapshotFreshness:
 
         for pid in (3, 4):
             system.spawn(pid, "client", churny_updates(pid))
-        scanner = spawn_ops(system, snap, 2, [("scan", ())], delay=60)
+        scanner = spawn_script(system, snap, 2, [("scan", ())], delay=60)
         run_clients(system, [scanner], max_steps=8_000_000)
         view = scanner.result_of("scan")
         assert view[0] == (1, "real"), view
@@ -450,7 +427,7 @@ class TestSnapshotFreshness:
                 yield from pause_steps(7)
 
         system.spawn(4, "client", inflating_mover())
-        scanner = spawn_ops(system, snap, 2, [("scan", ())])
+        scanner = spawn_script(system, snap, 2, [("scan", ())])
         run_clients(system, [scanner], max_steps=8_000_000)
         view = scanner.result_of("scan")
         # p2 never updated: its own component must be genuine, and the
@@ -471,10 +448,10 @@ class TestSnapshotFreshness:
             ).install()
             system.declare_byzantine(4)
             snap.start_helpers(sorted(system.correct))
-            updater = spawn_ops(system, snap, 1, [("update", ("real",))])
+            updater = spawn_script(system, snap, 1, [("update", ("real",))])
             run_clients(system, [updater], max_steps=8_000_000)
             system.spawn(4, "client", stale_churner(snap, 4, gap=40))
-            scanner = spawn_ops(system, snap, 2, [("scan", ())])
+            scanner = spawn_script(system, snap, 2, [("scan", ())])
             run_clients(system, [scanner], max_steps=8_000_000)
             views[gate] = scanner.result_of("scan")
         assert views[True][0] == (1, "real"), views

@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim import (
     FunctionClient,
-    OpCall,
     Pause,
     ScriptClient,
     System,
@@ -58,6 +57,18 @@ class TestCall:
         assert record.responded_at - record.invoked_at == 4  # 3 pauses + respond
 
 
+class _Target:
+    """A test-local script target: each operation is a procedure factory."""
+
+    name = "o"
+
+    def __init__(self, **procedures):
+        self._procedures = procedures
+
+    def op(self, pid, opname, *args):
+        return call(self.name, opname, args, self._procedures[opname](*args))
+
+
 class TestScriptClient:
     def test_sequential_execution(self):
         system = System(n=2)
@@ -72,7 +83,7 @@ class TestScriptClient:
             return procedure
 
         client = ScriptClient(
-            [OpCall("o", "a", (), make("a")), OpCall("o", "b", (), make("b"))]
+            _Target(a=make("a"), b=make("b")), 1, [("a", ()), ("b", ())]
         )
         system.spawn(1, "c", client.program())
         system.run(50)
@@ -80,37 +91,19 @@ class TestScriptClient:
         assert order == ["a", "b"]
         assert client.result_of("a") == "a"
 
-    def test_on_result_callback(self):
-        system = System(n=2)
-        seen = []
-
-        def procedure():
-            yield Pause()
-            return 7
-
-        client = ScriptClient(
-            [OpCall("o", "x", (), procedure, on_result=seen.append)]
-        )
-        system.spawn(1, "c", client.program())
-        system.run(20)
-        assert seen == [7]
-
     def test_results_accumulate_in_order(self):
         system = System(n=2)
 
-        def make(value):
-            def procedure():
-                yield Pause()
-                return value
-
-            return procedure
+        def procedure(value):
+            yield Pause()
+            return value
 
         client = ScriptClient(
-            [OpCall("o", "op", (i,), make(i)) for i in range(4)]
+            _Target(op=procedure), 1, [("op", (i,)) for i in range(4)]
         )
         system.spawn(1, "c", client.program())
         system.run(100)
-        assert [r for (_o, _op, _a, r) in client.results] == [0, 1, 2, 3]
+        assert [r for (_op, _a, r) in client.results] == [0, 1, 2, 3]
 
     def test_pause_between(self):
         system = System(n=2)
@@ -120,7 +113,7 @@ class TestScriptClient:
             return None
 
         client = ScriptClient(
-            [OpCall("o", "x", (), procedure), OpCall("o", "y", (), procedure)],
+            _Target(x=procedure, y=procedure), 1, [("x", ()), ("y", ())],
             pause_between=5,
         )
         system.spawn(1, "c", client.program())
@@ -128,6 +121,39 @@ class TestScriptClient:
         records = system.history.all()
         gap = records[1].invoked_at - records[0].responded_at
         assert gap >= 5
+
+
+class TestOneEntryPoint:
+    """Every scripted row runs through its target's ``op``."""
+
+    def test_app_args_are_recorded_frozen(self):
+        from repro.apps import AtomicSnapshot
+
+        system = System(n=4)
+        snap = AtomicSnapshot(system).install()
+        snap.start_helpers()
+        system.spawn(1, "client", snap.op(1, "update", [1, 2]))
+        system.run(20_000)
+        (record,) = system.history.all()
+        assert record.obj == snap.name and record.args == ((1, 2),)
+
+    @pytest.mark.parametrize("family", ["register", "app", "test_or_set"])
+    def test_unknown_operation_is_a_configuration_error(self, family):
+        from repro.apps import AtomicSnapshot
+        from repro.core import StickyRegister, TestOrSetFromSticky, VerifiableRegister
+        from repro.errors import ConfigurationError
+        from tests.conftest import run_clients, spawn_script
+
+        system = System(n=4)
+        target = {
+            "register": lambda: VerifiableRegister(system, "reg"),
+            "app": lambda: AtomicSnapshot(system),
+            "test_or_set": lambda: TestOrSetFromSticky(StickyRegister(system, "r")),
+        }[family]().install()
+        client = spawn_script(system, target, 2, [("frobnicate", (1,))])
+        with pytest.raises(ConfigurationError, match="frobnicate"):
+            run_clients(system, [client])
+        assert system.history.all() == [] and not client.done
 
 
 class TestFunctionClient:

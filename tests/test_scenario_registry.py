@@ -201,6 +201,30 @@ class TestByzantineCast:
         assert system.correct == frozenset(system.pids)
 
 
+class TestWorkloadSizes:
+    """A negative workload size is refused before anything is built.
+
+    It would script no operation, and a run that records none is judged
+    CLEAN — a vacuous certificate.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario, size, value",
+        [
+            ("snapshot", "updates", -2),
+            ("asset_transfer", "transfers", -5),
+            ("mp_register", "writes", -1),
+            ("mp_register", "reads", -3),
+            ("mp_register", "readers", -1),
+        ],
+        ids=["updates", "transfers", "writes", "reads", "readers"],
+    )
+    def test_builder_refuses_a_negative_size(self, scenario, size, value):
+        spec = make_scenario(scenario, seed=0, **{size: value})
+        with pytest.raises(ConfigurationError, match=f"{size}={value}"):
+            spec.build(RoundRobinScheduler())
+
+
 class TestCorpusResolution:
     """Historical corpus labels must resolve through the registry unchanged."""
 

@@ -333,6 +333,24 @@ class TestWorkerParity:
                 outcome.incomplete,
             )
 
+    def test_a_cell_with_a_negative_size_is_never_recorded_clean(self, store, tmp_path):
+        # The codec accepts any int param; the builder refuses it, so the
+        # worker stops loudly instead of certifying an empty history.
+        doc = cell_to_json(
+            CampaignCell(
+                implementation="snapshot",
+                scenario=make_scenario("snapshot", n=4, f=1, seed=0),
+                engine="swarm",
+                budget=1,
+                expect_violation=False,
+            )
+        )
+        doc["scenario"]["params"].append(["updates", -2])
+        run_id = squeue.submit(store, [cell_from_json(doc)], options={"shrink": False})
+        with pytest.raises(ConfigurationError, match="updates=-2"):
+            run_worker(tmp_path / "service.db", run_id=run_id, poll_interval=0.01)
+        assert status(store, run_id).verdicts == []
+
     def test_worker_fleet_matches_the_inline_worker(self, tmp_path):
         cells = [naive_cell(), clean_cell()]
         fleet_corpus = tmp_path / "fleet-corpus"

@@ -61,7 +61,7 @@ class TestHappyPath:
             system4, register, 2, [("read", ()), ("read", ())], delay=200
         )
         run_clients(system4, [writer, reader])
-        assert writer.results[1][3] == "done"  # returns done, changes nothing
+        assert writer.result_of("write", 1) == "done"  # returns done, changes nothing
         assert reader.result_of("read", 0) == "A"
         assert reader.result_of("read", 1) == "A"
 
@@ -113,7 +113,7 @@ class TestEquivocatingWriter:
         values = {
             result
             for reader in readers
-            for (_o, _op, _a, result) in reader.results
+            for (_op, _a, result) in reader.results
             if not is_bottom(result)
         }
         assert len(values) <= 1, f"correct readers saw {values}"
@@ -134,7 +134,7 @@ class TestEquivocatingWriter:
         values = {
             result
             for reader in readers
-            for (_o, _op, _a, result) in reader.results
+            for (_op, _a, result) in reader.results
             if not is_bottom(result)
         }
         assert len(values) <= 1
@@ -197,5 +197,5 @@ class TestConcurrency:
         # ⊥ *after* V (uniqueness), which check_sticky already covers;
         # additionally all non-⊥ values must equal V.
         for reader in readers:
-            for (_o, _op, _a, result) in reader.results:
+            for (_op, _a, result) in reader.results:
                 assert is_bottom(result) or result == "V"

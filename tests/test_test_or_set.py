@@ -22,9 +22,9 @@ from repro.core import (
     TestOrSetFromVerifiable,
     VerifiableRegister,
 )
-from repro.sim import OpCall, RandomScheduler, ScriptClient, System
+from repro.sim import RandomScheduler, System
 from repro.spec import check_test_or_set, check_test_or_set_properties
-from tests.conftest import run_clients
+from tests.conftest import run_clients, spawn_script
 
 
 def build_tos(kind: str, system: System):
@@ -48,37 +48,15 @@ def build_tos(kind: str, system: System):
 KINDS = ("verifiable", "authenticated", "sticky", "quorum")
 
 
-def spawn_tos_script(system, tos, pid, ops, delay=0):
-    calls = [
-        OpCall("t", op, (), (lambda op=op, pid=pid: getattr(tos, f"procedure_{op}")(pid)))
-        for op in ops
-    ]
-    client = ScriptClient(calls, pause_between=9)
-    if delay:
-        from repro.sim import FunctionClient
-        from repro.sim.process import pause_steps
-
-        def delayed():
-            yield from pause_steps(delay)
-            yield from client.program()
-
-        wrapper = FunctionClient(delayed)
-        client._wrapper = wrapper
-        system.spawn(pid, "client", wrapper.program())
-    else:
-        system.spawn(pid, "client", client.program())
-    return client
-
-
 class TestCorrectSetter:
     @pytest.mark.parametrize("kind", KINDS)
     def test_set_then_test_returns_one(self, kind):
         system = System(n=4)
         tos = build_tos(kind, system)
         tos.start_helpers()
-        setter = spawn_tos_script(system, tos, 1, ["set"])
+        setter = spawn_script(system, tos, 1, [("set", ())])
         run_clients(system, [setter])
-        tester = spawn_tos_script(system, tos, 2, ["test"])
+        tester = spawn_script(system, tos, 2, [("test", ())])
         run_clients(system, [tester])
         assert tester.result_of("test") == 1
 
@@ -87,7 +65,7 @@ class TestCorrectSetter:
         system = System(n=4)
         tos = build_tos(kind, system)
         tos.start_helpers()
-        tester = spawn_tos_script(system, tos, 3, ["test"])
+        tester = spawn_script(system, tos, 3, [("test", ())])
         run_clients(system, [tester])
         assert tester.result_of("test") == 0
 
@@ -97,9 +75,11 @@ class TestCorrectSetter:
         system = System(n=4, scheduler=RandomScheduler(seed=seed))
         tos = build_tos(kind, system)
         tos.start_helpers()
-        setter = spawn_tos_script(system, tos, 1, ["set"], delay=25)
+        setter = spawn_script(system, tos, 1, [("set", ())], delay=25)
         testers = [
-            spawn_tos_script(system, tos, pid, ["test", "test"], delay=10 * pid)
+            spawn_script(
+                system, tos, pid, [("test", ())] * 2, delay=10 * pid, pause_between=9
+            )
             for pid in (2, 3, 4)
         ]
         run_clients(system, [setter, *testers])
@@ -121,7 +101,7 @@ class TestByzantineSetter:
         tos.start_helpers(sorted(system.correct))
         system.spawn(1, "client", behaviors.silent())
         testers = [
-            spawn_tos_script(system, tos, pid, ["test"], delay=5 * pid)
+            spawn_script(system, tos, pid, [("test", ())], delay=5 * pid)
             for pid in (2, 3, 4)
         ]
         run_clients(system, testers)
@@ -142,8 +122,8 @@ class TestByzantineSetter:
         system.spawn(
             1, "client", behaviors.denying_writer_verifiable(register, 1, 220)
         )
-        early = spawn_tos_script(system, tos, 2, ["test"], delay=50)
-        late = spawn_tos_script(system, tos, 3, ["test"], delay=800)
+        early = spawn_script(system, tos, 2, [("test", ())], delay=50)
+        late = spawn_script(system, tos, 3, [("test", ())], delay=800)
         run_clients(system, [early, late])
         if early.result_of("test") == 1:
             assert late.result_of("test") == 1
@@ -179,9 +159,9 @@ class TestQuorumCandidateValidRegime:
         system.declare_byzantine(4)
         tos.start_helpers([1, 2, 3])
         system.spawn(4, "client", behaviors.silent())
-        setter = spawn_tos_script(system, tos, 1, ["set"])
+        setter = spawn_script(system, tos, 1, [("set", ())])
         run_clients(system, [setter])
-        tester = spawn_tos_script(system, tos, 2, ["test"])
+        tester = spawn_script(system, tos, 2, [("test", ())])
         run_clients(system, [tester])
         assert tester.result_of("test") == 1
 
@@ -200,6 +180,6 @@ class TestQuorumCandidateValidRegime:
                 yield Pause()
 
         system.spawn(4, "client", liar())
-        tester = spawn_tos_script(system, tos, 2, ["test"], delay=40)
+        tester = spawn_script(system, tos, 2, [("test", ())], delay=40)
         run_clients(system, [tester])
         assert tester.result_of("test") == 0

@@ -95,7 +95,7 @@ class TestHappyPath:
             delay=100,
         )
         run_clients(system4, [writer, reader])
-        assert all(r is True for (_o, op, _a, r) in reader.results if op == "verify")
+        assert all(r is True for (op, _a, r) in reader.results if op == "verify")
 
     def test_larger_system(self, system7):
         register = build(system7)
