@@ -62,37 +62,37 @@ def crash_after(steps: int) -> Program:
     return program()
 
 
-def garbage_spammer(
-    owned_registers: Sequence[str],
-    payloads: Optional[Sequence[Any]] = None,
-    period: int = 3,
-    seed: int = 0,
-) -> Program:
-    """Cycle malformed values through every owned register forever.
+#: What :func:`garbage_spammer` writes: the common parsing traps —
+#: wrong types, booleans masquerading as ints, nested garbage, absurd
+#: sizes.
+GARBAGE = (
+    "garbage",
+    -1,
+    True,
+    (),
+    ("x",),
+    (1, 2, 3),
+    frozenset({("deep", ("nesting",))}),
+    999999999999,
+    ("no", "counter"),
+    (frozenset({"fake"}), "not-an-int"),
+)
 
-    The default payload set hits the common parsing traps: wrong types,
-    booleans masquerading as ints, nested garbage, absurd sizes. Correct
-    code must shrug all of it off (the ``as_*`` parsers in
+
+def garbage_spammer(
+    owned_registers: Sequence[str], period: int = 3, seed: int = 0
+) -> Program:
+    """Cycle :data:`GARBAGE` values through every owned register forever.
+
+    Correct code must shrug all of it off (the ``as_*`` parsers in
     ``repro.core.interfaces``).
     """
-    junk: Sequence[Any] = payloads or (
-        "garbage",
-        -1,
-        True,
-        (),
-        ("x",),
-        (1, 2, 3),
-        frozenset({("deep", ("nesting",))}),
-        999999999999,
-        ("no", "counter"),
-        (frozenset({"fake"}), "not-an-int"),
-    )
 
     def program() -> Program:
         rng = random.Random(seed)
         while True:
             for name in owned_registers:
-                yield WriteRegister(name, rng.choice(list(junk)))
+                yield WriteRegister(name, rng.choice(GARBAGE))
                 yield from pause_steps(period)
 
     return program()
@@ -145,10 +145,9 @@ def denying_writer_verifiable(
 def denying_writer_authenticated(
     reg: AuthenticatedRegister,
     value: Any,
-    timestamp: int = 1,
     expose_steps: int = 300,
 ) -> Program:
-    """Insert ``⟨timestamp, value⟩`` into ``R_1``, wait, then erase it.
+    """Insert ``⟨1, value⟩`` into ``R_1``, wait, then erase it.
 
     Targets the scenario Section 7.1 defends against: a reader that
     selected the tuple must not return it unless Verify locks it in.
@@ -159,7 +158,7 @@ def denying_writer_authenticated(
         initial_tuple = (0, reg.initial)
         yield WriteRegister(
             reg.reg_witness(reg.writer),
-            frozenset({initial_tuple, (timestamp, value)}),
+            frozenset({initial_tuple, (1, value)}),
         )
         yield from pause_steps(expose_steps)
         yield WriteRegister(reg.reg_witness(reg.writer), frozenset({initial_tuple}))
@@ -172,12 +171,9 @@ def denying_writer_authenticated(
 # Equivocating writers
 # ----------------------------------------------------------------------
 def equivocating_writer_verifiable(
-    reg: VerifiableRegister,
-    values: Sequence[Any],
-    dwell_steps: int = 40,
-    sign_all: bool = True,
+    reg: VerifiableRegister, values: Sequence[Any]
 ) -> Program:
-    """Cycle several "signed" values through ``R*``/``R_1``.
+    """Cycle several "signed" values through ``R*``/``R_1``, 40 steps each.
 
     Tries to make different readers accept different values. For a
     verifiable register this is *legal* behaviour (multiple values may
@@ -192,10 +188,9 @@ def equivocating_writer_verifiable(
         while True:
             for value in frozen:
                 yield WriteRegister(reg.reg_star(), value)
-                if sign_all:
-                    signed = signed | {value}
-                    yield WriteRegister(reg.reg_witness(reg.writer), signed)
-                yield from pause_steps(dwell_steps)
+                signed = signed | {value}
+                yield WriteRegister(reg.reg_witness(reg.writer), signed)
+                yield from pause_steps(40)
 
     return program()
 
@@ -320,12 +315,7 @@ def serve_askers(
         yield from pause_steps(period)
 
 
-def lying_witness(
-    impl: Any,
-    pid: int,
-    claim: Iterable[Any],
-    serve_period: int = 2,
-) -> Program:
+def lying_witness(impl: Any, pid: int, claim: Iterable[Any]) -> Program:
     """A helper that "witnesses" fabricated values and serves askers fast.
 
     It writes ``claim`` into its witness register and answers every asker
@@ -340,7 +330,7 @@ def lying_witness(
 
     def program() -> Program:
         yield WriteRegister(impl.reg_witness(pid), fake)
-        yield from serve_askers([impl], pid, lambda *_: fake, serve_period)
+        yield from serve_askers([impl], pid, lambda *_: fake, 2)
 
     return program()
 
@@ -426,12 +416,7 @@ def flip_flop_witness(
     return serve_askers([impl], pid, report, 1)
 
 
-def sticky_lying_witness(
-    reg: StickyRegister,
-    pid: int,
-    claim: Any,
-    serve_period: int = 2,
-) -> Program:
+def sticky_lying_witness(reg: StickyRegister, pid: int, claim: Any) -> Program:
     """A sticky-register helper that witnesses a fabricated value.
 
     Writes ``claim`` into its echo and witness registers and serves every
@@ -444,6 +429,6 @@ def sticky_lying_witness(
     def program() -> Program:
         yield WriteRegister(reg.reg_echo(pid), claim)
         yield WriteRegister(reg.reg_witness(pid), claim)
-        yield from serve_askers([reg], pid, lambda *_: claim, serve_period)
+        yield from serve_askers([reg], pid, lambda *_: claim, 2)
 
     return program()

@@ -11,10 +11,10 @@ measured instead of counted by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.history import History, OperationRecord
+from repro.sim.history import History
 from repro.sim.system import System
 
 

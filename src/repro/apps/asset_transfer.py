@@ -31,7 +31,6 @@ a credited transfer never un-credits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.interfaces import AlgorithmBase
@@ -39,7 +38,7 @@ from repro.core.sticky import StickyRegister
 from repro.errors import ConfigurationError
 from repro.sim.process import Program
 from repro.sim.system import System
-from repro.sim.values import BOTTOM, freeze, is_bottom
+from repro.sim.values import is_bottom
 
 
 def well_formed_transfer(raw: Any, pids: Iterable[int]) -> Optional[Tuple[int, int]]:

@@ -16,14 +16,13 @@ protocols need ("this register holds the process' proposal"; Section 1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.core.interfaces import AlgorithmBase
 from repro.core.sticky import StickyRegister
 from repro.errors import ConfigurationError
 from repro.sim.process import Program
 from repro.sim.system import System
-from repro.sim.values import BOTTOM, is_bottom
 
 
 class NonEquivocatingBroadcast:

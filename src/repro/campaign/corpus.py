@@ -216,20 +216,18 @@ def default_corpus_dir() -> Path:
 
 
 def save_entry(
-    corpus_dir: Union[str, Path],
-    entry: CorpusEntry,
-    overwrite: bool = False,
+    corpus_dir: Union[str, Path], entry: CorpusEntry
 ) -> Tuple[Path, bool]:
     """Write ``entry`` into ``corpus_dir``; returns ``(path, written)``.
 
-    An existing file for the same violation class is left untouched
-    unless ``overwrite`` — the committed trace is the reviewed one, and
-    keeping it stable avoids corpus churn across campaign runs.
+    An existing file for the same violation class is left untouched —
+    the committed trace is the reviewed one, and keeping it stable
+    avoids corpus churn across campaign runs.
     """
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     path = corpus_dir / entry.file_name()
-    if path.exists() and not overwrite:
+    if path.exists():
         return path, False
     # Atomic write: a campaign interrupted mid-save must never leave a
     # truncated entry behind (load_corpus raises on malformed files,

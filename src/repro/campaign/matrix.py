@@ -98,11 +98,14 @@ class CellOutcome:
     elapsed: float = 0.0
     violations: List[Violation] = field(default_factory=list)
     note: str = ""
+    #: Why the cell could not run at all (its scenario failed to build);
+    #: such a cell is never ok — no run is no certificate.
+    error: str = ""
 
     @property
     def ok(self) -> bool:
         """Whether the cell matched its differential expectation."""
-        return bool(self.violations) == self.cell.expect_violation
+        return not self.error and bool(self.violations) == self.cell.expect_violation
 
     @property
     def class_fingerprints(self) -> List[str]:

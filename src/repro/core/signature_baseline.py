@@ -40,7 +40,6 @@ from repro.core.interfaces import (
     AlgorithmBase,
     as_frozenset,
 )
-from repro.errors import ProtocolViolation
 from repro.sim.effects import ReadRegister, WriteRegister
 from repro.sim.process import Program, idle_forever
 from repro.sim.registers import RegisterSpec, swmr

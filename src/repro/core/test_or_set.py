@@ -20,7 +20,7 @@ paper uses it in both directions of the optimality result:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, Optional
 
 from repro.core.authenticated import AuthenticatedRegister
 from repro.core.interfaces import DONE, AlgorithmBase, as_int
@@ -28,7 +28,7 @@ from repro.sim.effects import PAUSE, Await, ReadRegister, WriteRegister
 from repro.sim.process import Program, idle_forever
 from repro.sim.registers import RegisterSpec, swmr
 from repro.sim.system import System
-from repro.sim.values import BOTTOM, is_bottom
+from repro.sim.values import is_bottom
 
 #: The value a Set installs; testers return 1 when they accept it.
 SET_FLAG = 1

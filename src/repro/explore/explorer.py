@@ -619,8 +619,9 @@ def explore(
     Returns an :class:`ExploreReport`; ``report.violations`` holds one
     representative :class:`Violation` per deduplicated violation class.
     The search is depth first. ``depth_bound`` and ``preemption_bound``
-    must be >= 0, else ``ValueError``: a negative bound would drain an
-    empty tree and report it ``exhausted``.
+    must be >= 0 and ``budget`` >= 1, else ``ValueError``: a negative
+    bound would drain an empty tree and report it ``exhausted``, and a
+    budget of no run would report a clean search that never ran.
 
     ``reduction`` picks the pruning strategy (see the module docstring):
     ``"sleep"`` expands every runnable sibling under fingerprint memo +
@@ -647,6 +648,8 @@ def explore(
     sibling schedules that commute into the same history pay for one
     verdict.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if depth_bound < 0:
         raise ValueError(f"depth_bound must be >= 0, got {depth_bound}")
     if preemption_bound < 0:

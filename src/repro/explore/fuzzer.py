@@ -31,14 +31,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulerError, StepLimitExceeded
 from repro.sim.scheduler import (
     CoroutineId,
     PriorityScheduler,
     RandomScheduler,
-    RoundRobinScheduler,
     Scheduler,
     TraceScheduler,
 )
@@ -266,14 +265,18 @@ def fuzz(
     campaign's findings do not depend on the sharding; only throughput
     does. ``stop_on_violation`` short-circuits inline campaigns after
     the first violating run (sharded campaigns always drain their jobs).
+    A ``budget`` below 1 raises ``ValueError``: "no violations in 0
+    runs" would certify work never done.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("fuzz needs at least one scenario")
     shard_count = default_shards() if shards is None else max(1, shards)
-    shard_count = min(shard_count, max(1, budget))
+    shard_count = min(shard_count, budget)
 
     jobs = [
         (scenarios[i % len(scenarios)], seed0 + i) for i in range(budget)

@@ -30,7 +30,7 @@ written in — via :meth:`ShrunkViolation.script_source`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import SchedulerError
 from repro.sim.scheduler import CoroutineId

@@ -34,7 +34,7 @@ Caveats (each a substitution for an assumption of the paper's model):
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any
 
 from repro.core.interfaces import AlgorithmBase
 from repro.mp.swmr_emulation import RegisterEmulation

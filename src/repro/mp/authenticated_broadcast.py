@@ -25,7 +25,6 @@ deliberately offers no terminating negative query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError

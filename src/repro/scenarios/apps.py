@@ -84,7 +84,6 @@ from repro.scenarios.registry import (
     BuiltScenario,
     declare_byzantine,
     register_builder,
-    require_sizes,
 )
 
 #: Byzantine behaviours an app scenario may assign (pid -> name pairs).
@@ -98,8 +97,18 @@ APP_ADVERSARIES = (
 )
 
 #: Amount every equivocating transfer moves (small enough to always be
-#: solvent against the default initial balance).
+#: solvent against :data:`INITIAL_BALANCE`).
 EQUIVOCATION_AMOUNT = 50
+
+#: Every correct snapshot client's update count (each followed by a scan).
+SNAPSHOT_UPDATES = 2
+
+#: Every correct asset-transfer owner's payment count; also the log
+#: slots per account.
+TRANSFERS = 2
+
+#: Every account's opening balance.
+INITIAL_BALANCE = 100
 
 
 def _backing_registers(app: Any) -> List[Any]:
@@ -300,7 +309,6 @@ def _build_app(
     seed: int,
     byzantine: Tuple[Tuple[int, str], ...],
     max_steps: int,
-    max_nodes: int,
     ctx: Optional[CheckContext],
 ) -> BuiltScenario:
     """The body every app builder shares.
@@ -343,7 +351,6 @@ def _build_app(
             app_spec,
             rules,
             witness=witness(app, cast),
-            max_nodes=max_nodes,
             ctx=ctx,
         )
 
@@ -359,20 +366,18 @@ def build_snapshot(
     f: int = 1,
     seed: int = 0,
     byzantine: Tuple[Tuple[int, str], ...] = (),
-    updates: int = 2,
     verify_freshness: bool = True,
     max_steps: int = 6_000_000,
-    max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ):
     """A seeded snapshot workload: concurrent updates and scans.
 
-    Every correct process interleaves ``updates`` updates with scans
-    (values are pid-tagged so provenance is checkable); Byzantine pids
-    run the named :data:`APP_ADVERSARIES` behaviour. The check rewrites
-    the correct-restricted ``snap`` history (see module doc) and asks
-    for a linearization against :class:`SnapshotSpec` over the correct
-    pids.
+    Every correct process interleaves :data:`SNAPSHOT_UPDATES` updates
+    with scans (values are pid-tagged so provenance is checkable);
+    Byzantine pids run the named :data:`APP_ADVERSARIES` behaviour. The
+    check rewrites the correct-restricted ``snap`` history (see module
+    doc) and asks for a linearization against :class:`SnapshotSpec` over
+    the correct pids.
 
     ``verify_freshness=False`` rebuilds the pre-fix snapshot (no seq
     watermark on adopted embedded scans) so the ``byzantine_updater``
@@ -381,11 +386,10 @@ def build_snapshot(
     scenario labels only include parameters actually passed, every
     pre-existing label is untouched.
     """
-    require_sizes(updates=updates)
 
     def rows(app, cast, rng, pid):
         script = []
-        for round_index in range(updates):
+        for round_index in range(SNAPSHOT_UPDATES):
             script += [("update", (pid * 100 + round_index,)), ("scan", ())]
         return script
 
@@ -398,7 +402,7 @@ def build_snapshot(
         rows,
         lambda app: SnapshotSpec(pids=tuple(sorted(app.system.correct))),
         lambda app, cast: tuple(sorted(app.system.pids)),
-        scheduler, n, f, seed, byzantine, max_steps, max_nodes, ctx,
+        scheduler, n, f, seed, byzantine, max_steps, ctx,
     )
 
 
@@ -424,16 +428,14 @@ def build_asset_transfer(
     f: int = 1,
     seed: int = 0,
     byzantine: Tuple[Tuple[int, str], ...] = (),
-    transfers: int = 2,
-    initial_balance: int = 100,
     max_steps: int = 6_000_000,
-    max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ):
     """A seeded asset-transfer workload: payments plus balance audits.
 
-    Every correct owner issues ``transfers`` seeded transfers to other
-    correct accounts, then audits balances (its own, one peer's, and —
+    Every account opens with :data:`INITIAL_BALANCE`. Every correct
+    owner issues :data:`TRANSFERS` seeded transfers to other correct
+    accounts, then audits balances (its own, one peer's, and —
     when a Byzantine cast exists — one Byzantine account) — the audit
     following the transfer *sequentially* in the same client is what
     gives the spec real-time precedence to bite on: a balance that
@@ -453,12 +455,11 @@ def build_asset_transfer(
     sides) therefore has unexplainable credits and fails to linearize,
     which is the ``n = 3f`` double-spend the violating cell pins.
     """
-    require_sizes(transfers=transfers)
 
     def rows(app, cast, rng, pid):
         peers = [other for other in sorted(app.system.correct) if other != pid]
         script = []
-        for _ in range(transfers):
+        for _ in range(TRANSFERS):
             to = rng.choice(peers)
             script.append(("transfer", (to, rng.randrange(5, 30))))
         audits = [pid, rng.choice(peers)]
@@ -469,7 +470,7 @@ def build_asset_transfer(
     def spec(app):
         accounts = tuple(sorted(app.system.pids))
         return AssetTransferSpec(
-            accounts=accounts, initial=tuple(initial_balance for _ in accounts)
+            accounts=accounts, initial=tuple(INITIAL_BALANCE for _ in accounts)
         )
 
     return _build_app(
@@ -478,14 +479,14 @@ def build_asset_transfer(
         lambda system: AssetTransfer(
             system,
             "assets",
-            initial_balances={pid: initial_balance for pid in system.pids},
-            slots=max(transfers, 1),
+            initial_balances={pid: INITIAL_BALANCE for pid in system.pids},
+            slots=TRANSFERS,
             f=f,
         ),
         rows,
         spec,
         _settled_transfers,
-        scheduler, n, f, seed, byzantine, max_steps, max_nodes, ctx,
+        scheduler, n, f, seed, byzantine, max_steps, ctx,
     )
 
 
@@ -532,22 +533,20 @@ def build_broadcast(
     f: int = 1,
     seed: int = 0,
     byzantine: Tuple[Tuple[int, str], ...] = (),
-    slots: int = 1,
     max_steps: int = 6_000_000,
-    max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ):
     """Non-equivocating broadcast (Section 8's sticky-register sketch):
-    every correct process broadcasts one message per slot it owns, then
-    delivers every other sender's slots."""
+    every correct process broadcasts one message in its one slot, then
+    delivers every other sender's slot."""
     return _build_app(
         "broadcast",
         "bcast",
-        lambda system: NonEquivocatingBroadcast(system, "bcast", slots=slots, f=f),
+        lambda system: NonEquivocatingBroadcast(system, "bcast", f=f),
         _broadcast_rows,
         _broadcast_spec,
         _settled_broadcasts,
-        scheduler, n, f, seed, byzantine, max_steps, max_nodes, ctx,
+        scheduler, n, f, seed, byzantine, max_steps, ctx,
     )
 
 
@@ -557,17 +556,15 @@ def build_reliable_broadcast(
     f: int = 1,
     seed: int = 0,
     byzantine: Tuple[Tuple[int, str], ...] = (),
-    slots: int = 1,
     max_steps: int = 6_000_000,
-    max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ):
     """Signature-free reliable broadcast (the [5] translation): the same
-    sticky-slot broadcast recorded as object ``rbc`` over registers named
-    ``rbc/slots``, judged against the same :class:`BroadcastSpec`."""
+    one-slot sticky broadcast recorded as object ``rbc`` over registers
+    named ``rbc/slots``, judged against the same :class:`BroadcastSpec`."""
 
     def make_app(system):
-        app = NonEquivocatingBroadcast(system, "rbc/slots", slots=slots, f=f)
+        app = NonEquivocatingBroadcast(system, "rbc/slots", f=f)
         app.name = "rbc"  # the recorded object; the registers keep their names
         return app
 
@@ -578,7 +575,7 @@ def build_reliable_broadcast(
         _broadcast_rows,
         _broadcast_spec,
         _settled_broadcasts,
-        scheduler, n, f, seed, byzantine, max_steps, max_nodes, ctx,
+        scheduler, n, f, seed, byzantine, max_steps, ctx,
     )
 
 

@@ -69,25 +69,39 @@ from repro.sim import ScriptClient, System, all_done
 from repro.spec.context import CheckContext
 from repro.spec.judge import judge
 from repro.scenarios.bindings import binding_for
-from repro.scenarios.registry import BuiltScenario, register_builder, require_sizes
+from repro.scenarios.registry import BuiltScenario, register_builder
+
+#: Writes by process 1, reader processes (pids ``2..READERS + 1``) and
+#: reads per reader.
+WRITES = 2
+READERS = 2
+READS = 2
+
+#: Upper bound of a message's random delivery delay, in steps (the
+#: lower bound is :class:`RandomDelayNetwork`'s 1).
+MAX_DELAY = 6
 
 
 class _EmulatedRegister:
-    """The emulated register ``r`` as a script target: ``r.write`` / ``r.read``."""
+    """The emulated register ``r`` as a script target: ``r.write`` / ``r.read``.
+
+    A read paces its re-queries from 16 polls, not
+    :meth:`RegisterEmulation.read`'s default 64: the pinned ``mp_register``
+    cells' steps and verdicts are those of 16.
+    """
 
     name = "r"
     OPERATIONS = ("write", "read")
     op = AlgorithmBase.op
 
-    def __init__(self, emu: RegisterEmulation, requery_every: int):
+    def __init__(self, emu: RegisterEmulation):
         self._emu = emu
-        self._requery_every = requery_every
 
     def procedure_write(self, pid: int, value: Any) -> Any:
         return self._emu.write(pid, "r", value)
 
     def procedure_read(self, pid: int) -> Any:
-        return self._emu.read(pid, "r", requery_every=self._requery_every)
+        return self._emu.read(pid, "r", requery_every=16)
 
 
 def build_mp_register(
@@ -95,37 +109,29 @@ def build_mp_register(
     n: int = 4,
     f: int = 1,
     seed: int = 0,
-    writes: int = 2,
-    readers: int = 2,
-    reads: int = 2,
     faults: Tuple[Tuple[Any, ...], ...] = (),
     fault_seed: int = 0,
     retransmit: bool = False,
-    min_delay: int = 1,
-    max_delay: int = 6,
-    requery_every: int = 16,
-    stall_window: int = 2_500,
     max_steps: int = 150_000,
-    max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ):
     """A seeded register workload over the mp emulation, under faults.
 
-    Process 1 writes ``writes`` values to one emulated register while
-    ``readers`` reader processes (pids ``2..readers+1``) each perform
-    ``reads`` reads; every process also runs a replica daemon. The
-    ``faults`` tuple is a :class:`repro.faults.FaultPlan` spec applied
-    via :class:`FaultyNetwork` over a :class:`RandomDelayNetwork`
-    seeded with ``seed``; ``retransmit=True`` frames all protocol
-    traffic through :class:`RetransmitChannels`.
+    Process 1 writes :data:`WRITES` values to one emulated register while
+    :data:`READERS` reader processes each perform :data:`READS` reads;
+    every process also runs a replica daemon. The ``faults`` tuple is a
+    :class:`repro.faults.FaultPlan` spec applied via
+    :class:`FaultyNetwork` over a :class:`RandomDelayNetwork` seeded with
+    ``seed`` (delays ``1..MAX_DELAY``); ``retransmit=True`` frames all
+    protocol traffic through :class:`RetransmitChannels`. The
+    :class:`ProgressMonitor` judges a stall over its default window.
 
     Identical ``(seed, fault_seed)`` pairs under identical schedules
     reproduce identical runs — fault draws are a pure function of the
     submission sequence (``tests/test_faults.py`` pins this end to end).
     """
-    require_sizes(writes=writes, readers=readers, reads=reads)
     system = System(n=n, f=f, scheduler=scheduler)
-    inner = RandomDelayNetwork(seed=seed, min_delay=min_delay, max_delay=max_delay)
+    inner = RandomDelayNetwork(seed=seed, max_delay=MAX_DELAY)
     if faults:
         network: Any = FaultyNetwork(inner, FaultPlan.from_spec(faults, seed=fault_seed))
     else:
@@ -137,7 +143,7 @@ def build_mp_register(
     for pid in system.pids:
         system.spawn(pid, "replica", emu.replica_program(pid))
 
-    target = _EmulatedRegister(emu, requery_every)
+    target = _EmulatedRegister(emu)
     rng = random.Random(seed)
     clients: List[Tuple[int, ScriptClient]] = []
 
@@ -146,9 +152,9 @@ def build_mp_register(
         clients.append((pid, client))
         system.spawn(pid, "client", client.program())
 
-    spawn_client(1, [("write", (100 + index,)) for index in range(writes)])
-    for pid in range(2, 2 + readers):
-        spawn_client(pid, [("read", ())] * reads)
+    spawn_client(1, [("write", (100 + index,)) for index in range(WRITES)])
+    for pid in range(2, 2 + READERS):
+        spawn_client(pid, [("read", ())] * READS)
 
     def describe_pending() -> str:
         parts = []
@@ -165,7 +171,6 @@ def build_mp_register(
     monitor = ProgressMonitor(
         system,
         signals=lambda: network.delivered + metrics.responses + progress.value,
-        window=stall_window,
         describe_pending=describe_pending,
         network=network if network is not inner else None,
         channels=channels,
@@ -200,7 +205,6 @@ def build_mp_register(
             "r",
             spec,
             binding.rules,
-            max_nodes=max_nodes,
             ctx=ctx,
         )
 

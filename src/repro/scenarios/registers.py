@@ -58,34 +58,37 @@ from repro.spec import CheckContext, judge
 
 
 def make_register(
-    kind: str,
-    system: System,
-    name: str = "reg",
-    writer: int = 1,
-    f: Optional[int] = None,
-    initial: Any = 0,
+    kind: str, system: System, name: str = "reg", writer: int = 1
 ) -> Any:
-    """Instantiate a register implementation by kind name."""
+    """Instantiate a register implementation by kind name.
+
+    It starts at 0 (a sticky register at ``⊥``) with the system's ``f``.
+    """
     if kind == "verifiable":
-        return VerifiableRegister(system, name, writer=writer, f=f, initial=initial)
+        return VerifiableRegister(system, name, writer=writer, initial=0)
     if kind == "authenticated":
-        return AuthenticatedRegister(system, name, writer=writer, f=f, initial=initial)
+        return AuthenticatedRegister(system, name, writer=writer, initial=0)
     if kind == "sticky":
-        return StickyRegister(system, name, writer=writer, f=f)
+        return StickyRegister(system, name, writer=writer)
     if kind == "signed":
-        return SignedVerifiableRegister(
-            system, name, writer=writer, f=f, initial=initial
-        )
+        return SignedVerifiableRegister(system, name, writer=writer, initial=0)
     if kind == "naive-quorum":
-        return NaiveQuorumVerifiableRegister(
-            system, name, writer=writer, f=f, initial=initial
-        )
+        return NaiveQuorumVerifiableRegister(system, name, writer=writer, initial=0)
     raise ConfigurationError(f"unknown register kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
 # Random scripts
 # ----------------------------------------------------------------------
+#: Value domain of the generated operations and of the adversaries.
+_DOMAIN = (10, 20, 30)
+
+#: Operations a generated writer script draws (sticky writers draw one
+#: or two writes instead) and operations per reader script.
+_WRITER_OPS = 6
+_READER_OPS = 5
+
+
 @dataclass
 class Workload:
     """Operation scripts for one scenario.
@@ -98,53 +101,48 @@ class Workload:
 
 
 def random_register_workload(
-    kind: str,
-    readers: Sequence[int],
-    seed: int,
-    writer_op_count: int = 6,
-    reader_op_count: int = 5,
-    domain: Sequence[Any] = (10, 20, 30),
+    kind: str, readers: Sequence[int], seed: int
 ) -> Workload:
     """Seeded scripts shaped to the register kind's operation vocabulary.
 
-    Readers probe written, signed, *and* never-written values so that
-    both verify outcomes are exercised; sticky writers attempt repeat
-    writes (which must be idempotent no-ops).
+    Values come from :data:`_DOMAIN`. Readers probe written, signed,
+    *and* never-written values so that both verify outcomes are
+    exercised; sticky writers attempt repeat writes (which must be
+    idempotent no-ops).
     """
     rng = random.Random(seed)
-    domain = list(domain)
-    foreign = [d * 1000 + 7 for d in domain]  # values nobody ever writes
+    foreign = [d * 1000 + 7 for d in _DOMAIN]  # values nobody ever writes
     writer_ops: List[Tuple[str, Tuple[Any, ...]]] = []
 
     if kind == "sticky":
-        writer_ops.append(("write", (rng.choice(domain),)))
+        writer_ops.append(("write", (rng.choice(_DOMAIN),)))
         if rng.random() < 0.5:
-            writer_ops.append(("write", (rng.choice(domain),)))
+            writer_ops.append(("write", (rng.choice(_DOMAIN),)))
     elif kind == "authenticated":
-        for _ in range(writer_op_count):
-            writer_ops.append(("write", (rng.choice(domain),)))
+        for _ in range(_WRITER_OPS):
+            writer_ops.append(("write", (rng.choice(_DOMAIN),)))
     else:  # verifiable-shaped vocabularies
         written: List[Any] = []
-        for _ in range(writer_op_count):
+        for _ in range(_WRITER_OPS):
             if written and rng.random() < 0.45:
                 # Sign something (usually written, sometimes not).
                 pool = written if rng.random() < 0.8 else foreign
                 writer_ops.append(("sign", (rng.choice(pool),)))
             else:
-                value = rng.choice(domain)
+                value = rng.choice(_DOMAIN)
                 written.append(value)
                 writer_ops.append(("write", (value,)))
 
     reader_ops: Dict[int, List[Tuple[str, Tuple[Any, ...]]]] = {}
     for pid in readers:
         ops: List[Tuple[str, Tuple[Any, ...]]] = []
-        for _ in range(reader_op_count):
+        for _ in range(_READER_OPS):
             if kind == "sticky":
                 ops.append(("read", ()))
             elif rng.random() < 0.4:
                 ops.append(("read", ()))
             else:
-                pool = domain if rng.random() < 0.75 else foreign
+                pool = _DOMAIN if rng.random() < 0.75 else foreign
                 ops.append(("verify", (rng.choice(pool),)))
         reader_ops[pid] = ops
     return Workload(writer_ops=writer_ops, reader_ops=reader_ops)
@@ -158,9 +156,7 @@ WRITER_ADVERSARIES = ("none", "silent", "deny", "equivocate", "garbage")
 READER_ADVERSARIES = ("silent", "garbage", "lying", "stonewall", "flipflop")
 
 
-def writer_adversary_program(
-    name: str, register: Any, kind: str, domain: Sequence[Any]
-) -> Any:
+def writer_adversary_program(name: str, register: Any, kind: str) -> Any:
     """Instantiate a Byzantine *writer* behaviour for ``register``."""
     if name == "silent":
         return behaviors.silent()
@@ -170,20 +166,18 @@ def writer_adversary_program(
         )
     if name == "deny":
         if kind == "authenticated":
-            return behaviors.denying_writer_authenticated(register, domain[0])
-        return behaviors.denying_writer_verifiable(register, domain[0])
+            return behaviors.denying_writer_authenticated(register, _DOMAIN[0])
+        return behaviors.denying_writer_verifiable(register, _DOMAIN[0])
     if name == "equivocate":
         if kind == "sticky":
             return behaviors.equivocating_writer_sticky(
-                register, domain[0], domain[-1]
+                register, _DOMAIN[0], _DOMAIN[-1]
             )
-        return behaviors.equivocating_writer_verifiable(register, domain)
+        return behaviors.equivocating_writer_verifiable(register, _DOMAIN)
     raise ConfigurationError(f"unknown writer adversary {name!r}")
 
 
-def reader_adversary_program(
-    name: str, register: Any, pid: int, kind: str, domain: Sequence[Any]
-) -> Any:
+def reader_adversary_program(name: str, register: Any, pid: int, kind: str) -> Any:
     """Instantiate a Byzantine *reader/helper* behaviour for ``register``."""
     if name == "silent":
         return behaviors.silent()
@@ -193,21 +187,18 @@ def reader_adversary_program(
         )
     if name == "lying":
         if kind == "sticky":
-            return behaviors.sticky_lying_witness(register, pid, domain[0])
-        return behaviors.lying_witness(register, pid, [d * 31 + 1 for d in domain])
+            return behaviors.sticky_lying_witness(register, pid, _DOMAIN[0])
+        return behaviors.lying_witness(register, pid, [d * 31 + 1 for d in _DOMAIN])
     if name == "stonewall":
         return behaviors.stonewalling_witness([register], pid)
     if name == "flipflop":
-        return behaviors.flip_flop_witness(register, pid, domain[0], yes_rounds=2)
+        return behaviors.flip_flop_witness(register, pid, _DOMAIN[0], yes_rounds=2)
     raise ConfigurationError(f"unknown reader adversary {name!r}")
 
 
 # ----------------------------------------------------------------------
 # Randomized register workloads (Algorithms 1-3 and ablations)
 # ----------------------------------------------------------------------
-#: Value domain of the generated operations and of the adversaries.
-_DOMAIN = (10, 20, 30)
-
 #: Pause steps before each reader's script (reader ``i`` waits
 #: ``(i + 1) * _READER_STAGGER``), so reads overlap the writer's
 #: operations rather than trivially following them. It is think time,
@@ -271,7 +262,7 @@ def _build_register(
         system.spawn(
             register.writer,
             "client",
-            writer_adversary_program(writer_adversary, register, kind, _DOMAIN),
+            writer_adversary_program(writer_adversary, register, kind),
         )
 
     for index, pid in enumerate(correct_readers):
@@ -290,7 +281,7 @@ def _build_register(
         system.spawn(
             pid,
             "client",
-            reader_adversary_program(name, register, pid, kind, _DOMAIN),
+            reader_adversary_program(name, register, pid, kind),
         )
 
     all_scripts_done = all_done(clients)

@@ -26,6 +26,17 @@ answered for every layer of the reproduction:
   subcommand lists ``all_records()``, and corpus entries resolve their
   historical scenario labels through :func:`resolve_spec`.
 
+Params are registry axes, not knobs. A builder's keywords are the
+axes some record or corpus entry sets — topology, seed, Byzantine cast,
+family switches — plus ``max_steps`` and ``fault_seed``, which tests
+set; a value that only one caller would ever use (a workload size, a
+delay bound, a search budget) is a constant inside the builder.
+:func:`register_builder` records each builder's keyword names once, and
+:func:`make_scenario` and :func:`resolve_spec` — the paths of catalog
+records, corpus loads and queued campaign cells — refuse any other
+param with a :class:`~repro.errors.ConfigurationError` that names it,
+so a typo or a retired knob fails where it enters, not inside a run.
+
 Import layering: ``repro.scenarios`` sits *below* the engines —
 explore, campaign, service and analysis import it, never the other way
 round — and this module sits below the package's own builder modules
@@ -44,6 +55,7 @@ would orphan the committed corpus.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -72,6 +84,11 @@ CONSUMERS = ("campaign", "explore", "smoke", "net")
 #: importable from worker processes (top level of their module) and
 #: accept ``(scheduler, ctx=..., **params)``.
 SCENARIO_BUILDERS: Dict[str, Callable[..., Any]] = {}
+
+#: The spec params each builder accepts (its keywords but ``scheduler``
+#: and ``ctx``); ``None`` for a builder taking ``**params``, which
+#: checks its own.
+_BUILDER_PARAMS: Dict[str, Optional[Tuple[str, ...]]] = {}
 
 #: Catalog load state: "unloaded" -> "loading" -> "loaded". The
 #: intermediate state guards re-entrant queries issued *while* the
@@ -102,23 +119,28 @@ def _ensure_catalog() -> None:
     _catalog_state = "loaded"
 
 
-def register_builder(
-    name: str, builder: Callable[..., Any], replace_existing: bool = False
-) -> None:
-    """Register a scenario builder under ``name``.
+def register_builder(name: str, builder: Callable[..., Any]) -> None:
+    """Register a scenario builder under ``name``, with its param names.
 
     Re-registering the *same* callable is a no-op (modules may be
-    re-imported); binding a name to a different builder raises unless
-    ``replace_existing`` — silent rebinding would change what every
-    recorded label means.
+    re-imported); binding a name to a different builder raises — silent
+    rebinding would change what every recorded label means.
     """
     existing = SCENARIO_BUILDERS.get(name)
-    if existing is not None and existing is not builder and not replace_existing:
+    if existing is not None and existing is not builder:
         raise ConfigurationError(
             f"scenario builder {name!r} is already registered "
             f"to {existing!r}"
         )
+    params = inspect.signature(builder).parameters.values()
     SCENARIO_BUILDERS[name] = builder
+    _BUILDER_PARAMS[name] = (
+        None
+        if any(param.kind is param.VAR_KEYWORD for param in params)
+        else tuple(
+            param.name for param in params if param.name not in ("scheduler", "ctx")
+        )
+    )
 
 
 def _builder_for(name: str) -> Callable[..., Any]:
@@ -245,38 +267,36 @@ def declare_byzantine(
     return by_pid
 
 
-def require_sizes(**sizes: int) -> None:
-    """Refuse a negative workload size (``updates=-2``, ``reads=-3``, …).
-
-    A negative count scripts no operation, and a run that records none
-    is judged CLEAN: a vacuous certificate. Builders call this before
-    they build anything.
-    """
-    negative = sorted(name for name, size in sizes.items() if size < 0)
-    if negative:
-        raise ConfigurationError(
-            "workload sizes must be >= 0: "
-            + ", ".join(f"{name}={sizes[name]}" for name in negative)
-        )
+def _checked_spec(name: str, params: Tuple[Tuple[str, Any], ...]) -> Scenario:
+    """``Scenario(name, params)``, refusing an unknown name or param name."""
+    _builder_for(name)
+    accepted = _BUILDER_PARAMS[name]
+    if accepted is not None:
+        for key, _value in params:
+            if key not in accepted:
+                raise ConfigurationError(
+                    f"scenario {name!r} takes no param {key!r}; "
+                    f"accepted: {', '.join(accepted)}"
+                )
+    return Scenario(name=name, params=params)
 
 
 def make_scenario(name: str, **params: Any) -> Scenario:
-    """Build a :class:`Scenario` spec, validating the name eagerly."""
-    _builder_for(name)  # raises on unknown names
-    return Scenario(name=name, params=tuple(sorted(params.items())))
+    """Build a :class:`Scenario` spec, validating name and params eagerly."""
+    return _checked_spec(name, tuple(sorted(params.items())))
 
 
 def resolve_spec(name: str, params: Sequence[Tuple[str, Any]]) -> Scenario:
     """Rebuild a scenario spec from its serialized ``(name, params)``.
 
-    This is the corpus replay path: entries store the exact (already
-    sorted) param tuples their label and fingerprint were derived from,
-    so the params are preserved verbatim — only the *name* is validated
-    against the builder registry, loudly, so an entry referencing a
-    retired scenario fails at load time rather than replaying wrongly.
+    This is the corpus replay and queued-cell path: entries store the
+    exact (already sorted) param tuples their label and fingerprint were
+    derived from, so the params are preserved verbatim — but the name
+    and every param name are validated against the builder registry,
+    loudly, so an entry referencing a retired scenario or knob fails at
+    load time rather than replaying wrongly.
     """
-    _builder_for(name)
-    return Scenario(name=name, params=tuple(params))
+    return _checked_spec(name, tuple(params))
 
 
 # ----------------------------------------------------------------------
@@ -402,14 +422,12 @@ class ScenarioRecord:
 _RECORDS: Dict[str, ScenarioRecord] = {}
 
 
-def register(
-    record: ScenarioRecord, replace_existing: bool = False
-) -> ScenarioRecord:
+def register(record: ScenarioRecord) -> ScenarioRecord:
     """Add ``record`` to the registry; returns it for chaining.
 
     Re-registering an *identical* record is a no-op; registering a
-    different record under an existing label raises unless
-    ``replace_existing`` (labels are stable identity — see module doc).
+    different record under an existing label raises (labels are stable
+    identity — see module doc).
 
     The default catalog is loaded first (no-op while the catalog itself
     is registering), so caller records always *append* after the stock
@@ -419,7 +437,7 @@ def register(
     _ensure_catalog()
     label = record.label()
     existing = _RECORDS.get(label)
-    if existing is not None and existing != record and not replace_existing:
+    if existing is not None and existing != record:
         raise ConfigurationError(
             f"scenario record {label!r} is already registered with "
             f"different settings"

@@ -32,14 +32,15 @@ from repro.scenarios.bindings import binding_for
 from repro.spec.context import CheckContext
 from repro.spec.judge import judge
 
+#: Pause steps a Byzantine process keeps its raised witness before it
+#: erases (see :func:`_build_theorem29`).
+LINGER = 2
+
 
 def _build_theorem29(
     scheduler: Scheduler,
     f: int = 1,
     extra_correct: bool = False,
-    accept_threshold: Optional[int] = None,
-    patience: int = 24,
-    linger: int = 2,
     max_steps: int = 60_000,
     ctx: Optional[CheckContext] = None,
 ) -> BuiltScenario:
@@ -53,8 +54,8 @@ def _build_theorem29(
       Figure 1 wake-up at t6, expressed as a guard rather than a
       scripted time.
     * Each Byzantine process (``s`` and Q1) raises the flag (setter
-      only) and its own witness register, lingers for ``linger`` pause
-      steps, then erases everything it owns — "as if these processes
+      only) and its own witness register, lingers for :data:`LINGER`
+      pause steps, then erases everything it owns — "as if these processes
       never took any step". The scheduler alone decides when the
       erasure lands; the linger only widens the raised-witness window
       so that *randomly sampled* schedules hit the overlap at larger
@@ -70,6 +71,9 @@ def _build_theorem29(
     ``n = 3f`` the surviving correct witnesses then number ``f``, one
     short of the ``f + 1`` adoption threshold, and Test' returns 0
     after a Test that returned 1.
+
+    The candidate accepts at the default ``n - f`` witnesses and scans
+    up to 24 times per Test.
     """
     roles = Roles.for_f(f, extra_correct=extra_correct)
     system = System(n=roles.n, f=f, scheduler=scheduler, enforce_bound=False)
@@ -78,8 +82,7 @@ def _build_theorem29(
         "tos",
         setter=roles.setter,
         f=f,
-        accept_threshold=accept_threshold,
-        patience=patience,
+        patience=24,
     )
     tos.install()
     byz = (roles.setter, *roles.q1)
@@ -104,7 +107,7 @@ def _build_theorem29(
             if pid == roles.setter:
                 yield WriteRegister(tos.reg_flag(), SET_FLAG)
             yield WriteRegister(tos.reg_witness(pid), SET_FLAG)
-            for _ in range(linger):
+            for _ in range(LINGER):
                 yield PAUSE
             for name in owned:
                 yield WriteRegister(name, system.registers.spec(name).initial)

@@ -354,11 +354,9 @@ def run_service_campaign(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     shrink_violations: bool = True,
     max_shrink_replays: int = 400,
-    max_shrink_classes: int = 8,
     corpus_dir: Optional[Union[str, Path]] = None,
     corpus_source: str = "service",
     progress: Optional[Callable[[str], None]] = None,
-    watch_timeout: Optional[float] = 3600.0,
 ) -> RunStatus:
     """Run a campaign matrix: submit, drain with workers, report.
 
@@ -371,7 +369,9 @@ def run_service_campaign(
 
     ``db=None`` uses a throwaway database (submit-shaped scratch runs
     should not pollute the trend history); pass a path to accumulate
-    verdict history for drift reporting.
+    verdict history for drift reporting. At most
+    ``DEFAULT_OPTIONS["max_shrink_classes"]`` violation classes are
+    shrunk per run, and a worker fleet is watched for up to an hour.
     """
     import tempfile
 
@@ -390,7 +390,6 @@ def run_service_campaign(
             "shrink": shrink_violations,
             "corpus_dir": None if corpus_dir is None else str(corpus_dir),
             "max_shrink_replays": max_shrink_replays,
-            "max_shrink_classes": max_shrink_classes,
             "source": corpus_source,
         }
         run_id = squeue.submit(
@@ -435,7 +434,7 @@ def run_service_campaign(
                     run_id,
                     interval=0.2,
                     emit=emit,
-                    timeout=watch_timeout,
+                    timeout=3600.0,
                     liveness=lambda: any(proc.is_alive() for proc in procs),
                 )
             finally:

@@ -5,7 +5,9 @@ A worker is a loop over :mod:`repro.service.queue`:
 1. lease a shard (requeuing any expired leases on the way);
 2. execute each cell through :func:`repro.campaign.matrix.run_cell`,
    so a verdict is byte-identical whichever worker computes it, inline
-   or in a subprocess;
+   or in a subprocess; a cell whose scenario refuses to build (a pid
+   out of range, ``n = 0``) is recorded as a failed verdict carrying
+   the error, so the shard still completes;
 3. record the cell verdict and every violation class into the results
    store as soon as the cell finishes (streamed, not batched at shard
    completion — a status query mid-run sees live verdicts);
@@ -30,6 +32,7 @@ from typing import Callable, List, Optional, Union
 
 from repro.campaign.corpus import entry_from_shrunk, save_entry
 from repro.campaign.matrix import CampaignCell, CellOutcome, run_cell
+from repro.errors import ConfigurationError
 from repro.explore.shrink import shrink
 from repro.scenarios.registry import Violation
 from repro.service import queue as squeue
@@ -151,7 +154,10 @@ def _execute_shard(
     shard_steps = 0
     shard_started = time.perf_counter()
     for cell_index, cell in lease.cells:
-        outcome = run_cell(cell)
+        try:
+            outcome = run_cell(cell)
+        except ConfigurationError as exc:
+            outcome = CellOutcome(cell=cell, error=str(exc), note=f"error: {exc}")
         shard_runs += outcome.runs
         shard_steps += outcome.steps
         store.record_cell_verdict(
@@ -171,6 +177,8 @@ def _execute_shard(
         )
         summary.cells += 1
         emit(outcome.describe())
+        if outcome.error:
+            emit(f"  {outcome.note}")
         _shrink_and_record(store, lease, cell, outcome, summary, emit)
         squeue.heartbeat(store, lease, ttl=lease_ttl)
     squeue.complete(

@@ -28,8 +28,8 @@ fault bound ``f``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, StepLimitExceeded
 from repro.sim.effects import (
@@ -46,7 +46,6 @@ from repro.sim.effects import (
     WriteRegister,
 )
 from repro.sim.fingerprint import (
-    PRIMITIVE_TYPES as _PRIMITIVE_TYPES,
     abstract_value as _abstract_value,
     combine64,
     digest64,

@@ -229,6 +229,13 @@ class TestSystematicExplorer:
         with pytest.raises(ValueError, match=bound):
             explore(make_scenario("theorem29", f=1), **{**BOUNDS, bound: -1})
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_a_budget_below_one_is_refused(self, budget):
+        # No run is no search: the violating n = 3f cell would otherwise
+        # report 0 runs and no violation.
+        with pytest.raises(ValueError, match="budget"):
+            explore(make_scenario("theorem29", f=1), budget=budget)
+
     def test_scenario_bug_in_a_run_propagates(self, monkeypatch):
         # A scenario bug raised while finishing a deviated run must fail
         # the search loudly, not be skipped like an unrealizable prefix.
@@ -282,6 +289,12 @@ class TestSwarmFuzzer:
         assert sum(report.violation_counts.values()) > 1
         assert report.runs == 120
         assert report.runs_per_sec > 0
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_a_budget_below_one_is_refused(self, budget):
+        # "no violations in 0 runs" would certify work never done.
+        with pytest.raises(ValueError, match="budget"):
+            fuzz(make_scenario("theorem29", f=1), budget=budget, shards=1)
 
     def test_control_is_clean(self):
         report = fuzz(

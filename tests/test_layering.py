@@ -178,3 +178,32 @@ def _loaded_after(statement: str, candidates) -> list:
 )
 def test_importing_a_layer_does_not_load_the_layers_above(statement, must_stay_out):
     assert _loaded_after(statement, must_stay_out) == []
+
+
+def test_no_module_level_import_goes_unused():
+    # An import nothing reads is a dead edge: it costs import time and
+    # hides which layers a module really needs. Package ``__init__``
+    # files re-export, and ``import pkg.mod`` runs a module for its side
+    # effect, so neither counts.
+    unused = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                aliases = [a for a in node.names if a.asname or "." not in a.name]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                aliases = node.names
+            else:
+                continue
+            for alias in aliases:
+                bound[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.relative_to(PACKAGE_ROOT)}:{line} {name}"
+            for name, line in bound.items()
+            if name not in read
+        ]
+    assert not unused, "\n".join(unused)

@@ -201,28 +201,51 @@ class TestByzantineCast:
         assert system.correct == frozenset(system.pids)
 
 
-class TestWorkloadSizes:
-    """A negative workload size is refused before anything is built.
+class TestParamNames:
+    """A builder keyword is a registry axis; any other param is refused
+    where a spec enters, before anything is built."""
 
-    It would script no operation, and a run that records none is judged
-    CLEAN — a vacuous certificate.
-    """
+    #: Keywords no record or corpus entry needs to set: the engine's
+    #: inputs, and the two tests lower or pin.
+    UNSET_OK = {"scheduler", "ctx", "max_steps", "fault_seed"}
+
+    def test_every_builder_keyword_is_set_somewhere(self):
+        import inspect
+
+        set_by = {}
+        specs = [record.spec for record in all_records()]
+        specs += [entry.scenario_spec() for entry in load_corpus(CORPUS_DIR)]
+        for spec in specs:
+            set_by.setdefault(spec.name, set()).update(k for k, _ in spec.params)
+        for name, builder in scenarios.SCENARIO_BUILDERS.items():
+            params = inspect.signature(builder).parameters.values()
+            unused = {
+                param.name
+                for param in params
+                if param.kind is not param.VAR_KEYWORD
+            } - set_by.get(name, set()) - self.UNSET_OK
+            assert not unused, f"{name} keywords nothing sets: {sorted(unused)}"
 
     @pytest.mark.parametrize(
-        "scenario, size, value",
+        "scenario, params, named",
         [
-            ("snapshot", "updates", -2),
-            ("asset_transfer", "transfers", -5),
-            ("mp_register", "writes", -1),
-            ("mp_register", "reads", -3),
-            ("mp_register", "readers", -1),
+            ("snapshot", {"updates": 0}, "'updates'"),
+            ("mp_register", {"writes": 0, "readers": 0}, "'readers'"),
+            ("theorem29", {"patience": 24}, "'patience'"),
         ],
-        ids=["updates", "transfers", "writes", "reads", "readers"],
+        ids=["updates", "writes-readers", "patience"],
     )
-    def test_builder_refuses_a_negative_size(self, scenario, size, value):
-        spec = make_scenario(scenario, seed=0, **{size: value})
-        with pytest.raises(ConfigurationError, match=f"{size}={value}"):
-            spec.build(RoundRobinScheduler())
+    def test_make_scenario_refuses_an_unknown_param(self, scenario, params, named):
+        with pytest.raises(ConfigurationError, match=f"no param {named}; accepted: "):
+            make_scenario(scenario, **params)
+
+    def test_resolve_spec_refuses_an_unknown_param(self):
+        with pytest.raises(ConfigurationError, match="no param 'slots'"):
+            resolve_spec("broadcast", (("n", 4), ("slots", 2)))
+
+    def test_a_builder_taking_any_params_checks_its_own(self):
+        # net_cluster takes **params; LiveProfile refuses a stray one.
+        assert resolve_spec("net_cluster", (("bogus", 1),)).params == (("bogus", 1),)
 
 
 class TestCorpusResolution:

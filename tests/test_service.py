@@ -164,6 +164,10 @@ class TestCellCodecFuzz:
             ({"reduction": "bogus"}, "reduction"),
             ({"symmetry": [["4"]]}, "symmetry"),
             ({"scenario": {"name": "register", "params": {"kind": "x"}}}, "params"),
+            (
+                {"scenario": {"name": "snapshot", "params": [["updates", -2]]}},
+                "no param 'updates'",
+            ),
         ],
     )
     def test_known_malformations_are_configuration_errors(self, doc, bad):
@@ -333,9 +337,9 @@ class TestWorkerParity:
                 outcome.incomplete,
             )
 
-    def test_a_cell_with_a_negative_size_is_never_recorded_clean(self, store, tmp_path):
-        # The codec accepts any int param; the builder refuses it, so the
-        # worker stops loudly instead of certifying an empty history.
+    def test_a_cell_with_a_retired_size_is_refused_at_the_codec(self):
+        # No builder takes a workload size, so a queued one never reaches
+        # a worker, where it could only script nothing and read clean.
         doc = cell_to_json(
             CampaignCell(
                 implementation="snapshot",
@@ -346,10 +350,36 @@ class TestWorkerParity:
             )
         )
         doc["scenario"]["params"].append(["updates", -2])
-        run_id = squeue.submit(store, [cell_from_json(doc)], options={"shrink": False})
-        with pytest.raises(ConfigurationError, match="updates=-2"):
-            run_worker(tmp_path / "service.db", run_id=run_id, poll_interval=0.01)
-        assert status(store, run_id).verdicts == []
+        with pytest.raises(ConfigurationError, match="no param 'updates'"):
+            cell_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "params, error",
+        [
+            ({"n": 0}, "n must be >= 1"),
+            ({"n": 4, "byzantine": ((9, "silent"),)}, "cannot be cast"),
+        ],
+        ids=["n-zero", "pid-out-of-range"],
+    )
+    def test_a_cell_that_cannot_build_is_a_failed_verdict(self, tmp_path, params, error):
+        # Its name check passes, its builder refuses it: the verdict row
+        # carries the error, the shard completes, the run is not ok.
+        bad = CampaignCell(
+            implementation="snapshot",
+            scenario=make_scenario("snapshot", f=1, seed=0, **params),
+            engine="swarm",
+            budget=1,
+            expect_violation=False,
+        )
+        lines = []
+        result = run_service_campaign(
+            [bad, clean_cell()], workers=1, progress=lines.append
+        )
+        assert result.complete and not result.ok
+        first, second = result.verdicts
+        assert not first.ok and first.runs == 0 and error in first.note
+        assert second.ok
+        assert any(line.strip().startswith("error:") for line in lines)
 
     def test_worker_fleet_matches_the_inline_worker(self, tmp_path):
         cells = [naive_cell(), clean_cell()]
