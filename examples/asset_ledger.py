@@ -18,7 +18,7 @@ Run:  python examples/asset_ledger.py
 
 from __future__ import annotations
 
-from repro import build_shared_memory_system
+from repro import System
 from repro.adversary import equivocating_writer_sticky
 from repro.apps import AssetTransfer
 from repro.sim import FunctionClient
@@ -26,7 +26,7 @@ from repro.sim.process import pause_steps
 
 
 def main() -> None:
-    system = build_shared_memory_system(n=4)
+    system = System(n=4)
     ledger = AssetTransfer(
         system, initial_balances={1: 50, 2: 100, 3: 100, 4: 100}, slots=2
     ).install()

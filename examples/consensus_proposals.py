@@ -19,7 +19,7 @@ Run:  python examples/consensus_proposals.py
 
 from __future__ import annotations
 
-from repro import build_shared_memory_system
+from repro import System
 from repro.adversary import equivocating_writer_sticky
 from repro.apps import NonEquivocatingBroadcast
 from repro.sim import FunctionClient
@@ -28,7 +28,7 @@ from repro.sim.values import is_bottom
 
 
 def main() -> None:
-    system = build_shared_memory_system(n=4)
+    system = System(n=4)
     board = NonEquivocatingBroadcast(system, "proposals", slots=1).install()
     system.declare_byzantine(1)
     board.start_helpers(sorted(system.correct))

@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import VerifiableRegister, build_shared_memory_system
+from repro import System, VerifiableRegister
 from repro.adversary import denying_writer_verifiable
 from repro.sim import ScriptClient, all_done, pause_steps
 from repro.spec import check_verifiable, check_verifiable_properties
@@ -22,7 +22,7 @@ from repro.spec import check_verifiable, check_verifiable_properties
 def main() -> None:
     # A system of n = 4 processes, up to f = 1 Byzantine: the smallest
     # size at which the signature-free constructions exist (n > 3f).
-    system = build_shared_memory_system(n=4)
+    system = System(n=4)
     register = VerifiableRegister(system, "vreg", initial=0).install()
 
     # Process 1 (the writer) is Byzantine: it runs the denial attack.

@@ -36,9 +36,9 @@ cheap.
 
 Quickstart::
 
-    from repro import build_shared_memory_system, VerifiableRegister
+    from repro import System, VerifiableRegister
 
-    system = build_shared_memory_system(n=4)
+    system = System(n=4)
     reg = VerifiableRegister(system, "vreg", initial=0).install()
     reg.start_helpers()
     # ... spawn clients that `yield from reg.op(pid, "write", 7)` etc.
@@ -51,31 +51,8 @@ from repro.sim import System
 
 __version__ = "1.0.0"
 
-
-def build_shared_memory_system(
-    n: int,
-    f: int | None = None,
-    scheduler=None,
-    record_accesses: bool = False,
-    enforce_bound: bool = True,
-) -> System:
-    """Create a shared-memory system with pids ``1 .. n``.
-
-    Thin convenience wrapper over :class:`repro.sim.System` so the common
-    path reads naturally in examples and experiments.
-    """
-    return System(
-        n=n,
-        f=f,
-        scheduler=scheduler,
-        record_accesses=record_accesses,
-        enforce_bound=enforce_bound,
-    )
-
-
 __all__ = [
     "System",
     "VerifiableRegister",
-    "build_shared_memory_system",
     "__version__",
 ]

@@ -43,6 +43,11 @@ from repro.spec.judge import judge
 from repro.spec.sequential import TestOrSetSpec
 
 
+#: Step budget of each phase of H2 and H3 (a phase that runs out raises
+#: ``StepLimitExceeded``).
+MAX_STEPS = 300_000
+
+
 @dataclass
 class Roles:
     """The Figure 1 cast for a given fault bound.
@@ -129,7 +134,6 @@ def run_h2(
     f: int,
     extra_correct: bool = False,
     accept_threshold: Optional[int] = None,
-    max_steps: int = 300_000,
 ) -> Tuple[System, QuorumTestOrSet, Roles, Any, Any]:
     """Execute history H2 (with its H1 prefix) against the candidate.
 
@@ -150,11 +154,11 @@ def run_h2(
 
     set_client = ScriptClient(tos, roles.setter, [("set", ())])
     system.spawn(roles.setter, "client", set_client.program())
-    system.run_until(lambda: set_client.done, max_steps, label="Set by s")
+    system.run_until(lambda: set_client.done, MAX_STEPS, label="Set by s")
 
     pa_client = ScriptClient(tos, roles.pa, [("test", ())])
     system.spawn(roles.pa, "client", pa_client.program())
-    system.run_until(lambda: pa_client.done, max_steps, label="Test by pa")
+    system.run_until(lambda: pa_client.done, MAX_STEPS, label="Test by pa")
     pa_result = pa_client.result_of("test")
 
     # --- t4 → t5: the Byzantine group resets its registers and halts. ---
@@ -171,14 +175,14 @@ def run_h2(
         )
         resetters.append(client)
         system.spawn(pid, "reset", client.program())
-    system.run_until(all_done(resetters), max_steps, label="reset by s∪Q1")
+    system.run_until(all_done(resetters), MAX_STEPS, label="reset by s∪Q1")
 
     # --- t6: pb and Q3 wake up; pb runs Test'. ---
     for pid in [roles.pb, *roles.q3]:
         system.spawn(pid, "help", tos.procedure_help(pid))
     pb_client = ScriptClient(tos, roles.pb, [("test", ())])
     system.spawn(roles.pb, "client", pb_client.program())
-    system.run_until(lambda: pb_client.done, max_steps, label="Test' by pb")
+    system.run_until(lambda: pb_client.done, MAX_STEPS, label="Test' by pb")
     pb_result = pb_client.result_of("test")
 
     return system, tos, roles, pa_result, pb_result
@@ -188,7 +192,6 @@ def run_h3(
     f: int,
     extra_correct: bool = False,
     accept_threshold: Optional[int] = None,
-    max_steps: int = 300_000,
 ) -> Tuple[System, QuorumTestOrSet, Roles, Any]:
     """Execute history H3: ``{pa} ∪ Q2`` Byzantine, ``s`` asleep.
 
@@ -230,7 +233,7 @@ def run_h3(
         system.spawn(pid, "help", tos.procedure_help(pid))
     pb_client = ScriptClient(tos, roles.pb, [("test", ())])
     system.spawn(roles.pb, "client", pb_client.program())
-    system.run_until(lambda: pb_client.done, max_steps, label="Test' by pb (H3)")
+    system.run_until(lambda: pb_client.done, MAX_STEPS, label="Test' by pb (H3)")
     return system, tos, roles, pb_client.result_of("test")
 
 
@@ -238,7 +241,6 @@ def run_figure1(
     f: int,
     extra_correct: bool = False,
     accept_threshold: Optional[int] = None,
-    max_steps: int = 300_000,
 ) -> Figure1Outcome:
     """Run the full construction and report which property broke.
 
@@ -252,11 +254,9 @@ def run_figure1(
     At ``n = 3f + 1`` (``extra_correct=True``) neither breaks.
     """
     h2_system, _tos2, roles, pa_result, h2_pb = run_h2(
-        f, extra_correct, accept_threshold, max_steps
+        f, extra_correct, accept_threshold
     )
-    h3_system, _tos3, _roles3, h3_pb = run_h3(
-        f, extra_correct, accept_threshold, max_steps
-    )
+    h3_system, _tos3, _roles3, h3_pb = run_h3(f, extra_correct, accept_threshold)
 
     h2_correct = {roles.pa, roles.pb, *roles.q2, *roles.q3}
     h3_correct = {roles.setter, roles.pb, *roles.q1, *roles.q3}

@@ -13,7 +13,6 @@ from repro.analysis.metrics import (
     LatencyStats,
     merge_latency_samples,
     operation_latencies,
-    register_access_totals,
 )
 from repro.analysis.reporting import render_table
 
@@ -22,6 +21,5 @@ __all__ = [
     "LatencyStats",
     "merge_latency_samples",
     "operation_latencies",
-    "register_access_totals",
     "render_table",
 ]

@@ -598,7 +598,12 @@ def ablation_naive_quorum(seed: int = 0) -> Tuple[Headers, Rows]:
     return headers, rows
 
 
-def ablation_set0_reset(max_steps: int = 60_000) -> Tuple[Headers, Rows]:
+#: Step budget of each stage of the set0-reset ablation; the ablated
+#: Verify's last stage exhausts it.
+SET0_MAX_STEPS = 60_000
+
+
+def ablation_set0_reset() -> Tuple[Headers, Rows]:
     """Liveness ablation: Verify with and without the set0 reset.
 
     Orchestrated race (n = 4, f = 1, Byzantine writer silent after
@@ -631,7 +636,7 @@ def ablation_set0_reset(max_steps: int = 60_000) -> Tuple[Headers, Rows]:
             )
             return counter is not None and counter >= 1 and 7 not in payload
 
-        system.run_until(p3_replied_no, max_steps, label="p3's no-reply")
+        system.run_until(p3_replied_no, SET0_MAX_STEPS, label="p3's no-reply")
         system.run(600)  # let the verifier consume the reply
 
         # Stage 2: the Byzantine writer "signs" 7 by writing its register
@@ -641,13 +646,13 @@ def ablation_set0_reset(max_steps: int = 60_000) -> Tuple[Headers, Rows]:
 
         signer = FunctionClient(byz_sign)
         system.spawn(1, "byz", signer.program())
-        system.run_until(lambda: signer.done, max_steps, label="byz sign")
+        system.run_until(lambda: signer.done, SET0_MAX_STEPS, label="byz sign")
 
         # Stage 3: p4's and p2's helpers come up and reply "yes".
         system.spawn(4, "help:reg", register.procedure_help(4))
         system.spawn(2, "help:reg", register.procedure_help(2))
         try:
-            system.run_until(lambda: verifier.done, max_steps, label="verify")
+            system.run_until(lambda: verifier.done, SET0_MAX_STEPS, label="verify")
             result: Any = verifier.result_of("verify")
             terminated = True
         except StepLimitExceeded:
@@ -671,7 +676,11 @@ test_or_set_table.__test__ = False  # type: ignore[attr-defined]
 # ----------------------------------------------------------------------
 # E12: the §9.1 sticky-write ablation
 # ----------------------------------------------------------------------
-def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]:
+#: Step budget of each Write and Read of the sticky-write ablation.
+STICKY_MAX_STEPS = 200_000
+
+
+def ablation_sticky_write_wait() -> Tuple[Headers, Rows]:
     """Why Write must wait for ``n - f`` witnesses (Section 9.1).
 
     The paper: "without this wait, a process may invoke a Read after a
@@ -712,10 +721,12 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
             system.run(400)
             assert not writer.done, "Write returned without witnesses?!"
             register.start_helpers([1, 2])
-            system.run_until(lambda: writer.done, max_steps, label="sticky write")
+            system.run_until(
+                lambda: writer.done, STICKY_MAX_STEPS, label="sticky write"
+            )
             reader = ScriptClient(register, 2, [("read", ())])
             system.spawn(2, "client", reader.program())
-            system.run_until(lambda: reader.done, max_steps, label="sticky read")
+            system.run_until(lambda: reader.done, STICKY_MAX_STEPS, label="sticky read")
         else:
             # Ablated: the Write returns immediately — before any
             # witness exists. The Read that follows races the Byzantine
@@ -723,10 +734,12 @@ def ablation_sticky_write_wait(max_steps: int = 200_000) -> Tuple[Headers, Rows]
             # which cannot be a witness yet (only 2 of the required 3
             # echoes exist) and so also reports ⊥ — two ⊥-reports exceed
             # f and the Read returns ⊥ after a completed Write.
-            system.run_until(lambda: writer.done, max_steps, label="sticky write")
+            system.run_until(
+                lambda: writer.done, STICKY_MAX_STEPS, label="sticky write"
+            )
             reader = ScriptClient(register, 2, [("read", ())])
             system.spawn(2, "client", reader.program())
-            system.run_until(lambda: reader.done, max_steps, label="sticky read")
+            system.run_until(lambda: reader.done, STICKY_MAX_STEPS, label="sticky read")
             register.start_helpers([1, 2])  # too late for this reader
         result = reader.result_of("read")
         validity_holds = result == "V"

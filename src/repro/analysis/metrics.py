@@ -1,4 +1,4 @@
-"""Metrics extraction: operation latencies and step-cost aggregation.
+"""Metrics extraction: operation latencies in virtual steps.
 
 The paper reports no machine numbers (it is a theory paper), so E10's
 "performance" axis is simulator-relative: operation latency measured in
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.history import History
-from repro.sim.system import System
 
 
 @dataclass
@@ -84,20 +83,6 @@ def operation_latencies(
             int(record.responded_at - record.invoked_at)
         )
     return samples
-
-
-def register_access_totals(system: System, prefix: str) -> Dict[str, int]:
-    """Total reads+writes per register under ``prefix``, plus a grand total."""
-    totals: Dict[str, int] = {}
-    grand = 0
-    for name in system.registers.names():
-        if not name.startswith(prefix):
-            continue
-        count = system.registers.read_count(name) + system.registers.write_count(name)
-        totals[name] = count
-        grand += count
-    totals["<total>"] = grand
-    return totals
 
 
 def merge_latency_samples(

@@ -158,7 +158,9 @@ class CorpusEntry:
                 f"corpus entry references unknown scenario {scenario!r}; "
                 f"known: {', '.join(known_scenarios())}"
             )
-        params = thaw_params(data["params"])
+        # Resolved here so an entry whose params its builder refuses is
+        # refused at load, with its file named, not at replay.
+        params = resolve_spec(scenario, thaw_params(data["params"])).params
         return cls(
             entry_id=data["entry_id"],
             scenario=scenario,

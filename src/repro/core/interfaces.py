@@ -51,8 +51,8 @@ def as_frozenset(value: Any) -> frozenset:
     return frozenset()
 
 
-def as_int(value: Any, default: int = 0) -> int:
-    """Interpret a register value as an integer counter; garbage -> default.
+def as_int(value: Any) -> int:
+    """Interpret a register value as an integer counter; garbage -> 0.
 
     ``bool`` is rejected despite being an ``int`` subclass so a Byzantine
     ``True`` does not masquerade as counter 1 in a way that differs from
@@ -65,7 +65,7 @@ def as_int(value: Any, default: int = 0) -> int:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    return default
+    return 0
 
 
 def as_reply_pair(value: Any) -> Tuple[Any, Optional[int]]:

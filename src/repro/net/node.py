@@ -632,7 +632,7 @@ class NetNode:
                     balance += amount
         return balance
 
-    async def transfer(self, to: int, amount: int, record: bool = True) -> str:
+    async def transfer(self, to: int, amount: int) -> str:
         """Move ``amount`` from this node's account; ``"ok"``/``"rejected"``."""
         if not self.accounts:
             raise ConfigurationError("no asset-transfer object configured")
@@ -641,11 +641,7 @@ class NetNode:
         if not isinstance(amount, int) or isinstance(amount, bool) or amount <= 0:
             raise ConfigurationError(f"bad transfer amount {amount!r}")
         async with self._transfer_lock:
-            op_id = (
-                self._invoke("assets", "transfer", (self.pid, to, amount))
-                if record
-                else None
-            )
+            op_id = self._invoke("assets", "transfer", (self.pid, to, amount))
             ledgers = await self._ledgers()
             if self._balance_from(ledgers, self.pid) < amount:
                 result = "rejected"
@@ -656,12 +652,12 @@ class NetNode:
             self._respond(op_id, result)
         return result
 
-    async def balance(self, account: int, record: bool = True) -> int:
+    async def balance(self, account: int) -> int:
         """The account's balance derived from quorum-read ledgers."""
         if not self.accounts:
             raise ConfigurationError("no asset-transfer object configured")
         self._require_account(account)
-        op_id = self._invoke("assets", "balance", (account,)) if record else None
+        op_id = self._invoke("assets", "balance", (account,))
         ledgers = await self._ledgers()
         balance = self._balance_from(ledgers, account)
         self._respond(op_id, balance)

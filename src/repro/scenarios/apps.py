@@ -169,7 +169,12 @@ def _app_equivocator(app: Any, pid: int) -> Any:
     return behaviors.forking_owner_sticky(register, pid, forks)
 
 
-def _app_byzantine_updater(app: Any, pid: int, churn: int = 12) -> Any:
+#: Stale updates the ``byzantine_updater`` behaviour makes before it goes
+#: quiet (see :func:`_app_byzantine_updater`).
+UPDATER_CHURN = 12
+
+
+def _app_byzantine_updater(app: Any, pid: int) -> Any:
     """Churn authentic-but-stale updates (the embedded-scan freshness hole).
 
     The strongest Byzantine *updater* against the snapshot: the process
@@ -186,10 +191,10 @@ def _app_byzantine_updater(app: Any, pid: int, churn: int = 12) -> Any:
     scan completes as a direct scan over the remaining segments — the
     cells pin clean at both boundaries.
 
-    ``churn`` bounds the number of stale updates (two observed moves per
-    scan already trigger adoption; twelve genuine protocol writes,
-    paced ~200 steps apart so they overlap the clients' late scans,
-    cover every scan in the workload several times over). The
+    :data:`UPDATER_CHURN` bounds the number of stale updates (two
+    observed moves per scan already trigger adoption; twelve genuine
+    protocol writes, paced ~200 steps apart so they overlap the clients'
+    late scans, cover every scan in the workload several times over). The
     *endless*-churn liveness question — can a relentless mover starve
     scans — is the blacklisting unit tests' job, not this cell's: an
     unbounded genuine write loop only multiplies the run's step count
@@ -205,7 +210,7 @@ def _app_byzantine_updater(app: Any, pid: int, churn: int = 12) -> Any:
     )
 
     def program() -> Any:
-        for seq in range(1, churn + 1):
+        for seq in range(1, UPDATER_CHURN + 1):
             payload = freeze((seq, f"stale@{pid}.{seq}", stale_view))
             yield from register.procedure_write(pid, payload)
             yield from pause_steps(200)

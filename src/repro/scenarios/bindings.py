@@ -242,9 +242,9 @@ def binding_for(family: str) -> OracleBinding:
     return binding
 
 
-def oracle_for(family: str, initial: Any = 0) -> SequentialSpec:
+def oracle_for(family: str) -> SequentialSpec:
     """The sequential specification ``family``'s runs are judged against."""
-    return binding_for(family).spec_factory(initial=initial)
+    return binding_for(family).spec_factory(initial=0)
 
 
 def kind_for(family: str) -> Optional[str]:

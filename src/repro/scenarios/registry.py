@@ -31,11 +31,13 @@ axes some record or corpus entry sets — topology, seed, Byzantine cast,
 family switches — plus ``max_steps`` and ``fault_seed``, which tests
 set; a value that only one caller would ever use (a workload size, a
 delay bound, a search budget) is a constant inside the builder.
-:func:`register_builder` records each builder's keyword names once, and
-:func:`make_scenario` and :func:`resolve_spec` — the paths of catalog
-records, corpus loads and queued campaign cells — refuse any other
-param with a :class:`~repro.errors.ConfigurationError` that names it,
-so a typo or a retired knob fails where it enters, not inside a run.
+:func:`register_builder` records each builder's keyword names and the
+types of their defaults once, and :func:`make_scenario` and
+:func:`resolve_spec` — the paths of catalog records, corpus loads and
+queued campaign cells — refuse any other param, and any value not of
+its default's type, with a :class:`~repro.errors.ConfigurationError`
+that names the param, so a typo, a retired knob or a string where an
+int belongs fails where it enters, not inside a run.
 
 Import layering: ``repro.scenarios`` sits *below* the engines —
 explore, campaign, service and analysis import it, never the other way
@@ -86,9 +88,9 @@ CONSUMERS = ("campaign", "explore", "smoke", "net")
 SCENARIO_BUILDERS: Dict[str, Callable[..., Any]] = {}
 
 #: The spec params each builder accepts (its keywords but ``scheduler``
-#: and ``ctx``); ``None`` for a builder taking ``**params``, which
-#: checks its own.
-_BUILDER_PARAMS: Dict[str, Optional[Tuple[str, ...]]] = {}
+#: and ``ctx``), each with the type of its default; ``None`` for a
+#: builder taking ``**params``, which checks its own.
+_BUILDER_PARAMS: Dict[str, Optional[Dict[str, type]]] = {}
 
 #: Catalog load state: "unloaded" -> "loading" -> "loaded". The
 #: intermediate state guards re-entrant queries issued *while* the
@@ -120,7 +122,7 @@ def _ensure_catalog() -> None:
 
 
 def register_builder(name: str, builder: Callable[..., Any]) -> None:
-    """Register a scenario builder under ``name``, with its param names.
+    """Register a scenario builder under ``name``, with its param types.
 
     Re-registering the *same* callable is a no-op (modules may be
     re-imported); binding a name to a different builder raises — silent
@@ -137,9 +139,11 @@ def register_builder(name: str, builder: Callable[..., Any]) -> None:
     _BUILDER_PARAMS[name] = (
         None
         if any(param.kind is param.VAR_KEYWORD for param in params)
-        else tuple(
-            param.name for param in params if param.name not in ("scheduler", "ctx")
-        )
+        else {
+            param.name: type(param.default)
+            for param in params
+            if param.name not in ("scheduler", "ctx")
+        }
     )
 
 
@@ -268,15 +272,25 @@ def declare_byzantine(
 
 
 def _checked_spec(name: str, params: Tuple[Tuple[str, Any], ...]) -> Scenario:
-    """``Scenario(name, params)``, refusing an unknown name or param name."""
+    """``Scenario(name, params)``, refusing an unknown name, param or type.
+
+    A value must be exactly of its default's type, so ``True`` does not
+    pass for an ``int`` (a tuple's items are not checked).
+    """
     _builder_for(name)
     accepted = _BUILDER_PARAMS[name]
     if accepted is not None:
-        for key, _value in params:
-            if key not in accepted:
+        for key, value in params:
+            kind = accepted.get(key)
+            if kind is None:
                 raise ConfigurationError(
                     f"scenario {name!r} takes no param {key!r}; "
                     f"accepted: {', '.join(accepted)}"
+                )
+            if type(value) is not kind:
+                raise ConfigurationError(
+                    f"scenario {name!r} param {key!r} must be "
+                    f"{kind.__name__}, got {value!r}"
                 )
     return Scenario(name=name, params=params)
 

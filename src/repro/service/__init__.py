@@ -13,7 +13,7 @@ into a query instead of an archaeology session.
 
 The layers:
 
-* :mod:`repro.service.store` — the database (runs, shards, leases,
+* :mod:`repro.service.store` — the database (runs, leased shards,
   cell verdicts, violation classes, corpus replay trend);
 * :mod:`repro.service.queue` — submit / lease / heartbeat / complete;
 * :mod:`repro.service.worker` — the leasing worker loop (executes

@@ -166,7 +166,6 @@ def complete(
     return store.complete_shard(
         lease_obj.run_id,
         lease_obj.shard_index,
-        lease_obj.lease_id,
         lease_obj.worker,
         runs=runs,
         steps=steps,

@@ -9,9 +9,9 @@ time:
 * ``shards`` — the leasable unit of work: a chunk of matrix cells.
   A shard is ``pending`` → ``leased`` (with an expiry the worker
   heartbeats forward) → ``done``; an expired lease throws the shard
-  back to ``pending``, so a SIGKILLed worker loses time, not work;
-* ``leases`` — the full lease history (acquire / heartbeat / expire /
-  complete / duplicate), for forensics and the status CLI;
+  back to ``pending``, so a SIGKILLed worker loses time, not work. The
+  shard row is the one record of a lease: its attempts, holder,
+  expiry and completing worker;
 * ``cell_verdicts`` — one row per matrix cell executed: runs, steps,
   violation-class fingerprints, the differential verdict, and a
   *cell fingerprint* stable across runs so verdict drift between
@@ -83,16 +83,6 @@ CREATE TABLE IF NOT EXISTS shards (
     PRIMARY KEY (run_id, shard_index)
 );
 CREATE INDEX IF NOT EXISTS idx_shards_status ON shards (status, run_id);
-CREATE TABLE IF NOT EXISTS leases (
-    lease_id TEXT PRIMARY KEY,
-    run_id TEXT NOT NULL,
-    shard_index INTEGER NOT NULL,
-    worker TEXT NOT NULL,
-    acquired_at REAL NOT NULL,
-    expires_at REAL NOT NULL,
-    heartbeats INTEGER NOT NULL DEFAULT 0,
-    outcome TEXT NOT NULL DEFAULT 'open'
-);
 CREATE TABLE IF NOT EXISTS cell_verdicts (
     run_id TEXT NOT NULL,
     cell_index INTEGER NOT NULL,
@@ -289,24 +279,12 @@ class ResultsStore:
         run_filter = "" if run_id is None else " AND s.run_id = ?"
         run_args: tuple = () if run_id is None else (run_id,)
         with self._tx() as conn:
-            for row in conn.execute(
-                "SELECT s.run_id, s.shard_index, s.lease_id FROM shards s "
-                "WHERE s.status = 'leased' AND s.lease_expires < ?"
-                + run_filter,
+            conn.execute(
+                "UPDATE shards AS s SET status = 'pending', lease_id = NULL, "
+                "lease_worker = NULL, lease_expires = NULL "
+                "WHERE s.status = 'leased' AND s.lease_expires < ?" + run_filter,
                 (now,) + run_args,
-            ).fetchall():
-                conn.execute(
-                    "UPDATE shards SET status = 'pending', lease_id = NULL, "
-                    "lease_worker = NULL, lease_expires = NULL "
-                    "WHERE run_id = ? AND shard_index = ? "
-                    "AND status = 'leased' AND lease_id = ?",
-                    (row["run_id"], row["shard_index"], row["lease_id"]),
-                )
-                conn.execute(
-                    "UPDATE leases SET outcome = 'expired' "
-                    "WHERE lease_id = ? AND outcome = 'open'",
-                    (row["lease_id"],),
-                )
+            )
             row = conn.execute(
                 "SELECT s.run_id, s.shard_index, s.cells, r.options "
                 "FROM shards s JOIN runs r ON r.run_id = s.run_id "
@@ -321,18 +299,6 @@ class ResultsStore:
                 "lease_worker = ?, lease_expires = ?, attempts = attempts + 1 "
                 "WHERE run_id = ? AND shard_index = ?",
                 (lease_id, worker, now + ttl, row["run_id"], row["shard_index"]),
-            )
-            conn.execute(
-                "INSERT INTO leases (lease_id, run_id, shard_index, worker, "
-                "acquired_at, expires_at) VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    lease_id,
-                    row["run_id"],
-                    row["shard_index"],
-                    worker,
-                    now,
-                    now + ttl,
-                ),
             )
             return {
                 "lease_id": lease_id,
@@ -355,20 +321,12 @@ class ResultsStore:
                 "WHERE lease_id = ? AND status = 'leased'",
                 (now + ttl, lease_id),
             )
-            if cursor.rowcount == 0:
-                return False
-            conn.execute(
-                "UPDATE leases SET expires_at = ?, heartbeats = heartbeats + 1 "
-                "WHERE lease_id = ?",
-                (now + ttl, lease_id),
-            )
-            return True
+            return cursor.rowcount > 0
 
     def complete_shard(
         self,
         run_id: str,
         shard_index: int,
-        lease_id: str,
         worker: str,
         runs: int,
         steps: int,
@@ -392,11 +350,6 @@ class ResultsStore:
                 (runs, steps, elapsed, now, worker, run_id, shard_index),
             )
             first = cursor.rowcount > 0
-            conn.execute(
-                "UPDATE leases SET outcome = ? "
-                "WHERE lease_id = ? AND outcome IN ('open', 'expired')",
-                ("completed" if first else "duplicate", lease_id),
-            )
             remaining = conn.execute(
                 "SELECT COUNT(*) FROM shards "
                 "WHERE run_id = ? AND status != 'done'",
@@ -665,9 +618,3 @@ class ResultsStore:
         ).fetchall()
         return [dict(row) for row in rows]
 
-    def lease_rows(self, run_id: str) -> List[Dict[str, Any]]:
-        rows = self._conn.execute(
-            "SELECT * FROM leases WHERE run_id = ? ORDER BY acquired_at",
-            (run_id,),
-        ).fetchall()
-        return [dict(row) for row in rows]

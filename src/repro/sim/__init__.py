@@ -5,7 +5,6 @@ realized as a deterministic effect interpreter.
 """
 
 from repro.sim.effects import (
-    Annotate,
     Await,
     Broadcast,
     Effect,
@@ -17,7 +16,7 @@ from repro.sim.effects import (
     Send,
     WriteRegister,
 )
-from repro.sim.history import Annotation, History, OperationRecord, fresh_op_ids
+from repro.sim.history import History, OperationRecord, fresh_op_ids
 from repro.sim.process import (
     FunctionClient,
     Program,
@@ -41,8 +40,6 @@ from repro.sim.system import StepMetrics, System
 from repro.sim.values import BOTTOM, FrozenDict, freeze, is_bottom, stable_key
 
 __all__ = [
-    "Annotate",
-    "Annotation",
     "Await",
     "BOTTOM",
     "Broadcast",

@@ -28,10 +28,6 @@ just read until one of them is written; ``Await(())`` parks for good.
 A parked coroutine is a *disabled* process: waiting costs the
 scheduler no decisions.
 
-:class:`Annotate` — attaches a free-form note to the trace at the current
-virtual time without semantic effect; used by attack scripts to mark the
-``t1 .. t7`` waypoints of Figure 1.
-
 Message-passing effects (used by ``repro.mp``)
 ----------------------------------------------
 :class:`Send` / :class:`Broadcast` / :class:`ReceiveAll` — asynchronous,
@@ -98,14 +94,6 @@ class Await(Effect):
     """
 
     watch: Tuple[Tuple[str, Any], ...] = ()
-
-
-@dataclass(frozen=True)
-class Annotate(Effect):
-    """Record a named waypoint in the trace; resumes with the current time."""
-
-    label: str
-    payload: Any = None
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ totally ordered and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import HistoryError
 from repro.sim.fingerprint import abstract_value, digest64
@@ -84,16 +84,6 @@ class OperationRecord:
         )
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """A named waypoint recorded by an ``Annotate`` effect."""
-
-    time: int
-    pid: int
-    label: str
-    payload: Any = None
-
-
 class History:
     """Mutable container of operation records, owned by one System.
 
@@ -105,16 +95,10 @@ class History:
         self._records: Dict[int, OperationRecord] = {}
         self._order: List[int] = []
         self._next_id = 0
-        self._annotations: List[Annotation] = []
-        #: Bumped on every operation-record mutation (annotations are
-        #: excluded); an observable change counter for tests and
-        #: tooling that cache derived views of the history.
-        self.version = 0
         self._fp_fold = 0
-        #: Set by the bulk builders (restrict / with_synthetic): the
-        #: fold is recomputed lazily on first demand, so derived
-        #: histories built on the checker hot path pay nothing unless
-        #: somebody actually fingerprints them.
+        #: Set by :meth:`restrict`: the fold is recomputed lazily on
+        #: first demand, so derived histories built on the checker hot
+        #: path pay nothing unless somebody actually fingerprints them.
         self._fp_stale = False
         #: Eager two-XOR maintenance only starts once someone has asked
         #: for the fold (the explorer does, every step; fuzzing and
@@ -155,7 +139,6 @@ class History:
         )
         self._records[op_id] = record
         self._order.append(op_id)
-        self.version += 1
         if self._fp_eager:
             self._fp_fold ^= self._fp_digest(record)
         else:
@@ -171,15 +154,10 @@ class History:
             raise HistoryError(f"operation {op_id} already has a response")
         completed = record.completed(time, result)
         self._records[op_id] = completed
-        self.version += 1
         if self._fp_eager:
             self._fp_fold ^= self._fp_digest(record) ^ self._fp_digest(completed)
         else:
             self._fp_stale = True
-
-    def record_annotation(self, annotation: Annotation) -> None:
-        """Append a trace waypoint."""
-        self._annotations.append(annotation)
 
     def fingerprint_fold(self, full: bool = False) -> int:
         """XOR fold of per-record digests (see ``repro.sim.fingerprint``).
@@ -242,18 +220,6 @@ class History:
     def __len__(self) -> int:
         return len(self._order)
 
-    @property
-    def annotations(self) -> Tuple[Annotation, ...]:
-        """All trace waypoints in recording order."""
-        return tuple(self._annotations)
-
-    def annotation_time(self, label: str) -> int:
-        """Time of the first annotation with ``label`` (raises if absent)."""
-        for ann in self._annotations:
-            if ann.label == label:
-                return ann.time
-        raise HistoryError(f"no annotation labelled {label!r}")
-
     # ------------------------------------------------------------------
     # Derived histories
     # ------------------------------------------------------------------
@@ -271,48 +237,8 @@ class History:
             if record.pid in keep:
                 sub._records[op_id] = record
                 sub._order.append(op_id)
-        sub._annotations = [a for a in self._annotations if a.pid in keep]
-        sub.version = self.version
         sub._fp_stale = True
         return sub
-
-    def with_synthetic(self, extra: Sequence[OperationRecord]) -> "History":
-        """A copy of this history with synthesized records merged in.
-
-        Used by the Byzantine-linearizability checker, which constructs
-        ``H'`` by adding Write/Sign operations on behalf of a Byzantine
-        writer (Definitions 78 and 143). Synthetic records must carry ids
-        not present in this history and be complete; *existing* records
-        may be incomplete (Definition 2 lets the linearization search
-        drop or complete them).
-        """
-        merged = History()
-        for record in extra:
-            if not record.complete:
-                raise HistoryError(
-                    f"synthetic record must be complete: {record.describe()}"
-                )
-        records = list(self.all()) + list(extra)
-        records.sort(key=lambda r: (r.invoked_at, r.op_id))
-        for record in records:
-            if record.op_id in merged._records:
-                raise HistoryError(f"duplicate operation id {record.op_id}")
-            merged._records[record.op_id] = record
-            merged._order.append(record.op_id)
-        merged._next_id = max((r.op_id for r in records), default=-1) + 1
-        merged._annotations = list(self._annotations)
-        merged.version = self.version + len(extra)
-        merged._fp_stale = True
-        return merged
-
-    def max_time(self) -> int:
-        """The largest event time recorded (0 for an empty history)."""
-        latest = 0
-        for record in self.all():
-            latest = max(latest, record.invoked_at, record.responded_at or 0)
-        for ann in self._annotations:
-            latest = max(latest, ann.time)
-        return latest
 
     def describe(self) -> str:
         """Multi-line rendering of the entire history (for failures)."""

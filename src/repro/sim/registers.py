@@ -12,16 +12,12 @@ Registers are atomic: the kernel executes one effect at a time, so every
 read returns the value of the latest preceding write (or the initial
 value). Values are frozen on write (``repro.sim.values.freeze``) so no
 process can mutate register contents in place.
-
-The :class:`RegisterFile` also keeps per-register access counters, which
-the analysis layer uses for step-complexity experiments (E10), and an
-optional full access log for debugging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -55,17 +51,6 @@ class RegisterSpec:
         return self.readers is None or pid in self.readers
 
 
-@dataclass
-class RegisterAccess:
-    """One entry of the optional access log."""
-
-    time: int
-    pid: int
-    register: str
-    kind: str  # "read" | "write"
-    value: Any
-
-
 class RegisterFile:
     """The complete shared memory of one simulated system.
 
@@ -73,18 +58,11 @@ class RegisterFile:
     comes from executing one effect at a time, not from locks.
     """
 
-    def __init__(self, record_accesses: bool = False):
+    def __init__(self) -> None:
         self._specs: Dict[str, RegisterSpec] = {}
         self._values: Dict[str, Any] = {}
-        self._read_counts: Dict[str, int] = {}
-        self._write_counts: Dict[str, int] = {}
-        self._record_accesses = record_accesses
-        self._access_log: List[RegisterAccess] = []
-        #: Bumped on every mutation (install / write / reset): an
-        #: observable change counter for tests and tooling that cache
-        #: derived views of shared memory. (The incremental fingerprint
-        #: itself tracks the finer-grained per-name dirty set below.)
-        self.version = 0
+        #: Incremental fingerprint: per-name digests, the names written
+        #: since the last fold, and the fold itself.
         self._fp_digests: Dict[str, int] = {}
         self._fp_dirty: set = set()
         self._fp_fold = 0
@@ -98,9 +76,6 @@ class RegisterFile:
             raise ConfigurationError(f"register {spec.name!r} already installed")
         self._specs[spec.name] = spec
         self._values[spec.name] = freeze(spec.initial)
-        self._read_counts[spec.name] = 0
-        self._write_counts[spec.name] = 0
-        self.version += 1
         self._fp_dirty.add(spec.name)
 
     def install_all(self, specs: Iterable[RegisterSpec]) -> None:
@@ -132,10 +107,13 @@ class RegisterFile:
     # ------------------------------------------------------------------
     # Access (called by the kernel only)
     # ------------------------------------------------------------------
-    def read(self, pid: int, name: str, time: int) -> Any:
-        """Atomic read of ``name`` by ``pid`` at virtual time ``time``."""
-        # Hottest method in the repository (one call per ReadRegister
-        # step): permission check inlined, single spec lookup.
+    def read(self, pid: int, name: str) -> Any:
+        """Atomic read of ``name`` by ``pid``.
+
+        The kernel serves an allowed read from ``_values`` directly and
+        calls this only for an unknown name or a permission failure, so
+        this method owns the read errors.
+        """
         spec = self._specs.get(name)
         if spec is None:
             raise UnknownRegisterError(f"no register named {name!r}")
@@ -144,13 +122,9 @@ class RegisterFile:
                 f"process {pid} may not read SWSR register {name!r} "
                 f"(readers: {sorted(spec.readers or ())})"
             )
-        self._read_counts[name] += 1
-        value = self._values[name]
-        if self._record_accesses:
-            self._access_log.append(RegisterAccess(time, pid, name, "read", value))
-        return value
+        return self._values[name]
 
-    def write(self, pid: int, name: str, value: Any, time: int) -> None:
+    def write(self, pid: int, name: str, value: Any) -> None:
         """Atomic write of ``value`` into ``name`` by ``pid``.
 
         Raises :class:`OwnershipError` when ``pid`` is not the owner. This
@@ -165,16 +139,11 @@ class RegisterFile:
                 f"process {pid} attempted to write register {name!r} "
                 f"owned by process {spec.writer}"
             )
-        frozen = freeze(value)
-        self._values[name] = frozen
-        self._write_counts[name] += 1
-        self.version += 1
+        self._values[name] = freeze(value)
         self._fp_dirty.add(name)
-        if self._record_accesses:
-            self._access_log.append(RegisterAccess(time, pid, name, "write", frozen))
 
     # ------------------------------------------------------------------
-    # Direct inspection / manipulation (experiment harness only)
+    # Direct inspection (experiment harness only)
     # ------------------------------------------------------------------
     def peek(self, name: str) -> Any:
         """Read a register without a process identity or a step.
@@ -184,19 +153,6 @@ class RegisterFile:
         """
         self._require(name)
         return self._values[name]
-
-    def reset_to_initial(self, name: str) -> None:
-        """Restore a register's initial value *without* an owner check.
-
-        Exists solely for the Theorem 29 construction, where Byzantine
-        processes reset the registers *they own*; attack scripts normally
-        issue proper Write effects instead, but history-surgery utilities
-        need this low-level hook when replaying prefix-identical runs.
-        """
-        self._require(name)
-        self._values[name] = freeze(self._specs[name].initial)
-        self.version += 1
-        self._fp_dirty.add(name)
 
     # ------------------------------------------------------------------
     # Fingerprinting (kernel hook)
@@ -226,28 +182,6 @@ class RegisterFile:
             dirty.clear()
             self._fp_fold = fold
         return self._fp_fold
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    def read_count(self, name: str) -> int:
-        """Total reads served by register ``name``."""
-        self._require(name)
-        return self._read_counts[name]
-
-    def write_count(self, name: str) -> int:
-        """Total writes applied to register ``name``."""
-        self._require(name)
-        return self._write_counts[name]
-
-    def total_accesses(self) -> int:
-        """Total register operations across the whole memory."""
-        return sum(self._read_counts.values()) + sum(self._write_counts.values())
-
-    @property
-    def access_log(self) -> Tuple[RegisterAccess, ...]:
-        """The access log (empty unless ``record_accesses=True``)."""
-        return tuple(self._access_log)
 
     # ------------------------------------------------------------------
     def _require(self, name: str) -> None:

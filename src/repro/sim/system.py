@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, StepLimitExceeded
 from repro.sim.effects import (
-    Annotate,
     Await,
     Broadcast,
     Effect,
@@ -51,7 +50,7 @@ from repro.sim.fingerprint import (
     digest64,
     generator_signature as _generator_signature,
 )
-from repro.sim.history import Annotation, History
+from repro.sim.history import History
 from repro.sim.process import Program
 from repro.sim.registers import RegisterFile, RegisterSpec
 from repro.sim.scheduler import CoroutineId, RoundRobinScheduler, Scheduler
@@ -75,8 +74,6 @@ class _Coroutine:
     parked: bool = False
     watch: Tuple[str, ...] = ()
     next_send: Any = None
-    steps_taken: int = 0
-    error: Optional[BaseException] = None
     #: Bound ``program.send``, cached at spawn — the kernel resumes the
     #: coroutine every step, and the attribute chase shows up in profiles.
     resume: Optional[Callable[[Any], Any]] = None
@@ -87,28 +84,12 @@ class _Coroutine:
 
 @dataclass(slots=True)
 class StepMetrics:
-    """Aggregate counters exposed for the analysis layer."""
+    """Effect counters that benchmarks and progress probes read."""
 
-    total_steps: int = 0
     reads: int = 0
     writes: int = 0
-    #: Pause and Await steps.
-    pauses: int = 0
-    invocations: int = 0
     responses: int = 0
     messages_sent: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for report tables."""
-        return {
-            "total_steps": self.total_steps,
-            "reads": self.reads,
-            "writes": self.writes,
-            "pauses": self.pauses,
-            "invocations": self.invocations,
-            "responses": self.responses,
-            "messages_sent": self.messages_sent,
-        }
 
 
 class System:
@@ -120,7 +101,6 @@ class System:
         f: Declared maximum number of Byzantine processes. Purely
             bookkeeping (see module docstring); defaults to ``(n-1)//3``.
         scheduler: Interleaving strategy; round-robin when omitted.
-        record_accesses: Keep a full register access log (slow; debugging).
         enforce_bound: When True (default), :meth:`declare_byzantine`
             refuses to exceed ``f`` — experiments that deliberately break
             the bound pass ``enforce_bound=False``.
@@ -131,7 +111,6 @@ class System:
         n: int,
         f: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
-        record_accesses: bool = False,
         enforce_bound: bool = True,
     ):
         if n < 1:
@@ -141,7 +120,7 @@ class System:
         if self.f < 0:
             raise ConfigurationError(f"f must be >= 0, got {self.f}")
         self.scheduler: Scheduler = scheduler or RoundRobinScheduler()
-        self.registers = RegisterFile(record_accesses=record_accesses)
+        self.registers = RegisterFile()
         self.history = History()
         self.clock = 0
         self.metrics = StepMetrics()
@@ -353,58 +332,47 @@ class System:
         # *does* detach mid-run (the explorer's recording window), so it
         # must stay a per-step load.
         network_tick = None if self.network is None else self.network.tick
-        try:
-            while True:
-                if predicate():
-                    return taken, "goal"
-                if taken >= max_steps:
-                    return taken, "limit"
-                runnable = self._runnable_cache
-                if runnable is None:
-                    runnable = self._runnable()
-                if not runnable:
-                    return taken, "idle"
-                cid = runnable[select_index(runnable, self.clock)]
-                co = coroutines[cid]
-                self.clock += 1
-                # total_steps is only observed between drives, so it is
-                # added once on the way out (exception exits included).
-                taken += 1
-                co.steps_taken += 1
-                # _fp_live is re-read per step on purpose: a predicate
-                # may call fingerprint() mid-run, and hoisting the flag
-                # would leave the steps after that call untracked (a
-                # silently stale fingerprint).
-                if self._fp_live:
-                    co_dirty_add(cid)
-                if network_tick is not None:
-                    network_tick(self.clock, self)
-                try:
-                    if co.started:
-                        effect = co.resume(co.next_send)
-                    else:
-                        co.started = True
-                        effect = co.resume(None)
-                except StopIteration:
-                    co.finished = True
-                    self._runnable_cache = None
-                    effect = None
+        while True:
+            if predicate():
+                return taken, "goal"
+            if taken >= max_steps:
+                return taken, "limit"
+            runnable = self._runnable_cache
+            if runnable is None:
+                runnable = self._runnable()
+            if not runnable:
+                return taken, "idle"
+            cid = runnable[select_index(runnable, self.clock)]
+            co = coroutines[cid]
+            self.clock += 1
+            taken += 1
+            # _fp_live is re-read per step on purpose: a predicate
+            # may call fingerprint() mid-run, and hoisting the flag
+            # would leave the steps after that call untracked (a
+            # silently stale fingerprint).
+            if self._fp_live:
+                co_dirty_add(cid)
+            if network_tick is not None:
+                network_tick(self.clock, self)
+            try:
+                if co.started:
+                    effect = co.resume(co.next_send)
                 else:
-                    handler = handlers_get(type(effect))
-                    if handler is None:
-                        co.next_send = self._execute(cid, effect)
-                    else:
-                        co.next_send = handler(self, cid[0], effect)
-                on_step = self.on_step
-                if on_step is not None:
-                    on_step(cid, effect)
-        finally:
-            self.metrics.total_steps += taken
-
-    def steps_of(self, cid: CoroutineId) -> int:
-        """Steps taken so far by coroutine ``cid`` (0 if never spawned)."""
-        co = self._coroutines.get(cid)
-        return 0 if co is None else co.steps_taken
+                    co.started = True
+                    effect = co.resume(None)
+            except StopIteration:
+                co.finished = True
+                self._runnable_cache = None
+                effect = None
+            else:
+                handler = handlers_get(type(effect))
+                if handler is None:
+                    co.next_send = self._execute(cid, effect)
+                else:
+                    co.next_send = handler(self, cid[0], effect)
+            on_step = self.on_step
+            if on_step is not None:
+                on_step(cid, effect)
 
     # ------------------------------------------------------------------
     # Effect interpreter
@@ -434,31 +402,24 @@ class System:
     def _exec_read(self, pid: int, effect: ReadRegister) -> Any:
         self.metrics.reads += 1
         # Fast path for the most frequent effect in the repository: an
-        # allowed SWMR/SWSR read with no access log. Anything unusual —
-        # unknown name, permission check, logging — delegates to
-        # RegisterFile.read, which owns the error semantics.
+        # allowed SWMR/SWSR read. An unknown name or a refused reader
+        # delegates to RegisterFile.read, which owns the error semantics.
         registers = self.registers
         name = effect.register
         spec = registers._specs.get(name)
-        if (
-            spec is None
-            or registers._record_accesses
-            or (spec.readers is not None and pid not in spec.readers)
-        ):
-            return registers.read(pid, name, self.clock)
-        registers._read_counts[name] += 1
+        if spec is None or (spec.readers is not None and pid not in spec.readers):
+            return registers.read(pid, name)
         return registers._values[name]
 
     def _exec_write(self, pid: int, effect: WriteRegister) -> None:
         self.metrics.writes += 1
-        self.registers.write(pid, effect.register, effect.value, self.clock)
+        self.registers.write(pid, effect.register, effect.value)
         if self._watchers:
             self._wake(effect.register)
         return None
 
     def _exec_await(self, cid: CoroutineId, effect: Await) -> None:
         """Park ``cid`` unless a watched register moved since it was read."""
-        self.metrics.pauses += 1
         registers = self.registers
         specs = registers._specs
         values = registers._values
@@ -470,7 +431,7 @@ class System:
                 spec.readers is not None and pid not in spec.readers
             ):
                 # Raises exactly what a ReadRegister of it would.
-                registers.read(pid, name, self.clock)
+                registers.read(pid, name)
             if values[name] != seen:
                 changed = True
         if changed:
@@ -510,11 +471,9 @@ class System:
         co.watch = ()
 
     def _exec_pause(self, pid: int, effect: Pause) -> None:
-        self.metrics.pauses += 1
         return None
 
     def _exec_invoke(self, pid: int, effect: Invoke) -> int:
-        self.metrics.invocations += 1
         return self.history.record_invocation(
             pid, effect.obj, effect.op, effect.args, self.clock
         )
@@ -523,13 +482,6 @@ class System:
         self.metrics.responses += 1
         self.history.record_response(effect.op_id, effect.result, self.clock)
         return None
-
-    def _exec_annotate(self, pid: int, effect: Annotate) -> int:
-        self.history.record_annotation(
-            Annotation(time=self.clock, pid=pid, label=effect.label,
-                       payload=effect.payload)
-        )
-        return self.clock
 
     def _exec_send(self, pid: int, effect: Send) -> None:
         self.metrics.messages_sent += 1
@@ -575,7 +527,6 @@ class System:
         Pause: _exec_pause,
         Invoke: _exec_invoke,
         Respond: _exec_respond,
-        Annotate: _exec_annotate,
         Send: _exec_send,
         Broadcast: _exec_broadcast,
         ReceiveAll: _exec_receive_all,
@@ -674,9 +625,9 @@ class System:
         The digest is maintained *incrementally*: each component
         (registers, mailboxes, history, coroutines) keeps per-item
         digests combined by XOR fold, and a step only re-hashes the
-        items it actually touched (dirty-tracking via bump-on-mutate
-        counters in the component classes), making the per-step cost
-        O(|delta|) rather than O(|state|). ``full=True`` bypasses every
+        items it actually touched (registers, mailboxes and coroutines
+        keep dirty sets; the history XORs each event in as it records
+        it), making the per-step cost O(|delta|) rather than O(|state|). ``full=True`` bypasses every
         cache and recomputes from scratch — the correctness oracle; the
         two paths must agree on every reachable state
         (``tests/test_fingerprint_incremental.py`` holds them to it).

@@ -9,6 +9,7 @@ workloads, run one ``register`` scenario spec the way every caller does
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 import pytest
@@ -39,6 +40,21 @@ def spawn_script(
 
     system.spawn(pid, role, delayed() if delay else client.program())
     return client
+
+
+def count_steps(system: System) -> Counter:
+    """Count each coroutine's steps, the retiring one included.
+
+    Attaches ``system.on_step``; the returned counter fills as the
+    system runs.
+    """
+    counts: Counter = Counter()
+
+    def observe(cid, _effect) -> None:
+        counts[cid] += 1
+
+    system.on_step = observe
+    return counts
 
 
 def run_clients(

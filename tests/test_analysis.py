@@ -8,7 +8,6 @@ from repro.analysis import (
     LatencyStats,
     merge_latency_samples,
     operation_latencies,
-    register_access_totals,
     render_table,
 )
 from repro.scenarios.bindings import binding_for_kind
@@ -121,9 +120,9 @@ class TestMetrics:
         assert merged == {"read": [1, 2, 3], "verify": [4]}
 
     def test_register_access_totals(self):
+        # The per-run totals the benchmark reports are the kernel's counters.
         system, _ = run_register("verifiable", n=4, seed=0)
-        totals = register_access_totals(system, "reg/")
-        assert totals["<total>"] > 0
+        assert system.metrics.reads > 0 and system.metrics.writes > 0
 
 
 class TestReporting:

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.errors import OwnershipError
 from repro.sim import System, WriteRegister
 from repro.sim.values import is_bottom
-from tests.conftest import run_clients, spawn_script
+from tests.conftest import count_steps, run_clients, spawn_script
 
 
 class TestGenericBehaviors:
@@ -28,9 +28,10 @@ class TestGenericBehaviors:
     def test_crash_after(self):
         system = System(n=2)
         cid = system.spawn(1, "c", behaviors.crash_after(5))
+        steps = count_steps(system)
         # Five pauses, then one step that parks it for good.
         assert system.run(50) == 6
-        assert system.steps_of(cid) == 6
+        assert steps == {cid: 6}
         assert system.runnable() == ()
 
     def test_owned_register_names(self):

@@ -391,8 +391,13 @@ class TestCorpus:
         [
             lambda doc: [doc],  # a top-level array
             lambda doc: {**doc, "params": doc["params"] + [["faults", {"a": 1}]]},
+            lambda doc: {**doc, "params": doc["params"] + [["", 1]]},
+            lambda doc: {
+                **doc,
+                "params": [["n", "4"] if k == "n" else [k, v] for k, v in doc["params"]],
+            },
         ],
-        ids=["top-level-array", "object-param"],
+        ids=["top-level-array", "object-param", "unknown-param", "mistyped-param"],
     )
     def test_malformed_documents_are_refused_naming_the_file(self, tmp_path, mutate):
         doc = json.loads(COMMITTED_ENTRY.read_text())

@@ -10,6 +10,7 @@ a ``STALLED`` verdict that replays like any safety violation.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -675,8 +676,8 @@ def _observe_mp_run(monkeypatch, name, observer=False):
     judge = getattr(network, "judge", None)
     return {
         "clock": system.clock,
-        "metrics": system.metrics.snapshot(),
-        "history": (system.history.all(), system.history.annotations),
+        "metrics": dataclasses.asdict(system.metrics),
+        "history": system.history.all(),
         "submitted": network.submitted,
         "delivered": network.delivered,
         "ledger": None if judge is None else (judge.metrics(), judge.suppressed_links),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import HistoryError
-from repro.sim.history import Annotation, History, OperationRecord, fresh_op_ids
+from repro.sim.history import History, OperationRecord, fresh_op_ids
 
 
 def make_record(op_id, pid, inv, resp=None, op="read", result=None, obj="r"):
@@ -104,47 +104,11 @@ class TestQueries:
         # Times unchanged by restriction.
         assert sub.all()[0].invoked_at == 3
 
-    def test_max_time(self):
-        assert self.make_history().max_time() == 7
-
 
 class TestSynthetic:
-    def test_merge_sorted_by_invocation(self):
-        history = History()
-        a = history.record_invocation(1, "x", "read", (), 10)
-        history.record_response(a, 0, 12)
-        synthetic = make_record(100, 9, inv=5.5, resp=5.6, op="write", result="done", obj="x")
-        merged = history.with_synthetic([synthetic])
-        assert [r.op_id for r in merged.all()] == [100, a]
-
-    def test_duplicate_id_rejected(self):
-        history = History()
-        a = history.record_invocation(1, "x", "read", (), 10)
-        history.record_response(a, 0, 12)
-        clash = make_record(a, 9, inv=1, resp=2)
-        with pytest.raises(HistoryError):
-            history.with_synthetic([clash])
-
-    def test_incomplete_synthetic_rejected(self):
-        history = History()
-        pending = make_record(5, 9, inv=1)  # no response
-        with pytest.raises(HistoryError):
-            history.with_synthetic([pending])
-
     def test_fresh_op_ids_disjoint(self):
         history = History()
         a = history.record_invocation(1, "x", "read", (), 1)
         ids = fresh_op_ids(history, 3)
         assert len(ids) == 3
         assert a not in ids
-
-
-class TestAnnotations:
-    def test_roundtrip(self):
-        history = History()
-        history.record_annotation(Annotation(time=42, pid=1, label="t4"))
-        assert history.annotation_time("t4") == 42
-
-    def test_missing_label(self):
-        with pytest.raises(HistoryError):
-            History().annotation_time("never")

@@ -1,13 +1,13 @@
 """Cross-cutting integration tests: crashes mid-operation, coexisting
-register instances, incomplete operations through the checkers, and the
-access-log instrumentation."""
+register instances, incomplete operations through the checkers, and
+register accesses seen through the ``on_step`` observer."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import AuthenticatedRegister, StickyRegister, VerifiableRegister
-from repro.sim import RandomScheduler, System
+from repro.sim import RandomScheduler, ReadRegister, System, WriteRegister
 from repro.spec import (
     check_authenticated,
     check_sticky,
@@ -140,19 +140,23 @@ class TestCoexistingInstances:
 
 class TestInstrumentation:
     def test_access_log_records_full_trace(self):
-        system = System(n=4, record_accesses=True)
+        system = System(n=4)
         register = VerifiableRegister(system, "v", initial=0)
         register.install()
         register.start_helpers()
         writer = spawn_script(system, register, 1, [("write", (5,))])
+        log = []
+        system.on_step = lambda _cid, effect: log.append((system.clock, effect))
         run_clients(system, [writer])
-        log = system.registers.access_log
         assert any(
-            entry.kind == "write" and entry.register == register.reg_star()
-            for entry in log
+            isinstance(effect, WriteRegister)
+            and effect.register == register.reg_star()
+            for _, effect in log
         )
-        # Times are strictly within the run's clock span.
-        assert all(0 < entry.time <= system.clock for entry in log)
+        # One entry per step, each stamped within the run's clock span.
+        times = [time for time, _ in log]
+        assert times == sorted(set(times))
+        assert all(0 < time <= system.clock for time in times)
 
     def test_register_level_counters(self):
         system = System(n=4)
@@ -161,9 +165,14 @@ class TestInstrumentation:
         register.start_helpers()
         writer = spawn_script(system, register, 1, [("write", (5,))])
         reader = spawn_script(system, register, 2, [("read", ())], delay=20)
+        touched = []
+        system.on_step = lambda cid, effect: touched.append(
+            (type(effect), getattr(effect, "register", None))
+        )
         run_clients(system, [writer, reader])
-        assert system.registers.write_count(register.reg_star()) == 1
-        assert system.registers.read_count(register.reg_star()) >= 1
+        star = register.reg_star()
+        assert touched.count((WriteRegister, star)) == 1
+        assert (ReadRegister, star) in touched
 
 
 class TestFZeroSystems:

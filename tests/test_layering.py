@@ -128,6 +128,36 @@ def test_reply_channels_are_written_only_by_core_and_adversary():
     assert not offenders, "\n".join(offenders)
 
 
+def test_every_effect_is_used_outside_the_kernel():
+    # An effect that only its definition and its handler name is kept
+    # alive for a program that never yields it: every Effect subclass of
+    # sim/effects.py must be named (not just imported) by a module other
+    # than sim/effects.py and the interpreter, sim/system.py.
+    from repro.sim import effects
+
+    defined = {
+        cls.__name__
+        for cls in vars(effects).values()
+        if isinstance(cls, type)
+        and issubclass(cls, effects.Effect)
+        and cls is not effects.Effect
+        and cls.__module__ == effects.__name__
+    }
+    kernel = {PACKAGE_ROOT / "sim" / "effects.py", PACKAGE_ROOT / "sim" / "system.py"}
+    named = set()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        if path in kernel:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert len(defined) >= 9, "effect classes not found"
+    assert defined <= named, f"effects no program uses: {sorted(defined - named)}"
+
+
 def _loaded_after(statement: str, candidates) -> list:
     """Which of ``candidates`` are in ``sys.modules`` after ``statement``."""
     code = (

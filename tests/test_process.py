@@ -16,6 +16,7 @@ from repro.sim import (
     pause_steps,
     swmr,
 )
+from tests.conftest import count_steps
 
 
 class TestCall:
@@ -233,7 +234,8 @@ class TestUtilities:
                 yield WriteRegister("R", value)
 
         system.spawn(2, "w", writer())
+        steps = count_steps(system)
         system.run(100)
-        assert system.steps_of(cid) == 1
+        assert steps[cid] == 1
         assert system.runnable() == ()
         assert system.metrics.writes == 10  # all of them the writer's

@@ -10,6 +10,7 @@ from repro.errors import (
     ReadPermissionError,
     UnknownRegisterError,
 )
+from repro.sim import Pause, ReadRegister, System, WriteRegister
 from repro.sim.registers import RegisterFile, RegisterSpec, swmr, swsr
 
 
@@ -42,78 +43,84 @@ class TestInstallation:
 
 class TestOwnership:
     def test_owner_may_write(self, memory):
-        memory.write(1, "A", 7, time=1)
+        memory.write(1, "A", 7)
         assert memory.peek("A") == 7
 
     def test_non_owner_write_raises(self, memory):
         with pytest.raises(OwnershipError):
-            memory.write(2, "A", 7, time=1)
+            memory.write(2, "A", 7)
 
     def test_byzantine_cannot_bypass_port(self, memory):
         # The check is identity-based with no escape hatch: any pid other
         # than the owner is rejected, which is the paper's hardware port.
         for pid in (2, 3, 4, 99):
             with pytest.raises(OwnershipError):
-                memory.write(pid, "A", "forged", time=1)
+                memory.write(pid, "A", "forged")
 
     def test_swsr_reader_restriction(self, memory):
-        assert memory.read(3, "B", time=1) == (frozenset(), 0)
+        assert memory.read(3, "B") == (frozenset(), 0)
         with pytest.raises(ReadPermissionError):
-            memory.read(4, "B", time=1)
+            memory.read(4, "B")
         with pytest.raises(ReadPermissionError):
-            memory.read(1, "B", time=1)
+            memory.read(1, "B")
 
     def test_swmr_readable_by_anyone(self, memory):
         for pid in (1, 2, 3, 42):
-            assert memory.read(pid, "A", time=1) == 0
+            assert memory.read(pid, "A") == 0
 
 
 class TestAtomicSnapshotSemantics:
     def test_read_returns_latest_write(self, memory):
-        memory.write(1, "A", 1, time=1)
-        memory.write(1, "A", 2, time=2)
-        assert memory.read(9, "A", time=3) == 2
+        memory.write(1, "A", 1)
+        memory.write(1, "A", 2)
+        assert memory.read(9, "A") == 2
 
     def test_written_value_frozen(self, memory):
         source = {1}
-        memory.write(1, "A", source, time=1)
+        memory.write(1, "A", source)
         source.add(2)
-        assert memory.read(5, "A", time=2) == frozenset({1})
+        assert memory.read(5, "A") == frozenset({1})
 
     def test_unknown_register(self, memory):
         with pytest.raises(UnknownRegisterError):
-            memory.read(1, "nope", time=1)
+            memory.read(1, "nope")
         with pytest.raises(UnknownRegisterError):
-            memory.write(1, "nope", 0, time=1)
-
-    def test_reset_to_initial(self, memory):
-        memory.write(1, "A", 9, time=1)
-        memory.reset_to_initial("A")
-        assert memory.peek("A") == 0
+            memory.write(1, "nope", 0)
 
 
 class TestMetrics:
-    def test_counts(self, memory):
-        memory.write(1, "A", 1, time=1)
-        memory.read(2, "A", time=2)
-        memory.read(3, "A", time=3)
-        assert memory.write_count("A") == 1
-        assert memory.read_count("A") == 2
-        assert memory.total_accesses() == 3
+    """Register accesses are counted and observed by the stepping ``System``."""
 
-    def test_access_log_disabled_by_default(self, memory):
-        memory.write(1, "A", 1, time=1)
-        assert memory.access_log == ()
+    @staticmethod
+    def run_accesses():
+        system = System(n=3)
+        system.install_register(swmr("A", writer=1, initial=0))
+
+        def writer():
+            yield WriteRegister("A", 5)
+
+        def reader():
+            yield Pause()
+            yield ReadRegister("A")
+
+        seen = []
+        system.on_step = lambda _cid, effect: seen.append(effect)
+        system.spawn(1, "w", writer())
+        system.spawn(2, "r", reader())
+        system.spawn(3, "r", reader())
+        system.run(20)
+        return system, seen
+
+    def test_counts(self):
+        system, _ = self.run_accesses()
+        assert (system.metrics.writes, system.metrics.reads) == (1, 2)
 
     def test_access_log_enabled(self):
-        file = RegisterFile(record_accesses=True)
-        file.install(swmr("A", writer=1, initial=0))
-        file.write(1, "A", 5, time=10)
-        file.read(2, "A", time=11)
-        log = file.access_log
-        assert len(log) == 2
-        assert log[0].kind == "write" and log[0].value == 5 and log[0].time == 10
-        assert log[1].kind == "read" and log[1].pid == 2
+        system, seen = self.run_accesses()
+        accesses = [e for e in seen if isinstance(e, (WriteRegister, ReadRegister))]
+        assert accesses.count(WriteRegister("A", 5)) == 1
+        assert accesses.count(ReadRegister("A")) == 2
+        assert system.registers.peek("A") == 5
 
 
 class TestSpecHelpers:

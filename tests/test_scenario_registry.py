@@ -239,6 +239,28 @@ class TestParamNames:
         with pytest.raises(ConfigurationError, match=f"no param {named}; accepted: "):
             make_scenario(scenario, **params)
 
+    @pytest.mark.parametrize(
+        "scenario, params, named",
+        [
+            ("snapshot", {"n": "4", "f": 1}, "'n' must be int, got '4'"),
+            ("snapshot", {"n": True, "f": 1}, "'n' must be int, got True"),
+            ("mp_register", {"retransmit": 1}, "'retransmit' must be bool"),
+            ("register", {"reader_adversaries": [(2, "silent")]}, "must be tuple"),
+        ],
+        ids=["str-for-int", "bool-for-int", "int-for-bool", "list-for-tuple"],
+    )
+    def test_make_scenario_refuses_a_mistyped_param(self, scenario, params, named):
+        # "4" and 4 render the same label, so a mistyped spec would pass
+        # for the real one until its builder raised a TypeError.
+        with pytest.raises(ConfigurationError, match=named):
+            make_scenario(scenario, **params)
+
+    def test_every_record_and_corpus_entry_has_well_typed_params(self):
+        specs = [record.spec for record in all_records()]
+        specs += [entry.scenario_spec() for entry in load_corpus(CORPUS_DIR)]
+        for spec in specs:
+            assert resolve_spec(spec.name, spec.params) == spec
+
     def test_resolve_spec_refuses_an_unknown_param(self):
         with pytest.raises(ConfigurationError, match="no param 'slots'"):
             resolve_spec("broadcast", (("n", 4), ("slots", 2)))

@@ -12,6 +12,7 @@ SIGKILLed mid-shard — lives in ``tests/test_service_crash.py``.
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -241,11 +242,19 @@ class TestStoreAndQueue:
         assert reclaimed.shard_index == lost.shard_index
         (shard,) = store.shard_rows(run_id)
         assert shard["attempts"] == 2 and shard["lease_worker"] == "w2"
-        outcomes = {
-            row["lease_id"]: row["outcome"] for row in store.lease_rows(run_id)
-        }
-        assert outcomes[lost.lease_id] == "expired"
-        assert outcomes[reclaimed.lease_id] == "open"
+        assert shard["lease_id"] == reclaimed.lease_id
+        assert shard["lease_expires"] == reclaimed.expires_at
+        # The reclaimed lease completes the shard; the lost worker's late
+        # delivery is a duplicate and records nothing.
+        assert squeue.complete(
+            store, reclaimed, runs=1, steps=1, elapsed=0.0, now=t0 + 11
+        )
+        assert not squeue.complete(
+            store, lost, runs=1, steps=1, elapsed=0.0, now=t0 + 12
+        )
+        (shard,) = store.shard_rows(run_id)
+        assert shard["status"] == "done" and shard["completed_by"] == "w2"
+        assert shard["completed_at"] == t0 + 11
 
     def test_heartbeat_extends_and_reports_lost_leases(self, store):
         squeue.submit(store, [naive_cell()])
@@ -258,6 +267,31 @@ class TestStoreAndQueue:
         assert stolen is not None
         # The original worker's lease is gone; its heartbeat must say so.
         assert not squeue.heartbeat(store, lease, ttl=10.0, now=t0 + 20)
+
+    def test_a_file_with_the_retired_leases_table_still_serves(self, tmp_path):
+        # Files written before the shard row became the one lease record
+        # carry a leases table; the store opens them and leaves it alone.
+        path = tmp_path / "old.db"
+        ResultsStore(path).close()
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "CREATE TABLE leases (lease_id TEXT PRIMARY KEY, run_id TEXT, "
+                "shard_index INTEGER, worker TEXT, expires_at REAL)"
+            )
+            conn.execute("INSERT INTO leases VALUES ('l-old', 'r-old', 0, 'w', 1.0)")
+        conn.close()
+        old = ResultsStore(path)
+        try:
+            run_id = squeue.submit(old, [naive_cell()])
+            lease = squeue.lease(old, "w1", ttl=10.0, now=1000.0)
+            assert squeue.complete(old, lease, runs=1, steps=1, elapsed=0.0)
+            assert squeue.drained(old, run_id=run_id)
+        finally:
+            old.close()
+        with sqlite3.connect(path) as conn:
+            rows = conn.execute("SELECT lease_id FROM leases").fetchall()
+        conn.close()
+        assert rows == [("l-old",)]
 
     def test_completion_is_first_write_wins(self, store):
         run_id = squeue.submit(store, [naive_cell()])
@@ -351,6 +385,25 @@ class TestWorkerParity:
         )
         doc["scenario"]["params"].append(["updates", -2])
         with pytest.raises(ConfigurationError, match="no param 'updates'"):
+            cell_from_json(doc)
+
+    def test_a_cell_with_a_mistyped_param_is_refused_at_the_codec(self):
+        # ["n", "4"] labels like ["n", 4]; refused here, it never reaches
+        # a worker, whose builder would raise a TypeError mid-shard.
+        doc = cell_to_json(
+            CampaignCell(
+                implementation="snapshot",
+                scenario=make_scenario("snapshot", n=4, f=1, seed=0),
+                engine="swarm",
+                budget=1,
+                expect_violation=False,
+            )
+        )
+        doc["scenario"]["params"] = [
+            [key, "4" if key == "n" else value]
+            for key, value in doc["scenario"]["params"]
+        ]
+        with pytest.raises(ConfigurationError, match="'n' must be int, got '4'"):
             cell_from_json(doc)
 
     @pytest.mark.parametrize(

@@ -94,14 +94,10 @@ def test_killed_worker_forfeits_its_shard_and_a_second_worker_finishes(
     result = status(store, run_id)
     assert result.complete and result.ok, result.summary()
     # The reclaimed shard records the second attempt...
-    assert max(s["attempts"] for s in store.shard_rows(run_id)) == 2
-    assert all(
-        s["completed_by"] == "rescuer" for s in store.shard_rows(run_id)
-    )
-    expired = [
-        row for row in store.lease_rows(run_id) if row["outcome"] == "expired"
-    ]
-    assert len(expired) == 1 and expired[0]["worker"] == "crasher"
+    shards = store.shard_rows(run_id)
+    assert sorted(s["attempts"] for s in shards) == [1, 2]
+    assert all(s["completed_by"] == "rescuer" for s in shards)
+    assert all(s["lease_worker"] is None for s in shards)
 
     # ...and the verdicts are still byte-identical to an uninterrupted
     # inline run: deterministic cells make the crash invisible.

@@ -15,7 +15,6 @@ from repro.errors import (
     UnknownRegisterError,
 )
 from repro.sim import (
-    Annotate,
     Await,
     Broadcast,
     FunctionClient,
@@ -31,6 +30,7 @@ from repro.sim import (
     WriteRegister,
     swmr,
 )
+from tests.conftest import count_steps
 
 
 class TestConstruction:
@@ -197,17 +197,6 @@ class TestHistoryIntegration:
         assert record.complete and record.result == "result"
         assert record.responded_at - record.invoked_at == 2
 
-    def test_annotation_recorded(self):
-        system = System(n=1)
-
-        def program():
-            time = yield Annotate("t1", payload={"note": 1})
-            assert isinstance(time, int)
-
-        system.spawn(1, "client", program())
-        system.run(5)
-        assert system.history.annotation_time("t1") == 1
-
 
 class TestMessaging:
     def test_send_and_receive_immediate_without_network(self):
@@ -295,14 +284,11 @@ class TestMetrics:
 
         system.spawn(1, "c", program())
         system.run(10)
-        snap = system.metrics.snapshot()
-        assert snap["writes"] == 1
-        assert snap["reads"] == 1
-        assert snap["pauses"] == 1
-        assert snap["invocations"] == 1
-        assert snap["responses"] == 1
+        metrics = system.metrics
+        assert (metrics.reads, metrics.writes, metrics.responses) == (1, 1, 1)
+        assert metrics.messages_sent == 0
 
-    def test_steps_of(self):
+    def test_on_step_sees_the_retiring_step(self):
         system = System(n=2)
 
         def program():
@@ -310,8 +296,38 @@ class TestMetrics:
             yield Pause()
 
         cid = system.spawn(1, "c", program())
+        seen = []
+        system.on_step = lambda stepped, effect: seen.append((stepped, effect))
+        assert system.run(10) == 3
+        assert seen == [(cid, Pause()), (cid, Pause()), (cid, None)]
+
+    def test_steps_of(self):
+        system = System(n=2)
+
+        def pauses(count):
+            def program():
+                for _ in range(count):
+                    yield Pause()
+            return program()
+
+        first = system.spawn(1, "c", pauses(2))
+        second = system.spawn(2, "c", pauses(4))
+        steps = count_steps(system)
+        system.run(20)
+        # Each coroutine's pauses plus the step that retires it.
+        assert (steps[first], steps[second]) == (3, 5)
+
+    def test_messages_sent_counts_each_destination(self):
+        system = System(n=3)
+
+        def program():
+            yield Send(2, "one")
+            yield Broadcast("all")
+
+        system.spawn(1, "s", program())
         system.run(10)
-        assert system.steps_of(cid) >= 2
+        # A broadcast goes to all n processes, the sender included.
+        assert system.metrics.messages_sent == 1 + 3
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +397,10 @@ class TestAwait:
         system.install_register(swmr("R", writer=2, initial=0))
         system.spawn(1, "w", _watcher([], []))
         system.spawn(2, "b", _writes(*[("R", v) for v in range(5)]))
+        steps = count_steps(system)
         system.run(100)
         assert system.runnable() == ()
-        assert system.steps_of(W) == 1
+        assert steps[W] == 1
 
     def test_everything_parked_raises_at_once(self):
         for observe in (False, True):
