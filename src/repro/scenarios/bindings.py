@@ -18,6 +18,7 @@ different spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -44,8 +45,9 @@ class OracleBinding:
 
     Attributes:
         family: Implementation family name (the campaign's axis).
-        spec_factory: Builds the family's sequential specification;
-            called with ``initial=...`` for value-carrying registers.
+        spec_factory: Builds the family's sequential specification,
+            called with no arguments (value-carrying registers start
+            at 0).
             Topology-dependent app specs (snapshot, asset transfer) are
             instantiated by the scenario builder with the run's correct
             pids; the factory here is the spec *type* anchor.
@@ -56,16 +58,9 @@ class OracleBinding:
     """
 
     family: str
-    spec_factory: Callable[..., SequentialSpec]
+    spec_factory: Callable[[], SequentialSpec]
     kind: Optional[str] = None
     rules: Rules = Rules()
-
-
-def _value_spec(factory: Callable[..., SequentialSpec]) -> Callable[..., SequentialSpec]:
-    def build(initial: Any = 0) -> SequentialSpec:
-        return factory(initial=initial)
-
-    return build
 
 
 def _well_formed_scans(records: List[OperationRecord], case: Case) -> PropertyReport:
@@ -153,47 +148,47 @@ FAMILY_BINDINGS: Dict[str, OracleBinding] = {
     for binding in (
         OracleBinding(
             family="naive",
-            spec_factory=_value_spec(VerifiableRegisterSpec),
+            spec_factory=partial(VerifiableRegisterSpec, initial=0),
             kind="naive-quorum",
             rules=VERIFIABLE,
         ),
         OracleBinding(
             family="sticky",
-            spec_factory=lambda initial=0: StickyRegisterSpec(),
+            spec_factory=StickyRegisterSpec,
             kind="sticky",
             rules=STICKY,
         ),
         OracleBinding(
             family="test_or_set",
-            spec_factory=lambda initial=0: TestOrSetSpec(),
+            spec_factory=TestOrSetSpec,
             rules=TEST_OR_SET,
         ),
         OracleBinding(
             family="authenticated",
-            spec_factory=_value_spec(AuthenticatedRegisterSpec),
+            spec_factory=partial(AuthenticatedRegisterSpec, initial=0),
             kind="authenticated",
             rules=AUTHENTICATED,
         ),
         OracleBinding(
             family="verifiable",
-            spec_factory=_value_spec(VerifiableRegisterSpec),
+            spec_factory=partial(VerifiableRegisterSpec, initial=0),
             kind="verifiable",
             rules=VERIFIABLE,
         ),
         OracleBinding(
             family="signature_baseline",
-            spec_factory=_value_spec(VerifiableRegisterSpec),
+            spec_factory=partial(VerifiableRegisterSpec, initial=0),
             kind="signed",
             rules=VERIFIABLE,
         ),
         OracleBinding(
             family="snapshot",
-            spec_factory=lambda initial=0: SnapshotSpec(),
+            spec_factory=SnapshotSpec,
             rules=Rules("snapshot", _project_scans, _well_formed_scans),
         ),
         OracleBinding(
             family="asset_transfer",
-            spec_factory=lambda initial=0: AssetTransferSpec(),
+            spec_factory=AssetTransferSpec,
             rules=Rules("asset-transfer", _synthesize_settled("transfer", "ok")),
         ),
         # The two broadcast families run the same implementation under
@@ -201,12 +196,12 @@ FAMILY_BINDINGS: Dict[str, OracleBinding] = {
         # rule judge both, each reason naming its object.
         OracleBinding(
             family="broadcast",
-            spec_factory=lambda initial=0: BroadcastSpec(),
+            spec_factory=BroadcastSpec,
             rules=_BROADCAST,
         ),
         OracleBinding(
             family="reliable_broadcast",
-            spec_factory=lambda initial=0: BroadcastSpec(),
+            spec_factory=BroadcastSpec,
             rules=_BROADCAST,
         ),
         # The message-passing SWMR emulation is judged as the plain
@@ -215,7 +210,7 @@ FAMILY_BINDINGS: Dict[str, OracleBinding] = {
         # completed run must linearize against.
         OracleBinding(
             family="mp_emulation",
-            spec_factory=_value_spec(AtomicRegisterSpec),
+            spec_factory=partial(AtomicRegisterSpec, initial=0),
             rules=Rules("mp emulation"),
         ),
         # The live-network runtime (repro.net) serves the same emulated
@@ -225,7 +220,7 @@ FAMILY_BINDINGS: Dict[str, OracleBinding] = {
         # the online oracle).
         OracleBinding(
             family="net",
-            spec_factory=_value_spec(AtomicRegisterSpec),
+            spec_factory=partial(AtomicRegisterSpec, initial=0),
         ),
     )
 }
@@ -244,7 +239,7 @@ def binding_for(family: str) -> OracleBinding:
 
 def oracle_for(family: str) -> SequentialSpec:
     """The sequential specification ``family``'s runs are judged against."""
-    return binding_for(family).spec_factory(initial=0)
+    return binding_for(family).spec_factory()
 
 
 def kind_for(family: str) -> Optional[str]:

@@ -194,7 +194,7 @@ def build_mp_register(
             stall["reason"] = exc.reason
 
     binding = binding_for("mp_emulation")
-    spec = binding.spec_factory(initial=0)
+    spec = binding.spec_factory()
 
     def check() -> Optional[str]:
         if "reason" in stall:

@@ -17,11 +17,13 @@ refuses loudly and points at the CLI (``python -m repro.analysis net
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
-from repro.net.cluster import LiveProfile
 from repro.scenarios.registry import ScenarioRecord, register_builder
+
+if TYPE_CHECKING:  # the live runtime loads only when a profile is built
+    from repro.net.cluster import LiveProfile
 
 
 def build_net_cluster(scheduler: Any, ctx: Any = None, **params: Any):
@@ -33,7 +35,7 @@ def build_net_cluster(scheduler: Any, ctx: Any = None, **params: Any):
     )
 
 
-def profile_for_record(record: ScenarioRecord) -> LiveProfile:
+def profile_for_record(record: ScenarioRecord) -> "LiveProfile":
     """The :class:`LiveProfile` a live registry record pins.
 
     The record's topology provides ``n``/``f``, its label becomes the
@@ -45,6 +47,8 @@ def profile_for_record(record: ScenarioRecord) -> LiveProfile:
         raise ConfigurationError(
             f"record {record.label()!r} has engine {record.engine!r}, not 'live'"
         )
+    from repro.net.cluster import LiveProfile
+
     params = dict(record.spec.params)
     try:
         return LiveProfile(

@@ -290,7 +290,7 @@ def _build_register(
         system.run_until(all_scripts_done, max_steps, label="all clients")
 
     binding = binding_for_kind(kind)
-    spec = binding.spec_factory(initial=0)
+    spec = binding.spec_factory()
 
     def check() -> Optional[str]:
         return judge(

@@ -62,10 +62,6 @@ class OperationRecord:
         """Definition 1: this op's response is before ``other``'s invocation."""
         return self.responded_at is not None and self.responded_at < other.invoked_at
 
-    def concurrent_with(self, other: "OperationRecord") -> bool:
-        """Definition 1: neither operation precedes the other."""
-        return not self.precedes(other) and not other.precedes(self)
-
     def completed(self, responded_at: int, result: Any) -> "OperationRecord":
         """A copy of this record with a response added (for completions)."""
         return replace(self, responded_at=responded_at, result=result)
@@ -202,16 +198,6 @@ class History:
                 continue
             out.append(record)
         return out
-
-    def operation(self, op_id: int) -> OperationRecord:
-        """The record with id ``op_id``."""
-        if op_id not in self._records:
-            raise HistoryError(f"no operation with id {op_id}")
-        return self._records[op_id]
-
-    def incomplete_operations(self) -> List[OperationRecord]:
-        """Operations with an invocation but no response (Definition 2)."""
-        return [r for r in self.all() if not r.complete]
 
     def all(self) -> List[OperationRecord]:
         """Every record in invocation order."""

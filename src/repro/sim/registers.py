@@ -46,10 +46,6 @@ class RegisterSpec:
     readers: Optional[FrozenSet[int]] = None
     initial: Any = None
 
-    def readable_by(self, pid: int) -> bool:
-        """Whether ``pid`` may read this register."""
-        return self.readers is None or pid in self.readers
-
 
 class RegisterFile:
     """The complete shared memory of one simulated system.
@@ -83,10 +79,6 @@ class RegisterFile:
         for spec in specs:
             self.install(spec)
 
-    def has(self, name: str) -> bool:
-        """Whether a register named ``name`` exists."""
-        return name in self._specs
-
     def spec(self, name: str) -> RegisterSpec:
         """Return the spec of register ``name``."""
         self._require(name)
@@ -95,14 +87,6 @@ class RegisterFile:
     def names(self) -> Tuple[str, ...]:
         """All installed register names, in installation order."""
         return tuple(self._specs)
-
-    def items(self) -> Iterable[Tuple[str, Any]]:
-        """``(name, current value)`` pairs in installation order.
-
-        A copy-free view for the kernel's state fingerprint; callers
-        must not mutate while iterating.
-        """
-        return self._values.items()
 
     # ------------------------------------------------------------------
     # Access (called by the kernel only)

@@ -17,6 +17,12 @@ this with pluggable schedulers:
   interleavings.
 * :class:`PriorityScheduler` — biases some coroutines to run more often
   (e.g. starving Help daemons to stress the helping mechanism).
+
+  Both fair schedulers pick in O(1): they keep the runnable positions
+  in recency order (least recently run first), so the starving
+  candidate is always the head. That order holds only because the
+  clocks a scheduler is asked at never decrease, which the kernel's
+  one-tick-per-step clock guarantees.
 * :class:`TraceScheduler` — the record/replay choice-point layer used by
   ``repro.explore``. Every kernel step presents its runnable list in a
   deterministic sorted order, so the *index* chosen at each step is a
@@ -40,6 +46,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from bisect import bisect
+from collections import OrderedDict
 from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -112,21 +119,29 @@ class RoundRobinScheduler(Scheduler):
 
 
 class _FairScheduler(Scheduler):
-    """Epoch-cached starvation bookkeeping shared by the fuzz schedulers.
+    """Starvation bookkeeping shared by the fuzz schedulers, O(1) a pick.
+
+    Semantics: a coroutine that has not run for ``bound`` steps is
+    forced, and the one forced is the first in runnable order among
+    those with the minimal last-ran clock (``vals.index(min(vals))``).
 
     The kernel hands schedulers one cached immutable runnable tuple
-    until membership changes; while that object is stable, the per-step
-    fairness question — "is anyone starving, and who longest?" — reduces
-    to one compare against a maintained argmin of last-ran times. The
-    O(n) rescan happens only when the runnable tuple changes or the
-    argmin itself was scheduled. Selection semantics are bit-identical
-    to the original per-step scan: the starving choice is the first
-    runnable-order coroutine with the minimal last-ran time
-    (``vals.index(min(vals))`` — first minimal position, at C speed).
+    until membership changes; for the life of that tuple (an *epoch*)
+    the last-ran clocks live in ``_vals``, one per position, and the
+    positions sit in ``_order`` sorted by ``(last-ran clock, position)``.
+    A pick stamps its coroutine with the current clock, so the
+    **clocks a scheduler sees must never decrease** (they start at 0 or
+    later, and only 0 may repeat): each stamp is then the largest value
+    held, and moving the picked position to the end of ``_order`` keeps
+    the sort. The argmin is the head of ``_order``, read again only when
+    the argmin itself was picked. A pick that leaves its clock unchanged
+    (the clock-0 tie: a never-run coroutine picked at clock 0) does not
+    move. The kernel's clock starts at 0 and rises by one per step.
 
-    Subclasses inline this state directly in their ``select_index``
-    hot paths; the base only provides construction and the epoch
-    rebuild.
+    A new runnable tuple starts a new epoch: the old epoch's clocks are
+    written back to ``_last_ran`` and the new positions are sorted
+    stably by clock, which keeps "first minimal position". A non-tuple
+    runnable starts a new epoch on every call.
     """
 
     def __init__(self, bound: int) -> None:
@@ -134,16 +149,27 @@ class _FairScheduler(Scheduler):
             raise SchedulerError("fairness_bound must be >= 1")
         self._bound = bound
         self._last_ran: Dict[CoroutineId, int] = {}
-        self._fepoch: Optional[Sequence[CoroutineId]] = None
-        self._fvals: List[int] = []
-        self._fargmin = 0
+        self._epoch: Optional[Sequence[CoroutineId]] = None
+        self._cids: Tuple[CoroutineId, ...] = ()
+        self._vals: List[int] = []
+        self._order: OrderedDict = OrderedDict()
+        self._to_end = self._order.move_to_end
+        self._argmin = 0
 
-    def _rebuild_fairness(self, runnable: Sequence[CoroutineId]) -> None:
-        get = self._last_ran.get
-        vals = [get(cid, 0) for cid in runnable]
-        self._fvals = vals
-        self._fargmin = vals.index(min(vals))
-        self._fepoch = runnable if type(runnable) is tuple else None
+    def _new_epoch(self, runnable: Sequence[CoroutineId]) -> None:
+        """Rebuild the per-position state for ``runnable``."""
+        last_ran = self._last_ran
+        last_ran.update(zip(self._cids, self._vals))
+        cids = runnable if type(runnable) is tuple else tuple(runnable)
+        get = last_ran.get
+        vals = [get(cid, 0) for cid in cids]
+        order = OrderedDict.fromkeys(sorted(range(len(vals)), key=vals.__getitem__))
+        self._cids = cids
+        self._vals = vals
+        self._order = order
+        self._to_end = order.move_to_end
+        self._argmin = next(iter(order))
+        self._epoch = runnable if cids is runnable else None
 
 
 class RandomScheduler(_FairScheduler):
@@ -160,27 +186,37 @@ class RandomScheduler(_FairScheduler):
     def __init__(self, seed: int = 0, fairness_bound: int = 512):
         super().__init__(fairness_bound)
         self._rng = random.Random(seed)
-        self._randbelow = self._rng._randbelow
+        self._getrandbits = self._rng.getrandbits
         self._seed = seed
+        self._bits = 0
+
+    def _new_epoch(self, runnable: Sequence[CoroutineId]) -> None:
+        super()._new_epoch(runnable)
+        self._bits = len(runnable).bit_length()
 
     def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
         """Draw-for-draw identical to ``rng.choice(list(runnable))`` with a
-        per-step starving scan: ``_randbelow`` is exactly the draw
-        ``choice`` makes, and the maintained argmin is the same
-        first-minimal starving coroutine the scan-and-``min`` found.
+        per-step starving scan: the ``getrandbits`` loop is exactly the
+        ``_randbelow`` draw ``choice`` makes, and the head of ``_order``
+        is the same first-minimal starving coroutine the scan found.
         """
-        if runnable is not self._fepoch:
-            self._rebuild_fairness(runnable)
-        vals = self._fvals
-        argmin = self._fargmin
+        if runnable is not self._epoch:
+            self._new_epoch(runnable)
+        vals = self._vals
+        argmin = self._argmin
         if clock - vals[argmin] >= self._bound:
             index = argmin
         else:
-            index = self._randbelow(len(runnable))
-        vals[index] = clock
-        self._last_ran[runnable[index]] = clock
-        if index == argmin:
-            self._fargmin = vals.index(min(vals))
+            n = len(runnable)
+            bits = self._bits
+            index = self._getrandbits(bits)
+            while index >= n:
+                index = self._getrandbits(bits)
+        if vals[index] != clock:
+            vals[index] = clock
+            self._to_end(index)
+            if index == argmin:
+                self._argmin = next(iter(self._order))
         return index
 
     def describe(self) -> str:
@@ -260,44 +296,43 @@ class PriorityScheduler(_FairScheduler):
         self._weights = dict(weights)
         self._rng = random.Random(seed)
         self._random = self._rng.random
-        #: Cumulative weights for the current runnable tuple, rebuilt on
-        #: membership change (weights are fixed once assigned, so a
-        #: cached prefix-sum stays valid for the epoch).
-        self._cum_epoch: Optional[Sequence[CoroutineId]] = None
+        #: Cumulative weights for the current epoch (weights are fixed
+        #: once assigned, so the prefix sums stay valid until the
+        #: runnable tuple changes), their total and the last position.
         self._cum: List[float] = []
         self._total = 0.0
+        self._hi = 0
 
     def _on_new_runnable(self, runnable: Sequence[CoroutineId]) -> None:
         """Hook for subclasses that assign weights on first sight."""
+
+    def _new_epoch(self, runnable: Sequence[CoroutineId]) -> None:
+        self._on_new_runnable(runnable)
+        weights_get = self._weights.get
+        self._cum = list(accumulate(weights_get(cid, 1.0) for cid in runnable))
+        self._total = self._cum[-1] + 0.0
+        self._hi = len(self._cum) - 1
+        super()._new_epoch(runnable)
 
     def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
         """Draw-for-draw identical to the original per-step
         ``rng.choices(list(runnable), weights=...)``: ``choices`` with
         ``k=1`` consumes one ``random()`` and bisects the cumulative
-        weights — reproduced here against the epoch-cached prefix sums.
+        weights — reproduced here against the epoch's prefix sums.
         """
-        if runnable is not self._cum_epoch:
-            self._on_new_runnable(runnable)
-            weights_get = self._weights.get
-            self._cum = list(
-                accumulate(weights_get(cid, 1.0) for cid in runnable)
-            )
-            self._total = self._cum[-1] + 0.0
-            self._cum_epoch = runnable if type(runnable) is tuple else None
-        if runnable is not self._fepoch:
-            self._rebuild_fairness(runnable)
-        vals = self._fvals
-        argmin = self._fargmin
+        if runnable is not self._epoch:
+            self._new_epoch(runnable)
+        vals = self._vals
+        argmin = self._argmin
         if clock - vals[argmin] >= self._bound:
             index = argmin
         else:
-            index = bisect(
-                self._cum, self._random() * self._total, 0, len(runnable) - 1
-            )
-        vals[index] = clock
-        self._last_ran[runnable[index]] = clock
-        if index == argmin:
-            self._fargmin = vals.index(min(vals))
+            index = bisect(self._cum, self._random() * self._total, 0, self._hi)
+        if vals[index] != clock:
+            vals[index] = clock
+            self._to_end(index)
+            if index == argmin:
+                self._argmin = next(iter(self._order))
         return index
 
 

@@ -26,8 +26,8 @@ class TestRecording:
         history = History()
         op_id = history.record_invocation(1, "reg", "write", (5,), time=10)
         history.record_response(op_id, "done", time=20)
-        record = history.operation(op_id)
-        assert record.complete
+        (record,) = history.all()
+        assert record.op_id == op_id and record.complete
         assert record.invoked_at == 10 and record.responded_at == 20
         assert record.result == "done"
 
@@ -52,7 +52,7 @@ class TestRecording:
     def test_incomplete_listed(self):
         history = History()
         history.record_invocation(1, "r", "a", (), 1)
-        assert len(history.incomplete_operations()) == 1
+        assert [record.complete for record in history.all()] == [False]
 
 
 class TestPrecedence:
@@ -65,13 +65,13 @@ class TestPrecedence:
     def test_concurrent(self):
         a = make_record(0, 1, inv=1, resp=10)
         b = make_record(1, 2, inv=5, resp=15)
-        assert a.concurrent_with(b) and b.concurrent_with(a)
+        assert not a.precedes(b) and not b.precedes(a)
 
     def test_incomplete_never_precedes(self):
         pending = make_record(0, 1, inv=1)
         other = make_record(1, 2, inv=100, resp=120)
         assert not pending.precedes(other)
-        assert pending.concurrent_with(other)
+        assert not other.precedes(pending)
 
 
 class TestQueries:

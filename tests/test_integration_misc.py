@@ -29,7 +29,7 @@ class TestCrashMidOperation:
         crasher = spawn_script(system, register, 2, [("verify", (5,))])
         system.run(25)
         system.despawn((2, "client"))
-        incomplete = system.history.incomplete_operations()
+        incomplete = [r for r in system.history.all() if not r.complete]
         assert len(incomplete) == 1
         assert incomplete[0].op == "verify"
         # The remaining correct reader is unaffected.

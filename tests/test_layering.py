@@ -203,8 +203,16 @@ def _loaded_after(statement: str, candidates) -> list:
                 "asyncio",
             ),
         ),
+        (
+            # Campaign processes build the whole matrix through the
+            # catalog; the live cells in it resolve to profiles only
+            # when the net CLI runs them.
+            "from repro.campaign import default_matrix\n"
+            "default_matrix(smoke=True)",
+            ("repro.net", "asyncio"),
+        ),
     ],
-    ids=["net", "explore", "theorem29-without-catalog"],
+    ids=["net", "explore", "theorem29-without-catalog", "matrix-without-net"],
 )
 def test_importing_a_layer_does_not_load_the_layers_above(statement, must_stay_out):
     assert _loaded_after(statement, must_stay_out) == []

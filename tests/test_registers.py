@@ -38,7 +38,7 @@ class TestInstallation:
     def test_install_all(self):
         file = RegisterFile()
         file.install_all([swmr("X", 1), swmr("Y", 2)])
-        assert file.has("X") and file.has("Y")
+        assert file.names() == ("X", "Y")
 
 
 class TestOwnership:
@@ -127,9 +127,15 @@ class TestSpecHelpers:
     def test_swmr_spec(self):
         spec = swmr("R", writer=3, initial="x")
         assert spec.readers is None
-        assert spec.readable_by(1) and spec.readable_by(99)
+        file = RegisterFile()
+        file.install(spec)
+        assert file.read(1, "R") == file.read(99, "R") == "x"
 
     def test_swsr_spec(self):
         spec = swsr("R", writer=3, reader=5)
-        assert spec.readable_by(5)
-        assert not spec.readable_by(3)
+        assert spec.readers == frozenset({5})
+        file = RegisterFile()
+        file.install(spec)
+        assert file.read(5, "R") is None
+        with pytest.raises(ReadPermissionError):
+            file.read(3, "R")
