@@ -16,7 +16,9 @@ from __future__ import annotations
 from repro import System, VerifiableRegister
 from repro.adversary import denying_writer_verifiable
 from repro.sim import ScriptClient, all_done, pause_steps
-from repro.spec import check_verifiable, check_verifiable_properties
+from repro.scenarios import binding_for
+from repro.spec import judge
+from repro.spec.judge import linearize, restrict
 
 
 def main() -> None:
@@ -52,14 +54,16 @@ def main() -> None:
     print("Late reader (after the writer erased everything):")
     print(f"  Verify(7) -> {late.result_of('verify')}   <- the denial failed")
 
-    report = check_verifiable_properties(
-        system.history, system.correct, "vreg", writer=1, initial=0
-    )
-    verdict = check_verifiable(
-        system.history, system.correct, "vreg", writer=1, initial=0
-    )
+    # The verifiable family's spec and rules, as the campaign judges it.
+    binding = binding_for("verifiable")
+    spec, rules = binding.spec_factory(), binding.rules
+    records, case = restrict(system.history, system.correct, "vreg", spec, owner=1)
+    report = rules.properties(records, case)
+    reason = judge(system.history, system.correct, "vreg", spec, rules, owner=1)
     print(f"\nObservable properties (Obs 11-13): {'OK' if report.ok else 'VIOLATED'}")
-    print(f"Byzantine linearizable (Def 7):    {'OK' if verdict.ok else 'VIOLATED'}")
+    print(f"Byzantine linearizable (Def 7):    {'VIOLATED' if reason else 'OK'}")
+    # The judge's second half alone shows the H' it linearized.
+    verdict = linearize(records, case, rules.synthesize)
     if verdict.synthesized:
         print("Writer operations synthesized by the checker (Definition 78):")
         for record in verdict.synthesized:
@@ -67,7 +71,7 @@ def main() -> None:
 
     assert early.result_of("verify") is True
     assert late.result_of("verify") is True
-    assert report.ok and verdict.ok
+    assert report.ok and reason is None and verdict.ok
     print("\nQuickstart passed.")
 
 

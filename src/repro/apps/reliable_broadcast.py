@@ -70,12 +70,11 @@ class SignedReliableBroadcast:
         system: System,
         name: str = "sig-rbc",
         slots: int = 4,
-        oracle: Optional[SignatureOracle] = None,
     ):
         self.system = system
         self.name = name
         self.slots = slots
-        self.oracle = oracle or SignatureOracle()
+        self.oracle = SignatureOracle()
 
     # ------------------------------------------------------------------
     def reg_slot(self, sender: int, seq: int) -> str:

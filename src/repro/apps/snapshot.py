@@ -53,6 +53,8 @@ from repro.sim.values import freeze
 
 #: Segment value meaning "never updated".
 EMPTY_SEGMENT = (0, None, None)
+#: Double-collect rounds a scan may take before it gives up.
+MAX_COLLECT_ROUNDS = 64
 
 
 def well_formed_segment(raw: Any) -> Tuple[int, Any, Any]:
@@ -82,7 +84,7 @@ class AtomicSnapshot:
     * ``scan(pid)`` — return a view: a tuple of ``(seq, value)`` per pid
       in pid order.
 
-    ``max_collect_rounds`` bounds the double-collect phase; when direct
+    :data:`MAX_COLLECT_ROUNDS` bounds the double-collect phase; when direct
     scans keep failing (segments keep moving) the embedded-scan adoption
     path provides termination exactly as in [1]. The bound only guards
     against a *pathological* adversary starving every path; hitting it
@@ -103,13 +105,11 @@ class AtomicSnapshot:
         system: System,
         name: str = "snap",
         f: Optional[int] = None,
-        max_collect_rounds: int = 64,
         verify_freshness: bool = True,
     ):
         self.system = system
         self.name = name
         self.f = system.f if f is None else f
-        self.max_collect_rounds = max_collect_rounds
         self.verify_freshness = verify_freshness
         self._segments: Dict[int, AuthenticatedRegister] = {
             pid: AuthenticatedRegister(
@@ -216,7 +216,7 @@ class AtomicSnapshot:
         # taken inside our interval, so (modulo the race `_verify_embedded`
         # exempts) its components can only be at least this fresh.
         floor = tuple(component[0] for component in previous)
-        for round_index in range(1, self.max_collect_rounds + 1):
+        for round_index in range(1, MAX_COLLECT_ROUNDS + 1):
             current = yield from self._collect(pid)
             stable = all(
                 current[index] == previous[index]
@@ -240,7 +240,7 @@ class AtomicSnapshot:
             previous = current
             yield Pause()
         raise ConfigurationError(
-            f"scan by p{pid} exhausted {self.max_collect_rounds} collect "
+            f"scan by p{pid} exhausted {MAX_COLLECT_ROUNDS} collect "
             f"rounds without converging or adopting"
         )
 

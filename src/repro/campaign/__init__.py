@@ -48,10 +48,8 @@ from repro.campaign.matrix import (
     run_cell,
 )
 
-# Registry-owned, re-exported under their campaign names: the engines a
-# cell may run, and the sequential specification a family's runs are
-# judged against (the one family→oracle table).
-from repro.scenarios.bindings import oracle_for
+# Registry-owned, re-exported under its campaign name: the engines a
+# cell may run.
 from repro.scenarios.registry import ENGINES
 
 
@@ -79,7 +77,6 @@ __all__ = [
     "entry_from_shrunk",
     "entry_id_for",
     "load_corpus",
-    "oracle_for",
     "replay_entry",
     "run_cell",
     "save_entry",

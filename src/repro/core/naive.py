@@ -123,10 +123,10 @@ class NaiveQuorumVerifiableRegister(VerifiableRegister):
     replaces Verify's round machinery with the naive strategy the paper
     dismisses: one asker round, collect replies from the first ``n - f``
     *distinct* processes, count how many include the value, and compare
-    against a fixed threshold ``tau`` (default ``2f + 1``):
+    against the fixed threshold ``2f + 1``:
 
-    * ``k >= tau``  -> true
-    * otherwise     -> false
+    * ``k >= 2f + 1``  -> true
+    * otherwise        -> false
 
     Against flip-flop witnesses this violates the relay property —
     exactly the bind described in Section 5.1 — because a process's
@@ -141,10 +141,8 @@ class NaiveQuorumVerifiableRegister(VerifiableRegister):
         writer: int = 1,
         f: Optional[int] = None,
         initial: Any = None,
-        tau: Optional[int] = None,
     ):
         super().__init__(system, name, writer=writer, f=f, initial=initial)
-        self.tau = (2 * self.f + 1) if tau is None else tau
 
     def procedure_verify(self, pid: int, v: Any) -> Program:
         """Collect first ``n - f`` distinct replies; threshold decides."""
@@ -167,7 +165,7 @@ class NaiveQuorumVerifiableRegister(VerifiableRegister):
             else:
                 yield Pause()
         yes_votes = sum(1 for reply in replied.values() if v in reply)
-        return yes_votes >= self.tau
+        return yes_votes >= 2 * self.f + 1
 
 
 class NoResetVerifiableRegister(VerifiableRegister):

@@ -106,10 +106,9 @@ class SignedVerifiableRegister(AlgorithmBase):
         writer: int = 1,
         f: Optional[int] = None,
         initial: Any = None,
-        oracle: Optional[SignatureOracle] = None,
     ):
         super().__init__(system, name, writer=writer, f=f, initial=initial)
-        self.oracle = oracle or SignatureOracle()
+        self.oracle = SignatureOracle()
         self._written: Set[Any] = set()
 
     # ------------------------------------------------------------------

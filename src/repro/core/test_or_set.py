@@ -145,8 +145,8 @@ class QuorumTestOrSet(AlgorithmBase):
       returns once it counts ``n - f`` witnesses (it cannot wait for
       more — ``f`` processes may be Byzantine-silent).
     * Witness rule (helper): a process writes 1 into its witness register
-      ``W_j`` when it sees ``S = 1``, or when at least ``adopt_threshold``
-      (default ``f + 1``) witness registers hold 1.
+      ``W_j`` when it sees ``S = 1``, or when at least ``f + 1`` witness
+      registers hold 1.
     * ``Test``: scan all witness registers repeatedly for up to
       ``patience`` scans; return 1 as soon as ``accept_threshold``
       (default ``n - f``) witnesses are seen, else 0.
@@ -174,15 +174,11 @@ class QuorumTestOrSet(AlgorithmBase):
         setter: int = 1,
         f: Optional[int] = None,
         accept_threshold: Optional[int] = None,
-        adopt_threshold: Optional[int] = None,
         patience: int = 16,
     ):
         super().__init__(system, name, writer=setter, f=f, initial=0)
         self.accept_threshold = (
             self.n - self.f if accept_threshold is None else accept_threshold
-        )
-        self.adopt_threshold = (
-            self.f + 1 if adopt_threshold is None else adopt_threshold
         )
         self.patience = patience
         # Effects are frozen values, and Set/Test/Help yield the same
@@ -253,7 +249,7 @@ class QuorumTestOrSet(AlgorithmBase):
         read_own = self._read_witness[pid - 1]
         write_own = WriteRegister(self.reg_witness(pid), SET_FLAG)
         read_flag = self._read_flag
-        adopt = self.adopt_threshold
+        adopt = self.f + 1
         while True:
             own = yield read_own
             if as_int(own) == SET_FLAG:

@@ -25,7 +25,7 @@ deliberately offers no terminating negative query.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.effects import Broadcast, Pause, ReceiveAll
@@ -45,11 +45,11 @@ class AuthenticatedBroadcast:
     Acceptance is observable through :meth:`accepted_by`.
     """
 
-    def __init__(self, system: System, f: Optional[int] = None):
+    def __init__(self, system: System):
         if system.network is None:
             raise ConfigurationError("AuthenticatedBroadcast requires a network")
         self.system = system
-        self.f = system.f if f is None else f
+        self.f = system.f
         self.n = system.n
         self._echo_votes: Dict[int, Dict[Triple, Set[int]]] = {}
         self._echoed: Dict[int, Set[Triple]] = {}

@@ -22,6 +22,7 @@ stuck, complementing the chaos layer's account of *why*.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -42,11 +43,11 @@ _KINDS = ("read", "write", "transfer", "balance")
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
+    """Nearest-rank percentile of an already-sorted sample: the value at
+    1-based rank ``ceil(q * N)``, for ``0 < q <= 1``."""
     if not sorted_values:
         return 0.0
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
+    return sorted_values[math.ceil(q * len(sorted_values)) - 1]
 
 
 class LoadStats:
@@ -113,7 +114,6 @@ class LoadGenerator:
         mix: ``kind -> weight``; kinds without a backing object are
             rejected loudly.
         seed: Workload seed.
-        amount_max: Transfers draw amounts from ``1..amount_max``.
     """
 
     def __init__(
@@ -124,7 +124,6 @@ class LoadGenerator:
         ops_per_client: int = 5,
         mix: Optional[Dict[str, float]] = None,
         seed: int = 0,
-        amount_max: int = 3,
     ):
         if not nodes:
             raise ConfigurationError("load generator needs at least one node")
@@ -156,7 +155,6 @@ class LoadGenerator:
         self.clients = clients
         self.ops_per_client = ops_per_client
         self.seed = seed
-        self.amount_max = amount_max
         self.stats = LoadStats()
         self._rngs = [
             random.Random(f"load:{seed}:{c}") for c in range(clients)
@@ -204,7 +202,7 @@ class LoadGenerator:
         elif kind == "transfer":
             others = [a for a in home.accounts if a != home.pid] or list(home.accounts)
             to = rng.choice(others)
-            amount = rng.randint(1, self.amount_max)
+            amount = rng.randint(1, 3)
             self._in_flight[client] = (kind, f"->p{to}", started)
             await home.transfer(to, amount)
         else:  # balance

@@ -31,8 +31,6 @@ class WallClockProgressMonitor:
             adoptions) — retransmission sends and deduped duplicates
             are not progress.
         window: Seconds without a signal change before the verdict.
-        poll: Sampling interval (default ``window / 20``, floored at
-            10ms).
         describe_pending: Optional callable summarizing the operations
             still in flight (folded into the diagnosis).
         describe_suppression: Optional callable explaining what the
@@ -46,13 +44,11 @@ class WallClockProgressMonitor:
         self,
         signals: Callable[[], Tuple],
         window: float = 2.0,
-        poll: Optional[float] = None,
         describe_pending: Optional[Callable[[], str]] = None,
         describe_suppression: Optional[Callable[[], str]] = None,
         channels: Sequence[Any] = (),
     ):
         self.window = window
-        self.poll = max(window / 20.0, 0.01) if poll is None else poll
         self._stall = StallWindow(
             signals,
             window,
@@ -83,8 +79,9 @@ class WallClockProgressMonitor:
             self._task = None
 
     async def _run(self) -> None:
+        poll = max(self.window / 20.0, 0.01)  # seconds, floored at 10 ms
         while not self._stall.expired(time.monotonic()):
-            await asyncio.sleep(self.poll)
+            await asyncio.sleep(poll)
         self.stalled = self._stall.diagnose(
             f"STALLED: no progress for {self.window:g}s (wall clock)"
         )

@@ -48,8 +48,6 @@ from repro.scenarios.bindings import (
     binding_for,
     binding_for_kind,
     kind_for,
-    oracle_for,
-    register_kinds,
 )
 from repro.scenarios.registry import (
     CONSUMERS,
@@ -92,10 +90,8 @@ __all__ = [
     "kind_for",
     "known_scenarios",
     "make_scenario",
-    "oracle_for",
     "register",
     "register_builder",
-    "register_kinds",
     "registered_families",
     "resolve",
     "resolve_spec",

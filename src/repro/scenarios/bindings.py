@@ -1,9 +1,9 @@
 """Oracle bindings: implementation family -> specification, exactly once.
 
 One table of :class:`OracleBinding` records answers, per family, which
-sequential spec its runs are judged against (:func:`oracle_for`, which
-``repro.campaign`` re-exports) and under which :class:`repro.spec.Rules`
-the one judge (:func:`repro.spec.judge`) decides them — the paper's
+sequential spec its runs are judged against (``spec_factory``) and
+under which :class:`repro.spec.Rules` the one judge
+(:func:`repro.spec.judge`) decides them — the paper's
 synthesis and property rules for the registers, the spec encodings and
 settled-slot synthesis for the applications; the test suite asserts
 every registered family has exactly one binding.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.history import OperationRecord
@@ -237,11 +237,6 @@ def binding_for(family: str) -> OracleBinding:
     return binding
 
 
-def oracle_for(family: str) -> SequentialSpec:
-    """The sequential specification ``family``'s runs are judged against."""
-    return binding_for(family).spec_factory()
-
-
 def kind_for(family: str) -> Optional[str]:
     """The register workload kind of ``family`` (None for non-register)."""
     return binding_for(family).kind
@@ -257,12 +252,3 @@ def binding_for_kind(kind: str) -> OracleBinding:
             if binding.kind == kind:
                 return binding
     raise ConfigurationError(f"unknown register kind {kind!r}")
-
-
-def register_kinds() -> Tuple[str, ...]:
-    """Every register workload kind with a binding, in family order."""
-    return tuple(
-        binding.kind
-        for binding in FAMILY_BINDINGS.values()
-        if binding.kind is not None
-    )

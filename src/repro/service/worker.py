@@ -101,7 +101,6 @@ def run_worker(
     worker: Optional[str] = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll_interval: float = 0.1,
-    max_shards: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     _crash_after_lease: bool = False,
 ) -> WorkerSummary:
@@ -112,11 +111,9 @@ def run_worker(
     workers hold live leases, because any of those may crash and hand
     their shard back; it exits only when everything is ``done``.
 
-    ``max_shards`` bounds how many shards this call executes (useful
-    for drip-feeding in tests); ``_crash_after_lease`` is a test hook
-    that simulates a SIGKILL between leasing and completing a shard
-    (``os._exit``, no cleanup — exactly what the lease protocol must
-    absorb).
+    ``_crash_after_lease`` is a test hook that simulates a SIGKILL
+    between leasing and completing a shard (``os._exit``, no cleanup —
+    exactly what the lease protocol must absorb).
     """
     worker = worker or f"w{os.getpid()}"
     emit = progress or (lambda line: None)
@@ -125,8 +122,6 @@ def run_worker(
     store = ResultsStore(db)
     try:
         while True:
-            if max_shards is not None and summary.shards >= max_shards:
-                break
             lease = squeue.lease(store, worker=worker, ttl=lease_ttl, run_id=run_id)
             if lease is None:
                 if squeue.drained(store, run_id=run_id):

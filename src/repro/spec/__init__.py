@@ -9,28 +9,20 @@ Byzantine linearizability (Definitions 6–9) under a family's
 * synthesis rules (:mod:`repro.spec.byzantine`) — the paper's
   constructive Appendix arguments building ``H'`` for a Byzantine
   owner, linearized once by the Wing–Gong checker.
+
+The judge and its two halves are the only way in: ``judge(history,
+correct, obj, spec, rules, owner=…)`` for a verdict,
+``linearize(*restrict(…), rules.synthesize)`` for the synthesized
+``H'`` and its witness order, and ``rules.properties(*restrict(…))``
+for one property rule; :func:`find_linearization` linearizes plain
+records. A family's spec and rules come from its row in
+``repro.scenarios.bindings``.
 """
 
 from repro.spec.context import CheckContext
 from repro.spec.judge import ByzantineVerdict, Rules, judge
-from repro.spec.byzantine import (
-    check_authenticated,
-    check_sticky,
-    check_test_or_set,
-    check_verifiable,
-)
-from repro.spec.linearizability import (
-    LinearizationResult,
-    check_linearizable,
-    find_linearization,
-)
-from repro.spec.properties import (
-    PropertyReport,
-    check_authenticated_properties,
-    check_sticky_properties,
-    check_test_or_set_properties,
-    check_verifiable_properties,
-)
+from repro.spec.linearizability import LinearizationResult, find_linearization
+from repro.spec.properties import PropertyReport
 from repro.spec.sequential import (
     AssetTransferSpec,
     AtomicRegisterSpec,
@@ -58,15 +50,6 @@ __all__ = [
     "StickyRegisterSpec",
     "TestOrSetSpec",
     "VerifiableRegisterSpec",
-    "check_authenticated",
-    "check_authenticated_properties",
-    "check_linearizable",
-    "check_sticky",
-    "check_sticky_properties",
-    "check_test_or_set",
-    "check_test_or_set_properties",
-    "check_verifiable",
-    "check_verifiable_properties",
     "find_linearization",
     "judge",
 ]

@@ -32,26 +32,18 @@ comparisons are unaffected.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.history import History, OperationRecord
+from repro.sim.history import OperationRecord
 from repro.sim.values import freeze, is_bottom
-from repro.spec.context import CheckContext
-from repro.spec.judge import ByzantineVerdict, Case, Rules, linearize, restrict
+from repro.spec.judge import Case, Rules
 from repro.spec.properties import (
     authenticated_properties,
     sticky_properties,
     test_or_set_properties,
     verifiable_properties,
 )
-from repro.spec.sequential import (
-    DONE,
-    SUCCESS,
-    AuthenticatedRegisterSpec,
-    StickyRegisterSpec,
-    TestOrSetSpec,
-    VerifiableRegisterSpec,
-)
+from repro.spec.sequential import DONE, SUCCESS
 
 #: Width of a synthesized operation's interval, in virtual-time units.
 _SLIVER = 1.0 / 4096.0
@@ -336,7 +328,7 @@ def _synthesize_test_or_set(records: List[OperationRecord], case: Case) -> _Synt
 
 
 # ----------------------------------------------------------------------
-# The register families' rules, and the public per-type checks
+# The register families' rules
 # ----------------------------------------------------------------------
 VERIFIABLE = Rules(
     "Byzantine", _synthesize_verifiable, verifiable_properties
@@ -346,67 +338,3 @@ AUTHENTICATED = Rules(
 )
 STICKY = Rules("Byzantine", _synthesize_sticky, sticky_properties)
 TEST_OR_SET = Rules("Byzantine", _synthesize_test_or_set, test_or_set_properties)
-
-
-def check_verifiable(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    writer: int,
-    initial: Any = None,
-    max_nodes: int = 2_000_000,
-    ctx: Optional[CheckContext] = None,
-) -> ByzantineVerdict:
-    """Byzantine linearizability of a verifiable-register history."""
-    spec = VerifiableRegisterSpec(initial=freeze(initial))
-    return linearize(
-        *restrict(history, correct, obj, spec, writer),
-        _synthesize_verifiable, max_nodes, ctx,
-    )
-
-
-def check_authenticated(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    writer: int,
-    initial: Any = None,
-    max_nodes: int = 2_000_000,
-    ctx: Optional[CheckContext] = None,
-) -> ByzantineVerdict:
-    """Byzantine linearizability of an authenticated-register history."""
-    spec = AuthenticatedRegisterSpec(initial=freeze(initial))
-    return linearize(
-        *restrict(history, correct, obj, spec, writer),
-        _synthesize_authenticated, max_nodes, ctx,
-    )
-
-
-def check_sticky(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    writer: int,
-    max_nodes: int = 2_000_000,
-    ctx: Optional[CheckContext] = None,
-) -> ByzantineVerdict:
-    """Byzantine linearizability of a sticky-register history."""
-    return linearize(
-        *restrict(history, correct, obj, StickyRegisterSpec(), writer),
-        _synthesize_sticky, max_nodes, ctx,
-    )
-
-
-def check_test_or_set(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    setter: int,
-    max_nodes: int = 2_000_000,
-    ctx: Optional[CheckContext] = None,
-) -> ByzantineVerdict:
-    """Byzantine linearizability of a test-or-set history."""
-    return linearize(
-        *restrict(history, correct, obj, TestOrSetSpec(), setter),
-        _synthesize_test_or_set, max_nodes, ctx,
-    )

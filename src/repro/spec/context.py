@@ -65,7 +65,3 @@ class CheckContext:
         if table is None:
             table = self._apply_tables[spec] = {}
         return table
-
-    def stats(self) -> str:
-        """One-line cache diagnostics."""
-        return f"CheckContext(hits={self.hits}, misses={self.misses})"

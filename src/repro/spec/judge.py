@@ -129,7 +129,6 @@ def linearize(
     records: List[OperationRecord],
     case: Case,
     synthesize: Optional[Synthesize] = None,
-    max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ) -> ByzantineVerdict:
     """Build ``H'`` from the correct records and linearize it once."""
@@ -140,7 +139,7 @@ def linearize(
             return ByzantineVerdict(ok=False, reason=outcome)
         h_prime = outcome
     synthesized = list(h_prime[len(records):])
-    result = find_linearization(h_prime, case.spec, max_nodes=max_nodes, ctx=ctx)
+    result = find_linearization(h_prime, case.spec, ctx=ctx)
     if result.ok:
         return ByzantineVerdict(
             ok=True,
@@ -164,7 +163,6 @@ def judge(
     rules: Rules,
     owner: Optional[int] = None,
     witness: Any = None,
-    max_nodes: int = 2_000_000,
     ctx: Optional[CheckContext] = None,
 ) -> Optional[str]:
     """The verdict on ``obj``: None when clean, else the reason.
@@ -177,7 +175,7 @@ def judge(
         report = rules.properties(records, case)
         if not report.ok:
             return "; ".join(report.violations)
-    verdict = linearize(records, case, rules.synthesize, max_nodes, ctx)
+    verdict = linearize(records, case, rules.synthesize, ctx)
     if verdict.ok:
         return None
     return f"{rules.label or obj} linearizability: {verdict.reason}"

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LinearizabilityViolation
-from repro.sim.history import History, OperationRecord
+from repro.sim.history import OperationRecord
 from repro.spec.context import CheckContext
 from repro.spec.sequential import SequentialSpec
 
@@ -270,22 +270,6 @@ def _search(
         order=[recs[i].op_id for i in witness],
         explored=explored,
     )
-
-
-def check_linearizable(
-    history: History,
-    spec: SequentialSpec,
-    obj: Optional[str] = None,
-    max_nodes: int = 2_000_000,
-    ctx: Optional[CheckContext] = None,
-) -> LinearizationResult:
-    """Check one object's operations in ``history`` against ``spec``.
-
-    ``obj`` filters the history to a single implemented object; None uses
-    every record (valid only for single-object histories).
-    """
-    records = history.operations(obj=obj)
-    return find_linearization(records, spec, max_nodes=max_nodes, ctx=ctx)
 
 
 def _failure_summary(

@@ -12,10 +12,9 @@ Each ``*_properties`` function is a family's property rule for
 operations only — Byzantine processes' invocations carry no obligations
 — and conditions writer-dependent properties (validity, unforgeability)
 on the writer being correct (``case.owner_correct``), exactly as the
-paper's statements do. The ``check_*_properties`` names apply one rule
-to a whole history.
+paper's statements do.
 
-A check returns a :class:`PropertyReport`; reports compose with ``&``.
+A rule returns a :class:`PropertyReport`; reports compose with ``&``.
 """
 
 from __future__ import annotations
@@ -23,16 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from repro.sim.history import History, OperationRecord
+from repro.sim.history import OperationRecord
 from repro.sim.values import freeze, is_bottom
-from repro.spec.judge import Case, restrict
-from repro.spec.sequential import (
-    SUCCESS,
-    AuthenticatedRegisterSpec,
-    StickyRegisterSpec,
-    TestOrSetSpec,
-    VerifiableRegisterSpec,
-)
+from repro.spec.judge import Case
+from repro.spec.sequential import SUCCESS
 
 
 @dataclass
@@ -121,18 +114,6 @@ def _relay_failures(verifies: Sequence[OperationRecord]) -> Iterable[str]:
 # ----------------------------------------------------------------------
 # Verifiable register (Observations 11-13)
 # ----------------------------------------------------------------------
-def check_verifiable_properties(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    writer: int,
-    initial: Any = None,
-) -> PropertyReport:
-    """Validity, unforgeability, relay, and read-regularity checks."""
-    spec = VerifiableRegisterSpec(initial=freeze(initial))
-    return verifiable_properties(*restrict(history, correct, obj, spec, writer))
-
-
 def verifiable_properties(
     records: List[OperationRecord], case: Case
 ) -> PropertyReport:
@@ -221,18 +202,6 @@ def verifiable_properties(
 # ----------------------------------------------------------------------
 # Authenticated register (Observations 16-19)
 # ----------------------------------------------------------------------
-def check_authenticated_properties(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    writer: int,
-    initial: Any = None,
-) -> PropertyReport:
-    """Validity, unforgeability, relay, and the Obs 19 read guarantee."""
-    spec = AuthenticatedRegisterSpec(initial=freeze(initial))
-    return authenticated_properties(*restrict(history, correct, obj, spec, writer))
-
-
 def authenticated_properties(
     records: List[OperationRecord], case: Case
 ) -> PropertyReport:
@@ -328,17 +297,6 @@ def authenticated_properties(
 # ----------------------------------------------------------------------
 # Sticky register (Observations 22-24)
 # ----------------------------------------------------------------------
-def check_sticky_properties(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    writer: int,
-) -> PropertyReport:
-    """Validity, unforgeability, and uniqueness checks."""
-    spec = StickyRegisterSpec()
-    return sticky_properties(*restrict(history, correct, obj, spec, writer))
-
-
 def sticky_properties(records: List[OperationRecord], case: Case) -> PropertyReport:
     """The sticky register's property rule (Observations 22–24)."""
     report = PropertyReport()
@@ -417,17 +375,6 @@ def sticky_properties(records: List[OperationRecord], case: Case) -> PropertyRep
 # ----------------------------------------------------------------------
 # Test-or-set (Lemma 28)
 # ----------------------------------------------------------------------
-def check_test_or_set_properties(
-    history: History,
-    correct: Iterable[int],
-    obj: str,
-    setter: int,
-) -> PropertyReport:
-    """The three properties every correct test-or-set history satisfies."""
-    spec = TestOrSetSpec()
-    return test_or_set_properties(*restrict(history, correct, obj, spec, setter))
-
-
 def test_or_set_properties(
     records: List[OperationRecord], case: Case
 ) -> PropertyReport:

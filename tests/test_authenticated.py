@@ -13,9 +13,15 @@ import pytest
 from repro.adversary import behaviors
 from repro.core import AuthenticatedRegister
 from repro.core.authenticated import max_tuple, timestamped_values, well_formed_tuples
+from repro.scenarios import binding_for
 from repro.sim import RandomScheduler, System, WriteRegister
-from repro.spec import check_authenticated, check_authenticated_properties
+from repro.spec import judge
+from repro.spec.judge import restrict
 from tests.conftest import run_clients, spawn_script
+
+#: The family's spec and rules, from the binding its campaign runs are judged by.
+BINDING = binding_for("authenticated")
+SPEC, RULES = BINDING.spec_factory(), BINDING.rules
 
 
 def build(system, **kwargs) -> AuthenticatedRegister:
@@ -139,18 +145,16 @@ class TestByzantineWriterErasure:
         for client in (early, late):
             value = client.result_of("read")
             assert value in (7, 0)
-        report = check_authenticated_properties(
-            system.history, system.correct, "a", writer=1, initial=0
+        report = RULES.properties(
+            *restrict(system.history, system.correct, "a", SPEC, 1)
         )
         assert report.ok, report.summary()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_byzantine_linearizable(self, seed):
         system, *_ = self.run_erasure(seed)
-        verdict = check_authenticated(
-            system.history, system.correct, "a", writer=1, initial=0
-        )
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "a", SPEC, RULES, owner=1)
+        assert reason is None, reason
 
 
 class TestByzantineGarbage:
@@ -219,7 +223,5 @@ class TestConcurrency:
             for pid in (2, 3, 4)
         ]
         run_clients(system, [writer, *readers])
-        verdict = check_authenticated(
-            system.history, system.correct, "a", writer=1, initial=0
-        )
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "a", SPEC, RULES, owner=1)
+        assert reason is None, reason

@@ -1,8 +1,10 @@
-"""Unit tests for the Byzantine-linearizability checker (repro.spec.byzantine).
+"""Unit tests for the synthesis rules (repro.spec.byzantine).
 
-The checker is exercised on hand-crafted histories: with a *correct*
-writer it must agree with plain linearization; with a *Byzantine* writer
-it must accept exactly the histories the paper's constructions
+Each family's synthesis rule is exercised on hand-crafted histories
+through the judge's second half, ``linearize(*restrict(…),
+rules.synthesize)``, under the family's binding: with a *correct*
+writer it must agree with plain linearization; with a *Byzantine*
+writer it must accept exactly the histories the paper's constructions
 (Definitions 78 / 143, Appendix C) can justify, and reject relay/
 uniqueness violations with a pinpointed reason.
 """
@@ -11,16 +13,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.scenarios import binding_for
 from repro.sim.history import History
 from repro.sim.values import BOTTOM
-from repro.spec.byzantine import (
-    check_authenticated,
-    check_sticky,
-    check_test_or_set,
-    check_verifiable,
-)
+from repro.spec.judge import linearize, restrict
 
 WRITER = 1
+
+
+def byzantine_verdict(family, history, correct, obj, owner=WRITER):
+    """``family``'s ``H'`` built from ``H|correct`` and linearized once."""
+    binding = binding_for(family)
+    records, case = restrict(history, correct, obj, binding.spec_factory(), owner)
+    return linearize(records, case, binding.rules.synthesize)
 
 
 def build_history(entries):
@@ -44,7 +49,7 @@ class TestVerifiableCorrectWriter:
                 (3, "v", "read", (), 6, 7, 5),
             ]
         )
-        verdict = check_verifiable(history, {1, 2, 3}, "v", WRITER, initial=0)
+        verdict = byzantine_verdict("verifiable", history, {1, 2, 3}, "v")
         assert verdict.ok
         assert verdict.linearization is not None
 
@@ -52,7 +57,7 @@ class TestVerifiableCorrectWriter:
         history, _ = build_history(
             [(2, "v", "verify", (5,), 0, 1, True)]  # nothing ever signed
         )
-        verdict = check_verifiable(history, {1, 2, 3}, "v", WRITER, initial=0)
+        verdict = byzantine_verdict("verifiable", history, {1, 2, 3}, "v")
         assert not verdict.ok
 
 
@@ -68,7 +73,7 @@ class TestVerifiableByzantineWriter:
                 (3, "v", "read", (), 50, 51, 0),  # after erasure
             ]
         )
-        verdict = check_verifiable(history, {2, 3, 4}, "v", WRITER, initial=0)
+        verdict = byzantine_verdict("verifiable", history, {2, 3, 4}, "v")
         assert verdict.ok, verdict.reason
         synthesized_ops = {(r.op, r.args) for r in verdict.synthesized}
         assert ("sign", (7,)) in synthesized_ops
@@ -81,7 +86,7 @@ class TestVerifiableByzantineWriter:
                 (3, "v", "verify", (7,), 20, 30, False),  # relay broken
             ]
         )
-        verdict = check_verifiable(history, {2, 3, 4}, "v", WRITER, initial=0)
+        verdict = byzantine_verdict("verifiable", history, {2, 3, 4}, "v")
         assert not verdict.ok
         assert "relay" in verdict.reason
 
@@ -92,7 +97,7 @@ class TestVerifiableByzantineWriter:
                 (3, "v", "verify", (7,), 10, 20, True),
             ]
         )
-        verdict = check_verifiable(history, {2, 3, 4}, "v", WRITER, initial=0)
+        verdict = byzantine_verdict("verifiable", history, {2, 3, 4}, "v")
         assert verdict.ok, verdict.reason
 
     def test_concurrent_mixed_verifies_accepted(self):
@@ -105,7 +110,7 @@ class TestVerifiableByzantineWriter:
                 (3, "v", "verify", (7,), 50, 60, False),
             ]
         )
-        verdict = check_verifiable(history, {2, 3, 4}, "v", WRITER, initial=0)
+        verdict = byzantine_verdict("verifiable", history, {2, 3, 4}, "v")
         assert verdict.ok, verdict.reason
 
 
@@ -119,7 +124,7 @@ class TestAuthenticatedByzantineWriter:
                 (3, "a", "verify", (7,), 20, 30, False),
             ]
         )
-        verdict = check_authenticated(history, {2, 3, 4}, "a", WRITER, initial=0)
+        verdict = byzantine_verdict("authenticated", history, {2, 3, 4}, "a")
         assert not verdict.ok
 
     def test_erasure_with_v0_fallback_accepted(self):
@@ -133,14 +138,14 @@ class TestAuthenticatedByzantineWriter:
                 (3, "a", "verify", (7,), 42, 50, True),
             ]
         )
-        verdict = check_authenticated(history, {2, 3, 4}, "a", WRITER, initial=0)
+        verdict = byzantine_verdict("authenticated", history, {2, 3, 4}, "a")
         assert verdict.ok, verdict.reason
 
     def test_verify_v0_false_rejected(self):
         history, _ = build_history(
             [(2, "a", "verify", (0,), 0, 5, False)]
         )
-        verdict = check_authenticated(history, {2, 3, 4}, "a", WRITER, initial=0)
+        verdict = byzantine_verdict("authenticated", history, {2, 3, 4}, "a")
         assert not verdict.ok
 
     def test_correct_writer_plain_linearization(self):
@@ -151,7 +156,7 @@ class TestAuthenticatedByzantineWriter:
                 (2, "a", "read", (), 4, 5, 5),
             ]
         )
-        verdict = check_authenticated(history, {1, 2, 3}, "a", WRITER, initial=0)
+        verdict = byzantine_verdict("authenticated", history, {1, 2, 3}, "a")
         assert verdict.ok
 
 
@@ -164,7 +169,7 @@ class TestStickyByzantineWriter:
                 (3, "s", "read", (), 40, 50, "A"),
             ]
         )
-        verdict = check_sticky(history, {2, 3, 4}, "s", WRITER)
+        verdict = byzantine_verdict("sticky", history, {2, 3, 4}, "s")
         assert verdict.ok, verdict.reason
         assert any(r.op == "write" for r in verdict.synthesized)
 
@@ -175,7 +180,7 @@ class TestStickyByzantineWriter:
                 (3, "s", "read", (), 20, 30, "B"),
             ]
         )
-        verdict = check_sticky(history, {2, 3, 4}, "s", WRITER)
+        verdict = byzantine_verdict("sticky", history, {2, 3, 4}, "s")
         assert not verdict.ok
         assert "uniqueness" in verdict.reason
 
@@ -186,7 +191,7 @@ class TestStickyByzantineWriter:
                 (3, "s", "read", (), 20, 30, BOTTOM),
             ]
         )
-        verdict = check_sticky(history, {2, 3, 4}, "s", WRITER)
+        verdict = byzantine_verdict("sticky", history, {2, 3, 4}, "s")
         assert not verdict.ok
 
     def test_all_bottom_accepted(self):
@@ -196,7 +201,7 @@ class TestStickyByzantineWriter:
                 (3, "s", "read", (), 20, 30, BOTTOM),
             ]
         )
-        assert check_sticky(history, {2, 3, 4}, "s", WRITER).ok
+        assert byzantine_verdict("sticky", history, {2, 3, 4}, "s").ok
 
 
 class TestTestOrSetChecker:
@@ -208,7 +213,7 @@ class TestTestOrSetChecker:
                 (3, "t", "test", (), 40, 50, 1),
             ]
         )
-        verdict = check_test_or_set(history, {2, 3, 4}, "t", setter=1)
+        verdict = byzantine_verdict("test_or_set", history, {2, 3, 4}, "t")
         assert verdict.ok, verdict.reason
 
     def test_byzantine_setter_relay_violation(self):
@@ -218,7 +223,7 @@ class TestTestOrSetChecker:
                 (3, "t", "test", (), 20, 30, 0),
             ]
         )
-        verdict = check_test_or_set(history, {2, 3, 4}, "t", setter=1)
+        verdict = byzantine_verdict("test_or_set", history, {2, 3, 4}, "t")
         assert not verdict.ok
         assert "Lemma 28(3)" in verdict.reason
 
@@ -229,7 +234,7 @@ class TestTestOrSetChecker:
                 (2, "t", "test", (), 10, 20, 1),
             ]
         )
-        assert check_test_or_set(history, {1, 2, 3}, "t", setter=1).ok
+        assert byzantine_verdict("test_or_set", history, {1, 2, 3}, "t").ok
 
     def test_correct_setter_missed_set(self):
         history, _ = build_history(
@@ -238,7 +243,7 @@ class TestTestOrSetChecker:
                 (2, "t", "test", (), 10, 20, 0),  # must have seen the set
             ]
         )
-        assert not check_test_or_set(history, {1, 2, 3}, "t", setter=1).ok
+        assert not byzantine_verdict("test_or_set", history, {1, 2, 3}, "t").ok
 
 
 class TestRestriction:
@@ -253,5 +258,5 @@ class TestRestriction:
                 (4, "v", "verify", (5,), 6, 7, "garbage-result"),
             ]
         )
-        verdict = check_verifiable(history, {1, 2, 3}, "v", WRITER, initial=0)
+        verdict = byzantine_verdict("verifiable", history, {1, 2, 3}, "v")
         assert verdict.ok

@@ -29,7 +29,6 @@ from repro.campaign import (
     default_corpus_dir,
     entry_id_for,
     load_corpus,
-    oracle_for,
     replay_entry,
     run_cell,
     save_entry,
@@ -124,24 +123,32 @@ class TestMatrix:
         # The strawman and the signature baseline are judged against the
         # same spec as Algorithm 1 — that is what makes the check
         # differential rather than per-implementation.
-        assert isinstance(oracle_for("naive"), VerifiableRegisterSpec)
-        assert isinstance(oracle_for("verifiable"), VerifiableRegisterSpec)
-        assert isinstance(
-            oracle_for("signature_baseline"), VerifiableRegisterSpec
-        )
-        assert isinstance(oracle_for("authenticated"), AuthenticatedRegisterSpec)
-        assert isinstance(oracle_for("sticky"), StickyRegisterSpec)
-        assert isinstance(oracle_for("test_or_set"), TestOrSetSpec)
+        from repro.scenarios import binding_for
+
+        def spec(family):
+            return binding_for(family).spec_factory()
+
+        assert isinstance(spec("naive"), VerifiableRegisterSpec)
+        assert isinstance(spec("verifiable"), VerifiableRegisterSpec)
+        assert isinstance(spec("signature_baseline"), VerifiableRegisterSpec)
+        assert isinstance(spec("authenticated"), AuthenticatedRegisterSpec)
+        assert isinstance(spec("sticky"), StickyRegisterSpec)
+        assert isinstance(spec("test_or_set"), TestOrSetSpec)
         with pytest.raises(ConfigurationError):
-            oracle_for("quantum")
+            binding_for("quantum")
 
     def test_oracle_mapping_agrees_with_the_runtime_rules(self):
-        # oracle_for documents what the campaign checks; the register
-        # cells are actually judged under their binding's rules. Both
-        # read the registry's one family→oracle table
-        # (repro.scenarios.bindings), so two implementations share an
-        # oracle iff their kinds share rules.
-        from repro.scenarios import FAMILY_BINDINGS, binding_for_kind, kind_for
+        # A family's binding names the spec the campaign checks; the
+        # register cells are judged under the rules of the binding their
+        # kind resolves to. Both read the registry's one family→oracle
+        # table (repro.scenarios.bindings), so two implementations share
+        # an oracle iff their kinds share rules.
+        from repro.scenarios import (
+            FAMILY_BINDINGS,
+            binding_for,
+            binding_for_kind,
+            kind_for,
+        )
 
         register_impls = sorted(
             family
@@ -150,7 +157,9 @@ class TestMatrix:
         )
         for a in register_impls:
             for b in register_impls:
-                same_oracle = type(oracle_for(a)) is type(oracle_for(b))
+                same_oracle = type(binding_for(a).spec_factory()) is type(
+                    binding_for(b).spec_factory()
+                )
                 same_rules = (
                     binding_for_kind(kind_for(a)).rules
                     == binding_for_kind(kind_for(b)).rules

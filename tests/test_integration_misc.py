@@ -1,5 +1,5 @@
 """Cross-cutting integration tests: crashes mid-operation, coexisting
-register instances, incomplete operations through the checkers, and
+register instances, incomplete operations through the judge, and
 register accesses seen through the ``on_step`` observer."""
 
 from __future__ import annotations
@@ -7,14 +7,19 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AuthenticatedRegister, StickyRegister, VerifiableRegister
+from repro.scenarios import binding_for
 from repro.sim import RandomScheduler, ReadRegister, System, WriteRegister
-from repro.spec import (
-    check_authenticated,
-    check_sticky,
-    check_verifiable,
-    check_verifiable_properties,
-)
+from repro.spec import judge
 from tests.conftest import run_clients, spawn_script
+
+
+def judge_family(family, system, obj):
+    """The judge's reason for ``obj`` under ``family``'s binding (writer 1)."""
+    binding = binding_for(family)
+    return judge(
+        system.history, system.correct, obj, binding.spec_factory(), binding.rules,
+        owner=1,
+    )
 
 
 class TestCrashMidOperation:
@@ -49,10 +54,8 @@ class TestCrashMidOperation:
         system.despawn((2, "client"))
         reader = spawn_script(system, register, 3, [("verify", (5,))])
         run_clients(system, [reader])
-        verdict = check_verifiable(
-            system.history, system.correct, "v", writer=1, initial=0
-        )
-        assert verdict.ok, verdict.reason
+        reason = judge_family("verifiable", system, "v")
+        assert reason is None, reason
 
     def test_checker_handles_incomplete_with_byzantine_writer(self):
         # The Definition 78 construction must tolerate a crashed
@@ -72,10 +75,8 @@ class TestCrashMidOperation:
         system.despawn((2, "client"))
         reader = spawn_script(system, register, 3, [("verify", (7,))], delay=100)
         run_clients(system, [reader])
-        verdict = check_verifiable(
-            system.history, system.correct, "v", writer=1, initial=0
-        )
-        assert verdict.ok, verdict.reason
+        reason = judge_family("verifiable", system, "v")
+        assert reason is None, reason
 
 
 class TestCoexistingInstances:
@@ -106,13 +107,9 @@ class TestCoexistingInstances:
         assert readers[2].result_of("read") == 3
 
         # Each object's history checks independently.
-        assert check_verifiable(
-            system.history, system.correct, "v", writer=1, initial=0
-        ).ok
-        assert check_authenticated(
-            system.history, system.correct, "a", writer=1, initial=0
-        ).ok
-        assert check_sticky(system.history, system.correct, "s", writer=1).ok
+        assert judge_family("verifiable", system, "v") is None
+        assert judge_family("authenticated", system, "a") is None
+        assert judge_family("sticky", system, "s") is None
 
     def test_two_instances_same_kind_isolated(self):
         system = System(n=4)

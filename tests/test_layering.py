@@ -158,6 +158,29 @@ def test_every_effect_is_used_outside_the_kernel():
     assert defined <= named, f"effects no program uses: {sorted(defined - named)}"
 
 
+def test_every_spec_export_is_read_by_the_program():
+    # The judge is the spec layer's one door. A repro.spec export that
+    # no module reads is a second door kept only for direct use — the
+    # per-type check_* wrappers were — so every name in __all__ must be
+    # read (loaded, not just imported or defined) by some module under
+    # src/ other than the package facade.
+    import repro.spec
+
+    facade = PACKAGE_ROOT / "spec" / "__init__.py"
+    read = set()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        if path == facade:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(set(repro.spec.__all__) - read)
+    assert not unread, f"repro.spec exports nothing reads: {unread}"
+
+
 def _loaded_after(statement: str, candidates) -> list:
     """Which of ``candidates`` are in ``sys.modules`` after ``statement``."""
     code = (

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import oracle_for
 from repro.core import VerifiableRegister
 from repro.errors import ConfigurationError, NetworkError
 from repro.mp import (
@@ -21,6 +20,7 @@ from repro.mp import (
     translate,
     translated_help,
 )
+from repro.scenarios import binding_for
 from repro.sim import (
     Await,
     Broadcast,
@@ -32,7 +32,7 @@ from repro.sim import (
 )
 from repro.sim.effects import Invoke, Respond
 from repro.sim.process import idle_forever
-from repro.spec import AtomicRegisterSpec, check_linearizable
+from repro.spec import AtomicRegisterSpec, find_linearization
 
 
 def mp_system(n=4, seed=0, max_delay=8) -> System:
@@ -381,8 +381,7 @@ class TestEmulationSpecConformance:
     kernel records a history, then run the Wing–Gong linearizability
     search over it — the base emulated register against
     :class:`AtomicRegisterSpec`, and Algorithm 1 layered on top
-    against the very spec instance ``repro.campaign.oracle_for``
-    hands the campaign.
+    against the spec the verifiable family's binding hands the campaign.
     """
 
     def recorded(self, name, op, args, program):
@@ -437,8 +436,8 @@ class TestEmulationSpecConformance:
         system.run_until(
             lambda: w.done and all(r.done for r in readers), 800_000
         )
-        result = check_linearizable(
-            system.history, AtomicRegisterSpec(initial=0), obj="r"
+        result = find_linearization(
+            system.history.operations(obj="r"), AtomicRegisterSpec(initial=0)
         )
         assert result.ok, result.reason
 
@@ -461,16 +460,16 @@ class TestEmulationSpecConformance:
             system.spawn(pid, "client", reader.program())
             system.run_until(lambda: reader.done, 400_000)
             assert reader.result == 7
-        result = check_linearizable(
-            system.history, AtomicRegisterSpec(initial=0), obj="r"
+        result = find_linearization(
+            system.history.operations(obj="r"), AtomicRegisterSpec(initial=0)
         )
         assert result.ok, result.reason
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_algorithm1_over_emulation_meets_the_campaign_oracle(self, seed):
         # Algorithm 1 translated onto the emulation must linearize
-        # against the same VerifiableRegisterSpec instance the campaign
-        # uses to judge the shared-memory implementations.
+        # against the same VerifiableRegisterSpec the campaign uses to
+        # judge the shared-memory implementations.
         system = System(n=4, f=1)
         system.network = RandomDelayNetwork(seed=seed, max_delay=5)
         emu = RegisterEmulation(system)
@@ -498,7 +497,8 @@ class TestEmulationSpecConformance:
         system.spawn(2, "client", r.program())
         system.run_until(lambda: r.done, 8_000_000)
         assert r.result == (5, True, False)
-        result = check_linearizable(system.history, oracle_for("verifiable"), obj="v")
+        spec = binding_for("verifiable").spec_factory()
+        result = find_linearization(system.history.operations(obj="v"), spec)
         assert result.ok, result.reason
 
 

@@ -12,11 +12,16 @@ import pytest
 from repro.adversary import behaviors
 from repro.core import NaiveQuorumVerifiableRegister, NaiveVerifiableRegister
 from repro.explore.fuzzer import run_one_fuzz
+from repro.scenarios import binding_for
 from repro.scenarios.registry import all_records
 from repro.sim import Pause, PriorityScheduler, System, WriteRegister
 from repro.sim.process import pause_steps
-from repro.spec import check_verifiable_properties
+from repro.spec.judge import restrict
 from tests.conftest import run_clients, spawn_script
+
+#: The family's spec and rules, from the binding its campaign runs are judged by.
+BINDING = binding_for("naive")
+SPEC, RULES = BINDING.spec_factory(), BINDING.rules
 
 
 class TestNaiveRegisterCorrectWriter:
@@ -44,8 +49,8 @@ class TestNaiveRegisterCorrectWriter:
             for pid in (2, 3)
         ]
         run_clients(system4, [writer, *readers])
-        report = check_verifiable_properties(
-            system4.history, system4.correct, "n", writer=1, initial=0
+        report = RULES.properties(
+            *restrict(system4.history, system4.correct, "n", SPEC, 1)
         )
         assert report.ok, report.summary()
 
@@ -73,8 +78,8 @@ class TestNaiveRegisterDenialAttack:
         assert early.result_of("verify") is True
         assert late.result_of("verify") is False
         # And the property checker catches the relay violation.
-        report = check_verifiable_properties(
-            system4.history, system4.correct, "n", writer=1, initial=0
+        report = RULES.properties(
+            *restrict(system4.history, system4.correct, "n", SPEC, 1)
         )
         assert not report.ok
         assert any("Obs 13" in violation for violation in report.violations)

@@ -38,6 +38,7 @@ from repro.net import (
 )
 from repro.net import wire
 from repro.net.channels import MIN_RTO
+from repro.net.loadgen import LoadStats
 from repro.spec import CheckContext
 from tests.channel_cases import ChannelFacadeCases, WallEndpoint
 
@@ -262,6 +263,25 @@ class TestWallClockProgressMonitor:
         assert stalled.startswith("STALLED: no progress for 0.1s (wall clock)")
         assert "pending: c0 write(reg:1) 0.1s" in stalled
         assert "plan[test]" in stalled
+
+
+# ----------------------------------------------------------------------
+# Load statistics
+# ----------------------------------------------------------------------
+class TestLoadStats:
+    @pytest.mark.parametrize(
+        "count, p50, p90, p99",
+        [(10, 5.0, 9.0, 10.0), (100, 50.0, 90.0, 99.0), (1, 1.0, 1.0, 1.0)],
+    )
+    def test_percentiles_are_nearest_rank(self, count, p50, p90, p99):
+        # Latencies 1..count ms: the q-th percentile is the value at rank
+        # ceil(q * count), never one rank above it.
+        stats = LoadStats()
+        for ms in range(count, 0, -1):
+            stats.observe("read", ms / 1000)
+        row = stats.summary()["kinds"]["read"]
+        assert (row["p50_ms"], row["p90_ms"], row["p99_ms"]) == (p50, p90, p99)
+        assert row["max_ms"] == float(count)
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,13 @@ specs — complete and incomplete operations alike. Every positive verdict
 is additionally validated: the witness must replay through the spec with
 matching responses and respect real-time precedence.
 
-A second net pits each register family's observable-property check
-(:mod:`repro.spec.properties`) against its Byzantine-linearizability
-checker on generated histories with a correct writer whose last
-operation may be pending: the properties are necessary conditions, so
-a history they reject must not linearize either.
+A second net pits each register family's two judging halves against
+each other — ``Rules.properties`` (:mod:`repro.spec.properties`) vs
+``Rules.synthesize`` linearized once, taken from the family's binding
+as the campaign runs them — on generated histories with a correct
+writer whose last operation may be pending: the properties are
+necessary conditions, so a history they reject must not linearize
+either.
 
 Also pins the loud-budget contract (``explored`` exhaustion raises, with
 and without a shared :class:`CheckContext`) and the 500-operation
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LinearizabilityViolation
+from repro.scenarios import binding_for
 from repro.sim.history import History, OperationRecord
 from repro.sim.values import BOTTOM
 from repro.spec import (
@@ -40,18 +43,7 @@ from repro.spec import (
     VerifiableRegisterSpec,
     find_linearization,
 )
-from repro.spec.byzantine import (
-    check_authenticated,
-    check_sticky,
-    check_test_or_set,
-    check_verifiable,
-)
-from repro.spec.properties import (
-    check_authenticated_properties,
-    check_sticky_properties,
-    check_test_or_set_properties,
-    check_verifiable_properties,
-)
+from repro.spec.judge import linearize, restrict
 from repro.spec.sequential import DONE, FAIL, SUCCESS
 
 
@@ -286,20 +278,10 @@ def test_shared_context_caches_whole_results():
 # Observable properties are necessary conditions of Byzantine
 # linearizability
 # ----------------------------------------------------------------------
-#: family -> (property check, Byzantine checker, initial-value kwargs,
-#: examples). Verifiable histories that linearize only through a pending
-#: writer operation are the rarest (about 2 % of draws), so that family
-#: gets more examples.
-_FAMILIES = {
-    "verifiable": (
-        check_verifiable_properties, check_verifiable, {"initial": 0}, 400
-    ),
-    "authenticated": (
-        check_authenticated_properties, check_authenticated, {"initial": 0}, 100
-    ),
-    "sticky": (check_sticky_properties, check_sticky, {}, 100),
-    "test_or_set": (check_test_or_set_properties, check_test_or_set, {}, 100),
-}
+#: family -> examples. Verifiable histories that linearize only through
+#: a pending writer operation are the rarest (about 2 % of draws), so
+#: that family gets more examples.
+_FAMILIES = {"verifiable": 400, "authenticated": 100, "sticky": 100, "test_or_set": 100}
 
 #: One written value keeps reads and verifies on what the writer touches.
 _V = _DOMAIN[0]
@@ -371,14 +353,17 @@ def _writer_histories(draw, family):
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_property_rejection_implies_byzantine_rejection(family):
-    properties, byzantine, initial, examples = _FAMILIES[family]
+    binding = binding_for(family)
 
-    @settings(max_examples=examples, deadline=None)
+    @settings(max_examples=_FAMILIES[family], deadline=None)
     @given(history=_writer_histories(family))
     def check(history):
-        report = properties(history, {1, 2, 3}, "r", 1, **initial)
+        records, case = restrict(
+            history, {1, 2, 3}, "r", binding.spec_factory(), 1
+        )
+        report = binding.rules.properties(records, case)
         if not report.ok:
-            verdict = byzantine(history, {1, 2, 3}, "r", 1, **initial)
+            verdict = linearize(records, case, binding.rules.synthesize)
             assert not verdict.ok, f"{report.summary()}\n{history.describe()}"
 
     check()

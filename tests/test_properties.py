@@ -1,23 +1,14 @@
-"""Unit tests for the observable-property checkers (repro.spec.properties)."""
+"""Unit tests for the observable-property rules (repro.spec.properties), each
+run over ``H|correct`` under its family's binding."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.scenarios import binding_for
 from repro.sim.history import History
 from repro.sim.values import BOTTOM
-from repro.spec.byzantine import (
-    check_authenticated,
-    check_sticky,
-    check_test_or_set,
-    check_verifiable,
-)
-from repro.spec.properties import (
-    check_authenticated_properties,
-    check_sticky_properties,
-    check_test_or_set_properties,
-    check_verifiable_properties,
-)
+from repro.spec.judge import linearize, restrict
 
 
 def build_history(entries):
@@ -34,6 +25,13 @@ def build_history(entries):
 ALL = {1, 2, 3, 4}
 
 
+def properties(family, history, correct, obj, owner=1):
+    """``family``'s property rule over ``H|correct`` on ``obj``."""
+    binding = binding_for(family)
+    records, case = restrict(history, correct, obj, binding.spec_factory(), owner)
+    return binding.rules.properties(records, case)
+
+
 class TestVerifiableProperties:
     def test_clean(self):
         history = build_history(
@@ -45,7 +43,7 @@ class TestVerifiableProperties:
                 (3, "v", "read", (), 8, 9, 5),
             ]
         )
-        report = check_verifiable_properties(history, ALL, "v", 1, initial=0)
+        report = properties("verifiable", history, ALL, "v")
         assert report.ok, report.summary()
         assert len(report.checked) == 5
 
@@ -57,13 +55,13 @@ class TestVerifiableProperties:
                 (2, "v", "verify", (5,), 10, 11, False),
             ]
         )
-        report = check_verifiable_properties(history, ALL, "v", 1, initial=0)
+        report = properties("verifiable", history, ALL, "v")
         assert not report.ok
         assert any("Obs 11" in v for v in report.violations)
 
     def test_unforgeability_violation(self):
         history = build_history([(2, "v", "verify", (5,), 0, 1, True)])
-        report = check_verifiable_properties(history, ALL, "v", 1, initial=0)
+        report = properties("verifiable", history, ALL, "v")
         assert not report.ok
         assert any("Obs 12" in v for v in report.violations)
 
@@ -74,7 +72,7 @@ class TestVerifiableProperties:
                 (3, "v", "verify", (5,), 5, 6, False),
             ]
         )
-        report = check_verifiable_properties(history, {2, 3, 4}, "v", 1)
+        report = properties("verifiable", history, {2, 3, 4}, "v")
         assert not report.ok
         assert any("Obs 13" in v for v in report.violations)
 
@@ -87,7 +85,7 @@ class TestVerifiableProperties:
                 (3, "v", "verify", (5,), 5, 6, True),
             ]
         )
-        report = check_verifiable_properties(history, {2, 3, 4}, "v", 1)
+        report = properties("verifiable", history, {2, 3, 4}, "v")
         assert report.ok
         assert report.checked == ["relay (Obs 13)"]
 
@@ -95,12 +93,12 @@ class TestVerifiableProperties:
         history = build_history(
             [(1, "v", "sign", (9,), 0, 1, "success")]
         )
-        report = check_verifiable_properties(history, ALL, "v", 1, initial=0)
+        report = properties("verifiable", history, ALL, "v")
         assert not report.ok
 
     def test_read_of_unwritten_value_flagged(self):
         history = build_history([(2, "v", "read", (), 0, 1, 77)])
-        report = check_verifiable_properties(history, ALL, "v", 1, initial=0)
+        report = properties("verifiable", history, ALL, "v")
         assert not report.ok
 
     def test_concurrent_sign_verify_not_flagged(self):
@@ -112,7 +110,7 @@ class TestVerifiableProperties:
                 (2, "v", "verify", (5,), 5, 15, False),
             ]
         )
-        report = check_verifiable_properties(history, ALL, "v", 1, initial=0)
+        report = properties("verifiable", history, ALL, "v")
         assert report.ok, report.summary()
 
 
@@ -127,7 +125,7 @@ class TestAuthenticatedProperties:
                 (3, "a", "verify", (5,), 8, 9, True),
             ]
         )
-        report = check_authenticated_properties(history, ALL, "a", 1, initial=0)
+        report = properties("authenticated", history, ALL, "a")
         assert report.ok, report.summary()
 
     def test_obs19_violation(self):
@@ -137,17 +135,13 @@ class TestAuthenticatedProperties:
                 (3, "a", "verify", (7,), 5, 6, False),
             ]
         )
-        report = check_authenticated_properties(
-            history, {2, 3, 4}, "a", 1, initial=0
-        )
+        report = properties("authenticated", history, {2, 3, 4}, "a")
         assert not report.ok
         assert any("Obs 19" in v for v in report.violations)
 
     def test_initial_must_verify(self):
         history = build_history([(2, "a", "verify", (0,), 0, 1, False)])
-        report = check_authenticated_properties(
-            history, {2, 3, 4}, "a", 1, initial=0
-        )
+        report = properties("authenticated", history, {2, 3, 4}, "a")
         assert not report.ok
         assert any("Lemma 113" in v for v in report.violations)
 
@@ -158,13 +152,13 @@ class TestAuthenticatedProperties:
                 (2, "a", "verify", (5,), 5, 6, False),
             ]
         )
-        report = check_authenticated_properties(history, ALL, "a", 1, initial=0)
+        report = properties("authenticated", history, ALL, "a")
         assert not report.ok
         assert any("Obs 16" in v for v in report.violations)
 
     def test_unforgeability_violation(self):
         history = build_history([(2, "a", "verify", (5,), 0, 1, True)])
-        report = check_authenticated_properties(history, ALL, "a", 1, initial=0)
+        report = properties("authenticated", history, ALL, "a")
         assert not report.ok
         assert any("Obs 17" in v for v in report.violations)
 
@@ -178,7 +172,7 @@ class TestStickyProperties:
                 (3, "s", "read", (), 8, 9, "A"),
             ]
         )
-        report = check_sticky_properties(history, ALL, "s", 1)
+        report = properties("sticky", history, ALL, "s")
         assert report.ok, report.summary()
 
     def test_uniqueness_violation_distinct_values(self):
@@ -188,7 +182,7 @@ class TestStickyProperties:
                 (3, "s", "read", (), 2, 3, "B"),
             ]
         )
-        report = check_sticky_properties(history, {2, 3, 4}, "s", 1)
+        report = properties("sticky", history, {2, 3, 4}, "s")
         assert not report.ok
         assert any("Obs 24" in v for v in report.violations)
 
@@ -199,7 +193,7 @@ class TestStickyProperties:
                 (3, "s", "read", (), 5, 6, BOTTOM),
             ]
         )
-        report = check_sticky_properties(history, {2, 3, 4}, "s", 1)
+        report = properties("sticky", history, {2, 3, 4}, "s")
         assert not report.ok
 
     def test_validity_violation(self):
@@ -209,7 +203,7 @@ class TestStickyProperties:
                 (2, "s", "read", (), 6, 7, BOTTOM),
             ]
         )
-        report = check_sticky_properties(history, ALL, "s", 1)
+        report = properties("sticky", history, ALL, "s")
         assert not report.ok
         assert any("Obs 22" in v for v in report.violations)
 
@@ -220,7 +214,7 @@ class TestStickyProperties:
                 (2, "s", "read", (), 6, 7, "Z"),
             ]
         )
-        report = check_sticky_properties(history, ALL, "s", 1)
+        report = properties("sticky", history, ALL, "s")
         assert not report.ok
 
     def test_read_before_write_invocation_flagged(self):
@@ -230,7 +224,7 @@ class TestStickyProperties:
                 (1, "s", "write", ("A",), 10, 15, "done"),  # ...write invoked
             ]
         )
-        report = check_sticky_properties(history, ALL, "s", 1)
+        report = properties("sticky", history, ALL, "s")
         assert not report.ok
 
 
@@ -243,7 +237,7 @@ class TestTestOrSetProperties:
                 (3, "t", "test", (), 4, 5, 1),
             ]
         )
-        report = check_test_or_set_properties(history, ALL, "t", setter=1)
+        report = properties("test_or_set", history, ALL, "t")
         assert report.ok, report.summary()
 
     def test_lemma_28_each_clause(self):
@@ -254,11 +248,11 @@ class TestTestOrSetProperties:
                 (2, "t", "test", (), 2, 3, 0),
             ]
         )
-        report = check_test_or_set_properties(history, ALL, "t", setter=1)
+        report = properties("test_or_set", history, ALL, "t")
         assert any("Lemma 28.1" in v for v in report.violations)
         # (2) unforgeability
         history = build_history([(2, "t", "test", (), 0, 1, 1)])
-        report = check_test_or_set_properties(history, ALL, "t", setter=1)
+        report = properties("test_or_set", history, ALL, "t")
         assert any("Lemma 28.2" in v for v in report.violations)
         # (3) relay
         history = build_history(
@@ -267,7 +261,7 @@ class TestTestOrSetProperties:
                 (3, "t", "test", (), 2, 3, 0),
             ]
         )
-        report = check_test_or_set_properties(history, {2, 3, 4}, "t", setter=1)
+        report = properties("test_or_set", history, {2, 3, 4}, "t")
         assert any("Lemma 28.3" in v for v in report.violations)
 
 
@@ -287,11 +281,11 @@ class TestPendingWriterOperation:
                 (2, "v", "verify", (5,), 1, 2, True),
             ]
         )
-        report = check_verifiable_properties(pending, ALL, "v", 1, initial=0)
+        report = properties("verifiable", pending, ALL, "v")
         assert report.ok, report.summary()
         # Without any sign invocation the same verify is a forgery.
         bare = build_history([(2, "v", "verify", (5,), 1, 2, True)])
-        report = check_verifiable_properties(bare, ALL, "v", 1, initial=0)
+        report = properties("verifiable", bare, ALL, "v")
         assert any("Obs 12" in v for v in report.violations)
 
     def test_failed_sign_still_does_not_count(self):
@@ -301,7 +295,7 @@ class TestPendingWriterOperation:
                 (2, "v", "verify", (5,), 2, 3, True),
             ]
         )
-        report = check_verifiable_properties(history, ALL, "v", 1, initial=0)
+        report = properties("verifiable", history, ALL, "v")
         assert any("Obs 12" in v for v in report.violations)
 
     @pytest.mark.parametrize(
@@ -342,15 +336,11 @@ class TestPendingWriterOperation:
     )
     def test_pending_writer_operation_accepted(self, family, entries):
         history = build_history(entries)
-        properties, byzantine = {
-            "verifiable": (check_verifiable_properties, check_verifiable),
-            "authenticated": (check_authenticated_properties, check_authenticated),
-            "sticky": (check_sticky_properties, check_sticky),
-            "test_or_set": (check_test_or_set_properties, check_test_or_set),
-        }[family]
-        initial = {"initial": 0} if family in ("verifiable", "authenticated") else {}
-        assert byzantine(history, ALL, "r", 1, **initial).ok
-        report = properties(history, ALL, "r", 1, **initial)
+        # Both halves of the family's rules, as the campaign runs them.
+        binding = binding_for(family)
+        records, case = restrict(history, ALL, "r", binding.spec_factory(), 1)
+        assert linearize(records, case, binding.rules.synthesize).ok
+        report = binding.rules.properties(records, case)
         assert report.ok, report.summary()
 
 
@@ -358,8 +348,8 @@ class TestReportComposition:
     def test_and_composes(self):
         ok_history = build_history([(2, "t", "test", (), 0, 1, 0)])
         bad_history = build_history([(2, "t", "test", (), 0, 1, 1)])
-        good = check_test_or_set_properties(ok_history, ALL, "t", setter=1)
-        bad = check_test_or_set_properties(bad_history, ALL, "t", setter=1)
+        good = properties("test_or_set", ok_history, ALL, "t")
+        bad = properties("test_or_set", bad_history, ALL, "t")
         combined = good & bad
         assert not combined.ok
         assert combined.checked == good.checked + bad.checked

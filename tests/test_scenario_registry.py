@@ -3,7 +3,7 @@
 Covers the four contracts the registry owns:
 
 * **one oracle per family** — every registered family has exactly one
-  oracle binding, and ``oracle_for`` and ``binding_for_kind`` both
+  oracle binding, and ``binding_for`` and ``binding_for_kind`` both
   read it, so there is no second family→oracle map to drift;
 * **label round-trips** — every registered record's label resolves back
   to an identical record, and rebuilding a scenario spec from its
@@ -28,7 +28,6 @@ from repro.campaign import (
     IMPLEMENTATIONS,
     default_matrix,
     load_corpus,
-    oracle_for,
 )
 from repro.campaign.matrix import CampaignCell
 from repro.errors import ConfigurationError
@@ -62,7 +61,7 @@ class TestOracleBindings:
             # Exactly one binding (the table is keyed by family), and it
             # renders exactly one spec type.
             assert family not in seen
-            seen[family] = type(oracle_for(family))
+            seen[family] = type(binding.spec_factory())
         # Every record's family resolves — no orphan records.
         for record in all_records():
             binding_for(record.family)
@@ -78,23 +77,26 @@ class TestOracleBindings:
         assert "net" in registered_families()
         assert "net" not in campaign
 
-    def test_oracle_for_and_binding_for_kind_raise_consistently(self):
+    def test_binding_for_and_binding_for_kind_raise_consistently(self):
         with pytest.raises(ConfigurationError):
-            oracle_for("quantum")
+            binding_for("quantum")
         with pytest.raises(ConfigurationError):
             binding_for_kind("quantum")
 
     def test_app_families_are_bound(self):
         from repro.spec import AssetTransferSpec, BroadcastSpec, SnapshotSpec
 
-        assert isinstance(oracle_for("snapshot"), SnapshotSpec)
-        assert isinstance(oracle_for("asset_transfer"), AssetTransferSpec)
+        def spec(family):
+            return binding_for(family).spec_factory()
+
+        assert isinstance(spec("snapshot"), SnapshotSpec)
+        assert isinstance(spec("asset_transfer"), AssetTransferSpec)
         assert kind_for("snapshot") is None
         assert kind_for("asset_transfer") is None
         # Both broadcast families share the one BroadcastSpec (they run
         # the same implementation under two object names).
-        assert isinstance(oracle_for("broadcast"), BroadcastSpec)
-        assert isinstance(oracle_for("reliable_broadcast"), BroadcastSpec)
+        assert isinstance(spec("broadcast"), BroadcastSpec)
+        assert isinstance(spec("reliable_broadcast"), BroadcastSpec)
         assert kind_for("broadcast") is None
         assert kind_for("reliable_broadcast") is None
 

@@ -6,9 +6,14 @@ import pytest
 
 from repro.adversary import behaviors
 from repro.core import SignatureOracle, SignedVerifiableRegister
+from repro.scenarios import binding_for
 from repro.sim import Pause, RandomScheduler, System, WriteRegister
-from repro.spec import check_verifiable, check_verifiable_properties
+from repro.spec import judge
 from tests.conftest import run_clients, spawn_script
+
+#: The family's spec and rules, from the binding its campaign runs are judged by.
+BINDING = binding_for("signature_baseline")
+SPEC, RULES = BINDING.spec_factory(), BINDING.rules
 
 
 class TestOracle:
@@ -140,7 +145,5 @@ class TestSignedRegister:
             for pid in (2, 3)
         ]
         run_clients(system, [writer, *readers])
-        verdict = check_verifiable(
-            system.history, system.correct, "sig", writer=1, initial=0
-        )
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "sig", SPEC, RULES, owner=1)
+        assert reason is None, reason

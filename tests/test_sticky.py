@@ -11,10 +11,16 @@ import pytest
 
 from repro.adversary import behaviors
 from repro.core import StickyRegister
+from repro.scenarios import binding_for
 from repro.sim import BOTTOM, RandomScheduler, System
 from repro.sim.values import is_bottom
-from repro.spec import check_sticky, check_sticky_properties
+from repro.spec import judge
+from repro.spec.judge import restrict
 from tests.conftest import run_clients, spawn_script
+
+#: The family's spec and rules, from the binding its campaign runs are judged by.
+BINDING = binding_for("sticky")
+SPEC, RULES = BINDING.spec_factory(), BINDING.rules
 
 
 def build(system, **kwargs) -> StickyRegister:
@@ -117,16 +123,16 @@ class TestEquivocatingWriter:
             if not is_bottom(result)
         }
         assert len(values) <= 1, f"correct readers saw {values}"
-        report = check_sticky_properties(
-            system.history, system.correct, "s", writer=1
+        report = RULES.properties(
+            *restrict(system.history, system.correct, "s", SPEC, 1)
         )
         assert report.ok, report.summary()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_byzantine_linearizable(self, seed):
         system, _ = self.run_equivocation(seed)
-        verdict = check_sticky(system.history, system.correct, "s", writer=1)
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "s", SPEC, RULES, owner=1)
+        assert reason is None, reason
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_uniqueness_at_f2(self, seed):
@@ -191,10 +197,10 @@ class TestConcurrency:
             for pid in (2, 3, 4)
         ]
         run_clients(system, [writer, *readers])
-        verdict = check_sticky(system.history, system.correct, "s", writer=1)
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "s", SPEC, RULES, owner=1)
+        assert reason is None, reason
         # A read concurrent with the write may see ⊥ or V, but never
-        # ⊥ *after* V (uniqueness), which check_sticky already covers;
+        # ⊥ *after* V (uniqueness), which the judge already covers;
         # additionally all non-⊥ values must equal V.
         for reader in readers:
             for (_op, _a, result) in reader.results:

@@ -22,9 +22,15 @@ from repro.core import (
     TestOrSetFromVerifiable,
     VerifiableRegister,
 )
+from repro.scenarios import binding_for
 from repro.sim import RandomScheduler, System
-from repro.spec import check_test_or_set, check_test_or_set_properties
+from repro.spec import judge
+from repro.spec.judge import restrict
 from tests.conftest import run_clients, spawn_script
+
+#: The family's spec and rules, from the binding its campaign runs are judged by.
+BINDING = binding_for("test_or_set")
+SPEC, RULES = BINDING.spec_factory(), BINDING.rules
 
 
 def build_tos(kind: str, system: System):
@@ -83,12 +89,12 @@ class TestCorrectSetter:
             for pid in (2, 3, 4)
         ]
         run_clients(system, [setter, *testers])
-        report = check_test_or_set_properties(
-            system.history, system.correct, "t", setter=1
+        report = RULES.properties(
+            *restrict(system.history, system.correct, "t", SPEC, 1)
         )
         assert report.ok, report.summary()
-        verdict = check_test_or_set(system.history, system.correct, "t", setter=1)
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "t", SPEC, RULES, owner=1)
+        assert reason is None, reason
 
 
 class TestByzantineSetter:
@@ -107,8 +113,8 @@ class TestByzantineSetter:
         run_clients(system, testers)
         for tester in testers:
             assert tester.result_of("test") == 0
-        verdict = check_test_or_set(system.history, system.correct, "t", setter=1)
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "t", SPEC, RULES, owner=1)
+        assert reason is None, reason
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_byzantine_direct_set_still_relays(self, seed):
@@ -127,8 +133,8 @@ class TestByzantineSetter:
         run_clients(system, [early, late])
         if early.result_of("test") == 1:
             assert late.result_of("test") == 1
-        verdict = check_test_or_set(system.history, system.correct, "t", setter=1)
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "t", SPEC, RULES, owner=1)
+        assert reason is None, reason
 
 
 class TestOperationEntryPoint:

@@ -12,9 +12,15 @@ import pytest
 from repro.adversary import behaviors
 from repro.core import VerifiableRegister
 from repro.errors import ProtocolViolation, StepLimitExceeded
+from repro.scenarios import binding_for
 from repro.sim import RandomScheduler, System, WriteRegister
-from repro.spec import check_verifiable, check_verifiable_properties
+from repro.spec import judge
+from repro.spec.judge import restrict
 from tests.conftest import run_clients, spawn_script
+
+#: The family's spec and rules, from the binding its campaign runs are judged by.
+BINDING = binding_for("verifiable")
+SPEC, RULES = BINDING.spec_factory(), BINDING.rules
 
 
 def build(system, **kwargs) -> VerifiableRegister:
@@ -153,18 +159,16 @@ class TestDenialAttack:
         if early.result_of("verify") is True:
             # Once verified, the value stays verifiable forever.
             assert late.result_of("verify") is True
-        report = check_verifiable_properties(
-            system.history, system.correct, "v", writer=1, initial=0
+        report = RULES.properties(
+            *restrict(system.history, system.correct, "v", SPEC, 1)
         )
         assert report.ok, report.summary()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_byzantine_linearizable(self, seed):
         system, *_ = self.run_denial(4, seed)
-        verdict = check_verifiable(
-            system.history, system.correct, "v", writer=1, initial=0
-        )
-        assert verdict.ok, verdict.reason
+        reason = judge(system.history, system.correct, "v", SPEC, RULES, owner=1)
+        assert reason is None, reason
 
 
 class TestByzantineHelpers:
@@ -271,12 +275,10 @@ class TestConcurrency:
             for pid in (2, 3, 4)
         ]
         run_clients(system, [writer, *readers])
-        verdict = check_verifiable(
-            system.history, system.correct, "v", writer=1, initial=0
-        )
-        assert verdict.ok, verdict.reason
-        report = check_verifiable_properties(
-            system.history, system.correct, "v", writer=1, initial=0
+        reason = judge(system.history, system.correct, "v", SPEC, RULES, owner=1)
+        assert reason is None, reason
+        report = RULES.properties(
+            *restrict(system.history, system.correct, "v", SPEC, 1)
         )
         assert report.ok, report.summary()
 
