@@ -12,11 +12,7 @@ from repro.mp.adapter import (
 )
 from repro.mp.authenticated_broadcast import AuthenticatedBroadcast
 from repro.mp.network import Network, RandomDelayNetwork, ScriptedNetwork
-from repro.mp.swmr_emulation import (
-    EmulatedRegisterSpec,
-    RegisterEmulation,
-    ReplicaState,
-)
+from repro.mp.swmr_emulation import EmulatedRegisterSpec, RegisterEmulation
 
 __all__ = [
     "AuthenticatedBroadcast",
@@ -24,7 +20,6 @@ __all__ = [
     "Network",
     "RandomDelayNetwork",
     "RegisterEmulation",
-    "ReplicaState",
     "ScriptedNetwork",
     "declare_registers",
     "translate",

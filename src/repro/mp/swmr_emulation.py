@@ -28,9 +28,9 @@ Protocol (echo-amplified quorum replication, in the spirit of [11]):
 Mailbox discipline: each process's **replica daemon is the sole consumer
 of its mailbox**; it parses every inbound message and records
 client-relevant responses (ACKs, VALUE reports) into the process's
-:class:`ReplicaState`. Client operations (the :meth:`RegisterEmulation.write`
+:class:`ReplicaCore`. Client operations (the :meth:`RegisterEmulation.write`
 / :meth:`RegisterEmulation.read` generators) never touch the mailbox —
-they broadcast, then poll the shared state, which eliminates the classic
+they broadcast, then poll the shared core, which eliminates the classic
 two-readers-one-mailbox race.
 
 Guarantees (with at most ``f`` Byzantine replicas and a correct writer):
@@ -47,13 +47,12 @@ unless its reads write back. The reader write-back round of [11]
 only once ``n - f`` replicas acknowledge holding a pair at least as new
 as the one it returns.
 
-One core, two drivers: the protocol itself — replica state, the message
-handler, the confirmation rule and the bookkeeping that opens a write,
-a read or a write-back — is :class:`ReplicaCore`, which neither sends
-nor waits. It returns ``(destination, payload)`` pairs and answers
-"has this operation's quorum arrived yet?"; *how* a pair reaches its
-destination and *how* a client waits are the driver's.
-:class:`RegisterEmulation` (below) drives cores under the cooperative
+One protocol, two drivers: the replica — its state, the message handler,
+the confirmation rule and the bookkeeping that opens a write, a read or
+a write-back — is :class:`ReplicaCore`, and the client half is
+:mod:`repro.mp.client_ops`. Neither sends nor waits; *how* a message
+reaches its destination and *how* a client waits are the driver's.
+:class:`RegisterEmulation` (below) drives them under the cooperative
 scheduler on virtual time; :class:`repro.net.NetNode` drives one core
 over TCP sockets on wall-clock time.
 
@@ -71,20 +70,23 @@ paper's model, and where each one is discharged):
   each loop). Without channels over a lossy network, liveness is
   forfeit — exactly what the campaign's pinned ``STALLED`` cells
   measure.
-* **Read termination** — the read loop re-queries so withheld replies
-  cannot stall it; the re-query is *paced* (interval doubles from
-  ``requery_every`` up to 16x) so an unconfirmable read does not flood
-  the network while it waits.
+* **Read termination** — a read's waits re-query, paced from
+  ``requery_every`` polls (:mod:`repro.mp.client_ops` says why), so
+  withheld replies cannot stall it and an unconfirmable read does not
+  flood the network.
 * **SWSR restrictions / atomicity vs regularity** — unchanged from the
   original notes above (enforced by callers; write-back optional).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
+from repro.mp import client_ops
+from repro.mp.client_ops import ClientOp
 from repro.sim.effects import Broadcast, Pause, ReceiveAll, Send
 from repro.sim.process import Program
 from repro.sim.system import System
@@ -116,55 +118,11 @@ class ProgressCount:
         self.value = 0
 
 
-class ReplicaState:
-    """Per-process replica + client bookkeeping for all emulated registers.
-
-    ``progress`` is the count this state's changes also bump: shared by
-    every core of a :class:`RegisterEmulation`, a fresh one otherwise.
-    """
-
-    def __init__(
-        self,
-        specs: Dict[str, EmulatedRegisterSpec],
-        progress: Optional[ProgressCount] = None,
-    ):
-        #: Highest accepted (seq, value) per register.
-        self.accepted: Dict[str, Tuple[int, Any]] = {
-            name: (0, freeze(spec.initial)) for name, spec in specs.items()
-        }
-        #: Echo tallies: (register, seq, value) -> pids that echoed it.
-        self.echo_votes: Dict[Tuple[str, int, Any], Set[int]] = {}
-        #: Pairs this replica has itself echoed (echo at most once).
-        self.echoed: Set[Tuple[str, int, Any]] = set()
-        #: ACKs recorded for this process's own writes: (reg, seq) -> pids.
-        #: A write-back's acks are keyed ``(reg, -wb_id)``.
-        self.acks: Dict[Tuple[str, int], Set[int]] = {}
-        #: VALUE reports for this process's reads: (reg, rid) -> per-sender.
-        self.value_reports: Dict[Tuple[str, int], Dict[int, Tuple[int, Any]]] = {}
-        #: Monotone count of this state's *changes* (adoptions, fresh
-        #: votes, fresh acks, changed reports) — a progress signal;
-        #: duplicate or stale messages leave it untouched.
-        self.version = 0
-        self.progress = ProgressCount() if progress is None else progress
-
-    def _changed(self) -> None:
-        self.version += 1
-        self.progress.value += 1
-
-    def maybe_adopt(self, name: str, seq: int, value: Any) -> bool:
-        """Adopt ``(seq, value)`` if strictly newer; returns adoption."""
-        if seq > self.accepted[name][0]:
-            self.accepted[name] = (seq, value)
-            self._changed()
-            return True
-        return False
-
-
 def _is_seq(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class ReplicaCore(ReplicaState):
+class ReplicaCore:
     """One process's side of the protocol, with no clock and no transport.
 
     Args:
@@ -172,8 +130,9 @@ class ReplicaCore(ReplicaState):
         n: System size.
         f: Fault bound (quorums are ``n - f``, confirmations ``f + 1``).
         specs: Every emulated register (identical at every process).
-        progress: The count this core's changes also bump (see
-            :class:`ReplicaState`).
+        progress: The count this core's changes bump: shared by every
+            core of a :class:`RegisterEmulation`, and by every core a
+            :class:`repro.net.NetNode` builds across its restarts.
 
     Values handed to :meth:`begin_write` must already be hashable and
     immutable; freezing is the driver's (each transport has its own
@@ -186,9 +145,8 @@ class ReplicaCore(ReplicaState):
         n: int,
         f: int,
         specs: Dict[str, EmulatedRegisterSpec],
-        progress: Optional[ProgressCount] = None,
+        progress: ProgressCount,
     ):
-        super().__init__(specs, progress)
         self.pid = pid
         self.n = n
         self.f = f
@@ -203,6 +161,34 @@ class ReplicaCore(ReplicaState):
         #: confirm a stale value for some reader, whereas silence is
         #: indistinguishable from slowness.
         self.recovering = False
+        #: Highest accepted (seq, value) per register.
+        self.accepted: Dict[str, Tuple[int, Any]] = {
+            name: (0, freeze(spec.initial)) for name, spec in specs.items()
+        }
+        #: Echo tallies: (register, seq, value) -> pids that echoed it.
+        self.echo_votes: Dict[Tuple[str, int, Any], Set[int]] = {}
+        #: Pairs this replica has itself echoed (echo at most once).
+        self.echoed: Set[Tuple[str, int, Any]] = set()
+        #: ACKs recorded for this process's own writes: (reg, seq) -> pids.
+        #: A write-back's acks are keyed ``(reg, -wb_id)``.
+        self.acks: Dict[Tuple[str, int], Set[int]] = {}
+        #: VALUE reports for this process's reads: (reg, rid) -> per-sender.
+        self.value_reports: Dict[Tuple[str, int], Dict[int, Tuple[int, Any]]] = {}
+        #: Counts this core's *changes* (adoptions, fresh votes, fresh
+        #: acks, changed reports) — a progress signal; duplicate or
+        #: stale messages leave it untouched.
+        self.progress = progress
+
+    def _changed(self) -> None:
+        self.progress.value += 1
+
+    def maybe_adopt(self, name: str, seq: int, value: Any) -> bool:
+        """Adopt ``(seq, value)`` if strictly newer; returns adoption."""
+        if seq > self.accepted[name][0]:
+            self.accepted[name] = (seq, value)
+            self._changed()
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Replica: one inbound message
@@ -379,13 +365,14 @@ class ReplicaCore(ReplicaState):
 class RegisterEmulation:
     """A set of SWMR registers emulated over the system's network.
 
-    The simulator's driver of :class:`ReplicaCore`: one core per process,
-    outgoing pairs become kernel effects, and client operations wait by
-    polling their core, one ``Pause`` per poll.
+    The simulator's driver of :class:`ReplicaCore` and of
+    :mod:`repro.mp.client_ops`: one core per process, outgoing pairs
+    become kernel effects, and client operations wait by polling their
+    core, one ``Pause`` per poll.
 
     Args:
-        system: A system with a network installed (``system.network``).
-        f: Fault bound the emulation is configured for.
+        system: A system with a network installed (``system.network``);
+            its ``f`` is the fault bound the emulation is configured for.
         channels: Optional :class:`repro.faults.RetransmitChannels`.
             When given, every protocol message travels channel-framed
             (ACK + dedup + retransmit) and the replica daemons pump the
@@ -399,16 +386,11 @@ class RegisterEmulation:
     same processes.
     """
 
-    def __init__(
-        self,
-        system: System,
-        f: Optional[int] = None,
-        channels: Optional[Any] = None,
-    ):
+    def __init__(self, system: System, channels: Optional[Any] = None):
         if system.network is None:
             raise ConfigurationError("RegisterEmulation requires a network")
         self.system = system
-        self.f = system.f if f is None else f
+        self.f = system.f
         self.n = system.n
         self.channels = channels
         self._specs: Dict[str, EmulatedRegisterSpec] = {}
@@ -482,18 +464,12 @@ class RegisterEmulation:
                     yield effect
 
     # ------------------------------------------------------------------
-    # Client operations — broadcast, then poll the core
+    # Client operations — the ops of repro.mp.client_ops, polled
     # ------------------------------------------------------------------
     def write(self, pid: int, name: str, value: Any) -> Program:
         """Emulated ``write(value)``; returns when ``n - f`` replicas acked."""
-        core = self.state_of(pid)
-        core.check_register(name, writing=True)
-        seq, message = core.begin_write(name, freeze(value))
-        for effect in self._effects(pid, [message]):
-            yield effect
-        while not core.acked(name, seq):
-            yield Pause()
-        return "done"
+        op = client_ops.write(self.state_of(pid), name, freeze(value))
+        return self._drive(pid, op)
 
     def read(
         self,
@@ -502,68 +478,32 @@ class RegisterEmulation:
         requery_every: int = 64,
         write_back: bool = False,
     ) -> Program:
-        """Emulated ``read()``; returns a value confirmed by ``f + 1``.
+        """Emulated ``read()``; returns a value confirmed by ``f + 1``
+        (see :func:`repro.mp.client_ops.read`, ``write_back`` included).
+        Its re-queries are paced from ``requery_every`` polls."""
+        op = client_ops.read(self.state_of(pid), name, write_back)
+        return self._drive(pid, op, requery_every)
 
-        Re-broadcasts the query so replies withheld by Byzantine
-        replicas or raced by timing cannot stall it. The re-query is
-        *paced*: the first fires after ``requery_every`` polls and the
-        interval doubles up to ``16 * requery_every``, so an
-        unconfirmable read (e.g. under a partition) backs off instead
-        of flooding the network.
-
-        With ``write_back=True`` the reader additionally performs the
-        [11]-style write-back round before returning: it broadcasts a
-        ``PULL`` for the selected pair and waits until ``n - f``
-        replicas acknowledge holding at least the selected sequence
-        number (replicas acknowledge only what they genuinely hold, so
-        a Byzantine reader cannot use ``PULL`` to plant a value). This
-        closes the new/old-inversion window between two non-overlapping
-        reads, strengthening regular semantics toward atomicity.
-
-        Write-back defaults **off** here and **on** in
-        :meth:`repro.net.NetNode.read`. The virtual-time scenarios pin
-        step counts that an extra round would move (keeping their
-        low-level writes non-overlapping does not rule the inversion
-        out: one write and two reads suffice); the live load
-        generator's concurrent clients do hit the inversion window. Aligning the defaults is left to the follow-up
-        on the seed-246 / 79203 new/old-inversion finding.
-        """
+    def _drive(self, pid: int, op: ClientOp, requery_every: int = 0) -> Program:
+        """Run ``op`` on ``pid``'s core: one ``Pause`` per poll until a
+        wait is ready, re-sending its message on the pacing from
+        ``requery_every`` polls if it asks to (a write's never does)."""
         core = self.state_of(pid)
-        core.check_register(name)
-        rid, query = core.begin_read(name)
-        seq, value = yield from self._poll(
-            pid, query, lambda: core.confirmed_read(name, rid), requery_every
-        )
-        if write_back and seq > 0:
-            key, pull = core.begin_write_back(name, seq, value)
-            yield from self._poll(
-                pid, pull, lambda: core.acked(name, key), requery_every
-            )
-        return value
-
-    def _poll(
-        self,
-        pid: int,
-        message: Outgoing,
-        ready: Callable[[], Any],
-        requery_every: int,
-    ) -> Program:
-        """Send ``message``, then ``Pause`` until ``ready()`` is truthy
-        (and return that), re-sending on the doubling pacing described
-        in :meth:`read`."""
-        for effect in self._effects(pid, [message]):
-            yield effect
-        polls = 0
-        interval = requery_every
-        next_requery = requery_every
+        message, ready, requery = next(op)
         while True:
-            result = ready()
-            if result:
-                return result
-            polls += 1
-            if polls >= next_requery:
-                interval = min(interval * 2, requery_every * 16)
-                next_requery = polls + interval
-                for effect in self._effects(pid, [message]):
-                    yield effect
-            yield Pause()
+            for effect in self._effects(pid, [message]):
+                yield effect
+            gaps = client_ops.pacing(requery_every)
+            next_requery = next(gaps) if requery else math.inf
+            polls = 0
+            while not ready(core):
+                polls += 1
+                if polls >= next_requery:
+                    next_requery = polls + next(gaps)
+                    for effect in self._effects(pid, [message]):
+                        yield effect
+                yield Pause()
+            try:
+                message, ready, requery = op.send(core)
+            except StopIteration as stop:
+                return stop.value

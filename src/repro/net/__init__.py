@@ -27,8 +27,10 @@ deployment needs around those cores:
   diagnosis instead of a hang.
 * :mod:`repro.net.node` — one cluster process: a TCP server that feeds
   peer frames to its replica core and puts the core's replies on the
-  wire, paced client operations (read / write / transfer / balance),
-  crash-restart recovery, and the remote-client request protocol.
+  wire, the wall-clock driver of the client ops in
+  :mod:`repro.mp.client_ops` (read / write, the crash-restart recovery
+  round, and transfer / balance over ledger reads and writes), and the
+  remote-client request protocol.
 * :mod:`repro.net.loadgen` — hundreds of concurrent clients driving
   read/write/transfer mixes in barrier-separated rounds, with latency
   and throughput percentiles.

@@ -3,9 +3,10 @@
 :class:`NetNode` is the socket driver of the quorum protocol. The
 protocol itself — replica state, the ``WRITE`` / ``ECHO`` / ``ACK`` /
 ``READ`` / ``VALUE`` / ``PULL`` / ``PULL-ACK`` handler, the ``f + 1``
-confirmation rule, the bookkeeping that opens a write, a read or a
-write-back — is :class:`repro.mp.swmr_emulation.ReplicaCore`, the same
-object :class:`repro.mp.RegisterEmulation` drives under the cooperative
+confirmation rule, and what a write, a read or a recovery round does
+with them — is :class:`repro.mp.swmr_emulation.ReplicaCore` and the ops
+of :mod:`repro.mp.client_ops`, the same objects
+:class:`repro.mp.RegisterEmulation` drives under the cooperative
 scheduler, so what the simulator explores is what runs here. This
 module adds what a real process needs around it:
 
@@ -41,20 +42,16 @@ module adds what a real process needs around it:
   task that writes its response straight to the transport. A malformed
   frame — a payload holding a JSON object included — closes its
   connection and is counted in ``bad_frames``.
-* **Waiting.** A client operation opens in the core, then parks on a
-  plain future in the node's waiter list; every delivered frame
-  resolves and clears that list, and each woken operation asks the core
-  again for its own quorum. Waits are paced by a timer of their own:
-  the query is re-broadcast on an exponentially growing ``requery``
-  interval (capped at 16x), so an unsatisfiable wait backs off instead
-  of flooding — the progress monitor, not a flood, is what turns it
-  into a verdict. That re-query is the protocol asking again, above the
-  channel layer; resending a lost frame is the retransmit timer's job.
+* **Waiting.** A client operation is an op of
+  :mod:`repro.mp.client_ops`, the generator the simulator polls; each
+  of its waits parks on a plain future in the node's waiter list. Every
+  delivered frame resolves and clears that list, and each woken
+  operation asks the current core again for its own quorum. A read's
+  waits also re-send, paced from ``requery`` seconds: the protocol
+  asking again, above the channel layer's resending of lost frames.
 * **Write-back on by default.** ``read`` runs the [11] write-back round
-  unless told otherwise. The live load generator runs hundreds of
-  genuinely concurrent clients, so the new/old-inversion window regular
-  semantics leave open *will* be hit; write-back closes it, and the
-  online oracle checks full linearizability.
+  unless told otherwise; :func:`repro.mp.client_ops.read` says why the
+  simulator's default differs.
 * ``transfer`` / ``balance``: the asset-transfer object derived from
   one append-only ledger register per account (``led:P``, written only
   by its owner): ``balance(a) = initial + credits(a) - debits(a)`` over
@@ -68,9 +65,10 @@ retransmit timer (a crashed node stays silent) and closes the server
 (frames in flight are genuinely lost); :meth:`restart` models a
 *lose-state* restart — the core is replaced by a fresh one and rebuilt
 by a recovery round that collects ``VALUE`` reports from ``n - f - 1``
-*other* replicas per register and adopts the newest (with no Byzantine
-processes in the live runtime, ``n - f - 1 > f`` reporters always
-include one that saw every completed write). Until recovery finishes
+*other* replicas per register and adopts the newest
+(:func:`repro.mp.client_ops.recover`; with no Byzantine processes in
+the live runtime, ``n - f - 1 > f`` reporters always include one that
+saw every completed write). Until recovery finishes
 the core is flagged ``recovering`` and answers no ``READ``\\ s —
 silence is indistinguishable from slowness, so rejoining is safe;
 channel sequence counters survive the restart so the retransmit layer's
@@ -86,10 +84,13 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, NetworkError
-from repro.mp.swmr_emulation import ALL, EmulatedRegisterSpec, Outgoing, ReplicaCore
+from repro.mp import client_ops
+from repro.mp.client_ops import ClientOp
+from repro.mp.swmr_emulation import ALL, EmulatedRegisterSpec, Outgoing, ProgressCount
+from repro.mp.swmr_emulation import ReplicaCore
 from repro.net import wire
 from repro.net.channels import WallClockChannels
 
@@ -237,7 +238,7 @@ class NetNode:
         self._retransmit_at = math.inf
         self._links: Dict[int, _Link] = {}
         self._connections: Set[asyncio.Transport] = set()
-        #: Futures of the operations parked in :meth:`_paced_wait`.
+        #: Futures of the operations parked in :meth:`_drive`.
         self._waiters: List[asyncio.Future] = []
         self._write_locks = {name: asyncio.Lock() for name in registers}
         self._transfer_lock = asyncio.Lock()
@@ -246,16 +247,17 @@ class NetNode:
         self.delivered = 0
         #: Inbound connections closed for a malformed frame.
         self.bad_frames = 0
+        #: Protocol-state changes of every core this node builds.
+        self.progress = ProgressCount()
         #: The protocol state machine. A lose-state restart replaces it
-        #: wholesale, so waits look it up on every check (never capture
-        #: it): the paced re-send then repopulates the *new* core.
-        self.replica = ReplicaCore(pid, n, f, self._specs)
+        #: wholesale; :meth:`_drive` hands each op the current one.
+        self.replica = ReplicaCore(pid, n, f, self._specs, self.progress)
 
     @property
     def version(self) -> int:
-        """The core's monotone count of protocol-state changes — the
-        progress signal the wall-clock monitor watches."""
-        return self.replica.version
+        """The monotone count of protocol-state changes, across
+        restarts — the progress signal the wall-clock monitor watches."""
+        return self.progress.value
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -313,20 +315,14 @@ class NetNode:
         state stays consistent), but its pending frames do not — they
         were volatile.
         """
-        self.replica = ReplicaCore(self.pid, self.n, self.f, self._specs)
+        self.replica = ReplicaCore(self.pid, self.n, self.f, self._specs, self.progress)
         self.replica.recovering = True
         if self.channels is not None:
             self.channels.drop_pending()
         await self.start()
-        await self._recover()
+        await self._drive(client_ops.recover(self.replica))
         self.replica.recovering = False
         self._notify()
-
-    async def _recover(self) -> None:
-        """Adopt, per register, the newest pair among n-f-1 other replicas."""
-        for name in self.registers:
-            rid, query = self.replica.begin_read(name)
-            await self._paced_wait(lambda: self.replica.recover_from(name, rid), query)
 
     # ------------------------------------------------------------------
     # Transport
@@ -523,32 +519,45 @@ class NetNode:
         if not waiter.done():
             waiter.set_result(None)
 
-    async def _paced_wait(self, ready: Callable[[], Any], message: Outgoing) -> Any:
-        """Send ``message``, wait until ``ready()`` is truthy (and return
-        that); re-send on a backoff pacing."""
-        self._emit([message])
+    async def _drive(self, op: ClientOp, invocation: Optional[tuple] = None) -> Any:
+        """Run ``op`` on this node's core; returns its result.
+
+        A wait parks until it is ready on the current core, re-sending
+        its message on the pacing if it asks to and, whatever it asks,
+        once the node serves again after a restart replaced the core.
+        ``invocation`` ``(obj, op, args)`` is recorded once the op has
+        opened (a refused op records nothing)."""
         loop = asyncio.get_running_loop()
-        interval = self.requery
-        deadline = loop.time() + interval
+        message, ready, requery = next(op)
+        op_id = self._invoke(*invocation) if invocation else None
         while True:
-            result = ready()
-            if result:
-                return result
-            if loop.time() >= deadline:
-                self._emit([message])
-                interval = min(interval * 2, self.requery * 16)
-                deadline = loop.time() + interval
-                continue
-            waiter = loop.create_future()
-            self._waiters.append(waiter)
-            timer = loop.call_at(deadline, self._unpark, waiter)
+            self._emit([message])
+            core, gaps = self.replica, client_ops.pacing(self.requery)
+            deadline = loop.time() + next(gaps) if requery else math.inf
+            while not ready(self.replica):
+                if self.replica is not core and self._serving:
+                    core = self.replica
+                    self._emit([message])
+                elif loop.time() >= deadline:
+                    self._emit([message])
+                    deadline = loop.time() + next(gaps)
+                else:
+                    waiter = loop.create_future()
+                    self._waiters.append(waiter)
+                    timer = requery and loop.call_at(deadline, self._unpark, waiter)
+                    try:
+                        await waiter
+                    except asyncio.CancelledError:
+                        self._unpark(waiter)
+                        raise
+                    finally:
+                        if timer:
+                            timer.cancel()
             try:
-                await waiter
-            except asyncio.CancelledError:
-                self._unpark(waiter)
-                raise
-            finally:
-                timer.cancel()
+                message, ready, requery = op.send(self.replica)
+            except StopIteration as stop:
+                self._respond(op_id, stop.value)
+                return stop.value
 
     # ------------------------------------------------------------------
     # Client operations
@@ -564,39 +573,18 @@ class NetNode:
 
     async def write(self, name: str, value: Any, record: bool = True) -> str:
         """Emulated ``write``; returns once ``n - f`` replicas acked."""
-        self.replica.check_register(name, writing=True)
-        async with self._write_locks[name]:
-            op_id = self._invoke(name, "write", (value,)) if record else None
-            seq, message = self.replica.begin_write(name, wire.freeze(value))
-            await self._paced_wait(lambda: self.replica.acked(name, seq), message)
-            self.replica.finish_write(name, seq)
-            self._respond(op_id, "done")
-        return "done"
+        # An unknown register gets a lock of its own; the op refuses it.
+        async with self._write_locks.get(name) or asyncio.Lock():
+            op = client_ops.write(self.replica, name, wire.freeze(value))
+            return await self._drive(op, (name, "write", (value,)) if record else None)
 
     async def read(
         self, name: str, record: bool = True, write_back: bool = True
     ) -> Any:
-        """Emulated ``read``; a pair confirmed by ``f + 1``, written back.
-
-        Write-back defaults **on** here and **off** in
-        :meth:`repro.mp.RegisterEmulation.read`: live clients are
-        genuinely concurrent and do hit the new/old-inversion window
-        that regular semantics leave open, while the virtual-time
-        scenarios pin step counts an extra round would move. Aligning
-        the two defaults is left to the follow-up on the seed-246 /
-        79203 new/old-inversion finding.
-        """
-        self.replica.check_register(name)
-        op_id = self._invoke(name, "read", ()) if record else None
-        rid, query = self.replica.begin_read(name)
-        seq, value = await self._paced_wait(
-            lambda: self.replica.confirmed_read(name, rid), query
-        )
-        if write_back and seq > 0:
-            key, pull = self.replica.begin_write_back(name, seq, value)
-            await self._paced_wait(lambda: self.replica.acked(name, key), pull)
-        self._respond(op_id, value)
-        return value
+        """Emulated ``read``; a pair confirmed by ``f + 1``, written back
+        unless told otherwise (see :func:`repro.mp.client_ops.read`)."""
+        op = client_ops.read(self.replica, name, write_back)
+        return await self._drive(op, (name, "read", ()) if record else None)
 
     # ------------------------------------------------------------------
     # Asset transfer over ledger registers

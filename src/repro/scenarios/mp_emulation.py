@@ -50,7 +50,8 @@ retransmit poll returns at once below its earliest pending deadline.
 
 Engine note: the cells run the swarm engine. Systematic exploration is
 *sound* here — the network heap folds into ``System.fingerprint`` — but
-the emulation's protocol state (:class:`repro.mp.ReplicaState`, channel
+the emulation's protocol state (a
+:class:`repro.mp.swmr_emulation.ReplicaCore` per process, channel
 tables) lives in Python objects the coroutine fingerprint abstracts to
 type names, so memoization would over-merge; swarm fuzzing does not
 fingerprint and is unaffected.
@@ -138,7 +139,7 @@ def build_mp_register(
         network = inner
     system.network = network
     channels = RetransmitChannels(system) if retransmit else None
-    emu = RegisterEmulation(system, f=f, channels=channels)
+    emu = RegisterEmulation(system, channels=channels)
     emu.add_register("r", writer=1, initial=0)
     for pid in system.pids:
         system.spawn(pid, "replica", emu.replica_program(pid))

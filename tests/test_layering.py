@@ -181,6 +181,45 @@ def test_every_spec_export_is_read_by_the_program():
     assert not unread, f"repro.spec exports nothing reads: {unread}"
 
 
+def test_only_the_client_ops_open_complete_or_recover_an_operation():
+    # The client half of the quorum protocol is written once, in
+    # repro.mp.client_ops, and both clocks drive it. A driver that opens,
+    # completes or recovers an operation on a core itself is a second
+    # copy free to drift from the first. A core calling its own methods
+    # (``self.…``) is the replica at work, not a client.
+    client_calls = {
+        "begin_write",
+        "begin_read",
+        "begin_write_back",
+        "acked",
+        "confirmed_read",
+        "finish_write",
+        "check_register",
+        "recover_from",
+    }
+    op_module = PACKAGE_ROOT / "mp" / "client_ops.py"
+    offenders, in_op_module = [], set()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in client_calls
+            ):
+                continue
+            receiver = node.func.value
+            if path == op_module:
+                in_op_module.add(node.func.attr)
+            elif not (isinstance(receiver, ast.Name) and receiver.id == "self"):
+                offenders.append(
+                    f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno} calls "
+                    f"{node.func.attr}"
+                )
+    assert in_op_module == client_calls, "client ops module not found"
+    assert not offenders, "\n".join(offenders)
+
+
 def _loaded_after(statement: str, candidates) -> list:
     """Which of ``candidates`` are in ``sys.modules`` after ``statement``."""
     code = (

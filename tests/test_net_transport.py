@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetworkError
+from repro.errors import ConfigurationError, NetworkError
 from repro.faults import FaultPlan
 from repro.net import (
     ChaosClock,
@@ -816,19 +816,18 @@ class TestWaiting:
             ok = [False] * count
             checks = [0] * count
 
-            def predicate(index):
-                def ready():
+            def op(index):
+                """One wait, ready once ``ok[index]``; returns ``index + 1``."""
+
+                def ready(core):
                     checks[index] += 1
-                    return ok[index] and index + 1
+                    return ok[index]
 
-                return ready
+                # Sent to a peer of an un-started node: goes nowhere.
+                yield (2, ("READ", "reg:1", 1)), ready, True
+                return index + 1
 
-            # Sent to a peer of an un-started node: goes nowhere.
-            message = (2, ("READ", "reg:1", 1))
-            waits = [
-                asyncio.ensure_future(node._paced_wait(predicate(i), message))
-                for i in range(count)
-            ]
+            waits = [asyncio.ensure_future(node._drive(op(i))) for i in range(count)]
             await asyncio.sleep(0)
             assert len(node._waiters) == count and checks == [1] * count
             for index in range(0, count, 2):
@@ -848,6 +847,42 @@ class TestWaiting:
             assert results == [i + 1 for i in range(count)]
             assert checks == [2 + (i % 2) for i in range(count)]
             assert len(node._waiters) == 0
+
+        asyncio.run(go())
+
+    def test_a_write_in_flight_across_its_nodes_restart_completes(self):
+        # The crash drops the WRITE's frames and the restart the channel
+        # layer's pending copies; the wait, woken on the new core, sends
+        # its WRITE once more, and that is what carries the write.
+        async def go():
+            cluster = LiveCluster(
+                LiveProfile(n=4, f=1, clients=1, rounds=1, ops_per_client=1)
+            )
+            await cluster.start()
+            try:
+                node = cluster.nodes[0]
+                write = asyncio.ensure_future(node.write("reg:1", 7))
+                await asyncio.sleep(0)
+                assert not write.done()
+                await node.stop()
+                await node.restart()
+                assert await asyncio.wait_for(write, 3.0) == "done"
+                assert node.replica.write_seq["reg:1"] == 1
+                assert await node.read("reg:1") == 7
+                assert await cluster.nodes[1].read("reg:1") == 7
+            finally:
+                await cluster.stop()
+
+        asyncio.run(go())
+
+    def test_a_refused_operation_records_nothing(self):
+        async def go():
+            history = LiveHistory()
+            node = NetNode(1, 4, 1, REGISTERS, history=history, requery=3600.0)
+            for op in (node.write("nope", 1), node.write("reg:2", 1), node.read("nope")):
+                with pytest.raises(ConfigurationError):
+                    await op
+            assert history.history.operations() == [] and node._waiters == []
 
         asyncio.run(go())
 

@@ -69,7 +69,7 @@ class SimReplica:
         system = System(n=N, f=F)
         system.network = RandomDelayNetwork(seed=0)
         self.pid = pid
-        self.emu = RegisterEmulation(system, f=F)
+        self.emu = RegisterEmulation(system)
         for name, (writer, initial) in REGISTERS.items():
             self.emu.add_register(name, writer=writer, initial=initial)
         self.core = self.emu.state_of(pid)
@@ -88,8 +88,8 @@ class SimReplica:
 class LiveReplica:
     """An un-started :class:`NetNode`, its two send seams recorded."""
 
-    def __init__(self, pid):
-        self.node = NetNode(pid, N, F, REGISTERS, requery=3600.0)
+    def __init__(self, pid, requery=3600.0):
+        self.node = NetNode(pid, N, F, REGISTERS, requery=requery)
         self.sent = []
         self.node._send = lambda dst, payload: self.sent.append((dst, payload))
         self.node._broadcast = lambda payload: self.sent.append((ALL, payload))
@@ -114,7 +114,7 @@ def snapshot(core):
         core.echoed,
         core.acks,
         core.value_reports,
-        core.version,
+        core.progress.value,
     )
 
 
@@ -193,14 +193,15 @@ def test_a_recovering_replica_answers_no_reads():
     assert sim.deliver(2, ("READ", "r", 1)) == [(2, ("VALUE", "r", 1, 1, "a"))]
 
 
+async def _settle(task):
+    for _ in range(5):
+        await asyncio.sleep(0)
+    return task.done()
+
+
 def test_both_drivers_open_and_complete_operations_alike():
     """p1 writes ``r`` and then reads it back with write-back, on both
     drivers, fed the same replies: same traffic, same state, same result."""
-
-    async def settle(task):
-        for _ in range(5):
-            await asyncio.sleep(0)
-        return task.done()
 
     async def go():
         sim, live = SimReplica(1), LiveReplica(1)
@@ -213,32 +214,103 @@ def test_both_drivers_open_and_complete_operations_alike():
         sim_op = sim.emu.write(1, "r", "v")
         live_op = asyncio.ensure_future(live.node.write("r", "v", record=False))
         out, finished, _ = _run_to_pause(sim_op)
-        assert not finished and not await settle(live_op)
+        assert not finished and not await _settle(live_op)
         assert out == live.take() == [(ALL, ("WRITE", "r", 1, "v"))]
         deliver_both(2, ("ACK", "r", 1))
-        assert not _run_to_pause(sim_op)[1] and not await settle(live_op)
+        assert not _run_to_pause(sim_op)[1] and not await _settle(live_op)
         deliver_both(3, ("ACK", "r", 1))
         assert _run_to_pause(sim_op) == ([], True, "done")
-        assert await settle(live_op) and live_op.result() == "done"
+        assert await _settle(live_op) and live_op.result() == "done"
 
         # read("r") with write-back: READ, f + 1 matching VALUEs (own
         # included), then PULL until n - f hold the pair.
         sim_op = sim.emu.read(1, "r", requery_every=10**9, write_back=True)
         live_op = asyncio.ensure_future(live.node.read("r", record=False))
         out, finished, _ = _run_to_pause(sim_op)
-        assert not finished and not await settle(live_op)
+        assert not finished and not await _settle(live_op)
         assert out == live.take() == [(ALL, ("READ", "r", 1))]
         deliver_both(4, ("VALUE", "r", 1, 0, 0))  # a stale replica: no quorum yet
         assert _run_to_pause(sim_op) == ([], False, None)
         deliver_both(2, ("VALUE", "r", 1, 1, "v"))
         out, finished, _ = _run_to_pause(sim_op)
-        assert not finished and not await settle(live_op)
+        assert not finished and not await _settle(live_op)
         assert out == live.take() == [(ALL, ("PULL", "r", 1, "v", 2))]
         deliver_both(2, ("PULL-ACK", "r", 2))
         deliver_both(3, ("PULL-ACK", "r", 2))
         assert _run_to_pause(sim_op) == ([], True, "v")
-        assert await settle(live_op) and live_op.result() == "v"
+        assert await _settle(live_op) and live_op.result() == "v"
         assert snapshot(sim.core) == snapshot(live.core)
+
+    asyncio.run(go())
+
+
+def test_a_write_whose_acks_come_late_resends_nothing_on_either_driver():
+    """An ack is idempotent and a lost frame is the channel layer's to
+    resend, so a write's wait never re-sends its WRITE, however long its
+    acks take: far past a read's whole pacing schedule in polls on one
+    driver, forty pacing bases in seconds on the other."""
+
+    async def go():
+        base = 0.002
+        sim, live = SimReplica(1), LiveReplica(1, requery=base)
+        sim_op = sim.emu.write(1, "r", "v")
+        live_op = asyncio.ensure_future(live.node.write("r", "v", record=False))
+        out, finished, _ = _run_to_pause(sim_op)
+        assert not finished and not await _settle(live_op)
+        assert out == live.take() == [(ALL, ("WRITE", "r", 1, "v"))]
+        for _ in range(3 * 16 * 64):
+            assert _run_to_pause(sim_op) == ([], False, None)
+        await asyncio.sleep(40 * base)
+        assert not live_op.done() and live.take() == []
+        for sender in (2, 3):
+            assert sim.deliver(sender, ("ACK", "r", 1)) == live.deliver(
+                sender, ("ACK", "r", 1)
+            )
+        assert _run_to_pause(sim_op) == ([], True, "done")
+        assert await _settle(live_op) and live_op.result() == "done"
+        assert live.take() == []
+
+    asyncio.run(go())
+
+
+def test_a_read_requeries_at_the_same_pacing_positions_on_both_drivers():
+    """An unconfirmable read re-sends its READ at the same positions of
+    :func:`repro.mp.client_ops.pacing`, in units of the driver's base:
+    1, 3, 7, 15, 31 and 47 bases after the query (gaps 1, 2, 4, 8, 16,
+    16) — counted in polls of the wait on virtual time, in seconds on
+    the wall clock (where a timer is never early and late only by
+    scheduling noise)."""
+    resends = 6
+    sim = SimReplica(1)  # alone, p1 never sees f + 1 matching reports
+    op = sim.emu.read(1, "r", requery_every=4)
+    out, finished, _ = _run_to_pause(op)
+    assert out == [(ALL, ("READ", "r", 1))] and not finished
+    polls = []  # the poll of the wait at which each re-send went out
+    poll = 1  # the first poll runs in the step that sent the query
+    while len(polls) < resends:
+        poll += 1
+        out, finished, _ = _run_to_pause(op)
+        assert not finished and out in ([], [(ALL, ("READ", "r", 1))])
+        polls += [poll] * len(out)
+    sim_positions = [p / 4 for p in polls]
+    assert sim_positions == [1, 3, 7, 15, 31, 47]
+
+    async def go():
+        base = 0.004
+        live = LiveReplica(1, requery=base)
+        loop = asyncio.get_running_loop()
+        sent_at = []
+        live.node._broadcast = lambda payload: sent_at.append(loop.time())
+        read = asyncio.ensure_future(live.node.read("r", record=False))
+        while len(sent_at) <= resends:
+            await asyncio.sleep(base / 2)
+        read.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await read
+        gaps = [b - a for a, b in zip(sent_at, sent_at[1:])][:resends]
+        steps = [b - a for a, b in zip([0] + sim_positions, sim_positions)]
+        for gap, step in zip(gaps, steps):
+            assert base * step * 0.99 <= gap < base * step + 0.05, (gaps, steps)
 
     asyncio.run(go())
 
