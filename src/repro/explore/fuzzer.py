@@ -5,9 +5,14 @@ samples the *unbounded* schedule space: every run draws a fresh
 scheduler — uniform random or swarm-priority (each coroutine gets a
 random weight, so whole coroutines run slow or fast for the entire run,
 the "swarm verification" trick that reaches starvation-shaped bugs
-uniform sampling rarely hits) — wrapped in a
-:class:`repro.sim.TraceScheduler` so any violating run is immediately
-replayable and shrinkable from its decision trace.
+uniform sampling rarely hits). A violating run is reported with its
+decision trace, so it is replayable and shrinkable. Where that trace
+is recorded depends on what the shard expects (:func:`run_one_fuzz`):
+a *hunting* shard, one that stops at its first violation, runs every
+schedule under a recording :class:`repro.sim.TraceScheduler`, so the
+find carries its trace from the run that found it; a *certifying*
+shard, one that expects no violation, runs its schedulers bare and
+re-executes only an unexpected find, once, to record its trace.
 
 Campaigns shard across cores with :mod:`multiprocessing`; each shard is
 a deterministic function of its seed list, so a campaign's findings are
@@ -143,20 +148,32 @@ def run_one_fuzz(
     scenario: Scenario,
     seed: int,
     ctx=None,
+    hunting: bool = False,
 ) -> Tuple[Optional[Violation], int, bool]:
     """Execute one fuzzing run; returns (violation, steps, completed).
 
-    The first execution runs under the bare seeded scheduler — no
-    record/replay wrapper, which is pure per-step overhead on the clean
-    runs that dominate every campaign. A run is perfectly reproducible
-    from its seed, so when (and only when) the run violates, it is
-    re-executed once under a :class:`TraceScheduler` (``horizon=0``: the
-    fuzzer only needs the index trace for replay and shrinking, not the
-    per-step runnable sets the systematic explorer records) to capture
-    the replayable decision trace.
+    A run is reproducible from its seed, and its scheduler decides the
+    same picks whether or not a :class:`TraceScheduler` (``horizon=0``:
+    the index trace for replay and shrinking, not the per-step runnable
+    sets the systematic explorer records) wraps it as the fallback.
+
+    * **Hunting** (``hunting=True``, the shards of cells that expect a
+      violation and stop at the first): the run is recorded as it goes,
+      so a find carries its decision trace without being executed a
+      second time. The few clean runs before the find pay the
+      recording.
+    * **Certifying** (the default): the run is bare — recording is pure
+      per-step overhead on the clean runs that dominate such a
+      campaign — and only an unexpected violation is re-executed, once,
+      under the recording wrapper to capture its trace.
     """
     scheduler = fuzz_scheduler(seed)
-    built = scenario.build(scheduler, ctx=ctx)
+    tracer = (
+        TraceScheduler(prefix=(), fallback=scheduler, horizon=0)
+        if hunting
+        else None
+    )
+    built = scenario.build(tracer or scheduler, ctx=ctx)
     try:
         try:
             built.drive()
@@ -170,14 +187,15 @@ def run_one_fuzz(
         built.system.release_coroutines()
     if reason is None:
         return None, steps, True
-    tracer = TraceScheduler(
-        prefix=(), fallback=fuzz_scheduler(seed), horizon=0
-    )
-    replay = scenario.build(tracer, ctx=ctx)
-    try:
-        replay.drive()
-    finally:
-        replay.system.release_coroutines()
+    if tracer is None:
+        tracer = TraceScheduler(
+            prefix=(), fallback=fuzz_scheduler(seed), horizon=0
+        )
+        replay = scenario.build(tracer, ctx=ctx)
+        try:
+            replay.drive()
+        finally:
+            replay.system.release_coroutines()
     violation = Violation(
         scenario=scenario.label(),
         reason=reason,
@@ -197,7 +215,8 @@ def _run_shard(
     Also used inline for single-shard campaigns, where
     ``stop_on_violation`` may short-circuit after the first hit
     (``Pool.map`` always calls with the default, so sharded campaigns
-    drain their jobs). Each shard owns one :class:`CheckContext`, so the
+    drain their jobs); such a shard hunts (see :func:`run_one_fuzz`).
+    Each shard owns one :class:`CheckContext`, so the
     oracle layer's memo tables persist across every run of the shard —
     contexts never cross process boundaries.
     """
@@ -215,7 +234,9 @@ def _run_shard(
     with paused_gc():
         for scenario, seed in jobs:
             try:
-                violation, steps, completed = run_one_fuzz(scenario, seed, ctx=ctx)
+                violation, steps, completed = run_one_fuzz(
+                    scenario, seed, ctx=ctx, hunting=stop_on_violation
+                )
             except SchedulerError:
                 continue
             result.runs += 1

@@ -17,10 +17,12 @@ silently drifts to a different bug):
    minima render identically.
 
 The three phases repeat until a full pass leaves the trace unchanged
-(or the replay budget runs out): normalization can re-open truncation
-or removal opportunities, and running to this fixpoint makes shrinking
-*idempotent* — re-shrinking an already-shrunk trace is a no-op, which
-keeps corpus entries stable across campaigns.
+or the replay budget runs out: normalization can re-open truncation or
+removal opportunities. A result that reached this fixpoint
+(:attr:`ShrunkViolation.fixpoint`) is *idempotent* — re-shrinking it is
+a no-op, which keeps corpus entries stable across campaigns. A result
+whose budget ran out first carries no such promise: re-shrinking it
+with a fresh budget may shorten it further.
 
 The result converts to a :class:`repro.sim.ScriptedScheduler` script —
 the explicit ``(pid, role)`` step list the repo's regression tests are
@@ -68,6 +70,9 @@ class ShrunkViolation:
     reason: str
     script: Tuple[CoroutineId, ...]
     replays: int
+    #: True only when a full pass of the three phases changed nothing;
+    #: False when the replay budget ran out first.
+    fixpoint: bool
 
     def script_source(self) -> str:
         """Python source for a ScriptedScheduler reproducing the violation."""
@@ -83,9 +88,10 @@ class ShrunkViolation:
 
     def describe(self) -> str:
         """One-line rendering for reports."""
+        spent = "" if self.fixpoint else ", replay budget spent"
         return (
             f"shrunk {len(self.original.trace)} -> {len(self.trace)} decisions "
-            f"({self.replays} replays): {self.reason}"
+            f"({self.replays} replays{spent}): {self.reason}"
         )
 
 
@@ -136,6 +142,15 @@ def shrink(
     # held across the next replay is a second full trace in memory.
     reason = ""
     chosen: Tuple[CoroutineId, ...] = ()
+    # Set the first time a phase wanted another replay and the budget
+    # refused it: that pass was cut short, so it proves no fixpoint.
+    spent = False
+
+    def budget_left() -> bool:
+        nonlocal spent
+        if replays >= max_replays:
+            spent = True
+        return not spent
 
     def attempt(prefix: Sequence[int]) -> bool:
         nonlocal replays, reason, chosen
@@ -155,13 +170,14 @@ def shrink(
 
     # Repeat the phase pipeline until a full pass changes nothing (the
     # fixpoint that makes shrinking idempotent) or the budget is spent.
-    while replays < max_replays:
+    fixpoint = False
+    while budget_left():
         before = list(current)
 
         # Phase 1: truncation by binary search — the shortest prefix
         # whose fair completion still violates.
         low, high = 0, len(current)
-        while low < high and replays < max_replays:
+        while low < high and budget_left():
             mid = (low + high) // 2
             if attempt(current[:mid]):
                 high = mid
@@ -171,11 +187,11 @@ def shrink(
 
         # Phase 2: ddmin — remove chunks at doubling granularity.
         granularity = 2
-        while granularity <= max(len(current), 1) and replays < max_replays:
+        while granularity <= max(len(current), 1) and budget_left():
             chunk = max(1, len(current) // granularity)
             removed_any = False
             start = 0
-            while start < len(current) and replays < max_replays:
+            while start < len(current) and budget_left():
                 candidate = current[:start] + current[start + chunk:]
                 if candidate != current and attempt(candidate):
                     current = candidate
@@ -189,7 +205,7 @@ def shrink(
 
         # Phase 3: normalize indices toward 0 for a canonical rendering.
         for position in range(len(current)):
-            if replays >= max_replays:
+            if not budget_left():
                 break
             for lower in range(current[position]):
                 candidate = list(current)
@@ -199,6 +215,7 @@ def shrink(
                     break
 
         if current == before:
+            fixpoint = not spent
             break
 
     return ShrunkViolation(
@@ -207,4 +224,5 @@ def shrink(
         reason=reason,
         script=tuple(chosen[: len(current)]),
         replays=replays,
+        fixpoint=fixpoint,
     )

@@ -335,6 +335,81 @@ class TestSwarmFuzzer:
         assert set(scheduler._weights) == {(1, "a"), (2, "b")}
 
 
+def _count_builds(monkeypatch):
+    """Record the label of every scenario built from now on."""
+    from repro.scenarios.registry import Scenario
+
+    builds = []
+    original = Scenario.build
+
+    def counting(self, *args, **kwargs):
+        builds.append(self.label())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "build", counting)
+    return builds
+
+
+class TestHuntingRecordsAsItRuns:
+    """A hunting shard records its find in the run that finds it.
+
+    The recorded run must report exactly what the bare run plus its
+    capture replay report, and must spare that second execution.
+    """
+
+    @staticmethod
+    def _expect_violation_swarm_cells():
+        from repro.campaign import default_matrix
+
+        cells = [
+            cell
+            for cell in default_matrix(smoke=True)
+            if cell.engine == "swarm" and cell.expect_violation
+        ]
+        assert len(cells) >= 8, [cell.implementation for cell in cells]
+        return cells
+
+    def test_hunting_find_equals_the_capture_replay_find(self):
+        for cell in self._expect_violation_swarm_cells():
+            compared = 0
+            for seed in range(cell.seed0, cell.seed0 + cell.budget):
+                certified = run_one_fuzz(cell.scenario, seed)
+                hunted = run_one_fuzz(cell.scenario, seed, hunting=True)
+                assert hunted[1:] == certified[1:], (cell.implementation, seed)
+                if certified[0] is None:
+                    assert hunted[0] is None, (cell.implementation, seed)
+                    continue
+                # Field for field: scenario, reason, trace, schedule, seed.
+                assert hunted[0] == certified[0], (cell.implementation, seed)
+                compared += 1
+                if compared == 2:
+                    break
+            assert compared, f"{cell.implementation}: no violating seed"
+
+    def test_a_hunting_shard_builds_one_scenario_per_run(self, monkeypatch):
+        scenario = make_scenario("theorem29", f=1)
+        first = next(
+            seed for seed in range(40) if run_one_fuzz(scenario, seed)[0]
+        )
+        builds = _count_builds(monkeypatch)
+        report = fuzz(scenario, budget=40, shards=1, stop_on_violation=True)
+        assert report.violations and report.violations[0].seed == first
+        assert report.runs == first + 1
+        assert len(builds) == first + 1
+
+    def test_a_certifying_shard_replays_an_unexpected_find_once(
+        self, monkeypatch
+    ):
+        scenario = make_scenario("theorem29", f=1)
+        first = next(
+            seed for seed in range(40) if run_one_fuzz(scenario, seed)[0]
+        )
+        builds = _count_builds(monkeypatch)
+        report = fuzz(scenario, budget=first + 1, shards=1)
+        assert report.violations and report.violations[0].seed == first
+        assert len(builds) == report.runs + 1
+
+
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
@@ -402,6 +477,41 @@ class TestShrinker:
         assert record.violation.reason == shrunk.reason
         assert tuple(record.chosen[: len(shrunk.trace)]) == shrunk.script
 
+    def test_depth0_replay_matches_a_fully_recorded_one(self, found):
+        # A depth-0 replay records only what its callers read; the
+        # verdict, the step count and the forced steps' coroutines must
+        # equal those of a run that records every windowed step.
+        scenario, violation = found
+        trace = violation.trace
+        for prefix in (
+            (),
+            trace[:1],
+            trace[: len(trace) // 4],
+            trace[: len(trace) // 2],
+            trace,
+            tuple(0 for _ in trace[:40]),
+        ):
+            lean = execute_trace(scenario, prefix)
+            full = execute_trace(scenario, prefix, fingerprints=True)
+            assert lean.violation == full.violation
+            assert (lean.steps, lean.completed) == (full.steps, full.completed)
+            assert lean.chosen == full.chosen[: len(prefix)]
+            assert lean.effects == () and len(full.effects) >= len(prefix)
+
+    def test_fixpoint_reports_whether_the_budget_ran_out(
+        self, found, monkeypatch
+    ):
+        scenario, violation = found
+        done = shrink(scenario, violation)
+        assert done.fixpoint and done.replays < 600
+        assert "replay budget spent" not in done.describe()
+
+        builds = _count_builds(monkeypatch)
+        cut = shrink(scenario, violation, max_replays=4)
+        assert not cut.fixpoint
+        assert cut.replays == len(builds) == 4
+        assert "replay budget spent" in cut.describe()
+
     def test_rejects_non_reproducing_trace(self):
         scenario = make_scenario("theorem29", f=1)
         bogus = Violation(
@@ -414,12 +524,12 @@ class TestShrinker:
 class TestShrinkerProperties:
     """ddmin-output properties: reproduction and idempotence.
 
-    The shrinker runs its phase pipeline to a fixpoint, so for *every*
-    violating seed: (a) the minimized trace still reproduces the same
-    violation class, and (b) shrinking an already-shrunk trace is a
-    no-op — the property that keeps corpus entries stable across
-    campaigns. Checked over the first few violating fuzz seeds rather
-    than one hand-picked run.
+    Under the default budget the shrinker runs its phase pipeline to a
+    fixpoint, so for *every* violating seed: (a) the minimized trace
+    still reproduces the same violation class, and (b) shrinking an
+    already-shrunk trace is a no-op — the property that keeps corpus
+    entries stable across campaigns. Checked over the first few
+    violating fuzz seeds rather than one hand-picked run.
     """
 
     SCENARIO = make_scenario("theorem29", f=1)
@@ -447,6 +557,7 @@ class TestShrinkerProperties:
     def test_shrinking_a_shrunk_trace_is_a_noop(self, violations):
         for violation in violations:
             shrunk = shrink(self.SCENARIO, violation)
+            assert shrunk.fixpoint
             again = shrink(
                 self.SCENARIO,
                 Violation(
