@@ -32,9 +32,9 @@ def main() -> None:
     print(report.summary())
     assert report.violations, "systematic search should find the Figure 1 race"
 
-    # Swarm fuzzing samples seeded random/priority schedules (sharded
-    # across cores when available) and finds the same violation class.
-    swarm = fuzz(scenario, budget=150, shards=1)
+    # Swarm fuzzing samples seeded random/priority schedules and finds
+    # the same violation class.
+    swarm = fuzz(scenario, budget=150)
     print(swarm.summary())
 
     # Shrink the counterexample to a pasteable ScriptedScheduler script.
@@ -46,7 +46,7 @@ def main() -> None:
     # The control at n = 3f + 1: same bounds, no violation — the extra
     # correct process closes every schedule the adversary could exploit.
     control_report = explore(control, depth_bound=14, preemption_bound=2, budget=300)
-    control_swarm = fuzz(control, budget=150, shards=1)
+    control_swarm = fuzz(control, budget=150)
     print(control_report.summary())
     print(control_swarm.summary())
     assert not control_report.violations and not control_swarm.violations

@@ -1,13 +1,12 @@
-"""Run the experiment suite or the schedule explorer from the command line.
+"""Run the experiment suite, a campaign or the live cluster from the shell.
 
 Usage::
 
     python -m repro.analysis                 # every experiment, full tables
     python -m repro.analysis E5 E11          # a subset, by experiment id
     python -m repro.analysis --list          # experiment ids and titles
-    python -m repro.analysis explore         # schedule-space exploration
-    python -m repro.analysis explore --budget 200 --f 2
     python -m repro.analysis campaign --smoke   # differential campaign
+    python -m repro.analysis campaign --cell <label> --cell <fingerprint>
     python -m repro.analysis campaign --submit --smoke   # enqueue a run...
     python -m repro.analysis campaign --worker           # ...lease + execute it
     python -m repro.analysis campaign --status           # ...verdicts + drift
@@ -21,17 +20,15 @@ table and a PASS/FAIL verdict on the qualitative expectation it
 reproduces (the table entry's ``holds``; ``tests/test_experiments.py``
 asserts the same predicate).
 
-The ``explore`` subcommand drives ``repro.explore`` end to end: bounded
-systematic search plus a swarm fuzzing campaign over the Theorem 29
-scenario at ``n = 3f`` (where it must find a Byzantine-linearizability
-violation and shrink it to a ScriptedScheduler script) and at
-``n = 3f + 1`` (where the same bounds must come back clean). Exit code
-0 means the theorem's shape reproduced.
-
 The ``campaign`` subcommand drives ``repro.campaign``: a differential
 conformance matrix over every ``repro.core`` implementation family,
 with discovered violations shrunk and persisted into the replayable
-``corpus/`` regression corpus. Exit code 0 means every cell matched
+``corpus/`` regression corpus. ``--cell`` keeps only the named
+registry records' cells (a label or the short fingerprint
+``scenarios --list`` prints), which is how one record — the Theorem 29
+``n = 3f`` / ``n = 3f + 1`` pair, a pinned fault-injection cell — is
+explored and judged; ``--reduction`` runs the systematic cells under
+another partial-order reduction. Exit code 0 means every cell matched
 the paper's expectation (and, with ``--replay``, that every committed
 corpus entry still reproduces). The default run goes through
 ``repro.service`` (submit + N workers + report, verdicts recorded in
@@ -88,7 +85,7 @@ def _scenarios_main(argv: Sequence[str]) -> int:
             "List the unified scenario registry: every record's "
             "coordinates (family, n, f, engine, adversary/workload "
             "params), its pinned differential expectation, and which "
-            "consumers (campaign / explore / smoke / net) include it."
+            "consumers (campaign / smoke / net) include it."
         ),
     )
     parser.add_argument(
@@ -190,244 +187,6 @@ def _scenarios_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def _explore_main(argv: Sequence[str]) -> int:
-    """The ``explore`` subcommand: systematic search + swarm + shrink."""
-    from repro.explore import adversary_grid, explore, fuzz, make_scenario, shrink
-    from repro.scenarios import REDUCTIONS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis explore",
-        description=(
-            "Search the schedule space of a scenario with the bounded "
-            "systematic explorer and a swarm fuzzing campaign; shrink the "
-            "first violation to a ScriptedScheduler script."
-        ),
-    )
-    parser.add_argument(
-        "--scenario",
-        default="theorem29",
-        help="what to explore: the Theorem 29 race (default), 'register' "
-        "(randomized register workloads with adversary combinations), or "
-        "any scenario-registry record label — see `scenarios --list`",
-    )
-    parser.add_argument("--f", type=int, default=1, help="fault bound (theorem29)")
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=600,
-        help="runs per engine per phase (default 600)",
-    )
-    parser.add_argument("--depth", type=int, default=14, help="systematic depth bound")
-    parser.add_argument(
-        "--preempt", type=int, default=2, help="systematic preemption bound"
-    )
-    parser.add_argument(
-        "--reduction",
-        choices=REDUCTIONS,
-        default=None,
-        help="systematic pruning strategy: sleep-set baseline, source-set "
-        "dynamic partial-order reduction, or dpor plus interchangeable-"
-        "process symmetry folding (default: what the registry record "
-        "pins, else sleep)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None, help="fuzzer processes (default: cores, <=4)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="first fuzzing seed")
-    parser.add_argument(
-        "--kind",
-        default="verifiable",
-        choices=("verifiable", "authenticated", "sticky"),
-        help="register kind (register scenario)",
-    )
-    parser.add_argument("--n", type=int, default=4, help="processes (register scenario)")
-    parser.add_argument("--no-shrink", action="store_true", help="skip shrinking")
-    parser.add_argument(
-        "--no-control",
-        action="store_true",
-        help="skip the n = 3f + 1 control phase (theorem29)",
-    )
-    args = parser.parse_args(argv)
-    if args.f < 1:
-        parser.error("--f must be >= 1")
-    if args.budget < 1:
-        parser.error("--budget must be >= 1")
-    if args.depth < 0:
-        parser.error("--depth must be >= 0")
-    if args.preempt < 0:
-        parser.error("--preempt must be >= 0")
-
-    headers = ("phase", "engine", "runs", "runs/s", "states/s", "violations", "note")
-    rows: List[Tuple] = []
-
-    def run_phase(
-        phase: str,
-        scenarios,
-        expect_violation: bool,
-        reduction: str = "sleep",
-        symmetry=(),
-    ) -> bool:
-        """Run both engines over ``scenarios``; returns found-violation."""
-        target = scenarios[0] if len(scenarios) == 1 else None
-        found = []
-        if target is not None:
-            sys_report = explore(
-                target,
-                depth_bound=args.depth,
-                preemption_bound=args.preempt,
-                budget=args.budget,
-                reduction=reduction,
-                symmetry=symmetry,
-            )
-            print(sys_report.summary())
-            rows.append(
-                (
-                    phase,
-                    f"systematic/dfs/{reduction}",
-                    sys_report.runs,
-                    round(sys_report.runs_per_sec),
-                    round(sys_report.states_per_sec),
-                    len(sys_report.violations),
-                    "exhausted" if sys_report.exhausted else "budget",
-                )
-            )
-            found.extend(sys_report.violations)
-        fuzz_report = fuzz(
-            scenarios, budget=args.budget, shards=args.shards, seed0=args.seed
-        )
-        print(fuzz_report.summary())
-        rows.append(
-            (
-                phase,
-                f"swarm x{fuzz_report.shards}",
-                fuzz_report.runs,
-                round(fuzz_report.runs_per_sec),
-                "-",
-                len(fuzz_report.violations),
-                f"{sum(fuzz_report.violation_counts.values())} violating runs",
-            )
-        )
-        known = {v.fingerprint() for v in found}
-        found.extend(
-            v for v in fuzz_report.violations if v.fingerprint() not in known
-        )
-        for violation in found:
-            print(f"  -> {violation.describe()}")
-        if found and expect_violation and not args.no_shrink and target is not None:
-            shrunk = shrink(target, found[0])
-            print(f"  {shrunk.describe()}")
-            print()
-            print(shrunk.script_source())
-        return bool(found)
-
-    if args.scenario == "theorem29":
-        from repro.explore import theorem29_symmetry
-
-        reduction = args.reduction or "sleep"
-        n = 3 * args.f
-        print(f"== phase 1: theorem29 at n = 3f = {n} (violation expected) ==")
-        found_at_bound = run_phase(
-            f"n=3f={n}",
-            [make_scenario("theorem29", f=args.f)],
-            expect_violation=True,
-            reduction=reduction,
-            symmetry=theorem29_symmetry(f=args.f),
-        )
-        clean_control = True
-        if not args.no_control:
-            print()
-            print(f"== phase 2: control at n = 3f + 1 = {n + 1} (must be clean) ==")
-            control_found = run_phase(
-                f"n=3f+1={n + 1}",
-                [make_scenario("theorem29", f=args.f, extra_correct=True)],
-                expect_violation=False,
-                reduction=reduction,
-                symmetry=theorem29_symmetry(f=args.f, extra_correct=True),
-            )
-            clean_control = not control_found
-        print()
-        print(render_table(headers, rows, title="Schedule exploration — Theorem 29"))
-        ok = found_at_bound and clean_control
-        print()
-        if ok:
-            print(
-                "PASS: violation found and shrunk at n = 3f"
-                + ("" if args.no_control else "; n = 3f + 1 clean within the same bounds")
-            )
-        else:
-            if not found_at_bound:
-                print("FAIL: no violation found at n = 3f within the budget")
-            if not clean_control:
-                print("FAIL: violation found at n = 3f + 1 (control should be clean)")
-        return 0 if ok else 1
-
-    if args.scenario == "register":
-        # register scenario: fuzz adversary behaviour combinations; the
-        # paper's algorithms must hold, so any violation is a failure.
-        scenarios = adversary_grid(
-            kind=args.kind, n=args.n, seeds=(args.seed, args.seed + 1)
-        )
-        print(
-            f"== swarm over {len(scenarios)} {args.kind} register scenario(s), "
-            f"n={args.n} =="
-        )
-        found = run_phase(
-            f"{args.kind} n={args.n}",
-            scenarios,
-            expect_violation=False,
-            reduction=args.reduction or "sleep",
-        )
-        print()
-        print(
-            render_table(headers, rows, title="Schedule exploration — register workloads")
-        )
-        print()
-        print("PASS: no violations" if not found else "FAIL: violations found")
-        return 0 if not found else 1
-
-    # Anything else is a scenario-registry record label: one record
-    # pins both the scenario spec and the differential expectation to
-    # judge the findings by, so any registered cell is explorable
-    # without growing this parser.
-    from repro import scenarios as registry
-    from repro.errors import ConfigurationError
-
-    try:
-        record = registry.resolve(args.scenario)
-    except ConfigurationError as exc:
-        parser.error(str(exc))
-    expectation = "violation expected" if record.expect_violation else "must be clean"
-    print(f"== registry record {record.label()} ({expectation}) ==")
-    found = run_phase(
-        record.label(),
-        [record.spec],
-        expect_violation=record.expect_violation,
-        # An explicit --reduction wins; otherwise the record's pin (the
-        # deferred broadcast systematic cells require a dpor mode).
-        reduction=args.reduction or record.reduction,
-        symmetry=record.symmetry,
-    )
-    print()
-    print(
-        render_table(
-            headers, rows, title=f"Schedule exploration — {record.label()}"
-        )
-    )
-    print()
-    ok = found == record.expect_violation
-    if ok:
-        print(
-            "PASS: findings match the registry's pinned expectation "
-            f"({expectation})"
-        )
-    else:
-        print(
-            f"FAIL: {'no violation found' if record.expect_violation else 'violation found'} "
-            f"but the registry pins {expectation!r} for {record.label()}"
-        )
-    return 0 if ok else 1
-
-
 def _render_status(result: RunStatus) -> str:
     """Full status rendering: verdict table + summary + drift lines."""
     headers = (
@@ -472,11 +231,14 @@ def _render_status(result: RunStatus) -> str:
 def _campaign_main(argv: Sequence[str]) -> int:
     """The ``campaign`` subcommand: differential matrix + corpus + service."""
     import json
+    from dataclasses import replace
     from pathlib import Path
 
+    from repro import scenarios as registry
     from repro.campaign import (
         IMPLEMENTATIONS,
         default_corpus_dir,
+        default_matrix,
         load_corpus,
         replay_entry,
     )
@@ -532,6 +294,24 @@ def _campaign_main(argv: Sequence[str]) -> int:
         action="append",
         choices=IMPLEMENTATIONS,
         help="restrict to an implementation family (repeatable)",
+    )
+    parser.add_argument(
+        "--cell",
+        action="append",
+        default=None,
+        metavar="LABEL",
+        help="keep only this registry record's cell of the matrix: its "
+        "label or the short fingerprint `scenarios --list` prints "
+        "(repeatable)",
+    )
+    parser.add_argument(
+        "--reduction",
+        choices=registry.REDUCTIONS,
+        default=None,
+        help="run the systematic cells under this reduction instead of "
+        "the one their records pin: sleep sets, source-set dynamic "
+        "partial-order reduction, or dpor plus interchangeable-process "
+        "symmetry folding",
     )
     parser.add_argument(
         "--corpus",
@@ -622,6 +402,8 @@ def _campaign_main(argv: Sequence[str]) -> int:
         ("--shards", args.shards is not None),
         ("--seed", args.seed is not None),
         ("--only", bool(args.only)),
+        ("--cell", bool(args.cell)),
+        ("--reduction", args.reduction is not None),
         ("--no-corpus", args.no_corpus),
         ("--no-shrink", args.no_shrink),
     )
@@ -635,6 +417,42 @@ def _campaign_main(argv: Sequence[str]) -> int:
 
     db_path = Path(args.db) if args.db else default_db_path()
     corpus_dir = args.corpus or default_corpus_dir()
+    seed0 = 0 if args.seed is None else args.seed
+    source = f"campaign{' --smoke' if args.smoke else ''} --seed {seed0}"
+
+    def selected_cells():
+        """The matrix, cut to the ``--cell`` records, under ``--reduction``."""
+        cells = default_matrix(
+            smoke=args.smoke,
+            seed0=seed0,
+            swarm_budget=args.budget,
+            systematic_budget=4 * args.budget if args.budget else None,
+            implementations=args.only,
+        )
+        if args.cell:
+            wanted = {}
+            for name in args.cell:
+                try:
+                    record = registry.resolve(name)
+                except ConfigurationError as exc:
+                    parser.error(str(exc))
+                wanted[record.seeded(seed0).label()] = name
+            cells = [cell for cell in cells if cell.label() in wanted]
+            found = {cell.label() for cell in cells}
+            for label, name in wanted.items():
+                if label not in found:
+                    parser.error(
+                        f"--cell {name!r} is not a cell of the selected "
+                        f"matrix ({label})"
+                    )
+        if args.reduction:
+            cells = [
+                replace(cell, reduction=args.reduction)
+                if cell.engine == "systematic"
+                else cell
+                for cell in cells
+            ]
+        return cells
 
     if args.replay:
         reject_flags("--replay (it replays the whole corpus)", matrix_flags)
@@ -678,23 +496,26 @@ def _campaign_main(argv: Sequence[str]) -> int:
         return 0
 
     if args.submit:
-        seed0 = 0 if args.seed is None else args.seed
+        cells = selected_cells()
         store = ResultsStore(db_path)
-        run_id = service_queue.submit_matrix(
+        run_id = service_queue.submit(
             store,
-            smoke=args.smoke,
-            seed0=seed0,
-            swarm_budget=args.budget,
-            systematic_budget=4 * args.budget if args.budget else None,
-            implementations=args.only,
+            cells,
             shard_size=args.shard_size,
+            # What was asked for, kept in the run row for provenance.
+            selection={
+                "matrix": "smoke" if args.smoke else "campaign",
+                "seed0": seed0,
+                "swarm_budget": args.budget,
+                "systematic_budget": 4 * args.budget if args.budget else None,
+                "implementations": args.only,
+                "cells": args.cell,
+                "reduction": args.reduction,
+            },
             options={
                 "shrink": not args.no_shrink,
                 "corpus_dir": None if args.no_corpus else str(corpus_dir),
-                "source": (
-                    f"campaign{' --smoke' if args.smoke else ''} "
-                    f"--seed {seed0}"
-                ),
+                "source": source,
             },
         )
         result = service_client.status(store, run_id, with_drift=False)
@@ -751,20 +572,12 @@ def _campaign_main(argv: Sequence[str]) -> int:
 
     # The default: submit + N workers + report on the service. The
     # verdicts land in the database, so the next run can report drift.
-    from repro.campaign import default_matrix
-
-    seed0 = 0 if args.seed is None else args.seed
-    cells = default_matrix(
-        smoke=args.smoke,
-        seed0=seed0,
-        swarm_budget=args.budget,
-        systematic_budget=4 * args.budget if args.budget else None,
-        implementations=args.only,
-    )
+    cells = selected_cells()
+    under = f", systematic cells under {args.reduction}" if args.reduction else ""
     print(
         f"== differential campaign: {len(cells)} cells over "
         f"{len({cell.implementation for cell in cells})} implementation "
-        f"family(ies) =="
+        f"family(ies){under} =="
     )
     result = run_service_campaign(
         cells,
@@ -775,7 +588,7 @@ def _campaign_main(argv: Sequence[str]) -> int:
         progress=print,
         shrink_violations=not args.no_shrink,
         corpus_dir=None if args.no_corpus else corpus_dir,
-        corpus_source=f"campaign{' --smoke' if args.smoke else ''} --seed {seed0}",
+        corpus_source=source,
     )
 
     headers = (
@@ -841,7 +654,6 @@ def _net_main(argv: Sequence[str]) -> int:
 
 #: Every subcommand ``main`` dispatches, with its ``--list`` summary.
 SUBCOMMANDS: Dict[str, Tuple[Callable[[Sequence[str]], int], str]] = {
-    "explore": (_explore_main, "schedule-space exploration"),
     "campaign": (_campaign_main, "differential conformance campaign"),
     "scenarios": (_scenarios_main, "unified scenario registry listing"),
     "net": (_net_main, "live localhost cluster under load, checked online"),

@@ -73,17 +73,9 @@ def _build_profile(args: argparse.Namespace) -> Tuple[Any, Optional[bool]]:
 
     if args.cell:
         from repro.scenarios.net_live import profile_for_record
-        from repro.scenarios.registry import all_records, resolve
+        from repro.scenarios.registry import resolve
 
-        # Accept either the exact label or the short fingerprint the
-        # `scenarios --list` table prints — labels embed the full fault
-        # plan and are hostile to shell quoting in CI.
-        matches = [
-            record
-            for record in all_records()
-            if record.fingerprint() == args.cell
-        ]
-        record = matches[0] if matches else resolve(args.cell)
+        record = resolve(args.cell)
         return profile_for_record(record), record.expect_violation
     faults: Tuple[Tuple[Any, ...], ...] = ()
     if args.chaos:

@@ -219,11 +219,11 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
     verdict a pure function of its spec — byte-identical however and
     wherever it is executed.
 
-    Swarm cells run a single-shard :func:`repro.explore.fuzzer.fuzz`
-    campaign — parallelism is across cells, so a cell's findings stay a
-    deterministic function of its spec. Cells that *expect* a violation
-    stop at the first hit; the find is what matters, and the shrinker
-    minimizes it afterwards.
+    Swarm cells run a :func:`repro.explore.fuzzer.fuzz` campaign in
+    this process — parallelism is across cells, so a cell's findings
+    stay a deterministic function of its spec. Cells that *expect* a
+    violation stop at the first hit; the find is what matters, and the
+    shrinker minimizes it afterwards.
 
     Every cell shares one :class:`repro.spec.CheckContext` across its
     runs (built inside the engine, so it never crosses a process
@@ -252,7 +252,6 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
     report = fuzz(
         cell.scenario,
         budget=cell.budget,
-        shards=1,
         seed0=cell.seed0,
         stop_on_violation=cell.expect_violation,
     )

@@ -11,8 +11,8 @@ schedules; ``repro.explore`` actually searches that space:
   DPOR plus interchangeable-process symmetry folding);
 * :mod:`repro.explore.dpor` — the race scan and symmetry folder behind
   the dpor reductions (happens-before from executed effect traces);
-* :mod:`repro.explore.fuzzer` — multiprocessing swarm campaigns of
-  seeded random/priority schedules with violation deduplication;
+* :mod:`repro.explore.fuzzer` — swarm campaigns of seeded
+  random/priority schedules with violation deduplication;
 * :mod:`repro.explore.shrink` — counterexample minimization down to a
   ``ScriptedScheduler`` script fit for a regression test.
 
@@ -22,7 +22,7 @@ Quickstart (see ``examples/explore_quickstart.py``)::
 
     scenario = make_scenario("theorem29", f=1)
     report = explore(scenario, budget=400)      # systematic, bounded
-    swarm = fuzz(scenario, budget=200)          # seeded swarm, sharded
+    swarm = fuzz(scenario, budget=200)          # seeded swarm
     tiny = shrink(scenario, swarm.violations[0])
     print(tiny.script_source())
 
@@ -34,7 +34,10 @@ because every caller of an engine needs them. Importing this package
 registers the ``theorem29`` and ``register`` builders (the two
 exploration staples) without loading the full scenario catalog.
 
-The CLI front end is ``python -m repro.analysis explore``.
+The command-line front end runs registry records, not bare scenarios:
+``python -m repro.analysis campaign --cell LABEL`` runs a record's cell
+through the campaign service, which calls these engines and the
+shrinker and judges the findings against the record's expectation.
 """
 
 from repro.explore.dpor import SymmetryFolder, analyze_run
@@ -49,9 +52,7 @@ from repro.explore.explorer import (
 from repro.explore.fuzzer import (
     FUZZ_FAIRNESS_BOUND,
     FuzzReport,
-    ShardResult,
     SwarmScheduler,
-    default_shards,
     fuzz,
     fuzz_scheduler,
     run_one_fuzz,
@@ -75,7 +76,6 @@ __all__ = [
     "RunRecord",
     "SCENARIO_BUILDERS",
     "Scenario",
-    "ShardResult",
     "ShrunkViolation",
     "SwarmScheduler",
     "SymmetryFolder",
@@ -83,7 +83,6 @@ __all__ = [
     "adversary_grid",
     "analyze_run",
     "commutes",
-    "default_shards",
     "effect_signature",
     "execute_trace",
     "explore",

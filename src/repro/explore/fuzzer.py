@@ -1,4 +1,4 @@
-"""Swarm schedule fuzzing: seeded random/priority campaigns across cores.
+"""Swarm schedule fuzzing: seeded random/priority campaigns.
 
 Where the systematic explorer drains a *bounded* tree, the swarm fuzzer
 samples the *unbounded* schedule space: every run draws a fresh
@@ -7,19 +7,19 @@ random weight, so whole coroutines run slow or fast for the entire run,
 the "swarm verification" trick that reaches starvation-shaped bugs
 uniform sampling rarely hits). A violating run is reported with its
 decision trace, so it is replayable and shrinkable. Where that trace
-is recorded depends on what the shard expects (:func:`run_one_fuzz`):
-a *hunting* shard, one that stops at its first violation, runs every
+is recorded depends on what the campaign expects (:func:`run_one_fuzz`):
+a *hunting* campaign, one that stops at its first violation, runs every
 schedule under a recording :class:`repro.sim.TraceScheduler`, so the
 find carries its trace from the run that found it; a *certifying*
-shard, one that expects no violation, runs its schedulers bare and
+campaign, one that expects no violation, runs its schedulers bare and
 re-executes only an unexpected find, once, to record its trace.
 
-Campaigns shard across cores with :mod:`multiprocessing`; each shard is
-a deterministic function of its seed list, so a campaign's findings are
-reproducible regardless of sharding, and violations are deduplicated by
-:meth:`repro.scenarios.Violation.fingerprint` when shards
-report back. Throughput (runs/sec, aggregate and per shard) is part of
-the report.
+A campaign runs in the calling process, one seeded run after another,
+so its findings are a deterministic function of its scenarios, budget
+and first seed; violations are deduplicated by
+:meth:`repro.scenarios.Violation.fingerprint`. Parallelism is across
+campaign cells, in the worker fleet of :mod:`repro.service`.
+Throughput (runs/sec) is part of the report.
 
 Schedulers here keep a *small* fairness bound. The quorum candidates
 under test promise safety only when correct helpers keep taking steps
@@ -33,7 +33,6 @@ still visiting extreme interleavings.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,7 +45,9 @@ from repro.sim.scheduler import (
     Scheduler,
     TraceScheduler,
 )
+from repro.spec.context import CheckContext
 from repro.scenarios.registry import Scenario, Violation
+from repro.explore.explorer import paused_gc
 
 #: Fairness bound for fuzzing schedulers: the longest a runnable
 #: coroutine may be starved. Small enough that a runnable helper always
@@ -93,30 +94,16 @@ def fuzz_scheduler(seed: int) -> Scheduler:
 
 
 @dataclass
-class ShardResult:
-    """What one worker (or the inline runner) reports back."""
-
-    shard: int
-    runs: int = 0
-    steps: int = 0
-    incomplete: int = 0
-    elapsed: float = 0.0
-    violations: List[Violation] = field(default_factory=list)
-
-
-@dataclass
 class FuzzReport:
     """Aggregated outcome of one swarm campaign."""
 
     scenarios: List[str]
-    shards: int
     runs: int = 0
     steps: int = 0
     incomplete: int = 0
     elapsed: float = 0.0
     violations: List[Violation] = field(default_factory=list)
     violation_counts: Dict[str, int] = field(default_factory=dict)
-    shard_results: List[ShardResult] = field(default_factory=list)
 
     @property
     def runs_per_sec(self) -> float:
@@ -138,7 +125,7 @@ class FuzzReport:
         )
         return (
             f"swarm over {len(self.scenarios)} scenario(s): {verdict} in "
-            f"{self.runs} runs across {self.shards} shard(s); "
+            f"{self.runs} runs; "
             f"{self.runs_per_sec:.0f} runs/s, {self.steps_per_sec:.0f} steps/s"
             + (f", {self.incomplete} incomplete" if self.incomplete else "")
         )
@@ -157,8 +144,8 @@ def run_one_fuzz(
     the index trace for replay and shrinking, not the per-step runnable
     sets the systematic explorer records) wraps it as the fallback.
 
-    * **Hunting** (``hunting=True``, the shards of cells that expect a
-      violation and stop at the first): the run is recorded as it goes,
+    * **Hunting** (``hunting=True``, the campaigns of cells that expect
+      a violation and stop at the first): the run is recorded as it goes,
       so a find carries its decision trace without being executed a
       second time. The few clean runs before the find pay the
       recording.
@@ -182,8 +169,8 @@ def run_one_fuzz(
         reason = built.check()
         steps = built.system.clock
     finally:
-        # Reclaimable by reference counting while the shard loop holds
-        # the cyclic collector paused.
+        # Reclaimable by reference counting while the campaign loop
+        # holds the cyclic collector paused.
         built.system.release_coroutines()
     if reason is None:
         return None, steps, True
@@ -206,88 +193,21 @@ def run_one_fuzz(
     return violation, steps, True
 
 
-def _run_shard(
-    payload: Tuple[int, List[Tuple[Scenario, int]]],
-    stop_on_violation: bool = False,
-) -> ShardResult:
-    """Worker entry point: run every (scenario, seed) job of one shard.
-
-    Also used inline for single-shard campaigns, where
-    ``stop_on_violation`` may short-circuit after the first hit
-    (``Pool.map`` always calls with the default, so sharded campaigns
-    drain their jobs); such a shard hunts (see :func:`run_one_fuzz`).
-    Each shard owns one :class:`CheckContext`, so the
-    oracle layer's memo tables persist across every run of the shard —
-    contexts never cross process boundaries.
-    """
-    shard, jobs = payload
-    from repro.spec.context import CheckContext
-
-    ctx = CheckContext()
-    result = ShardResult(shard=shard)
-    started = time.perf_counter()
-    # Same rationale as repro.explore.explorer.paused_gc: a fuzzing
-    # shard churns one short-lived system per run, and pausing the
-    # cyclic collector for the shard's drain is a measurable win.
-    from repro.explore.explorer import paused_gc
-
-    with paused_gc():
-        for scenario, seed in jobs:
-            try:
-                violation, steps, completed = run_one_fuzz(
-                    scenario, seed, ctx=ctx, hunting=stop_on_violation
-                )
-            except SchedulerError:
-                continue
-            result.runs += 1
-            result.steps += steps
-            if not completed:
-                result.incomplete += 1
-            if violation is not None:
-                result.violations.append(violation)
-                if stop_on_violation:
-                    break
-    result.elapsed = time.perf_counter() - started
-    return result
-
-
-def default_shards() -> int:
-    """Shard count when unspecified: one per core, capped at 4."""
-    return max(1, min(4, os.cpu_count() or 1))
-
-
-def pool_context():
-    """The multiprocessing context every exploration pool uses.
-
-    Fork is preferred where available (scenarios close over in-process
-    registries, and fork start-up is what makes short campaigns cheap);
-    one helper so platform fixes apply to the fuzzer and the campaign
-    service alike.
-    """
-    import multiprocessing
-
-    return multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    )
-
-
 def fuzz(
     scenarios: Sequence[Scenario] | Scenario,
     budget: int = 400,
-    shards: Optional[int] = None,
     seed0: int = 0,
     stop_on_violation: bool = False,
 ) -> FuzzReport:
     """Run a swarm campaign of ``budget`` seeded runs over ``scenarios``.
 
-    Jobs pair each run's seed (``seed0 + i``) with a scenario drawn
-    round-robin from ``scenarios``, then split across ``shards``
-    processes (inline when 1). Every job is deterministic, so the
-    campaign's findings do not depend on the sharding; only throughput
-    does. ``stop_on_violation`` short-circuits inline campaigns after
-    the first violating run (sharded campaigns always drain their jobs).
-    A ``budget`` below 1 raises ``ValueError``: "no violations in 0
-    runs" would certify work never done.
+    Run ``i`` pairs seed ``seed0 + i`` with a scenario drawn round-robin
+    from ``scenarios``. ``stop_on_violation`` ends the campaign after
+    the first violating run, and makes it hunt (see
+    :func:`run_one_fuzz`). The runs share one :class:`CheckContext`, so
+    the oracle layer's memo tables persist across the campaign. A
+    ``budget`` below 1 raises ``ValueError``: "no violations in 0 runs"
+    would certify work never done.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -296,36 +216,34 @@ def fuzz(
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("fuzz needs at least one scenario")
-    shard_count = default_shards() if shards is None else max(1, shards)
-    shard_count = min(shard_count, budget)
-
-    jobs = [
-        (scenarios[i % len(scenarios)], seed0 + i) for i in range(budget)
-    ]
-    payloads = [(shard, jobs[shard::shard_count]) for shard in range(shard_count)]
-
+    ctx = CheckContext()
+    report = FuzzReport(scenarios=[scenario.label() for scenario in scenarios])
     started = time.perf_counter()
-    if shard_count == 1:
-        shard_results = [_run_shard(payloads[0], stop_on_violation)]
-    else:
-        with pool_context().Pool(processes=shard_count) as pool:
-            shard_results = pool.map(_run_shard, payloads)
-    elapsed = time.perf_counter() - started
-
-    report = FuzzReport(
-        scenarios=[scenario.label() for scenario in scenarios],
-        shards=shard_count,
-        elapsed=elapsed,
-        shard_results=sorted(shard_results, key=lambda r: r.shard),
-    )
-    for result in report.shard_results:
-        report.runs += result.runs
-        report.steps += result.steps
-        report.incomplete += result.incomplete
-        for violation in result.violations:
-            key = violation.fingerprint()
-            count = report.violation_counts.get(key, 0) + 1
-            report.violation_counts[key] = count
-            if count == 1:
-                report.violations.append(violation)
+    # Same rationale as repro.explore.explorer.paused_gc: a campaign
+    # churns one short-lived system per run, and pausing the cyclic
+    # collector for its drain is a measurable win.
+    with paused_gc():
+        for index in range(budget):
+            try:
+                violation, steps, completed = run_one_fuzz(
+                    scenarios[index % len(scenarios)],
+                    seed0 + index,
+                    ctx=ctx,
+                    hunting=stop_on_violation,
+                )
+            except SchedulerError:
+                continue
+            report.runs += 1
+            report.steps += steps
+            if not completed:
+                report.incomplete += 1
+            if violation is not None:
+                key = violation.fingerprint()
+                count = report.violation_counts.get(key, 0) + 1
+                report.violation_counts[key] = count
+                if count == 1:
+                    report.violations.append(violation)
+                if stop_on_violation:
+                    break
+    report.elapsed = time.perf_counter() - started
     return report

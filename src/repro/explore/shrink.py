@@ -205,14 +205,14 @@ def shrink(
 
         # Phase 3: normalize indices toward 0 for a canonical rendering.
         for position in range(len(current)):
-            if not budget_left():
-                break
-            for lower in range(current[position]):
+            lower = 0
+            while lower < current[position] and budget_left():
                 candidate = list(current)
                 candidate[position] = lower
                 if attempt(candidate):
                     current = candidate
                     break
+                lower += 1
 
         if current == before:
             fixpoint = not spent

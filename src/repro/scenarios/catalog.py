@@ -45,7 +45,7 @@ from repro.scenarios.registry import ScenarioRecord, make_scenario, register
 # Importing the builder modules registers their builders; the registers
 # module also provides the grid helper the register families reuse.
 from repro.scenarios.registers import adversary_grid
-import repro.scenarios.theorem29  # noqa: F401  (registers theorem29 builder)
+from repro.scenarios.theorem29 import theorem29_symmetry
 import repro.scenarios.apps  # noqa: F401  (registers snapshot/asset builders)
 import repro.scenarios.mp_emulation  # noqa: F401  (registers mp_register builder)
 import repro.scenarios.net_live  # noqa: F401  (registers net_cluster builder)
@@ -59,7 +59,7 @@ def _register_alg_families() -> None:
     for family in ("verifiable", "authenticated", "sticky"):
         kind = kind_for(family)
         for index, spec in enumerate(adversary_grid(kind, n=4, seeds=(0,))):
-            consumers: Tuple[str, ...] = ("campaign", "explore")
+            consumers: Tuple[str, ...] = ("campaign",)
             if index < SMOKE_MIXES:
                 consumers += ("smoke",)
             register(
@@ -118,10 +118,16 @@ def _register_baseline_and_strawman() -> None:
 
 
 def _register_test_or_set() -> None:
-    """Theorem 29 through both engines: violating at 3f, clean at 3f+1."""
+    """Theorem 29 through both engines: violating at 3f, clean at 3f+1.
+
+    The systematic records declare the cast's interchangeable groups, so
+    a ``dpor+symmetry`` run folds over them (the sleep-set reduction the
+    records pin ignores them).
+    """
     violating = make_scenario("theorem29", f=1)
     control = make_scenario("theorem29", f=1, extra_correct=True)
     for engine in ("swarm", "systematic"):
+        systematic = engine == "systematic"
         register(
             ScenarioRecord(
                 family="test_or_set",
@@ -130,7 +136,8 @@ def _register_test_or_set() -> None:
                 spec=violating,
                 engine=engine,
                 expect_violation=True,
-                consumers=("campaign", "explore", "smoke"),
+                consumers=("campaign", "smoke"),
+                symmetry=theorem29_symmetry(f=1) if systematic else (),
             )
         )
         register(
@@ -141,7 +148,10 @@ def _register_test_or_set() -> None:
                 spec=control,
                 engine=engine,
                 expect_violation=False,
-                consumers=("campaign", "explore", "smoke"),
+                consumers=("campaign", "smoke"),
+                symmetry=(
+                    theorem29_symmetry(f=1, extra_correct=True) if systematic else ()
+                ),
             )
         )
 
@@ -435,7 +445,7 @@ def _register_broadcast_systematic() -> None:
                     ),
                     engine="systematic",
                     expect_violation=expect,
-                    consumers=("campaign", "explore", "smoke"),
+                    consumers=("campaign", "smoke"),
                     reduction="dpor",
                 )
             )

@@ -16,8 +16,8 @@ answered for every layer of the reproduction:
 * :class:`ScenarioRecord` — the declarative *registry record*: one
   record pins topology ``(n, f)``, implementation family, adversary
   behaviour and workload (inside the spec's params), engine, expected
-  verdict, and which consumers (campaign / explore / smoke / net)
-  include it. The family's oracle binding is resolved through
+  verdict, and which consumers (campaign / smoke / net) include it.
+  The family's oracle binding is resolved through
   :mod:`repro.scenarios.bindings`, so a record fully determines a
   runnable, checkable, differentially-judged scenario.
 * :func:`register` / :func:`resolve` / :func:`grid` — the registry API
@@ -77,10 +77,9 @@ ENGINES = ("swarm", "systematic", "live")
 REDUCTIONS: Tuple[str, ...] = ("sleep", "dpor", "dpor+symmetry")
 
 #: The consumer axes a record can opt into. ``smoke`` is the bounded CI
-#: subset of ``campaign``; ``explore`` marks the records the exploration
-#: CLI draws from; ``net`` marks the live-network smoke cells the
-#: ``net`` CLI pins.
-CONSUMERS = ("campaign", "explore", "smoke", "net")
+#: subset of ``campaign``; ``net`` marks the live-network smoke cells
+#: the ``net`` CLI pins.
+CONSUMERS = ("campaign", "smoke", "net")
 
 #: Registry of scenario builders, keyed by spec name. Builders must be
 #: importable from worker processes (top level of their module) and
@@ -461,16 +460,25 @@ def register(record: ScenarioRecord) -> ScenarioRecord:
 
 
 def resolve(label: str) -> ScenarioRecord:
-    """The registered record for ``label``; raises if unknown."""
+    """The registered record for ``label`` or its short fingerprint.
+
+    The exact label is tried first, then :meth:`ScenarioRecord.fingerprint`
+    — the digest ``scenarios --list`` prints, which a shell command can
+    carry where a label with a whole fault plan in it quotes badly.
+    Raises :class:`ConfigurationError` naming an unknown one.
+    """
     _ensure_catalog()
     record = _RECORDS.get(label)
-    if record is None:
-        raise ConfigurationError(
-            f"unknown scenario record {label!r}; "
-            f"{len(_RECORDS)} records registered "
-            f"(list them with `python -m repro.analysis scenarios --list`)"
-        )
-    return record
+    if record is not None:
+        return record
+    for record in _RECORDS.values():
+        if record.fingerprint() == label:
+            return record
+    raise ConfigurationError(
+        f"unknown scenario record {label!r}; "
+        f"{len(_RECORDS)} records registered "
+        f"(list them with `python -m repro.analysis scenarios --list`)"
+    )
 
 
 def all_records() -> List[ScenarioRecord]:

@@ -24,6 +24,7 @@ signal the trend database exists to surface.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -346,6 +347,24 @@ def watch(
         time.sleep(interval)
 
 
+def default_shards() -> int:
+    """Worker count when unspecified: one per core, capped at 4."""
+    return max(1, min(4, os.cpu_count() or 1))
+
+
+def pool_context():
+    """The multiprocessing context the worker fleet starts in.
+
+    Fork is preferred where available (scenarios close over in-process
+    registries, and fork start-up is what makes short campaigns cheap).
+    """
+    import multiprocessing
+
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+
+
 def run_service_campaign(
     cells: Sequence[Any],
     workers: Optional[int] = None,
@@ -375,7 +394,6 @@ def run_service_campaign(
     """
     import tempfile
 
-    from repro.explore.fuzzer import default_shards, pool_context
     from repro.service.worker import run_worker, worker_entry
 
     worker_count = default_shards() if workers is None else max(1, workers)

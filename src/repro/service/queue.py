@@ -2,8 +2,8 @@
 
 This is the typed face of :class:`repro.service.store.ResultsStore`'s
 queue tables. A *run* is a submitted sequence of campaign cells (almost
-always a registry ``grid()`` selection — ``submit_matrix`` records the
-selection itself for provenance); the store chunks it into *shards*,
+always a registry ``grid()`` selection, which the submitter may record
+with the run for provenance); the store chunks it into *shards*,
 the unit a worker leases. The lease protocol is the crash-safety story:
 
 * a lease carries an expiry; the worker heartbeats it forward while it
@@ -64,52 +64,6 @@ def submit(
         options=options,
         run_id=run_id,
         now=now,
-    )
-
-
-def submit_matrix(
-    store: ResultsStore,
-    smoke: bool = False,
-    seed0: int = 0,
-    swarm_budget: Optional[int] = None,
-    systematic_budget: Optional[int] = None,
-    implementations: Optional[Sequence[str]] = None,
-    shard_size: int = 1,
-    options: Optional[Dict[str, Any]] = None,
-    run_id: Optional[str] = None,
-) -> str:
-    """Submit a registry ``grid()`` selection as a run.
-
-    The standard entry point: the same arguments as
-    :func:`repro.campaign.default_matrix`, with the selection recorded
-    in the run row so a status query can say *what* was submitted, not
-    just how many cells.
-    """
-    from repro.campaign.matrix import default_matrix
-
-    cells = default_matrix(
-        smoke=smoke,
-        seed0=seed0,
-        swarm_budget=swarm_budget,
-        systematic_budget=systematic_budget,
-        implementations=implementations,
-    )
-    selection = {
-        "matrix": "smoke" if smoke else "campaign",
-        "seed0": seed0,
-        "swarm_budget": swarm_budget,
-        "systematic_budget": systematic_budget,
-        "implementations": (
-            None if implementations is None else list(implementations)
-        ),
-    }
-    return submit(
-        store,
-        cells,
-        shard_size=shard_size,
-        selection=selection,
-        options=options,
-        run_id=run_id,
     )
 
 

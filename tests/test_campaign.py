@@ -263,12 +263,12 @@ class TestServiceCampaign:
     def test_one_shard_runs_inline_whatever_the_worker_count(self, monkeypatch):
         # More workers than shards would only import, poll and exit: a
         # one-cell run takes the inline path and starts no subprocess.
-        import repro.explore.fuzzer
+        import repro.service.client
 
         def no_subprocess():
             raise AssertionError("a one-shard run started a worker process")
 
-        monkeypatch.setattr(repro.explore.fuzzer, "pool_context", no_subprocess)
+        monkeypatch.setattr(repro.service.client, "pool_context", no_subprocess)
         lines = []
         result = run_service_campaign(
             [naive_cell(budget=3)],
@@ -324,7 +324,7 @@ class TestCorpus:
     @pytest.fixture(scope="class")
     def shrunk(self):
         scenario = NAIVE_ATTACK
-        report = fuzz(scenario, budget=6, shards=1, stop_on_violation=True)
+        report = fuzz(scenario, budget=6, stop_on_violation=True)
         assert report.violations
         return scenario, shrink(scenario, report.violations[0], max_replays=150)
 

@@ -76,9 +76,9 @@ class TestCommandLine:
     def test_list_names_every_subcommand(self, capsys):
         from repro.analysis.__main__ import SUBCOMMANDS
 
-        assert set(SUBCOMMANDS) == {"explore", "campaign", "scenarios", "net"}
+        assert set(SUBCOMMANDS) == {"campaign", "scenarios", "net"}
         assert main(["--list"]) == 0
         listed = {
             line.split()[0] for line in capsys.readouterr().out.splitlines()
         }
-        assert set(SUBCOMMANDS) <= listed
+        assert set(SUBCOMMANDS) | {"E5"} <= listed

@@ -4,9 +4,9 @@ Covers the four cooperating pieces: the TraceScheduler record/replay
 layer (any run replays bit-identically from its decision trace), the
 bounded systematic explorer (finds the seeded Theorem 29 violation at
 ``n = 3f``, certifies the control clean), the swarm fuzzer (finds the
-same class, deduplicates, shards deterministically), and the shrinker
-(deterministic minimal counterexamples that convert to
-ScriptedScheduler scripts).
+same class, deduplicates), and the shrinker (deterministic minimal
+counterexamples that convert to ScriptedScheduler scripts, within
+their replay budget).
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class TestSystematicExplorer:
 # ----------------------------------------------------------------------
 class TestSwarmFuzzer:
     def test_finds_and_dedupes_violations(self):
-        report = fuzz(make_scenario("theorem29", f=1), budget=120, shards=1)
+        report = fuzz(make_scenario("theorem29", f=1), budget=120)
         assert len(report.violations) == 1  # one class, many violating runs
         assert sum(report.violation_counts.values()) > 1
         assert report.runs == 120
@@ -294,30 +294,19 @@ class TestSwarmFuzzer:
     def test_a_budget_below_one_is_refused(self, budget):
         # "no violations in 0 runs" would certify work never done.
         with pytest.raises(ValueError, match="budget"):
-            fuzz(make_scenario("theorem29", f=1), budget=budget, shards=1)
+            fuzz(make_scenario("theorem29", f=1), budget=budget)
 
     def test_control_is_clean(self):
         report = fuzz(
             make_scenario("theorem29", f=1, extra_correct=True),
             budget=120,
-            shards=1,
         )
         assert not report.violations, report.violations[0].describe()
-
-    def test_sharded_campaign_matches_inline_findings(self):
-        scenario = make_scenario("theorem29", f=1)
-        inline = fuzz(scenario, budget=40, shards=1)
-        sharded = fuzz(scenario, budget=40, shards=2)
-        assert sharded.shards == 2
-        assert sharded.runs == inline.runs == 40
-        assert sorted(v.seed for v in _all_violations(sharded)) == sorted(
-            v.seed for v in _all_violations(inline)
-        )
 
     def test_register_workloads_hold_under_swarm(self):
         # Algorithms 1-3 must survive the adversary-combination grid.
         grid = adversary_grid("verifiable", n=4, seeds=(0,))
-        report = fuzz(grid, budget=len(grid), shards=1)
+        report = fuzz(grid, budget=len(grid))
         assert not report.violations, report.violations[0].describe()
 
     def test_swarm_scheduler_is_deterministic_per_seed(self):
@@ -351,7 +340,7 @@ def _count_builds(monkeypatch):
 
 
 class TestHuntingRecordsAsItRuns:
-    """A hunting shard records its find in the run that finds it.
+    """A hunting campaign records its find in the run that finds it.
 
     The recorded run must report exactly what the bare run plus its
     capture replay report, and must spare that second execution.
@@ -392,7 +381,7 @@ class TestHuntingRecordsAsItRuns:
             seed for seed in range(40) if run_one_fuzz(scenario, seed)[0]
         )
         builds = _count_builds(monkeypatch)
-        report = fuzz(scenario, budget=40, shards=1, stop_on_violation=True)
+        report = fuzz(scenario, budget=40, stop_on_violation=True)
         assert report.violations and report.violations[0].seed == first
         assert report.runs == first + 1
         assert len(builds) == first + 1
@@ -405,7 +394,7 @@ class TestHuntingRecordsAsItRuns:
             seed for seed in range(40) if run_one_fuzz(scenario, seed)[0]
         )
         builds = _count_builds(monkeypatch)
-        report = fuzz(scenario, budget=first + 1, shards=1)
+        report = fuzz(scenario, budget=first + 1)
         assert report.violations and report.violations[0].seed == first
         assert len(builds) == report.runs + 1
 
@@ -417,7 +406,7 @@ class TestShrinker:
     @pytest.fixture(scope="class")
     def found(self):
         scenario = make_scenario("theorem29", f=1)
-        report = fuzz(scenario, budget=40, shards=1, stop_on_violation=True)
+        report = fuzz(scenario, budget=40, stop_on_violation=True)
         assert report.violations
         return scenario, report.violations[0]
 
@@ -512,6 +501,44 @@ class TestShrinker:
         assert cut.replays == len(builds) == 4
         assert "replay budget spent" in cut.describe()
 
+    def test_the_replay_budget_is_never_overshot(self, monkeypatch):
+        # Every phase asks the budget before each replay, normalization
+        # included: a budget that ends mid-pass is spent exactly, and
+        # the cut result never claims a fixpoint. The replays of the
+        # unbounded shrink are memoized by prefix, so the sweep re-runs
+        # the shrinker's control flow over real verdicts without
+        # re-simulating them.
+        import sys
+
+        from repro.campaign import default_matrix
+
+        shrink_module = sys.modules["repro.explore.shrink"]
+        real = shrink_module._reproduces
+        seen = {}
+
+        def memoized(scenario, prefix, fingerprint, ctx=None):
+            key = tuple(prefix)
+            if key not in seen:
+                seen[key] = real(scenario, prefix, fingerprint, ctx=ctx)
+            return seen[key]
+
+        monkeypatch.setattr(shrink_module, "_reproduces", memoized)
+        (cell,) = [
+            cell
+            for cell in default_matrix(smoke=True)
+            if cell.implementation == "asset_transfer" and cell.expect_violation
+        ]
+        report = fuzz(
+            cell.scenario, budget=cell.budget, stop_on_violation=True
+        )
+        violation = report.violations[0]
+        unbounded = shrink(cell.scenario, violation)
+        assert unbounded.fixpoint and unbounded.replays >= 80
+        for max_replays in range(2, 80):
+            cut = shrink(cell.scenario, violation, max_replays=max_replays)
+            assert cut.replays == max_replays, (max_replays, cut.replays)
+            assert not cut.fixpoint, max_replays
+
     def test_rejects_non_reproducing_trace(self):
         scenario = make_scenario("theorem29", f=1)
         bogus = Violation(
@@ -572,43 +599,3 @@ class TestShrinkerProperties:
             # An already-minimal trace needs only the fixpoint check: a
             # single pass over the pipeline, far below the replay budget.
             assert again.replays <= shrunk.replays
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-class TestExploreCli:
-    def test_list_flag(self, capsys):
-        from repro.analysis.__main__ import main
-
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "E5" in out and "explore" in out
-
-    def test_explore_smoke_passes(self, capsys):
-        from repro.analysis.__main__ import main
-
-        assert main(["explore", "--budget", "120"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "ScriptedScheduler" in out  # the shrunk script was printed
-
-    @pytest.mark.parametrize("flag", ["--depth", "--preempt"])
-    def test_explore_refuses_negative_bounds(self, flag, capsys):
-        from repro.analysis.__main__ import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["explore", flag, "-1"])
-        assert excinfo.value.code == 2
-        assert f"{flag} must be >= 0" in capsys.readouterr().err
-
-    def test_explore_help_exits_cleanly(self):
-        from repro.analysis.__main__ import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["explore", "--help"])
-        assert excinfo.value.code == 0
-
-
-def _all_violations(report):
-    return [v for shard in report.shard_results for v in shard.violations]

@@ -78,6 +78,22 @@ def test_every_cross_package_import_points_down_the_order():
     assert not back_edges, "\n".join(back_edges)
 
 
+def test_only_the_service_starts_processes():
+    # The worker fleet of repro.service is the one place work crosses a
+    # process boundary; an engine with its own pool would be a second
+    # parallelism mechanism beside it.
+    offenders = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        relative = path.relative_to(PACKAGE_ROOT)
+        if relative.parts[0] == "service":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for lineno, module in _imported_modules(tree):
+            if module.split(".")[0] == "multiprocessing":
+                offenders.append(f"{relative}:{lineno} imports {module}")
+    assert not offenders, "\n".join(offenders)
+
+
 def test_verdicts_go_through_the_one_judge():
     # Scenario builders, E5 and the experiment drivers get every reason
     # from repro.spec.judge; importing the linearizer or a per-type

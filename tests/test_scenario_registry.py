@@ -107,6 +107,13 @@ class TestRoundTrips:
             assert resolve(record.label()) == record
             assert resolve(record.label()).fingerprint() == record.fingerprint()
 
+    def test_every_record_resolves_from_its_short_fingerprint(self):
+        # The digest `scenarios --list` prints names one record each.
+        records = all_records()
+        assert len({record.fingerprint() for record in records}) == len(records)
+        for record in records:
+            assert resolve(record.fingerprint()) is resolve(record.label())
+
     def test_spec_round_trips_through_serialization(self):
         for record in all_records():
             spec = record.spec
@@ -131,7 +138,7 @@ class TestRoundTrips:
             assert after.expect_violation is before.expect_violation
 
     def test_resolve_unknown_label_raises(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no-such-family"):
             resolve("no-such-family/swarm:nothing")
 
     def test_build_refuses_early_exit(self):

@@ -675,27 +675,69 @@ class TestServiceCli:
             assert any(label.startswith(family) for label in labels), labels
 
 
-class TestExploreRegistryLabels:
-    def test_explore_accepts_any_registry_label(self, capsys):
-        from repro.analysis.__main__ import main
+class TestCampaignCellCli:
+    """``campaign --cell`` keeps the named registry records' cells."""
 
-        code = main(
-            [
-                "explore",
-                "--scenario",
-                "test_or_set/swarm:theorem29(f=1)",
-                "--budget",
-                "40",
-            ]
+    THEOREM29 = (
+        "test_or_set/swarm:theorem29(f=1)",
+        "test_or_set/swarm:theorem29(extra_correct=True,f=1)",
+        "test_or_set/systematic:theorem29(f=1)",
+        "test_or_set/systematic:theorem29(extra_correct=True,f=1)",
+    )
+
+    def test_the_theorem29_records_pass(self, tmp_path, capsys):
+        from repro.analysis.__main__ import main
+        from repro.scenarios import resolve
+
+        # Two by label, two by the short fingerprint.
+        names = self.THEOREM29[:2] + tuple(
+            resolve(label).fingerprint() for label in self.THEOREM29[2:]
         )
+        argv = ["campaign", "--budget", "40", "--reduction", "dpor+symmetry"]
+        for name in names:
+            argv += ["--cell", name]
+        argv += ["--no-corpus", "--shards", "1", "--db", str(tmp_path / "s.db")]
+        code = main(argv)
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "registry record" in out and "PASS" in out
+        assert (
+            "4 cells over 1 implementation family(ies), systematic cells "
+            "under dpor+symmetry" in out
+        )
+        for label in self.THEOREM29:
+            assert f"{label}: " in out
+        assert "4/4 cells matched expectations" in out
+        assert "; 1 violation class(es) shrunk" in out
+        assert "PASS: every cell matched" in out
 
-    def test_explore_rejects_unknown_labels(self, capsys):
+    def test_an_unknown_label_exits_2_and_names_it(self, capsys):
         from repro.analysis.__main__ import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["explore", "--scenario", "no-such-record"])
+            main(["campaign", "--cell", "no-such-record"])
         assert excinfo.value.code == 2
-        assert "unknown scenario record" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown scenario record 'no-such-record'" in err
+
+    def test_a_record_outside_the_matrix_exits_2(self, capsys):
+        # Live records never expand into campaign cells.
+        from repro.analysis.__main__ import main
+        from repro.scenarios import grid
+
+        live = grid(consumer="net")[0].fingerprint()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--cell", live])
+        assert excinfo.value.code == 2
+        assert f"--cell {live!r} is not a cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["--worker", "--status", "--watch", "--replay"])
+    def test_cell_is_refused_with_a_queue_mode(self, mode, tmp_path, capsys):
+        from repro.analysis.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["campaign", mode, "--cell", self.THEOREM29[0]]
+                + ["--db", str(tmp_path / "s.db")]
+            )
+        assert excinfo.value.code == 2
+        assert "drop --cell" in capsys.readouterr().err

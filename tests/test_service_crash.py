@@ -14,7 +14,6 @@ import json
 
 from repro.campaign import CampaignCell
 from repro.explore import make_scenario
-from repro.explore.fuzzer import pool_context
 from repro.service import (
     ResultsStore,
     run_service_campaign,
@@ -22,6 +21,7 @@ from repro.service import (
     verdicts_payload,
 )
 from repro.service import queue as squeue
+from repro.service.client import pool_context
 from repro.service.worker import run_worker
 
 NAIVE_ATTACK = make_scenario(
