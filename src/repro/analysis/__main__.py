@@ -306,12 +306,12 @@ def _campaign_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--reduction",
-        choices=registry.REDUCTIONS,
+        choices=("sleep", "dpor"),
         default=None,
         help="run the systematic cells under this reduction instead of "
-        "the one their records pin: sleep sets, source-set dynamic "
-        "partial-order reduction, or dpor plus interchangeable-process "
-        "symmetry folding",
+        "the one their records pin: sleep sets or source-set dynamic "
+        "partial-order reduction (no registry record declares a "
+        "symmetry group, so dpor+symmetry would fold nothing)",
     )
     parser.add_argument(
         "--corpus",

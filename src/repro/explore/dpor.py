@@ -278,9 +278,6 @@ class SymmetryFolder:
         }
         self.owners = register_owners
 
-    def __bool__(self) -> bool:
-        return bool(self.groups)
-
     def first_touches(
         self,
         chosen: Sequence[CoroutineId],

@@ -55,7 +55,9 @@ the search is bounded three ways:
   group onto one canonical representative while both processes are
   still untouched by the prefix
   (:class:`repro.explore.dpor.SymmetryFolder`) — the explorer-side
-  version of the oracle's interchangeable-client reduction.
+  version of the oracle's interchangeable-client reduction. Without a
+  declared group of two or more pids it would fold nothing, so it is
+  refused rather than run as plain ``"dpor"`` under another name.
 
 Depth, preemption and budget bounds apply identically in every mode.
 All reductions are heuristic in the strict sense (the fingerprint
@@ -80,7 +82,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SchedulerError, StepLimitExceeded
+from repro.errors import ConfigurationError, SchedulerError, StepLimitExceeded
 from repro.scenarios.registry import REDUCTIONS, Scenario, Violation
 from repro.sim.effects import (
     Await,
@@ -601,16 +603,19 @@ def _symmetry_folder(
     scenario: Scenario,
     symmetry: Sequence[Sequence[int]],
     ctx: Optional[CheckContext],
-) -> Optional[SymmetryFolder]:
+) -> SymmetryFolder:
     """Build the folder for ``reduction="dpor+symmetry"``.
 
     Probe-builds the scenario once to read the register->owner map off
     the installed specs (folding attributes register accesses to group
-    members through ownership). Returns None when no declared group has
-    two members — folding then never fires.
+    members through ownership). Raises ``ConfigurationError`` when no
+    declared group has two members: folding would never fire.
     """
-    if not symmetry:
-        return None
+    if not any(len(group) >= 2 for group in symmetry):
+        raise ConfigurationError(
+            "reduction 'dpor+symmetry' needs a symmetry group of two or more "
+            f"pids, got {tuple(map(tuple, symmetry))!r}; use 'dpor'"
+        )
     probe = InstrumentedRun(scenario, (), 0, ctx=ctx)
     try:
         registers = probe.system.registers
@@ -619,8 +624,7 @@ def _symmetry_folder(
         }
     finally:
         probe.dispose()
-    folder = SymmetryFolder(symmetry, owners)
-    return folder if folder else None
+    return SymmetryFolder(symmetry, owners)
 
 
 def explore(
@@ -649,7 +653,8 @@ def explore(
     backtracks; ``"dpor+symmetry"`` additionally folds backtracks over
     the interchangeable process groups in ``symmetry`` (pid sequences,
     e.g. a :class:`repro.scenarios.ScenarioRecord.symmetry`
-    declaration — ignored in the other modes). All modes reach
+    declaration — ignored in the other modes), and raises
+    ``ConfigurationError`` when none has two pids. All modes reach
     identical verdicts and violation classes on the shipped scenarios
     (pinned by ``tests/test_dpor_differential.py``); the dpor modes
     reach them in several-fold fewer runs.

@@ -1,11 +1,11 @@
 """The client half of the quorum protocol, written once for both clocks.
 
-``write``, ``read`` (with the [11] write-back round) and a restart's
-``recover`` are sans-I/O generators over a
-:class:`repro.mp.swmr_emulation.ReplicaCore`. Each yields one wait per
-phase, ``(message, ready, requery)``: the pair that opens the phase, a
-predicate asked of the driver's current core, and whether to re-send
-the message on :func:`pacing` meanwhile. The driver —
+``write``, ``read`` of one or several registers (with the [11]
+write-back round) and a restart's ``recover`` are sans-I/O generators
+over a :class:`repro.mp.swmr_emulation.ReplicaCore`. Each yields one
+wait per phase, ``(message, ready, requery)``: the pair that opens the
+phase, a predicate asked of the driver's current core, and whether to
+re-send the message on :func:`pacing` meanwhile. The driver —
 :meth:`repro.mp.RegisterEmulation._drive` or
 :meth:`repro.net.NetNode._drive` — resumes the op with the current core.
 
@@ -46,12 +46,18 @@ def write(core: ReplicaCore, name: str, value: Any) -> ClientOp:
     return "done"
 
 
-def read(core: ReplicaCore, name: str, write_back: bool) -> ClientOp:
-    """Emulated ``read()``; returns the newest value confirmed by ``f + 1``.
+def read(core: ReplicaCore, names: Tuple[str, ...], write_back: bool) -> ClientOp:
+    """Emulated ``read()`` of every register in ``names`` at once;
+    returns their values, in order, each the newest confirmed by
+    ``f + 1``.
 
-    ``write_back`` adds the [11] round that closes the new/old-inversion
-    window regular semantics leave open: a ``PULL`` of the selected pair
-    until ``n - f`` replicas acknowledge holding at least its ``seq``.
+    One wait per phase whatever the number of registers: one ``READ``
+    carrying an entry per register until every one is confirmed, then,
+    with ``write_back``, one ``PULL`` carrying every pair with
+    ``seq > 0``. That is the [11] round that closes the
+    new/old-inversion window regular semantics leave open: the read
+    returns once ``n - f`` replicas acknowledge holding at least each
+    pair's ``seq``.
     It defaults off in
     :meth:`repro.mp.RegisterEmulation.read`, whose virtual-time scenarios
     pin step counts an extra round would move (non-overlapping low-level
@@ -60,19 +66,31 @@ def read(core: ReplicaCore, name: str, write_back: bool) -> ClientOp:
     clients do hit the window. Aligning the two is left to the follow-up
     on the seed-246 / 79203 new/old-inversion finding.
     """
-    core.check_register(name)
-    rid, query = core.begin_read(name)
-    core = yield query, lambda core: core.confirmed_read(name, rid), True
-    seq, value = core.confirmed_read(name, rid)
-    if write_back and seq > 0:
-        key, pull = core.begin_write_back(name, seq, value)
-        yield pull, lambda core: core.acked(name, key), True
+    for name in names:
+        core.check_register(name)
+    rid, query = core.begin_read(names)
+    core = yield query, lambda core: core.confirmed_read(names, rid), True
+    pairs = core.confirmed_read(names, rid)
+    held = tuple(
+        (name, seq, value) for name, (seq, value) in zip(names, pairs) if seq > 0
+    )
+    if write_back and held:
+        key, pull = core.begin_write_back(held)
+        pulled = tuple(name for name, _seq, _value in held)
+        yield pull, lambda core: all(core.acked(name, key) for name in pulled), True
+    return tuple(value for _seq, value in pairs)
+
+
+def read_one(core: ReplicaCore, name: str, write_back: bool) -> ClientOp:
+    """:func:`read` of the one register ``name``: its value."""
+    (value,) = yield from read(core, (name,), write_back)
     return value
 
 
 def recover(core: ReplicaCore) -> ClientOp:
-    """A lose-state restart's recovery round: per register, adopt the
-    newest pair among ``n - f - 1`` other replicas' reports."""
-    for name in core.specs:
-        rid, query = core.begin_read(name)
-        core = yield query, lambda core: core.recover_from(name, rid), True
+    """A lose-state restart's recovery round, one ``READ`` for every
+    register: per register, adopt the newest pair among ``n - f - 1``
+    other replicas' reports."""
+    names = tuple(core.specs)
+    rid, query = core.begin_read(names)
+    yield query, lambda core: core.recover_from(names, rid), True

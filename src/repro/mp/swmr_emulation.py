@@ -18,12 +18,14 @@ Protocol (echo-amplified quorum replication, in the spirit of [11]):
   and also adopt pairs confirmed by ``f + 1`` matching echoes — so every
   correct replica eventually converges even if the writer's own sends
   race with reads.
-* ``read()``: the reader broadcasts ``READ(reg, rid)`` and collects
-  ``VALUE(reg, rid, seq, v)`` replies. It returns ``v`` once some pair
-  ``(seq, v)`` is *confirmed* — reported identically by ``f + 1``
+* ``read()``: the reader broadcasts ``READ`` with a ``(reg, rid)``
+  entry per register it reads and collects ``VALUE`` replies, one
+  ``(reg, rid, seq, v)`` entry per register. It returns ``v`` once some
+  pair ``(seq, v)`` is *confirmed* — reported identically by ``f + 1``
   distinct replicas (at least one correct) — choosing the confirmed pair
   with the highest ``seq``. It re-broadcasts the query until confirmation
-  arrives.
+  arrives. A read of several registers is one such round whatever their
+  number; a read of one is the one-entry case.
 
 Mailbox discipline: each process's **replica daemon is the sole consumer
 of its mailbox**; it parses every inbound message and records
@@ -119,7 +121,8 @@ class ProgressCount:
 
 
 def _is_seq(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A sequence number: an ``int`` (never a ``bool``) of at least 0."""
+    return type(value) is int and value >= 0
 
 
 class ReplicaCore:
@@ -198,6 +201,15 @@ class ReplicaCore:
 
         ``sender`` is trusted (authenticated channels); everything in
         ``payload`` is not — malformed messages are ignored.
+        ``WRITE`` / ``ECHO`` / ``ACK`` name one register. ``READ``,
+        ``VALUE``, ``PULL`` and ``PULL-ACK`` carry a tuple of
+        per-register entries — ``(name, rid)``, ``(name, rid, seq,
+        value)``, ``(name, seq, value, wb_id)``, ``(name, wb_id)`` — so
+        one message serves a read of several registers, and a one-entry
+        tuple a read of one. Only the first entry per known register
+        with a well-formed id counts, and a tuple longer than the
+        register count is dropped whole: a reply answers each register
+        at most once.
         """
         out: List[Outgoing] = []
         if not isinstance(payload, tuple) or not payload:
@@ -220,36 +232,68 @@ class ReplicaCore:
                 if len(votes) >= self.f + 1:
                     self.maybe_adopt(name, seq, value)
                     self._echo_once(name, seq, value, out)
-        elif kind == "READ" and len(payload) == 3:
-            _k, name, rid = payload
-            if name in self.specs and not self.recovering:
-                seq, value = self.accepted[name]
-                out.append((sender, ("VALUE", name, rid, seq, value)))
-        elif kind == "PULL" and len(payload) == 5:
-            _k, name, seq, value, wb_id = payload
-            if name in self.specs and _is_seq(seq) and isinstance(wb_id, int):
-                # Acknowledge only what this replica genuinely holds; a
-                # Byzantine reader cannot make a replica adopt anything
-                # through PULL (adoption still requires the writer or
-                # f + 1 echoes), so write-back is abuse-proof.
-                if self.accepted[name][0] >= seq:
-                    out.append((sender, ("PULL-ACK", name, wb_id)))
-        elif kind == "PULL-ACK" and len(payload) == 3:
-            _k, name, wb_id = payload
-            if name in self.specs and isinstance(wb_id, int):
+        elif kind == "READ" and len(payload) == 2:
+            if not self.recovering:
+                accepted = self.accepted
+                answers = [
+                    (name, rid) + accepted[name]
+                    for name, rid in self._entries(payload[1], 2, 1)
+                ]
+                if answers:
+                    out.append((sender, ("VALUE", tuple(answers))))
+        elif kind == "PULL" and len(payload) == 2:
+            # Acknowledge only what this replica genuinely holds; a
+            # Byzantine reader cannot make a replica adopt anything
+            # through PULL (adoption still requires the writer or
+            # f + 1 echoes), so write-back is abuse-proof.
+            accepted = self.accepted
+            held = [
+                (name, wb_id)
+                for name, seq, _value, wb_id in self._entries(payload[1], 4, 3)
+                if _is_seq(seq) and accepted[name][0] >= seq
+            ]
+            if held:
+                out.append((sender, ("PULL-ACK", tuple(held))))
+        elif kind == "PULL-ACK" and len(payload) == 2:
+            for name, wb_id in self._entries(payload[1], 2, 1):
                 self._record_ack(name, -wb_id, sender)
         elif kind == "ACK" and len(payload) == 3:
             _k, name, seq = payload
             if name in self.specs and isinstance(seq, int):
                 self._record_ack(name, seq, sender)
-        elif kind == "VALUE" and len(payload) == 5:
-            _k, name, rid, seq, value = payload
-            if name in self.specs and isinstance(rid, int) and _is_seq(seq):
-                reports = self.value_reports.setdefault((name, rid), {})
-                if reports.get(sender) != (seq, value):
-                    reports[sender] = (seq, value)
-                    self._changed()
+        elif kind == "VALUE" and len(payload) == 2:
+            for name, rid, seq, value in self._entries(payload[1], 4, 1):
+                if _is_seq(seq):
+                    reports = self.value_reports.setdefault((name, rid), {})
+                    if reports.get(sender) != (seq, value):
+                        reports[sender] = (seq, value)
+                        self._changed()
         return out
+
+    def _entries(self, entries: Any, arity: int, id_at: int) -> List[Tuple[Any, ...]]:
+        """The entries of a multi-register message worth reading: tuples
+        of ``arity`` fields naming a known register, with a read or
+        write-back id at ``id_at`` (an ``int``, never a ``bool``, of at
+        least 1), the first per register. A non-tuple, or more entries
+        than registers (more than any correct peer sends), yields none."""
+        specs = self.specs
+        if type(entries) is not tuple or len(entries) > len(specs):
+            return []
+        kept: List[Tuple[Any, ...]] = []
+        names: List[str] = []  # at most one per register: a scan is cheap
+        for entry in entries:
+            if type(entry) is tuple and len(entry) == arity:
+                name, entry_id = entry[0], entry[id_at]
+                if (
+                    type(name) is str
+                    and name in specs
+                    and name not in names
+                    and type(entry_id) is int
+                    and entry_id > 0
+                ):
+                    names.append(name)
+                    kept.append(entry)
+        return kept
 
     def _echo_once(
         self, name: str, seq: int, value: Any, out: List[Outgoing]
@@ -297,34 +341,49 @@ class ReplicaCore:
         completing below it would let the next write collide."""
         self.write_seq[name] = max(self.write_seq[name], seq)
 
-    def begin_read(self, name: str) -> Tuple[int, Outgoing]:
-        """Open ``read()``: ``(rid, the READ to broadcast)``.
+    def begin_read(self, names: Tuple[str, ...]) -> Tuple[int, Outgoing]:
+        """Open ``read()`` of every register in ``names``: ``(rid, the
+        READ to broadcast)``, one entry per register.
 
-        Complete once :meth:`confirmed_read` ``(name, rid)`` is a pair.
+        Complete once :meth:`confirmed_read` ``(names, rid)`` is a tuple.
         """
         self._last_id += 1
         rid = self._last_id
-        self.value_reports.setdefault((name, rid), {})[self.pid] = self.accepted[name]
-        return rid, (ALL, ("READ", name, rid))
+        accepted, reports = self.accepted, self.value_reports
+        for name in names:
+            reports.setdefault((name, rid), {})[self.pid] = accepted[name]
+        return rid, (ALL, ("READ", tuple((name, rid) for name in names)))
 
-    def confirmed_read(self, name: str, rid: int) -> Optional[Tuple[int, Any]]:
-        """The pair read ``rid`` may return, or ``None`` to keep waiting."""
-        reports = self.value_reports.setdefault((name, rid), {})
-        # Refresh own report — the local replica may have adopted a
-        # newer pair since the read began.
-        if self.accepted[name][0] > reports.get(self.pid, (0, None))[0]:
-            reports[self.pid] = self.accepted[name]
-        return self.best_confirmed(reports)
+    def confirmed_read(
+        self, names: Tuple[str, ...], rid: int
+    ) -> Optional[Tuple[Tuple[int, Any], ...]]:
+        """The pair read ``rid`` may return per register of ``names``, in
+        order, or ``None`` while any is still unconfirmed."""
+        pairs = []
+        for name in names:
+            reports = self.value_reports.setdefault((name, rid), {})
+            # Refresh own report — the local replica may have adopted a
+            # newer pair since the read began.
+            if self.accepted[name][0] > reports.get(self.pid, (0, None))[0]:
+                reports[self.pid] = self.accepted[name]
+            pair = self.best_confirmed(reports)
+            if pair is None:
+                return None
+            pairs.append(pair)
+        return tuple(pairs)
 
     def begin_write_back(
-        self, name: str, seq: int, value: Any
+        self, held: Tuple[Tuple[str, int, Any], ...]
     ) -> Tuple[int, Outgoing]:
-        """Open the write-back of a read's pair: ``(key, the PULL to
-        broadcast)``. Complete once :meth:`acked` ``(name, key)``."""
+        """Open the write-back of a read's ``(name, seq, value)`` pairs:
+        ``(key, the PULL to broadcast)``, one entry per pair. Complete
+        once :meth:`acked` ``(name, key)`` for every name."""
         self._last_id += 1
         wb_id = self._last_id
-        self.acks.setdefault((name, -wb_id), set()).add(self.pid)
-        return -wb_id, (ALL, ("PULL", name, seq, value, wb_id))
+        for name, _seq, _value in held:
+            self.acks.setdefault((name, -wb_id), set()).add(self.pid)
+        pull = tuple((name, seq, value, wb_id) for name, seq, value in held)
+        return -wb_id, (ALL, ("PULL", pull))
 
     def acked(self, name: str, key: int) -> bool:
         """Have ``n - f`` replicas acknowledged write / write-back ``key``?"""
@@ -345,20 +404,24 @@ class ReplicaCore:
     # ------------------------------------------------------------------
     # Recovery: rebuild lost state from the other replicas
     # ------------------------------------------------------------------
-    def recover_from(self, name: str, rid: int) -> bool:
+    def recover_from(self, names: Tuple[str, ...], rid: int) -> bool:
         """Once ``n - f - 1`` *other* replicas have reported to read
-        ``rid``, adopt the newest of their pairs (and never reuse its
-        sequence number); ``False`` until then. With no Byzantine
-        replicas, that many reporters include one that saw every
-        completed write."""
-        reports = self.value_reports.get((name, rid), {})
-        others = [pair for sender, pair in reports.items() if sender != self.pid]
-        if len(others) < self.n - self.f - 1:
-            return False
-        seq, value = max(others, key=lambda pair: pair[0])
-        self.maybe_adopt(name, seq, value)
-        if name in self.write_seq:
-            self.finish_write(name, seq)
+        ``rid`` on every register of ``names``, adopt the newest of
+        their pairs per register (and never reuse its sequence number);
+        ``False`` until then. With no Byzantine replicas, that many
+        reporters include one that saw every completed write."""
+        others = []
+        for name in names:
+            reports = self.value_reports.get((name, rid), {})
+            pairs = [pair for sender, pair in reports.items() if sender != self.pid]
+            if len(pairs) < self.n - self.f - 1:
+                return False
+            others.append((name, pairs))
+        for name, pairs in others:
+            seq, value = max(pairs, key=lambda pair: pair[0])
+            self.maybe_adopt(name, seq, value)
+            if name in self.write_seq:
+                self.finish_write(name, seq)
         return True
 
 
@@ -478,10 +541,11 @@ class RegisterEmulation:
         requery_every: int = 64,
         write_back: bool = False,
     ) -> Program:
-        """Emulated ``read()``; returns a value confirmed by ``f + 1``
-        (see :func:`repro.mp.client_ops.read`, ``write_back`` included).
-        Its re-queries are paced from ``requery_every`` polls."""
-        op = client_ops.read(self.state_of(pid), name, write_back)
+        """Emulated ``read()`` of one register, one ``READ`` entry;
+        returns a value confirmed by ``f + 1`` (see
+        :func:`repro.mp.client_ops.read`, ``write_back`` included). Its
+        re-queries are paced from ``requery_every`` polls."""
+        op = client_ops.read_one(self.state_of(pid), name, write_back)
         return self._drive(pid, op, requery_every)
 
     def _drive(self, pid: int, op: ClientOp, requery_every: int = 0) -> Program:

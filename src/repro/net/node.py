@@ -56,7 +56,10 @@ module adds what a real process needs around it:
   one append-only ledger register per account (``led:P``, written only
   by its owner): ``balance(a) = initial + credits(a) - debits(a)`` over
   quorum-read ledgers, transfers solvency-checked under a per-owner
-  lock. Debits depend on the credits that funded them, so per-register
+  lock. The ledgers are read as one op of
+  :func:`repro.mp.client_ops.read`: one ``READ`` and one write-back
+  ``PULL``, each carrying an entry per ledger, and no task. Debits
+  depend on the credits that funded them, so per-register
   regular+write-back semantics make the derived object linearizable —
   which is exactly what the sampled-window oracle verifies live.
 
@@ -64,8 +67,9 @@ Crash faults: :meth:`stop` drops all connection state, cancels the
 retransmit timer (a crashed node stays silent) and closes the server
 (frames in flight are genuinely lost); :meth:`restart` models a
 *lose-state* restart — the core is replaced by a fresh one and rebuilt
-by a recovery round that collects ``VALUE`` reports from ``n - f - 1``
-*other* replicas per register and adopts the newest
+by one recovery round, a single ``READ`` with an entry per register,
+that collects ``VALUE`` reports from ``n - f - 1`` *other* replicas on
+every register and adopts the newest per register
 (:func:`repro.mp.client_ops.recover`; with no Byzantine processes in
 the live runtime, ``n - f - 1 > f`` reporters always include one that
 saw every completed write). Until recovery finishes
@@ -581,9 +585,10 @@ class NetNode:
     async def read(
         self, name: str, record: bool = True, write_back: bool = True
     ) -> Any:
-        """Emulated ``read``; a pair confirmed by ``f + 1``, written back
-        unless told otherwise (see :func:`repro.mp.client_ops.read`)."""
-        op = client_ops.read(self.replica, name, write_back)
+        """Emulated ``read`` of one register, one ``READ`` entry; a pair
+        confirmed by ``f + 1``, written back unless told otherwise (see
+        :func:`repro.mp.client_ops.read`)."""
+        op = client_ops.read_one(self.replica, name, write_back)
         return await self._drive(op, (name, "read", ()) if record else None)
 
     # ------------------------------------------------------------------
@@ -600,12 +605,10 @@ class NetNode:
             )
 
     async def _ledgers(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
-        values = await asyncio.gather(
-            *[
-                self.read(self._ledger(account), record=False)
-                for account in self.accounts
-            ]
-        )
+        """Every account's ledger, read (and written back) as one op: one
+        ``READ`` and one ``PULL`` carrying an entry per ledger."""
+        names = tuple(self._ledger(account) for account in self.accounts)
+        values = await self._drive(client_ops.read(self.replica, names, True))
         return dict(zip(self.accounts, values))
 
     def _balance_from(

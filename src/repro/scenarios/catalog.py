@@ -45,10 +45,10 @@ from repro.scenarios.registry import ScenarioRecord, make_scenario, register
 # Importing the builder modules registers their builders; the registers
 # module also provides the grid helper the register families reuse.
 from repro.scenarios.registers import adversary_grid
-from repro.scenarios.theorem29 import theorem29_symmetry
 import repro.scenarios.apps  # noqa: F401  (registers snapshot/asset builders)
 import repro.scenarios.mp_emulation  # noqa: F401  (registers mp_register builder)
 import repro.scenarios.net_live  # noqa: F401  (registers net_cluster builder)
+import repro.scenarios.theorem29  # noqa: F401  (registers theorem29 builder)
 
 #: How many adversary mixes per register family the CI smoke subset keeps.
 SMOKE_MIXES = 2
@@ -120,14 +120,13 @@ def _register_baseline_and_strawman() -> None:
 def _register_test_or_set() -> None:
     """Theorem 29 through both engines: violating at 3f, clean at 3f+1.
 
-    The systematic records declare the cast's interchangeable groups, so
-    a ``dpor+symmetry`` run folds over them (the sleep-set reduction the
-    records pin ignores them).
+    The f = 1 cast has no two interchangeable processes, so the records
+    declare no symmetry group: the systematic ones run under sleep sets
+    (the reduction they pin) or ``campaign --reduction dpor``.
     """
     violating = make_scenario("theorem29", f=1)
     control = make_scenario("theorem29", f=1, extra_correct=True)
     for engine in ("swarm", "systematic"):
-        systematic = engine == "systematic"
         register(
             ScenarioRecord(
                 family="test_or_set",
@@ -137,7 +136,6 @@ def _register_test_or_set() -> None:
                 engine=engine,
                 expect_violation=True,
                 consumers=("campaign", "smoke"),
-                symmetry=theorem29_symmetry(f=1) if systematic else (),
             )
         )
         register(
@@ -149,9 +147,6 @@ def _register_test_or_set() -> None:
                 engine=engine,
                 expect_violation=False,
                 consumers=("campaign", "smoke"),
-                symmetry=(
-                    theorem29_symmetry(f=1, extra_correct=True) if systematic else ()
-                ),
             )
         )
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchedulerError
+from repro.errors import ConfigurationError, SchedulerError
 from repro.sim import (
     RandomScheduler,
     RoundRobinScheduler,
@@ -206,6 +206,18 @@ class TestSystematicExplorer:
         second = explore(scenario, **kwargs)
         assert first.races_detected > 0 and first.replayed_steps > 0
         assert _report_facts(first) == _report_facts(second)
+
+    @pytest.mark.parametrize("symmetry", [(), ((4,),), ((4,), (5,))])
+    def test_symmetry_folding_without_a_group_is_refused(self, symmetry):
+        # No group of two pids folds nothing: the run would be plain
+        # dpor reported under another reduction's name.
+        with pytest.raises(ConfigurationError, match="use 'dpor'"):
+            explore(
+                make_scenario("theorem29", f=1),
+                budget=5,
+                reduction="dpor+symmetry",
+                symmetry=symmetry,
+            )
 
     def test_fingerprint_memo_is_always_on(self):
         report = explore(make_scenario("theorem29", f=1), budget=80, **BOUNDS)

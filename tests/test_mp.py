@@ -201,8 +201,10 @@ class TestRegisterEmulation:
             while True:
                 for sender, payload in (yield ReceiveAll()):
                     if isinstance(payload, tuple) and payload[0] == "READ":
-                        _k, name, rid = payload
-                        yield Send(sender, ("VALUE", name, rid, 999, "FAKE"))
+                        entries = tuple(
+                            (name, rid, 999, "FAKE") for name, rid in payload[1]
+                        )
+                        yield Send(sender, ("VALUE", entries))
                 yield Pause()
 
         for pid in (1, 2, 3):

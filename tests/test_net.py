@@ -303,7 +303,7 @@ class TestShutdown:
             # then just holds the connection.
             reader, writer = await asyncio.open_connection("127.0.0.1", proxy.port)
             writer.write(wire.encode(wire.hello(2)))
-            writer.write(wire.encode(wire.msg(("READ", "reg:1", 1))))
+            writer.write(wire.encode(wire.msg(("READ", (("reg:1", 1),)))))
             await writer.drain()
             for _ in range(100):
                 if node.delivered:

@@ -42,10 +42,12 @@ DOCUMENTS = [
     wire.hello(0),
     wire.msg(("CH", 7, ("WRITE", "reg:1", 7, 1000007))),
     wire.msg(("CH-ACK", 7)),
-    wire.msg(("VALUE", "led:3", 41, 5, ((2, 1), (4, 3)))),
-    wire.msg(("VALUE", "led:2", 41, 0, ())),
+    wire.msg(("VALUE", (("led:3", 41, 5, ((2, 1), (4, 3))), ("led:2", 41, 0, ())))),
+    wire.msg(("PULL", (("led:3", 5, ((2, 1), (4, 3)), 42),))),
     wire.msg(("ECHO", "reg:2", 1, "zażółć gęślą jaźń ☃")),
-    wire.msg(("CH-ACK", 8), ("CH", 9, ("READ", "reg:4", 2)), ("ACK", "reg:1", 3)),
+    wire.msg(
+        ("CH-ACK", 8), ("CH", 9, ("READ", (("reg:4", 2),))), ("ACK", "reg:1", 3)
+    ),
     {"t": "req", "id": 9, "op": "write", "args": ["reg:1", [1, [2, []]]]},
     {"t": "res", "id": 9, "ok": True, "value": {"n": 4, "accounts": [1, 2]}},
 ]
@@ -738,13 +740,23 @@ JSON_VALUES = st.recursive(
     max_leaves=10,
 )
 _KINDS = ("WRITE", "ECHO", "READ", "VALUE", "PULL", "PULL-ACK", "ACK", "CH-ACK")
+_FIELD = st.sampled_from(sorted(REGISTERS)) | JSON_VALUES | st.integers(0, 3)
 #: Payloads shaped like the protocol's (a kind, a register, anything
-#: after), or not, and either bare or channel-framed.
-_SHAPED = JSON_VALUES | st.builds(
-    lambda kind, name, rest: [kind, name, *rest],
-    st.sampled_from(_KINDS),
-    st.sampled_from(sorted(REGISTERS)) | JSON_VALUES,
-    st.lists(JSON_VALUES | st.integers(0, 3), max_size=3),
+#: after; or a kind and a list of per-register entries), or not, and
+#: either bare or channel-framed.
+_SHAPED = (
+    JSON_VALUES
+    | st.builds(
+        lambda kind, name, rest: [kind, name, *rest],
+        st.sampled_from(_KINDS),
+        st.sampled_from(sorted(REGISTERS)) | JSON_VALUES,
+        st.lists(JSON_VALUES | st.integers(0, 3), max_size=3),
+    )
+    | st.builds(
+        lambda kind, entries: [kind, entries],
+        st.sampled_from(_KINDS),
+        st.lists(st.lists(_FIELD, max_size=5), max_size=5),
+    )
 )
 PAYLOADS = _SHAPED | st.builds(
     lambda seq, inner: ["CH", seq, inner], JSON_VALUES | st.integers(-1, 5), _SHAPED
@@ -824,7 +836,7 @@ class TestWaiting:
                     return ok[index]
 
                 # Sent to a peer of an un-started node: goes nowhere.
-                yield (2, ("READ", "reg:1", 1)), ready, True
+                yield (2, ("READ", (("reg:1", 1),))), ready, True
                 return index + 1
 
             waits = [asyncio.ensure_future(node._drive(op(i))) for i in range(count)]
@@ -870,6 +882,93 @@ class TestWaiting:
                 assert node.replica.write_seq["reg:1"] == 1
                 assert await node.read("reg:1") == 7
                 assert await cluster.nodes[1].read("reg:1") == 7
+            finally:
+                await cluster.stop()
+
+        asyncio.run(go())
+
+    def test_a_restart_recovers_every_register_in_one_read_round(self):
+        # The requery base is far above a loopback round trip, so a
+        # second READ would mean recovery needed a second round.
+        async def go():
+            cluster = LiveCluster(
+                LiveProfile(
+                    n=4, f=1, clients=1, rounds=1, ops_per_client=1, requery=5.0
+                )
+            )
+            await cluster.start()
+            try:
+                node = cluster.nodes[0]
+                assert await node.write("reg:1", 7) == "done"
+                assert await node.transfer(2, 3) == "ok"
+                await node.stop()
+                queries = []
+                broadcast = node._broadcast
+
+                def recording(payload):
+                    if payload[0] == "READ":
+                        queries.append(payload)
+                    broadcast(payload)
+
+                node._broadcast = recording
+                await asyncio.wait_for(node.restart(), 3.0)
+                assert len(queries) == 1
+                assert [name for name, _rid in queries[0][1]] == list(node.registers)
+                accepted = node.replica.accepted
+                assert accepted["reg:1"] == (1, 7)
+                assert accepted["led:1"] == (1, ((2, 3),))
+                assert node.replica.write_seq["led:1"] == 1
+            finally:
+                await cluster.stop()
+
+        asyncio.run(go())
+
+    def test_a_ledger_op_is_one_read_and_one_pull_and_creates_no_task(self):
+        async def go():
+            cluster = LiveCluster(
+                LiveProfile(
+                    n=4, f=1, clients=1, rounds=1, ops_per_client=1, requery=5.0
+                )
+            )
+            await cluster.start()
+            try:
+                node = cluster.nodes[0]
+                # Dials every link (the echoes reach every pair of peers).
+                assert await node.transfer(3, 2) == "ok"
+
+                def dialled():
+                    links = [
+                        link for peer in cluster.nodes for link in peer._links.values()
+                    ]
+                    return len(links) == 12 and all(link.transport for link in links)
+
+                await eventually(dialled)
+                sent = []
+                broadcast = node._broadcast
+
+                def recording(payload):
+                    sent.append(payload)
+                    broadcast(payload)
+
+                node._broadcast = recording
+                tasks = []
+                loop = asyncio.get_running_loop()
+
+                def factory(loop, coro, **kwargs):
+                    tasks.append(coro)
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+
+                loop.set_task_factory(factory)
+                try:
+                    assert await node.balance(3) == 12
+                finally:
+                    loop.set_task_factory(None)
+                assert tasks == []
+                ledgers = [f"led:{pid}" for pid in range(1, 5)]
+                assert [(kind, [e[0] for e in entries]) for kind, entries in sent] == [
+                    ("READ", ledgers),
+                    ("PULL", ["led:1"]),  # the one ledger with seq > 0
+                ]
             finally:
                 await cluster.stop()
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.faults.channels import ChannelCore, DedupWindow
 from repro.faults.monitor import StallWindow
-from repro.mp import RandomDelayNetwork, RegisterEmulation
+from repro.mp import RandomDelayNetwork, RegisterEmulation, client_ops
 from repro.mp.swmr_emulation import ALL
 from repro.net import NetNode
 from repro.net.channels import MIN_RTO
@@ -34,8 +34,10 @@ from repro.sim import Broadcast, Pause, ReceiveAll, Send, System
 from tests.channel_cases import VirtualEndpoint, WallEndpoint
 
 N, F = 4, 1
-#: name -> (writer, initial); "r" is written by p1, "s" by p2.
-REGISTERS = {"r": (1, 0), "s": (2, ())}
+#: name -> (writer, initial); "r" is written by p1, "s" by p2, "t" by p3.
+REGISTERS = {"r": (1, 0), "s": (2, ()), "t": (3, 0)}
+#: The kinds whose payload is a tuple of per-register entries.
+ENTRY_KINDS = ("READ", "VALUE", "PULL", "PULL-ACK")
 
 
 # ----------------------------------------------------------------------
@@ -121,13 +123,24 @@ def snapshot(core):
 def message_schedule(seed, count):
     """``count`` seeded ``(sender, payload)`` deliveries: all seven
     kinds over small domains (so echo thresholds are crossed, pairs get
-    adopted, PULLs land above and below what is held), salted with the
+    adopted, PULLs land above and below what is held), the four
+    multi-register kinds with one to three entries, salted with the
     malformed shapes the handler must ignore."""
     rng = random.Random(seed)
     names = ["r", "r", "r", "s", "nope"]
     seqs = [0, 1, 1, 2, 2, 3, True, "2", -1]
     values = ["a", "b", (1, 2)]
-    ids = [1, 2, 3, "x"]
+    ids = [1, 2, 3, 3, 0, -1, True, "x"]
+
+    def entry(kind):
+        name, seq, value = rng.choice(names), rng.choice(seqs), rng.choice(values)
+        if kind == "READ":
+            return (name, rng.choice(ids))
+        if kind == "VALUE":
+            return (name, rng.choice(ids), seq, value)
+        if kind == "PULL":
+            return (name, seq, value, rng.choice(ids))
+        return (name, rng.choice(ids))
 
     def one():
         name, seq, value = rng.choice(names), rng.choice(seqs), rng.choice(values)
@@ -138,14 +151,11 @@ def message_schedule(seed, count):
             payload = (kind, name, seq, value)
         elif kind == "ACK":
             payload = (kind, name, seq)
-        elif kind == "READ":
-            payload = (kind, name, rng.choice(ids))
-        elif kind == "VALUE":
-            payload = (kind, name, rng.choice(ids), seq, value)
-        elif kind == "PULL":
-            payload = (kind, name, seq, value, rng.choice(ids))
         else:
-            payload = (kind, name, rng.choice(ids))
+            entries = [entry(kind) for _ in range(rng.choice([1, 1, 2, 3]))]
+            if rng.random() < 0.06:
+                entries[0] = entries[0][:-1]  # an entry of the wrong arity
+            payload = (kind, tuple(entries))
         roll = rng.random()
         if roll < 0.06:
             payload = payload[:-1]  # wrong arity
@@ -187,10 +197,11 @@ def test_both_drivers_make_the_same_transitions(seed):
 def test_a_recovering_replica_answers_no_reads():
     sim = SimReplica(3)
     sim.core.recovering = True
-    assert sim.deliver(2, ("READ", "r", 1)) == []
+    assert sim.deliver(2, ("READ", (("r", 1),))) == []
     assert sim.deliver(1, ("WRITE", "r", 1, "a"))  # everything else still runs
     sim.core.recovering = False
-    assert sim.deliver(2, ("READ", "r", 1)) == [(2, ("VALUE", "r", 1, 1, "a"))]
+    value = ("VALUE", (("r", 1, 1, "a"),))
+    assert sim.deliver(2, ("READ", (("r", 1),))) == [(2, value)]
 
 
 async def _settle(task):
@@ -228,18 +239,195 @@ def test_both_drivers_open_and_complete_operations_alike():
         live_op = asyncio.ensure_future(live.node.read("r", record=False))
         out, finished, _ = _run_to_pause(sim_op)
         assert not finished and not await _settle(live_op)
-        assert out == live.take() == [(ALL, ("READ", "r", 1))]
-        deliver_both(4, ("VALUE", "r", 1, 0, 0))  # a stale replica: no quorum yet
+        assert out == live.take() == [(ALL, ("READ", (("r", 1),)))]
+        deliver_both(4, ("VALUE", (("r", 1, 0, 0),)))  # stale: no quorum yet
         assert _run_to_pause(sim_op) == ([], False, None)
-        deliver_both(2, ("VALUE", "r", 1, 1, "v"))
+        deliver_both(2, ("VALUE", (("r", 1, 1, "v"),)))
         out, finished, _ = _run_to_pause(sim_op)
         assert not finished and not await _settle(live_op)
-        assert out == live.take() == [(ALL, ("PULL", "r", 1, "v", 2))]
-        deliver_both(2, ("PULL-ACK", "r", 2))
-        deliver_both(3, ("PULL-ACK", "r", 2))
+        assert out == live.take() == [(ALL, ("PULL", (("r", 1, "v", 2),)))]
+        deliver_both(2, ("PULL-ACK", (("r", 2),)))
+        deliver_both(3, ("PULL-ACK", (("r", 2),)))
         assert _run_to_pause(sim_op) == ([], True, "v")
         assert await _settle(live_op) and live_op.result() == "v"
         assert snapshot(sim.core) == snapshot(live.core)
+
+    asyncio.run(go())
+
+
+def test_a_three_register_read_is_one_read_and_one_pull_on_both_drivers():
+    """p1 reads ``r``, ``s`` and ``t`` as one op with write-back, on both
+    drivers fed the same replies: one READ with an entry per register,
+    then one PULL carrying the two pairs with ``seq > 0``, done once
+    ``n - f`` replicas hold each; same traffic, state and result."""
+
+    async def go():
+        sim, live = SimReplica(1), LiveReplica(1)
+        names = ("r", "s", "t")
+
+        def deliver_both(sender, payload):
+            assert sim.deliver(sender, payload) == live.deliver(sender, payload)
+            assert snapshot(sim.core) == snapshot(live.core)
+
+        deliver_both(1, ("WRITE", "r", 1, "v"))  # p1 holds r = (1, "v")
+        deliver_both(2, ("WRITE", "s", 1, "x"))  # and s = (1, "x")
+        sim_op = sim.emu._drive(1, client_ops.read(sim.core, names, True), 10**9)
+        live_op = asyncio.ensure_future(
+            live.node._drive(client_ops.read(live.core, names, True))
+        )
+        out, finished, _ = _run_to_pause(sim_op)
+        assert not finished and not await _settle(live_op)
+        assert out == live.take() == [(ALL, ("READ", (("r", 1), ("s", 1), ("t", 1))))]
+        # A stale p4 that also lies about t: nothing matches p1's own.
+        deliver_both(4, ("VALUE", (("r", 1, 0, 0), ("s", 1, 0, ()), ("t", 1, 5, "?"))))
+        assert _run_to_pause(sim_op) == ([], False, None)
+        deliver_both(2, ("VALUE", (("r", 1, 1, "v"), ("s", 1, 1, "x"))))
+        assert _run_to_pause(sim_op) == ([], False, None)  # t lacks f + 1
+        deliver_both(3, ("VALUE", (("t", 1, 0, 0),)))
+        out, finished, _ = _run_to_pause(sim_op)
+        assert not finished and not await _settle(live_op)
+        pull = ("PULL", (("r", 1, "v", 2), ("s", 1, "x", 2)))
+        assert out == live.take() == [(ALL, pull)]
+        deliver_both(3, ("PULL-ACK", (("r", 2),)))
+        deliver_both(2, ("PULL-ACK", (("r", 2), ("s", 2))))
+        assert _run_to_pause(sim_op) == ([], False, None)  # s has 2 of 3
+        deliver_both(4, ("PULL-ACK", (("s", 2),)))
+        assert _run_to_pause(sim_op) == ([], True, ("v", "x", 0))
+        assert await _settle(live_op) and live_op.result() == ("v", "x", 0)
+        assert live.take() == []
+
+    asyncio.run(go())
+
+
+def test_recovery_is_one_read_round_for_every_register_on_both_drivers():
+    """A lose-state core's recovery opens one READ with an entry per
+    register and completes only once ``n - f - 1`` other replicas
+    reported on every one of them, adopting the newest pair of each."""
+
+    async def go():
+        sim, live = SimReplica(3), LiveReplica(3)
+        for replica in (sim, live):
+            replica.core.recovering = True
+        sim_op = sim.emu._drive(3, client_ops.recover(sim.core), 10**9)
+        live_op = asyncio.ensure_future(live.node._drive(client_ops.recover(live.core)))
+        out, finished, _ = _run_to_pause(sim_op)
+        assert not finished and not await _settle(live_op)
+        query = ("READ", (("r", 1), ("s", 1), ("t", 1)))
+        assert out == live.take() == [(ALL, query)]
+        replies = [
+            (1, ("VALUE", (("r", 1, 2, "b"), ("s", 1, 0, ()), ("t", 1, 4, "d")))),
+            (2, ("VALUE", (("r", 1, 1, "a"), ("s", 1, 1, "x")))),  # no t yet
+            (2, ("VALUE", (("t", 1, 3, "c"),))),
+        ]
+        for sender, payload in replies:
+            assert not _run_to_pause(sim_op)[1] and not await _settle(live_op)
+            assert sim.deliver(sender, payload) == live.deliver(sender, payload)
+        assert _run_to_pause(sim_op) == ([], True, None)
+        assert await _settle(live_op)
+        assert sim.core.accepted == live.core.accepted == {
+            "r": (2, "b"),
+            "s": (1, "x"),
+            "t": (4, "d"),
+        }
+        assert live.take() == []  # one round: the READ never went out again
+
+    asyncio.run(go())
+
+
+_FIELDS = (
+    st.sampled_from(["r", "s", "t", "nope", ""])
+    | st.integers(-3, 4)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=2)
+    | st.tuples(st.integers(0, 2))
+)
+_ENTRY = st.tuples(*[_FIELDS] * 2) | st.tuples(*[_FIELDS] * 4) | st.lists(
+    _FIELDS, max_size=5
+).map(tuple)
+_ENTRIES = (
+    st.lists(_ENTRY, max_size=6).map(tuple)
+    | st.lists(_ENTRY, max_size=3)  # a list, not a tuple
+    | _FIELDS
+    | st.builds(lambda entry, count: (entry,) * count, _ENTRY, st.integers(1000, 3000))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    messages=st.lists(
+        st.tuples(
+            st.integers(1, N),
+            st.sampled_from(ENTRY_KINDS),
+            _ENTRIES,
+            st.sampled_from([2, 2, 2, 3]),
+        ),
+        max_size=8,
+    ),
+    recovering=st.booleans(),
+)
+def test_malformed_entries_never_raise_or_amplify_on_either_driver(
+    messages, recovering
+):
+    """Whatever a peer puts in a READ / VALUE / PULL / PULL-ACK — a
+    non-tuple container, entries of the wrong arity, ``bool`` or
+    negative ids and seqs, unknown or repeated names, thousands of
+    entries — both drivers answer alike, never raise, answer only the
+    sender, at most once per message, naming only known registers, each
+    at most once."""
+
+    async def go():
+        sim, live = SimReplica(2), LiveReplica(2)
+        for replica in (sim, live):
+            replica.core.recovering = recovering
+        for sender, kind, entries, arity in messages:
+            payload = (kind, entries) if arity == 2 else (kind, entries, entries)
+            out = sim.deliver(sender, payload)
+            assert out == live.deliver(sender, payload)
+            assert snapshot(sim.core) == snapshot(live.core)
+            assert len(out) <= 1
+            for dst, (reply, answers) in out:
+                assert dst == sender
+                assert (kind, reply) in (("READ", "VALUE"), ("PULL", "PULL-ACK"))
+                assert not (recovering and kind == "READ")
+                named = [answer[0] for answer in answers]
+                assert set(named) <= set(REGISTERS)
+                assert len(named) == len(set(named))
+
+    asyncio.run(go())
+
+
+@pytest.mark.parametrize(
+    "payload, reply",
+    [
+        (("READ", [("r", 1)]), None),  # a list, not a tuple
+        (("READ", "r"), None),
+        (("READ", (("r",),)), None),  # wrong arity
+        (("READ", (("r", True),)), None),
+        (("READ", (("r", -1),)), None),
+        (("READ", (("r", 0),)), None),
+        (("READ", (("nope", 1), ("r", 1))), ("VALUE", (("r", 1, 0, 0),))),
+        (("READ", (("r", 1), ("r", 2))), ("VALUE", (("r", 1, 0, 0),))),
+        (("READ", (("r", 1), ("s", 1), ("t", 1), ("r", 2))), None),  # > 3 entries
+        (("READ", (("r", 1),) * 3000), None),
+        (("PULL", (("r", -1, "v", 1),)), None),
+        (("PULL", (("r", False, "v", 1),)), None),
+        (("PULL", (("r", 0, 0, True),)), None),
+        (("PULL", (("r", 1, "v", 1),)), None),  # not held
+        (("PULL", (("r", 0, 0, 1), ("r", 0, 0, 2))), ("PULL-ACK", (("r", 1),))),
+        (("VALUE", (("r", 1, True, "a"), ("s", -1, 0, ()))), None),
+        (("PULL-ACK", (("r", -2), ("s", True))), None),
+    ],
+)
+def test_the_entry_rules_on_both_drivers(payload, reply):
+    async def go():
+        sim, live = SimReplica(2), LiveReplica(2)
+        before = snapshot(sim.core)
+        out = sim.deliver(3, payload)
+        assert out == live.deliver(3, payload)
+        assert out == ([] if reply is None else [(3, reply)])
+        if payload[0] in ("VALUE", "PULL-ACK"):
+            assert snapshot(sim.core) == snapshot(live.core) == before
 
     asyncio.run(go())
 
@@ -284,13 +472,14 @@ def test_a_read_requeries_at_the_same_pacing_positions_on_both_drivers():
     sim = SimReplica(1)  # alone, p1 never sees f + 1 matching reports
     op = sim.emu.read(1, "r", requery_every=4)
     out, finished, _ = _run_to_pause(op)
-    assert out == [(ALL, ("READ", "r", 1))] and not finished
+    query = (ALL, ("READ", (("r", 1),)))
+    assert out == [query] and not finished
     polls = []  # the poll of the wait at which each re-send went out
     poll = 1  # the first poll runs in the step that sent the query
     while len(polls) < resends:
         poll += 1
         out, finished, _ = _run_to_pause(op)
-        assert not finished and out in ([], [(ALL, ("READ", "r", 1))])
+        assert not finished and out in ([], [query])
         polls += [poll] * len(out)
     sim_positions = [p / 4 for p in polls]
     assert sim_positions == [1, 3, 7, 15, 31, 47]

@@ -693,7 +693,7 @@ class TestCampaignCellCli:
         names = self.THEOREM29[:2] + tuple(
             resolve(label).fingerprint() for label in self.THEOREM29[2:]
         )
-        argv = ["campaign", "--budget", "40", "--reduction", "dpor+symmetry"]
+        argv = ["campaign", "--budget", "40", "--reduction", "dpor"]
         for name in names:
             argv += ["--cell", name]
         argv += ["--no-corpus", "--shards", "1", "--db", str(tmp_path / "s.db")]
@@ -702,13 +702,27 @@ class TestCampaignCellCli:
         assert code == 0, out
         assert (
             "4 cells over 1 implementation family(ies), systematic cells "
-            "under dpor+symmetry" in out
+            "under dpor" in out
         )
         for label in self.THEOREM29:
             assert f"{label}: " in out
         assert "4/4 cells matched expectations" in out
         assert "; 1 violation class(es) shrunk" in out
         assert "PASS: every cell matched" in out
+
+    def test_symmetry_folding_is_not_a_campaign_reduction(self, capsys):
+        # No registry record declares a symmetry group, so argparse
+        # refuses the reduction that would fold over one.
+        from repro.analysis.__main__ import main
+
+        argv = ["campaign", "--reduction", "dpor+symmetry", "--no-corpus"]
+        for label in self.THEOREM29:
+            argv += ["--cell", label]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--reduction: invalid choice: 'dpor+symmetry'" in err
 
     def test_an_unknown_label_exits_2_and_names_it(self, capsys):
         from repro.analysis.__main__ import main
