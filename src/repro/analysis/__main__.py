@@ -306,12 +306,12 @@ def _campaign_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--reduction",
-        choices=("sleep", "dpor"),
+        choices=registry.CELL_REDUCTIONS,
         default=None,
         help="run the systematic cells under this reduction instead of "
         "the one their records pin: sleep sets or source-set dynamic "
-        "partial-order reduction (no registry record declares a "
-        "symmetry group, so dpor+symmetry would fold nothing)",
+        "partial-order reduction (cells carry no symmetry groups, so "
+        "dpor+symmetry is not offered)",
     )
     parser.add_argument(
         "--corpus",

@@ -10,9 +10,8 @@ measured instead of counted by hand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.sim.history import History
 
@@ -23,49 +22,18 @@ class LatencyStats:
 
     count: int
     mean: float
-    minimum: int
     maximum: int
-    p50: float
-    p95: float
 
     @staticmethod
     def from_samples(samples: Sequence[int]) -> "LatencyStats":
         """Compute stats; raises on empty samples (caller filters)."""
         if not samples:
             raise ValueError("no samples")
-        ordered = sorted(samples)
         return LatencyStats(
-            count=len(ordered),
-            mean=sum(ordered) / len(ordered),
-            minimum=ordered[0],
-            maximum=ordered[-1],
-            p50=_percentile(ordered, 0.50),
-            p95=_percentile(ordered, 0.95),
+            count=len(samples),
+            mean=sum(samples) / len(samples),
+            maximum=max(samples),
         )
-
-    def row(self) -> Tuple[int, float, int, int, float, float]:
-        """Tuple form for table rendering."""
-        return (
-            self.count,
-            round(self.mean, 1),
-            self.minimum,
-            self.maximum,
-            self.p50,
-            self.p95,
-        )
-
-
-def _percentile(ordered: Sequence[int], q: float) -> float:
-    """Linear-interpolation percentile of a pre-sorted sample."""
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = q * (len(ordered) - 1)
-    low = int(math.floor(position))
-    high = int(math.ceil(position))
-    if low == high:
-        return float(ordered[low])
-    fraction = position - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 def operation_latencies(

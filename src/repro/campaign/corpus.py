@@ -17,9 +17,10 @@ the corpus: a class that is already recorded is skipped (its committed —
 and therefore already reviewed — trace wins over the fresh one).
 
 Promotion path: a corpus entry is the mechanical form of a regression;
-to turn one into a *named* test, render its scripted schedule with
-:meth:`CorpusEntry.script_source` and paste it into a test module (see
-README "Campaigns & corpus").
+to turn one into a *named* test, replay its trace exactly as
+:func:`replay_entry` does —
+``entry.scenario_spec().build(TraceScheduler(prefix=entry.trace))`` —
+and assert on the run (see README "Campaigns & corpus").
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, SchedulerError
 from repro.explore.explorer import execute_trace
-from repro.explore.shrink import ShrunkViolation, render_script_source
+from repro.explore.shrink import ShrunkViolation
 from repro.scenarios.registry import (
     Scenario,
     Violation,
@@ -81,9 +82,8 @@ class CorpusEntry:
 
     ``trace`` is a decision-index prefix for
     :class:`repro.sim.TraceScheduler` (the round-robin completion after
-    the prefix is implicit); ``script`` is the equivalent explicit
-    ``(pid, role)`` step list for human consumption and promotion to a
-    named regression test.
+    the prefix is implicit) and the only form of the schedule an entry
+    stores.
     """
 
     entry_id: str
@@ -92,7 +92,6 @@ class CorpusEntry:
     trace: Tuple[int, ...]
     reason: str
     fingerprint: str
-    script: Tuple[Tuple[int, str], ...] = ()
     schedule: str = ""
     source: str = ""
     version: int = CORPUS_VERSION
@@ -114,16 +113,6 @@ class CorpusEntry:
         """Human-readable identity for test ids and reports."""
         return f"{self.scenario_spec().label()}#{self.entry_id}"
 
-    def script_source(self) -> str:
-        """Python source of a ScriptedScheduler reproducing the violation."""
-        return render_script_source(
-            self.script,
-            (
-                f"Corpus entry {self.entry_id} for {self.scenario_spec().label()}:",
-                f"  {self.reason}",
-            ),
-        )
-
     def to_json(self) -> dict:
         """The JSON document this entry serializes to."""
         return {
@@ -134,7 +123,6 @@ class CorpusEntry:
             "trace": list(self.trace),
             "reason": self.reason,
             "fingerprint": self.fingerprint,
-            "script": [[pid, role] for pid, role in self.script],
             "schedule": self.schedule,
             "source": self.source,
         }
@@ -168,9 +156,6 @@ class CorpusEntry:
             trace=tuple(int(index) for index in data["trace"]),
             reason=data["reason"],
             fingerprint=data["fingerprint"],
-            script=tuple(
-                (int(pid), str(role)) for pid, role in data.get("script", [])
-            ),
             schedule=data.get("schedule", ""),
             source=data.get("source", ""),
         )
@@ -198,7 +183,6 @@ def entry_from_shrunk(
         trace=shrunk.trace,
         reason=shrunk.reason,
         fingerprint=fingerprint,
-        script=tuple(shrunk.script),
         schedule=shrunk.original.schedule,
         source=source,
     )

@@ -33,7 +33,7 @@ becomes a standing regression test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.explore.explorer import explore
@@ -59,6 +59,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: The note of a cell whose scenario refused to build, before the error.
+ERROR_NOTE = "error: "
+
+
 @dataclass(frozen=True)
 class CampaignCell:
     """One matrix cell: an implementation under one scenario and engine.
@@ -74,13 +78,9 @@ class CampaignCell:
     budget: int
     expect_violation: bool
     seed0: int = 0
-    depth_bound: int = 14
-    preemption_bound: int = 2
-    #: Systematic-engine reduction mode (see ``repro.explore.explore``);
-    #: swarm cells ignore both. ``symmetry`` holds the scenario's
-    #: interchangeable-process groups for ``"dpor+symmetry"``.
+    #: Systematic-engine reduction mode, ``"sleep"`` or ``"dpor"`` (see
+    #: ``repro.explore.explore``); swarm cells ignore it.
     reduction: str = "sleep"
-    symmetry: Tuple[Tuple[int, ...], ...] = ()
 
     def label(self) -> str:
         """Compact cell identity for progress lines and tables."""
@@ -97,15 +97,18 @@ class CellOutcome:
     incomplete: int = 0
     elapsed: float = 0.0
     violations: List[Violation] = field(default_factory=list)
+    #: For a cell that could not run at all (its scenario failed to
+    #: build), :data:`ERROR_NOTE` and the error; such a cell is never
+    #: ok — no run is no certificate.
     note: str = ""
-    #: Why the cell could not run at all (its scenario failed to build);
-    #: such a cell is never ok — no run is no certificate.
-    error: str = ""
 
     @property
     def ok(self) -> bool:
         """Whether the cell matched its differential expectation."""
-        return not self.error and bool(self.violations) == self.cell.expect_violation
+        return (
+            not self.note.startswith(ERROR_NOTE)
+            and bool(self.violations) == self.cell.expect_violation
+        )
 
     @property
     def class_fingerprints(self) -> List[str]:
@@ -120,6 +123,7 @@ class CellOutcome:
             self.ok,
             self.runs,
             self.elapsed,
+            self.note,
         )
 
 
@@ -129,16 +133,20 @@ def verdict_line(
     ok: bool,
     runs: int,
     elapsed: float,
+    note: str,
 ) -> str:
     """The one progress line of a cell verdict.
 
     A worker prints it as a cell finishes and ``watch`` prints it from
-    the recorded row, so it takes only what the row keeps. Liveness
-    verdicts are worded apart from safety breaks: a cell whose classes
-    are all ``STALLED`` diagnoses (the digit-masked ``STALLED:`` reason
-    survives in the fingerprint) reads "stall class(es)", a mix
-    annotates how many of the classes are stalls.
+    the recorded row, so it takes only what the row keeps. A cell that
+    could not run reads as its error note. Liveness verdicts are worded
+    apart from safety breaks: a cell whose classes are all ``STALLED``
+    diagnoses (the digit-masked ``STALLED:`` reason survives in the
+    fingerprint) reads "stall class(es)", a mix annotates how many of
+    the classes are stalls.
     """
+    if note.startswith(ERROR_NOTE):
+        return f"{label}: {note} (UNEXPECTED)"
     classes = len(class_fingerprints)
     stalls = sum(1 for fp in class_fingerprints if "STALLED:" in fp)
     if not classes:
@@ -205,7 +213,6 @@ def default_matrix(
                 expect_violation=record.expect_violation,
                 seed0=seed0,
                 reduction=record.reduction,
-                symmetry=record.symmetry,
             )
         )
     return cells
@@ -233,12 +240,11 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
     if cell.engine == "systematic":
         report = explore(
             cell.scenario,
-            depth_bound=cell.depth_bound,
-            preemption_bound=cell.preemption_bound,
+            depth_bound=14,
+            preemption_bound=2,
             budget=cell.budget,
             stop_on_violation=cell.expect_violation,
             reduction=cell.reduction,
-            symmetry=cell.symmetry,
         )
         return CellOutcome(
             cell=cell,

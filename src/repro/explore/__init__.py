@@ -14,17 +14,19 @@ schedules; ``repro.explore`` actually searches that space:
 * :mod:`repro.explore.fuzzer` — swarm campaigns of seeded
   random/priority schedules with violation deduplication;
 * :mod:`repro.explore.shrink` — counterexample minimization down to a
-  ``ScriptedScheduler`` script fit for a regression test.
+  short decision trace, which :func:`execute_trace` (or a
+  :class:`repro.sim.TraceScheduler` prefix) replays.
 
 Quickstart (see ``examples/explore_quickstart.py``)::
 
-    from repro.explore import explore, fuzz, make_scenario, shrink
+    from repro.explore import execute_trace, explore, fuzz, make_scenario, shrink
 
     scenario = make_scenario("theorem29", f=1)
     report = explore(scenario, budget=400)      # systematic, bounded
     swarm = fuzz(scenario, budget=200)          # seeded swarm
     tiny = shrink(scenario, swarm.violations[0])
-    print(tiny.script_source())
+    print(tiny.trace)                           # the replayable schedule
+    assert execute_trace(scenario, tiny.trace).violation is not None
 
 What the engines search — the picklable :class:`Scenario` spec, the
 :class:`BuiltScenario` build/drive/check triple it builds and the

@@ -340,8 +340,8 @@ def execute_trace(
     signatures and (optionally) state fingerprints for the search loop
     (the effect record runs a little further — see
     :class:`InstrumentedRun` for where its window closes). A depth-0
-    replay without fingerprints records only the coroutines its forced
-    prefix chose.
+    replay without fingerprints runs with no per-step hook: its verdict,
+    step count and decision trace are all it returns.
     Raises :class:`SchedulerError` when the prefix is not realizable.
     ``ctx`` shares oracle caches across replays.
     """
@@ -363,10 +363,9 @@ class InstrumentedRun:
     ``on_step`` hook detaches, so the kernel's step loop runs the
     completion tail without calling it — once nothing the search loop
     can still ask about remains open. The window is
-    ``max(depth_bound, len(prefix))`` steps (``chosen`` always covers
-    the full forced prefix: the shrinker converts prefix decisions into
-    scripts), and for the search loop it closes, the same way under
-    every reduction, at the first step past it by which both
+    ``max(depth_bound, len(prefix))`` steps, and for the search loop it
+    closes, the same way under every reduction, at the first step past
+    it by which both
 
     (a) every coroutine seen runnable inside the horizon has stepped
         beyond the window or retired — the sleep-set test
@@ -385,13 +384,10 @@ class InstrumentedRun:
     identically to a full-length record.
 
     A depth-0 replay without fingerprints (the shrinker's, a corpus
-    replay's) has no search loop asking about it: its callers read the
-    verdict, the step count and which coroutine each forced step chose.
-    Its window is therefore the forced prefix and it records ``chosen``
-    alone: ``effects``, ``runnables`` and ``fingerprints`` stay empty,
-    ``cumulative_preemptions`` is ``(0,)``, and the ``on_step`` hook
-    detaches after the last forced step (a run with no prefix never
-    attaches it).
+    replay's) has no search loop asking about it: its callers read only
+    the verdict and the step count. It attaches no ``on_step`` hook at
+    all: ``chosen``, ``effects``, ``runnables`` and ``fingerprints``
+    stay empty and ``cumulative_preemptions`` is ``(0,)``.
     """
 
     def __init__(
@@ -427,14 +423,6 @@ class InstrumentedRun:
         self._window = max(depth_bound, len(prefix))
         if depth_bound or fingerprints:
             self.system.on_step = self._on_step
-        elif prefix:
-            self.system.on_step = self._on_forced_step
-
-    def _on_forced_step(self, cid: CoroutineId, effect: object) -> None:
-        chosen = self.chosen
-        chosen.append(cid)
-        if len(chosen) == self._window:
-            self.system.on_step = None
 
     def _on_step(self, cid: CoroutineId, effect: object) -> None:
         sig = effect_signature(effect, cid[0], self._networked)

@@ -24,9 +24,9 @@ a no-op, which keeps corpus entries stable across campaigns. A result
 whose budget ran out first carries no such promise: re-shrinking it
 with a fresh budget may shorten it further.
 
-The result converts to a :class:`repro.sim.ScriptedScheduler` script —
-the explicit ``(pid, role)`` step list the repo's regression tests are
-written in — via :meth:`ShrunkViolation.script_source`.
+The result is the decision trace alone: a regression test (or a
+corpus entry, :mod:`repro.campaign.corpus`) replays it through
+:class:`repro.sim.TraceScheduler`, which every engine records through.
 """
 
 from __future__ import annotations
@@ -35,56 +35,24 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import SchedulerError
-from repro.sim.scheduler import CoroutineId
 from repro.spec.context import CheckContext
 from repro.explore.explorer import RunRecord, execute_trace
 from repro.scenarios.registry import Scenario, Violation
 
 
-def render_script_source(
-    script: Sequence[CoroutineId], comments: Sequence[str]
-) -> str:
-    """Python source for a ScriptedScheduler reproducing a violation.
-
-    One renderer for every surface that emits replay scripts (shrunk
-    violations, corpus entries), so the rendered shape — non-strict
-    script with a fair round-robin completion — can never drift
-    between them.
-    """
-    steps = ",\n    ".join(repr(cid) for cid in script)
-    body = f"\n    {steps},\n" if script else ""
-    header = "".join(f"# {line}\n" for line in comments)
-    return (
-        f"{header}"
-        f"scheduler = ScriptedScheduler([{body}], "
-        f"fallback=RoundRobinScheduler(), strict=False)\n"
-    )
-
-
 @dataclass
 class ShrunkViolation:
-    """A minimized counterexample, ready to paste into a regression test."""
+    """A minimized counterexample: ``trace`` is a decision prefix whose
+    fair round-robin completion reproduces the violation class (replay
+    it with :func:`repro.explore.execute_trace`)."""
 
     original: Violation
     trace: Tuple[int, ...]
     reason: str
-    script: Tuple[CoroutineId, ...]
     replays: int
     #: True only when a full pass of the three phases changed nothing;
     #: False when the replay budget ran out first.
     fixpoint: bool
-
-    def script_source(self) -> str:
-        """Python source for a ScriptedScheduler reproducing the violation."""
-        return render_script_source(
-            self.script,
-            (
-                f"Violating schedule found by repro.explore for "
-                f"{self.original.scenario}:",
-                f"  {self.reason}",
-                "Force these steps, then let round robin finish the run.",
-            ),
-        )
 
     def describe(self) -> str:
         """One-line rendering for reports."""
@@ -138,10 +106,9 @@ def shrink(
     # reproducing attempt (phase 1 included: ``high`` is the last
     # ``mid`` that reproduced), so what that attempt's run showed is
     # what ``current`` shows and nothing needs replaying at the end.
-    # Only the two fields the result needs are kept: a whole RunRecord
-    # held across the next replay is a second full trace in memory.
+    # Only the reason is kept: a whole RunRecord held across the next
+    # replay is a second full trace in memory.
     reason = ""
-    chosen: Tuple[CoroutineId, ...] = ()
     # Set the first time a phase wanted another replay and the budget
     # refused it: that pass was cut short, so it proves no fixpoint.
     spent = False
@@ -153,12 +120,12 @@ def shrink(
         return not spent
 
     def attempt(prefix: Sequence[int]) -> bool:
-        nonlocal replays, reason, chosen
+        nonlocal replays, reason
         replays += 1
         record = _reproduces(scenario, prefix, fingerprint, ctx=ctx)
         if record is None:
             return False
-        reason, chosen = record.violation.reason, record.chosen
+        reason = record.violation.reason
         return True
 
     current = list(violation.trace)
@@ -222,7 +189,6 @@ def shrink(
         original=violation,
         trace=tuple(current),
         reason=reason,
-        script=tuple(chosen[: len(current)]),
         replays=replays,
         fixpoint=fixpoint,
     )

@@ -185,8 +185,9 @@ class ScriptedNetwork:
     Every submitted message is held in an inbox visible through
     :meth:`held`; the orchestrator calls :meth:`release` (or
     :meth:`release_matching`) to let specific messages through on the
-    next tick. This gives message-level adversarial scheduling — the
-    message-passing analogue of :class:`ScriptedScheduler`.
+    next tick. This gives message-level adversarial scheduling: the
+    test picks each delivery, as a :class:`repro.sim.TraceScheduler`
+    prefix picks each step.
     """
 
     def __init__(self) -> None:

@@ -50,6 +50,7 @@ from repro.scenarios.bindings import (
     kind_for,
 )
 from repro.scenarios.registry import (
+    CELL_REDUCTIONS,
     CONSUMERS,
     ENGINES,
     REDUCTIONS,
@@ -72,6 +73,7 @@ from repro.scenarios.sweeps import EXTRA_SWEEP_ADVERSARIES, SWEEP_ADVERSARIES
 
 __all__ = [
     "BuiltScenario",
+    "CELL_REDUCTIONS",
     "CONSUMERS",
     "ENGINES",
     "EXTRA_SWEEP_ADVERSARIES",

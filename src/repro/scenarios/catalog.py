@@ -120,9 +120,9 @@ def _register_baseline_and_strawman() -> None:
 def _register_test_or_set() -> None:
     """Theorem 29 through both engines: violating at 3f, clean at 3f+1.
 
-    The f = 1 cast has no two interchangeable processes, so the records
-    declare no symmetry group: the systematic ones run under sleep sets
-    (the reduction they pin) or ``campaign --reduction dpor``.
+    The f = 1 cast has no two interchangeable processes, so symmetry
+    folding would gain nothing: the systematic records run under sleep
+    sets (the reduction they pin) or ``campaign --reduction dpor``.
     """
     violating = make_scenario("theorem29", f=1)
     control = make_scenario("theorem29", f=1, extra_correct=True)

@@ -73,8 +73,12 @@ from repro.sim import System
 ENGINES = ("swarm", "systematic", "live")
 
 #: Valid ``explore(reduction=...)`` arguments, in increasing
-#: aggressiveness; a systematic record pins one of them.
+#: aggressiveness.
 REDUCTIONS: Tuple[str, ...] = ("sleep", "dpor", "dpor+symmetry")
+
+#: The reductions a systematic record (and so a campaign cell) may pin:
+#: symmetry folding needs process groups, which neither carries.
+CELL_REDUCTIONS: Tuple[str, ...] = ("sleep", "dpor")
 
 #: The consumer axes a record can opt into. ``smoke`` is the bounded CI
 #: subset of ``campaign``; ``net`` marks the live-network smoke cells
@@ -331,25 +335,15 @@ class ScenarioRecord:
             proves for this cell.
         consumers: Which layers include the record (subset of
             :data:`CONSUMERS`).
-        symmetry: Interchangeable process groups — tuples of pids whose
-            initial coroutine/register/mailbox configurations map onto
-            each other under any permutation of the group. The
-            systematic explorer's ``reduction="dpor+symmetry"`` folds
-            backtracks over these groups
-            (:class:`repro.explore.dpor.SymmetryFolder`). Deliberately
-            *outside* the fingerprint basis: a symmetry declaration is
-            a search-strategy hint, not cell behaviour (all reduction
-            modes reach identical verdicts), and adding one must not
-            orphan stored cell fingerprints.
         reduction: Which systematic-explorer reduction the record's
-            campaign cell runs under (``"sleep"``, ``"dpor"`` or
-            ``"dpor+symmetry"``; ignored by swarm cells). Like
-            ``symmetry``, a search-strategy hint outside the
-            fingerprint basis — cells registered before the dpor
-            reductions existed keep their identity. The deferred
-            broadcast systematic cells *require* a dpor mode: their
-            bounded tree is too large for the sleep baseline to drain
-            within a campaign budget.
+            campaign cell runs under (``"sleep"`` or ``"dpor"``, see
+            :data:`CELL_REDUCTIONS`; ignored by swarm cells). A
+            search-strategy hint outside the fingerprint basis (every
+            reduction reaches the same verdict) — cells registered
+            before the dpor reductions existed keep their identity.
+            The deferred broadcast systematic cells *require* a dpor
+            mode: their bounded tree is too large for the sleep
+            baseline to drain within a campaign budget.
     """
 
     family: str
@@ -359,7 +353,6 @@ class ScenarioRecord:
     engine: str = "swarm"
     expect_violation: bool = False
     consumers: Tuple[str, ...] = ("campaign",)
-    symmetry: Tuple[Tuple[int, ...], ...] = ()
     reduction: str = "sleep"
 
     def __post_init__(self) -> None:
@@ -372,10 +365,10 @@ class ScenarioRecord:
             raise ConfigurationError(
                 f"unknown consumer(s) {unknown!r}; known: {', '.join(CONSUMERS)}"
             )
-        if self.reduction not in REDUCTIONS:
+        if self.reduction not in CELL_REDUCTIONS:
             raise ConfigurationError(
                 f"unknown reduction {self.reduction!r}; "
-                f"known: {', '.join(REDUCTIONS)}"
+                f"known: {', '.join(CELL_REDUCTIONS)}"
             )
         if self.n < 1 or self.f < 0:
             raise ConfigurationError(

@@ -7,16 +7,15 @@ loudly instead of executing the wrong thing. Scenario params survive
 the round trip as the hashable tuples their labels and fingerprints
 were derived from (the same thaw the corpus loader applies). The queue
 is a trust boundary: a document of the wrong shape — a missing key, a
-non-integer budget, bound or pid, a budget below 1 or a negative bound
-(either would report clean for work never done), an unknown engine or
-reduction — fails the lease with a
-:class:`~repro.errors.ConfigurationError`, never a bare ``KeyError`` or
-a silently coerced value.
+non-integer budget or seed, a budget below 1 (it would report clean
+for work never done), an unknown engine or reduction — fails the lease
+with a :class:`~repro.errors.ConfigurationError`, never a bare
+``KeyError`` or a silently coerced value.
 
 ``cell_fingerprint`` is the cross-run identity used by the results
 database: two submissions of the same matrix cell (same family, engine,
-scenario label, budget, bounds, seed) share a fingerprint, which is
-what makes verdict drift between runs a single indexed query.
+scenario label, budget, seed) share a fingerprint, which is what makes
+verdict drift between runs a single indexed query.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.campaign.corpus import thaw_params
 from repro.campaign.matrix import CampaignCell
 from repro.errors import ConfigurationError
-from repro.scenarios.registry import REDUCTIONS, resolve_spec
+from repro.scenarios.registry import CELL_REDUCTIONS, resolve_spec
 
 #: Engines a campaign cell can run on (``"live"`` cells never queue).
 CELL_ENGINES: Tuple[str, ...] = ("swarm", "systematic")
@@ -45,10 +44,7 @@ def cell_to_json(cell: CampaignCell) -> Dict[str, Any]:
         "budget": cell.budget,
         "expect_violation": cell.expect_violation,
         "seed0": cell.seed0,
-        "depth_bound": cell.depth_bound,
-        "preemption_bound": cell.preemption_bound,
         "reduction": cell.reduction,
-        "symmetry": [list(group) for group in cell.symmetry],
     }
 
 
@@ -88,13 +84,6 @@ def cell_from_json(data: Any) -> CampaignCell:
     if not isinstance(data, dict):
         raise ConfigurationError(f"queued cell must be an object, got {data!r}")
     scenario = _field(data, "scenario", dict)
-    symmetry = data.get("symmetry", [])
-    if not isinstance(symmetry, list) or not all(
-        isinstance(group, list)
-        and all(isinstance(pid, int) and not isinstance(pid, bool) for pid in group)
-        for group in symmetry
-    ):
-        raise ConfigurationError(f"queued cell symmetry must list pid groups: {symmetry!r}")
     return CampaignCell(
         implementation=_field(data, "implementation", str),
         scenario=resolve_spec(
@@ -105,17 +94,19 @@ def cell_from_json(data: Any) -> CampaignCell:
         budget=_field(data, "budget", int, minimum=1),
         expect_violation=_field(data, "expect_violation", bool),
         seed0=_field(data, "seed0", int),
-        depth_bound=_field(data, "depth_bound", int, minimum=0),
-        preemption_bound=_field(data, "preemption_bound", int, minimum=0),
-        # Documents queued before the dpor reductions existed carry
-        # neither key; they were (and remain) sleep-baseline cells.
-        reduction=_choice(data.get("reduction", "sleep"), "reduction", REDUCTIONS),
-        symmetry=tuple(tuple(group) for group in symmetry),
+        # Documents queued before the dpor reductions existed carry no
+        # reduction; they were (and remain) sleep-baseline cells.
+        reduction=_choice(
+            data.get("reduction", "sleep"), "reduction", CELL_REDUCTIONS
+        ),
     )
 
 
 def cell_fingerprint(cell: CampaignCell) -> str:
     """Stable digest of everything that determines a cell's verdict."""
+    # ``14`` and ``2`` are the depth and preemption bounds every
+    # systematic cell runs under, ``()`` the symmetry groups none has:
+    # once cell fields, kept as literals so every stored digest holds.
     basis = (
         cell.implementation,
         cell.engine,
@@ -123,12 +114,12 @@ def cell_fingerprint(cell: CampaignCell) -> str:
         cell.budget,
         cell.expect_violation,
         cell.seed0,
-        cell.depth_bound,
-        cell.preemption_bound,
+        14,
+        2,
     )
     # The reduction changes a cell's run counts and exhaustion note (not
     # its verdict), so dpor cells get their own identity — appended
     # conditionally so every pre-dpor cell keeps its stored digest.
     if cell.reduction != "sleep":
-        basis = basis + (cell.reduction, cell.symmetry)
+        basis = basis + (cell.reduction, ())
     return hashlib.blake2b(repr(basis).encode(), digest_size=8).hexdigest()

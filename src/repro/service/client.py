@@ -58,7 +58,12 @@ class CellVerdict:
     def describe(self) -> str:
         """The worker's progress line for this cell, from the row."""
         return verdict_line(
-            self.label, self.class_fingerprints, self.ok, self.runs, self.elapsed
+            self.label,
+            self.class_fingerprints,
+            self.ok,
+            self.runs,
+            self.elapsed,
+            self.note,
         )
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
 from repro.campaign.corpus import entry_from_shrunk, save_entry
-from repro.campaign.matrix import CampaignCell, CellOutcome, run_cell
+from repro.campaign.matrix import ERROR_NOTE, CampaignCell, CellOutcome, run_cell
 from repro.errors import ConfigurationError
 from repro.explore.shrink import shrink
 from repro.scenarios.registry import Violation
@@ -152,7 +152,7 @@ def _execute_shard(
         try:
             outcome = run_cell(cell)
         except ConfigurationError as exc:
-            outcome = CellOutcome(cell=cell, error=str(exc), note=f"error: {exc}")
+            outcome = CellOutcome(cell=cell, note=f"{ERROR_NOTE}{exc}")
         shard_runs += outcome.runs
         shard_steps += outcome.steps
         store.record_cell_verdict(
@@ -172,8 +172,6 @@ def _execute_shard(
         )
         summary.cells += 1
         emit(outcome.describe())
-        if outcome.error:
-            emit(f"  {outcome.note}")
         _shrink_and_record(store, lease, cell, outcome, summary, emit)
         squeue.heartbeat(store, lease, ttl=lease_ttl)
     squeue.complete(

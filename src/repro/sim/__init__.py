@@ -32,7 +32,6 @@ from repro.sim.scheduler import (
     PriorityScheduler,
     RandomScheduler,
     RoundRobinScheduler,
-    ScriptedScheduler,
     Scheduler,
     TraceScheduler,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "RoundRobinScheduler",
     "Scheduler",
     "ScriptClient",
-    "ScriptedScheduler",
     "Send",
     "StepMetrics",
     "System",

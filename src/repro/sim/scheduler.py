@@ -11,10 +11,6 @@ this with pluggable schedulers:
 * :class:`RandomScheduler` — seeded uniform choice with an enforced
   starvation bound, giving reproducible "chaotic but fair" interleavings
   for randomized stress tests and hypothesis properties.
-* :class:`ScriptedScheduler` — an explicit list of coroutine ids. This is
-  how the Theorem 29 / Figure 1 histories place steps at exact virtual
-  times (t1 .. t7) and how regression tests pin down past bugs'
-  interleavings.
 * :class:`PriorityScheduler` — biases some coroutines to run more often
   (e.g. starving Help daemons to stress the helping mechanism).
 
@@ -27,14 +23,17 @@ this with pluggable schedulers:
   ``repro.explore``. Every kernel step presents its runnable list in a
   deterministic sorted order, so the *index* chosen at each step is a
   complete, compact encoding of the interleaving: replaying the same
-  index trace against the same scenario reproduces the run bit for bit.
+  index trace against the same scenario reproduces the run bit for
+  bit. It is the one stored form of a schedule: shrunk counterexamples,
+  corpus entries and hand-pinned test interleavings are all index
+  prefixes.
 
 Every scheduler answers one question, :meth:`Scheduler.select_index`:
 the *index* into the runnable tuple of the coroutine that moves next.
 The kernel runs every step through one loop (``System._drive``) that
 asks exactly that; :meth:`Scheduler.select` is the same pick returned
-as a coroutine id, and a wrapping scheduler (scripted or trace) asks
-its fallback's ``select_index`` once its own script runs out.
+as a coroutine id, and :class:`TraceScheduler` asks its fallback's
+``select_index`` once its prefix runs out.
 
 A *coroutine id* is a ``(pid, role)`` pair — each process typically runs a
 ``"client"`` coroutine (its operations) and a ``"help"`` daemon
@@ -48,7 +47,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect
 from collections import OrderedDict
 from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulerError
 
@@ -221,56 +220,6 @@ class RandomScheduler(_FairScheduler):
 
     def describe(self) -> str:
         return f"RandomScheduler(seed={self._seed}, bound={self._bound})"
-
-
-class ScriptedScheduler(Scheduler):
-    """Follow an explicit schedule, then fall back to a base scheduler.
-
-    The script is an iterable of coroutine ids. Each entry is consumed in
-    order; if the scripted coroutine is not currently runnable the
-    behaviour is controlled by ``strict``:
-
-    * ``strict=True`` (default) — raise :class:`SchedulerError`; used by
-      the Theorem 29 construction where a missed step would silently
-      invalidate the indistinguishability argument.
-    * ``strict=False`` — skip the entry.
-
-    When the script is exhausted, control passes to ``fallback`` (round
-    robin unless specified), letting attacks drive a precise prefix and
-    then release the system to run freely.
-    """
-
-    def __init__(
-        self,
-        script: Iterable[CoroutineId],
-        fallback: Optional[Scheduler] = None,
-        strict: bool = True,
-    ):
-        self._script: Iterator[CoroutineId] = iter(script)
-        self._fallback = fallback or RoundRobinScheduler()
-        self._strict = strict
-        self._exhausted = False
-
-    def select_index(self, runnable: Sequence[CoroutineId], clock: int) -> int:
-        while not self._exhausted:
-            try:
-                wanted = next(self._script)
-            except StopIteration:
-                self._exhausted = True
-                break
-            if wanted in runnable:
-                return runnable.index(wanted)
-            if self._strict:
-                raise SchedulerError(
-                    f"scripted coroutine {wanted!r} not runnable at time "
-                    f"{clock}; runnable = {list(runnable)}"
-                )
-        return self._fallback.select_index(runnable, clock)
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every scripted entry has been consumed."""
-        return self._exhausted
 
 
 class PriorityScheduler(_FairScheduler):

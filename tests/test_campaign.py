@@ -432,12 +432,6 @@ class TestCorpus:
     def test_missing_directory_is_an_empty_corpus(self, tmp_path):
         assert load_corpus(tmp_path / "absent") == []
 
-    def test_script_source_renders_scripted_scheduler(self, shrunk):
-        scenario, minimized = shrunk
-        entry = entry_from_shrunk(scenario, minimized)
-        source = entry.script_source()
-        assert "ScriptedScheduler" in source and entry.entry_id in source
-
 
 class TestCampaignCli:
     def test_list_mentions_campaign(self, capsys):

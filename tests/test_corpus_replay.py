@@ -16,6 +16,7 @@ its JSON file in the same change and say why in the commit message.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -50,8 +51,16 @@ def test_corpus_entry_still_reproduces(entry):
     assert outcome.ok, (
         f"corpus entry {entry.label()} regressed: {outcome.detail}\n"
         f"recorded reason: {entry.reason}\n"
-        f"replay script:\n{entry.script_source()}"
+        f"recorded trace: {list(entry.trace)}"
     )
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.label())
+def test_corpus_file_is_its_entrys_canonical_document(entry):
+    """Each file holds exactly what ``save_entry`` writes for its loaded
+    entry: a stray key or a hand edit fails here, not at the next save."""
+    text = (CORPUS_DIR / entry.file_name()).read_text()
+    assert text == json.dumps(entry.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.label())

@@ -5,8 +5,8 @@ layer (any run replays bit-identically from its decision trace), the
 bounded systematic explorer (finds the seeded Theorem 29 violation at
 ``n = 3f``, certifies the control clean), the swarm fuzzer (finds the
 same class, deduplicates), and the shrinker (deterministic minimal
-counterexamples that convert to ScriptedScheduler scripts, within
-their replay budget).
+decision traces that replay the violation, within their replay
+budget).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, SchedulerError
 from repro.sim import (
     RandomScheduler,
-    RoundRobinScheduler,
-    ScriptedScheduler,
     System,
     TraceScheduler,
 )
@@ -436,22 +434,6 @@ class TestShrinker:
             assert record.violation is not None
             assert record.violation.fingerprint() == violation.fingerprint()
 
-    def test_script_is_a_runnable_scripted_scheduler(self, found):
-        scenario, violation = found
-        shrunk = shrink(scenario, violation)
-        source = shrunk.script_source()
-        assert "ScriptedScheduler" in source and "RoundRobinScheduler" in source
-        # The rendered script *is* the schedule: driving the scenario
-        # with it reproduces the violation without any trace machinery.
-        built = scenario.build(
-            ScriptedScheduler(
-                list(shrunk.script), fallback=RoundRobinScheduler(), strict=False
-            )
-        )
-        built.drive()
-        reason = built.check()
-        assert reason is not None and "relay" in reason
-
     @pytest.mark.parametrize("max_replays", [2, 5, 9, 600])
     def test_result_is_the_last_reproducing_run_with_no_closing_replay(
         self, found, max_replays, monkeypatch
@@ -476,12 +458,11 @@ class TestShrinker:
         assert shrunk.replays == len(runs)
         record = execute_trace(scenario, shrunk.trace)
         assert record.violation.reason == shrunk.reason
-        assert tuple(record.chosen[: len(shrunk.trace)]) == shrunk.script
 
     def test_depth0_replay_matches_a_fully_recorded_one(self, found):
         # A depth-0 replay records only what its callers read; the
-        # verdict, the step count and the forced steps' coroutines must
-        # equal those of a run that records every windowed step.
+        # verdict and the step count must equal those of a run that
+        # records every windowed step.
         scenario, violation = found
         trace = violation.trace
         for prefix in (
@@ -496,7 +477,6 @@ class TestShrinker:
             full = execute_trace(scenario, prefix, fingerprints=True)
             assert lean.violation == full.violation
             assert (lean.steps, lean.completed) == (full.steps, full.completed)
-            assert lean.chosen == full.chosen[: len(prefix)]
             assert lean.effects == () and len(full.effects) >= len(prefix)
 
     def test_fixpoint_reports_whether_the_budget_ran_out(

@@ -15,7 +15,6 @@ from repro.sim.scheduler import (
     PriorityScheduler,
     RandomScheduler,
     RoundRobinScheduler,
-    ScriptedScheduler,
     TraceScheduler,
 )
 from repro.explore.fuzzer import SWARM_WEIGHTS, SwarmScheduler, fuzz_scheduler
@@ -72,31 +71,6 @@ class TestRandom:
             RandomScheduler(fairness_bound=0)
 
 
-class TestScripted:
-    def test_follows_script(self):
-        sched = ScriptedScheduler([B, B, A])
-        assert sched.select([A, B], 0) == B
-        assert sched.select([A, B], 1) == B
-        assert sched.select([A, B], 2) == A
-
-    def test_strict_raises_on_unavailable(self):
-        sched = ScriptedScheduler([C], strict=True)
-        with pytest.raises(SchedulerError):
-            sched.select([A, B], 0)
-
-    def test_lenient_skips(self):
-        sched = ScriptedScheduler([C, B], strict=False)
-        assert sched.select([A, B], 0) == B
-
-    def test_fallback_after_exhaustion(self):
-        sched = ScriptedScheduler([B])
-        assert sched.select([A, B], 0) == B
-        assert not sched.exhausted
-        follow = [sched.select([A, B], i) for i in range(1, 5)]
-        assert sched.exhausted
-        assert set(follow) == {A, B}  # round-robin fallback covers both
-
-
 class TestPriority:
     def test_bias_respected(self):
         sched = PriorityScheduler(weights={A: 100.0, B: 0.01}, seed=1)
@@ -140,9 +114,10 @@ class TestTraceFallback:
             _warm_round_robin,
             lambda: RandomScheduler(seed=7, fairness_bound=3),
             lambda: SwarmScheduler(seed=5),
-            lambda: ScriptedScheduler([C, B, B, A, C], strict=False),
+            # C, B, B, A, C over the first five (all-runnable) steps.
+            lambda: TraceScheduler(prefix=(2, 1, 1, 0, 2)),
         ],
-        ids=["round-robin", "warm-round-robin", "random", "swarm", "scripted"],
+        ids=["round-robin", "warm-round-robin", "random", "swarm", "trace"],
     )
     def test_records_the_fallbacks_own_picks(self, make):
         alone = make()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import CampaignCell, run_cell
+from repro.campaign import CampaignCell, default_matrix, run_cell
 from repro.errors import ConfigurationError
 from repro.explore import make_scenario
 from repro.service import (
@@ -97,6 +97,25 @@ class TestCellCodec:
         )
         assert cell_fingerprint(other_seed) != cell_fingerprint(cell)
 
+    def test_smoke_matrix_digests_are_the_stored_ones(self):
+        # Digests computed while cells still carried depth and
+        # preemption bounds and symmetry groups: the results database
+        # keys verdict history by them, so they must never move.
+        assert [cell_fingerprint(cell) for cell in default_matrix(smoke=True)] == [
+            "7e964a4b7f5cf780", "a6a4312bb06290d0", "eed5b6a0b27347de",
+            "af09d0e89520cd76", "53ab9094492745bc", "e89428004f68bacf",
+            "e41913afcd39b545", "59da2ab9e2ee05fb", "c81f1c6a159c7f21",
+            "8e4b72ed995e75fd", "efb8b3b56caf3dcd", "8329391d2872d8dd",
+            "63cf19dc74a38c2e", "cad27059fccb5c6f", "b826f6c20fbb6a5d",
+            "e3885f017443d1af", "442ab2698e3b5998", "67b6c2481b177e5a",
+            "41a7c15551aaa1e0", "9bbb1c5e7eb32dc0", "e49c830c79b04d6d",
+            "9d26abb8a1a7e768", "13c290dfa61ee011", "3e02684ef84cae4b",
+            "3eb9be16b02cc954", "9fd3e796bf767c53", "0aa415c4e4cf9612",
+            "82acbb5817e578d5", "200216bfb47322f2", "c0a4245db3d08c05",
+            "83d0c29d77dae09f", "67272872e11f351b", "a6b4fa87796d346d",
+            "1bf2d08d3df18cb1",
+        ]
+
 
 #: Arbitrary JSON values (no NaN: it is not equal to itself).
 JSON_VALUES = st.recursive(
@@ -144,8 +163,7 @@ DPOR_CELL = CampaignCell(
     engine="systematic",
     budget=5,
     expect_violation=True,
-    reduction="dpor+symmetry",
-    symmetry=((4,), (5, 6)),
+    reduction="dpor",
 )
 
 
@@ -159,11 +177,9 @@ class TestCellCodecFuzz:
             ({"budget": True}, "budget"),
             ({"budget": 2.7}, "budget"),
             ({"budget": 0}, "budget"),
-            ({"depth_bound": -1}, "depth_bound"),
-            ({"preemption_bound": -1}, "preemption_bound"),
             ({"engine": "warp"}, "engine"),
             ({"reduction": "bogus"}, "reduction"),
-            ({"symmetry": [["4"]]}, "symmetry"),
+            ({"reduction": "dpor+symmetry"}, "reduction"),
             ({"scenario": {"name": "register", "params": {"kind": "x"}}}, "params"),
             (
                 {"scenario": {"name": "snapshot", "params": [["updates", -2]]}},
@@ -432,7 +448,35 @@ class TestWorkerParity:
         first, second = result.verdicts
         assert not first.ok and first.runs == 0 and error in first.note
         assert second.ok
-        assert any(line.strip().startswith("error:") for line in lines)
+        assert any(bad.label() in line and error in line for line in lines)
+
+    def test_an_errored_cell_names_its_error_on_every_path(self, store, tmp_path):
+        # The worker's line, the line ``watch`` prints from the row and
+        # the CLI's ``FAIL:`` line (``describe`` of the row) all say
+        # why the cell never ran, not "clean ... in 0 runs".
+        bad = CampaignCell(
+            implementation="snapshot",
+            scenario=make_scenario("snapshot", n=0, f=1, seed=0),
+            engine="swarm",
+            budget=1,
+            expect_violation=False,
+        )
+        run_id = squeue.submit(store, [bad], options={"shrink": False})
+        printed = []
+        run_worker(
+            tmp_path / "service.db",
+            run_id=run_id,
+            poll_interval=0.01,
+            progress=printed.append,
+        )
+        watched = []
+        result = watch(store, run_id, interval=0.01, emit=watched.append)
+        (verdict,) = status(store, run_id).mismatched
+        expected = f"{bad.label()}: error: n must be >= 1"
+        assert printed == watched == [verdict.describe()]
+        assert verdict.describe().startswith(expected)
+        assert verdict.describe().endswith("(UNEXPECTED)")
+        assert "clean" not in verdict.describe() and not result.ok
 
     def test_worker_fleet_matches_the_inline_worker(self, tmp_path):
         cells = [naive_cell(), clean_cell()]
@@ -711,8 +755,8 @@ class TestCampaignCellCli:
         assert "PASS: every cell matched" in out
 
     def test_symmetry_folding_is_not_a_campaign_reduction(self, capsys):
-        # No registry record declares a symmetry group, so argparse
-        # refuses the reduction that would fold over one.
+        # Cells carry no symmetry group, so argparse refuses the
+        # reduction that would fold over one.
         from repro.analysis.__main__ import main
 
         argv = ["campaign", "--reduction", "dpor+symmetry", "--no-corpus"]

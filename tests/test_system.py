@@ -24,9 +24,9 @@ from repro.sim import (
     ReceiveAll,
     Respond,
     RandomScheduler,
-    ScriptedScheduler,
     Send,
     System,
+    TraceScheduler,
     WriteRegister,
     swmr,
 )
@@ -355,8 +355,10 @@ def _writes(*pairs):
     return program()
 
 
-def _await_system(script):
-    system = System(n=3, scheduler=ScriptedScheduler(script))
+def _await_system(prefix):
+    """Two registers and a scheduler that forces ``prefix``: indices
+    into the sorted runnable tuple (W, B, C while all three run)."""
+    system = System(n=3, scheduler=TraceScheduler(prefix=prefix))
     system.install_register(swmr("R", writer=2, initial=0))
     system.install_register(swmr("S", writer=3, initial=0))
     return system
@@ -367,14 +369,14 @@ W, B, C = (1, "w"), (2, "b"), (3, "c")
 
 class TestAwait:
     def test_write_between_read_and_await_resumes_at_once(self):
-        system = _await_system([W, B, W])
+        system = _await_system([0, 1, 0])  # W, B, W
         system.spawn(1, "w", _watcher([], ["R"]))
         system.spawn(2, "b", _writes(("R", 1)))
         system.run(3)  # read R = 0, write R = 1, await ((R, 0),)
         assert W in system.runnable()
 
     def test_only_a_watched_write_wakes(self):
-        system = _await_system([W, W, C, B])
+        system = _await_system([0, 0, 1, 0])  # W, W, C, B
         system.spawn(1, "w", _watcher([], ["R"]))
         system.spawn(2, "b", _writes(("R", 1)))
         system.spawn(3, "c", _writes(("S", 1)))
@@ -386,7 +388,7 @@ class TestAwait:
         assert W in system.runnable()
 
     def test_a_write_of_the_same_value_wakes(self):
-        system = _await_system([W, W, B])
+        system = _await_system([0, 0, 0])  # W, W, B
         system.spawn(1, "w", _watcher([], ["R"]))
         system.spawn(2, "b", _writes(("R", 0)))
         system.run(3)
@@ -425,7 +427,7 @@ class TestAwait:
                 system.run(1)
 
     def test_despawn_drops_the_watch(self):
-        system = _await_system([W, W, B])
+        system = _await_system([0, 0, 0])  # W, W, B
         system.spawn(1, "w", _watcher([], ["R"]))
         system.spawn(2, "b", _writes(("R", 1)))
         system.run(2)
