@@ -526,15 +526,16 @@ def step_complexity_table(
     rows: Rows = []
     for kind in ("verifiable", "signed", "authenticated", "sticky"):
         for n in ns:
-            pooled: Dict[str, List[int]] = {}
-            for seed in seeds:
-                built, _reason = _run(
-                    make_scenario("register", kind=kind, n=n, seed=seed)
-                )
-                for op, samples in operation_latencies(
+            runs = [
+                _run(make_scenario("register", kind=kind, n=n, seed=seed))[0]
+                for seed in seeds
+            ]
+            pooled = merge_latency_samples(
+                operation_latencies(
                     built.system.history, obj="reg", pids=built.system.correct
-                ).items():
-                    pooled.setdefault(op, []).extend(samples)
+                )
+                for built in runs
+            )
             for op in sorted(pooled):
                 stats = LatencyStats.from_samples(pooled[op])
                 rows.append(

@@ -260,13 +260,16 @@ class ReplayOutcome:
 
 
 def replay_entry(entry: CorpusEntry, ctx=None) -> ReplayOutcome:
-    """Replay ``entry``'s trace; the same violation class must reappear.
+    """Replay ``entry``'s trace; the same violation must reappear.
 
     The trace is forced through a :class:`repro.sim.TraceScheduler`
     (with the usual fair round-robin completion) against a fresh build
-    of the entry's scenario. Three failure shapes are distinguished:
-    the prefix no longer realizable, the run clean, or the violation
-    drifted to a different class. Pass one :class:`repro.spec.CheckContext`
+    of the entry's scenario. Five failure shapes are distinguished:
+    the prefix no longer realizable, the step limit hit, the run clean,
+    the violation drifted to a different class, or the same class with
+    a reason other than the stored one (the class masks the operation
+    indices and times that the reason prints, so only this check sees
+    the timeline move). Pass one :class:`repro.spec.CheckContext`
     as ``ctx`` when replaying a batch of entries, so the oracle layer's
     memo tables persist across the replays.
     """
@@ -308,6 +311,16 @@ def replay_entry(entry: CorpusEntry, ctx=None) -> ReplayOutcome:
             detail=(
                 f"violation drifted: expected {entry.fingerprint!r}, "
                 f"got {record.violation.fingerprint()!r}"
+            ),
+        )
+    if record.violation.reason != entry.reason:
+        return ReplayOutcome(
+            entry=entry,
+            ok=False,
+            violation=record.violation,
+            detail=(
+                f"reason drifted: stored {entry.reason!r}, "
+                f"replay prints {record.violation.reason!r}"
             ),
         )
     return ReplayOutcome(entry=entry, ok=True, violation=record.violation)

@@ -108,9 +108,9 @@ _WAIT_SIG: EffectSignature = ("wait",)
 _SYNC_SIG: EffectSignature = ("sync",)
 _BCAST_SIG: EffectSignature = ("bcast",)
 
-#: Effect-type -> signature kind, filled lazily per concrete type (the
-#: per-step isinstance chain showed up in profiles; subclasses resolve
-#: through their nearest classified base, mirroring System._HANDLERS).
+#: Effect-type -> signature kind, by exact type as the kernel dispatches
+#: (the per-step isinstance chain showed up in profiles); any other type
+#: is ``sync``.
 _SIG_KINDS: Dict[type, str] = {
     ReadRegister: "read",
     WriteRegister: "write",
@@ -120,16 +120,6 @@ _SIG_KINDS: Dict[type, str] = {
     Broadcast: "bcast",
     ReceiveAll: "recv",
 }
-
-
-def _resolve_sig_kind(effect_type: type) -> str:
-    for base in effect_type.__mro__[1:]:
-        kind = _SIG_KINDS.get(base)
-        if kind is not None:
-            _SIG_KINDS[effect_type] = kind
-            return kind
-    _SIG_KINDS[effect_type] = "sync"
-    return "sync"
 
 
 def effect_signature(
@@ -149,9 +139,7 @@ def effect_signature(
     retiring step (``effect`` None) is ``sync``, like every effect type
     the table does not classify.
     """
-    kind = _SIG_KINDS.get(type(effect))
-    if kind is None:
-        kind = _resolve_sig_kind(type(effect))
+    kind = _SIG_KINDS.get(type(effect), "sync")
     if kind == "read":
         return ("read", effect.register)
     if kind == "write":
@@ -515,7 +503,11 @@ def paused_gc():
     that are about to die anyway; pausing it for the duration of a
     bounded campaign is worth several percent of throughput. Reference
     counting still reclaims everything acyclic immediately, and one
-    explicit collection on exit picks up the cycles.
+    young-generation collection on exit picks up the cycles: with the
+    collector off, every object the loop allocated is still in
+    generation 0, so a full collection would only re-walk the older
+    heap (a few milliseconds per block, for nothing the loop made). A
+    nested block leaves the collection to the outermost one.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -524,7 +516,7 @@ def paused_gc():
     finally:
         if was_enabled:
             gc.enable()
-            gc.collect()
+            gc.collect(0)
 
 
 def _next_effect_at(

@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import SchedulerError
 from repro.spec.context import CheckContext
-from repro.explore.explorer import RunRecord, execute_trace
+from repro.explore.explorer import RunRecord, execute_trace, paused_gc
 from repro.scenarios.registry import Scenario, Violation
 
 
@@ -82,6 +82,7 @@ def _reproduces(
     return None
 
 
+@paused_gc()
 def shrink(
     scenario: Scenario,
     violation: Violation,
@@ -95,7 +96,10 @@ def shrink(
     mismatch between finder and shrinker). The hundreds of replays of
     one shrink share a :class:`CheckContext` (created here when not
     given): candidate prefixes that converge to the same history pay
-    for one verdict.
+    for one verdict. Like :func:`repro.explore.fuzz` and
+    :func:`repro.explore.explore`, the replays run under
+    :func:`~repro.explore.explorer.paused_gc`: each builds and drops one
+    short-lived system.
     """
     fingerprint = violation.fingerprint()
     replays = 0

@@ -11,9 +11,19 @@ drives it, goes through one loop that:
 4. executes the newly yielded effect against the shared state,
 5. reports the step to the ``on_step`` observer, if one is attached.
 
+Effects dispatch by exact type. A step costs what its effect does, so
+the two hot effects — :class:`~repro.sim.effects.ReadRegister` and
+:class:`~repro.sim.effects.Pause`, about nine steps in ten of a
+register campaign — execute inside the loop itself; that read is the
+kernel's one copy of the read semantics (an unknown name or a refused
+SWSR reader delegates to ``RegisterFile.read`` for the error). Every
+other effect costs one call: its ``_HANDLERS`` row, or ``_exec_await``.
+
 A coroutine that yields :class:`~repro.sim.effects.Await` *parks*: it
 leaves the runnable set until a write to one of its watched registers
-(every write goes through ``_exec_write``) makes it runnable again.
+(every write goes through ``_exec_write``) makes it runnable again. A
+write to a register no coroutine watches wakes nothing and pays one
+dict lookup for the check.
 
 Because exactly one effect executes per step, every register access is
 atomic and the history's virtual times are a total order of steps — the
@@ -35,7 +45,6 @@ from repro.errors import ConfigurationError, StepLimitExceeded
 from repro.sim.effects import (
     Await,
     Broadcast,
-    Effect,
     Invoke,
     Pause,
     ReadRegister,
@@ -325,6 +334,10 @@ class System:
         taken = 0
         coroutines = self._coroutines
         handlers_get = self._HANDLERS.get
+        metrics = self.metrics
+        registers = self.registers
+        specs_get = registers._specs.get
+        values = registers._values
         co_dirty_add = self._co_dirty.add
         select_index = self.scheduler.select_index
         # The network hook is installed at system construction (before
@@ -365,11 +378,36 @@ class System:
                 self._runnable_cache = None
                 effect = None
             else:
-                handler = handlers_get(type(effect))
-                if handler is None:
-                    co.next_send = self._execute(cid, effect)
+                kind = type(effect)
+                if kind is ReadRegister:
+                    # The hottest effect, with Pause below: nine steps in
+                    # ten in a register campaign. An allowed read is
+                    # served from the values directly; an unknown name
+                    # or a refused SWSR reader delegates to
+                    # RegisterFile.read, which owns the errors.
+                    metrics.reads += 1
+                    name = effect.register
+                    spec = specs_get(name)
+                    if spec is None or (
+                        spec.readers is not None and cid[0] not in spec.readers
+                    ):
+                        co.next_send = registers.read(cid[0], name)
+                    else:
+                        co.next_send = values[name]
+                elif kind is Pause:
+                    co.next_send = None
                 else:
-                    co.next_send = handler(self, cid[0], effect)
+                    handler = handlers_get(kind)
+                    if handler is not None:
+                        co.next_send = handler(self, cid[0], effect)
+                    elif kind is Await:
+                        # Await needs the coroutine, not just its pid,
+                        # so it stays off the handler table.
+                        co.next_send = self._exec_await(cid, effect)
+                    else:
+                        raise ConfigurationError(
+                            f"unknown effect {effect!r} from {cid!r}"
+                        )
             on_step = self.on_step
             if on_step is not None:
                 on_step(cid, effect)
@@ -377,45 +415,12 @@ class System:
     # ------------------------------------------------------------------
     # Effect interpreter
     # ------------------------------------------------------------------
-    def _execute(self, cid: CoroutineId, effect: Effect) -> Any:
-        handler = self._HANDLERS.get(type(effect))
-        if handler is None:
-            # Await needs the coroutine, not just its pid, so it stays
-            # off the handler table and off the step loop's fast path.
-            if isinstance(effect, Await):
-                return self._exec_await(cid, effect)
-            # Effect subclasses dispatch through their nearest handled
-            # base; the resolution is cached (class-wide) per concrete
-            # type.
-            for base in type(effect).__mro__[1:]:
-                found = self._HANDLERS.get(base)
-                if found is not None:
-                    self._HANDLERS[type(effect)] = found
-                    handler = found
-                    break
-            else:
-                raise ConfigurationError(
-                    f"unknown effect {effect!r} from {cid!r}"
-                )
-        return handler(self, cid[0], effect)
-
-    def _exec_read(self, pid: int, effect: ReadRegister) -> Any:
-        self.metrics.reads += 1
-        # Fast path for the most frequent effect in the repository: an
-        # allowed SWMR/SWSR read. An unknown name or a refused reader
-        # delegates to RegisterFile.read, which owns the error semantics.
-        registers = self.registers
-        name = effect.register
-        spec = registers._specs.get(name)
-        if spec is None or (spec.readers is not None and pid not in spec.readers):
-            return registers.read(pid, name)
-        return registers._values[name]
-
     def _exec_write(self, pid: int, effect: WriteRegister) -> None:
         self.metrics.writes += 1
-        self.registers.write(pid, effect.register, effect.value)
-        if self._watchers:
-            self._wake(effect.register)
+        name = effect.register
+        self.registers.write(pid, name, effect.value)
+        if name in self._watchers:
+            self._wake(name)
         return None
 
     def _exec_await(self, cid: CoroutineId, effect: Await) -> None:
@@ -446,10 +451,13 @@ class System:
         return None
 
     def _wake(self, name: str) -> None:
-        """Make every coroutine parked on register ``name`` runnable."""
-        cids = self._watchers.pop(name, None)
-        if cids is None:
-            return
+        """Make every coroutine parked on register ``name`` runnable.
+
+        Called only for a watched ``name``: a write to a register no one
+        watches costs one dict lookup, however many coroutines are
+        parked elsewhere.
+        """
+        cids = self._watchers.pop(name)
         coroutines = self._coroutines
         for cid in cids:
             co = coroutines[cid]
@@ -469,9 +477,6 @@ class System:
                     del watchers[name]
         co.parked = False
         co.watch = ()
-
-    def _exec_pause(self, pid: int, effect: Pause) -> None:
-        return None
 
     def _exec_invoke(self, pid: int, effect: Invoke) -> int:
         return self.history.record_invocation(
@@ -516,15 +521,15 @@ class System:
         self._mbox_dirty.add(pid)
         return delivered
 
-    #: Effect-type dispatch table, class-level so instances stay
-    #: cycle-free (a per-instance dict of bound methods would keep every
-    #: System alive until a GC cycle pass — real pressure when campaigns
-    #: build thousands of short-lived systems). Handlers are plain
-    #: functions called as ``handler(self, pid, effect)``.
+    #: Exact-type dispatch table for the effects the step loop does not
+    #: branch on itself (it executes ``ReadRegister`` and ``Pause`` and
+    #: calls ``_exec_await``, which needs the coroutine). Class-level so
+    #: instances stay cycle-free (a per-instance dict of bound methods
+    #: would keep every System alive until a GC cycle pass — real
+    #: pressure when campaigns build thousands of short-lived systems).
+    #: Handlers are plain functions called as ``handler(self, pid, effect)``.
     _HANDLERS: Dict[type, Callable[["System", int, Any], Any]] = {
-        ReadRegister: _exec_read,
         WriteRegister: _exec_write,
-        Pause: _exec_pause,
         Invoke: _exec_invoke,
         Respond: _exec_respond,
         Send: _exec_send,

@@ -9,6 +9,7 @@ an inline worker against a fleet of two), the corpus round trip
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -352,7 +353,11 @@ class TestCorpus:
             fingerprint="register:not-this-class",
         )
         outcome = replay_entry(drifted)
-        assert not outcome.ok and "drifted" in outcome.detail
+        assert not outcome.ok and "violation drifted" in outcome.detail
+        stale = dataclasses.replace(entry, reason=entry.reason + " (stale)")
+        outcome = replay_entry(stale)
+        assert not outcome.ok and "reason drifted" in outcome.detail
+        assert outcome.violation.reason == entry.reason
         clean = CorpusEntry(
             entry_id="deadbeef0000",
             scenario="theorem29",

@@ -56,6 +56,16 @@ def test_corpus_entry_still_reproduces(entry):
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.label())
+def test_corpus_entry_reason_is_what_its_replay_prints(entry):
+    """The class fingerprint masks operation indices and times, so a
+    stored reason can go stale while its class still matches; the
+    stored text must be the one its replay prints."""
+    outcome = replay_entry(entry, ctx=REPLAY_CTX)
+    assert outcome.violation is not None, outcome.detail
+    assert outcome.violation.reason == entry.reason
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.label())
 def test_corpus_file_is_its_entrys_canonical_document(entry):
     """Each file holds exactly what ``save_entry`` writes for its loaded
     entry: a stray key or a hand edit fails here, not at the next save."""

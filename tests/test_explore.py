@@ -11,6 +11,9 @@ budget).
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,6 +36,7 @@ from repro.explore import (
     shrink,
     theorem29_symmetry,
 )
+from repro.explore.explorer import paused_gc
 from repro.explore.fuzzer import SwarmScheduler, fuzz_scheduler
 
 #: Shared bounds: must find the f=1 violation and keep the control
@@ -412,6 +416,65 @@ class TestHuntingRecordsAsItRuns:
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
+class _Node:
+    """A reference-cycle participant (plain objects take weakrefs)."""
+
+
+def _cycle():
+    """A two-node reference cycle and a weakref to one of its nodes."""
+    first, second = _Node(), _Node()
+    first.peer, second.peer = second, first
+    return weakref.ref(first)
+
+
+class TestPausedGc:
+    @pytest.fixture(autouse=True)
+    def _collector_on(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_a_cycle_made_inside_is_reclaimed_on_exit(self):
+        with paused_gc():
+            assert not gc.isenabled()
+            ref = _cycle()
+            assert ref() is not None
+        assert ref() is None
+        assert gc.isenabled()
+
+    def test_a_nested_block_does_not_collect(self):
+        with paused_gc():
+            with paused_gc():
+                ref = _cycle()
+            assert ref() is not None and not gc.isenabled()
+        assert ref() is None and gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        with paused_gc():
+            ref = _cycle()
+        assert ref() is not None and not gc.isenabled()
+
+    def test_shrink_runs_with_the_collector_paused(self, monkeypatch):
+        import sys
+
+        shrink_module = sys.modules["repro.explore.shrink"]
+        enabled = []
+        real = shrink_module.execute_trace
+
+        def spy(*args, **kwargs):
+            enabled.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shrink_module, "execute_trace", spy)
+        scenario = make_scenario("theorem29", f=1)
+        report = fuzz(scenario, budget=40, stop_on_violation=True)
+        shrink(scenario, report.violations[0], max_replays=3)
+        assert enabled and not any(enabled)
+        assert gc.isenabled()
+
+
 class TestShrinker:
     @pytest.fixture(scope="class")
     def found(self):

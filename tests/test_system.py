@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import (
     ConfigurationError,
     OwnershipError,
+    ReadPermissionError,
     SchedulerError,
     StepLimitExceeded,
     UnknownRegisterError,
@@ -29,6 +30,7 @@ from repro.sim import (
     TraceScheduler,
     WriteRegister,
     swmr,
+    swsr,
 )
 from tests.conftest import count_steps
 
@@ -121,6 +123,20 @@ class TestStepping:
         system.spawn(2, "client", thief())
         with pytest.raises(OwnershipError):
             system.run(5)
+
+    def test_effects_dispatch_by_exact_type(self):
+        class Subclassed(Pause):
+            pass
+
+        for effect in (42, Subclassed()):
+            system = System(n=1)
+
+            def program(effect=effect):
+                yield effect
+
+            system.spawn(1, "c", program())
+            with pytest.raises(ConfigurationError, match="unknown effect"):
+                system.step()
 
     def test_duplicate_spawn_rejected(self):
         system = System(n=2)
@@ -270,6 +286,41 @@ class TestMessaging:
             system.run(5)
 
 
+class TestReadInTheLoop:
+    """The step loop executes ``ReadRegister`` itself; an unknown name
+    is covered by ``TestAwait::test_unknown_register_fails_like_a_read``."""
+
+    @staticmethod
+    def _reader(system, pid, name, seen):
+        def program():
+            seen.append((yield ReadRegister(name)))
+            yield Pause()
+
+        system.spawn(pid, "r", program())
+
+    def test_a_refused_swsr_reader_raises(self):
+        system = System(n=3)
+        system.install_register(swsr("R", writer=1, reader=2, initial=7))
+        self._reader(system, 3, "R", [])
+        with pytest.raises(ReadPermissionError, match="process 3"):
+            system.step()
+
+    def test_an_allowed_read_returns_the_value_and_counts_once(self):
+        for spec in (
+            swmr("R", writer=1, initial=7),
+            swsr("R", writer=1, reader=2, initial=7),
+        ):
+            system = System(n=2)
+            system.install_register(spec)
+            seen = []
+            self._reader(system, 2, "R", seen)
+            assert system.step() and system.metrics.reads == 1
+            assert seen == []  # the value is sent on the next resume
+            assert system.step() and seen == [7]
+            assert system.metrics.reads == 1  # the Pause reads nothing
+            assert system.step() and system.metrics.reads == 1
+
+
 class TestMetrics:
     def test_counters(self):
         system = System(n=2)
@@ -384,8 +435,21 @@ class TestAwait:
         assert system.runnable() == (B, C)
         system.run(1)  # a write to S
         assert W not in system.runnable()
+        assert system._coroutines[W].parked
         system.run(1)  # a write to R
         assert W in system.runnable()
+
+    def test_a_write_wakes_only_its_own_watchers(self):
+        system = _await_system([0, 0, 1, 1, 0])  # W, W, C, C, B
+        system.spawn(1, "w", _watcher([], ["R"]))
+        system.spawn(2, "b", _writes(("R", 1)))
+        system.spawn(3, "c", _watcher([], ["S"]))
+        system.run(4)  # W and C each read and park
+        assert system.runnable() == (B,)
+        system.run(1)  # a write to R, while C is parked on S
+        assert system.runnable() == (W, B)
+        assert system._coroutines[C].parked
+        assert system._watchers == {"S": [C]}
 
     def test_a_write_of_the_same_value_wakes(self):
         system = _await_system([0, 0, 0])  # W, W, B
